@@ -25,7 +25,7 @@
 //!   same spec and seed, byte-identical report, interrupted or not —
 //!   plus [`ReportDiff`] for cross-campaign regression hunting.
 //!
-//! The `fig2` / `fig3` binaries in `ccsim-bench` and `ccsim campaign` in
+//! The `fig2` / `fig3` binaries in `ccsim-figures` and `ccsim campaign` in
 //! the CLI are thin wrappers over this crate; [`spec::presets`] holds
 //! their grids.
 //!

@@ -41,8 +41,6 @@ USAGE:
               [--interval-ms <n>] [--max-idle-ms <n>] [--once] [--json]
     ccsim report-diff <a/report.json> <b/report.json> [--threshold <mpki>]
               [--json]
-    ccsim bench [--quick] [--json] [--out <file>] [--policy <name>]...
-              [--grid [--chunk-records <n>]]
     ccsim trends record [--rev <rev>] [--ledger <file>] [--label <s>]
               [--timestamp <s>] [--from-bench <file>] [--from-diff <file>]
               [--from-manifest <file>]... [--from-watch <file>]
@@ -118,9 +116,10 @@ never re-read. See the Observability runbook in PAPER.md.
 `trends` maintains an append-only cross-revision performance ledger
 (trends.jsonl, one entry per revision): `record` tags --rev/--label
 (--rev defaults to `git rev-parse HEAD`, or \"unknown\" outside a
-repository) and distills any of `bench --json` output (--from-bench), `report-diff
---json` (--from-diff), obs manifests (--from-manifest, repeatable) and
-`watch --once --json` (--from-watch) into one line; `table` renders
+repository) and distills any of a `benchmark/run.sh --out` document
+(--from-bench), `report-diff --json` (--from-diff), obs manifests
+(--from-manifest, repeatable) and `watch --once --json`
+(--from-watch) into one line; `table` renders
 tracked series across the last N revisions with sparklines (byte-
 deterministic for a fixed ledger); `check` is the regression gate —
 the newest entry is judged against the rolling median of the previous
@@ -136,22 +135,14 @@ when any |MPKI delta| exceeds --threshold (default 0, i.e. any change).
 `--json` emits the same comparison in a pinned machine schema for CI
 dashboards (summary fields mirror the exit-code conditions).
 
-`bench` measures *simulator* throughput (trace records replayed per
-second) per (pattern x policy) cell, including the eviction-heavy
-`llc_thrash` sweep perf gates compare against BENCH_seed.json, times
-the LLC tag-array scan in isolation (the `probe_scan` section: hit
-and miss probe sweeps over a full cascade-lake LLC), and verifies the
-zero-allocations-per-record hot-path contract with the binary's
-counting allocator. `--json` emits the pinned machine schema
-(tests/fixtures/bench_v1.json); `--out` also writes it to a file.
-`bench --grid` instead measures the one-pass grid replay engine:
-per-cell streamed replay vs one lockstep pass over the same on-disk
-trace and policy x LLC-scale grid, reporting passes, records*cells/sec,
-speedup and cross-mode bit-identity per workload (schema
-tests/fixtures/bench_v2.json). One-pass chunks are autotuned from the
-grid's combined tag-state footprint (CCSIM_HOST_LLC_BYTES overrides
-the assumed host LLC budget); `--chunk-records <n>` — here and on
-`ccsim campaign` — forces a specific chunk size instead.
+One-pass campaign chunks are autotuned from the grid's combined
+tag-state footprint (CCSIM_HOST_LLC_BYTES overrides the assumed host
+LLC budget); `campaign --chunk-records <n>` forces a specific chunk
+size instead.
+
+Simulator performance is measured outside this binary, by
+`benchmark/run.sh` (see benchmark/README.md); `trends record
+--from-bench` ingests the document it writes.
 ";
 
 /// Builds the named workload's trace.
@@ -349,111 +340,6 @@ pub fn report_diff(args: &[String]) -> Result<(), String> {
     );
     if over > 0 {
         return Err(format!("{over} cell(s) exceed the LLC-MPKI delta threshold {threshold}"));
-    }
-    Ok(())
-}
-
-/// `ccsim bench [--quick] [--json] [--out <file>] [--policy <name>]...
-/// [--grid [--chunk-records <n>]]`
-pub fn bench(args: &[String]) -> Result<(), String> {
-    let positional = positionals(
-        args,
-        &["--policy", "--out", "--chunk-records"],
-        &["--quick", "--json", "--grid"],
-    )?;
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument {extra:?}\n\n{USAGE}"));
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let out: Option<PathBuf> = parse_flag_value(args, "--out")?;
-    let chunk_records: Option<usize> = parse_flag_value(args, "--chunk-records")?;
-    if chunk_records.is_some() && !args.iter().any(|a| a == "--grid") {
-        return Err("--chunk-records only applies to bench --grid".into());
-    }
-    let mut chosen: Vec<PolicyKind> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--policy" {
-            let v = it.next().ok_or("--policy needs a value")?;
-            chosen.push(v.parse().map_err(|e| format!("{e}"))?);
-        }
-    }
-    if args.iter().any(|a| a == "--grid") {
-        let mut options = ccsim_bench::gridbench::GridBenchOptions::new(quick);
-        if !chosen.is_empty() {
-            options.policies = chosen;
-        }
-        options.chunk_records = chunk_records.unwrap_or(0);
-        let report = ccsim_bench::gridbench::run_grid_bench(&options)?;
-        let doc = report.to_json().to_pretty();
-        if let Some(path) = &out {
-            std::fs::write(path, format!("{}\n", doc.trim_end()))
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
-        if json {
-            println!("{}", doc.trim_end());
-            return Ok(());
-        }
-        println!("platform: {} [{}]", report.platform, report.hot_path);
-        println!("{}", report.render());
-        if let Some(path) = out {
-            println!("wrote {}", path.display());
-        }
-        return Ok(());
-    }
-    let mut options = ccsim_bench::throughput::ThroughputOptions::new(quick);
-    if !chosen.is_empty() {
-        options.policies = chosen;
-    }
-    let report = ccsim_bench::throughput::run_throughput(&options);
-    let doc = report.to_json().to_pretty();
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{}\n", doc.trim_end()))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    }
-    if json {
-        println!("{}", doc.trim_end());
-        return Ok(());
-    }
-    println!("platform: {} [{}]", report.platform, report.hot_path);
-    println!(
-        "alloc check: {} (steady-state heap allocations per record)",
-        match report.alloc_check {
-            ccsim_bench::throughput::AllocCheck::Pass => "0 — allocation-free".to_owned(),
-            ccsim_bench::throughput::AllocCheck::Fail(n) => format!("{n} — NOT allocation-free"),
-            ccsim_bench::throughput::AllocCheck::Unavailable =>
-                "unavailable (no counting allocator)".to_owned(),
-        }
-    );
-    println!(
-        "probe scan ({} sets x {} ways, full LLC): hit {} Mprobe/s, miss {} Mprobe/s",
-        report.probe_scan.sets,
-        report.probe_scan.ways,
-        fmt_f(report.probe_scan.hit_rps / 1e6, 1),
-        fmt_f(report.probe_scan.miss_rps / 1e6, 1),
-    );
-    let mut table = Table::new(vec![
-        "pattern".into(),
-        "policy".into(),
-        "records".into(),
-        "best_Mrec/s".into(),
-        "median_Mrec/s".into(),
-        "ns/record".into(),
-    ]);
-    for c in &report.cells {
-        table.row(vec![
-            c.pattern.to_owned(),
-            c.policy.name().to_owned(),
-            c.records.to_string(),
-            fmt_f(c.best_rps / 1e6, 3),
-            fmt_f(c.median_rps / 1e6, 3),
-            fmt_f(c.best_ns_per_record(), 1),
-        ]);
-    }
-    println!("{}", table.render());
-    if let Some(path) = out {
-        println!("wrote {}", path.display());
     }
     Ok(())
 }
@@ -1470,12 +1356,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let ledger: String = dir.join("trends.jsonl").to_str().unwrap().into();
         let bench_doc = |rps: f64| {
+            let s = 1000.0 / rps;
             format!(
-                r#"{{"ccsim_bench": 2, "quick": true,
-                    "wall_clock_breakdown": {{"decode_ns": 10, "simulate_ns": 80, "report_ns": 10}},
-                    "obs_overhead": {{"overhead_pct": 1.0}},
-                    "cells": [{{"pattern": "llc_thrash", "policy": "lru", "records": 10,
-                                "best_rps": {rps}, "median_rps": {rps}}}]}}"#
+                r#"{{"ccsim_benchmark": 1, "smoke": true,
+                    "workloads": {{"gap_miss": {{"units": [{{"name": "lru", "cell_records": 1000,
+                        "min_s": {s}, "median_s": {s}}}]}}}},
+                    "traced": {{"per_layer": {{"obs.overhead_pct": {{"value": 1.0}}}}}}}}"#
             )
         };
         let bench_path = dir.join("bench.json");
@@ -1514,7 +1400,7 @@ mod tests {
         ])
         .unwrap();
         let err = trends(&["check".into(), "--ledger".into(), ledger.clone()]).unwrap_err();
-        assert!(err.contains("bench/llc_thrash/median_rps"), "{err}");
+        assert!(err.contains("bench.smoke/gap_miss/median_rps"), "{err}");
 
         trends(&["gc".into(), "--ledger".into(), ledger.clone(), "--keep".into(), "2".into()])
             .unwrap();
@@ -1555,12 +1441,5 @@ mod tests {
             rev == "unknown" || (rev.len() == 40 && rev.chars().all(|c| c.is_ascii_hexdigit())),
             "{rev}"
         );
-    }
-
-    #[test]
-    fn bench_rejects_chunk_records_without_grid() {
-        let err = bench(&["--chunk-records".into(), "512".into()]).unwrap_err();
-        assert!(err.contains("--grid"), "{err}");
-        assert!(bench(&["--grid".into(), "--chunk-records".into(), "none".into()]).is_err());
     }
 }

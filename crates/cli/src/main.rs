@@ -10,7 +10,6 @@
 //! ccsim campaign assemble <spec.json>     merge worker journals into a report
 //! ccsim campaign status <spec.json>       distributed-campaign progress
 //! ccsim report-diff <a.json> <b.json>     per-cell deltas of two reports
-//! ccsim bench [--quick] [--json]          simulator throughput benchmark
 //! ccsim trends record|table|check|gc      cross-revision performance ledger
 //! ccsim workloads                         list available workload names
 //! ccsim policies                          list available policy names
@@ -26,23 +25,14 @@ use std::process::ExitCode;
 
 mod commands;
 
-/// Counting allocator so `ccsim bench` can measure (and CI can gate on)
-/// the zero-allocations-per-record hot-path contract from inside the real
-/// binary. One relaxed atomic add per allocation; no measurable cost on
-/// any other subcommand.
-#[global_allocator]
-static ALLOC: ccsim_bench::alloc_track::CountingAlloc = ccsim_bench::alloc_track::CountingAlloc;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+fn dispatch(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("trace-gen") => commands::trace_gen(&args[1..]),
         Some("trace-stats") => commands::trace_stats(&args[1..]),
         Some("ingest") => commands::ingest(&args[1..]),
         Some("sim") => commands::sim(&args[1..]),
         Some("campaign") => commands::campaign(&args[1..]),
         Some("report-diff") => commands::report_diff(&args[1..]),
-        Some("bench") => commands::bench(&args[1..]),
         Some("trends") => commands::trends(&args[1..]),
         Some("workloads") => commands::list_workloads(),
         Some("policies") => commands::list_policies(),
@@ -51,12 +41,26 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some(other) => Err(format!("unknown command {other:?}\n\n{}", commands::USAGE)),
-    };
-    match code {
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn bench_is_an_unknown_command() {
+        // Performance is measured by `benchmark/run.sh`, not by this binary.
+        let err = super::dispatch(&["bench".into(), "--quick".into()]).unwrap_err();
+        assert!(err.starts_with("unknown command \"bench\""), "{err}");
     }
 }

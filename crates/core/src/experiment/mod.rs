@@ -1,6 +1,6 @@
 //! Experiment harness: parallel sweeps and report formatting.
 //!
-//! The binaries in `ccsim-bench` and the `ccsim-campaign` engine use this
+//! The binaries in `ccsim-figures` and the `ccsim-campaign` engine use this
 //! module to regenerate the paper's figures: [`run_jobs`] executes
 //! independent jobs with work-stealing and lock-free per-slot result
 //! collection, [`run_matrix`] specializes it to (trace x policy) sweeps,

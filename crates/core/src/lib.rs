@@ -29,17 +29,6 @@
 
 #![warn(missing_docs)]
 
-/// Identifies the per-access hot-path generation this build simulates
-/// with. Surfaced by `ccsim bench --json` (and grepped by CI) so
-/// throughput baselines record which implementation produced them.
-/// `BENCH_seed.json` was recorded at `boxed_dyn_v0` (per-fill `Vec`
-/// allocation, `Box<dyn>` policy dispatch, SipHash MSHR map);
-/// `BENCH_soa.json` at `soa_tags_v2` (struct-of-arrays tag store:
-/// packed `u64` tag words + dirty bitmaps, branch-free vectorizable
-/// probe, stack-buffer view lending), whose predecessor
-/// `scratch_enum_dispatch_v1` stored AoS `LineView` tag arrays.
-pub const HOT_PATH: &str = "soa_tags_v2";
-
 pub mod cache;
 mod config;
 mod cpu;

@@ -2,11 +2,11 @@
 //! scales from the paper's 1.375 MB up to 11 MB (x1, x2, x4, x8 sets).
 //! Demonstrates that graph working sets defeat any realistic LLC size.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_llc_sweep`.
+//! Run with `cargo run --release -p ccsim-figures --bin ext_llc_sweep`.
 
-use ccsim_bench::Options;
 use ccsim_core::experiment::{report::fmt_f, Table};
 use ccsim_core::{simulate, SimConfig};
+use ccsim_figures::Options;
 use ccsim_policies::PolicyKind;
 use ccsim_workloads::{GapGraph, GapKernel, GapWorkload};
 

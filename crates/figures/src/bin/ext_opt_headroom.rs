@@ -3,11 +3,11 @@
 //! against LRU and the best online policy. Shows how much of the
 //! (small) OPT-LRU gap the learned policies actually capture on graphs.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_opt_headroom`.
+//! Run with `cargo run --release -p ccsim-figures --bin ext_opt_headroom`.
 
-use ccsim_bench::Options;
 use ccsim_core::experiment::{report::fmt_f, Table};
 use ccsim_core::{simulate, simulate_with_llc_log, SimConfig};
+use ccsim_figures::Options;
 use ccsim_policies::{belady::belady_replay, PolicyKind};
 use ccsim_workloads::{GapGraph, GapKernel, GapWorkload};
 

@@ -4,10 +4,10 @@
 //! their footprint on a handful of PCs, which starves PC-indexed
 //! predictors of signal; SPEC/Qualcomm spread it over many.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_pc_diversity`.
+//! Run with `cargo run --release -p ccsim-figures --bin ext_pc_diversity`.
 
-use ccsim_bench::Options;
 use ccsim_core::experiment::{report::fmt_f, Table};
+use ccsim_figures::Options;
 use ccsim_trace::stats::TraceStats;
 use ccsim_workloads::Suite;
 

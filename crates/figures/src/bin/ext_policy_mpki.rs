@@ -2,11 +2,11 @@
 //! any policy dents graph-workload miss rates (the quantitative core of
 //! the paper's conclusion).
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_policy_mpki`.
+//! Run with `cargo run --release -p ccsim-figures --bin ext_policy_mpki`.
 
-use ccsim_bench::{lru_plus_paper_policies, Options};
 use ccsim_core::experiment::{report::fmt_f, Table};
 use ccsim_core::SimConfig;
+use ccsim_figures::{lru_plus_paper_policies, Options};
 use ccsim_workloads::paper_workloads;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     let n = workloads.len();
     for (i, w) in workloads.into_iter().enumerate() {
         let trace = w.trace(opts.gap_scale());
-        let results = ccsim_bench::run_policies(&trace, &policies, &config, opts.threads);
+        let results = ccsim_figures::run_policies(&trace, &policies, &config, opts.threads);
         eprintln!("[{}/{}] {}", i + 1, n, w);
         let mut row = vec![w.to_string()];
         for (k, r) in results.iter().enumerate() {

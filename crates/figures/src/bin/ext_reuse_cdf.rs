@@ -4,10 +4,10 @@
 //! (22 528 ~ 2^14.5): graph suites stay flat far past the LLC, SPEC rises
 //! early.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_reuse_cdf`.
+//! Run with `cargo run --release -p ccsim-figures --bin ext_reuse_cdf`.
 
-use ccsim_bench::Options;
 use ccsim_core::experiment::{report::fmt_f, Table};
+use ccsim_figures::Options;
 use ccsim_trace::stats::ReuseProfile;
 use ccsim_workloads::{GapGraph, GapKernel, GapWorkload, Suite};
 

@@ -8,12 +8,12 @@
 //! LLC MPKI toward the L1D MPKI and raises the DRAM-reach fraction toward
 //! the paper's 78.6 %.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin ext_scaling`
+//! Run with `cargo run --release -p ccsim-figures --bin ext_scaling`
 //! (`--quick` caps the sweep at scale 16).
 
-use ccsim_bench::Options;
 use ccsim_core::experiment::{report::fmt_f, Table};
 use ccsim_core::{simulate, SimConfig};
+use ccsim_figures::Options;
 use ccsim_graph::{generators, traced};
 use ccsim_policies::PolicyKind;
 

@@ -4,11 +4,11 @@
 //!
 //! A thin wrapper over the `fig2` campaign preset (`ccsim-campaign`).
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin fig2` (add `--quick`
+//! Run with `cargo run --release -p ccsim-figures --bin fig2` (add `--quick`
 //! for a fast smoke run).
 
-use ccsim_bench::Options;
 use ccsim_campaign::{presets, Campaign};
+use ccsim_figures::Options;
 
 fn main() {
     let opts = Options::from_args();

@@ -5,11 +5,11 @@
 //! the same grid is checked in as `campaigns/fig3_quick.json` for
 //! `ccsim campaign`.
 //!
-//! Run with `cargo run --release -p ccsim-bench --bin fig3` (add `--quick`
+//! Run with `cargo run --release -p ccsim-figures --bin fig3` (add `--quick`
 //! for a fast smoke run).
 
-use ccsim_bench::Options;
 use ccsim_campaign::{presets, Campaign};
+use ccsim_figures::Options;
 
 fn main() {
     let opts = Options::from_args();

@@ -1,19 +1,16 @@
-//! # ccsim-bench
+//! # ccsim-figures
 //!
-//! Shared plumbing for the figure-regeneration binaries and Criterion
-//! benchmarks. Each binary in `src/bin/` regenerates one of the paper's
-//! figures/tables or an extension experiment; see `DESIGN.md` at the
-//! workspace root for the per-experiment index.
+//! Shared plumbing for the figure-regeneration binaries. Each binary in
+//! `src/bin/` regenerates one of the paper's figures/tables (`fig2`,
+//! `fig3`) or an extension experiment (`ext_*`); its module docs name
+//! the figure and the run line. Performance is measured elsewhere, by
+//! `benchmark/` at the workspace root.
 //!
 //! All binaries accept `--quick` to run scaled-down inputs (useful for
 //! smoke-testing the harness) and print the same tables at reduced
 //! fidelity.
 
 #![warn(missing_docs)]
-
-pub mod alloc_track;
-pub mod gridbench;
-pub mod throughput;
 
 use ccsim_core::experiment::{run_matrix, MatrixEntry};
 use ccsim_core::{SimConfig, SimResult};

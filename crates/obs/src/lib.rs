@@ -16,7 +16,7 @@
 //!    relaxed atomics. `tests/alloc_free.rs` pins replay at 0
 //!    allocations per record *with telemetry enabled*.
 //! 2. **No dependencies.** This crate sits below every other workspace
-//!    crate (core, ingest, campaign, dist, bench, cli all instrument
+//!    crate (core, ingest, campaign, dist, cli all instrument
 //!    through it), so it depends on nothing but `std` and carries its
 //!    own minimal deterministic JSON emitter ([`json`]).
 //! 3. **Run-scoped accuracy.** Process totals are global; a [`RunObs`]

@@ -362,12 +362,6 @@ catalog! {
         campaign_cell_sim_ns => "campaign_cell_sim_ns",
         /// Nanoseconds per journal-segment directory merge.
         journal_merge_ns => "journal_merge_ns",
-        /// Nanoseconds spent decoding/synthesizing bench traces.
-        bench_decode_ns => "bench_decode_ns",
-        /// Nanoseconds spent in timed bench simulation reps.
-        bench_simulate_ns => "bench_simulate_ns",
-        /// Nanoseconds spent assembling bench reports.
-        bench_report_ns => "bench_report_ns",
     }
 }
 

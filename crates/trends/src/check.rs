@@ -55,55 +55,66 @@ pub struct Series {
     pub values: Vec<Option<f64>>,
 }
 
-/// Extracts every tracked series from `entries` (oldest first): one
-/// per-suite bench throughput rollup per pattern (mean of per-policy
-/// median records/sec), the telemetry overhead gate, fleet throughput
-/// and per-cell p99 from manifests/watch, and golden-campaign MPKI
-/// drift. Series order is deterministic: bench suites in first-seen
+/// Series-name prefix of the bench suite an entry belongs to: smoke and
+/// full-scale runs replay different inputs, so each scale is its own
+/// set of series and a gate only ever compares like against like.
+pub(crate) fn bench_suite(quick: bool) -> &'static str {
+    if quick {
+        "bench.smoke"
+    } else {
+        "bench"
+    }
+}
+
+/// Extracts every tracked series from `entries` (oldest first): per
+/// bench scale, one throughput rollup per workload (mean of per-unit
+/// median records/sec) and the telemetry overhead gate; then fleet
+/// throughput and per-cell p99 from manifests/watch, and
+/// golden-campaign MPKI drift. Series order is deterministic:
+/// full-scale bench series before smoke ones, workloads in first-seen
 /// order, then the fixed singletons.
 pub fn extract_series(entries: &[TrendEntry]) -> Vec<Series> {
-    let mut patterns: Vec<String> = Vec::new();
-    for e in entries {
-        if let Some(b) = &e.bench {
-            for c in &b.cells {
-                if !patterns.contains(&c.pattern) {
-                    patterns.push(c.pattern.clone());
-                }
+    let mut out = Vec::new();
+    for quick in [false, true] {
+        let suite = bench_suite(quick);
+        let mut patterns: Vec<&str> = Vec::new();
+        for c in entries.iter().filter_map(|e| e.bench_at(quick)).flat_map(|b| &b.cells) {
+            if !patterns.contains(&c.pattern.as_str()) {
+                patterns.push(&c.pattern);
             }
         }
-    }
-    let mut out = Vec::new();
-    for pattern in &patterns {
-        let values = entries
-            .iter()
-            .map(|e| {
-                let b = e.bench.as_ref()?;
-                let rps: Vec<f64> = b
-                    .cells
-                    .iter()
-                    .filter(|c| &c.pattern == pattern)
-                    .map(|c| c.median_rps)
-                    .collect();
-                if rps.is_empty() {
-                    None
-                } else {
-                    Some(rps.iter().sum::<f64>() / rps.len() as f64)
-                }
-            })
-            .collect();
+        for pattern in patterns {
+            let values = entries
+                .iter()
+                .map(|e| {
+                    let rps: Vec<f64> = e
+                        .bench_at(quick)?
+                        .cells
+                        .iter()
+                        .filter(|c| c.pattern == pattern)
+                        .map(|c| c.median_rps)
+                        .collect();
+                    if rps.is_empty() {
+                        None
+                    } else {
+                        Some(rps.iter().sum::<f64>() / rps.len() as f64)
+                    }
+                })
+                .collect();
+            out.push(Series {
+                name: format!("{suite}/{pattern}/median_rps"),
+                kind: SeriesKind::Throughput,
+                values,
+            });
+        }
         out.push(Series {
-            name: format!("bench/{pattern}/median_rps"),
-            kind: SeriesKind::Throughput,
-            values,
+            name: format!("{suite}/obs_overhead_pct"),
+            kind: SeriesKind::OverheadPct,
+            values: entries.iter().map(|e| e.bench_at(quick).map(|b| b.overhead_pct)).collect(),
         });
     }
     let singleton =
         |name: &str, kind, values: Vec<Option<f64>>| Series { name: name.to_owned(), kind, values };
-    out.push(singleton(
-        "bench/obs_overhead_pct",
-        SeriesKind::OverheadPct,
-        entries.iter().map(|e| e.bench.as_ref().map(|b| b.overhead_pct)).collect(),
-    ));
     out.push(singleton(
         "fleet/records_per_sec",
         SeriesKind::Throughput,
@@ -314,7 +325,7 @@ mod tests {
     fn bench_entry(rev: &str, rps: f64, overhead: f64) -> TrendEntry {
         let mut e = TrendEntry::new(rev, "", "");
         e.bench = Some(BenchSummary {
-            quick: true,
+            quick: false,
             overhead_pct: overhead,
             decode_ns: 1,
             simulate_ns: 2,
@@ -394,6 +405,31 @@ mod tests {
         assert!(verdict.pass(), "one prior entry < min_history 2");
         assert_eq!(verdict.series[0].status, "insufficient_history");
         assert!(run_check(&[], &CheckOptions::default()).is_err());
+    }
+
+    #[test]
+    fn smoke_and_full_scale_entries_are_separate_series() {
+        // Three full-scale entries, then a smoke run at a tenth of the
+        // throughput and a higher overhead: different inputs, not a
+        // regression.
+        let mut entries: Vec<TrendEntry> =
+            (0..3).map(|i| bench_entry(&format!("r{i}"), 100.0, 1.0)).collect();
+        let mut smoke = bench_entry("smoke", 10.0, 4.0);
+        smoke.bench.as_mut().unwrap().quick = true;
+        entries.push(smoke);
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        assert!(verdict.pass(), "{:?}", verdict.series);
+        let status = |name: &str| verdict.series.iter().find(|s| s.name == name).unwrap().status;
+        assert_eq!(status("bench/llc_thrash/median_rps"), "no_data");
+        assert_eq!(status("bench.smoke/llc_thrash/median_rps"), "insufficient_history");
+        assert_eq!(status("bench.smoke/obs_overhead_pct"), "insufficient_history");
+
+        // The next full-scale entry is still judged against the full
+        // history, across the smoke entry in between.
+        entries.push(bench_entry("r4", 80.0, 1.0));
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        let rps = verdict.series.iter().find(|s| s.name == "bench/llc_thrash/median_rps").unwrap();
+        assert_eq!((rps.status, rps.median), ("fail", Some(100.0)));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct TrendEntry {
     /// (unix seconds from the CLI). Never interpreted — entry order in
     /// the ledger, not timestamps, defines history.
     pub timestamp: String,
-    /// `ccsim bench --json` summary, when recorded.
+    /// `benchmark/run.sh` result summary, when recorded.
     pub bench: Option<BenchSummary>,
     /// `report-diff --json` summary, when recorded.
     pub diff: Option<DiffSummary>,
@@ -42,6 +42,12 @@ impl TrendEntry {
     pub fn short_rev(&self) -> &str {
         let end = self.rev.char_indices().nth(10).map_or(self.rev.len(), |(i, _)| i);
         &self.rev[..end]
+    }
+
+    /// The bench summary, when one was recorded at the given scale
+    /// (`quick`: a smoke run).
+    pub(crate) fn bench_at(&self, quick: bool) -> Option<&BenchSummary> {
+        self.bench.as_ref().filter(|b| b.quick == quick)
     }
 
     /// Fleet records/sec for this entry: the watch aggregate when

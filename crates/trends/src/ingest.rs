@@ -2,12 +2,12 @@
 //! the compact summaries a ledger entry stores.
 //!
 //! Each summary has two JSON faces: `from_doc` parses the *source*
-//! document (`ccsim bench --json`, `report-diff --json`, an obs
-//! manifest, or a watch view) and keeps only the fields trend tables
+//! document (a `benchmark/run.sh --out` result, `report-diff --json`,
+//! an obs manifest, or a watch view) and keeps only the fields trend tables
 //! and gates consume; `to_json` / `from_entry_json` round-trip the
 //! summary through the ledger line. Source parsing is strict about
-//! schema identity (wrong document kinds are errors, not zeros) but
-//! versions are accepted across the documented compatibility range —
+//! schema identity (wrong document kinds are errors, not zeros); obs
+//! documents are accepted across their documented compatibility range —
 //! in particular a v1 obs manifest without the pre-computed quantile
 //! block still yields quantiles, derived from its raw histogram
 //! buckets.
@@ -17,12 +17,9 @@ use ccsim_obs::{
     records_per_sec, QuantileSummary, HISTOGRAM_BUCKETS, OBS_MIN_SCHEMA_VERSION, OBS_SCHEMA_VERSION,
 };
 
-/// Oldest / newest `ccsim bench --json` schema this crate ingests
-/// (v1 predates `wall_clock_breakdown` and `obs_overhead`; v3 adds the
-/// `probe_scan` section, which the ledger does not distill yet).
-pub const BENCH_MIN_SCHEMA: u64 = 1;
-/// Newest accepted bench schema.
-pub const BENCH_MAX_SCHEMA: u64 = 3;
+/// The `ccsim_benchmark` result-document schema (`benchmark/run.sh
+/// --out`) this crate ingests.
+pub const BENCHMARK_SCHEMA: u64 = 1;
 /// The `report-diff --json` schema this crate ingests.
 pub const DIFF_SCHEMA: u64 = 1;
 
@@ -100,66 +97,86 @@ fn cell_sim_quantiles(doc: &Json) -> Option<QuantileSummary> {
     Some(QuantileSummary::from_buckets(&buckets))
 }
 
-/// One measured (pattern × policy) bench cell, as stored in the ledger.
+/// One timed benchmark unit, as stored in the ledger. The ledger keys
+/// stay `pattern` / `policy`, the names of the first bench surface, so
+/// lines recorded from it still load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchCellSummary {
-    /// Pattern name (`llc_thrash`, `random_churn`, `l1_hot`).
+    /// Workload name (`gap_miss`, `hit_resident`, `grid_band`,
+    /// `campaign_cold`).
     pub pattern: String,
-    /// Policy name.
+    /// Unit name within the workload (a policy, `grid` or `campaign`).
     pub policy: String,
-    /// Trace records replayed per repetition.
+    /// Cell-records replayed per repetition.
     pub records: u64,
-    /// Best records/second across the timed repetitions.
+    /// Records/second of the fastest repetition.
     pub best_rps: f64,
-    /// Median records/second across the timed repetitions.
+    /// Records/second of the median repetition.
     pub median_rps: f64,
 }
 
-/// What a ledger entry keeps of one `ccsim bench --json` report.
+/// What a ledger entry keeps of one `benchmark/run.sh` result document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSummary {
-    /// Whether reduced-scale inputs were used (quick runs and full runs
-    /// are different suites; gates only compare like against like).
+    /// Whether this was a `--smoke` run (smoke and full-scale runs are
+    /// different suites; gates only compare like against like).
     pub quick: bool,
-    /// Telemetry hot-path overhead, percent (0 for a v1 report).
+    /// Telemetry hot-path overhead, percent (0 for an untraced run).
     pub overhead_pct: f64,
-    /// Wall clock spent synthesizing traces, nanoseconds.
+    /// Wall clock acquiring the cold campaign's traces, nanoseconds
+    /// (this and the next two are 0 for an untraced run).
     pub decode_ns: u64,
-    /// Wall clock spent in the measured simulation matrix, nanoseconds.
+    /// Wall clock simulating the cold campaign's cells, nanoseconds.
     pub simulate_ns: u64,
-    /// Wall clock spent on checks and report assembly, nanoseconds.
+    /// Wall clock building the cold campaign's report, nanoseconds.
     pub report_ns: u64,
-    /// Measured cells, in report order.
+    /// Timed units, in document order.
     pub cells: Vec<BenchCellSummary>,
 }
 
 impl BenchSummary {
-    /// Distills a `ccsim bench --json` document.
+    /// Distills a `ccsim_benchmark` result document: one cell per
+    /// `workloads.<w>.units[]`, `traced.per_layer` for the overhead and
+    /// the campaign wall split.
     ///
     /// # Errors
     ///
-    /// Returns a message when the document is not a bench report of a
-    /// supported schema or a cell is malformed.
+    /// Returns a message when the document is not a benchmark result of
+    /// the supported schema or a unit is malformed.
     pub fn from_doc(doc: &Json) -> Result<BenchSummary, String> {
-        schema_in(doc, "ccsim_bench", BENCH_MIN_SCHEMA, BENCH_MAX_SCHEMA)?;
-        let wall = doc.get("wall_clock_breakdown");
-        let overhead_pct = doc.get("obs_overhead").map_or(0.0, |o| opt_f64(o, "overhead_pct"));
+        schema_in(doc, "ccsim_benchmark", BENCHMARK_SCHEMA, BENCHMARK_SCHEMA)?;
+        let Some(Json::Obj(workloads)) = doc.get("workloads") else {
+            return Err("missing object `workloads`".to_owned());
+        };
         let mut cells = Vec::new();
-        for cell in doc.get("cells").and_then(Json::as_array).unwrap_or(&[]) {
-            cells.push(BenchCellSummary {
-                pattern: req_str(cell, "pattern")?,
-                policy: req_str(cell, "policy")?,
-                records: req_u64(cell, "records")?,
-                best_rps: opt_f64(cell, "best_rps"),
-                median_rps: opt_f64(cell, "median_rps"),
-            });
+        for (workload, body) in workloads {
+            for unit in body.get("units").and_then(Json::as_array).unwrap_or(&[]) {
+                let records = req_u64(unit, "cell_records")?;
+                let rps = |key: &str| match unit.get(key).and_then(Json::as_f64) {
+                    Some(s) if s > 0.0 => Ok(records as f64 / s),
+                    _ => Err(format!("{workload}: missing positive number `{key}`")),
+                };
+                cells.push(BenchCellSummary {
+                    pattern: workload.clone(),
+                    policy: req_str(unit, "name")?,
+                    records,
+                    best_rps: rps("min_s")?,
+                    median_rps: rps("median_s")?,
+                });
+            }
         }
+        let layer = |key: &str| {
+            let metric = doc.get("traced")?.get("per_layer")?.get(key)?;
+            metric.get("value")?.as_f64()
+        };
+        let layer_ns =
+            |key: &str, unit_ns: f64| (layer(key).unwrap_or(0.0) * unit_ns).round() as u64;
         Ok(BenchSummary {
-            quick: matches!(doc.get("quick"), Some(Json::Bool(true))),
-            overhead_pct,
-            decode_ns: wall.map_or(0, |w| opt_u64(w, "decode_ns")),
-            simulate_ns: wall.map_or(0, |w| opt_u64(w, "simulate_ns")),
-            report_ns: wall.map_or(0, |w| opt_u64(w, "report_ns")),
+            quick: matches!(doc.get("smoke"), Some(Json::Bool(true))),
+            overhead_pct: layer("obs.overhead_pct").unwrap_or(0.0),
+            decode_ns: layer_ns("campaign.acquire_s", 1e9),
+            simulate_ns: layer_ns("campaign.simulate_s", 1e9),
+            report_ns: layer_ns("campaign.report.build_ms", 1e6),
             cells,
         })
     }
@@ -445,63 +462,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_doc_distills_to_summary() {
-        let doc = Json::parse(
-            r#"{"ccsim_bench": 2, "quick": true, "warmup": 1, "reps": 3,
-                "wall_clock_breakdown": {"decode_ns": 100, "simulate_ns": 900, "report_ns": 50},
-                "obs_overhead": {"baseline_rps": 100.0, "enabled_rps": 99.0,
-                                 "overhead_pct": 1.0, "limit_pct": 3.0, "status": "pass"},
-                "cells": [{"pattern": "llc_thrash", "policy": "lru", "records": 10,
-                           "reps": 3, "best_rps": 100.5, "median_rps": 90.25}]}"#,
-        )
-        .unwrap();
+    fn committed_benchmark_baseline_distills_to_summary() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/results/baseline.json");
+        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let s = BenchSummary::from_doc(&doc).unwrap();
-        assert!(s.quick);
-        assert_eq!(s.overhead_pct, 1.0);
-        assert_eq!(s.simulate_ns, 900);
-        assert_eq!(s.cells.len(), 1);
-        assert_eq!(s.cells[0].policy, "lru");
-        assert_eq!(s.cells[0].median_rps, 90.25);
+        assert!(!s.quick);
+        assert!(s.overhead_pct != 0.0);
+        let units = |w: &str| s.cells.iter().filter(|c| c.pattern == w).count();
+        let per_workload = ["gap_miss", "hit_resident", "grid_band", "campaign_cold"].map(units);
+        assert_eq!(per_workload, [5, 3, 1, 1]);
+        assert_eq!(s.cells.len(), 10, "four workloads and nothing else");
+        let lru = &s.cells[0];
+        assert_eq!((lru.pattern.as_str(), lru.policy.as_str()), ("gap_miss", "lru"));
+        assert_eq!(lru.records, 3_006_299);
+        assert_eq!(lru.best_rps, 3_006_299.0 / 0.199335025);
+        assert_eq!(lru.median_rps, 3_006_299.0 / 0.233802734);
+        assert_eq!(
+            (s.decode_ns, s.simulate_ns, s.report_ns),
+            (1_214_492_744, 2_545_565_310, 267_656)
+        );
         let round = BenchSummary::from_entry_json(&Json::parse(&s.to_json().to_string()).unwrap());
         assert_eq!(round.unwrap(), s);
     }
 
     #[test]
-    fn bench_v1_without_overhead_block_is_accepted() {
+    fn untraced_smoke_document_and_wrong_kinds() {
         let doc = Json::parse(
-            r#"{"ccsim_bench": 1, "quick": false,
-                "cells": [{"pattern": "llc_thrash", "policy": "lru",
-                           "records": 10, "best_rps": 5.0, "median_rps": 4.0}]}"#,
+            r#"{"ccsim_benchmark": 1, "smoke": true,
+                "workloads": {"gap_miss": {"units": [{"name": "lru", "cell_records": 10,
+                                                      "min_s": 2.0, "median_s": 2.5}]}}}"#,
         )
         .unwrap();
         let s = BenchSummary::from_doc(&doc).unwrap();
-        assert_eq!(s.overhead_pct, 0.0);
-        assert_eq!(s.simulate_ns, 0);
-        assert_eq!(s.cells.len(), 1);
-        let err = BenchSummary::from_doc(&Json::parse(r#"{"ccsim_bench": 9}"#).unwrap());
-        assert!(err.unwrap_err().contains("unsupported"));
-        let not = BenchSummary::from_doc(&Json::parse("{}").unwrap());
-        assert!(not.unwrap_err().contains("ccsim_bench"));
-    }
+        assert!(s.quick);
+        assert_eq!((s.overhead_pct, s.simulate_ns), (0.0, 0));
+        assert_eq!((s.cells[0].best_rps, s.cells[0].median_rps), (5.0, 4.0));
 
-    #[test]
-    fn bench_v3_with_probe_scan_is_accepted() {
-        // v3 adds `probe_scan`; the ledger ignores it but must not
-        // reject the document (CI records v3 reports via trends).
-        let doc = Json::parse(
-            r#"{"ccsim_bench": 3, "quick": true,
-                "wall_clock_breakdown": {"decode_ns": 1, "simulate_ns": 2, "report_ns": 3},
-                "obs_overhead": {"overhead_pct": 0.5, "limit_pct": 3.0, "status": "pass"},
-                "probe_scan": {"sets": 2048, "ways": 11, "probes": 1000,
-                               "hit_rps": 1.0e8, "miss_rps": 9.0e7,
-                               "hit_ns_per_probe": 10.0, "miss_ns_per_probe": 11.1},
-                "cells": [{"pattern": "llc_thrash", "policy": "lru",
-                           "records": 10, "best_rps": 5.0, "median_rps": 4.0}]}"#,
-        )
-        .unwrap();
-        let s = BenchSummary::from_doc(&doc).unwrap();
-        assert_eq!(s.overhead_pct, 0.5);
-        assert_eq!(s.cells.len(), 1);
+        let err = |text: &str| BenchSummary::from_doc(&Json::parse(text).unwrap()).unwrap_err();
+        assert!(err(r#"{"ccsim_benchmark": 9}"#).contains("unsupported"));
+        assert!(err("{}").contains("ccsim_benchmark"));
+        assert!(err(r#"{"ccsim_report_diff": 1, "cells": []}"#).contains("ccsim_benchmark"));
+        assert!(err(r#"{"ccsim_benchmark": 1}"#).contains("workloads"));
+        let zero = r#"{"ccsim_benchmark": 1, "workloads": {"w": {"units": [
+            {"name": "u", "cell_records": 1, "min_s": 0, "median_s": 1}]}}}"#;
+        assert!(err(zero).contains("min_s"));
     }
 
     #[test]

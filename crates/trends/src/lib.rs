@@ -13,9 +13,12 @@
 //! One [`TrendEntry`] per revision ingests up to four machine-readable
 //! documents the workspace already emits:
 //!
-//! * `ccsim bench --json` (`ccsim_bench` schema, [`ingest::BenchSummary`]) —
-//!   per-(pattern × policy) records/sec, wall-clock split, telemetry
-//!   overhead gate;
+//! * the result document `benchmark/run.sh [--smoke] [--traced] --out F`
+//!   writes (`ccsim_benchmark` schema, [`ingest::BenchSummary`]) —
+//!   records/sec per timed unit of the four workloads, the cold
+//!   campaign's wall-clock split, telemetry overhead gate; smoke and
+//!   full-scale runs are tracked as separate series
+//!   (`bench.smoke/…` vs `bench/…`);
 //! * `ccsim report-diff --json` (`ccsim_report_diff` schema,
 //!   [`ingest::DiffSummary`]) — golden-campaign MPKI drift;
 //! * per-worker obs manifests (`ccsim_obs` schema,

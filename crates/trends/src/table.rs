@@ -7,7 +7,7 @@
 //! `tests/trends.rs` pins and what makes the table diffable as a CI
 //! artifact.
 
-use crate::check::{extract_series, SeriesKind};
+use crate::check::{bench_suite, extract_series, SeriesKind};
 use crate::entry::TrendEntry;
 
 /// Sparkline glyphs, low to high.
@@ -84,23 +84,23 @@ pub fn render_table(entries: &[TrendEntry]) -> String {
         let cells = s.values.iter().map(|v| v.map(|v| fmt_value(s.kind, v))).collect();
         rows.push((s.name.clone(), cells, sparkline(&s.values)));
     }
-    for (name, pick) in [
-        ("bench/wall/decode_pct", 0usize),
-        ("bench/wall/simulate_pct", 1),
-        ("bench/wall/report_pct", 2),
-    ] {
-        let values: Vec<Option<f64>> = entries
-            .iter()
-            .map(|e| {
-                let b = e.bench.as_ref()?;
-                let total = b.decode_ns + b.simulate_ns + b.report_ns;
-                let part = [b.decode_ns, b.simulate_ns, b.report_ns][pick];
-                share_pct(part, total)
-            })
-            .collect();
-        if values.iter().any(Option::is_some) {
-            let cells = values.iter().map(|v| v.map(|v| format!("{v:.1}"))).collect();
-            rows.push((name.to_owned(), cells, sparkline(&values)));
+    for quick in [false, true] {
+        for (name, pick) in
+            [("wall/decode_pct", 0usize), ("wall/simulate_pct", 1), ("wall/report_pct", 2)]
+        {
+            let values: Vec<Option<f64>> = entries
+                .iter()
+                .map(|e| {
+                    let b = e.bench_at(quick)?;
+                    let total = b.decode_ns + b.simulate_ns + b.report_ns;
+                    let part = [b.decode_ns, b.simulate_ns, b.report_ns][pick];
+                    share_pct(part, total)
+                })
+                .collect();
+            if values.iter().any(Option::is_some) {
+                let cells = values.iter().map(|v| v.map(|v| format!("{v:.1}"))).collect();
+                rows.push((format!("{}/{name}", bench_suite(quick)), cells, sparkline(&values)));
+            }
         }
     }
 
@@ -166,7 +166,7 @@ mod tests {
     fn entry(rev: &str, rps: f64) -> TrendEntry {
         let mut e = TrendEntry::new(rev, "", "100");
         e.bench = Some(BenchSummary {
-            quick: true,
+            quick: false,
             overhead_pct: 1.0,
             decode_ns: 100,
             simulate_ns: 800,

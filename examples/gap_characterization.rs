@@ -32,6 +32,6 @@ fn main() {
         "\nThe paper's observation: graph inputs with power-law structure \
          (kron, twitter, friendster, urand) miss at every level, while the \
          high-diameter road network retains locality. Run \
-         `cargo run --release -p ccsim-bench --bin fig2` for the full grid."
+         `cargo run --release -p ccsim-figures --bin fig2` for the full grid."
     );
 }

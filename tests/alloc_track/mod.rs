@@ -3,15 +3,9 @@
 //! The hot-path contract (see `ccsim_core`'s crate docs) promises zero
 //! steady-state heap allocations per simulated trace record. That claim is
 //! only checkable from outside the allocator, so this module provides a
-//! [`CountingAlloc`] that binaries and tests opt into with
+//! [`CountingAlloc`] that `tests/alloc_free.rs` installs with
 //! `#[global_allocator]`. Counting is a single relaxed atomic increment per
-//! allocation — cheap enough to leave on in the `ccsim` CLI, whose `bench`
-//! subcommand uses it to report measured allocations per record.
-//!
-//! When no binary installs the allocator the counter never moves;
-//! [`counting_enabled`] distinguishes "zero allocations" from "nobody is
-//! counting" so `ccsim bench` can report `unavailable` instead of a
-//! hollow pass.
+//! allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,14 +14,6 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts every allocation (including
 /// reallocations) in a process-wide counter.
-///
-/// # Examples
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: ccsim_bench::alloc_track::CountingAlloc =
-///     ccsim_bench::alloc_track::CountingAlloc;
-/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;
 
@@ -62,18 +48,4 @@ pub fn counting_enabled() -> bool {
     std::hint::black_box(&probe);
     drop(probe);
     allocations() > before
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The test binary does not install the allocator, so the counter must
-    // stay put and the probe must say so.
-    #[test]
-    fn uninstalled_counter_reports_disabled() {
-        assert_eq!(allocations(), 0);
-        assert!(!counting_enabled());
-        assert_eq!(allocations(), 0);
-    }
 }
