@@ -1,14 +1,19 @@
 //! The campaign engine: grid expansion, cached trace acquisition,
-//! work-stealing execution and journaled checkpointing.
+//! one-pass band execution and journaled checkpointing.
+//!
+//! There is one execution path: a workload's pending cells form a band,
+//! [`AcquiredTrace::simulate_cells`] shards the band over the worker
+//! threads, and each shard is one lockstep pass of
+//! [`ccsim_core::GridReplay`] over the trace. [`Campaign::run`] and the
+//! distributed worker (`ccsim-dist`) both call it, with the chunk
+//! length autotuned.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use ccsim_core::experiment::run_jobs;
-use ccsim_core::{
-    simulate, simulate_grid, simulate_grid_stream, simulate_stream, SimConfig, SimResult,
-};
+use ccsim_core::{simulate_grid, simulate_grid_stream, SimConfig, SimResult};
 use ccsim_ingest::{ingest_file, IngestOptions};
 use ccsim_policies::PolicyKind;
 use ccsim_trace::{read_trace_header, Trace, TraceReader};
@@ -30,8 +35,8 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 ///
 /// Synthetic workloads are generated (or cache-read) into memory — they
 /// are bounded by construction. External `trace:` selectors stay **on
-/// disk**: each cell streams the converted `CCTR` file through
-/// [`simulate_stream`], so a multi-gigabyte ingested trace never
+/// disk**: each shard of cells streams the converted `CCTR` file through
+/// [`simulate_grid_stream`], so a multi-gigabyte ingested trace never
 /// materializes no matter how many (policy × config) cells replay it.
 ///
 /// This is the workload-band granularity the campaign runner and the
@@ -39,8 +44,7 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 /// via [`Campaign::acquire`], then run all its pending (config × policy)
 /// cells in one pass with [`AcquiredTrace::simulate_cells`] — each cell
 /// is still journaled individually, so kill/resume and lease semantics
-/// are per cell. [`AcquiredTrace::simulate_cell`] remains as the
-/// per-cell escape hatch (`ccsim campaign --per-cell`).
+/// are per cell.
 ///
 /// The internals stay private: one-shot conversions delete their file
 /// when the handle drops, a contract callers must not be able to point
@@ -50,9 +54,9 @@ pub struct AcquiredTrace(Acquired);
 
 #[derive(Debug)]
 enum Acquired {
-    /// Resident trace, replayed with [`simulate`].
+    /// Resident trace, replayed with [`simulate_grid`].
     InMemory(Trace),
-    /// On-disk `CCTR` file, streamed per cell. `temp` marks a one-shot
+    /// On-disk `CCTR` file, streamed per shard. `temp` marks a one-shot
     /// conversion (no cache attached) deleted when the handle drops.
     Streamed { path: PathBuf, records: u64, temp: bool },
 }
@@ -71,29 +75,6 @@ impl AcquiredTrace {
         matches!(self.0, Acquired::Streamed { .. })
     }
 
-    /// Runs one grid cell over this trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on I/O or decode failures of streamed traces.
-    pub fn simulate_cell(
-        &self,
-        config: &SimConfig,
-        policy: PolicyKind,
-    ) -> Result<SimResult, String> {
-        match &self.0 {
-            Acquired::InMemory(trace) => Ok(simulate(trace, config, policy)),
-            Acquired::Streamed { path, .. } => {
-                let file = File::open(path)
-                    .map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-                let reader = TraceReader::new(BufReader::new(file))
-                    .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
-                simulate_stream(reader, config, policy)
-                    .map_err(|e| format!("streaming trace {}: {e}", path.display()))
-            }
-        }
-    }
-
     /// Runs a whole band of grid cells over this trace in one pass per
     /// shard: the cells are split into `min(threads, cells)` shards, and
     /// each shard replays the trace **once**, advancing all its cells in
@@ -103,9 +84,9 @@ impl AcquiredTrace {
     /// cost proxy — a scaled-up LLC means proportionally more tag state
     /// and victim work) and dealt round-robin across shards, so one
     /// shard never inherits all the giant-LLC cells of a heterogeneous
-    /// band. Results come back in `cells` order and are bit-identical to
-    /// [`AcquiredTrace::simulate_cell`] per cell (each cell's engine is
-    /// independent, so shard assignment never affects results).
+    /// band. Results come back in `cells` order; each cell's engine is
+    /// independent, so neither shard assignment nor chunk length ever
+    /// affects them.
     ///
     /// `chunk_records` is the lockstep chunk length per shard; `0`
     /// autotunes it against the shard's combined tag-state footprint
@@ -121,8 +102,19 @@ impl AcquiredTrace {
         threads: usize,
         chunk_records: usize,
     ) -> Result<Vec<SimResult>, String> {
+        self.simulate_band(cells, threads, chunk_records).map(|(results, _)| results)
+    }
+
+    /// [`AcquiredTrace::simulate_cells`], also returning how many shards
+    /// — trace passes — the band took.
+    fn simulate_band(
+        &self,
+        cells: &[(SimConfig, PolicyKind)],
+        threads: usize,
+        chunk_records: usize,
+    ) -> Result<(Vec<SimResult>, usize), String> {
         if cells.is_empty() {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0));
         }
         let shards = threads.clamp(1, cells.len());
         let mut order: Vec<usize> = (0..cells.len()).collect();
@@ -151,13 +143,9 @@ impl AcquiredTrace {
                 results[cell] = Some(result);
             }
         }
-        Ok(results.into_iter().map(|r| r.expect("every cell lands in exactly one shard")).collect())
-    }
-
-    /// Trace passes [`AcquiredTrace::simulate_cells`] makes for a band
-    /// of `cells` at the given parallelism (for progress lines).
-    pub fn passes_for(&self, cells: usize, threads: usize) -> usize {
-        threads.clamp(1, cells.max(1))
+        let results =
+            results.into_iter().map(|r| r.expect("every cell lands in exactly one shard"));
+        Ok((results.collect(), shards))
     }
 }
 
@@ -245,10 +233,8 @@ pub fn record_band_metrics(cells: u64, records_simulated: u64, band_ns: u64) {
 /// cells finish, so at most one trace is alive at a time — the memory
 /// profile of the old streaming figure binaries. Within a workload, all
 /// pending (policy x config) cells advance in lockstep through one pass
-/// over the trace per thread shard ([`AcquiredTrace::simulate_cells`]);
-/// [`Campaign::per_cell`] falls back to one independent pass per cell on
-/// the work-stealing executor ([`run_jobs`]). The two paths produce
-/// bit-identical reports.
+/// over the trace per thread shard ([`AcquiredTrace::simulate_cells`]),
+/// so reports are byte-identical for any thread count.
 ///
 /// # Examples
 ///
@@ -272,8 +258,6 @@ pub struct Campaign {
     leases: std::collections::BTreeMap<String, LeaseView>,
     extra_completed: std::collections::BTreeSet<String>,
     verbose: bool,
-    per_cell: bool,
-    chunk_records: usize,
 }
 
 /// A cell lease as seen by [`Campaign::plan`] — who holds it and whether
@@ -454,8 +438,6 @@ impl Campaign {
             leases: Default::default(),
             extra_completed: Default::default(),
             verbose: false,
-            per_cell: false,
-            chunk_records: 0,
         }
     }
 
@@ -495,25 +477,6 @@ impl Campaign {
     /// Enables per-workload progress lines on stderr.
     pub fn verbose(mut self, verbose: bool) -> Campaign {
         self.verbose = verbose;
-        self
-    }
-
-    /// Replays each pending cell with its own pass over the trace
-    /// (`ccsim campaign --per-cell`) instead of the default one-pass
-    /// lockstep grid driver. The two paths produce bit-identical
-    /// reports; this is an escape hatch for comparison and debugging.
-    pub fn per_cell(mut self, per_cell: bool) -> Campaign {
-        self.per_cell = per_cell;
-        self
-    }
-
-    /// Fixes the lockstep chunk length of the one-pass grid driver
-    /// (`ccsim campaign --chunk-records`). `0` — the default — autotunes
-    /// it per band against the combined engines' tag-state footprint
-    /// ([`ccsim_core::autotune_chunk_records`]). Chunking never affects
-    /// report bytes, only wall-clock.
-    pub fn chunk_records(mut self, chunk_records: usize) -> Campaign {
-        self.chunk_records = chunk_records;
         self
     }
 
@@ -761,22 +724,11 @@ impl Campaign {
                 // a fully-journaled workload costs no generation at all.
                 let trace = self.acquire(workload)?;
                 let band_start = std::time::Instant::now();
-                let results: Vec<Result<SimResult, String>> = if self.per_cell {
-                    run_jobs(pending.len(), self.threads, |i| {
-                        let cell = pending[i];
-                        trace.simulate_cell(&grid.configs[cell.config_index].1, cell.policy)
-                    })
-                } else {
-                    let band: Vec<(SimConfig, PolicyKind)> = pending
-                        .iter()
-                        .map(|cell| (grid.configs[cell.config_index].1, cell.policy))
-                        .collect();
-                    trace
-                        .simulate_cells(&band, self.threads, self.chunk_records)?
-                        .into_iter()
-                        .map(Ok)
-                        .collect()
-                };
+                let band: Vec<(SimConfig, PolicyKind)> = pending
+                    .iter()
+                    .map(|cell| (grid.configs[cell.config_index].1, cell.policy))
+                    .collect();
+                let (results, passes) = trace.simulate_band(&band, self.threads, 0)?;
                 let band_ns = band_start.elapsed().as_nanos() as u64;
                 let records_simulated = trace.records() * pending.len() as u64;
                 record_band_metrics(pending.len() as u64, records_simulated, band_ns);
@@ -795,11 +747,6 @@ impl Campaign {
                     let _ = o.write_manifest();
                 }
                 if self.verbose {
-                    let passes = if self.per_cell {
-                        pending.len()
-                    } else {
-                        trace.passes_for(pending.len(), self.threads)
-                    };
                     eprintln!(
                         "[{}/{}] {:<16} {} records, {} cells in {} pass(es){}",
                         wi + 1,
@@ -812,7 +759,6 @@ impl Campaign {
                     );
                 }
                 for (cell, result) in pending.iter().zip(results) {
-                    let result = result?;
                     if let Some(j) = journal.as_mut() {
                         j.record(&cell.id, &result).map_err(|e| format!("writing journal: {e}"))?;
                     }
@@ -859,6 +805,23 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsim_core::GridReplay;
+
+    /// The reference every execution shape is judged against: each cell
+    /// alone, one record at a time.
+    fn oracle(acquired: &AcquiredTrace, cells: &[(SimConfig, PolicyKind)]) -> Vec<SimResult> {
+        let Acquired::InMemory(trace) = &acquired.0 else {
+            panic!("the oracle replays resident traces");
+        };
+        let one = |cell: &(SimConfig, PolicyKind)| {
+            let mut grid = GridReplay::new(std::slice::from_ref(cell), 1);
+            for rec in trace.records() {
+                grid.step_records(std::slice::from_ref(rec));
+            }
+            grid.finish(trace.name(), trace.trailing_nonmem()).remove(0)
+        };
+        cells.iter().map(one).collect()
+    }
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::from_json_str(
@@ -902,28 +865,31 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_run_equals_per_cell_run() {
-        let one_pass = Campaign::new(tiny_spec()).threads(3).run().unwrap();
-        let per_cell = Campaign::new(tiny_spec()).threads(3).per_cell(true).run().unwrap();
-        assert_eq!(one_pass.report, per_cell.report);
-        // An explicit chunk length changes batching mechanics only —
-        // report bytes must not move.
-        let chunked = Campaign::new(tiny_spec()).threads(3).chunk_records(17).run().unwrap();
-        assert_eq!(one_pass.report, chunked.report);
-    }
-
-    #[test]
-    fn simulate_cells_matches_simulate_cell_for_any_shard_count() {
+    fn campaign_run_reports_the_oracle_result_of_every_cell() {
         let campaign = Campaign::new(tiny_spec());
         let grid = campaign.grid().unwrap();
         let trace = campaign.acquire("xsbench.small").unwrap();
         let band: Vec<(SimConfig, PolicyKind)> =
             grid.cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
-        let reference: Vec<SimResult> =
-            band.iter().map(|(cfg, policy)| trace.simulate_cell(cfg, *policy).unwrap()).collect();
+        let report = Campaign::new(tiny_spec()).threads(3).run().unwrap().report;
+        let reported: Vec<SimResult> = report.cells.into_iter().map(|c| c.result).collect();
+        assert_eq!(reported, oracle(&trace, &band));
+    }
+
+    #[test]
+    fn simulate_cells_matches_the_oracle_for_any_shard_count_and_chunk() {
+        let campaign = Campaign::new(tiny_spec());
+        let grid = campaign.grid().unwrap();
+        let trace = campaign.acquire("xsbench.small").unwrap();
+        let band: Vec<(SimConfig, PolicyKind)> =
+            grid.cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
+        let reference = oracle(&trace, &band);
         for threads in [1, 2, 3, 16] {
-            assert_eq!(trace.simulate_cells(&band, threads, 0).unwrap(), reference, "{threads}");
-            assert!(trace.passes_for(band.len(), threads) <= band.len());
+            for chunk in [0, 17] {
+                let (results, passes) = trace.simulate_band(&band, threads, chunk).unwrap();
+                assert_eq!(results, reference, "threads={threads} chunk={chunk}");
+                assert_eq!(passes, threads.min(band.len()));
+            }
         }
         assert!(trace.simulate_cells(&[], 4, 0).unwrap().is_empty());
     }
@@ -943,8 +909,7 @@ mod tests {
                 band.push((SimConfig::tiny().with_llc_scale(scale), policy));
             }
         }
-        let reference: Vec<SimResult> =
-            band.iter().map(|(cfg, policy)| trace.simulate_cell(cfg, *policy).unwrap()).collect();
+        let reference = oracle(&trace, &band);
         for threads in [1, 2, 3, 5, 14, 100] {
             assert_eq!(trace.simulate_cells(&band, threads, 0).unwrap(), reference, "{threads}");
         }
@@ -1060,14 +1025,15 @@ mod tests {
         assert_eq!(grid.cells[0].id, "xsbench.small|llc_x1|lru");
         assert_eq!(grid.cells[3].id, "xsbench.small|llc_x2|srrip");
 
-        // Simulate every cell through the claim-one-cell API and
+        // Simulate every band through the claim-one-band API and
         // assemble: byte-identical to the monolithic run.
         let mut completed = std::collections::BTreeMap::new();
         for workload in &grid.workloads {
             let trace = campaign.acquire(workload).unwrap();
-            for cell in grid.cells_of(workload) {
-                let result =
-                    trace.simulate_cell(&grid.configs[cell.config_index].1, cell.policy).unwrap();
+            let cells: Vec<&GridCell> = grid.cells_of(workload).collect();
+            let band: Vec<(SimConfig, PolicyKind)> =
+                cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
+            for (cell, result) in cells.iter().zip(trace.simulate_cells(&band, 1, 0).unwrap()) {
                 completed.insert(cell.id.clone(), result);
             }
         }

@@ -136,13 +136,17 @@ impl CampaignSpec {
             None => vec![1],
             Some(v) => {
                 let items = v.as_array().ok_or("\"llc_scales\" must be an array")?;
+                let base = base_config.config();
                 let scales: Vec<u32> = items
                     .iter()
                     .map(|i| {
-                        i.as_u64()
+                        let scale = i
+                            .as_u64()
                             .and_then(|n| u32::try_from(n).ok())
-                            .filter(|n| n.is_power_of_two())
-                            .ok_or_else(|| format!("llc scale {i} must be a power of two"))
+                            .ok_or_else(|| format!("llc scale {i} must be a power of two"))?;
+                        // `configs()` scales infallibly: reject here what
+                        // it could not build.
+                        base.try_with_llc_scale(scale).map(|_| scale).map_err(|e| e.to_string())
                     })
                     .collect::<Result<_, _>>()?;
                 if scales.is_empty() {
@@ -429,6 +433,13 @@ mod tests {
                 r#"{"name": "x", "workloads": ["bfs.kron"], "policies": ["lru"],
                     "llc_scales": [3]}"#,
                 "power of two",
+            ),
+            (
+                // A power of two that fits u32, but 2048 sets x 2^21
+                // overflows the set count.
+                r#"{"name": "x", "workloads": ["bfs.kron"], "policies": ["lru"],
+                    "llc_scales": [2097152]}"#,
+                "llc scale 2097152 overflows the set count",
             ),
             (
                 r#"{"name": "x", "workloads": ["bfs.kron"], "policies": ["lru"],

@@ -28,8 +28,7 @@ USAGE:
               [--threads <n>] [--json]
     ccsim campaign <spec.json> [--threads <n>] [--out <dir>]
               [--cache-dir <dir>] [--no-cache] [--fresh] [--json] [--quiet]
-              [--dry-run] [--shared-dir <dir>] [--per-cell]
-              [--chunk-records <n>] [--metrics-out <file>]
+              [--dry-run] [--shared-dir <dir>] [--metrics-out <file>]
     ccsim campaign worker <spec.json> --shared-dir <dir>
               [--worker-id <id>] [--ttl-secs <n>] [--threads <n>]
               [--backoff-ms <n>] [--max-cells <n>] [--quiet]
@@ -73,9 +72,9 @@ generated once into a content-addressed cache, every completed cell is
 checkpointed to <out>/journal.jsonl so an interrupted campaign resumes
 where it stopped (`--fresh` discards the journal), and the report is
 written to <out>/report.json and <out>/report.csv. Each workload's
-pending cells replay in one lockstep pass over its trace by default
-(one decode feeds every cell); `--per-cell` restores one independent
-pass per cell — the reports are byte-identical either way. `--dry-run` prints
+pending cells replay in one lockstep pass over its trace per thread
+(one decode feeds every cell of the shard); the report is
+byte-identical for any --threads. `--dry-run` prints
 the resolved grid and each cell's predicted fate (journaled /
 cached-trace / needs-trace) without simulating anything; with
 `--shared-dir` it reads that distributed directory instead — merged
@@ -137,8 +136,7 @@ dashboards (summary fields mirror the exit-code conditions).
 
 One-pass campaign chunks are autotuned from the grid's combined
 tag-state footprint (CCSIM_HOST_LLC_BYTES overrides the assumed host
-LLC budget); `campaign --chunk-records <n>` forces a specific chunk
-size instead.
+LLC budget).
 
 Simulator performance is measured outside this binary, by
 `benchmark/run.sh` (see benchmark/README.md); `trends record
@@ -365,6 +363,7 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     let path = positional.first().ok_or_else(|| format!("expected <in.cctr>\n\n{USAGE}"))?;
     let mut policies: Vec<PolicyKind> = Vec::new();
     let mut llc_scale = 1u32;
+    let mut config = SimConfig::cascade_lake();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -375,9 +374,9 @@ pub fn sim(args: &[String]) -> Result<(), String> {
             "--llc-scale" => {
                 let v = it.next().ok_or("--llc-scale needs a value")?;
                 llc_scale = v.parse().map_err(|_| format!("bad llc scale {v:?}"))?;
-                if !llc_scale.is_power_of_two() {
-                    return Err("llc scale must be a power of two".into());
-                }
+                config = SimConfig::cascade_lake()
+                    .try_with_llc_scale(llc_scale)
+                    .map_err(|e| e.to_string())?;
             }
             _ => {}
         }
@@ -391,7 +390,6 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     }
     let json = args.iter().any(|a| a == "--json");
     let trace = load_trace(path)?;
-    let config = SimConfig::cascade_lake().with_llc_scale(llc_scale);
     // Multi-policy runs go through the parallel work-stealing executor;
     // results come back in policy order either way.
     let results: Vec<SimResult> =
@@ -445,7 +443,7 @@ pub fn sim(args: &[String]) -> Result<(), String> {
 
 /// `ccsim campaign <spec.json> [--threads N] [--out DIR] [--cache-dir DIR]
 /// [--no-cache] [--fresh] [--json] [--quiet] [--dry-run]
-/// [--shared-dir DIR] [--per-cell] [--chunk-records N]` — plus the distributed subcommands
+/// [--shared-dir DIR]` — plus the distributed subcommands
 /// `campaign worker`, `campaign assemble` and `campaign status`.
 pub fn campaign(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
@@ -457,8 +455,8 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
     }
     let positional = positionals(
         args,
-        &["--threads", "--out", "--cache-dir", "--shared-dir", "--metrics-out", "--chunk-records"],
-        &["--no-cache", "--fresh", "--json", "--quiet", "--dry-run", "--per-cell"],
+        &["--threads", "--out", "--cache-dir", "--shared-dir", "--metrics-out"],
+        &["--no-cache", "--fresh", "--json", "--quiet", "--dry-run"],
     )?;
     let [spec_path] = positional[..] else {
         return Err(format!("expected <spec.json>\n\n{USAGE}"));
@@ -557,9 +555,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
         .threads(threads)
         .journal(&journal_path)
         .verbose(!quiet)
-        .obs_dir(&out_dir)
-        .per_cell(args.iter().any(|a| a == "--per-cell"))
-        .chunk_records(parse_flag_value(args, "--chunk-records")?.unwrap_or(0));
+        .obs_dir(&out_dir);
     if !args.iter().any(|a| a == "--no-cache") {
         let cache = TraceCache::new(&cache_dir)
             .map_err(|e| format!("opening trace cache {}: {e}", cache_dir.display()))?;
@@ -1078,6 +1074,10 @@ mod tests {
     fn sim_rejects_bad_policy_and_scale() {
         assert!(sim(&["x.cctr".into(), "--policy".into(), "bogus".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--llc-scale".into(), "3".into()]).is_err());
+        // A power of two whose set count overflows u32 is an error
+        // naming the scale, not a panic in `Engine::new`.
+        let err = sim(&["x.cctr".into(), "--llc-scale".into(), "2097152".into()]).unwrap_err();
+        assert!(err.contains("llc scale 2097152 overflows"), "{err}");
         assert!(sim(&["x.cctr".into(), "--threads".into(), "zero".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--threads".into(), "0".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--frobnicate".into()]).is_err());

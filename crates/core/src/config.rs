@@ -121,6 +121,29 @@ impl CoreConfig {
     }
 }
 
+/// An LLC scale factor [`SimConfig::try_with_llc_scale`] rejects: not a
+/// power of two, or one that overflows the `u32` set count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LlcScaleError {
+    /// The rejected factor.
+    pub factor: u32,
+    /// LLC sets of the unscaled config.
+    pub sets: u32,
+}
+
+impl fmt::Display for LlcScaleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let LlcScaleError { factor, sets } = *self;
+        if factor.is_power_of_two() {
+            write!(f, "llc scale {factor} overflows the set count ({sets} sets x {factor})")
+        } else {
+            write!(f, "llc scale {factor} must be a power of two")
+        }
+    }
+}
+
+impl std::error::Error for LlcScaleError {}
+
 /// Full simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -183,11 +206,24 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is not a power of two.
-    pub fn with_llc_scale(mut self, factor: u32) -> Self {
-        assert!(factor.is_power_of_two(), "llc scale factor must be a power of two");
-        self.llc.sets *= factor;
-        self
+    /// Panics where [`SimConfig::try_with_llc_scale`] errors — check
+    /// factors that come from outside the program with that instead.
+    pub fn with_llc_scale(self, factor: u32) -> Self {
+        self.try_with_llc_scale(factor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SimConfig::with_llc_scale`] for untrusted factors (spec files,
+    /// command lines).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LlcScaleError`] if `factor` is not a power of two or the
+    /// scaled set count does not fit its `u32`.
+    pub fn try_with_llc_scale(mut self, factor: u32) -> Result<Self, LlcScaleError> {
+        let sets = self.llc.sets;
+        let scaled = if factor.is_power_of_two() { sets.checked_mul(factor) } else { None };
+        self.llc.sets = scaled.ok_or(LlcScaleError { factor, sets })?;
+        Ok(self)
     }
 
     /// Validates every component.
@@ -278,6 +314,20 @@ mod tests {
         let c = SimConfig::cascade_lake().with_llc_scale(4);
         assert_eq!(c.llc.sets, 8192);
         assert_eq!(c.llc.capacity_bytes(), 4 * 1408 * 1024);
+    }
+
+    #[test]
+    fn llc_scaling_rejects_bad_factors_identically_in_debug_and_release() {
+        let base = SimConfig::cascade_lake();
+        let odd = base.try_with_llc_scale(3).unwrap_err();
+        assert!(odd.to_string().contains("llc scale 3 must be a power of two"), "{odd}");
+        // 2048 sets x 2^21 = 2^32: one past u32, wrapped to 0 sets in
+        // release before the multiplication was checked.
+        let err = base.try_with_llc_scale(1 << 21).unwrap_err();
+        assert_eq!(err, LlcScaleError { factor: 1 << 21, sets: 2048 });
+        assert!(err.to_string().contains("llc scale 2097152 overflows"), "{err}");
+        assert_eq!(base.try_with_llc_scale(1 << 20).unwrap().llc.sets, 1 << 31);
+        assert!(std::panic::catch_unwind(|| base.with_llc_scale(1 << 21)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! One-pass grid replay: drive every (config × policy) cell of a
-//! workload from a single pass over its trace.
+//! workload from a single pass over its trace — **the** replay driver.
 //!
 //! The paper's characterization grids replay one workload under many
 //! (replacement policy × LLC size) cells. Replaying per cell reads and
@@ -9,25 +9,34 @@
 //! buffer, and N independent replay engines (one [`crate::Hierarchy`] +
 //! core pair per cell) advance in lockstep through each chunk.
 //!
+//! Nothing else in the crate advances an engine.
+//! [`GridReplay::step_records`] holds the only `Engine::step` call;
+//! [`GridReplay::replay_trace`] feeds it slices of a resident trace and
+//! [`GridReplay::replay_reader`] the chunk it just decoded. The five
+//! entry points are this driver at two grid widths: [`simulate_grid`] /
+//! [`simulate_grid_stream`] take N cells, and [`crate::simulate`] /
+//! [`crate::simulate_with_llc_log`] / [`crate::simulate_stream`] are a
+//! grid of one cell plus the `sim_*` run accounting.
+//!
 //! Chunking matters twice over. It amortizes every per-record decode
 //! across all cells, and it keeps each engine's working state
 //! cache-resident while it burns through a chunk instead of alternating
 //! engines record by record. Because every engine still observes the
-//! exact record sequence in order, the per-cell results are
-//! **bit-identical** to [`crate::simulate`] / [`crate::simulate_stream`]
-//! over the same records, for any chunk size (`tests/grid_replay.rs`
-//! pins this with proptests and the ingest golden fixture).
+//! exact record sequence in order, per-cell results do not depend on
+//! the chunk size or on which other cells share the grid
+//! (`tests/grid_replay.rs` pins every entry point against a
+//! record-at-a-time drive, with proptests and the ingest golden
+//! fixture).
 //!
-//! The steady state allocates nothing: the chunk buffer is reserved up
-//! front and reused, and the per-engine hot path is already
-//! allocation-free (`tests/alloc_free.rs` pins both).
+//! The steady state allocates nothing: the chunk buffer is reserved by
+//! the first streamed replay and reused, and the per-engine hot path is
+//! already allocation-free (`tests/alloc_free.rs` pins both).
 //!
 //! Chunk length is autotuned by default: [`autotune_chunk_records`]
 //! sums the engines' SoA tag-state footprints
 //! ([`crate::Hierarchy::hot_state_bytes`]) and, once the grid overflows
 //! the host LLC budget, grows the chunk with the overflow ratio so each
-//! engine's DRAM re-warm amortizes over more records. Pass an explicit
-//! `chunk_records` (the CLI's `--chunk-records`) to override.
+//! engine's DRAM re-warm amortizes over more records.
 
 use std::io::Read;
 
@@ -36,16 +45,17 @@ use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
 use crate::result::SimResult;
-use crate::simulator::Engine;
+use crate::simulator::{Engine, LlcLog};
 
 /// Default records per lockstep chunk: 4096 records (80 KB of CCTR
 /// bytes) keep decode amortization high while the chunk itself stays
 /// L2-resident alongside the active engine's hot tag state.
 pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 
-/// Ceiling the autotuner never exceeds: past 64 K records per chunk the
-/// re-warm amortization has flattened out and longer chunks only grow
-/// the decode buffer.
+/// Ceiling the autotuner never exceeds, and the most records a
+/// streamed replay decodes per chunk whatever chunk length was asked
+/// for: past 64 K records per chunk the re-warm amortization has
+/// flattened out and longer chunks only grow the decode buffer.
 pub const MAX_CHUNK_RECORDS: usize = 65_536;
 
 /// Host LLC budget the autotuner sizes chunks against, in bytes (32 MiB
@@ -118,7 +128,6 @@ pub fn autotune_chunk_records(combined_tag_bytes: u64) -> usize {
 /// ```
 pub struct GridReplay {
     engines: Vec<Engine>,
-    policies: Vec<PolicyKind>,
     chunk: Vec<TraceRecord>,
     chunk_records: usize,
 }
@@ -136,7 +145,7 @@ impl GridReplay {
     /// Panics on an invalid [`SimConfig`], like [`crate::simulate`].
     pub fn new(cells: &[(SimConfig, PolicyKind)], chunk_records: usize) -> GridReplay {
         let engines: Vec<Engine> =
-            cells.iter().map(|(cfg, policy)| Engine::new(cfg, *policy, false)).collect();
+            cells.iter().map(|(cfg, policy)| Engine::new(cfg, *policy)).collect();
         let chunk_records = if chunk_records == 0 {
             autotune_chunk_records(engines.iter().map(Engine::hot_state_bytes).sum())
         } else {
@@ -144,10 +153,18 @@ impl GridReplay {
         };
         GridReplay {
             engines,
-            policies: cells.iter().map(|&(_, policy)| policy).collect(),
-            chunk: Vec::with_capacity(chunk_records),
+            // Only streamed replay decodes: `replay_reader` reserves it.
+            chunk: Vec::new(),
             chunk_records,
         }
+    }
+
+    /// A grid of one cell that records its LLC demand stream
+    /// ([`GridReplay::finish_logged`] returns it).
+    pub(crate) fn logging_llc(config: &SimConfig, policy: PolicyKind) -> GridReplay {
+        let mut grid = GridReplay::new(&[(*config, policy)], 0);
+        grid.engines[0].enable_llc_log();
+        grid
     }
 
     /// Number of grid cells driven in lockstep.
@@ -161,8 +178,9 @@ impl GridReplay {
     }
 
     /// Advances every cell through `records`, in order — one lockstep
-    /// chunk. Allocation-free in the steady state (the chunk counters
-    /// are pre-registered sharded atomics).
+    /// chunk, and the only place an engine steps. Allocation-free in
+    /// the steady state (the chunk counters are pre-registered sharded
+    /// atomics).
     pub fn step_records(&mut self, records: &[TraceRecord]) {
         for engine in &mut self.engines {
             for rec in records {
@@ -185,7 +203,10 @@ impl GridReplay {
     }
 
     /// Replays a `CCTR` stream through every cell: each chunk is decoded
-    /// once into the reusable buffer, then every engine replays it.
+    /// once into the reusable buffer, then every engine replays it. The
+    /// buffer is reserved on the first call, for at most
+    /// [`MAX_CHUNK_RECORDS`] records — a longer requested chunk streams
+    /// in pieces of that length, which results cannot observe.
     ///
     /// # Errors
     ///
@@ -195,42 +216,46 @@ impl GridReplay {
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<(), DecodeTraceError> {
+        let chunk_records = self.chunk_records.min(MAX_CHUNK_RECORDS);
+        // The buffer is always put back empty, so this reserves once.
+        let mut chunk = std::mem::take(&mut self.chunk);
+        chunk.reserve_exact(chunk_records);
         loop {
-            self.chunk.clear();
-            while self.chunk.len() < self.chunk_records {
+            while chunk.len() < chunk_records {
                 match reader.next_record()? {
-                    Some(rec) => self.chunk.push(rec),
+                    Some(rec) => chunk.push(rec),
                     None => break,
                 }
             }
-            if self.chunk.is_empty() {
+            if !chunk.is_empty() {
+                self.step_records(&chunk);
+            }
+            let exhausted = chunk.len() < chunk_records; // short chunk
+            chunk.clear();
+            if exhausted {
+                self.chunk = chunk;
                 return Ok(());
-            }
-            // Split the borrow: the chunk buffer is read-only while the
-            // engines advance.
-            let (chunk, engines) = (&self.chunk, &mut self.engines);
-            for engine in engines {
-                for rec in chunk {
-                    engine.step(rec);
-                }
-            }
-            let m = ccsim_obs::metrics();
-            m.grid_chunks.inc();
-            m.grid_records.add((self.chunk.len() * self.engines.len()) as u64);
-            if self.chunk.len() < self.chunk_records {
-                return Ok(()); // short chunk: the stream is exhausted
             }
         }
     }
 
     /// Finishes every cell into its [`SimResult`], in cell order.
     pub fn finish(self, workload: &str, trailing_nonmem: u64) -> Vec<SimResult> {
-        ccsim_obs::metrics().grid_cells.add(self.engines.len() as u64);
-        self.engines
+        self.finish_logged(workload, trailing_nonmem)
             .into_iter()
-            .zip(self.policies)
-            .map(|(engine, policy)| engine.finish(workload, trailing_nonmem, policy).0)
+            .map(|(result, _)| result)
             .collect()
+    }
+
+    /// [`GridReplay::finish`] with each cell's LLC demand log (empty
+    /// unless the grid came from [`GridReplay::logging_llc`]).
+    pub(crate) fn finish_logged(
+        self,
+        workload: &str,
+        trailing_nonmem: u64,
+    ) -> Vec<(SimResult, LlcLog)> {
+        ccsim_obs::metrics().grid_cells.add(self.engines.len() as u64);
+        self.engines.into_iter().map(|engine| engine.finish(workload, trailing_nonmem)).collect()
     }
 }
 
@@ -305,32 +330,63 @@ mod tests {
         cells
     }
 
+    /// The driver-free reference: one bare engine stepped over the
+    /// records, no `GridReplay` involved.
+    fn bare_engine(trace: &Trace, (config, policy): &(SimConfig, PolicyKind)) -> SimResult {
+        let mut engine = Engine::new(config, *policy);
+        for rec in trace {
+            engine.step(rec);
+        }
+        engine.finish(trace.name(), trace.trailing_nonmem()).0
+    }
+
     #[test]
-    fn grid_replay_matches_per_cell_simulate_for_any_chunk_size() {
+    fn grid_replay_matches_a_bare_engine_per_cell_for_any_chunk_size() {
         let trace = mixed_trace();
         let cells = paper_cells();
-        let reference: Vec<SimResult> =
-            cells.iter().map(|(cfg, p)| simulate(&trace, cfg, *p)).collect();
+        let reference: Vec<SimResult> = cells.iter().map(|c| bare_engine(&trace, c)).collect();
         for chunk in [1, 7, 512, 1 << 20] {
             assert_eq!(simulate_grid(&trace, &cells, chunk), reference, "chunk={chunk}");
+        }
+        // The single-cell entry point is the same driver at width one.
+        for ((cfg, policy), reference) in cells.iter().zip(&reference) {
+            assert_eq!(&simulate(&trace, cfg, *policy), reference);
         }
     }
 
     #[test]
-    fn streamed_grid_replay_matches_in_memory_grid_replay() {
+    fn unbounded_chunk_request_reserves_no_unbounded_buffer() {
+        // `usize::MAX` records used to be reserved eagerly in `new`
+        // (capacity overflow); now nothing is reserved until a stream is
+        // replayed, and then at most `MAX_CHUNK_RECORDS`.
         let trace = mixed_trace();
         let cells = paper_cells();
+        let mut grid = GridReplay::new(&cells, usize::MAX);
+        assert_eq!(grid.chunk_records(), usize::MAX);
+        assert_eq!(grid.chunk.capacity(), 0);
+        grid.replay_trace(&trace);
+        let reference = simulate_grid(&trace, &cells, 64);
+        assert_eq!(grid.finish(trace.name(), trace.trailing_nonmem()), reference);
+
         let mut bytes = Vec::new();
         write_trace(&trace, &mut bytes).unwrap();
-        let streamed =
-            simulate_grid_stream(TraceReader::new(&bytes[..]).unwrap(), &cells, 100).unwrap();
-        assert_eq!(streamed, simulate_grid(&trace, &cells, 100));
-        // A chunk size exactly dividing the record count exercises the
-        // empty-final-chunk path.
-        let exact =
-            simulate_grid_stream(TraceReader::new(&bytes[..]).unwrap(), &cells, trace.len())
-                .unwrap();
-        assert_eq!(exact, streamed);
+        let mut grid = GridReplay::new(&cells, usize::MAX);
+        grid.replay_reader(&mut TraceReader::new(&bytes[..]).unwrap()).unwrap();
+        assert_eq!(grid.chunk.capacity(), MAX_CHUNK_RECORDS);
+        assert_eq!(grid.finish(trace.name(), trace.trailing_nonmem()), reference);
+    }
+
+    #[test]
+    fn the_decode_buffer_is_reserved_once_across_streamed_replays() {
+        // 6000 records end in a short chunk: the buffer must go back
+        // empty, or the next replay's reserve would grow it.
+        let mut bytes = Vec::new();
+        write_trace(&mixed_trace(), &mut bytes).unwrap();
+        let mut grid = GridReplay::new(&paper_cells(), 512);
+        for _ in 0..2 {
+            grid.replay_reader(&mut TraceReader::new(&bytes[..]).unwrap()).unwrap();
+            assert_eq!(grid.chunk.capacity(), 512);
+        }
     }
 
     #[test]

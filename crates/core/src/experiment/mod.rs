@@ -14,4 +14,4 @@ mod runner;
 
 pub use grid::{simulate_grid, simulate_grid_stream, GridReplay};
 pub use report::Table;
-pub use runner::{default_threads, run_jobs, run_jobs_ctx, run_matrix, JobCtx, MatrixEntry};
+pub use runner::{default_threads, run_jobs, run_matrix, MatrixEntry};

@@ -16,77 +16,13 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(4)
 }
 
-/// Execution context handed to every job run by [`run_jobs_ctx`].
-///
-/// Local sweeps only care about `thread`; distributed campaign workers
-/// (`ccsim-dist`) additionally thread their identity through so per-cell
-/// diagnostics and progress lines can attribute work to the process that
-/// did it.
-#[derive(Debug, Clone, Copy)]
-pub struct JobCtx<'a> {
-    /// Index of the OS worker thread executing this job (0-based, within
-    /// this process).
-    pub thread: usize,
-    /// Identity of the distributed campaign worker this process acts as;
-    /// empty for plain local runs.
-    pub worker: &'a str,
-    /// Caller-defined epoch/generation tag — distributed workers pass the
-    /// highest lease epoch of the batch so reclaimed work is visible in
-    /// logs; 0 for plain local runs.
-    pub epoch: u64,
-}
-
 /// Runs `jobs` independent jobs on `threads` worker threads with
 /// work-stealing (an atomic job counter), collecting each result lock-free
 /// into its own slot. Results are returned in job order.
 ///
-/// This is the generic engine behind [`run_matrix`], the campaign
-/// executor and the distributed campaign worker: jobs may be
-/// heterogeneous (different traces, configs and policies) as long as
-/// `f(ctx, j)` computes job `j` independently. `worker` and `epoch` are
-/// passed through verbatim in every job's [`JobCtx`].
-///
-/// # Examples
-///
-/// ```
-/// use ccsim_core::experiment::run_jobs_ctx;
-///
-/// let out = run_jobs_ctx(3, 2, "w1", 7, |ctx, j| {
-///     assert_eq!((ctx.worker, ctx.epoch), ("w1", 7));
-///     j * 10
-/// });
-/// assert_eq!(out, vec![0, 10, 20]);
-/// ```
-pub fn run_jobs_ctx<T, F>(jobs: usize, threads: usize, worker: &str, epoch: u64, f: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(JobCtx<'_>, usize) -> T + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    let next = AtomicUsize::new(0);
-    // One slot per job: each index is claimed by exactly one worker via the
-    // atomic counter, so every OnceLock is set exactly once and no lock is
-    // shared across completed cells.
-    let mut slots: Vec<OnceLock<T>> = Vec::new();
-    slots.resize_with(jobs, OnceLock::new);
-    std::thread::scope(|scope| {
-        let (next, slots, f) = (&next, &slots, &f);
-        for thread in 0..threads.min(jobs) {
-            scope.spawn(move || loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs {
-                    break;
-                }
-                let ctx = JobCtx { thread, worker, epoch };
-                assert!(slots[j].set(f(ctx, j)).is_ok(), "job claimed twice");
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.into_inner().expect("all jobs completed")).collect()
-}
-
-/// [`run_jobs_ctx`] without the context: the common entry point for local
-/// sweeps that don't care which thread runs which job.
+/// This is the generic engine behind [`run_matrix`] and the campaign's
+/// band sharding: jobs may be heterogeneous (different traces, configs
+/// and policies) as long as `f(j)` computes job `j` independently.
 ///
 /// # Examples
 ///
@@ -101,7 +37,26 @@ where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    run_jobs_ctx(jobs, threads, "", 0, |_, j| f(j))
+    assert!(threads > 0, "need at least one worker thread");
+    let next = AtomicUsize::new(0);
+    // One slot per job: each index is claimed by exactly one worker via the
+    // atomic counter, so every OnceLock is set exactly once and no lock is
+    // shared across completed cells.
+    let mut slots: Vec<OnceLock<T>> = Vec::new();
+    slots.resize_with(jobs, OnceLock::new);
+    std::thread::scope(|scope| {
+        let (next, slots, f) = (&next, &slots, &f);
+        for _ in 0..threads.min(jobs) {
+            scope.spawn(move || loop {
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                if j >= jobs {
+                    break;
+                }
+                assert!(slots[j].set(f(j)).is_ok(), "job claimed twice");
+            });
+        }
+    });
+    slots.into_iter().map(|s| s.into_inner().expect("all jobs completed")).collect()
 }
 
 /// One completed cell of a sweep.
@@ -211,22 +166,5 @@ mod tests {
     fn run_jobs_with_more_threads_than_jobs() {
         assert_eq!(run_jobs(1, 64, |j| j), vec![0]);
         assert_eq!(run_jobs(0, 4, |j| j), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn job_ctx_carries_worker_identity_and_thread_index() {
-        let out = run_jobs_ctx(16, 4, "worker-a", 3, |ctx, j| {
-            assert_eq!(ctx.worker, "worker-a");
-            assert_eq!(ctx.epoch, 3);
-            assert!(ctx.thread < 4);
-            (ctx.thread, j)
-        });
-        assert_eq!(out.len(), 16);
-        for (j, (_, job)) in out.iter().enumerate() {
-            assert_eq!(*job, j, "results stay in job order");
-        }
-        // The plain wrapper reports an anonymous local context.
-        let ctxs = run_jobs_ctx(1, 1, "", 0, |ctx, _| (ctx.worker.to_owned(), ctx.epoch));
-        assert_eq!(ctxs[0], (String::new(), 0));
     }
 }

@@ -39,7 +39,7 @@ mod result;
 mod simulator;
 
 pub use cache::{Cache, CacheStats, FillOutcome, TAG_INVALID};
-pub use config::{CacheConfig, CoreConfig, DramConfig, SimConfig, MAX_WAYS};
+pub use config::{CacheConfig, CoreConfig, DramConfig, LlcScaleError, SimConfig, MAX_WAYS};
 pub use cpu::Core;
 pub use dram::{Dram, DramStats};
 pub use experiment::grid::{

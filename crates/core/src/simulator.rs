@@ -1,44 +1,57 @@
 //! Trace replay: ties the core model to the memory hierarchy.
 //!
-//! Two equivalent drivers share one replay engine:
+//! This module owns the per-record [`Engine`] and the single-cell entry
+//! points; it owns no record loop. Every replay in the crate is a grid
+//! (`experiment::grid`): `GridReplay::step_records` holds the one call
+//! to [`Engine::step`], and [`simulate`], [`simulate_with_llc_log`] and
+//! [`simulate_stream`] build a grid of one cell and add the `sim_*`
+//! accounting:
 //!
 //! * [`simulate`] replays an in-memory [`Trace`];
 //! * [`simulate_stream`] replays records straight from a
 //!   [`ccsim_trace::TraceReader`], so a multi-gigabyte `CCTR` file on
-//!   disk simulates in O(1) memory without ever materializing.
+//!   disk simulates in bounded memory (one decoded chunk) without ever
+//!   materializing.
 //!
-//! The two produce byte-identical [`SimResult`]s for the same records
-//! (`tests/stream_replay.rs` pins this with proptests and the ingest
-//! golden fixture).
+//! `tests/grid_replay.rs` pins all of them, and the N-cell helpers,
+//! against a record-at-a-time drive of the same driver.
 
 use std::io::Read;
 
+use ccsim_obs::Span;
 use ccsim_policies::PolicyKind;
 use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
 use crate::cpu::Core;
+use crate::experiment::grid::GridReplay;
 use crate::hierarchy::{Hierarchy, Level};
 use crate::result::SimResult;
 
+/// An LLC demand stream: one `(set, block)` pair per LLC demand access.
+pub(crate) type LlcLog = Vec<(u32, u64)>;
+
 /// The replay engine: one core driving one hierarchy, record by record.
-/// Both simulation entry points are thin loops over [`Engine::step`], and
-/// the one-pass grid driver (`experiment::grid`) advances many engines in
-/// lockstep through shared record chunks.
+/// `GridReplay` advances one engine per grid cell in lockstep through
+/// shared record chunks.
 pub(crate) struct Engine {
     hierarchy: Hierarchy,
     core: Core,
+    llc_policy: PolicyKind,
 }
 
 impl Engine {
-    pub(crate) fn new(config: &SimConfig, llc_policy: PolicyKind, log_llc: bool) -> Engine {
+    pub(crate) fn new(config: &SimConfig, llc_policy: PolicyKind) -> Engine {
         config.validate().expect("invalid simulator config");
-        let mut hierarchy =
+        let hierarchy =
             Hierarchy::new(config, llc_policy.build_dispatch(config.llc.sets, config.llc.ways));
-        if log_llc {
-            hierarchy.enable_llc_log();
-        }
-        Engine { hierarchy, core: Core::new(config.core) }
+        Engine { hierarchy, core: Core::new(config.core), llc_policy }
+    }
+
+    /// Records the LLC demand stream from here on ([`Engine::finish`]
+    /// returns it).
+    pub(crate) fn enable_llc_log(&mut self) {
+        self.hierarchy.enable_llc_log();
     }
 
     /// Hot tag-state bytes of this engine's hierarchy (the chunk
@@ -67,20 +80,16 @@ impl Engine {
         });
     }
 
-    pub(crate) fn finish(
-        mut self,
-        workload: &str,
-        trailing_nonmem: u64,
-        llc_policy: PolicyKind,
-    ) -> (SimResult, Option<Vec<(u32, u64)>>) {
+    /// The cell's result and its LLC demand log (empty unless enabled).
+    pub(crate) fn finish(mut self, workload: &str, trailing_nonmem: u64) -> (SimResult, LlcLog) {
         if trailing_nonmem > 0 {
             self.core.dispatch_nonmem(trailing_nonmem);
         }
         let (instructions, cycles) = self.core.finish();
-        let log = self.hierarchy.take_llc_log();
+        let log = self.hierarchy.take_llc_log().unwrap_or_default();
         let result = SimResult {
             workload: workload.to_owned(),
-            policy: llc_policy.name().to_owned(),
+            policy: self.llc_policy.name().to_owned(),
             instructions,
             cycles,
             l1d: *self.hierarchy.cache_stats(Level::L1d),
@@ -110,7 +119,7 @@ impl Engine {
 /// assert_eq!(result.instructions, trace.instructions());
 /// ```
 pub fn simulate(trace: &Trace, config: &SimConfig, llc_policy: PolicyKind) -> SimResult {
-    run(trace, config, llc_policy, false).0
+    replay_one(trace, GridReplay::new(&[(*config, llc_policy)], 0)).0
 }
 
 /// Like [`simulate`], additionally returning the LLC demand stream
@@ -120,15 +129,14 @@ pub fn simulate_with_llc_log(
     config: &SimConfig,
     llc_policy: PolicyKind,
 ) -> (SimResult, Vec<(u32, u64)>) {
-    let (result, log) = run(trace, config, llc_policy, true);
-    (result, log.expect("log was enabled"))
+    replay_one(trace, GridReplay::logging_llc(config, llc_policy))
 }
 
-/// Replays a `CCTR` stream straight from `reader` — one record in memory
-/// at a time, so campaign cells over multi-gigabyte ingested traces never
-/// materialize them. Produces a [`SimResult`] byte-identical to
-/// [`simulate`] over the same records (workload name and trailing
-/// non-memory count come from the stream header).
+/// Replays a `CCTR` stream straight from `reader` — one decoded chunk in
+/// memory at a time, so multi-gigabyte ingested traces never
+/// materialize. Produces a [`SimResult`] byte-identical to [`simulate`]
+/// over the same records (workload name and trailing non-memory count
+/// come from the stream header).
 ///
 /// # Errors
 ///
@@ -164,38 +172,34 @@ pub fn simulate_stream<R: Read>(
     llc_policy: PolicyKind,
 ) -> Result<SimResult, DecodeTraceError> {
     let span = ccsim_obs::metrics().sim_wall_ns.span();
-    let mut engine = Engine::new(config, llc_policy, false);
-    let mut records = 0u64;
-    while let Some(rec) = reader.next_record()? {
-        engine.step(&rec);
-        records += 1;
-    }
+    let mut grid = GridReplay::new(&[(*config, llc_policy)], 0);
+    grid.replay_reader(&mut reader)?;
     let header = reader.header();
-    let result = engine.finish(&header.name, header.trailing_nonmem, llc_policy).0;
+    Ok(finish_one(grid, &header.name, header.trailing_nonmem, header.count, span).0)
+}
+
+/// Replays `trace` through a grid of one cell.
+fn replay_one(trace: &Trace, mut grid: GridReplay) -> (SimResult, LlcLog) {
+    let span = ccsim_obs::metrics().sim_wall_ns.span();
+    grid.replay_trace(trace);
+    finish_one(grid, trace.name(), trace.trailing_nonmem(), trace.len() as u64, span)
+}
+
+/// Finishes a grid of one cell and accounts the run in the `sim_*`
+/// metrics.
+fn finish_one(
+    grid: GridReplay,
+    workload: &str,
+    trailing_nonmem: u64,
+    records: u64,
+    span: Span<'_>,
+) -> (SimResult, LlcLog) {
+    let cell = grid.finish_logged(workload, trailing_nonmem).pop().expect("a grid of one cell");
     let m = ccsim_obs::metrics();
     m.sim_runs.inc();
     m.sim_records.add(records);
     span.stop();
-    Ok(result)
-}
-
-fn run(
-    trace: &Trace,
-    config: &SimConfig,
-    llc_policy: PolicyKind,
-    log_llc: bool,
-) -> (SimResult, Option<Vec<(u32, u64)>>) {
-    let span = ccsim_obs::metrics().sim_wall_ns.span();
-    let mut engine = Engine::new(config, llc_policy, log_llc);
-    for rec in trace {
-        engine.step(rec);
-    }
-    let out = engine.finish(trace.name(), trace.trailing_nonmem(), llc_policy);
-    let m = ccsim_obs::metrics();
-    m.sim_runs.inc();
-    m.sim_records.add(trace.len() as u64);
-    span.stop();
-    out
+    cell
 }
 
 #[cfg(test)]
@@ -272,19 +276,6 @@ mod tests {
         let b = simulate(&t, &cfg, PolicyKind::Hawkeye);
         assert_eq!(a.l1d.demand_misses, b.l1d.demand_misses);
         assert_eq!(a.l2.demand_accesses, b.l2.demand_accesses);
-    }
-
-    #[test]
-    fn stream_replay_equals_in_memory_replay() {
-        let t = trace_of(&RandomAccess::new(0, 1 << 16, 64, 8_000).seed(5), "r");
-        let mut bytes = Vec::new();
-        write_trace(&t, &mut bytes).unwrap();
-        let cfg = SimConfig::cascade_lake();
-        for policy in [PolicyKind::Lru, PolicyKind::Mpppb] {
-            let streamed =
-                simulate_stream(TraceReader::new(&bytes[..]).unwrap(), &cfg, policy).unwrap();
-            assert_eq!(streamed, simulate(&t, &cfg, policy), "{policy}");
-        }
     }
 
     #[test]

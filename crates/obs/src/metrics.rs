@@ -315,7 +315,8 @@ catalog! {
         sim_runs => "sim_runs",
         /// Records replayed by single-cell simulation runs.
         sim_records => "sim_records",
-        /// Lockstep chunks advanced by `GridReplay`.
+        /// Lockstep chunks advanced by `GridReplay` — every replay,
+        /// single-cell runs included (they are a grid of one).
         grid_chunks => "grid_chunks",
         /// Engine-records advanced by `GridReplay` (records × cells).
         grid_records => "grid_records",
@@ -357,8 +358,7 @@ catalog! {
         sim_wall_ns => "sim_wall_ns",
         /// Wall-clock nanoseconds per campaign band (all pending cells).
         campaign_band_sim_ns => "campaign_band_sim_ns",
-        /// Per-cell simulation wall-clock nanoseconds (band ÷ cells in
-        /// grid mode, measured directly in per-cell mode).
+        /// Per-cell simulation wall-clock nanoseconds (band ÷ cells).
         campaign_cell_sim_ns => "campaign_cell_sim_ns",
         /// Nanoseconds per journal-segment directory merge.
         journal_merge_ns => "journal_merge_ns",

@@ -2,13 +2,13 @@
 //! **zero heap allocations per trace record**, for every built-in policy.
 //!
 //! The binary installs a counting global allocator and drives a warmed
-//! `Hierarchy` + `Core` pair — the exact record loop `simulate` runs —
-//! across a second full pass of an eviction-heavy trace, asserting the
-//! allocation counter does not move at all. The same is then asserted
-//! for boxed (`PolicyDispatch::Custom`) policies — the path where every
-//! full-set fill reconstructs `LineView`s from the SoA tag store into a
-//! stack buffer — and for the one-pass lockstep grid driver
-//! (`GridReplay`), including its streamed chunk-decode loop.
+//! grid of one cell — the driver `simulate` runs — across a second full
+//! pass of an eviction-heavy trace, asserting the allocation counter
+//! does not move at all. The same is then asserted for boxed
+//! (`PolicyDispatch::Custom`) policies — the path where every full-set
+//! fill reconstructs `LineView`s from the SoA tag store into a stack
+//! buffer — and for a lockstep grid of several cells, including the
+//! streamed chunk-decode loop.
 //! Telemetry is explicitly enabled for the measurement, and the
 //! `ccsim-obs` primitives themselves (counter, gauge, histogram, span)
 //! are hammered inside the measured region: the zero-alloc contract is
@@ -27,8 +27,9 @@ use alloc_track::{allocations, counting_enabled, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Replays `trace` once on an existing hierarchy/core pair — the same
-/// per-record loop as `ccsim_core::simulate`.
+/// Replays `trace` once on an existing hierarchy/core pair — what the
+/// driver's per-record step does, for hierarchies it cannot build
+/// (boxed policies).
 fn replay(hierarchy: &mut ccsim::core::Hierarchy, core: &mut ccsim::core::Core, trace: &Trace) {
     for rec in trace {
         if rec.nonmem_before > 0 {
@@ -73,19 +74,15 @@ fn steady_state_replay_allocates_nothing() {
     let mix = buf.finish();
 
     for kind in PolicyKind::ALL {
-        let mut hierarchy = ccsim::core::Hierarchy::new(
-            &config,
-            kind.build_dispatch(config.llc.sets, config.llc.ways),
-        );
-        let mut core = ccsim::core::Core::new(config.core);
+        let mut cell = GridReplay::new(&[(config, kind)], 0);
         // Warm pass: fills every set, saturates MSHR maps, policy
         // samplers and the ROB ring to their steady-state footprint.
-        replay(&mut hierarchy, &mut core, &thrash);
-        replay(&mut hierarchy, &mut core, &mix);
+        cell.replay_trace(&thrash);
+        cell.replay_trace(&mix);
 
         let before = allocations();
-        replay(&mut hierarchy, &mut core, &thrash);
-        replay(&mut hierarchy, &mut core, &mix);
+        cell.replay_trace(&thrash);
+        cell.replay_trace(&mix);
         let during = allocations() - before;
         assert_eq!(
             during,
@@ -124,12 +121,14 @@ fn steady_state_replay_allocates_nothing() {
         );
     }
 
-    // The one-pass grid driver inherits the contract: advancing N warmed
-    // lockstep engines through further records — including the streamed
-    // chunk-decode loop, whose chunk buffer is reserved up front and
-    // reused — must not allocate either.
+    // Wider grids inherit the contract: advancing N warmed lockstep
+    // engines through further records — including the streamed
+    // chunk-decode loop, whose chunk buffer is reserved by the first
+    // streamed replay and reused — must not allocate either.
+    // The streamed trace ends in a short chunk (60 000 records), so a
+    // decode buffer that is not handed back empty would regrow here.
     let mut bytes = Vec::new();
-    ccsim::trace::write_trace(&thrash, &mut bytes).unwrap();
+    ccsim::trace::write_trace(&mix, &mut bytes).unwrap();
     let cells = [
         (config, PolicyKind::Lru),
         (config, PolicyKind::Ship),
@@ -141,7 +140,7 @@ fn steady_state_replay_allocates_nothing() {
     // buffer reaches its full capacity.
     let mut reader = ccsim::trace::TraceReader::new(&bytes[..]).unwrap();
     grid.replay_reader(&mut reader).unwrap();
-    grid.replay_trace(&mix);
+    grid.replay_trace(&thrash);
 
     // Readers are constructed outside the measured region (the CCTR
     // header carries an owned workload name).
@@ -161,7 +160,7 @@ fn steady_state_replay_allocates_nothing() {
         metrics.cache_ensure_ns.span().stop();
     }
     grid.replay_reader(&mut reader).unwrap();
-    grid.replay_trace(&mix);
+    grid.replay_trace(&thrash);
     let during = allocations() - before;
     assert_eq!(
         during,

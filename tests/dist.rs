@@ -132,9 +132,8 @@ fn crashed_worker_band_lease_expires_and_a_second_worker_resumes_mid_band() {
     std::mem::forget(guard); // crash: no release, no renewal
     {
         let trace = campaign.acquire("xsbench.small").unwrap();
-        let result = trace
-            .simulate_cell(&grid.configs[victim_cell.config_index].1, victim_cell.policy)
-            .unwrap();
+        let cell = (grid.configs[victim_cell.config_index].1, victim_cell.policy);
+        let result = trace.simulate_cells(&[cell], 1, 0).unwrap().remove(0);
         let mut j = Journal::open_segment(&shared, "dead", &spec.name, &digest).unwrap();
         j.record(&victim_cell.id, &result).unwrap();
         drop(j);

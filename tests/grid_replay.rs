@@ -1,17 +1,42 @@
-//! One-pass grid replay equivalence: `simulate_grid` /
-//! `simulate_grid_stream` must produce, for every cell of the grid, a
-//! `SimResult` indistinguishable from an independent per-cell replay —
-//! for arbitrary traces, any mix of policies and LLC scales, and *any*
-//! chunk size. Chunking is pure mechanics: cell results must not know
-//! how the stream was batched.
+//! The differential replay suite: every replay entry point against one
+//! obviously-right oracle.
+//!
+//! All replay goes through `GridReplay` (`simulate`, `simulate_stream`
+//! and `simulate_with_llc_log` are a grid of one cell), so what can go
+//! wrong is the mechanics around the per-record step: chunking, the
+//! streamed decode buffer, lockstep cells sharing a pass. The oracle has
+//! none of them — one cell, one record per `step_records` call, built
+//! from public API only. Every other way to replay the same records must
+//! produce an indistinguishable `SimResult` (every counter of every
+//! level): single cell or grid, in memory or streamed, any chunk size,
+//! whatever the other cells of the grid are.
 
 use std::io::BufReader;
 use std::path::Path;
 
 use ccsim::prelude::*;
 use ccsim::trace::synth::{PatternGen, RandomAccess, SequentialStream};
-use ccsim::trace::{write_trace, AccessKind, TraceReader, TraceRecord};
+use ccsim::trace::{write_trace, AccessKind, TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
+
+/// The reference: `cell` alone, fed one record at a time.
+fn oracle(trace: &Trace, cell: &(SimConfig, PolicyKind)) -> SimResult {
+    let mut grid = GridReplay::new(std::slice::from_ref(cell), 1);
+    for rec in trace.records() {
+        grid.step_records(std::slice::from_ref(rec));
+    }
+    grid.finish(trace.name(), trace.trailing_nonmem()).remove(0)
+}
+
+fn cctr_bytes(trace: &Trace) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_trace(trace, &mut bytes).unwrap();
+    bytes
+}
+
+fn file_reader(path: &Path) -> TraceReader<BufReader<std::fs::File>> {
+    TraceReader::new(BufReader::new(std::fs::File::open(path).unwrap())).unwrap()
+}
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (0u64..1 << 40, 0u64..1 << 44, 1u8..=8, any::<bool>(), 0u16..2000).prop_map(
@@ -37,44 +62,55 @@ fn arb_cell() -> impl Strategy<Value = (SimConfig, PolicyKind)> {
     })
 }
 
+/// 0 = autotuned, 1 = record-at-a-time, 2 = beyond any trace (and any
+/// buffer that could be reserved); everything else a small explicit
+/// chunk.
+fn chunk_records(sel: usize) -> usize {
+    match sel {
+        2 => usize::MAX,
+        n => n,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The lockstep driver equals per-cell replay cell for cell —
-    /// arbitrary traces, grids of 1..6 mixed cells, and chunk sizes from
-    /// 1 record up to far beyond the trace length (0 = default).
+    /// In memory: the lockstep grid, and `simulate` / `simulate_stream`
+    /// on each cell alone, equal the oracle cell for cell — arbitrary
+    /// traces, grids of 1..6 mixed cells, any chunk size.
     #[test]
     fn grid_replay_equals_per_cell_replay(
         trace in arb_trace(300),
         cells in proptest::collection::vec(arb_cell(), 1..6),
         chunk_sel in 0usize..64,
     ) {
-        // 0 = the default chunk, 1 = record-at-a-time, 2 = far beyond
-        // the trace length; everything else is a small explicit chunk.
-        let chunk_records = match chunk_sel { 0 => 0, 1 => 1, 2 => 1 << 20, n => n };
-        let grid = simulate_grid(&trace, &cells, chunk_records);
+        let grid = simulate_grid(&trace, &cells, chunk_records(chunk_sel));
         prop_assert_eq!(grid.len(), cells.len());
-        for ((config, policy), result) in cells.iter().zip(&grid) {
-            let reference = simulate(&trace, config, *policy);
+        let bytes = cctr_bytes(&trace);
+        for (cell, result) in cells.iter().zip(&grid) {
+            let reference = oracle(&trace, cell);
             prop_assert_eq!(result, &reference);
+            prop_assert_eq!(&simulate(&trace, &cell.0, cell.1), &reference);
+            let reader = TraceReader::new(&bytes[..]).unwrap();
+            prop_assert_eq!(&simulate_stream(reader, &cell.0, cell.1).unwrap(), &reference);
         }
     }
 
-    /// The streaming front end (`TraceReader` → chunks) equals the
-    /// in-memory driver, so the campaign's file-backed one-pass path
-    /// inherits the equivalence.
+    /// The streaming front end (`TraceReader` → decoded chunks) equals
+    /// the in-memory driver and the oracle, so the campaign's file-backed
+    /// path inherits the equivalence.
     #[test]
     fn grid_stream_equals_grid_in_memory(
         trace in arb_trace(200),
         cells in proptest::collection::vec(arb_cell(), 1..5),
-        chunk_records in 0usize..48,
+        chunk_sel in 0usize..48,
     ) {
-        let mut bytes = Vec::new();
-        write_trace(&trace, &mut bytes).unwrap();
+        let reference: Vec<SimResult> = cells.iter().map(|cell| oracle(&trace, cell)).collect();
+        let bytes = cctr_bytes(&trace);
         let reader = TraceReader::new(&bytes[..]).unwrap();
-        let streamed = simulate_grid_stream(reader, &cells, chunk_records).unwrap();
-        let in_memory = simulate_grid(&trace, &cells, chunk_records);
-        prop_assert_eq!(streamed, in_memory);
+        let streamed = simulate_grid_stream(reader, &cells, chunk_records(chunk_sel)).unwrap();
+        prop_assert_eq!(&streamed, &reference);
+        prop_assert_eq!(&simulate_grid(&trace, &cells, chunk_records(chunk_sel)), &reference);
     }
 
     /// Duplicate cells in one grid stay independent: each copy's engine
@@ -84,25 +120,23 @@ proptest! {
         trace in arb_trace(200),
         cell in arb_cell(),
     ) {
-        let cells = vec![cell, cell, cell];
-        let grid = simulate_grid(&trace, &cells, 7);
-        let reference = simulate(&trace, &cell.0, cell.1);
-        for result in &grid {
+        let reference = oracle(&trace, &cell);
+        for result in &simulate_grid(&trace, &[cell, cell, cell], 7) {
             prop_assert_eq!(result, &reference);
         }
     }
 }
 
-/// Regression: one-pass grid replay of the pinned ingest golden fixture
-/// (a real converted ChampSim trace) on the full platform model matches
-/// per-cell replay bit for bit — across a policies × LLC-scales grid and
-/// three chunkings, streamed straight from the fixture file like a
-/// campaign cell would be.
+/// Regression: the pinned ingest golden fixture (a real converted
+/// ChampSim trace) on the full platform model replays to the oracle's
+/// result bit for bit — as a policies × LLC-scales grid under three
+/// chunkings, in memory and streamed straight from the fixture file
+/// like a campaign band, and as single cells through `simulate` /
+/// `simulate_stream`.
 #[test]
 fn golden_ingest_fixture_grid_replays_identically() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ingest_golden_v1.cctr");
-    let bytes = std::fs::read(&path).unwrap();
-    let trace = ccsim::trace::read_trace(&bytes[..]).unwrap();
+    let trace = ccsim::trace::read_trace(&std::fs::read(&path).unwrap()[..]).unwrap();
     assert!(!trace.is_empty(), "golden fixture must carry records");
 
     let mut cells: Vec<(SimConfig, PolicyKind)> = Vec::new();
@@ -112,15 +146,18 @@ fn golden_ingest_fixture_grid_replays_identically() {
             cells.push((config, policy));
         }
     }
-    let reference: Vec<SimResult> =
-        cells.iter().map(|(config, policy)| simulate(&trace, config, *policy)).collect();
+    let reference: Vec<SimResult> = cells.iter().map(|cell| oracle(&trace, cell)).collect();
 
     for chunk_records in [0usize, 1, 1000] {
         let grid = simulate_grid(&trace, &cells, chunk_records);
         assert_eq!(grid, reference, "in-memory grid diverged at chunk {chunk_records}");
-        let reader = TraceReader::new(BufReader::new(std::fs::File::open(&path).unwrap())).unwrap();
-        let streamed = simulate_grid_stream(reader, &cells, chunk_records).unwrap();
+        let streamed = simulate_grid_stream(file_reader(&path), &cells, chunk_records).unwrap();
         assert_eq!(streamed, reference, "streamed grid diverged at chunk {chunk_records}");
+    }
+    for ((config, policy), reference) in cells.iter().zip(&reference) {
+        assert_eq!(&simulate(&trace, config, *policy), reference, "{policy}");
+        let streamed = simulate_stream(file_reader(&path), config, *policy).unwrap();
+        assert_eq!(&streamed, reference, "{policy} streamed");
     }
 
     // The replay is real work, not a stub: the golden trace must reach
@@ -191,9 +228,9 @@ fn tag_store_differential_golden_pins_all_policies() {
     assert_eq!(table, pinned, "tag-store behaviour drifted from the pre-SoA golden");
 }
 
-/// The `GridReplay` driver itself is reusable across explicit chunk
-/// feeding: stepping record slices by hand then finishing must equal the
-/// one-shot helpers (this is the API `ccsim-campaign` builds on).
+/// The `GridReplay` driver is usable directly: stepping record slices by
+/// hand then finishing equals the one-shot helper and the oracle (this
+/// is the API the benchmark's allocation rung builds on).
 #[test]
 fn manual_chunk_feeding_matches_one_shot_helpers() {
     let mut buf = TraceBuffer::new("manual");
@@ -214,4 +251,85 @@ fn manual_chunk_feeding_matches_one_shot_helpers() {
     }
     let manual = driver.finish(trace.name(), trace.trailing_nonmem());
     assert_eq!(manual, simulate_grid(&trace, &cells, 333));
+    assert_eq!(manual, cells.iter().map(|cell| oracle(&trace, cell)).collect::<Vec<_>>());
+}
+
+/// A million-record on-disk trace — hundreds of decoded chunks —
+/// streams to the oracle's result, as does its materialized twin: the
+/// scale regime campaigns rely on for ingested traces (the stream side
+/// holds one chunk in memory at a time; `TraceWriter` keeps the
+/// generation side bounded too).
+#[test]
+fn million_record_file_streams_identically() {
+    let dir = std::env::temp_dir().join(format!("ccsim_stream_big_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.cctr");
+    const RECORDS: u64 = 1_000_000;
+
+    // Write straight to disk and build the in-memory twin in lockstep:
+    // a zipfian-ish mix of a hot region and a cold sweep.
+    let mut writer =
+        TraceWriter::new(std::io::BufWriter::new(std::fs::File::create(&path).unwrap()), "big")
+            .unwrap();
+    let mut records = Vec::with_capacity(RECORDS as usize);
+    for i in 0..RECORDS {
+        let vaddr = if i % 3 == 0 { 0x100_0000 + (i % 512) * 64 } else { 0x800_0000 + i * 64 };
+        let mut rec = if i % 7 == 0 {
+            TraceRecord::store(0x400 + (i % 97) * 4, vaddr, 8)
+        } else {
+            TraceRecord::load(0x400 + (i % 97) * 4, vaddr, 8)
+        };
+        rec.nonmem_before = (i % 5) as u16;
+        writer.write_record(&rec).unwrap();
+        records.push(rec);
+    }
+    drop(writer.finish(11).unwrap());
+    let trace = Trace::from_parts("big", records, 11);
+
+    let cell = (SimConfig::cascade_lake(), PolicyKind::Ship);
+    let reference = oracle(&trace, &cell);
+    assert_eq!(simulate_stream(file_reader(&path), &cell.0, cell.1).unwrap(), reference);
+    assert_eq!(simulate(&trace, &cell.0, cell.1), reference);
+    assert_eq!(reference.instructions, trace.instructions());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Campaigns stream `trace:` bands from the converted file; the reported
+/// cell results must equal the oracle over the same converted trace.
+#[test]
+fn campaign_streams_external_cells_identically() {
+    use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
+
+    let dir = std::env::temp_dir().join(format!("ccsim_stream_campaign_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let source = dir.join("ext.champsim");
+    let mut w = ChampSimWriter::new(std::fs::File::create(&source).unwrap());
+    for i in 0..600u64 {
+        w.write(&ChampSimRecord::nonmem(0x400 + 4 * i)).unwrap();
+        w.write(&ChampSimRecord::load(0x600 + 4 * i, 0x10000 + 64 * (i % 48))).unwrap();
+    }
+    drop(w);
+
+    let selector = format!("trace:{}", source.display());
+    let spec = CampaignSpec::from_json_str(&format!(
+        r#"{{"name": "stream", "base_config": "tiny",
+             "workloads": ["{selector}"], "policies": ["lru", "srrip"]}}"#
+    ))
+    .unwrap();
+    let cache = TraceCache::new(dir.join("cache")).unwrap();
+    let outcome = Campaign::new(spec).threads(2).cache(cache).run().unwrap();
+
+    // Reference: materialize the cached conversion and run the oracle.
+    let cache = TraceCache::new(dir.join("cache")).unwrap();
+    let opts = IngestOptions { name: Some(selector.clone()), ..Default::default() };
+    let reference_trace = cache.get_or_ingest(&source, &opts).unwrap();
+    assert_eq!(cache.hits(), 1, "campaign must have converted the trace already");
+    for cell in &outcome.report.cells {
+        let policy: PolicyKind = cell.policy.parse().unwrap();
+        let reference = oracle(&reference_trace, &(SimConfig::tiny(), policy));
+        assert_eq!(cell.result, reference, "{}", cell.policy);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
