@@ -213,12 +213,7 @@ fn parse_report(text: &str) -> Result<ParsedReport, String> {
         .get("schema_version")
         .and_then(Json::as_u64)
         .ok_or("missing \"schema_version\" (not a campaign report?)")?;
-    // The diff only reads derived metrics, which every schema since v1
-    // carries — accept the whole supported range so reports from older
-    // revisions remain comparable.
-    if !(crate::report::MIN_REPORT_SCHEMA_VERSION..=crate::report::REPORT_SCHEMA_VERSION)
-        .contains(&schema)
-    {
+    if schema != crate::report::REPORT_SCHEMA_VERSION {
         return Err(format!("unsupported report schema version {schema}"));
     }
     let campaign =
@@ -264,7 +259,7 @@ fn parse_report(text: &str) -> Result<ParsedReport, String> {
 mod tests {
     use super::*;
 
-    /// A minimal schema-v1 report with one knob per metric.
+    /// A minimal current-schema report with one knob per metric.
     fn report(name: &str, mpki: f64, hit: f64, ipc: f64, extra_cell: bool) -> String {
         let cell = |workload: &str, mpki: f64| {
             format!(
@@ -279,7 +274,7 @@ mod tests {
             cells.push(cell("pr.twitter", mpki));
         }
         format!(
-            r#"{{"schema_version": 1, "campaign": "{name}", "spec": {{}},
+            r#"{{"schema_version": 2, "campaign": "{name}", "spec": {{}},
                  "cells": [{}]}}"#,
             cells.join(",")
         )
@@ -351,9 +346,12 @@ mod tests {
         let err = ReportDiff::from_json_strs("{}", &good).unwrap_err();
         assert!(err.contains("first report"), "{err}");
         assert!(err.contains("schema_version"), "{err}");
-        let wrong = good.replace("\"schema_version\": 1", "\"schema_version\": 99");
-        let err = ReportDiff::from_json_strs(&good, &wrong).unwrap_err();
-        assert!(err.contains("version 99"), "{err}");
+        for version in [1, 99] {
+            let wrong =
+                good.replace("\"schema_version\": 2", &format!("\"schema_version\": {version}"));
+            let err = ReportDiff::from_json_strs(&good, &wrong).unwrap_err();
+            assert!(err.contains(&format!("version {version}")), "{err}");
+        }
         assert!(ReportDiff::from_json_strs("not json", &good).is_err());
     }
 }

@@ -25,14 +25,10 @@ use crate::journal::sim_result_to_json;
 use crate::json::Json;
 use crate::spec::CampaignSpec;
 
-/// Version of the JSON report schema. v2 added the
-/// `writeback_bypass_overrides` counter to each per-level stats object;
-/// consumers that only read derived metrics (e.g. `report-diff`) accept
-/// v1 reports too ([`MIN_REPORT_SCHEMA_VERSION`]).
+/// Version of the JSON report schema — the one version this revision
+/// writes and `report-diff` reads. v2 added the
+/// `writeback_bypass_overrides` counter to each per-level stats object.
 pub const REPORT_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest report schema version `report-diff` still understands.
-pub const MIN_REPORT_SCHEMA_VERSION: u64 = 1;
 
 /// One completed grid cell, ready for reporting.
 #[derive(Debug, Clone, PartialEq)]

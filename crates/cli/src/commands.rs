@@ -191,7 +191,7 @@ fn positionals<'a>(
 
 /// `ccsim trace-gen <workload> <out> [--quick]`
 pub fn trace_gen(args: &[String]) -> Result<(), String> {
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let positional = positionals(args, &[], &["--quick"])?;
     let [workload, out] = positional[..] else {
         return Err(format!("expected <workload> <out.cctr>\n\n{USAGE}"));
     };
@@ -1081,6 +1081,10 @@ mod tests {
         assert!(sim(&["x.cctr".into(), "--threads".into(), "zero".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--threads".into(), "0".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--frobnicate".into()]).is_err());
+        // trace-gen shares the flag check: a typo fails before anything
+        // is generated or written.
+        let err = trace_gen(&["xsbench.small".into(), "x.cctr".into(), "--bogus".into()]);
+        assert!(err.unwrap_err().contains("unknown flag \"--bogus\""));
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Set-associative cache level with pluggable replacement.
 
-mod line;
 mod mshr;
 mod stats;
 
-pub use line::CacheLine;
 pub use mshr::{MshrBank, MshrGrant};
 pub use stats::CacheStats;
 
-use ccsim_policies::{AccessInfo, AccessType, LineView, PolicyDispatch, Victim};
+use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, Victim};
 
-use crate::config::{CacheConfig, MAX_WAYS};
+use crate::config::CacheConfig;
 
 /// Tag word of an empty slot. Tags are 64-byte block addresses (full
 /// addresses shifted right by 6), so bit 63 of a real tag is never set
@@ -43,14 +41,11 @@ pub enum FillOutcome {
 /// contiguous `Vec<u64>` of packed tag words (block address, or
 /// [`TAG_INVALID`] for an empty slot) plus a one-bit-per-slot dirty
 /// bitmap, so `probe`'s way scan is a branch-free equality sweep over a
-/// cache-line-contiguous `u64` slice that LLVM autovectorizes. Victim
-/// queries lend the policy [`LineView`]s reconstructed into a fixed
-/// stack buffer (ways ≤ [`MAX_WAYS`], validated by
-/// [`CacheConfig::validate`]) — and skip even that when the policy
-/// reports it never reads them ([`PolicyDispatch::inspects_lines`],
-/// false for all 12 built-ins). The policy is driven through statically
-/// dispatched [`PolicyDispatch`] hooks. `tests/alloc_free.rs` enforces
-/// the allocation-free property with a counting allocator.
+/// cache-line-contiguous `u64` slice that LLVM autovectorizes. The
+/// policy is driven through statically dispatched [`PolicyDispatch`]
+/// hooks and sees only set, way and access — never the tag store.
+/// `tests/alloc_free.rs` enforces the allocation-free property with a
+/// counting allocator.
 #[derive(Debug)]
 pub struct Cache {
     name: &'static str,
@@ -74,15 +69,13 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Builds a cache from `config` with the given `policy` (a
-    /// [`PolicyDispatch`] or anything convertible into one, e.g. a
-    /// `Box<dyn ReplacementPolicy>`).
+    /// Builds a cache from `config` with the given `policy`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (callers validate configs at
     /// the simulator boundary; this is a defence in depth).
-    pub fn new(name: &'static str, config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
+    pub fn new(name: &'static str, config: CacheConfig, policy: PolicyDispatch) -> Self {
         config.validate().expect("invalid cache config");
         let slots = (config.sets * config.ways) as usize;
         Cache {
@@ -92,7 +85,7 @@ impl Cache {
             latency: config.latency,
             tags: vec![TAG_INVALID; slots],
             dirty: vec![0; slots.div_ceil(64)],
-            policy: policy.into(),
+            policy,
             mshrs: MshrBank::new(config.mshrs),
             stats: CacheStats::default(),
             occupied: vec![0; config.sets as usize],
@@ -199,26 +192,6 @@ impl Cache {
         hit
     }
 
-    /// Rebuilds the policy-facing [`LineView`]s of `set` from the SoA
-    /// tag store into `buf`, returning the set's ways as a slice.
-    fn reconstruct_views<'a>(
-        &self,
-        set: u32,
-        buf: &'a mut [LineView; MAX_WAYS as usize],
-    ) -> &'a [LineView] {
-        let base = self.idx(set, 0);
-        for (way, view) in buf.iter_mut().enumerate().take(self.ways as usize) {
-            let tag = self.tags[base + way];
-            let valid = tag != TAG_INVALID;
-            *view = LineView {
-                valid,
-                block: if valid { tag } else { 0 },
-                dirty: self.dirty_bit(base + way),
-            };
-        }
-        &buf[..self.ways as usize]
-    }
-
     /// Allocates `info.block`, consulting the policy for a victim when the
     /// set is full. Returns what was displaced, or [`FillOutcome::Bypassed`]
     /// if the policy declined a demand fill.
@@ -234,17 +207,7 @@ impl Cache {
             // so the occupancy counter is the first free way.
             self.occupied[set as usize] as u32
         } else {
-            // Full set: victim query. Policies that rank victims from
-            // their own metadata (all 12 built-ins) skip the view
-            // reconstruction entirely; only a policy that inspects lines
-            // pays for the stack-buffer rebuild from the SoA store.
-            let mut buf = [LineView::INVALID; MAX_WAYS as usize];
-            let views: &[LineView] = if self.policy.inspects_lines() {
-                self.reconstruct_views(set, &mut buf)
-            } else {
-                &[]
-            };
-            match self.policy.victim(set, info, views) {
+            match self.policy.victim(set, info) {
                 Victim::Way(w) => {
                     assert!(w < self.ways, "{}: policy victim out of range", self.name);
                     w
@@ -259,7 +222,7 @@ impl Cache {
                     // forbidden so the eviction follows the policy's own
                     // aging order, and count the override.
                     self.stats.writeback_bypass_overrides += 1;
-                    let w = self.policy.forced_victim(set, info, views);
+                    let w = self.policy.forced_victim(set, info);
                     assert!(w < self.ways, "{}: forced victim out of range", self.name);
                     w
                 }
@@ -310,7 +273,7 @@ mod tests {
 
     fn small() -> Cache {
         let cfg = CacheConfig { sets: 4, ways: 2, latency: 1, mshrs: 2 };
-        Cache::new("test", cfg, PolicyKind::Lru.build(cfg.sets, cfg.ways))
+        Cache::new("test", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways))
     }
 
     fn load(cache: &Cache, block: u64) -> AccessInfo {
@@ -411,53 +374,13 @@ mod tests {
         // 64 sets x 2 ways = 128 slots: set 40 lives in slots 80/81,
         // past the first 64-bit dirty word.
         let cfg = CacheConfig { sets: 64, ways: 2, latency: 1, mshrs: 2 };
-        let mut c = Cache::new("wide", cfg, PolicyKind::Lru.build(cfg.sets, cfg.ways));
+        let mut c = Cache::new("wide", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways));
         c.fill(&rfo(&c, 40)); // dirty
         c.fill(&load(&c, 40 + 64)); // clean, same set
         let out = c.fill(&load(&c, 40 + 128)); // evicts LRU = dirty block 40
         assert_eq!(out, FillOutcome::Filled { writeback: Some(40) });
         let out = c.fill(&load(&c, 40 + 192)); // evicts clean block 104
         assert_eq!(out, FillOutcome::Filled { writeback: None });
-    }
-
-    #[test]
-    fn custom_policy_receives_views_reconstructed_from_the_soa_store() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        use ccsim_policies::ReplacementPolicy;
-
-        // A boxed policy keeps the conservative `inspects_lines` default,
-        // so its victim query must see the set's lines faithfully rebuilt
-        // from the packed tags + dirty bitmap.
-        #[derive(Debug)]
-        struct Spy(Rc<RefCell<Vec<LineView>>>);
-        impl ReplacementPolicy for Spy {
-            fn name(&self) -> &'static str {
-                "spy"
-            }
-            fn victim(&mut self, _set: u32, _info: &AccessInfo, lines: &[LineView]) -> Victim {
-                self.0.borrow_mut().extend_from_slice(lines);
-                Victim::Way(0)
-            }
-            fn on_hit(&mut self, _set: u32, _way: u32, _info: &AccessInfo) {}
-            fn on_fill(&mut self, _set: u32, _way: u32, _info: &AccessInfo, _ev: Option<u64>) {}
-        }
-
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let cfg = CacheConfig { sets: 4, ways: 2, latency: 1, mshrs: 2 };
-        let spy: Box<dyn ReplacementPolicy> = Box::new(Spy(Rc::clone(&seen)));
-        let mut c = Cache::new("spied", cfg, spy);
-        c.fill(&rfo(&c, 0)); // way 0, dirty
-        c.fill(&load(&c, 4)); // way 1, clean
-        c.fill(&load(&c, 8)); // full set: victim query
-        assert_eq!(
-            *seen.borrow(),
-            vec![
-                LineView { valid: true, block: 0, dirty: true },
-                LineView { valid: true, block: 4, dirty: false },
-            ],
-        );
     }
 
     #[test]

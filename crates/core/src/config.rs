@@ -9,10 +9,9 @@ use std::fmt;
 /// Compile-time ceiling on cache associativity.
 ///
 /// The SoA tag store's probe builds a one-bit-per-way match mask in a
-/// `u64`, and victim queries that need [`ccsim_policies::LineView`]s
-/// reconstruct them into a fixed `[LineView; MAX_WAYS]` stack buffer —
-/// both cap the ways per set at 64. [`CacheConfig::validate`] enforces
-/// the bound, so every constructed cache can rely on it.
+/// `u64`, which caps the ways per set at 64.
+/// [`CacheConfig::validate`] enforces the bound, so every constructed
+/// cache can rely on it.
 pub const MAX_WAYS: u32 = 64;
 
 /// Geometry and timing of one cache level.
@@ -40,8 +39,7 @@ impl CacheConfig {
     ///
     /// Returns a message if sets/ways/mshrs are zero, sets is not a power
     /// of two (the set-index mapping requires it), or ways exceeds
-    /// [`MAX_WAYS`] (the probe match mask and victim stack buffer
-    /// require it).
+    /// [`MAX_WAYS`] (the width of the probe match mask).
     pub fn validate(&self) -> Result<(), String> {
         if self.sets == 0 || self.ways == 0 {
             return Err("cache must have non-zero sets and ways".into());

@@ -14,7 +14,7 @@
 use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, PolicyKind};
 
 use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant};
-use crate::config::SimConfig;
+use crate::config::{CacheConfig, SimConfig};
 use crate::dram::{Dram, DramStats};
 
 /// Identifies the cache levels for stats queries.
@@ -32,9 +32,8 @@ pub enum Level {
 /// setup); the LLC runs the policy under study.
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1d: Cache,
-    l2: Cache,
-    llc: Cache,
+    /// The cache levels, indexed by [`Level`]; index `levels.len()` is DRAM.
+    levels: [Cache; 3],
     dram: Dram,
     /// Optional capture of the LLC demand stream (set, block) for offline
     /// OPT analysis.
@@ -42,22 +41,15 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy with `llc_policy` at the last level (a
-    /// [`PolicyDispatch`] or anything convertible into one, e.g. a boxed
-    /// external policy).
-    pub fn new(config: &SimConfig, llc_policy: impl Into<PolicyDispatch>) -> Self {
+    /// Builds the hierarchy with `llc_policy` at the last level.
+    pub fn new(config: &SimConfig, llc_policy: PolicyDispatch) -> Self {
+        let lru = |c: CacheConfig| PolicyKind::Lru.build_dispatch(c.sets, c.ways);
         Hierarchy {
-            l1d: Cache::new(
-                "L1D",
-                config.l1d,
-                PolicyKind::Lru.build_dispatch(config.l1d.sets, config.l1d.ways),
-            ),
-            l2: Cache::new(
-                "L2",
-                config.l2,
-                PolicyKind::Lru.build_dispatch(config.l2.sets, config.l2.ways),
-            ),
-            llc: Cache::new("LLC", config.llc, llc_policy),
+            levels: [
+                Cache::new("L1D", config.l1d, lru(config.l1d)),
+                Cache::new("L2", config.l2, lru(config.l2)),
+                Cache::new("LLC", config.llc, llc_policy),
+            ],
             dram: Dram::new(config.dram),
             llc_log: None,
         }
@@ -75,11 +67,7 @@ impl Hierarchy {
 
     /// Stats of one cache level.
     pub fn cache_stats(&self, level: Level) -> &CacheStats {
-        match level {
-            Level::L1d => self.l1d.stats(),
-            Level::L2 => self.l2.stats(),
-            Level::Llc => self.llc.stats(),
-        }
+        self.levels[level as usize].stats()
     }
 
     /// DRAM statistics.
@@ -89,14 +77,14 @@ impl Hierarchy {
 
     /// Diagnostic line from the LLC policy.
     pub fn llc_policy_diag(&self) -> String {
-        self.llc.policy_diag()
+        self.levels[Level::Llc as usize].policy_diag()
     }
 
     /// Combined hot tag-state footprint of the three levels (see
     /// [`Cache::hot_state_bytes`]) — what one replay engine keeps warm
     /// per record, and the per-cell input to the grid chunk autotuner.
     pub fn hot_state_bytes(&self) -> u64 {
-        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes() + self.llc.hot_state_bytes()
+        self.levels.iter().map(Cache::hot_state_bytes).sum()
     }
 
     /// Issues a demand access (load or store) at cycle `at`; returns the
@@ -104,109 +92,64 @@ impl Hierarchy {
     pub fn demand_access(&mut self, pc: u64, vaddr: u64, is_store: bool, at: u64) -> u64 {
         let block = vaddr >> ccsim_trace::BLOCK_SHIFT;
         let kind = if is_store { AccessType::Rfo } else { AccessType::Load };
-        self.access_l1(pc, block, kind, at)
+        self.access(Level::L1d as usize, pc, block, kind, at)
     }
 
-    fn access_l1(&mut self, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
-        let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
-        let after_tag = at + self.l1d.latency();
-        if self.l1d.lookup(&info).is_some() {
+    /// The demand walk: looks `block` up at `level` and, on a miss, fetches
+    /// it from the level below and fills on the way back. Level
+    /// `levels.len()` is the DRAM read. Returns the cycle the data is
+    /// available at `level`.
+    fn access(&mut self, level: usize, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
+        let Some(cache) = self.levels.get_mut(level) else {
+            return self.dram.access(block, at, false);
+        };
+        let info = AccessInfo { pc, block, set: cache.set_of(block), kind };
+        if level == Level::Llc as usize {
+            if let Some(log) = &mut self.llc_log {
+                log.push((info.set, block));
+            }
+        }
+        let after_tag = at + cache.latency();
+        if cache.lookup(&info).is_some() {
             // A tag hit on a block whose fill is still in flight must wait
             // for the fill (fills update tags eagerly, timing lags).
-            let fill_ready = self.l1d.mshrs().pending(block).unwrap_or(0);
+            let fill_ready = cache.mshrs().pending(block).unwrap_or(0);
             return after_tag.max(fill_ready);
         }
-        match self.l1d.mshrs().acquire(block, after_tag) {
+        match cache.mshrs().acquire(block, after_tag) {
             MshrGrant::Merged { completes_at } => {
-                self.l1d.note_mshr_merge();
+                cache.note_mshr_merge();
                 completes_at
             }
             MshrGrant::Issue { slot, start_at } => {
-                let done = self.access_l2(pc, block, kind, start_at);
-                if let FillOutcome::Filled { writeback: Some(victim) } = self.l1d.fill(&info) {
-                    self.writeback_to_l2(victim, done);
+                let done = self.access(level + 1, pc, block, kind, start_at);
+                if let FillOutcome::Filled { writeback: Some(victim) } =
+                    self.levels[level].fill(&info)
+                {
+                    self.writeback(level + 1, victim, done);
                 }
-                self.l1d.mshrs().complete(slot, block, done);
+                self.levels[level].mshrs().complete(slot, block, done);
                 done
             }
         }
     }
 
-    fn access_l2(&mut self, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
-        let info = AccessInfo { pc, block, set: self.l2.set_of(block), kind };
-        let after_tag = at + self.l2.latency();
-        if self.l2.lookup(&info).is_some() {
-            let fill_ready = self.l2.mshrs().pending(block).unwrap_or(0);
-            return after_tag.max(fill_ready);
-        }
-        match self.l2.mshrs().acquire(block, after_tag) {
-            MshrGrant::Merged { completes_at } => {
-                self.l2.note_mshr_merge();
-                completes_at
-            }
-            MshrGrant::Issue { slot, start_at } => {
-                let done = self.access_llc(pc, block, kind, start_at);
-                if let FillOutcome::Filled { writeback: Some(victim) } = self.l2.fill(&info) {
-                    self.writeback_to_llc(victim, done);
-                }
-                self.l2.mshrs().complete(slot, block, done);
-                done
-            }
-        }
-    }
-
-    fn access_llc(&mut self, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
-        let info = AccessInfo { pc, block, set: self.llc.set_of(block), kind };
-        if let Some(log) = &mut self.llc_log {
-            log.push((info.set, block));
-        }
-        let after_tag = at + self.llc.latency();
-        if self.llc.lookup(&info).is_some() {
-            let fill_ready = self.llc.mshrs().pending(block).unwrap_or(0);
-            return after_tag.max(fill_ready);
-        }
-        match self.llc.mshrs().acquire(block, after_tag) {
-            MshrGrant::Merged { completes_at } => {
-                self.llc.note_mshr_merge();
-                completes_at
-            }
-            MshrGrant::Issue { slot, start_at } => {
-                let done = self.dram.access(block, start_at, false);
-                match self.llc.fill(&info) {
-                    FillOutcome::Filled { writeback: Some(victim) } => {
-                        // Posted write: occupies a DRAM bank at fill time.
-                        let _ = self.dram.access(victim, done, true);
-                    }
-                    FillOutcome::Filled { writeback: None } | FillOutcome::Bypassed => {}
-                }
-                self.llc.mshrs().complete(slot, block, done);
-                done
-            }
-        }
-    }
-
-    /// Posted writeback from L1 into L2 (updates in place on hit, allocates
-    /// otherwise).
-    fn writeback_to_l2(&mut self, block: u64, at: u64) {
+    /// Posted writeback of a dirty victim into `level` (updates in place on
+    /// a hit, allocates otherwise, cascading its own dirty victim down).
+    /// Level `levels.len()` is the DRAM write, which occupies a bank at
+    /// `at` but is on no demand path.
+    fn writeback(&mut self, level: usize, block: u64, at: u64) {
+        let Some(cache) = self.levels.get_mut(level) else {
+            let _ = self.dram.access(block, at, true);
+            return;
+        };
         let info =
-            AccessInfo { pc: 0, block, set: self.l2.set_of(block), kind: AccessType::Writeback };
-        if self.l2.lookup(&info).is_some() {
+            AccessInfo { pc: 0, block, set: cache.set_of(block), kind: AccessType::Writeback };
+        if cache.lookup(&info).is_some() {
             return;
         }
-        if let FillOutcome::Filled { writeback: Some(victim) } = self.l2.fill(&info) {
-            self.writeback_to_llc(victim, at);
-        }
-    }
-
-    /// Posted writeback from L2 into the LLC.
-    fn writeback_to_llc(&mut self, block: u64, at: u64) {
-        let info =
-            AccessInfo { pc: 0, block, set: self.llc.set_of(block), kind: AccessType::Writeback };
-        if self.llc.lookup(&info).is_some() {
-            return;
-        }
-        if let FillOutcome::Filled { writeback: Some(victim) } = self.llc.fill(&info) {
-            let _ = self.dram.access(victim, at, true);
+        if let FillOutcome::Filled { writeback: Some(victim) } = cache.fill(&info) {
+            self.writeback(level + 1, victim, at);
         }
     }
 }
@@ -244,9 +187,7 @@ mod tests {
         // Evict from L1 by touching conflicting blocks; the block must
         // still hit in L2.
         let block = 0x20_000u64 >> 6;
-        assert!(h.l1d.probe(block).is_some());
-        assert!(h.l2.probe(block).is_some());
-        assert!(h.llc.probe(block).is_some());
+        assert!(h.levels.iter().all(|cache| cache.probe(block).is_some()));
     }
 
     #[test]

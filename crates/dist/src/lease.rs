@@ -58,23 +58,19 @@ const LEASE_VERSION: u64 = 1;
 /// workload, claimed together so the holder can replay the trace once
 /// for the whole band ([`ccsim_campaign::AcquiredTrace::simulate_cells`]).
 ///
-/// Band ids live in the same lease namespace as per-cell ids but can
-/// never collide with them: cell ids embed `|` separators and workload
-/// selectors (suite names or `trace:<path>`) never start with `band:`.
 pub fn band_lease_id(workload: &str) -> String {
     format!("band:{workload}")
 }
 
-/// The workload a band lease id claims, or `None` for per-cell ids.
+/// The workload a band lease id claims, or `None` for any other id.
 pub fn band_workload(id: &str) -> Option<&str> {
     id.strip_prefix("band:")
 }
 
 /// Expands a scanned lease map — which may contain band claims — into
 /// the per-cell overlay [`ccsim_campaign::Campaign::leases`] expects:
-/// a band lease covers every cell of its workload, and a cell-specific
-/// lease (from an older per-cell worker or an operator tool) wins over
-/// a band expansion for its cell.
+/// a band lease covers every cell of its workload. A lease that is not
+/// a band of `grid` is ignored.
 pub fn cell_lease_views(
     grid: &CampaignGrid,
     views: &std::collections::BTreeMap<String, LeaseView>,
@@ -87,19 +83,13 @@ pub fn cell_lease_views(
             }
         }
     }
-    for (id, view) in views {
-        if band_workload(id).is_none() {
-            out.insert(id.clone(), view.clone());
-        }
-    }
     out
 }
 
 /// A parsed lease file, plus the derived age/staleness at scan time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lease {
-    /// The claimed lease id: a workload band (`band:<workload>`, the
-    /// worker default) or a single cell (`<workload>|<config>|<policy>`).
+    /// The claimed lease id: a workload band (`band:<workload>`).
     pub cell: String,
     /// Claiming worker id.
     pub worker: String,
@@ -539,22 +529,18 @@ mod tests {
             band_lease_id("xsbench.small"),
             LeaseView { worker: "w1".into(), epoch: 2, stale: false },
         );
-        views.insert(
-            "spec.stack|llc_x1|lru".to_owned(),
-            LeaseView { worker: "w2".into(), epoch: 1, stale: true },
-        );
-        // A cell-specific lease inside a banded workload wins its cell.
-        views.insert(
-            "xsbench.small|llc_x1|srrip".to_owned(),
-            LeaseView { worker: "w3".into(), epoch: 1, stale: false },
-        );
+        // Neither a band of another grid nor a non-band id covers a cell.
+        for foreign in ["band:bfs.kron", "spec.stack|llc_x1|lru"] {
+            views.insert(
+                foreign.to_owned(),
+                LeaseView { worker: "w2".into(), epoch: 1, stale: true },
+            );
+        }
         let cells = cell_lease_views(&grid, &views);
-        assert_eq!(cells.len(), 3, "band covers 2 cells, plus the foreign cell lease");
-        assert_eq!(cells["xsbench.small|llc_x1|lru"].worker, "w1");
-        assert_eq!(cells["xsbench.small|llc_x1|lru"].epoch, 2);
-        assert_eq!(cells["xsbench.small|llc_x1|srrip"].worker, "w3");
-        assert_eq!(cells["spec.stack|llc_x1|lru"].worker, "w2");
-        assert!(cells["spec.stack|llc_x1|lru"].stale);
+        assert_eq!(cells.len(), 2, "the band covers its workload's 2 cells, nothing else");
+        for id in ["xsbench.small|llc_x1|lru", "xsbench.small|llc_x1|srrip"] {
+            assert_eq!((cells[id].worker.as_str(), cells[id].epoch), ("w1", 2));
+        }
     }
 
     #[test]

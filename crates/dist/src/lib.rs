@@ -15,8 +15,7 @@
 //! * [`lease`] — atomic, TTL'd claims (`leases/<id>.lease`, hard-link
 //!   creation, mtime-based staleness, epoch-bumped reclaims). Workers
 //!   claim **workload bands** (`band:<workload>` — every pending cell
-//!   sharing a trace) so each claim is one one-pass replay; per-cell
-//!   ids share the same machinery;
+//!   sharing a trace) so each claim is one one-pass replay;
 //! * [`worker`] — the claim-band → simulate-in-one-pass → journal →
 //!   release loop behind `ccsim campaign worker`, with contention
 //!   backoff and a lease heartbeat; each worker writes its own journal
@@ -44,8 +43,8 @@
 //!
 //! ```text
 //! <shared>/
-//!   leases/<id>-<hash>.lease     live claims, band or per-cell
-//!                                (TTL'd, crash-healing)
+//!   leases/<id>-<hash>.lease     live band claims (TTL'd,
+//!                                crash-healing)
 //!   journal.<worker>.jsonl       one append-only segment per worker
 //!   obs.<worker>.jsonl           per-worker telemetry event log
 //!   manifest.<worker>.json       per-worker telemetry manifest

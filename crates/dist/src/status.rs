@@ -23,8 +23,8 @@ pub struct WorkerStatus {
     pub worker: String,
     /// Cells journaled by this worker.
     pub completed: usize,
-    /// Lease files this worker currently holds — band or per-cell,
-    /// including stale ones.
+    /// Band lease files this worker currently holds, including stale
+    /// ones.
     pub claims: usize,
 }
 
@@ -83,12 +83,11 @@ pub fn status_with_cursor(
             .map_err(|e| format!("opening lease dir: {e}"))?
             .scan()
             .into_iter()
-            // Only leases naming cells or workload bands of *this* grid;
-            // an aborted older spec under the same dir must not pollute
-            // the counts.
-            .filter(|l| match band_workload(&l.cell) {
-                Some(workload) => grid.workloads.iter().any(|w| w == workload),
-                None => grid.cells.iter().any(|c| c.id == l.cell),
+            // Only leases naming workload bands of *this* grid; an
+            // aborted older spec under the same dir must not pollute the
+            // counts.
+            .filter(|l| {
+                band_workload(&l.cell).is_some_and(|w| grid.workloads.iter().any(|g| g == w))
             })
             .collect()
     } else {
@@ -120,11 +119,10 @@ pub fn status_with_cursor(
 
     let completed = grid.cells.iter().filter(|c| merged.completed.contains_key(&c.id)).count();
     // Expand leases to the *pending cells* they cover: a band lease
-    // covers every pending cell of its workload, a cell-specific lease
-    // (older tooling) wins its own cell. Leases covering only completed
-    // cells (a worker crashed between journaling and releasing) block
-    // nothing: they drop out of the counters *and* the stale listing so
-    // the two can't contradict.
+    // covers every pending cell of its workload. Leases covering only
+    // completed cells (a worker crashed between journaling and
+    // releasing) block nothing: they drop out of the counters *and* the
+    // stale listing so the two can't contradict.
     let mut covered: BTreeMap<&str, &Lease> = BTreeMap::new();
     for lease in &leases {
         if let Some(workload) = band_workload(&lease.cell) {
@@ -133,11 +131,6 @@ pub fn status_with_cursor(
                     covered.insert(cell.id.as_str(), lease);
                 }
             }
-        }
-    }
-    for lease in &leases {
-        if band_workload(&lease.cell).is_none() && !merged.completed.contains_key(&lease.cell) {
-            covered.insert(lease.cell.as_str(), lease);
         }
     }
     let leased = covered.values().filter(|l| !l.stale).count();

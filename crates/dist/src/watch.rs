@@ -24,9 +24,7 @@ use std::time::Duration;
 use ccsim_campaign::{CampaignSpec, Json, MergeCursor};
 use ccsim_core::experiment::Table;
 use ccsim_obs::json::JsonObj;
-use ccsim_obs::{
-    records_per_sec, QuantileSummary, HISTOGRAM_BUCKETS, OBS_MIN_SCHEMA_VERSION, OBS_SCHEMA_VERSION,
-};
+use ccsim_obs::{records_per_sec, QuantileSummary, HISTOGRAM_BUCKETS, OBS_SCHEMA_VERSION};
 
 use crate::status::{status_with_cursor, DistStatus};
 
@@ -43,8 +41,7 @@ pub struct WorkerManifest {
     pub sim_wall_ns: u64,
     /// Per-cell simulation-time log₂ histogram buckets
     /// (`campaign_cell_sim_ns`), for fleet-wide quantiles. Empty for a
-    /// v1 manifest that recorded no histogram, or one from a run with
-    /// telemetry disabled.
+    /// manifest from a run with telemetry disabled.
     pub cell_sim_buckets: Vec<u64>,
 }
 
@@ -238,11 +235,7 @@ fn read_manifests(
         }
         let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
         let Ok(doc) = Json::parse(&text) else { continue };
-        let schema_ok = doc
-            .get("ccsim_obs")
-            .and_then(Json::as_u64)
-            .is_some_and(|v| (OBS_MIN_SCHEMA_VERSION..=OBS_SCHEMA_VERSION).contains(&v));
-        let matches = schema_ok
+        let matches = doc.get("ccsim_obs").and_then(Json::as_u64) == Some(OBS_SCHEMA_VERSION)
             && doc.get("kind").and_then(Json::as_str) == Some("manifest")
             && doc.get("campaign").and_then(Json::as_str) == Some(campaign)
             && doc.get("spec").and_then(Json::as_str) == Some(spec_digest);
@@ -266,9 +259,9 @@ fn read_manifests(
 }
 
 /// Extracts the `campaign_cell_sim_ns` histogram's sparse `[index,
-/// count]` bucket pairs from a manifest into a dense bucket vector.
-/// Both v1 and v2 manifests carry raw buckets, so fleet quantiles work
-/// across a mixed-version fleet. Empty when the histogram is absent.
+/// count]` bucket pairs from a manifest into a dense bucket vector
+/// (fleet quantiles are summed bucket-wise across workers). Empty when
+/// the histogram is absent.
 fn cell_sim_buckets(doc: &Json) -> Vec<u64> {
     let Some(pairs) = doc
         .get("histograms")

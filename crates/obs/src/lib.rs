@@ -56,14 +56,9 @@ pub use snapshot::{write_exposition, HistogramSnapshot, QuantileSummary, Snapsho
 /// v2 added bucket-derived quantile summaries ([`QuantileSummary`]) to
 /// every manifest histogram, `_quantile` gauges to the Prometheus
 /// exposition, and the aggregate `cell_sim_ns` quantile block to the
-/// watch document. Readers ([`ccsim trends`], `campaign watch`) accept
-/// the whole [`OBS_MIN_SCHEMA_VERSION`]..=[`OBS_SCHEMA_VERSION`] range.
+/// watch document. Readers (`ccsim trends`, `campaign watch`) accept
+/// exactly this version.
 pub const OBS_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest obs document schema readers still accept: v1 manifests carry
-/// the same scalar accounting and raw histogram buckets, just no
-/// pre-computed quantile block (consumers derive one from the buckets).
-pub const OBS_MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Worker id used by single-process (non-dist) runs in obs documents.
 pub const SOLO_WORKER: &str = "(solo)";

@@ -1,6 +1,6 @@
 //! Bit-PLRU (MRU-bit) replacement, a common hardware LRU approximation.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 
 /// Bit-PLRU: each line carries an MRU bit, set on every touch. The victim is
 /// the first line whose bit is clear; when setting the last clear bit would
@@ -37,7 +37,7 @@ impl ReplacementPolicy for BitPlru {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = (set * self.ways) as usize;
         let n = self.ways as usize;
         let way = self.mru[base..base + n].iter().position(|&b| !b).unwrap_or(0);
@@ -69,7 +69,7 @@ mod tests {
         let mut p = BitPlru::new(1, 4);
         p.on_fill(0, 0, &info(), None);
         p.on_fill(0, 1, &info(), None);
-        assert_eq!(p.victim(0, &info(), &[]), Victim::Way(2));
+        assert_eq!(p.victim(0, &info()), Victim::Way(2));
     }
 
     #[test]
@@ -78,9 +78,9 @@ mod tests {
         p.on_fill(0, 0, &info(), None);
         p.on_fill(0, 1, &info(), None);
         p.on_fill(0, 2, &info(), None); // reset: only way 2 MRU
-        assert_eq!(p.victim(0, &info(), &[]), Victim::Way(0));
+        assert_eq!(p.victim(0, &info()), Victim::Way(0));
         p.on_hit(0, 0, &info());
-        assert_eq!(p.victim(0, &info(), &[]), Victim::Way(1));
+        assert_eq!(p.victim(0, &info()), Victim::Way(1));
     }
 
     #[test]
@@ -89,10 +89,10 @@ mod tests {
         for w in 0..3 {
             p.on_fill(0, w, &info(), None);
         }
-        let Victim::Way(v) = p.victim(0, &info(), &[]) else { unreachable!() };
+        let Victim::Way(v) = p.victim(0, &info()) else { unreachable!() };
         assert_eq!(v, 3);
         p.on_fill(0, 3, &info(), None); // triggers generation reset
-        let Victim::Way(v2) = p.victim(0, &info(), &[]) else { unreachable!() };
+        let Victim::Way(v2) = p.victim(0, &info()) else { unreachable!() };
         assert_ne!(v2, 3, "just-filled line must not be the next victim");
     }
 }

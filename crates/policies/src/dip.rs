@@ -6,7 +6,7 @@
 //! the missing link between the LRU baseline and the RRIP family, so it is
 //! included for ablations even though the paper does not evaluate it.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::{SatCounter, SplitMix64};
 
 /// One LRU leader set and one BIP leader set per this many sets.
@@ -81,7 +81,7 @@ impl ReplacementPolicy for Dip {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = self.idx(set, 0);
         let slice = &self.stamps[base..base + self.ways as usize];
         let (way, _) = slice.iter().enumerate().min_by_key(|&(_, &s)| s).expect("ways > 0");
@@ -148,7 +148,7 @@ mod tests {
             p.on_fill(1, w, &load(1), None);
         }
         // Newest fill must be MRU: victim is way 0.
-        assert_eq!(p.victim(1, &load(1), &[]), Victim::Way(0));
+        assert_eq!(p.victim(1, &load(1)), Victim::Way(0));
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
                 p.on_hit(2, w, &load(2)); // refresh others
             }
             p.on_fill(2, t % 4, &load(2), None);
-            if p.victim(2, &load(2), &[]) == Victim::Way(t % 4) {
+            if p.victim(2, &load(2)) == Victim::Way(t % 4) {
                 inserted_at_lru += 1;
             }
         }
@@ -192,7 +192,7 @@ mod tests {
         p.on_fill(5, 0, &load(5), None);
         p.on_fill(5, 1, &load(5), None);
         p.on_hit(5, 0, &load(5));
-        assert_eq!(p.victim(5, &load(5), &[]), Victim::Way(1));
+        assert_eq!(p.victim(5, &load(5)), Victim::Way(1));
     }
 
     #[test]

@@ -6,25 +6,27 @@
 //! inlining) per event, which the eviction-heavy benchmark shows directly.
 //! [`PolicyDispatch`] wraps every concrete built-in policy in an enum so
 //! those calls compile to a jump table whose arms inline the concrete hook
-//! bodies, while [`PolicyDispatch::Custom`] keeps the open `Box<dyn>`
-//! escape hatch for external policies.
+//! bodies. [`PolicyKind::build_dispatch`](crate::PolicyKind::build_dispatch)
+//! is the one constructor; [`PolicyDispatch::Custom`] is the one
+//! extension point (and the hook for test fakes): a boxed external
+//! [`ReplacementPolicy`] that, like every built-in, keeps its own
+//! per-line metadata from the `on_fill`/`on_hit` notifications.
 //!
 //! # Examples
 //!
 //! ```
 //! use ccsim_policies::{AccessInfo, PolicyDispatch, PolicyKind, Victim};
 //!
-//! let mut policy = PolicyDispatch::from_kind(PolicyKind::Srrip, 64, 8);
+//! let mut policy: PolicyDispatch = PolicyKind::Srrip.build_dispatch(64, 8);
 //! let info = AccessInfo::load(0x400, 0xBEEF, 3);
 //! policy.on_fill(3, 0, &info, None);
-//! assert!(matches!(policy.victim(3, &info, &[]), Victim::Way(_)));
+//! assert!(matches!(policy.victim(3, &info), Victim::Way(_)));
 //! assert_eq!(policy.name(), "srrip");
 //! ```
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::{
-    BitPlru, Brrip, Dip, Drrip, Fifo, Glider, Hawkeye, Lru, Mpppb, PolicyKind, RandomPolicy, Ship,
-    Srrip,
+    BitPlru, Brrip, Dip, Drrip, Fifo, Glider, Hawkeye, Lru, Mpppb, RandomPolicy, Ship, Srrip,
 };
 
 /// A replacement policy with enum (static) dispatch for every built-in
@@ -82,53 +84,22 @@ macro_rules! each_policy {
 }
 
 impl PolicyDispatch {
-    /// Instantiates the built-in policy `kind` for a `sets x ways` cache
-    /// in its statically dispatched variant.
-    pub fn from_kind(kind: PolicyKind, sets: u32, ways: u32) -> PolicyDispatch {
-        match kind {
-            PolicyKind::Lru => PolicyDispatch::Lru(Lru::new(sets, ways)),
-            PolicyKind::Fifo => PolicyDispatch::Fifo(Fifo::new(sets, ways)),
-            PolicyKind::Random => PolicyDispatch::Random(RandomPolicy::new(sets, ways)),
-            PolicyKind::BitPlru => PolicyDispatch::BitPlru(BitPlru::new(sets, ways)),
-            PolicyKind::Dip => PolicyDispatch::Dip(Dip::new(sets, ways)),
-            PolicyKind::Srrip => PolicyDispatch::Srrip(Srrip::new(sets, ways)),
-            PolicyKind::Brrip => PolicyDispatch::Brrip(Brrip::new(sets, ways)),
-            PolicyKind::Drrip => PolicyDispatch::Drrip(Drrip::new(sets, ways)),
-            PolicyKind::Ship => PolicyDispatch::Ship(Ship::new(sets, ways)),
-            PolicyKind::Hawkeye => PolicyDispatch::Hawkeye(Hawkeye::new(sets, ways)),
-            PolicyKind::Glider => PolicyDispatch::Glider(Glider::new(sets, ways)),
-            PolicyKind::Mpppb => PolicyDispatch::Mpppb(Mpppb::new(sets, ways)),
-        }
-    }
-
     /// Short stable identifier of the wrapped policy.
     #[inline]
     pub fn name(&self) -> &'static str {
         each_policy!(self, p => p.name())
     }
 
-    /// Whether victim queries must materialize `lines` (see
-    /// [`ReplacementPolicy::inspects_lines`]). Every built-in policy
-    /// ranks victims from its own metadata and never reads the slice, so
-    /// only the boxed escape hatch can ask for reconstructed views.
-    #[inline]
-    pub fn inspects_lines(&self) -> bool {
-        match self {
-            PolicyDispatch::Custom(p) => p.inspects_lines(),
-            _ => false,
-        }
-    }
-
     /// Chooses a victim way (or a bypass) for `info` in a full `set`.
     #[inline]
-    pub fn victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> Victim {
-        each_policy!(self, p => p.victim(set, info, lines))
+    pub fn victim(&mut self, set: u32, info: &AccessInfo) -> Victim {
+        each_policy!(self, p => p.victim(set, info))
     }
 
     /// Chooses a victim way when bypassing is not permitted.
     #[inline]
-    pub fn forced_victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> u32 {
-        each_policy!(self, p => p.forced_victim(set, info, lines))
+    pub fn forced_victim(&mut self, set: u32, info: &AccessInfo) -> u32 {
+        each_policy!(self, p => p.forced_victim(set, info))
     }
 
     /// Notifies the wrapped policy of a hit.
@@ -149,48 +120,11 @@ impl PolicyDispatch {
     }
 }
 
-/// `PolicyDispatch` is itself a [`ReplacementPolicy`], so it can stand in
-/// anywhere the trait object could (including inside another `Custom`).
-impl ReplacementPolicy for PolicyDispatch {
-    fn name(&self) -> &'static str {
-        PolicyDispatch::name(self)
-    }
-
-    fn inspects_lines(&self) -> bool {
-        PolicyDispatch::inspects_lines(self)
-    }
-
-    fn victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> Victim {
-        PolicyDispatch::victim(self, set, info, lines)
-    }
-
-    fn forced_victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> u32 {
-        PolicyDispatch::forced_victim(self, set, info, lines)
-    }
-
-    fn on_hit(&mut self, set: u32, way: u32, info: &AccessInfo) {
-        PolicyDispatch::on_hit(self, set, way, info)
-    }
-
-    fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, evicted: Option<u64>) {
-        PolicyDispatch::on_fill(self, set, way, info, evicted)
-    }
-
-    fn diag(&self) -> String {
-        PolicyDispatch::diag(self)
-    }
-}
-
-impl From<Box<dyn ReplacementPolicy>> for PolicyDispatch {
-    fn from(policy: Box<dyn ReplacementPolicy>) -> PolicyDispatch {
-        PolicyDispatch::Custom(policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::AccessType;
+    use crate::PolicyKind;
 
     fn info(set: u32) -> AccessInfo {
         AccessInfo { pc: 0x400, block: 0x10, set, kind: AccessType::Load }
@@ -199,17 +133,17 @@ mod tests {
     #[test]
     fn every_kind_dispatches_statically() {
         for kind in PolicyKind::ALL {
-            let mut p = PolicyDispatch::from_kind(kind, 16, 4);
+            let mut p = kind.build_dispatch(16, 4);
             assert_eq!(p.name(), kind.name());
             for way in 0..4 {
                 p.on_fill(1, way, &info(1), None);
             }
             p.on_hit(1, 0, &info(1));
-            match p.victim(1, &info(1), &[]) {
+            match p.victim(1, &info(1)) {
                 Victim::Way(w) => assert!(w < 4, "{kind}: way {w}"),
                 Victim::Bypass => {}
             }
-            let w = p.forced_victim(1, &info(1), &[]);
+            let w = p.forced_victim(1, &info(1));
             assert!(w < 4, "{kind}: forced way {w}");
             let _ = p.diag();
         }
@@ -217,62 +151,11 @@ mod tests {
 
     #[test]
     fn custom_escape_hatch_wraps_trait_objects() {
-        let boxed: Box<dyn ReplacementPolicy> = Box::new(Lru::new(8, 2));
-        let mut p = PolicyDispatch::from(boxed);
-        assert!(matches!(p, PolicyDispatch::Custom(_)));
+        let mut p = PolicyDispatch::Custom(Box::new(Lru::new(8, 2)));
         assert_eq!(p.name(), "lru");
         p.on_fill(0, 0, &info(0), None);
         p.on_fill(0, 1, &info(0), None);
         p.on_hit(0, 0, &info(0));
-        assert_eq!(p.victim(0, &info(0), &[]), Victim::Way(1));
-    }
-
-    #[test]
-    fn built_ins_skip_line_reconstruction_but_custom_defaults_to_views() {
-        for kind in PolicyKind::ALL {
-            assert!(!PolicyDispatch::from_kind(kind, 8, 2).inspects_lines(), "{kind}");
-        }
-        // The boxed escape hatch keeps the conservative trait default:
-        // external policies get real views unless they opt out.
-        let boxed: Box<dyn ReplacementPolicy> = Box::new(Lru::new(8, 2));
-        assert!(PolicyDispatch::from(boxed).inspects_lines());
-    }
-
-    #[test]
-    fn dispatch_matches_boxed_behaviour() {
-        // The enum must be behaviourally identical to the trait object it
-        // replaces: drive both with the same deterministic storm.
-        use crate::util::SplitMix64;
-        for kind in PolicyKind::ALL {
-            let mut fast = PolicyDispatch::from_kind(kind, 32, 4);
-            let mut boxed = PolicyDispatch::Custom(kind.build(32, 4));
-            let mut rng = SplitMix64::new(0xD15_EA5E + kind as u64);
-            for _ in 0..5_000 {
-                let set = rng.below(32) as u32;
-                let block = rng.below(1 << 16);
-                let i = AccessInfo {
-                    pc: 0x400 + rng.below(32) * 4,
-                    block,
-                    set,
-                    kind: AccessType::Load,
-                };
-                match rng.below(3) {
-                    0 => {
-                        let way = rng.below(4) as u32;
-                        fast.on_fill(set, way, &i, None);
-                        boxed.on_fill(set, way, &i, None);
-                    }
-                    1 => {
-                        let way = rng.below(4) as u32;
-                        fast.on_hit(set, way, &i);
-                        boxed.on_hit(set, way, &i);
-                    }
-                    _ => {
-                        assert_eq!(fast.victim(set, &i, &[]), boxed.victim(set, &i, &[]), "{kind}");
-                    }
-                }
-            }
-            assert_eq!(fast.diag(), boxed.diag(), "{kind}: diverged state");
-        }
+        assert_eq!(p.victim(0, &info(0)), Victim::Way(1));
     }
 }

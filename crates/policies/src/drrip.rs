@@ -1,7 +1,7 @@
 //! Dynamic RRIP: set-dueling between SRRIP and BRRIP insertion
 //! (Jaleel et al., ISCA 2010).
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::rrip::{RrpvTable, BRRIP_EPSILON, RRPV_BITS, RRPV_LONG, RRPV_MAX};
 use crate::util::{SatCounter, SplitMix64};
 
@@ -87,7 +87,7 @@ impl ReplacementPolicy for Drrip {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         Victim::Way(self.table.find_victim(set))
     }
 

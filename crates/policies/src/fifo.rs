@@ -1,6 +1,6 @@
 //! FIFO replacement: evict the oldest *fill*, ignoring hits.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 
 /// First-in/first-out replacement. Identical bookkeeping to LRU except only
 /// fills advance a line's stamp — a useful contrast policy in ablations
@@ -26,7 +26,7 @@ impl ReplacementPolicy for Fifo {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = (set * self.ways) as usize;
         let slice = &self.stamps[base..base + self.ways as usize];
         let (way, _) = slice.iter().enumerate().min_by_key(|&(_, &s)| s).expect("ways > 0");
@@ -64,7 +64,7 @@ mod tests {
         for _ in 0..10 {
             p.on_hit(0, 0, &info(0));
         }
-        assert_eq!(p.victim(0, &info(0), &[]), Victim::Way(0));
+        assert_eq!(p.victim(0, &info(0)), Victim::Way(0));
     }
 
     #[test]
@@ -73,8 +73,8 @@ mod tests {
         for w in [2u32, 0, 1] {
             p.on_fill(0, w, &info(0), None);
         }
-        assert_eq!(p.victim(0, &info(0), &[]), Victim::Way(2));
+        assert_eq!(p.victim(0, &info(0)), Victim::Way(2));
         p.on_fill(0, 2, &info(0), None);
-        assert_eq!(p.victim(0, &info(0), &[]), Victim::Way(0));
+        assert_eq!(p.victim(0, &info(0)), Victim::Way(0));
     }
 }

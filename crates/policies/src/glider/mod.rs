@@ -15,7 +15,7 @@ pub use isvm::{IsvmBank, ISVM_WEIGHTS, TRAINING_THRESHOLD};
 
 use crate::hawkeye::sampler::Sampler;
 use crate::hawkeye::{HAWKEYE_RRPV_BITS, HAWKEYE_RRPV_MAX};
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::hash_bits;
 
 /// Depth of the PC history register (k most recent distinct PCs).
@@ -138,7 +138,7 @@ impl ReplacementPolicy for Glider {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = self.idx(set, 0);
         let metas = &self.meta[base..base + self.ways as usize];
         if let Some(w) = metas.iter().position(|m| m.rrpv == HAWKEYE_RRPV_MAX) {
@@ -251,7 +251,7 @@ mod tests {
         let i = g.idx(2, 1);
         g.meta[i].rrpv = HAWKEYE_RRPV_MAX; // force averse
         g.on_fill(2, 2, &load(3, 3, 2), None);
-        assert_eq!(g.victim(2, &load(4, 4, 2), &[]), Victim::Way(1));
+        assert_eq!(g.victim(2, &load(4, 4, 2)), Victim::Way(1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod sampler;
 pub use optgen::OptGen;
 pub use sampler::{SampleResult, Sampler, HISTORY_FACTOR, SAMPLED_SETS};
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::{hash_bits, SatCounter};
 
 /// RRPV width for Hawkeye's backend (3 bits, per the paper).
@@ -166,7 +166,7 @@ impl ReplacementPolicy for Hawkeye {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = self.idx(set, 0);
         let metas = &self.meta[base..base + self.ways as usize];
         // Prefer a cache-averse line.
@@ -253,7 +253,7 @@ mod tests {
             let pc = if w == 2 { averse_pc } else { 0x200 + w as u64 };
             hk.on_fill(3, w, &load(pc, w as u64, 3), None);
         }
-        assert_eq!(hk.victim(3, &load(0x300, 9, 3), &[]), Victim::Way(2));
+        assert_eq!(hk.victim(3, &load(0x300, 9, 3)), Victim::Way(2));
     }
 
     #[test]
@@ -263,7 +263,7 @@ mod tests {
         hk.on_fill(5, 0, &load(pc, 1, 5), None);
         hk.on_fill(5, 1, &load(pc, 2, 5), None);
         let before = hk.predictor.counters[OccupancyPredictor::idx(pc)].get();
-        let _ = hk.victim(5, &load(0x600, 3, 5), &[]);
+        let _ = hk.victim(5, &load(0x600, 3, 5));
         let after = hk.predictor.counters[OccupancyPredictor::idx(pc)].get();
         assert_eq!(after, before - 1, "friendly eviction must detrain");
         assert_eq!(hk.detrained_evictions, 1);
@@ -280,7 +280,7 @@ mod tests {
         assert_eq!(hk.meta[hk.idx(0, 1)].rrpv, 1);
         assert_eq!(hk.meta[hk.idx(0, 2)].rrpv, 0);
         // Victim with no averse line: the oldest friendly (way 0).
-        assert_eq!(hk.victim(0, &load(0x4, 4, 0), &[]), Victim::Way(0));
+        assert_eq!(hk.victim(0, &load(0x4, 4, 0)), Victim::Way(0));
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! ```
 //! use ccsim_policies::{AccessInfo, PolicyKind, Victim};
 //!
-//! let mut policy = PolicyKind::Srrip.build(2048, 11);
+//! let mut policy = PolicyKind::Srrip.build_dispatch(2048, 11);
 //! let info = AccessInfo::load(0x400123, 0xABCD, 17);
 //! policy.on_fill(17, 3, &info, None);
 //! policy.on_hit(17, 3, &info);
-//! let victim = policy.victim(17, &info, &[]);
+//! let victim = policy.victim(17, &info);
 //! assert!(matches!(victim, Victim::Way(w) if w < 11));
 //! ```
 
@@ -64,7 +64,7 @@ pub use glider::Glider;
 pub use hawkeye::Hawkeye;
 pub use lru::Lru;
 pub use mpppb::Mpppb;
-pub use policy::{AccessInfo, AccessType, LineView, ReplacementPolicy, Victim};
+pub use policy::{AccessInfo, AccessType, ReplacementPolicy, Victim};
 pub use random::RandomPolicy;
 pub use rrip::{Brrip, Srrip};
 pub use ship::Ship;
@@ -147,28 +147,24 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the policy in its statically dispatched form — what
-    /// the simulator's hot path uses ([`PolicyDispatch`] monomorphizes
-    /// every hook call).
+    /// Instantiates the policy for a `sets x ways` cache. This is the
+    /// crate's only `PolicyKind` → policy table; the result is the
+    /// statically dispatched [`PolicyDispatch`] the simulator's hot path
+    /// drives.
     pub fn build_dispatch(self, sets: u32, ways: u32) -> PolicyDispatch {
-        PolicyDispatch::from_kind(self, sets, ways)
-    }
-
-    /// Instantiates the policy as a trait object (dynamic dispatch).
-    pub fn build(self, sets: u32, ways: u32) -> Box<dyn ReplacementPolicy> {
         match self {
-            PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Fifo => Box::new(Fifo::new(sets, ways)),
-            PolicyKind::Random => Box::new(RandomPolicy::new(sets, ways)),
-            PolicyKind::BitPlru => Box::new(BitPlru::new(sets, ways)),
-            PolicyKind::Dip => Box::new(Dip::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::Brrip => Box::new(Brrip::new(sets, ways)),
-            PolicyKind::Drrip => Box::new(Drrip::new(sets, ways)),
-            PolicyKind::Ship => Box::new(Ship::new(sets, ways)),
-            PolicyKind::Hawkeye => Box::new(Hawkeye::new(sets, ways)),
-            PolicyKind::Glider => Box::new(Glider::new(sets, ways)),
-            PolicyKind::Mpppb => Box::new(Mpppb::new(sets, ways)),
+            PolicyKind::Lru => PolicyDispatch::Lru(Lru::new(sets, ways)),
+            PolicyKind::Fifo => PolicyDispatch::Fifo(Fifo::new(sets, ways)),
+            PolicyKind::Random => PolicyDispatch::Random(RandomPolicy::new(sets, ways)),
+            PolicyKind::BitPlru => PolicyDispatch::BitPlru(BitPlru::new(sets, ways)),
+            PolicyKind::Dip => PolicyDispatch::Dip(Dip::new(sets, ways)),
+            PolicyKind::Srrip => PolicyDispatch::Srrip(Srrip::new(sets, ways)),
+            PolicyKind::Brrip => PolicyDispatch::Brrip(Brrip::new(sets, ways)),
+            PolicyKind::Drrip => PolicyDispatch::Drrip(Drrip::new(sets, ways)),
+            PolicyKind::Ship => PolicyDispatch::Ship(Ship::new(sets, ways)),
+            PolicyKind::Hawkeye => PolicyDispatch::Hawkeye(Hawkeye::new(sets, ways)),
+            PolicyKind::Glider => PolicyDispatch::Glider(Glider::new(sets, ways)),
+            PolicyKind::Mpppb => PolicyDispatch::Mpppb(Mpppb::new(sets, ways)),
         }
     }
 }
@@ -217,14 +213,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_kind_builds_and_reports_its_name() {
-        for kind in PolicyKind::ALL {
-            let p = kind.build(64, 8);
-            assert_eq!(p.name(), kind.name());
-        }
-    }
-
-    #[test]
     fn parse_roundtrip() {
         for kind in PolicyKind::ALL {
             assert_eq!(kind.name().parse::<PolicyKind>().unwrap(), kind);
@@ -251,7 +239,7 @@ mod tests {
         use crate::util::SplitMix64;
         let (sets, ways) = (64u32, 4u32);
         for kind in PolicyKind::ALL {
-            let mut p = kind.build(sets, ways);
+            let mut p = kind.build_dispatch(sets, ways);
             let mut rng = SplitMix64::new(kind as u64 + 1);
             let mut occupancy = vec![0u32; sets as usize];
             for _ in 0..20_000 {
@@ -271,7 +259,7 @@ mod tests {
                     occupancy[set as usize] += 1;
                     p.on_fill(set, way, &info, None);
                 } else if rng.one_in(3) {
-                    match p.victim(set, &info, &[]) {
+                    match p.victim(set, &info) {
                         Victim::Way(w) => {
                             assert!(w < ways, "{}: victim way {w} out of range", p.name());
                             p.on_fill(set, w, &info, Some(block ^ 1));

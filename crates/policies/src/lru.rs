@@ -1,6 +1,6 @@
 //! The LRU baseline: true least-recently-used replacement.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 
 /// True LRU via monotone timestamps: every touch stamps the line with a
 /// global counter; the victim is the smallest stamp in the set.
@@ -40,7 +40,7 @@ impl ReplacementPolicy for Lru {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         let base = self.idx(set, 0);
         let slice = &self.stamps[base..base + self.ways as usize];
         let (way, _) = slice.iter().enumerate().min_by_key(|&(_, &s)| s).expect("ways > 0");
@@ -67,10 +67,6 @@ mod tests {
         AccessInfo { pc: 0x400, block: 0xAB, set, kind: AccessType::Load }
     }
 
-    fn full_set(ways: usize) -> Vec<LineView> {
-        (0..ways).map(|w| LineView { valid: true, block: w as u64, dirty: false }).collect()
-    }
-
     #[test]
     fn victim_is_least_recently_touched() {
         let mut p = Lru::new(4, 4);
@@ -78,7 +74,7 @@ mod tests {
             p.on_fill(1, w, &info(1), None);
         }
         p.on_hit(1, 0, &info(1)); // way 0 becomes MRU; way 1 is now LRU
-        assert_eq!(p.victim(1, &info(1), &full_set(4)), Victim::Way(1));
+        assert_eq!(p.victim(1, &info(1)), Victim::Way(1));
     }
 
     #[test]
@@ -91,9 +87,7 @@ mod tests {
         p.on_hit(0, 2, &info(0));
         let mut order = Vec::new();
         for _ in 0..4 {
-            let Victim::Way(v) = p.victim(0, &info(0), &full_set(4)) else {
-                panic!("lru never bypasses")
-            };
+            let Victim::Way(v) = p.victim(0, &info(0)) else { panic!("lru never bypasses") };
             order.push(v);
             p.on_fill(0, v, &info(0), Some(0)); // refill makes it MRU
         }
@@ -107,8 +101,8 @@ mod tests {
         p.on_fill(0, 1, &info(0), None);
         p.on_fill(1, 1, &info(1), None);
         p.on_fill(1, 0, &info(1), None);
-        assert_eq!(p.victim(0, &info(0), &full_set(2)), Victim::Way(0));
-        assert_eq!(p.victim(1, &info(1), &full_set(2)), Victim::Way(1));
+        assert_eq!(p.victim(0, &info(0)), Victim::Way(0));
+        assert_eq!(p.victim(1, &info(1)), Victim::Way(1));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod features;
 
 pub use features::{feature_indices, FeatureContext, FEATURE_COUNT, TABLE_INDEX_BITS};
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::rrip::RrpvTable;
 
 /// Weight clamp (6-bit signed).
@@ -160,7 +160,7 @@ impl ReplacementPolicy for Mpppb {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, info: &AccessInfo) -> Victim {
         if info.kind.is_demand() {
             let snap = feature_indices(&self.context(info));
             if self.predict(&snap) >= BYPASS_THRESHOLD {
@@ -172,7 +172,7 @@ impl ReplacementPolicy for Mpppb {
     }
 
     #[inline]
-    fn forced_victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> u32 {
+    fn forced_victim(&mut self, set: u32, _info: &AccessInfo) -> u32 {
         // Bypass is off the table: evict by the RRPV aging order, exactly
         // as a non-bypassed victim would be chosen.
         self.table.find_victim(set)
@@ -246,7 +246,7 @@ mod tests {
         let mut p = Mpppb::new(128, 4);
         let info = load(0xDEAD, 0x99, 1);
         make_dead(&mut p, &info);
-        assert_eq!(p.victim(1, &info, &[]), Victim::Bypass);
+        assert_eq!(p.victim(1, &info), Victim::Bypass);
         assert_eq!(p.bypasses, 1);
     }
 
@@ -255,7 +255,7 @@ mod tests {
         let mut p = Mpppb::new(128, 4);
         let wb = AccessInfo { pc: 0, block: 0x99, set: 1, kind: AccessType::Writeback };
         make_dead(&mut p, &load(0, 0x99, 1));
-        assert!(matches!(p.victim(1, &wb, &[]), Victim::Way(_)));
+        assert!(matches!(p.victim(1, &wb), Victim::Way(_)));
     }
 
     #[test]

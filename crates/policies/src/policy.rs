@@ -1,10 +1,12 @@
 //! The replacement-policy framework: ChampSim-style hooks.
 //!
-//! A cache level owns a `Box<dyn ReplacementPolicy>` and drives it through
-//! three events: a *victim query* when a fill finds its set full, a *hit
-//! notification*, and a *fill notification*. The policy never touches the
+//! A cache level owns a [`PolicyDispatch`](crate::PolicyDispatch) — an
+//! enum over the twelve built-in policies plus one boxed
+//! [`ReplacementPolicy`] extension point — and drives it through three
+//! events: a *victim query* when a fill finds its set full, a *hit
+//! notification*, and a *fill notification*. The policy never sees the
 //! cache's tag array; it maintains whatever per-line, per-set or global
-//! metadata its algorithm requires.
+//! metadata its algorithm requires from the hit and fill notifications.
 
 use std::fmt;
 
@@ -58,29 +60,6 @@ impl AccessInfo {
     }
 }
 
-/// A policy's view of one cache line when asked for a victim.
-///
-/// The cache's own tag store is a struct-of-arrays (packed tag words +
-/// dirty bitmap); victim queries that need these views get them
-/// reconstructed into a fixed stack buffer — zero heap allocations —
-/// and policies that rank victims from their own metadata opt out of
-/// the reconstruction entirely via
-/// [`ReplacementPolicy::inspects_lines`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LineView {
-    /// Whether the line holds a valid block.
-    pub valid: bool,
-    /// Block address stored in the line (meaningless if invalid).
-    pub block: u64,
-    /// Whether the line is dirty.
-    pub dirty: bool,
-}
-
-impl LineView {
-    /// An invalid (empty) line.
-    pub const INVALID: LineView = LineView { valid: false, block: 0, dirty: false };
-}
-
 /// A victim decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Victim {
@@ -111,25 +90,11 @@ pub trait ReplacementPolicy: fmt::Debug {
     /// Short stable identifier (`"lru"`, `"srrip"`, ...).
     fn name(&self) -> &'static str;
 
-    /// Whether victim queries need materialized [`LineView`]s in `lines`.
-    ///
-    /// The cache keeps its tags in a struct-of-arrays layout (packed tag
-    /// words + a dirty bitmap), so lending `lines` means reconstructing
-    /// the views into a stack buffer on every victim query. All built-in
-    /// policies rank victims purely from their own metadata and never
-    /// read `lines`; a policy that keeps the default `true` receives
-    /// faithfully reconstructed views, while overriding to `false` lets
-    /// the cache skip the reconstruction and pass an empty slice.
-    fn inspects_lines(&self) -> bool {
-        true
-    }
-
-    /// Chooses a victim way for `info` in a full `set`.
-    ///
-    /// `lines` holds the set's lines in way order — unless
-    /// [`inspects_lines`](ReplacementPolicy::inspects_lines) returned
-    /// `false`, in which case the cache may pass an empty slice.
-    fn victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> Victim;
+    /// Chooses a victim way for `info` in a full `set`, ranking the ways
+    /// from the metadata the policy built up in
+    /// [`on_hit`](ReplacementPolicy::on_hit) and
+    /// [`on_fill`](ReplacementPolicy::on_fill).
+    fn victim(&mut self, set: u32, info: &AccessInfo) -> Victim;
 
     /// Chooses a victim way for `info` in a full `set` when bypassing is
     /// not permitted — the cache asks this for writeback fills, whose
@@ -140,8 +105,8 @@ pub trait ReplacementPolicy: fmt::Debug {
     /// Policies that can bypass (e.g. MPPPB) should override this with
     /// their aging order so the forced eviction follows the same ranking
     /// as their ordinary victims.
-    fn forced_victim(&mut self, set: u32, info: &AccessInfo, lines: &[LineView]) -> u32 {
-        match self.victim(set, info, lines) {
+    fn forced_victim(&mut self, set: u32, info: &AccessInfo) -> u32 {
+        match self.victim(set, info) {
             Victim::Way(way) => way,
             Victim::Bypass => 0,
         }

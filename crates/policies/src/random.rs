@@ -1,6 +1,6 @@
 //! Uniform random replacement.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::SplitMix64;
 
 /// Evicts a uniformly random way. The cheapest possible policy and a useful
@@ -32,7 +32,7 @@ impl ReplacementPolicy for RandomPolicy {
     }
 
     #[inline]
-    fn victim(&mut self, _set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, _set: u32, _info: &AccessInfo) -> Victim {
         Victim::Way(self.rng.below(self.ways as u64) as u32)
     }
 
@@ -54,7 +54,7 @@ mod tests {
         let info = AccessInfo { pc: 0, block: 0, set: 0, kind: AccessType::Load };
         let mut seen = [false; 8];
         for _ in 0..500 {
-            let Victim::Way(w) = p.victim(0, &info, &[]) else { unreachable!() };
+            let Victim::Way(w) = p.victim(0, &info) else { unreachable!() };
             assert!(w < 8);
             seen[w as usize] = true;
         }
@@ -66,7 +66,7 @@ mod tests {
         let info = AccessInfo { pc: 0, block: 0, set: 0, kind: AccessType::Load };
         let seq = |seed| {
             let mut p = RandomPolicy::new(1, 4).with_seed(seed);
-            (0..16).map(|_| p.victim(0, &info, &[])).collect::<Vec<_>>()
+            (0..16).map(|_| p.victim(0, &info)).collect::<Vec<_>>()
         };
         assert_eq!(seq(9), seq(9));
     }

@@ -6,7 +6,7 @@
 //! are lines holding the maximum RRPV (`2^M - 1`); if none exists, all
 //! RRPVs in the set are aged up until one does.
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::SplitMix64;
 
 /// RRPV width used by SRRIP/BRRIP/DRRIP/SHiP (2 bits, per the papers).
@@ -89,7 +89,7 @@ impl ReplacementPolicy for Srrip {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         Victim::Way(self.table.find_victim(set))
     }
 
@@ -142,7 +142,7 @@ impl ReplacementPolicy for Brrip {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         Victim::Way(self.table.find_victim(set))
     }
 
@@ -222,7 +222,7 @@ mod tests {
         p.on_fill(0, 0, &load(0), None);
         p.on_hit(0, 0, &load(0)); // way 0 hot
         p.on_fill(0, 1, &load(0), None); // way 1 streaming
-        let Victim::Way(v) = p.victim(0, &load(0), &[]) else { unreachable!() };
+        let Victim::Way(v) = p.victim(0, &load(0)) else { unreachable!() };
         assert_eq!(v, 1);
     }
 

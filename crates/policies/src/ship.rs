@@ -9,7 +9,7 @@
 //! predicted dead and inserted at the distant RRPV; everything else inserts
 //! at the long RRPV (SRRIP behaviour).
 
-use crate::policy::{AccessInfo, LineView, ReplacementPolicy, Victim};
+use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::rrip::{RrpvTable, RRPV_BITS, RRPV_LONG, RRPV_MAX};
 use crate::util::{hash_bits, SatCounter};
 
@@ -69,7 +69,7 @@ impl ReplacementPolicy for Ship {
     }
 
     #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo, _lines: &[LineView]) -> Victim {
+    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
         Victim::Way(self.table.find_victim(set))
     }
 

@@ -6,16 +6,12 @@
 //! an obs manifest, or a watch view) and keeps only the fields trend tables
 //! and gates consume; `to_json` / `from_entry_json` round-trip the
 //! summary through the ledger line. Source parsing is strict about
-//! schema identity (wrong document kinds are errors, not zeros); obs
-//! documents are accepted across their documented compatibility range —
-//! in particular a v1 obs manifest without the pre-computed quantile
-//! block still yields quantiles, derived from its raw histogram
-//! buckets.
+//! schema identity: each document kind is read at exactly the version
+//! this revision writes, and wrong kinds or versions are errors, not
+//! zeros.
 
 use ccsim_campaign::Json;
-use ccsim_obs::{
-    records_per_sec, QuantileSummary, HISTOGRAM_BUCKETS, OBS_MIN_SCHEMA_VERSION, OBS_SCHEMA_VERSION,
-};
+use ccsim_obs::{records_per_sec, QuantileSummary, OBS_SCHEMA_VERSION};
 
 /// The `ccsim_benchmark` result-document schema (`benchmark/run.sh
 /// --out`) this crate ingests.
@@ -42,13 +38,13 @@ fn req_str(doc: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string `{key}`"))
 }
 
-fn schema_in(doc: &Json, field: &str, min: u64, max: u64) -> Result<u64, String> {
+fn schema_is(doc: &Json, field: &str, version: u64) -> Result<(), String> {
     let v =
         doc.get(field).and_then(Json::as_u64).ok_or_else(|| format!("not a `{field}` document"))?;
-    if (min..=max).contains(&v) {
-        Ok(v)
+    if v == version {
+        Ok(())
     } else {
-        Err(format!("unsupported {field} schema {v} (supported: {min}..={max})"))
+        Err(format!("unsupported {field} schema {v} (supported: {version})"))
     }
 }
 
@@ -74,27 +70,15 @@ fn quantiles_from_json(doc: &Json) -> QuantileSummary {
     }
 }
 
-/// The `campaign_cell_sim_ns` quantiles of one obs document: the
-/// pre-computed v2 `quantiles` block when present, else derived from
-/// the raw sparse `[index, count]` buckets (the v1 read path). `None`
-/// when the histogram is absent entirely (telemetry disabled).
+/// The `campaign_cell_sim_ns` quantiles of one obs manifest: its
+/// pre-computed `quantiles` block. `None` when the histogram is absent
+/// (telemetry disabled).
 fn cell_sim_quantiles(doc: &Json) -> Option<QuantileSummary> {
     let hist = doc.get("histograms")?.get("campaign_cell_sim_ns")?;
-    if let Some(q) = hist.get("quantiles") {
-        // The manifest's quantile block sits next to the histogram's
-        // own `count` and does not repeat it.
-        return Some(QuantileSummary { count: opt_u64(hist, "count"), ..quantiles_from_json(q) });
-    }
-    let pairs = hist.get("buckets")?.as_array()?;
-    let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-    for pair in pairs {
-        let pair = pair.as_array()?;
-        let (i, c) = (pair.first()?.as_u64()?, pair.get(1)?.as_u64()?);
-        if let Some(slot) = buckets.get_mut(i as usize) {
-            *slot = c;
-        }
-    }
-    Some(QuantileSummary::from_buckets(&buckets))
+    // The manifest's quantile block sits next to the histogram's own
+    // `count` and does not repeat it.
+    let q = quantiles_from_json(hist.get("quantiles")?);
+    Some(QuantileSummary { count: opt_u64(hist, "count"), ..q })
 }
 
 /// One timed benchmark unit, as stored in the ledger. The ledger keys
@@ -144,7 +128,7 @@ impl BenchSummary {
     /// Returns a message when the document is not a benchmark result of
     /// the supported schema or a unit is malformed.
     pub fn from_doc(doc: &Json) -> Result<BenchSummary, String> {
-        schema_in(doc, "ccsim_benchmark", BENCHMARK_SCHEMA, BENCHMARK_SCHEMA)?;
+        schema_is(doc, "ccsim_benchmark", BENCHMARK_SCHEMA)?;
         let Some(Json::Obj(workloads)) = doc.get("workloads") else {
             return Err("missing object `workloads`".to_owned());
         };
@@ -260,7 +244,7 @@ impl DiffSummary {
     /// Returns a message when the document is not a diff of the
     /// supported schema.
     pub fn from_doc(doc: &Json) -> Result<DiffSummary, String> {
-        schema_in(doc, "ccsim_report_diff", DIFF_SCHEMA, DIFF_SCHEMA)?;
+        schema_is(doc, "ccsim_report_diff", DIFF_SCHEMA)?;
         Ok(DiffSummary {
             campaign_a: req_str(doc, "campaign_a")?,
             campaign_b: req_str(doc, "campaign_b")?,
@@ -325,15 +309,14 @@ impl ManifestSummary {
         records_per_sec(self.records_simulated, self.sim_wall_ns)
     }
 
-    /// Distills an obs manifest document (v1 or v2 — quantiles are
-    /// derived from raw buckets when the pre-computed block is absent).
+    /// Distills an obs manifest document.
     ///
     /// # Errors
     ///
-    /// Returns a message when the document is not a manifest of a
-    /// supported obs schema.
+    /// Returns a message when the document is not a manifest of the
+    /// current obs schema.
     pub fn from_doc(doc: &Json) -> Result<ManifestSummary, String> {
-        schema_in(doc, "ccsim_obs", OBS_MIN_SCHEMA_VERSION, OBS_SCHEMA_VERSION)?;
+        schema_is(doc, "ccsim_obs", OBS_SCHEMA_VERSION)?;
         if doc.get("kind").and_then(Json::as_str) != Some("manifest") {
             return Err("not a manifest document (kind != \"manifest\")".to_owned());
         }
@@ -391,8 +374,8 @@ pub struct WatchSummary {
     pub sim_wall_ns: u64,
     /// Mean simulation wall-clock per completed cell, nanoseconds.
     pub mean_cell_sim_ns: u64,
-    /// Fleet-wide per-cell sim-time quantiles (`None` for a v1 watch
-    /// document, which predates the aggregate quantile block).
+    /// Fleet-wide per-cell sim-time quantiles (`None` for a ledger line
+    /// or document whose aggregate carries no `cell_sim_ns` block).
     pub cell_sim: Option<QuantileSummary>,
 }
 
@@ -406,10 +389,10 @@ impl WatchSummary {
     ///
     /// # Errors
     ///
-    /// Returns a message when the document is not a watch view of a
-    /// supported obs schema or lacks the aggregate block.
+    /// Returns a message when the document is not a watch view of the
+    /// current obs schema or lacks the aggregate block.
     pub fn from_doc(doc: &Json) -> Result<WatchSummary, String> {
-        schema_in(doc, "ccsim_obs", OBS_MIN_SCHEMA_VERSION, OBS_SCHEMA_VERSION)?;
+        schema_is(doc, "ccsim_obs", OBS_SCHEMA_VERSION)?;
         if doc.get("kind").and_then(Json::as_str) != Some("watch") {
             return Err("not a watch document (kind != \"watch\")".to_owned());
         }
@@ -527,50 +510,36 @@ mod tests {
 
     #[test]
     fn v2_manifest_uses_precomputed_quantiles() {
-        let doc = Json::parse(
-            r#"{"ccsim_obs": 2, "kind": "manifest", "campaign": "c", "spec": "s",
+        let text = r#"{"ccsim_obs": 2, "kind": "manifest", "campaign": "c", "spec": "s",
                 "worker": "w1", "cells_done": 4, "bands_done": 2,
                 "records_simulated": 1000, "sim_wall_ns": 2000000000,
                 "histograms": {"campaign_cell_sim_ns": {"count": 4, "sum": 40,
                     "quantiles": {"p50": 15, "p90": 31, "p99": 31, "min": 8, "max": 31},
-                    "buckets": [[4, 3], [5, 1]]}}}"#,
-        )
-        .unwrap();
-        let s = ManifestSummary::from_doc(&doc).unwrap();
+                    "buckets": [[4, 3], [5, 1]]}}}"#;
+        let s = ManifestSummary::from_doc(&Json::parse(text).unwrap()).unwrap();
         assert_eq!(s.worker, "w1");
         assert_eq!(s.records_per_sec(), 500);
         let q = s.cell_sim.unwrap();
-        assert_eq!((q.p50, q.max), (15, 31));
-    }
-
-    #[test]
-    fn v1_manifest_derives_quantiles_from_buckets() {
-        let doc = Json::parse(
-            r#"{"ccsim_obs": 1, "kind": "manifest", "campaign": "c", "spec": "s",
-                "worker": "w1", "cells_done": 4, "records_simulated": 100, "sim_wall_ns": 50,
-                "histograms": {"campaign_cell_sim_ns": {"count": 4, "sum": 40,
-                    "buckets": [[4, 3], [5, 1]]}}}"#,
-        )
-        .unwrap();
-        let s = ManifestSummary::from_doc(&doc).unwrap();
-        let q = s.cell_sim.unwrap();
-        assert_eq!(q.count, 4);
-        assert_eq!(q.p50, 15, "bucket 4 upper bound");
-        assert_eq!(q.max, 31, "bucket 5 upper bound");
+        assert_eq!((q.p50, q.max, q.count), (15, 31, 4));
         let round =
             ManifestSummary::from_entry_json(&Json::parse(&s.to_json().to_string()).unwrap());
         assert_eq!(round.unwrap(), s);
 
         // No histogram at all (telemetry disabled): no quantiles.
         let bare = Json::parse(
-            r#"{"ccsim_obs": 1, "kind": "manifest", "worker": "w2",
+            r#"{"ccsim_obs": 2, "kind": "manifest", "worker": "w2",
                 "records_simulated": 0, "sim_wall_ns": 0}"#,
         )
         .unwrap();
         assert_eq!(ManifestSummary::from_doc(&bare).unwrap().cell_sim, None);
-        // Wrong kind is an error, not an empty summary.
+        // Wrong kind or any other schema version is an error, not an
+        // empty summary.
         let events = Json::parse(r#"{"ccsim_obs": 2, "kind": "events", "worker": "w"}"#).unwrap();
         assert!(ManifestSummary::from_doc(&events).is_err());
+        for other in ["\"ccsim_obs\": 1", "\"ccsim_obs\": 3"] {
+            let doc = Json::parse(&text.replace("\"ccsim_obs\": 2", other)).unwrap();
+            assert!(ManifestSummary::from_doc(&doc).unwrap_err().contains("unsupported"));
+        }
     }
 
     #[test]
@@ -592,16 +561,7 @@ mod tests {
         assert_eq!(s.cell_sim.unwrap().p90, 511);
         let round = WatchSummary::from_entry_json(&Json::parse(&s.to_json().to_string()).unwrap());
         assert_eq!(round.unwrap(), s);
-
-        // A v1 watch document has no aggregate quantile block: still
-        // ingestible, just without quantiles.
-        let v1 = Json::parse(
-            r#"{"ccsim_obs": 1, "kind": "watch", "campaign": "demo", "done": false,
-                "aggregate": {"records_simulated": 10, "sim_wall_ns": 10,
-                              "records_per_sec": 1000000000, "mean_cell_sim_ns": 5,
-                              "eta_seconds": 1}}"#,
-        )
-        .unwrap();
-        assert_eq!(WatchSummary::from_doc(&v1).unwrap().cell_sim, None);
+        let v1 = Json::parse(r#"{"ccsim_obs": 1, "kind": "watch", "campaign": "demo"}"#).unwrap();
+        assert!(WatchSummary::from_doc(&v1).unwrap_err().contains("unsupported"));
     }
 }

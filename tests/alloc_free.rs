@@ -4,11 +4,8 @@
 //! The binary installs a counting global allocator and drives a warmed
 //! grid of one cell — the driver `simulate` runs — across a second full
 //! pass of an eviction-heavy trace, asserting the allocation counter
-//! does not move at all. The same is then asserted for boxed
-//! (`PolicyDispatch::Custom`) policies — the path where every full-set
-//! fill reconstructs `LineView`s from the SoA tag store into a stack
-//! buffer — and for a lockstep grid of several cells, including the
-//! streamed chunk-decode loop.
+//! does not move at all. The same is then asserted for a lockstep grid
+//! of several cells, including the streamed chunk-decode loop.
 //! Telemetry is explicitly enabled for the measurement, and the
 //! `ccsim-obs` primitives themselves (counter, gauge, histogram, span)
 //! are hammered inside the measured region: the zero-alloc contract is
@@ -26,27 +23,6 @@ use alloc_track::{allocations, counting_enabled, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Replays `trace` once on an existing hierarchy/core pair — what the
-/// driver's per-record step does, for hierarchies it cannot build
-/// (boxed policies).
-fn replay(hierarchy: &mut ccsim::core::Hierarchy, core: &mut ccsim::core::Core, trace: &Trace) {
-    for rec in trace {
-        if rec.nonmem_before > 0 {
-            core.dispatch_nonmem(rec.nonmem_before as u64);
-        }
-        let is_store = rec.kind.is_store();
-        let (pc, vaddr) = (rec.pc, rec.vaddr);
-        core.dispatch_mem(|at| {
-            let done = hierarchy.demand_access(pc, vaddr, is_store, at);
-            if is_store {
-                at + 1
-            } else {
-                done
-            }
-        });
-    }
-}
 
 #[test]
 fn steady_state_replay_allocates_nothing() {
@@ -88,35 +64,6 @@ fn steady_state_replay_allocates_nothing() {
             during,
             0,
             "{kind}: {during} heap allocations across {} steady-state records",
-            thrash.len() + mix.len(),
-        );
-    }
-
-    // The boxed-policy (`PolicyDispatch::Custom`) path is the one route
-    // where victim queries still lend reconstructed `LineView`s: built-in
-    // enum dispatch opts out via `inspects_lines()`, but a boxed policy
-    // conservatively receives real views, rebuilt from the SoA tag words
-    // and dirty bitmap into a fixed stack buffer on *every* full-set
-    // fill. Hammer that lending path explicitly: it must be exactly as
-    // allocation-free as the opted-out fast path.
-    for kind in [PolicyKind::Lru, PolicyKind::Hawkeye, PolicyKind::Mpppb] {
-        let boxed: ccsim::policies::PolicyDispatch =
-            kind.build(config.llc.sets, config.llc.ways).into();
-        assert!(boxed.inspects_lines(), "boxed policies must get reconstructed views");
-        let mut hierarchy = ccsim::core::Hierarchy::new(&config, boxed);
-        let mut core = ccsim::core::Core::new(config.core);
-        replay(&mut hierarchy, &mut core, &thrash);
-        replay(&mut hierarchy, &mut core, &mix);
-
-        let before = allocations();
-        replay(&mut hierarchy, &mut core, &thrash);
-        replay(&mut hierarchy, &mut core, &mix);
-        let during = allocations() - before;
-        assert_eq!(
-            during,
-            0,
-            "boxed {kind}: {during} heap allocations across {} steady-state records \
-             on the view-lending path",
             thrash.len() + mix.len(),
         );
     }

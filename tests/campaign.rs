@@ -247,22 +247,6 @@ fn golden_report_schema_fixture() {
     assert_eq!(parsed.get("cells").unwrap().as_array().unwrap().len(), 4);
 }
 
-/// `report-diff` must keep reading v1 reports (written before the
-/// `writeback_bypass_overrides` counter existed): the retired v1 fixture
-/// diffs cleanly against its v2 successor — same grid, zero deltas.
-#[test]
-fn report_diff_accepts_v1_reports() {
-    let read = |name: &str| {
-        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(name)).unwrap()
-    };
-    let v1 = read("tests/fixtures/campaign_report_v1.json");
-    let v2 = read("tests/fixtures/campaign_report_v2.json");
-    let diff = ccsim::campaign::ReportDiff::from_json_strs(&v1, &v2).unwrap();
-    assert!(diff.same_grid());
-    assert_eq!(diff.cells.len(), 4);
-    assert_eq!(diff.max_abs_mpki_delta(), 0.0);
-}
-
 #[test]
 fn report_cells_follow_spec_order_and_carry_speedups() {
     let outcome = Campaign::new(spec()).threads(4).run().unwrap();

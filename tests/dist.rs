@@ -262,8 +262,8 @@ fn a_cell_budget_truncates_a_band_leaving_the_rest_pending() {
 /// the lease leaves a stale lease covering only completed cells. It
 /// blocks nothing, so status must neither count it nor list it — the
 /// summary line and the stale-lease listing can never contradict each
-/// other. The same holds for a stale per-cell lease (older tooling) on
-/// a completed cell.
+/// other. A stale lease file that is not a band of this grid is ignored
+/// too, as a foreign spec's is.
 #[test]
 fn stale_leases_covering_only_completed_cells_are_not_reported() {
     let dir = temp_dir("stale_done");
@@ -288,6 +288,8 @@ fn stale_leases_covering_only_completed_cells_are_not_reported() {
     let st = status(&spec(), &shared).unwrap();
     assert_eq!((st.completed, st.leased, st.stale, st.unclaimed), (8, 0, 0, 0));
     assert!(st.stale_leases.is_empty(), "leases on completed cells must not be listed");
+    let late = st.workers.iter().find(|w| w.worker == "crashed-late").unwrap();
+    assert_eq!(late.claims, 1, "only the band lease is this grid's; the other file is ignored");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

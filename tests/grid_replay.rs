@@ -170,7 +170,7 @@ fn golden_ingest_fixture_grid_replays_identically() {
 /// Differential golden for the tag-store layout: a deterministic
 /// eviction-heavy trace replayed through **all 12 policies** on a
 /// mixed-scale grid must reproduce the committed per-cell counter table
-/// exactly. The fixture was blessed from the AoS `Vec<CacheLine>` engine
+/// exactly. The fixture was blessed from the array-of-structs line-table engine
 /// immediately before the SoA tag-array refactor, so any drift in
 /// probe/fill/victim behaviour — however subtle — fails here at the
 /// first diverging counter. Rebless with

@@ -11,6 +11,7 @@
 //! contents, so it is pinned **byte-identically** across re-polls.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
 use ccsim::dist::{run_worker, Watcher, WorkerOptions};
@@ -24,6 +25,18 @@ const SPEC: &str = r#"{
     "workloads": ["xsbench.small", "spec.stack"],
     "policies": ["lru", "srrip"]
 }"#;
+
+/// Manifests are baseline-deltas of the *process-global* metric catalog,
+/// so two campaigns running at once in this binary would count each
+/// other's bands. Every test that runs a campaign and then asserts exact
+/// manifest counts holds this for its whole body.
+static CAMPAIGN_METRICS: Mutex<()> = Mutex::new(());
+
+fn exclusive_campaign_metrics() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means the other campaign test failed; the
+    // guarded state is `()`, so there is nothing to find half-updated.
+    CAMPAIGN_METRICS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn spec() -> CampaignSpec {
     CampaignSpec::from_json_str(SPEC).unwrap()
@@ -83,6 +96,7 @@ fn compare_or_bless(fixture: &str, actual: &str, what: &str) {
 
 #[test]
 fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
+    let _exclusive = exclusive_campaign_metrics();
     let dir = temp_dir("golden");
     let outcome = Campaign::new(spec()).threads(2).obs_dir(&dir).run().unwrap();
     assert_eq!(outcome.report.cells.len(), 4);
@@ -113,10 +127,9 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
         "the manifest document shape",
     );
 
-    // v2 histograms carry a precomputed quantile summary consistent with
-    // the raw buckets, so v1-era consumers can ignore it and v2 readers
-    // never re-derive. The cell-sim histogram records one per-cell
-    // estimate per band: 2 bands here.
+    // Histograms carry a precomputed quantile summary consistent with
+    // the raw buckets, so readers never re-derive it. The cell-sim
+    // histogram records one per-cell estimate per band: 2 bands here.
     let cell_hist = doc.get("histograms").unwrap().get("campaign_cell_sim_ns").unwrap();
     assert_eq!(cell_hist.get("count").and_then(Json::as_u64), Some(2));
     let q = cell_hist.get("quantiles").expect("v2 manifests precompute quantiles");
@@ -165,6 +178,7 @@ fn concurrent_counter_and_histogram_increments_are_exact() {
 
 #[test]
 fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
+    let _exclusive = exclusive_campaign_metrics();
     let dir = temp_dir("watch");
     let shared = dir.join("shared");
     let spec = spec();

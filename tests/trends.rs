@@ -1,9 +1,8 @@
 //! Trends integration tests: the pinned `ccsim_trends` ledger-line,
 //! table and check-verdict formats, rolling-median gate behavior over
 //! a realistic multi-source history, torn-tail recovery with
-//! byte-preserving gc, and cross-schema ingest (a v1 obs manifest
-//! without the pre-computed quantile block, and a freshly produced v2
-//! manifest from a real campaign run).
+//! byte-preserving gc, and ingest of a freshly produced manifest from a
+//! real campaign run.
 //!
 //! Unlike the obs goldens, every trends artifact is a pure function of
 //! its inputs — no clocks, no timing — so all three fixtures are
@@ -256,32 +255,6 @@ fn torn_tail_recovers_and_gc_preserves_surviving_bytes() {
     assert!(!ledger.torn_tail());
     assert_eq!(ledger.entries.len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v1_manifest_fixture_ingests_with_derived_quantiles() {
-    // A pre-quantile (obs schema 1) worker manifest: the summary must
-    // still carry cell-sim quantiles, derived from the raw log2
-    // buckets.
-    let text = std::fs::read_to_string(fixture_path("trends_manifest_v1.json")).unwrap();
-    let doc = Json::parse(&text).unwrap();
-    assert_eq!(doc.get("ccsim_obs").and_then(Json::as_u64), Some(1));
-    assert!(text.find("\"quantiles\"").is_none(), "fixture must predate quantile blocks");
-
-    let m = ManifestSummary::from_doc(&doc).unwrap();
-    assert_eq!(m.worker, "w1");
-    assert_eq!(m.records_per_sec(), 2_500_000);
-    let q = m.cell_sim.expect("quantiles derived from buckets");
-    assert_eq!(q.count, 2);
-    assert_eq!(q.p50, 8_589_934_591, "bucket 33 upper bound");
-    assert_eq!(q.p99, 17_179_869_183, "bucket 34 upper bound");
-    assert_eq!(q.min, 4_294_967_296, "bucket 33 lower bound");
-
-    // And it rides a ledger line unchanged.
-    let mut e = TrendEntry::new("deadbeef00", "compat", "0");
-    e.manifests.push(m);
-    assert_eq!(TrendEntry::from_json_line(&e.to_json_line()).unwrap(), e);
-    assert_eq!(e.fleet_cell_sim_p99_ns(), Some(17_179_869_183));
 }
 
 #[test]
