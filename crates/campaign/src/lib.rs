@@ -51,7 +51,6 @@
 pub mod cache;
 pub mod diff;
 pub mod journal;
-pub mod json;
 pub mod report;
 pub mod runner;
 pub mod spec;
@@ -59,10 +58,13 @@ pub mod spec;
 pub use cache::TraceCache;
 pub use diff::{DiffCell, ReportDiff};
 pub use journal::{merge_dir, merge_dir_cached, Journal, MergeCursor, MergedJournal};
-pub use json::Json;
 pub use report::{CampaignCell, CampaignReport, RawCell, REPORT_SCHEMA_VERSION};
 pub use runner::{
     record_band_metrics, AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan,
     CellStatus, GridCell, LeaseView, PlanCell,
 };
 pub use spec::{presets, BaseConfig, CampaignSpec};
+
+/// The workspace JSON module (it lives in the leaf crate), under its old path.
+pub use ccsim_obs::json;
+pub use json::{Json, JsonError};

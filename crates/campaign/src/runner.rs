@@ -21,6 +21,7 @@ use ccsim_workloads::{build_workload_seeded, SuiteScale};
 
 use crate::cache::TraceCache;
 use crate::journal::Journal;
+use crate::json::Json;
 use crate::report::{CampaignReport, RawCell};
 use crate::spec::CampaignSpec;
 
@@ -694,9 +695,9 @@ impl Campaign {
         if let Some(o) = obs.as_mut() {
             o.event(
                 "run_start",
-                &[
-                    ("cells_total", ccsim_obs::Field::U64(grid.cells.len() as u64)),
-                    ("workloads", ccsim_obs::Field::U64(grid.workloads.len() as u64)),
+                vec![
+                    ("cells_total", Json::int_saturating(grid.cells.len() as u64)),
+                    ("workloads", Json::int_saturating(grid.workloads.len() as u64)),
                 ],
             );
         }
@@ -714,9 +715,9 @@ impl Campaign {
                 if let Some(o) = obs.as_mut() {
                     o.event(
                         "band_start",
-                        &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(pending.len() as u64)),
+                        vec![
+                            ("workload", Json::str(workload)),
+                            ("cells", Json::int_saturating(pending.len() as u64)),
                         ],
                     );
                 }
@@ -736,12 +737,12 @@ impl Campaign {
                     o.add_band(pending.len() as u64, records_simulated, band_ns);
                     o.event(
                         "band_done",
-                        &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(pending.len() as u64)),
-                            ("trace_records", ccsim_obs::Field::U64(trace.records())),
-                            ("sim_ns", ccsim_obs::Field::U64(band_ns)),
-                            ("streamed", ccsim_obs::Field::Bool(trace.is_streamed())),
+                        vec![
+                            ("workload", Json::str(workload)),
+                            ("cells", Json::int_saturating(pending.len() as u64)),
+                            ("trace_records", Json::int_saturating(trace.records())),
+                            ("sim_ns", Json::int_saturating(band_ns)),
+                            ("streamed", Json::Bool(trace.is_streamed())),
                         ],
                     );
                     let _ = o.write_manifest();
@@ -768,9 +769,9 @@ impl Campaign {
                 if let Some(o) = obs.as_mut() {
                     o.event(
                         "band_resumed",
-                        &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(cells.len() as u64)),
+                        vec![
+                            ("workload", Json::str(workload)),
+                            ("cells", Json::int_saturating(cells.len() as u64)),
                         ],
                     );
                 }

@@ -296,15 +296,12 @@ fn string_list(root: &Json, field: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-/// 64-bit FNV-1a hash (stable, dependency-free; used for cache filenames
-/// and spec digests, not security).
+/// 64-bit FNV-1a hash of one byte string — [`ccsim_ingest::Fnv64`] in
+/// one call (used for cache filenames and spec digests, not security).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = ccsim_ingest::Fnv64::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Checked-in equivalents of the figure binaries' grids.
@@ -506,11 +503,5 @@ mod tests {
         assert_eq!(configs[0].0, "llc_x1");
         assert_eq!(configs[1].0, "llc_x4");
         assert_eq!(configs[1].1.llc.capacity_bytes(), 4 * configs[0].1.llc.capacity_bytes());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
     }
 }

@@ -196,8 +196,10 @@ impl LeaseDir {
             path: path.clone(),
             cell: cell.to_owned(),
             worker: worker.to_owned(),
-            epoch,
-            ttl_secs: ttl.as_secs(),
+            // A peer's lease file and the command line choose these two,
+            // and `content` writes them back through `Json::int`.
+            epoch: epoch.min(Json::MAX_INT),
+            ttl_secs: ttl.as_secs().min(Json::MAX_INT),
             released: false,
         };
         let tmp = guard.write_tmp().map_err(|e| format!("writing lease claim: {e}"))?;
@@ -448,6 +450,27 @@ mod tests {
             Claim::Acquired(g) => assert_eq!(g.epoch(), 2, "reclaim bumps the epoch"),
             Claim::Held(h) => panic!("stale lease not reclaimed: {h:?}"),
         }
+        std::fs::remove_dir_all(dir.root()).unwrap();
+    }
+
+    #[test]
+    fn a_planted_lease_at_the_integer_limit_is_reclaimed_without_panicking() {
+        let dir = temp_leases("limit");
+        let planted = format!(
+            r#"{{"ccsim_lease":1,"cell":"w|c|lru","worker":"dead","epoch":{},"ttl_secs":300}}"#,
+            Json::MAX_INT
+        );
+        std::fs::write(dir.path_for("w|c|lru"), planted).unwrap();
+        expire(&dir, "w|c|lru");
+        // The bumped epoch and an over-long `--ttl-secs` both clamp.
+        let g = match dir.claim("w|c|lru", "healer", Duration::from_secs(u64::MAX)).unwrap() {
+            Claim::Acquired(g) => g,
+            Claim::Held(h) => panic!("stale lease not reclaimed: {h:?}"),
+        };
+        g.renew().unwrap();
+        let on_disk = &dir.scan()[0];
+        assert_eq!((on_disk.worker.as_str(), on_disk.epoch), ("healer", Json::MAX_INT));
+        assert_eq!((g.epoch(), on_disk.ttl_secs), (Json::MAX_INT, Json::MAX_INT));
         std::fs::remove_dir_all(dir.root()).unwrap();
     }
 

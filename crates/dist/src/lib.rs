@@ -84,7 +84,7 @@ pub use lease::{
     band_lease_id, band_workload, cell_lease_views, Claim, Lease, LeaseDir, LeaseGuard,
 };
 pub use status::{status, status_with_cursor, DistStatus, WorkerStatus};
-pub use watch::{dir_fingerprint, WatchPacing, WatchView, WatchWorker, Watcher, WorkerManifest};
+pub use watch::{dir_fingerprint, WatchPacing, WatchView, WatchWorker, Watcher};
 pub use worker::{default_worker_id, run_worker, sanitize_worker_id, WorkerOptions, WorkerOutcome};
 
 use std::path::{Path, PathBuf};

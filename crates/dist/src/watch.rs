@@ -21,33 +21,18 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 
-use ccsim_campaign::{CampaignSpec, Json, MergeCursor};
+use ccsim_campaign::{CampaignSpec, MergeCursor};
 use ccsim_core::experiment::Table;
-use ccsim_obs::json::JsonObj;
-use ccsim_obs::{records_per_sec, QuantileSummary, HISTOGRAM_BUCKETS, OBS_SCHEMA_VERSION};
+use ccsim_ingest::Fnv64;
+use ccsim_obs::{
+    document_header, records_per_sec, Json, Manifest, QuantileSummary, HISTOGRAM_BUCKETS,
+};
 
 use crate::status::{status_with_cursor, DistStatus};
 
-/// Throughput and timing a worker reported in its telemetry manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerManifest {
-    /// Cells the worker simulated this run.
-    pub cells_done: u64,
-    /// Workload bands the worker completed this run.
-    pub bands_done: u64,
-    /// Engine-records advanced (trace records × cells per band).
-    pub records_simulated: u64,
-    /// Simulation wall-clock the worker spent, in nanoseconds.
-    pub sim_wall_ns: u64,
-    /// Per-cell simulation-time log₂ histogram buckets
-    /// (`campaign_cell_sim_ns`), for fleet-wide quantiles. Empty for a
-    /// manifest from a run with telemetry disabled.
-    pub cell_sim_buckets: Vec<u64>,
-}
-
 /// One worker row of the dashboard: journal + lease facts from
 /// [`DistStatus`] joined with the worker's own manifest (when present).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchWorker {
     /// Worker id (`(solo)` for a single-process run).
     pub worker: String,
@@ -57,7 +42,7 @@ pub struct WatchWorker {
     pub claims: usize,
     /// The worker's telemetry manifest; `None` when it has not written
     /// one (pre-telemetry runs, or a crash before the first band).
-    pub manifest: Option<WorkerManifest>,
+    pub manifest: Option<Manifest>,
 }
 
 impl WatchWorker {
@@ -93,13 +78,7 @@ pub struct Watcher {
 /// the push-mode watch loop sleeps until it moves instead of re-merging
 /// journals on a fixed interval.
 pub fn dir_fingerprint(shared_dir: &Path) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv64::new();
     let mut stat_dir = |dir: &Path| {
         let Ok(entries) = std::fs::read_dir(dir) else { return };
         // read_dir order is platform-arbitrary; sort so an unchanged
@@ -107,19 +86,19 @@ pub fn dir_fingerprint(shared_dir: &Path) -> u64 {
         let mut names: Vec<std::ffi::OsString> = entries.flatten().map(|e| e.file_name()).collect();
         names.sort();
         for name in names {
-            mix(name.as_encoded_bytes());
+            hash.update(name.as_encoded_bytes());
             let Ok(meta) = std::fs::metadata(dir.join(&name)) else { continue };
-            mix(&meta.len().to_le_bytes());
+            hash.update(&meta.len().to_le_bytes());
             if let Ok(mtime) = meta.modified() {
                 if let Ok(age) = mtime.duration_since(std::time::UNIX_EPOCH) {
-                    mix(&age.as_nanos().to_le_bytes());
+                    hash.update(&age.as_nanos().to_le_bytes());
                 }
             }
         }
     };
     stat_dir(shared_dir);
     stat_dir(&crate::leases_dir(shared_dir));
-    hash
+    hash.finish()
 }
 
 /// Sleep pacing for the push-mode watch loop: exponential backoff from
@@ -215,13 +194,9 @@ impl Watcher {
     }
 }
 
-/// Parses every `manifest.json` / `manifest.<worker>.json` under `dir`
+/// Reads every `manifest.json` / `manifest.<worker>.json` under `dir`
 /// that matches this campaign and spec digest, keyed by worker id.
-fn read_manifests(
-    dir: &Path,
-    campaign: &str,
-    spec_digest: &str,
-) -> BTreeMap<String, WorkerManifest> {
+fn read_manifests(dir: &Path, campaign: &str, spec_digest: &str) -> BTreeMap<String, Manifest> {
     let mut out = BTreeMap::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
         return out;
@@ -229,61 +204,18 @@ fn read_manifests(
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if !(name == "manifest.json" || (name.starts_with("manifest.") && name.ends_with(".json")))
-        {
+        // `manifest.json` (solo) or `manifest.<worker>.json`.
+        if !(name.starts_with("manifest.") && name.ends_with(".json")) {
             continue;
         }
         let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
         let Ok(doc) = Json::parse(&text) else { continue };
-        let matches = doc.get("ccsim_obs").and_then(Json::as_u64) == Some(OBS_SCHEMA_VERSION)
-            && doc.get("kind").and_then(Json::as_str) == Some("manifest")
-            && doc.get("campaign").and_then(Json::as_str) == Some(campaign)
-            && doc.get("spec").and_then(Json::as_str) == Some(spec_digest);
-        if !matches {
-            continue;
+        let Ok(manifest) = Manifest::from_json(&doc) else { continue };
+        if manifest.meta.campaign == campaign && manifest.meta.spec_digest == spec_digest {
+            out.insert(manifest.meta.worker.clone(), manifest);
         }
-        let Some(worker) = doc.get("worker").and_then(Json::as_str) else { continue };
-        let field = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-        out.insert(
-            worker.to_owned(),
-            WorkerManifest {
-                cells_done: field("cells_done"),
-                bands_done: field("bands_done"),
-                records_simulated: field("records_simulated"),
-                sim_wall_ns: field("sim_wall_ns"),
-                cell_sim_buckets: cell_sim_buckets(&doc),
-            },
-        );
     }
     out
-}
-
-/// Extracts the `campaign_cell_sim_ns` histogram's sparse `[index,
-/// count]` bucket pairs from a manifest into a dense bucket vector
-/// (fleet quantiles are summed bucket-wise across workers). Empty when
-/// the histogram is absent.
-fn cell_sim_buckets(doc: &Json) -> Vec<u64> {
-    let Some(pairs) = doc
-        .get("histograms")
-        .and_then(|h| h.get("campaign_cell_sim_ns"))
-        .and_then(|h| h.get("buckets"))
-        .and_then(Json::as_array)
-    else {
-        return Vec::new();
-    };
-    let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-    for pair in pairs {
-        let Some(pair) = pair.as_array() else { continue };
-        let (Some(i), Some(c)) =
-            (pair.first().and_then(Json::as_u64), pair.get(1).and_then(Json::as_u64))
-        else {
-            continue;
-        };
-        if let Some(slot) = buckets.get_mut(i as usize) {
-            *slot = c;
-        }
-    }
-    buckets
 }
 
 impl WatchView {
@@ -321,12 +253,13 @@ impl WatchView {
 
     /// Fleet-wide per-cell simulation-time quantiles: the
     /// `campaign_cell_sim_ns` buckets of every worker manifest summed,
-    /// then summarized. All-zero when no manifest carried the histogram
-    /// (telemetry disabled, or nothing simulated yet).
+    /// then summarized. All-zero while nothing has been simulated (or
+    /// with telemetry disabled).
     pub fn cell_sim_quantiles(&self) -> QuantileSummary {
-        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-        for m in self.workers.iter().filter_map(|w| w.manifest.as_ref()) {
-            for (slot, &c) in buckets.iter_mut().zip(&m.cell_sim_buckets) {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let manifests = self.workers.iter().filter_map(|w| w.manifest.as_ref());
+        for h in manifests.filter_map(|m| m.metrics.histogram("campaign_cell_sim_ns")) {
+            for (slot, &c) in buckets.iter_mut().zip(&h.buckets) {
                 *slot += c;
             }
         }
@@ -347,61 +280,44 @@ impl WatchView {
     /// byte-identical across polls of an unchanged directory.
     pub fn to_json(&self) -> String {
         let s = &self.status;
-        let mut cells = JsonObj::new();
-        cells
-            .u64("total", s.cells_total as u64)
-            .u64("completed", s.completed as u64)
-            .u64("leased", s.leased as u64)
-            .u64("stale", s.stale as u64)
-            .u64("unclaimed", s.unclaimed as u64)
-            .u64("duplicates", s.duplicates as u64);
-        let mut workers = String::from("[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                workers.push_str(", ");
-            }
-            let m = w.manifest.clone().unwrap_or_default();
-            let mut row = JsonObj::new();
-            row.str("worker", &w.worker)
-                .u64("completed", w.completed as u64)
-                .u64("claims", w.claims as u64)
-                .bool("manifest", w.manifest.is_some())
-                .u64("cells_done", m.cells_done)
-                .u64("bands_done", m.bands_done)
-                .u64("records_simulated", m.records_simulated)
-                .u64("sim_wall_ns", m.sim_wall_ns)
-                .u64("records_per_sec", w.records_per_sec());
-            workers.push_str(&row.finish());
-        }
-        workers.push(']');
-        let q = self.cell_sim_quantiles();
-        let mut cell_sim = JsonObj::new();
-        cell_sim
-            .u64("p50", q.p50)
-            .u64("p90", q.p90)
-            .u64("p99", q.p99)
-            .u64("min", q.min)
-            .u64("max", q.max)
-            .u64("count", q.count);
-        let mut aggregate = JsonObj::new();
-        aggregate
-            .u64("records_simulated", self.records_simulated())
-            .u64("sim_wall_ns", self.sim_wall_ns())
-            .u64("records_per_sec", self.records_per_sec())
-            .u64("mean_cell_sim_ns", self.mean_cell_sim_ns())
-            .raw("cell_sim_ns", &cell_sim.finish())
-            .u64("eta_seconds", self.eta_seconds());
-        let mut doc = JsonObj::new();
-        doc.u64("ccsim_obs", OBS_SCHEMA_VERSION)
-            .str("kind", "watch")
-            .str("campaign", &s.campaign)
-            .bool("done", self.done())
-            .raw("cells", &cells.finish())
-            .raw("workers", &workers)
-            .raw("aggregate", &aggregate.finish());
-        let mut out = doc.finish();
-        out.push('\n');
-        out
+        let int = |n: usize| Json::int_saturating(n as u64);
+        let no_manifest = Manifest::default();
+        let workers = self.workers.iter().map(|w| {
+            let mut row = vec![
+                ("worker", Json::str(&w.worker)),
+                ("completed", int(w.completed)),
+                ("claims", int(w.claims)),
+                ("manifest", Json::Bool(w.manifest.is_some())),
+            ];
+            row.extend(w.manifest.as_ref().unwrap_or(&no_manifest).totals());
+            row.push(("records_per_sec", Json::int_saturating(w.records_per_sec())));
+            Json::obj(row)
+        });
+        let cells = Json::obj(vec![
+            ("total", int(s.cells_total)),
+            ("completed", int(s.completed)),
+            ("leased", int(s.leased)),
+            ("stale", int(s.stale)),
+            ("unclaimed", int(s.unclaimed)),
+            ("duplicates", int(s.duplicates)),
+        ]);
+        let aggregate = Json::obj(vec![
+            ("records_simulated", Json::int_saturating(self.records_simulated())),
+            ("sim_wall_ns", Json::int_saturating(self.sim_wall_ns())),
+            ("records_per_sec", Json::int_saturating(self.records_per_sec())),
+            ("mean_cell_sim_ns", Json::int_saturating(self.mean_cell_sim_ns())),
+            ("cell_sim_ns", self.cell_sim_quantiles().to_json()),
+            ("eta_seconds", Json::int_saturating(self.eta_seconds())),
+        ]);
+        let mut doc = document_header("watch");
+        doc.extend([
+            ("campaign", Json::str(&s.campaign)),
+            ("done", Json::Bool(self.done())),
+            ("cells", cells),
+            ("workers", Json::Arr(workers.collect())),
+            ("aggregate", aggregate),
+        ]);
+        format!("{}\n", Json::obj(doc))
     }
 
     /// The human-readable dashboard frame the polling loop prints.
@@ -421,13 +337,13 @@ impl WatchView {
                 .collect(),
         );
         for w in &self.workers {
-            let m = w.manifest.clone().unwrap_or_default();
+            let m = w.manifest.as_ref();
             t.row(vec![
                 w.worker.clone(),
                 w.completed.to_string(),
                 w.claims.to_string(),
-                m.cells_done.to_string(),
-                m.records_simulated.to_string(),
+                m.map_or(0, |m| m.cells_done).to_string(),
+                m.map_or(0, |m| m.records_simulated).to_string(),
                 w.records_per_sec().to_string(),
             ]);
         }
@@ -500,20 +416,5 @@ mod tests {
         std::fs::write(dir.join("journal.w1.jsonl"), "line\nline2\n").unwrap();
         assert_ne!(with_journal, dir_fingerprint(&dir), "append moves the fingerprint");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cell_sim_buckets_parses_sparse_pairs() {
-        let doc = Json::parse(
-            r#"{"histograms": {"campaign_cell_sim_ns": {"count": 3, "sum": 30,
-                "buckets": [[4, 2], [10, 1]]}}}"#,
-        )
-        .unwrap();
-        let buckets = cell_sim_buckets(&doc);
-        assert_eq!(buckets.len(), HISTOGRAM_BUCKETS);
-        assert_eq!(buckets[4], 2);
-        assert_eq!(buckets[10], 1);
-        assert_eq!(buckets.iter().sum::<u64>(), 3);
-        assert!(cell_sim_buckets(&Json::parse("{}").unwrap()).is_empty());
     }
 }

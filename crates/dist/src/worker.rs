@@ -29,7 +29,7 @@ use ccsim_campaign::{
     record_band_metrics, Campaign, CampaignSpec, GridCell, Journal, MergeCursor, TraceCache,
 };
 use ccsim_core::SimConfig;
-use ccsim_obs::{Field, RunMeta, RunObs};
+use ccsim_obs::{Json, RunMeta, RunObs};
 use ccsim_policies::PolicyKind;
 
 use crate::lease::{band_lease_id, Claim, LeaseDir};
@@ -176,9 +176,9 @@ pub fn run_worker(
     if let Some(o) = &mut obs {
         o.event(
             "run_start",
-            &[
-                ("cells_total", Field::U64(grid.cells.len() as u64)),
-                ("workloads", Field::U64(grid.workloads.len() as u64)),
+            vec![
+                ("cells_total", Json::int_saturating(grid.cells.len() as u64)),
+                ("workloads", Json::int_saturating(grid.workloads.len() as u64)),
             ],
         );
     }
@@ -268,10 +268,10 @@ pub fn run_worker(
             if let Some(o) = &mut obs {
                 o.event(
                     "claim",
-                    &[
-                        ("workload", Field::Str(workload)),
-                        ("cells", Field::U64(pending.len() as u64)),
-                        ("epoch", Field::U64(guard.epoch())),
+                    vec![
+                        ("workload", Json::str(workload)),
+                        ("cells", Json::int_saturating(pending.len() as u64)),
+                        ("epoch", Json::int_saturating(guard.epoch())),
                     ],
                 );
             }
@@ -341,11 +341,11 @@ pub fn run_worker(
                 o.add_band(pending.len() as u64, records_simulated, band_ns);
                 o.event(
                     "band_done",
-                    &[
-                        ("workload", Field::Str(workload)),
-                        ("cells", Field::U64(pending.len() as u64)),
-                        ("trace_records", Field::U64(trace_records)),
-                        ("sim_ns", Field::U64(band_ns)),
+                    vec![
+                        ("workload", Json::str(workload)),
+                        ("cells", Json::int_saturating(pending.len() as u64)),
+                        ("trace_records", Json::int_saturating(trace_records)),
+                        ("sim_ns", Json::int_saturating(band_ns)),
                     ],
                 );
                 let _ = o.write_manifest();
@@ -360,7 +360,7 @@ pub fn run_worker(
             outcome.backoffs += 1;
             ccsim_obs::metrics().dist_backoffs.inc();
             if let Some(o) = &mut obs {
-                o.event("backoff", &[("round", Field::U64(outcome.backoffs as u64))]);
+                o.event("backoff", vec![("round", Json::int_saturating(outcome.backoffs as u64))]);
             }
             std::thread::sleep(opts.backoff);
         }

@@ -4,8 +4,10 @@
 //! catalog of sharded atomic [`Counter`]s, [`Gauge`]s, and log₂-bucketed
 //! [`Histogram`]s with drop-guard [`Span`] timers, plus two pinned-schema
 //! sinks — a per-run JSONL event log + end-of-run manifest
-//! ([`RunObs`], [`OBS_SCHEMA_VERSION`]) and Prometheus-style text
-//! exposition ([`Snapshot::exposition`], `--metrics-out`).
+//! ([`RunObs`], [`Manifest`], [`OBS_SCHEMA_VERSION`]) and
+//! Prometheus-style text exposition ([`Snapshot::exposition`],
+//! `--metrics-out`) — and the workspace's one JSON tree, parser and
+//! emitter ([`json`]).
 //!
 //! Design constraints, in priority order:
 //!
@@ -17,8 +19,9 @@
 //!    allocations per record *with telemetry enabled*.
 //! 2. **No dependencies.** This crate sits below every other workspace
 //!    crate (core, ingest, campaign, dist, cli all instrument
-//!    through it), so it depends on nothing but `std` and carries its
-//!    own minimal deterministic JSON emitter ([`json`]).
+//!    through it), so it depends on nothing but `std` — which is why
+//!    the workspace's JSON module ([`json`]) lives here, and why this
+//!    crate can read back the manifest it writes.
 //! 3. **Run-scoped accuracy.** Process totals are global; a [`RunObs`]
 //!    snapshots the catalog at run start and manifests the delta, so
 //!    concurrent or consecutive runs in one process stay separable.
@@ -43,11 +46,12 @@ pub mod metrics;
 pub mod sink;
 pub mod snapshot;
 
+pub use json::{Json, JsonError};
 pub use metrics::{
     enabled, metrics, set_enabled, Counter, Gauge, Histogram, Metrics, Span, COUNTER_SHARDS,
     HISTOGRAM_BUCKETS,
 };
-pub use sink::{Field, RunMeta, RunObs};
+pub use sink::{check_document, document_header, DocumentError, Manifest, RunMeta, RunObs};
 pub use snapshot::{write_exposition, HistogramSnapshot, QuantileSummary, Snapshot};
 
 /// Schema version stamped into every obs document: the event-log

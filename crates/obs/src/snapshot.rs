@@ -2,6 +2,7 @@
 //! snapshots (run-scoped accounting), and Prometheus-style text
 //! exposition.
 
+use crate::json::Json;
 use crate::metrics::{metrics, HISTOGRAM_BUCKETS};
 use crate::metrics::{Gauge, Histogram};
 
@@ -73,6 +74,29 @@ impl QuantileSummary {
             p99: rank_bound(99, 100),
         }
     }
+
+    /// Document keys, in order.
+    const KEYS: [&'static str; 6] = ["p50", "p90", "p99", "min", "max", "count"];
+
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
+        let values = [self.p50, self.p90, self.p99, self.min, self.max, self.count];
+        Self::KEYS.into_iter().zip(values.map(Json::int_saturating)).collect()
+    }
+
+    /// `{p50, p90, p99, min, max, count}`: the block `campaign watch
+    /// --json` and trend-ledger lines carry.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.fields())
+    }
+
+    /// Reads [`QuantileSummary::to_json`] back: an absent field is 0,
+    /// anything but an object (a ledger line's `null`) is `None`.
+    pub fn from_json(doc: &Json) -> Option<QuantileSummary> {
+        let Json::Obj(_) = doc else { return None };
+        let field = |name| doc.get(name).and_then(Json::as_u64).unwrap_or(0);
+        let [p50, p90, p99, min, max, count] = Self::KEYS.map(field);
+        Some(QuantileSummary { count, min, max, p50, p90, p99 })
+    }
 }
 
 impl HistogramSnapshot {
@@ -116,7 +140,7 @@ impl HistogramSnapshot {
 /// `Snapshot::take()` at run start plus [`Snapshot::delta`] at run end
 /// scopes process-wide totals to one run — how manifests stay accurate
 /// when several runs share a process (tests, long-lived workers).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// `(name, total)` per counter.
     pub counters: Vec<(&'static str, u64)>,

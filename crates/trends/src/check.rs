@@ -8,7 +8,7 @@
 //! the gate, and a series the history cannot yet support reports
 //! `insufficient_history` instead of guessing.
 
-use ccsim_campaign::Json;
+use ccsim_obs::Json;
 
 use crate::entry::TrendEntry;
 use crate::CHECK_SCHEMA_VERSION;

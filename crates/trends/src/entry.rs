@@ -1,6 +1,6 @@
 //! One ledger entry: everything recorded about a single revision.
 
-use ccsim_campaign::Json;
+use ccsim_obs::Json;
 
 use crate::ingest::{BenchSummary, DiffSummary, ManifestSummary, WatchSummary};
 use crate::TRENDS_SCHEMA_VERSION;

@@ -10,8 +10,7 @@
 //! this revision writes, and wrong kinds or versions are errors, not
 //! zeros.
 
-use ccsim_campaign::Json;
-use ccsim_obs::{records_per_sec, QuantileSummary, OBS_SCHEMA_VERSION};
+use ccsim_obs::{check_document, records_per_sec, Json, Manifest, QuantileSummary};
 
 /// The `ccsim_benchmark` result-document schema (`benchmark/run.sh
 /// --out`) this crate ingests.
@@ -46,39 +45,6 @@ fn schema_is(doc: &Json, field: &str, version: u64) -> Result<(), String> {
     } else {
         Err(format!("unsupported {field} schema {v} (supported: {version})"))
     }
-}
-
-fn quantiles_to_json(q: &QuantileSummary) -> Json {
-    Json::obj(vec![
-        ("p50", Json::int(q.p50)),
-        ("p90", Json::int(q.p90)),
-        ("p99", Json::int(q.p99)),
-        ("min", Json::int(q.min)),
-        ("max", Json::int(q.max)),
-        ("count", Json::int(q.count)),
-    ])
-}
-
-fn quantiles_from_json(doc: &Json) -> QuantileSummary {
-    QuantileSummary {
-        p50: opt_u64(doc, "p50"),
-        p90: opt_u64(doc, "p90"),
-        p99: opt_u64(doc, "p99"),
-        min: opt_u64(doc, "min"),
-        max: opt_u64(doc, "max"),
-        count: opt_u64(doc, "count"),
-    }
-}
-
-/// The `campaign_cell_sim_ns` quantiles of one obs manifest: its
-/// pre-computed `quantiles` block. `None` when the histogram is absent
-/// (telemetry disabled).
-fn cell_sim_quantiles(doc: &Json) -> Option<QuantileSummary> {
-    let hist = doc.get("histograms")?.get("campaign_cell_sim_ns")?;
-    // The manifest's quantile block sits next to the histogram's own
-    // `count` and does not repeat it.
-    let q = quantiles_from_json(hist.get("quantiles")?);
-    Some(QuantileSummary { count: opt_u64(hist, "count"), ..q })
 }
 
 /// One timed benchmark unit, as stored in the ledger. The ledger keys
@@ -309,23 +275,21 @@ impl ManifestSummary {
         records_per_sec(self.records_simulated, self.sim_wall_ns)
     }
 
-    /// Distills an obs manifest document.
+    /// Distills an obs manifest document, read by
+    /// [`Manifest::from_json`].
     ///
     /// # Errors
     ///
     /// Returns a message when the document is not a manifest of the
     /// current obs schema.
     pub fn from_doc(doc: &Json) -> Result<ManifestSummary, String> {
-        schema_is(doc, "ccsim_obs", OBS_SCHEMA_VERSION)?;
-        if doc.get("kind").and_then(Json::as_str) != Some("manifest") {
-            return Err("not a manifest document (kind != \"manifest\")".to_owned());
-        }
+        let m = Manifest::from_json(doc).map_err(|e| e.to_string())?;
         Ok(ManifestSummary {
-            worker: req_str(doc, "worker")?,
-            cells_done: opt_u64(doc, "cells_done"),
-            records_simulated: opt_u64(doc, "records_simulated"),
-            sim_wall_ns: opt_u64(doc, "sim_wall_ns"),
-            cell_sim: cell_sim_quantiles(doc),
+            worker: m.meta.worker,
+            cells_done: m.cells_done,
+            records_simulated: m.records_simulated,
+            sim_wall_ns: m.sim_wall_ns,
+            cell_sim: m.metrics.histogram("campaign_cell_sim_ns").map(|h| h.quantiles()),
         })
     }
 
@@ -336,8 +300,8 @@ impl ManifestSummary {
             ("cells_done", Json::int(self.cells_done)),
             ("records_simulated", Json::int(self.records_simulated)),
             ("sim_wall_ns", Json::int(self.sim_wall_ns)),
-            ("records_per_sec", Json::int(self.records_per_sec())),
-            ("cell_sim", self.cell_sim.as_ref().map_or(Json::Null, quantiles_to_json)),
+            ("records_per_sec", Json::int_saturating(self.records_per_sec())),
+            ("cell_sim", self.cell_sim.as_ref().map_or(Json::Null, QuantileSummary::to_json)),
         ])
     }
 
@@ -352,10 +316,7 @@ impl ManifestSummary {
             cells_done: opt_u64(doc, "cells_done"),
             records_simulated: opt_u64(doc, "records_simulated"),
             sim_wall_ns: opt_u64(doc, "sim_wall_ns"),
-            cell_sim: match doc.get("cell_sim") {
-                None | Some(Json::Null) => None,
-                Some(q) => Some(quantiles_from_json(q)),
-            },
+            cell_sim: doc.get("cell_sim").and_then(QuantileSummary::from_json),
         })
     }
 }
@@ -392,10 +353,7 @@ impl WatchSummary {
     /// Returns a message when the document is not a watch view of the
     /// current obs schema or lacks the aggregate block.
     pub fn from_doc(doc: &Json) -> Result<WatchSummary, String> {
-        schema_is(doc, "ccsim_obs", OBS_SCHEMA_VERSION)?;
-        if doc.get("kind").and_then(Json::as_str) != Some("watch") {
-            return Err("not a watch document (kind != \"watch\")".to_owned());
-        }
+        check_document(doc, "watch").map_err(|e| e.to_string())?;
         let agg = doc.get("aggregate").ok_or("watch document lacks `aggregate`")?;
         Ok(WatchSummary {
             campaign: req_str(doc, "campaign")?,
@@ -403,7 +361,7 @@ impl WatchSummary {
             records_simulated: opt_u64(agg, "records_simulated"),
             sim_wall_ns: opt_u64(agg, "sim_wall_ns"),
             mean_cell_sim_ns: opt_u64(agg, "mean_cell_sim_ns"),
-            cell_sim: agg.get("cell_sim_ns").map(quantiles_from_json),
+            cell_sim: agg.get("cell_sim_ns").and_then(QuantileSummary::from_json),
         })
     }
 
@@ -414,9 +372,9 @@ impl WatchSummary {
             ("done", Json::Bool(self.done)),
             ("records_simulated", Json::int(self.records_simulated)),
             ("sim_wall_ns", Json::int(self.sim_wall_ns)),
-            ("records_per_sec", Json::int(self.records_per_sec())),
+            ("records_per_sec", Json::int_saturating(self.records_per_sec())),
             ("mean_cell_sim_ns", Json::int(self.mean_cell_sim_ns)),
-            ("cell_sim", self.cell_sim.as_ref().map_or(Json::Null, quantiles_to_json)),
+            ("cell_sim", self.cell_sim.as_ref().map_or(Json::Null, QuantileSummary::to_json)),
         ])
     }
 
@@ -432,10 +390,7 @@ impl WatchSummary {
             records_simulated: opt_u64(doc, "records_simulated"),
             sim_wall_ns: opt_u64(doc, "sim_wall_ns"),
             mean_cell_sim_ns: opt_u64(doc, "mean_cell_sim_ns"),
-            cell_sim: match doc.get("cell_sim") {
-                None | Some(Json::Null) => None,
-                Some(q) => Some(quantiles_from_json(q)),
-            },
+            cell_sim: doc.get("cell_sim").and_then(QuantileSummary::from_json),
         })
     }
 }
@@ -506,40 +461,6 @@ mod tests {
         assert_eq!(s.max_abs_mpki_delta, 0.25);
         let round = DiffSummary::from_entry_json(&Json::parse(&s.to_json().to_string()).unwrap());
         assert_eq!(round.unwrap(), s);
-    }
-
-    #[test]
-    fn v2_manifest_uses_precomputed_quantiles() {
-        let text = r#"{"ccsim_obs": 2, "kind": "manifest", "campaign": "c", "spec": "s",
-                "worker": "w1", "cells_done": 4, "bands_done": 2,
-                "records_simulated": 1000, "sim_wall_ns": 2000000000,
-                "histograms": {"campaign_cell_sim_ns": {"count": 4, "sum": 40,
-                    "quantiles": {"p50": 15, "p90": 31, "p99": 31, "min": 8, "max": 31},
-                    "buckets": [[4, 3], [5, 1]]}}}"#;
-        let s = ManifestSummary::from_doc(&Json::parse(text).unwrap()).unwrap();
-        assert_eq!(s.worker, "w1");
-        assert_eq!(s.records_per_sec(), 500);
-        let q = s.cell_sim.unwrap();
-        assert_eq!((q.p50, q.max, q.count), (15, 31, 4));
-        let round =
-            ManifestSummary::from_entry_json(&Json::parse(&s.to_json().to_string()).unwrap());
-        assert_eq!(round.unwrap(), s);
-
-        // No histogram at all (telemetry disabled): no quantiles.
-        let bare = Json::parse(
-            r#"{"ccsim_obs": 2, "kind": "manifest", "worker": "w2",
-                "records_simulated": 0, "sim_wall_ns": 0}"#,
-        )
-        .unwrap();
-        assert_eq!(ManifestSummary::from_doc(&bare).unwrap().cell_sim, None);
-        // Wrong kind or any other schema version is an error, not an
-        // empty summary.
-        let events = Json::parse(r#"{"ccsim_obs": 2, "kind": "events", "worker": "w"}"#).unwrap();
-        assert!(ManifestSummary::from_doc(&events).is_err());
-        for other in ["\"ccsim_obs\": 1", "\"ccsim_obs\": 3"] {
-            let doc = Json::parse(&text.replace("\"ccsim_obs\": 2", other)).unwrap();
-            assert!(ManifestSummary::from_doc(&doc).unwrap_err().contains("unsupported"));
-        }
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   (`bench.smoke/…` vs `bench/…`);
 //! * `ccsim report-diff --json` (`ccsim_report_diff` schema,
 //!   [`ingest::DiffSummary`]) — golden-campaign MPKI drift;
-//! * per-worker obs manifests (`ccsim_obs` schema,
+//! * per-worker obs manifests (`ccsim_obs` schema, read by
+//!   [`ccsim_obs::Manifest::from_json`] and distilled into
 //!   [`ingest::ManifestSummary`]) — fleet throughput and per-cell
-//!   sim-time quantiles (derived from raw buckets when a v1 manifest
-//!   predates the pre-computed quantile block);
+//!   sim-time quantiles;
 //! * `ccsim campaign watch --once --json` (`ccsim_obs` schema,
 //!   [`ingest::WatchSummary`]) — the aggregate fleet view.
 //!

@@ -31,7 +31,8 @@
 //!   metric catalog (sharded counters, gauges, log-bucketed
 //!   histograms with quantile summaries, span timers) feeding per-run
 //!   JSONL event logs, run manifests and Prometheus-style exposition,
-//!   all consumed by `ccsim campaign watch`;
+//!   all consumed by `ccsim campaign watch` — and the workspace's one
+//!   JSON module (`obs::json`, which `campaign::json` re-exports);
 //! * [`trends`] — the cross-revision performance ledger behind
 //!   `ccsim trends`: append-only `trends.jsonl` entries distilled
 //!   from bench reports, report diffs and obs manifests, deterministic

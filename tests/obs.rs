@@ -106,40 +106,30 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
     let log = std::fs::read_to_string(dir.join("run.obs.jsonl")).unwrap();
     let lines: Vec<&str> = log.lines().collect();
     assert_eq!(lines.len(), 2 + 2 * 2 + 1, "header + run_start + 2 bands x 2 + run_end: {log}");
-    assert!(lines[0].starts_with("{\"ccsim_obs\": 2, \"kind\": \"events\""), "{}", lines[0]);
+    let header = Json::parse(lines[0]).unwrap();
+    assert_eq!(ccsim::obs::check_document(&header, "events"), Ok(()), "{}", lines[0]);
     let signature: String = lines.iter().map(|l| format!("{}\n", event_signature(l))).collect();
     compare_or_bless("obs_events_v1.txt", &signature, "the event-log line schema");
 
     // Manifest: pinned document shape (keys in order, scalar kinds),
     // plus the run accounting the watch dashboard consumes.
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert!(manifest.starts_with("{\"ccsim_obs\": 2, \"kind\": \"manifest\""), "{manifest}");
     assert!(manifest.ends_with("}\n"));
     let doc = Json::parse(&manifest).unwrap();
-    assert_eq!(doc.get("worker").and_then(Json::as_str), Some("(solo)"));
-    assert_eq!(doc.get("cells_done").and_then(Json::as_u64), Some(4));
-    assert_eq!(doc.get("bands_done").and_then(Json::as_u64), Some(2));
-    assert!(doc.get("records_simulated").and_then(Json::as_u64).unwrap() > 0);
-    assert!(doc.get("sim_wall_ns").and_then(Json::as_u64).unwrap() > 0);
+    let read = ccsim::obs::Manifest::from_json(&doc).expect("the manifest reads back");
+    assert_eq!((read.meta.worker.as_str(), read.cells_done, read.bands_done), ("(solo)", 4, 2));
+    assert!(read.records_simulated > 0 && read.sim_wall_ns > 0);
     compare_or_bless(
         "obs_manifest_v2.json",
         &format!("{}\n", shape(&doc)),
         "the manifest document shape",
     );
 
-    // Histograms carry a precomputed quantile summary consistent with
-    // the raw buckets, so readers never re-derive it. The cell-sim
-    // histogram records one per-cell estimate per band: 2 bands here.
-    let cell_hist = doc.get("histograms").unwrap().get("campaign_cell_sim_ns").unwrap();
-    assert_eq!(cell_hist.get("count").and_then(Json::as_u64), Some(2));
-    let q = cell_hist.get("quantiles").expect("v2 manifests precompute quantiles");
-    let (p50, p99) = (
-        q.get("p50").and_then(Json::as_u64).unwrap(),
-        q.get("p99").and_then(Json::as_u64).unwrap(),
-    );
-    assert!(p50 > 0 && p50 <= p99, "p50 {p50} / p99 {p99}");
-    assert!(q.get("min").and_then(Json::as_u64).unwrap() <= p50);
-    assert!(q.get("max").and_then(Json::as_u64).unwrap() >= p99);
+    // The cell-sim histogram records one per-cell estimate per band (2
+    // bands here); its quantile summary is ordered and non-trivial.
+    let q = read.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
+    assert_eq!(q.count, 2);
+    assert!(0 < q.p50 && q.min <= q.p50 && q.p50 <= q.p99 && q.p99 <= q.max, "{q:?}");
 
     // A re-run into the same directory truncates and rewrites both
     // files with the same schema (fresh baseline, not accumulation).
@@ -211,9 +201,9 @@ fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
         "cold re-poll diverged"
     );
 
-    assert!(json.starts_with("{\"ccsim_obs\": 2, \"kind\": \"watch\""), "{json}");
     assert!(view.done());
     let doc = Json::parse(&json).unwrap();
+    assert_eq!(ccsim::obs::check_document(&doc, "watch"), Ok(()), "{json}");
     let cells = doc.get("cells").unwrap();
     assert_eq!(cells.get("total").and_then(Json::as_u64), Some(4));
     assert_eq!(cells.get("completed").and_then(Json::as_u64), Some(4));

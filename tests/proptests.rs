@@ -2,6 +2,7 @@
 
 use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
 use ccsim::ingest::{ingest, ingest_to_trace, IngestOptions};
+use ccsim::obs::Json;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
 use ccsim::trace::{read_trace, write_trace, AccessKind, TraceBuffer, TraceRecord};
@@ -62,6 +63,45 @@ fn arb_timing_variation() -> impl Strategy<Value = SimConfig> {
     })
 }
 
+/// An arbitrary [`Json`] tree grown from a bag of entropy words (the
+/// stand-in `proptest` has no recursive strategies): depth ≤ 6, unique
+/// object keys as the parser demands, strings over quotes, backslashes,
+/// control characters and non-ASCII, integers up to 2^53 inclusive, any
+/// finite float. An empty bag draws 0, which is `null`, so trees end.
+fn arb_json() -> impl Strategy<Value = Json> {
+    proptest::collection::vec(any::<u64>(), 1..200)
+        .prop_map(|words| json_from_words(&mut words.into_iter(), 0))
+}
+
+fn json_from_words(words: &mut std::vec::IntoIter<u64>, depth: usize) -> Json {
+    const CHARS: [char; 14] = [
+        '"', '\\', '/', '\n', '\t', '\0', '\u{1f}', '\u{7f}', ' ', 'a', 'ü', '中', '😀', '\u{2028}',
+    ];
+    fn string(words: &mut std::vec::IntoIter<u64>) -> String {
+        let len = words.next().unwrap_or(0) % 8;
+        (0..len).map(|_| CHARS[words.next().unwrap_or(0) as usize % CHARS.len()]).collect()
+    }
+    let pick = words.next().unwrap_or(0);
+    let arms = if depth < 6 { 7 } else { 5 };
+    let children = (pick >> 8) as usize % 5;
+    match pick % arms {
+        0 => Json::Null,
+        1 => Json::Bool(pick >> 8 & 1 == 1),
+        2 => match pick >> 8 & 3 {
+            0 => Json::int(Json::MAX_INT),
+            _ => Json::int(words.next().unwrap_or(0) % (Json::MAX_INT + 1)),
+        },
+        3 => Json::num(f64::from_bits(words.next().unwrap_or(0))),
+        4 => Json::Str(string(words)),
+        5 => Json::Arr((0..children).map(|_| json_from_words(words, depth + 1)).collect()),
+        _ => Json::Obj(
+            (0..children)
+                .map(|i| (format!("{}{i}", string(words)), json_from_words(words, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
 /// The fields of `stats` that describe *what* the level did, not when:
 /// everything except the MSHR merge count.
 fn functional(stats: ccsim::core::CacheStats) -> ccsim::core::CacheStats {
@@ -78,6 +118,28 @@ proptest! {
         write_trace(&trace, &mut bytes).unwrap();
         let back = read_trace(&bytes[..]).unwrap();
         prop_assert_eq!(back, trace);
+    }
+
+    /// The workspace's one JSON parser inverts both renderers for every
+    /// value the tree can hold, and hostile bytes never panic it: every
+    /// strict prefix of a rendered document is an `Err`, every
+    /// single-bit flip at every offset an `Ok` or an `Err`.
+    #[test]
+    fn json_roundtrips_and_survives_truncation_and_bit_flips(v in arb_json()) {
+        prop_assert_eq!(Json::parse(&v.to_pretty()), Ok(v.clone()));
+        let doc = Json::Arr(vec![v]);
+        let bytes = doc.to_string().into_bytes();
+        prop_assert_eq!(Json::parse(&String::from_utf8_lossy(&bytes)), Ok(doc));
+        let mut hostile = bytes.clone();
+        for at in 0..bytes.len() {
+            let prefix = String::from_utf8_lossy(&bytes[..at]);
+            prop_assert!(Json::parse(&prefix).is_err(), "prefix of {at} bytes parsed");
+            for bit in 0..8 {
+                hostile[at] = bytes[at] ^ (1 << bit);
+                let _ = Json::parse(&String::from_utf8_lossy(&hostile));
+            }
+            hostile[at] = bytes[at];
+        }
     }
 
     /// The `nonmem_before` splitting invariant (`TraceBuffer` docs):
