@@ -8,8 +8,7 @@
 //! absolute LLC-MPKI delta exceeds a threshold (default 0: byte-level
 //! determinism checking).
 
-use ccsim_core::experiment::report::fmt_f;
-use ccsim_core::experiment::Table;
+use ccsim_obs::Table;
 
 use crate::json::Json;
 
@@ -189,13 +188,13 @@ impl ReportDiff {
         for c in &self.cells {
             t.row(vec![
                 c.id.clone(),
-                fmt_f(c.a.llc_mpki, 3),
-                fmt_f(c.b.llc_mpki, 3),
-                fmt_f(c.mpki_delta(), 3),
-                fmt_f(100.0 * c.a.llc_miss_ratio, 2),
-                fmt_f(100.0 * c.b.llc_miss_ratio, 2),
-                fmt_f(c.miss_ratio_delta_pp(), 2),
-                fmt_f(c.ipc_delta_percent(), 3),
+                format!("{:.3}", c.a.llc_mpki),
+                format!("{:.3}", c.b.llc_mpki),
+                format!("{:.3}", c.mpki_delta()),
+                format!("{:.2}", 100.0 * c.a.llc_miss_ratio),
+                format!("{:.2}", 100.0 * c.b.llc_miss_ratio),
+                format!("{:.2}", c.miss_ratio_delta_pp()),
+                format!("{:.3}", c.ipc_delta_percent()),
             ]);
         }
         t

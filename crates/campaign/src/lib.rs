@@ -18,16 +18,18 @@
 //!   trace once and sharing it across every cell, campaign and run;
 //! * [`Campaign`] — the engine: per-cell checkpointing to a [`Journal`]
 //!   so an interrupted campaign resumes without redoing completed cells,
-//!   with cells executed by the lock-free work-stealing executor
-//!   ([`ccsim_core::experiment::run_jobs`]); [`Campaign::plan`] predicts
-//!   a run cell-by-cell without simulating (`--dry-run`);
+//!   with each workload's cells sharded over the work-stealing pool
+//!   ([`ccsim_core::experiment::run_jobs`]), one lockstep trace pass per
+//!   shard — the workspace's one sweep driver; [`Campaign::plan`]
+//!   predicts a run cell-by-cell without simulating (`--dry-run`);
 //! * [`CampaignReport`] — deterministic JSON / CSV / pretty-table output:
-//!   same spec and seed, byte-identical report, interrupted or not —
-//!   plus [`ReportDiff`] for cross-campaign regression hunting.
+//!   same spec and seed, byte-identical report, interrupted or not,
+//!   with the paper's Figure 2 / Figure 3 view chosen from the grid
+//!   ([`CampaignReport::paper_views`]) — plus [`ReportDiff`] for
+//!   cross-campaign regression hunting.
 //!
-//! The `fig2` / `fig3` binaries in `ccsim-figures` and `ccsim campaign` in
-//! the CLI are thin wrappers over this crate; [`spec::presets`] holds
-//! their grids.
+//! Every figure grid is a checked-in spec (`campaigns/*.json`); `ccsim
+//! campaign` and `ccsim sim` in the CLI are thin wrappers over this crate.
 //!
 //! # Example
 //!
@@ -63,7 +65,7 @@ pub use runner::{
     record_band_metrics, AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan,
     CellStatus, GridCell, LeaseView, PlanCell,
 };
-pub use spec::{presets, BaseConfig, CampaignSpec};
+pub use spec::{BaseConfig, CampaignSpec};
 
 /// The workspace JSON module (it lives in the leaf crate), under its old path.
 pub use ccsim_obs::json;

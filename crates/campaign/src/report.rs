@@ -11,14 +11,15 @@
 //! * per-cell CSV ([`CampaignReport::to_csv`]),
 //! * the paper's pretty tables ([`CampaignReport::cells_table`],
 //!   [`CampaignReport::speedup_by_suite_table`],
-//!   [`CampaignReport::mpki_table`]).
+//!   [`CampaignReport::mpki_table`]; [`CampaignReport::paper_views`]
+//!   picks the one the grid supports).
 //!
 //! Determinism contract: the same spec and seed produce byte-identical
 //! JSON and CSV, whether or not the run was interrupted and resumed.
 
-use ccsim_core::experiment::report::fmt_f;
-use ccsim_core::experiment::Table;
 use ccsim_core::{geomean_speedup_percent, SimResult};
+use ccsim_obs::Table;
+use ccsim_policies::PolicyKind;
 use ccsim_workloads::Suite;
 
 use crate::journal::sim_result_to_json;
@@ -149,13 +150,13 @@ impl CampaignReport {
                 c.suite.clone(),
                 c.config.clone(),
                 c.policy.clone(),
-                fmt_f(r.ipc(), 4),
-                fmt_f(r.mpki_l1d(), 2),
-                fmt_f(r.mpki_l2(), 2),
-                fmt_f(r.mpki_llc(), 2),
-                fmt_f(100.0 * r.llc.hit_rate(), 2),
-                fmt_f(100.0 * r.dram_reach_fraction(), 2),
-                c.speedup_vs_lru.map(|s| fmt_f(s, 3)).unwrap_or_default(),
+                format!("{:.4}", r.ipc()),
+                format!("{:.2}", r.mpki_l1d()),
+                format!("{:.2}", r.mpki_l2()),
+                format!("{:.2}", r.mpki_llc()),
+                format!("{:.2}", 100.0 * r.llc.hit_rate()),
+                format!("{:.2}", 100.0 * r.dram_reach_fraction()),
+                c.speedup_vs_lru.map(|s| format!("{s:.3}")).unwrap_or_default(),
             ]);
         }
         t
@@ -166,8 +167,7 @@ impl CampaignReport {
     ///
     /// Suites appear in the paper's order; a suite absent from the grid is
     /// skipped. Per-workload IPC ratios enter the geomean in spec
-    /// (figure) order, so the numbers match the pre-campaign `fig3`
-    /// binary digit for digit.
+    /// (figure) order.
     pub fn speedup_by_suite_table(&self, config: &str) -> Table {
         let policies: Vec<&str> =
             self.spec.policies.iter().map(|p| p.name()).filter(|p| *p != "lru").collect();
@@ -189,7 +189,7 @@ impl CampaignReport {
             for p in &policies {
                 // Per-workload IPC ratios, computed straight from the two
                 // cells' IPCs (no round-trip through the percentage, which
-                // could differ from the figure binaries by an ulp).
+                // could move a geomean by an ulp).
                 let ratios: Vec<f64> = suite_cells
                     .iter()
                     .filter(|c| c.policy == *p)
@@ -204,7 +204,7 @@ impl CampaignReport {
                 row.push(if ratios.is_empty() {
                     String::new()
                 } else {
-                    fmt_f(geomean_speedup_percent(&ratios), 2)
+                    format!("{:.2}", geomean_speedup_percent(&ratios))
                 });
             }
             table.row(row);
@@ -236,25 +236,45 @@ impl CampaignReport {
             reach_den += r.l1d.demand_misses;
             table.row(vec![
                 c.workload.clone(),
-                fmt_f(r.mpki_l1d(), 1),
-                fmt_f(r.mpki_l2(), 1),
-                fmt_f(r.mpki_llc(), 1),
-                fmt_f(100.0 * r.dram_reach_fraction(), 1),
-                fmt_f(r.ipc(), 3),
+                format!("{:.1}", r.mpki_l1d()),
+                format!("{:.1}", r.mpki_l2()),
+                format!("{:.1}", r.mpki_llc()),
+                format!("{:.1}", 100.0 * r.dram_reach_fraction()),
+                format!("{:.3}", r.ipc()),
             ]);
         }
         if !rows.is_empty() {
             let k = rows.len() as f64;
             table.row(vec![
                 "mean".into(),
-                fmt_f(sums[0] / k, 1),
-                fmt_f(sums[1] / k, 1),
-                fmt_f(sums[2] / k, 1),
-                fmt_f(100.0 * reach_num as f64 / reach_den.max(1) as f64, 1),
+                format!("{:.1}", sums[0] / k),
+                format!("{:.1}", sums[1] / k),
+                format!("{:.1}", sums[2] / k),
+                format!("{:.1}", 100.0 * reach_num as f64 / reach_den.max(1) as f64),
                 String::new(),
             ]);
         }
         table
+    }
+
+    /// The paper's view of this grid, one titled table per config
+    /// variant, chosen from the swept policies alone: LRU only is a
+    /// characterization ([`CampaignReport::mpki_table`], Figure 2), LRU
+    /// plus others a comparison
+    /// ([`CampaignReport::speedup_by_suite_table`], Figure 3), and a grid
+    /// without the LRU baseline has neither.
+    pub fn paper_views(&self) -> Vec<(String, Table)> {
+        let policies = &self.spec.policies;
+        let configs = self.spec.configs().into_iter().map(|(config, _)| config);
+        if !policies.contains(&PolicyKind::Lru) {
+            Vec::new()
+        } else if policies.len() == 1 {
+            let title = |c: &str| format!("{c}: MPKI by cache level under LRU");
+            configs.map(|c| (title(&c), self.mpki_table(&c))).collect()
+        } else {
+            let title = |c: &str| format!("{c}: geomean speed-up (%) over LRU per suite");
+            configs.map(|c| (title(&c), self.speedup_by_suite_table(&c))).collect()
+        }
     }
 }
 

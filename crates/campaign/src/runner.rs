@@ -14,7 +14,8 @@ use std::path::{Path, PathBuf};
 
 use ccsim_core::experiment::run_jobs;
 use ccsim_core::{simulate_grid, simulate_grid_stream, SimConfig, SimResult};
-use ccsim_ingest::{ingest_file, IngestOptions};
+use ccsim_ingest::{detect_file, ingest_file, IngestOptions, SourceFormat};
+use ccsim_obs::Table;
 use ccsim_policies::PolicyKind;
 use ccsim_trace::{read_trace_header, Trace, TraceReader};
 use ccsim_workloads::{build_workload_seeded, SuiteScale};
@@ -36,8 +37,9 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 ///
 /// Synthetic workloads are generated (or cache-read) into memory — they
 /// are bounded by construction. External `trace:` selectors stay **on
-/// disk**: each shard of cells streams the converted `CCTR` file through
-/// [`simulate_grid_stream`], so a multi-gigabyte ingested trace never
+/// disk**: each shard of cells streams the `CCTR` file (the source
+/// itself if it is one and no cache is attached, else its conversion)
+/// through [`simulate_grid_stream`], so a multi-gigabyte trace never
 /// materializes no matter how many (policy × config) cells replay it.
 ///
 /// This is the workload-band granularity the campaign runner and the
@@ -57,9 +59,11 @@ pub struct AcquiredTrace(Acquired);
 enum Acquired {
     /// Resident trace, replayed with [`simulate_grid`].
     InMemory(Trace),
-    /// On-disk `CCTR` file, streamed per shard. `temp` marks a one-shot
-    /// conversion (no cache attached) deleted when the handle drops.
-    Streamed { path: PathBuf, records: u64, temp: bool },
+    /// On-disk `CCTR` file, streamed per shard; results carry `selector`
+    /// as their workload whatever name the file embeds. `temp` marks a
+    /// one-shot conversion (no cache attached) deleted when the handle
+    /// drops.
+    Streamed { path: PathBuf, selector: String, records: u64, temp: bool },
 }
 
 impl AcquiredTrace {
@@ -122,18 +126,20 @@ impl AcquiredTrace {
         order.sort_by_key(|&i| std::cmp::Reverse(cells[i].0.llc.capacity_bytes()));
         let assignment: Vec<Vec<usize>> =
             (0..shards).map(|s| order[s..].iter().step_by(shards).copied().collect()).collect();
-        let shard_results = run_jobs(shards, shards, |s| {
+        let shard_results = run_jobs(shards, shards, |s| -> Result<Vec<SimResult>, String> {
             let shard: Vec<(SimConfig, PolicyKind)> =
                 assignment[s].iter().map(|&i| cells[i]).collect();
             match &self.0 {
                 Acquired::InMemory(trace) => Ok(simulate_grid(trace, &shard, chunk_records)),
-                Acquired::Streamed { path, .. } => {
+                Acquired::Streamed { path, selector, .. } => {
                     let file = File::open(path)
                         .map_err(|e| format!("opening trace {}: {e}", path.display()))?;
                     let reader = TraceReader::new(BufReader::new(file))
                         .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
-                    simulate_grid_stream(reader, &shard, chunk_records)
-                        .map_err(|e| format!("streaming trace {}: {e}", path.display()))
+                    let mut results = simulate_grid_stream(reader, &shard, chunk_records)
+                        .map_err(|e| format!("streaming trace {}: {e}", path.display()))?;
+                    results.iter_mut().for_each(|r| r.workload.clone_from(selector));
+                    Ok(results)
                 }
             }
         });
@@ -167,8 +173,9 @@ fn cctr_record_count(path: &Path) -> Result<u64, String> {
 }
 
 /// Acquires the trace for one workload selector: external `trace:` files
-/// go through the ingest pipeline onto disk (the trace cache when one is
-/// attached, a temporary file otherwise) and are streamed per cell;
+/// are streamed per shard from disk — from the trace cache when one is
+/// attached (converted on first use), else in place when the file
+/// already is native `CCTR`, else from a temporary conversion;
 /// synthetic workloads come from the per-name builders (cached when a
 /// cache is attached).
 fn acquire_trace(
@@ -179,8 +186,13 @@ fn acquire_trace(
 ) -> Result<AcquiredTrace, String> {
     if let Some(source) = workload.strip_prefix("trace:") {
         let opts = ingest_options_for(workload);
+        let source = Path::new(source);
         let (path, temp) = match cache {
-            Some(cache) => (cache.ensure_ingested(Path::new(source), &opts)?, false),
+            Some(cache) => (cache.ensure_ingested(source, &opts)?, false),
+            // Nothing to convert and nowhere to keep a copy.
+            None if matches!(detect_file(source), Ok(SourceFormat::Cctr)) => {
+                (source.to_owned(), false)
+            }
             None => {
                 // One-shot conversion: still streamed (bounded memory),
                 // just not kept. pid + a process-wide counter keep the
@@ -194,13 +206,14 @@ fn acquire_trace(
                     TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                     crate::spec::fnv1a64(workload.as_bytes()),
                 ));
-                ingest_file(Path::new(source), &tmp, &opts)
-                    .map_err(|e| format!("ingesting {source}: {e}"))?;
+                ingest_file(source, &tmp, &opts)
+                    .map_err(|e| format!("ingesting {}: {e}", source.display()))?;
                 (tmp, true)
             }
         };
         let records = cctr_record_count(&path)?;
-        return Ok(AcquiredTrace(Acquired::Streamed { path, records, temp }));
+        let selector = workload.to_owned();
+        return Ok(AcquiredTrace(Acquired::Streamed { path, selector, records, temp }));
     }
     let trace = match cache {
         Some(cache) => cache.get_or_generate(workload, scale, seed, || {
@@ -358,8 +371,8 @@ impl CampaignPlan {
 
     /// The plan as a printable table, one row per cell. Leased cells name
     /// their holder: `leased(worker-a)` / `stale-lease(worker-a)`.
-    pub fn table(&self) -> ccsim_core::experiment::Table {
-        let mut t = ccsim_core::experiment::Table::new(
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             ["workload", "config", "policy", "status"].iter().map(|s| (*s).to_owned()).collect(),
         );
         for c in &self.cells {
@@ -1047,30 +1060,5 @@ mod tests {
         let err = campaign.report_from_completed(&completed).unwrap_err();
         assert!(err.contains("1 of 4 cells"), "{err}");
         assert!(err.contains("xsbench.small|llc_x2|srrip"), "{err}");
-    }
-
-    #[test]
-    fn external_trace_workload_runs_without_a_cache() {
-        use ccsim_ingest::champsim::{ChampSimRecord, ChampSimWriter};
-        let dir = temp_dir("ext_nocache");
-        let source = dir.join("mini.champsim");
-        let mut w = ChampSimWriter::new(std::fs::File::create(&source).unwrap());
-        for i in 0..200u64 {
-            w.write(&ChampSimRecord::nonmem(0x400 + 4 * i)).unwrap();
-            w.write(&ChampSimRecord::load(0x600 + 4 * i, 0x10000 + 64 * (i % 32))).unwrap();
-        }
-        drop(w);
-        let selector = format!("trace:{}", source.display());
-        let spec = CampaignSpec::from_json_str(&format!(
-            r#"{{"name": "ext", "base_config": "tiny",
-                 "workloads": ["{selector}"], "policies": ["lru", "srrip"]}}"#
-        ))
-        .unwrap();
-        let outcome = Campaign::new(spec).threads(2).run().unwrap();
-        assert_eq!(outcome.cells_total, 2);
-        assert_eq!(outcome.report.cells[0].workload, selector);
-        assert_eq!(outcome.report.cells[0].suite, "external");
-        assert_eq!(outcome.report.cells[0].result.instructions, 400);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

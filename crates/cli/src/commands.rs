@@ -2,13 +2,10 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ccsim_campaign::journal::sim_result_to_json;
-use ccsim_campaign::{Campaign, CampaignSpec, Json, ReportDiff, TraceCache};
-use ccsim_core::experiment::report::fmt_f;
-use ccsim_core::experiment::{run_matrix, Table};
-use ccsim_core::{SimConfig, SimResult};
+use ccsim_campaign::{Campaign, CampaignReport, CampaignSpec, Json, ReportDiff, TraceCache};
+use ccsim_core::experiment::default_threads;
 use ccsim_ingest::{ingest_file, ingest_file_to_trace, IngestOptions, IngestReport, SourceFormat};
 use ccsim_policies::PolicyKind;
 use ccsim_trace::stats::{ReuseProfile, TraceStats};
@@ -24,7 +21,7 @@ USAGE:
     ccsim trace-stats <in>
     ccsim ingest <in> <out.cctr> [--format <cctr|champsim|cvp>]
               [--name <name>] [--lossy] [--stats]
-    ccsim sim <in.cctr> [--policy <name>]... [--llc-scale <power-of-two>]
+    ccsim sim <in> [--policy <name>]... [--llc-scale <power-of-two>]
               [--threads <n>] [--json]
     ccsim campaign <spec.json> [--threads <n>] [--out <dir>]
               [--cache-dir <dir>] [--no-cache] [--fresh] [--json] [--quiet]
@@ -37,7 +34,7 @@ USAGE:
               [--json] [--quiet]
     ccsim campaign status <spec.json> --shared-dir <dir>
     ccsim campaign watch <spec.json> --shared-dir <dir>
-              [--interval-ms <n>] [--max-idle-ms <n>] [--once] [--json]
+              [--max-idle-ms <n>] [--once] [--json]
     ccsim report-diff <a/report.json> <b/report.json> [--threshold <mpki>]
               [--json]
     ccsim trends record [--rev <rev>] [--ledger <file>] [--label <s>]
@@ -63,9 +60,12 @@ same foreign formats directly.
 Campaign specs accept external traces as `trace:<path>` workload
 selectors, converted once into the trace cache.
 
-Multi-policy `sim` runs sweep the policies in parallel (`--threads`,
-default: available cores, max 8); `--json` emits machine-readable
-results instead of the table.
+`sim` is a one-workload campaign over `trace:<in>` (CCTR, ChampSim or
+CVP; default policy lru) with no journal or cache: the file streams
+through the band executor (a native CCTR input in place), policies
+shard over `--threads` (default: available cores, max 8), and it prints
+the per-cell table or, with `--json`, the report document `campaign`
+writes and `report-diff` reads.
 
 `campaign` runs a declarative spec (see campaigns/*.json): traces are
 generated once into a content-addressed cache, every completed cell is
@@ -74,12 +74,16 @@ where it stopped (`--fresh` discards the journal), and the report is
 written to <out>/report.json and <out>/report.csv. Each workload's
 pending cells replay in one lockstep pass over its trace per thread
 (one decode feeds every cell of the shard); the report is
-byte-identical for any --threads. `--dry-run` prints
-the resolved grid and each cell's predicted fate (journaled /
-cached-trace / needs-trace) without simulating anything; with
-`--shared-dir` it reads that distributed directory instead — merged
-worker journals count as journaled, and claimed cells report as
-leased(<worker>) or stale-lease(<worker>).
+byte-identical for any --threads. After the per-cell table (grids of
+up to 64 cells) the run prints the paper's view of the grid, one table
+per LLC scale: per-level MPKI with a `mean` row when lru is the only
+policy (Figure 2: campaigns/fig2*.json), geomean speed-up over lru per
+suite when lru is swept with others (Figure 3: campaigns/fig3*.json).
+`--dry-run` prints the resolved grid and each cell's predicted fate
+(journaled / cached-trace / needs-trace) without simulating anything;
+with `--shared-dir` it reads that distributed directory instead —
+merged worker journals count as journaled, and claimed cells report
+as leased(<worker>) or stale-lease(<worker>).
 
 Distributed campaigns: N `campaign worker` processes — same host or
 many hosts over a shared filesystem — drain one grid cooperatively
@@ -104,13 +108,14 @@ include `_quantile` gauges). `campaign watch` renders a live dashboard
 — completed / leased / stale cells per worker, records/sec, cell-time
 quantiles and ETA from the manifests' completed-cell timings; `--once`
 prints one frame and exits, `--json` emits a machine document
-(byte-identical across polls of an unchanged directory). By default
-the loop long-polls a cheap stat-level fingerprint of the shared dir
-with jittered exponential backoff (up to --max-idle-ms, default 2000),
-so an idle fleet costs near-zero I/O and activity re-renders within
-tens of ms; `--interval-ms <n>` forces the legacy fixed-interval
-re-scan. Watch polling is incremental: completed journal segments are
-never re-read. See the Observability runbook in PAPER.md.
+(byte-identical across polls of an unchanged directory). The loop
+long-polls a cheap stat-level fingerprint of the shared dir with
+jittered exponential backoff (up to --max-idle-ms, default 2000) and
+re-collects when it moves or the backoff has reached that cap, so
+activity re-renders within tens of ms, an idle fleet costs one scan
+per cap, and a dead worker's lease still turns stale on screen.
+Watch polling is incremental: completed journal segments are never
+re-read. See the Observability runbook in PAPER.md.
 
 `trends` maintains an append-only cross-revision performance ledger
 (trends.jsonl, one entry per revision): `record` tags --rev/--label
@@ -148,8 +153,6 @@ fn build_workload(name: &str, quick: bool) -> Result<Trace, String> {
     let scale = if quick { SuiteScale::Quick } else { SuiteScale::Full };
     ccsim_workloads::build_workload(name, scale)
 }
-
-use ccsim_core::experiment::default_threads;
 
 /// Parses an optional `--flag <n>` usize argument.
 fn parse_flag_value<T: std::str::FromStr>(
@@ -359,86 +362,45 @@ pub fn trace_stats(args: &[String]) -> Result<(), String> {
 
 /// `ccsim sim <in> [--policy P]... [--llc-scale N] [--threads N] [--json]`
 pub fn sim(args: &[String]) -> Result<(), String> {
+    let report = sim_report(args)?;
+    if args.iter().any(|a| a == "--json") {
+        println!("{}", report.to_json_string().trim_end());
+    } else {
+        println!("platform: {}", report.spec.configs()[0].1);
+        println!("{}", report.cells_table().render());
+    }
+    Ok(())
+}
+
+/// `sim` is a one-workload campaign over `trace:<in>` with no journal,
+/// cache or obs dir. Its spec goes through the spec parser, so policies,
+/// scale and selector are validated exactly as a checked-in spec's are.
+fn sim_report(args: &[String]) -> Result<CampaignReport, String> {
     let positional = positionals(args, &["--policy", "--llc-scale", "--threads"], &["--json"])?;
-    let path = positional.first().ok_or_else(|| format!("expected <in.cctr>\n\n{USAGE}"))?;
-    let mut policies: Vec<PolicyKind> = Vec::new();
-    let mut llc_scale = 1u32;
-    let mut config = SimConfig::cascade_lake();
+    let path = positional.first().ok_or_else(|| format!("expected <in>\n\n{USAGE}"))?;
+    let mut policies = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policies.push(v.parse().map_err(|e| format!("{e}"))?);
-            }
-            "--llc-scale" => {
-                let v = it.next().ok_or("--llc-scale needs a value")?;
-                llc_scale = v.parse().map_err(|_| format!("bad llc scale {v:?}"))?;
-                config = SimConfig::cascade_lake()
-                    .try_with_llc_scale(llc_scale)
-                    .map_err(|e| e.to_string())?;
-            }
-            _ => {}
+        if a == "--policy" {
+            policies.push(Json::str(it.next().ok_or("--policy needs a value")?));
         }
     }
     if policies.is_empty() {
-        policies.push(PolicyKind::Lru);
+        policies.push(Json::str("lru"));
     }
+    let llc_scale: u32 = parse_flag_value(args, "--llc-scale")?.unwrap_or(1);
     let threads = parse_flag_value(args, "--threads")?.unwrap_or_else(default_threads);
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let json = args.iter().any(|a| a == "--json");
-    let trace = load_trace(path)?;
-    // Multi-policy runs go through the parallel work-stealing executor;
-    // results come back in policy order either way.
-    let results: Vec<SimResult> =
-        run_matrix(std::slice::from_ref(&trace), &policies, &config, threads)
-            .into_iter()
-            .map(|e| e.result)
-            .collect();
-    if json {
-        let cells = results
-            .iter()
-            .map(|r| {
-                let Json::Obj(mut pairs) = sim_result_to_json(r) else { unreachable!() };
-                pairs.push(("ipc".into(), Json::num(r.ipc())));
-                pairs.push(("llc_mpki".into(), Json::num(r.mpki_llc())));
-                Json::Obj(pairs)
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            ("workload", Json::str(trace.name())),
-            ("platform", Json::str(config.to_string())),
-            ("llc_scale", Json::int(llc_scale as u64)),
-            ("results", Json::Arr(cells)),
-        ]);
-        println!("{}", doc.to_pretty().trim_end());
-        return Ok(());
-    }
-    println!("platform: {config}");
-    let mut table = Table::new(vec![
-        "policy".into(),
-        "ipc".into(),
-        "l1d_mpki".into(),
-        "l2_mpki".into(),
-        "llc_mpki".into(),
-        "llc_hit_%".into(),
-        "dram_reach_%".into(),
+    let spec = Json::obj(vec![
+        ("name", Json::str("sim")),
+        ("llc_scales", Json::Arr(vec![Json::int(llc_scale.into())])),
+        ("workloads", Json::Arr(vec![Json::str(format!("trace:{path}"))])),
+        ("policies", Json::Arr(policies)),
     ]);
-    for r in &results {
-        table.row(vec![
-            r.policy.clone(),
-            fmt_f(r.ipc(), 3),
-            fmt_f(r.mpki_l1d(), 1),
-            fmt_f(r.mpki_l2(), 1),
-            fmt_f(r.mpki_llc(), 1),
-            fmt_f(100.0 * r.llc.hit_rate(), 1),
-            fmt_f(100.0 * r.dram_reach_fraction(), 1),
-        ]);
-    }
-    println!("{}", table.render());
-    Ok(())
+    let spec = CampaignSpec::from_json_str(&spec.to_string())?;
+    Ok(Campaign::new(spec).threads(threads).run()?.report)
 }
 
 /// `ccsim campaign <spec.json> [--threads N] [--out DIR] [--cache-dir DIR]
@@ -471,7 +433,6 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
     let cache_dir: PathBuf = parse_flag_value::<PathBuf>(args, "--cache-dir")?
         .unwrap_or_else(|| PathBuf::from("campaign-out").join("trace-cache"));
     let shared_dir: Option<PathBuf> = parse_flag_value(args, "--shared-dir")?;
-    let json = args.iter().any(|a| a == "--json");
     let quiet = args.iter().any(|a| a == "--quiet");
     let dry_run = args.iter().any(|a| a == "--dry-run");
     let journal_path = out_dir.join("journal.jsonl");
@@ -564,25 +525,45 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
     let name = campaign.spec().name.clone();
     let outcome = campaign.run()?;
     write_metrics_out(args)?;
-
-    let report_json = out_dir.join("report.json");
-    let report_csv = out_dir.join("report.csv");
-    std::fs::write(&report_json, outcome.report.to_json_string())
-        .map_err(|e| format!("writing {}: {e}", report_json.display()))?;
-    std::fs::write(&report_csv, outcome.report.to_csv())
-        .map_err(|e| format!("writing {}: {e}", report_csv.display()))?;
-
-    if json {
-        println!("{}", outcome.report.to_json_string().trim_end());
-        return Ok(());
-    }
-    if !quiet && outcome.report.cells.len() <= 64 {
-        println!("{}", outcome.report.cells_table().render());
-    }
-    println!(
+    let summary = format!(
         "campaign {name}: {} cells ({} resumed from journal), trace cache {} hit(s) / {} miss(es)",
         outcome.cells_total, outcome.cells_resumed, outcome.cache_hits, outcome.cache_misses
     );
+    emit_report(&outcome.report, &out_dir, args, &summary)
+}
+
+/// The one epilogue of `campaign` and `campaign assemble`: writes
+/// `report.json` / `report.csv` into `out_dir`, then prints the report
+/// document alone (`--json`) or the per-cell table (up to 64 cells), the
+/// grid's [`CampaignReport::paper_views`] (`--quiet` drops both),
+/// `summary` and the report paths.
+fn emit_report(
+    report: &CampaignReport,
+    out_dir: &Path,
+    args: &[String],
+    summary: &str,
+) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
+    let report_json = out_dir.join("report.json");
+    let report_csv = out_dir.join("report.csv");
+    let json = report.to_json_string();
+    std::fs::write(&report_json, &json)
+        .map_err(|e| format!("writing {}: {e}", report_json.display()))?;
+    std::fs::write(&report_csv, report.to_csv())
+        .map_err(|e| format!("writing {}: {e}", report_csv.display()))?;
+    if args.iter().any(|a| a == "--json") {
+        println!("{}", json.trim_end());
+        return Ok(());
+    }
+    if !args.iter().any(|a| a == "--quiet") {
+        if report.cells.len() <= 64 {
+            println!("{}", report.cells_table().render());
+        }
+        for (title, table) in report.paper_views() {
+            println!("{title}\n\n{}", table.render());
+        }
+    }
+    println!("{summary}");
     println!("report: {} and {}", report_json.display(), report_csv.display());
     Ok(())
 }
@@ -680,23 +661,7 @@ fn campaign_assemble(args: &[String]) -> Result<(), String> {
     let outcome = ccsim_dist::assemble(&spec, &shared)?;
     let out_dir: PathBuf = parse_flag_value::<PathBuf>(args, "--out")?
         .unwrap_or_else(|| PathBuf::from("campaign-out").join(&name));
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let report_json = out_dir.join("report.json");
-    let report_csv = out_dir.join("report.csv");
-    std::fs::write(&report_json, outcome.report.to_json_string())
-        .map_err(|e| format!("writing {}: {e}", report_json.display()))?;
-    std::fs::write(&report_csv, outcome.report.to_csv())
-        .map_err(|e| format!("writing {}: {e}", report_csv.display()))?;
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", outcome.report.to_json_string().trim_end());
-        return Ok(());
-    }
-    let quiet = args.iter().any(|a| a == "--quiet");
-    if !quiet && outcome.report.cells.len() <= 64 {
-        println!("{}", outcome.report.cells_table().render());
-    }
-    println!(
+    let summary = format!(
         "assembled campaign {name}: {} cells from {} segment(s), {} journal entries, \
          {} duplicate(s)",
         outcome.report.cells.len(),
@@ -704,8 +669,7 @@ fn campaign_assemble(args: &[String]) -> Result<(), String> {
         outcome.entries,
         outcome.duplicates
     );
-    println!("report: {} and {}", report_json.display(), report_csv.display());
-    Ok(())
+    emit_report(&outcome.report, &out_dir, args, &summary)
 }
 
 /// `ccsim campaign status <spec.json> --shared-dir <dir>`
@@ -717,60 +681,35 @@ fn campaign_status(args: &[String]) -> Result<(), String> {
 }
 
 /// `ccsim campaign watch <spec.json> --shared-dir <dir>
-/// [--interval-ms N] [--max-idle-ms N] [--once] [--json]`
+/// [--max-idle-ms N] [--once] [--json]`
 ///
-/// Two pacing modes: by default the loop long-polls a stat-level
-/// fingerprint of the shared directory ([`ccsim_dist::dir_fingerprint`])
-/// and only re-collects a view when it moves, sleeping with jittered
-/// exponential backoff up to `--max-idle-ms` in between — an idle fleet
-/// costs a couple of `readdir`s per backoff cap instead of a full
-/// journal merge per tick. `--interval-ms` opts into the legacy
-/// fixed-interval re-scan (useful when mtime granularity on an exotic
-/// filesystem makes fingerprints unreliable).
+/// One loop: stat the shared directory ([`ccsim_dist::dir_fingerprint`]),
+/// re-collect the view when [`ccsim_dist::WatchPacing::due`] says so
+/// (the fingerprint moved, or the idle backoff reached `--max-idle-ms`:
+/// a dead worker's lease turns stale without any write), sleep the
+/// jittered backoff.
 fn campaign_watch(args: &[String]) -> Result<(), String> {
     let (spec, shared) = dist_spec_and_shared_dir(
         args,
-        &["--shared-dir", "--interval-ms", "--max-idle-ms"],
+        &["--shared-dir", "--max-idle-ms"],
         &["--once", "--json"],
         "watch",
     )?;
-    let interval_ms = parse_flag_value::<u64>(args, "--interval-ms")?;
     let max_idle_ms = parse_flag_value::<u64>(args, "--max-idle-ms")?.unwrap_or(2000);
     let once = args.iter().any(|a| a == "--once");
     let json = args.iter().any(|a| a == "--json");
     // One watcher for the whole loop: its merge cursor makes each poll
     // read only journal bytes appended since the previous poll.
     let mut watcher = ccsim_dist::Watcher::new();
-    let show = |view: &ccsim_dist::WatchView| {
-        if json {
-            print!("{}", view.to_json());
-        } else {
-            println!("{}", view.render());
-        }
-    };
-    if let Some(ms) = interval_ms {
-        let interval = std::time::Duration::from_millis(ms.max(50));
-        loop {
-            let view = watcher.poll(&spec, &shared)?;
-            show(&view);
-            if once {
-                return Ok(());
-            }
-            if view.done() {
-                println!("campaign complete");
-                return Ok(());
-            }
-            std::thread::sleep(interval);
-        }
-    }
     let mut pacing = ccsim_dist::WatchPacing::new(max_idle_ms, u64::from(std::process::id()));
-    let mut last_fingerprint: Option<u64> = None;
     loop {
-        let fingerprint = ccsim_dist::dir_fingerprint(&shared);
-        if last_fingerprint != Some(fingerprint) {
-            last_fingerprint = Some(fingerprint);
+        if pacing.due(ccsim_dist::dir_fingerprint(&shared)) {
             let view = watcher.poll(&spec, &shared)?;
-            show(&view);
+            if json {
+                print!("{}", view.to_json());
+            } else {
+                println!("{}", view.render());
+            }
             if once {
                 return Ok(());
             }
@@ -778,7 +717,6 @@ fn campaign_watch(args: &[String]) -> Result<(), String> {
                 println!("campaign complete");
                 return Ok(());
             }
-            pacing.activity();
         }
         std::thread::sleep(pacing.idle_delay());
     }
@@ -1054,26 +992,62 @@ mod tests {
         trace_gen(&["xsbench.small".into(), path_s.clone(), "--quick".into()]).unwrap();
         trace_stats(std::slice::from_ref(&path_s)).unwrap();
         sim(&[path_s.clone(), "--policy".into(), "srrip".into()]).unwrap();
-        // Multi-policy parallel sweep and machine-readable output; flags
-        // may precede the trace path (flag values are not positionals).
-        sim(&[
-            "--policy".into(),
-            "lru".into(),
-            "--policy".into(),
-            "srrip".into(),
-            "--threads".into(),
-            "2".into(),
-            "--json".into(),
-            path_s.clone(),
-        ])
-        .unwrap();
+        sim(&["--json".into(), path_s.clone()]).unwrap();
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// `sim` is a campaign of one workload: at any thread count, and
+    /// whether the trace is native CCTR streamed in place or a ChampSim
+    /// file converted on the fly, every cell is bit-equal to simulating
+    /// it alone, and the `--json` document is one `report-diff` reads.
+    #[test]
+    fn sim_cells_equal_per_cell_simulate_and_its_json_diffs_clean() {
+        use ccsim_core::{simulate, SimConfig, SimResult};
+        let dir = std::env::temp_dir().join(format!("ccsim_cli_sim_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cctr: String = dir.join("t.cctr").to_str().unwrap().into();
+        trace_gen(&["xsbench.small".into(), cctr.clone(), "--quick".into()]).unwrap();
+        let champsim =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/ingest_v1.champsim");
+        let policies = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Hawkeye, PolicyKind::Mpppb];
+        let config = SimConfig::cascade_lake().with_llc_scale(2);
+        // Flags may precede the trace path (flag values are not positionals).
+        let args = |input: &str, threads: &str| {
+            let mut args: Vec<String> = vec!["--llc-scale".into(), "2".into()];
+            args.extend(policies.iter().flat_map(|p| ["--policy".into(), p.name().into()]));
+            args.extend(["--threads".into(), threads.into(), input.into()]);
+            args
+        };
+        for input in [cctr.as_str(), champsim] {
+            let (trace, _) = load_any_trace(input).unwrap();
+            let oracle: Vec<SimResult> = policies
+                .iter()
+                .map(|&p| SimResult {
+                    workload: format!("trace:{input}"),
+                    ..simulate(&trace, &config, p)
+                })
+                .collect();
+            for threads in ["1", "4"] {
+                let report = sim_report(&args(input, threads)).unwrap();
+                let cells: Vec<SimResult> = report.cells.into_iter().map(|c| c.result).collect();
+                assert_eq!(cells, oracle, "{input} at --threads {threads}");
+            }
+        }
+        let json = |threads| sim_report(&args(&cctr, threads)).unwrap().to_json_string();
+        let diff = ReportDiff::from_json_strs(&json("1"), &json("4")).unwrap();
+        assert!(diff.same_grid());
+        assert_eq!((diff.cells.len(), diff.cells_over(0.0)), (policies.len(), 0));
+        assert_eq!(diff.max_abs_mpki_delta(), 0.0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn sim_rejects_bad_policy_and_scale() {
         assert!(sim(&["x.cctr".into(), "--policy".into(), "bogus".into()]).is_err());
         assert!(sim(&["x.cctr".into(), "--llc-scale".into(), "3".into()]).is_err());
+        let twice = ["x.cctr", "--policy", "lru", "--policy", "lru"].map(String::from);
+        assert!(sim(&twice).unwrap_err().contains("duplicate policy"));
         // A power of two whose set count overflows u32 is an error
         // naming the scale, not a panic in `Engine::new`.
         let err = sim(&["x.cctr".into(), "--llc-scale".into(), "2097152".into()]).unwrap_err();
@@ -1232,9 +1206,6 @@ mod tests {
         // trace-stats accepts the foreign file and the converted one.
         trace_stats(std::slice::from_ref(&in_s)).unwrap();
         trace_stats(std::slice::from_ref(&out_s)).unwrap();
-        // And the converted trace simulates.
-        sim(&[out_s.clone(), "--policy".into(), "lru".into()]).unwrap();
-
         // --stats characterizes in the same pass; the converted file and
         // the report are unchanged.
         let out3 = dir.join("stats.cctr");

@@ -4,11 +4,12 @@
 //! ccsim trace-gen <workload> <out.cctr>   capture a workload trace to disk
 //! ccsim trace-stats <in>                  footprint / PC / reuse statistics
 //! ccsim ingest <in> <out.cctr>            convert a ChampSim/CVP trace to CCTR
-//! ccsim sim <in.cctr> [--policy P]...     simulate a trace file
+//! ccsim sim <in> [--policy P]...          one-trace campaign: simulate a file
 //! ccsim campaign <spec.json>              run a declarative campaign
 //! ccsim campaign worker <spec.json>       drain a shared dir cooperatively
 //! ccsim campaign assemble <spec.json>     merge worker journals into a report
 //! ccsim campaign status <spec.json>       distributed-campaign progress
+//! ccsim campaign watch <spec.json>        live distributed-campaign dashboard
 //! ccsim report-diff <a.json> <b.json>     per-cell deltas of two reports
 //! ccsim trends record|table|check|gc      cross-revision performance ledger
 //! ccsim workloads                         list available workload names
@@ -17,9 +18,11 @@
 //!
 //! Workload names: any GAP pair (`bfs.kron`, `pr.twitter`, ...) or a
 //! synthetic suite member (`spec.stream`, `xsbench.large`, `qcom.srv0`).
-//! Add `--quick` to `trace-gen` for reduced-scale captures. `trace-stats`
-//! and `ingest` auto-detect foreign formats; campaign specs accept
-//! external trace files as `trace:<path>` workload selectors.
+//! Add `--quick` to `trace-gen` for reduced-scale captures. `trace-stats`,
+//! `ingest` and `sim` auto-detect foreign formats; campaign specs accept
+//! external trace files as `trace:<path>` workload selectors. This is
+//! the workspace's only executable: the paper's figures are specs under
+//! `campaigns/` run by `ccsim campaign`.
 
 use std::process::ExitCode;
 

@@ -7,9 +7,10 @@
 //! replacement policy is pluggable (any [`ccsim_policies::PolicyKind`]);
 //! L1D and L2 use LRU.
 //!
-//! The crate also hosts the experiment harness (parallel sweeps, table
-//! rendering, geometric-mean speed-ups) used to regenerate the paper's
-//! figures.
+//! The crate also hosts the grid replay driver and the job pool the
+//! campaign engine shards sweeps over ([`experiment`]), plus the
+//! geometric-mean speed-up helpers. It is records in, [`SimResult`] out:
+//! tables and JSON are rendered by `ccsim-obs`.
 //!
 //! # Example
 //!

@@ -11,7 +11,7 @@ use std::path::Path;
 
 use ccsim_campaign::journal::merge_dir_cached;
 use ccsim_campaign::{Campaign, CampaignSpec, MergeCursor};
-use ccsim_core::experiment::Table;
+use ccsim_obs::Table;
 
 use crate::lease::{band_workload, Lease, LeaseDir};
 use crate::leases_dir;

@@ -22,10 +22,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use ccsim_campaign::{CampaignSpec, MergeCursor};
-use ccsim_core::experiment::Table;
 use ccsim_ingest::Fnv64;
 use ccsim_obs::{
-    document_header, records_per_sec, Json, Manifest, QuantileSummary, HISTOGRAM_BUCKETS,
+    document_header, records_per_sec, Json, Manifest, QuantileSummary, Table, HISTOGRAM_BUCKETS,
 };
 
 use crate::status::{status_with_cursor, DistStatus};
@@ -74,9 +73,10 @@ pub struct Watcher {
 /// FNV-1a hash over the (name, len, mtime) of every top-level entry and
 /// every lease file. Workers touch the directory on every journal
 /// append, manifest rewrite, and lease claim/heartbeat/release, so the
-/// fingerprint changes whenever a full re-poll could show anything new —
-/// the push-mode watch loop sleeps until it moves instead of re-merging
-/// journals on a fixed interval.
+/// fingerprint moves whenever a *write* could show anything new. What it
+/// cannot see is time: a dead worker's lease goes stale without a byte
+/// changing, which is why [`WatchPacing::due`] also re-collects whenever
+/// the idle backoff sits at its cap.
 pub fn dir_fingerprint(shared_dir: &Path) -> u64 {
     let mut hash = Fnv64::new();
     let mut stat_dir = |dir: &Path| {
@@ -101,7 +101,8 @@ pub fn dir_fingerprint(shared_dir: &Path) -> u64 {
     hash.finish()
 }
 
-/// Sleep pacing for the push-mode watch loop: exponential backoff from
+/// Pacing of the watch loop (`if due(fingerprint) { poll }
+/// sleep(idle_delay())`): exponential backoff from
 /// [`WatchPacing::MIN_MS`] up to a cap while the directory fingerprint
 /// is unchanged, reset to the floor the moment it moves, plus a small
 /// deterministic jitter so a fleet of watchers never stats the shared
@@ -112,6 +113,7 @@ pub struct WatchPacing {
     cur_ms: u64,
     tick: u64,
     seed: u64,
+    last_fingerprint: Option<u64>,
 }
 
 impl WatchPacing {
@@ -122,12 +124,30 @@ impl WatchPacing {
     /// stats (floored at [`WatchPacing::MIN_MS`]). `seed` decorrelates
     /// jitter across watcher processes (pass the pid).
     pub fn new(cap_ms: u64, seed: u64) -> WatchPacing {
-        WatchPacing { cap_ms: cap_ms.max(Self::MIN_MS), cur_ms: Self::MIN_MS, tick: 0, seed }
+        WatchPacing {
+            cap_ms: cap_ms.max(Self::MIN_MS),
+            cur_ms: Self::MIN_MS,
+            tick: 0,
+            seed,
+            last_fingerprint: None,
+        }
+    }
+
+    /// Whether the view must be re-collected now: `fingerprint` moved
+    /// since the last call (which resets the backoff to the floor), or
+    /// the backoff has reached its cap — lease staleness is a function of
+    /// the clock, so a silent directory is still re-scanned once per cap.
+    pub fn due(&mut self, fingerprint: u64) -> bool {
+        let moved = self.last_fingerprint.replace(fingerprint) != Some(fingerprint);
+        if moved {
+            self.cur_ms = Self::MIN_MS;
+        }
+        moved || self.cur_ms >= self.cap_ms
     }
 
     /// The next idle delay: current backoff plus up to 25% jitter.
     /// Advances the backoff (doubling toward the cap), so call once per
-    /// unchanged poll.
+    /// loop iteration.
     pub fn idle_delay(&mut self) -> Duration {
         let base = self.cur_ms;
         self.cur_ms = (self.cur_ms * 2).min(self.cap_ms);
@@ -140,12 +160,6 @@ impl WatchPacing {
         z ^= z >> 31;
         let jitter = z % (base / 4).max(1);
         Duration::from_millis(base + jitter)
-    }
-
-    /// Resets the backoff to the floor — call when the fingerprint
-    /// moved and the view was re-collected.
-    pub fn activity(&mut self) {
-        self.cur_ms = Self::MIN_MS;
     }
 }
 
@@ -219,6 +233,12 @@ fn read_manifests(dir: &Path, campaign: &str, spec_digest: &str) -> BTreeMap<Str
 }
 
 impl WatchView {
+    /// One manifest field summed over every worker, saturating: anyone can plant a manifest.
+    fn manifest_total(&self, field: impl Fn(&Manifest) -> u64) -> u64 {
+        let manifests = self.workers.iter().filter_map(|w| w.manifest.as_ref());
+        manifests.fold(0, |total, m| total.saturating_add(field(m)))
+    }
+
     /// Whether the whole grid is journaled — the watch loop's exit
     /// condition.
     pub fn done(&self) -> bool {
@@ -227,13 +247,13 @@ impl WatchView {
 
     /// Engine-records simulated across all worker manifests.
     pub fn records_simulated(&self) -> u64 {
-        self.workers.iter().filter_map(|w| w.manifest.as_ref()).map(|m| m.records_simulated).sum()
+        self.manifest_total(|m| m.records_simulated)
     }
 
     /// Simulation wall-clock summed across all worker manifests, in
     /// nanoseconds.
     pub fn sim_wall_ns(&self) -> u64 {
-        self.workers.iter().filter_map(|w| w.manifest.as_ref()).map(|m| m.sim_wall_ns).sum()
+        self.manifest_total(|m| m.sim_wall_ns)
     }
 
     /// Aggregate records per second over the summed simulation
@@ -246,9 +266,7 @@ impl WatchView {
     /// (from the manifests' completed-cell timings; 0 until a band
     /// lands).
     pub fn mean_cell_sim_ns(&self) -> u64 {
-        let cells: u64 =
-            self.workers.iter().filter_map(|w| w.manifest.as_ref()).map(|m| m.cells_done).sum();
-        self.sim_wall_ns().checked_div(cells).unwrap_or(0)
+        self.sim_wall_ns().checked_div(self.manifest_total(|m| m.cells_done)).unwrap_or(0)
     }
 
     /// Fleet-wide per-cell simulation-time quantiles: the
@@ -260,7 +278,7 @@ impl WatchView {
         let manifests = self.workers.iter().filter_map(|w| w.manifest.as_ref());
         for h in manifests.filter_map(|m| m.metrics.histogram("campaign_cell_sim_ns")) {
             for (slot, &c) in buckets.iter_mut().zip(&h.buckets) {
-                *slot += c;
+                *slot = slot.saturating_add(c);
             }
         }
         QuantileSummary::from_buckets(&buckets)
@@ -377,9 +395,11 @@ mod tests {
     #[test]
     fn pacing_backs_off_and_resets() {
         let mut p = WatchPacing::new(400, 7);
+        assert!(p.due(1), "first observation");
         let d1 = p.idle_delay();
         assert!(d1 >= Duration::from_millis(WatchPacing::MIN_MS));
         assert!(d1 < Duration::from_millis(WatchPacing::MIN_MS + WatchPacing::MIN_MS / 4 + 1));
+        assert!(!p.due(1), "silent and still backing off");
         // Unchanged polls double toward the cap (jitter ≤ 25%).
         let mut last = d1;
         for _ in 0..6 {
@@ -387,8 +407,14 @@ mod tests {
         }
         assert!(last >= Duration::from_millis(400), "reached cap: {last:?}");
         assert!(last <= Duration::from_millis(500), "cap + 25% jitter: {last:?}");
-        p.activity();
+        // At the cap a silent directory is due on every tick; movement
+        // is due at once and resets the backoff to the floor.
+        assert!(p.due(1), "silent, but the backoff sits at its cap");
+        p.idle_delay();
+        assert!(p.due(1), "and stays there");
+        assert!(p.due(2), "moved");
         assert!(p.idle_delay() < Duration::from_millis(2 * WatchPacing::MIN_MS));
+        assert!(!p.due(2));
     }
 
     #[test]

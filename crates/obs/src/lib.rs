@@ -6,8 +6,9 @@
 //! sinks — a per-run JSONL event log + end-of-run manifest
 //! ([`RunObs`], [`Manifest`], [`OBS_SCHEMA_VERSION`]) and
 //! Prometheus-style text exposition ([`Snapshot::exposition`],
-//! `--metrics-out`) — and the workspace's one JSON tree, parser and
-//! emitter ([`json`]).
+//! `--metrics-out`) — and the workspace's presentation layer: the one
+//! JSON tree, parser and emitter ([`json`]) and the one ASCII/CSV table
+//! renderer ([`Table`]).
 //!
 //! Design constraints, in priority order:
 //!
@@ -20,8 +21,9 @@
 //! 2. **No dependencies.** This crate sits below every other workspace
 //!    crate (core, ingest, campaign, dist, cli all instrument
 //!    through it), so it depends on nothing but `std` — which is why
-//!    the workspace's JSON module ([`json`]) lives here, and why this
-//!    crate can read back the manifest it writes.
+//!    the workspace's JSON module ([`json`]) and [`Table`] live here
+//!    (the simulator crates stay records in, results out), and why
+//!    this crate can read back the manifest it writes.
 //! 3. **Run-scoped accuracy.** Process totals are global; a [`RunObs`]
 //!    snapshots the catalog at run start and manifests the delta, so
 //!    concurrent or consecutive runs in one process stay separable.
@@ -45,6 +47,7 @@ pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod snapshot;
+pub mod table;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
@@ -53,6 +56,7 @@ pub use metrics::{
 };
 pub use sink::{check_document, document_header, DocumentError, Manifest, RunMeta, RunObs};
 pub use snapshot::{write_exposition, HistogramSnapshot, QuantileSummary, Snapshot};
+pub use table::Table;
 
 /// Schema version stamped into every obs document: the event-log
 /// header, the run manifest, and the `campaign watch --json` view.

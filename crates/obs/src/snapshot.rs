@@ -46,19 +46,21 @@ impl QuantileSummary {
     /// Derives the summary from raw log₂ bucket counts. Buckets beyond
     /// `buckets.len()` count as empty, so callers holding fewer than
     /// [`HISTOGRAM_BUCKETS`] trailing buckets (elided zeros) work too.
+    /// Counts come from documents as well as live histograms, so the
+    /// total saturates instead of overflowing.
     pub fn from_buckets(buckets: &[u64]) -> QuantileSummary {
-        let count: u64 = buckets.iter().sum();
+        let count = buckets.iter().fold(0u64, |total, &c| total.saturating_add(c));
         if count == 0 {
             return QuantileSummary::default();
         }
         let first = buckets.iter().position(|&c| c > 0).unwrap_or(0);
         let last = buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
-        let rank_bound = |q_num: u64, q_den: u64| {
+        let rank_bound = |q_num: u128, q_den: u128| {
             // The bucket holding the ceil(q * count)-th sample (1-based).
-            let rank = (count * q_num).div_ceil(q_den).max(1);
-            let mut cumulative = 0u64;
+            let rank = (u128::from(count) * q_num).div_ceil(q_den).max(1);
+            let mut cumulative = 0u128;
             for (i, &c) in buckets.iter().enumerate() {
-                cumulative += c;
+                cumulative += u128::from(c);
                 if cumulative >= rank {
                     return Histogram::bucket_bound(i);
                 }

@@ -1,4 +1,4 @@
-//! Aligned ASCII tables and CSV emission for experiment results.
+//! Aligned ASCII tables and CSV emission for reports and dashboards.
 
 use std::fmt::Write as _;
 
@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use ccsim_core::experiment::Table;
+/// use ccsim_obs::Table;
 ///
 /// let mut t = Table::new(vec!["workload".into(), "mpki".into()]);
 /// t.row(vec!["bfs.kron".into(), "41.8".into()]);
@@ -102,11 +102,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` decimal places.
-pub fn fmt_f(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +134,6 @@ mod tests {
     fn ragged_row_rejected() {
         let mut t = Table::new(vec!["a".into(), "b".into()]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn fmt_f_digits() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(-0.5, 1), "-0.5");
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! against LRU and the best online policy. Shows how much of the
 //! (small) OPT-LRU gap the learned policies actually capture on graphs.
 //!
-//! Run with `cargo run --release -p ccsim-figures --bin ext_opt_headroom`.
+//! Run with `cargo run --release --example ext_opt_headroom` (quick-scale
+//! inputs).
 
-use ccsim_core::experiment::{report::fmt_f, Table};
-use ccsim_core::{simulate, simulate_with_llc_log, SimConfig};
-use ccsim_figures::Options;
-use ccsim_policies::{belady::belady_replay, PolicyKind};
-use ccsim_workloads::{GapGraph, GapKernel, GapWorkload};
+use ccsim::obs::Table;
+use ccsim::policies::belady::belady_replay;
+use ccsim::prelude::*;
+use ccsim::workloads::{GapGraph, GapKernel};
 
 fn main() {
-    let opts = Options::from_args();
     let config = SimConfig::cascade_lake();
     let workloads = [
         GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Kron },
@@ -22,17 +21,21 @@ fn main() {
         GapWorkload { kernel: GapKernel::Sssp, graph: GapGraph::Web },
         GapWorkload { kernel: GapKernel::Bc, graph: GapGraph::Friendster },
     ];
-    let mut table = Table::new(vec![
-        "workload".into(),
-        "lru_hit_%".into(),
-        "hawkeye_hit_%".into(),
-        "ship_hit_%".into(),
-        "opt_hit_%".into(),
-        "headroom_pts".into(),
-        "captured_by_hawkeye_%".into(),
-    ]);
+    let mut table = Table::new(
+        [
+            "workload",
+            "lru_hit_%",
+            "hawkeye_hit_%",
+            "ship_hit_%",
+            "opt_hit_%",
+            "headroom_pts",
+            "captured_by_hawkeye_%",
+        ]
+        .map(str::to_owned)
+        .to_vec(),
+    );
     for w in workloads {
-        let trace = w.trace(opts.gap_scale());
+        let trace = w.trace(GapScale::Quick);
         // The LLC demand stream is policy-independent (L1/L2 are fixed
         // LRU), so one logging run serves the oracle.
         let (lru, log) = simulate_with_llc_log(&trace, &config, PolicyKind::Lru);
@@ -41,26 +44,17 @@ fn main() {
         let opt = belady_replay(&log, config.llc.sets, config.llc.ways);
         let lru_hr = lru.llc.hit_rate();
         let hk_hr = hawkeye.llc.hit_rate();
-        let ship_hr = ship.llc.hit_rate();
-        let opt_hr = opt.hit_rate();
-        let headroom = opt_hr - lru_hr;
+        let headroom = opt.hit_rate() - lru_hr;
         let captured =
             if headroom.abs() < 1e-9 { 0.0 } else { 100.0 * (hk_hr - lru_hr) / headroom };
-        eprintln!(
-            "{w}: lru {:.3} hawkeye {:.3} ship {:.3} opt {:.3}",
-            lru_hr, hk_hr, ship_hr, opt_hr
-        );
-        table.row(vec![
-            w.to_string(),
-            fmt_f(100.0 * lru_hr, 1),
-            fmt_f(100.0 * hk_hr, 1),
-            fmt_f(100.0 * ship_hr, 1),
-            fmt_f(100.0 * opt_hr, 1),
-            fmt_f(100.0 * headroom, 1),
-            fmt_f(captured, 1),
-        ]);
+        let mut row = vec![w.to_string()];
+        for pct in [lru_hr, hk_hr, ship.llc.hit_rate(), opt.hit_rate(), headroom] {
+            row.push(format!("{:.1}", 100.0 * pct));
+        }
+        row.push(format!("{captured:.1}"));
+        table.row(row);
     }
-    println!("\nExtension D: OPT headroom at the LLC (GAP workloads)\n");
+    println!("Extension D: OPT headroom at the LLC (GAP workloads)\n");
     println!("{}", table.render());
     println!("\nCSV:\n{}", table.to_csv());
 }

@@ -8,50 +8,36 @@
 //! LLC MPKI toward the L1D MPKI and raises the DRAM-reach fraction toward
 //! the paper's 78.6 %.
 //!
-//! Run with `cargo run --release -p ccsim-figures --bin ext_scaling`
-//! (`--quick` caps the sweep at scale 16).
+//! Run with `cargo run --release --example ext_scaling` (a few seconds).
 
-use ccsim_core::experiment::{report::fmt_f, Table};
-use ccsim_core::{simulate, SimConfig};
-use ccsim_figures::Options;
-use ccsim_graph::{generators, traced};
-use ccsim_policies::PolicyKind;
+use ccsim::graph::{generators, traced};
+use ccsim::obs::Table;
+use ccsim::prelude::*;
 
 fn main() {
-    let opts = Options::from_args();
     let config = SimConfig::cascade_lake();
-    let max_scale = if opts.quick { 16 } else { 20 };
-    let mut table = Table::new(vec![
-        "scale".into(),
-        "vertices".into(),
-        "L1D".into(),
-        "L2C".into(),
-        "LLC".into(),
-        "dram_reach_%".into(),
-        "ipc".into(),
-    ]);
-    for scale in (12..=max_scale).step_by(2) {
+    let mut table = Table::new(
+        ["scale", "vertices", "L1D", "L2C", "LLC", "dram_reach_%", "ipc"]
+            .map(str::to_owned)
+            .to_vec(),
+    );
+    for scale in (12..=20).step_by(2) {
         // Uniform random graph at degree 4: footprint doubles per step at
         // near-constant trace length per vertex.
         let g = generators::uniform(scale, 4, 7);
         let (trace, _) = traced::bfs(&g, 0);
         let r = simulate(&trace, &config, PolicyKind::Lru);
-        eprintln!(
-            "scale {scale}: {} records, reach {:.1}%",
-            trace.len(),
-            100.0 * r.dram_reach_fraction()
-        );
         table.row(vec![
             scale.to_string(),
             (1u64 << scale).to_string(),
-            fmt_f(r.mpki_l1d(), 1),
-            fmt_f(r.mpki_l2(), 1),
-            fmt_f(r.mpki_llc(), 1),
-            fmt_f(100.0 * r.dram_reach_fraction(), 1),
-            fmt_f(r.ipc(), 3),
+            format!("{:.1}", r.mpki_l1d()),
+            format!("{:.1}", r.mpki_l2()),
+            format!("{:.1}", r.mpki_llc()),
+            format!("{:.1}", 100.0 * r.dram_reach_fraction()),
+            format!("{:.3}", r.ipc()),
         ]);
     }
-    println!("\nExtension F: MPKI convergence with graph scale (bfs.urand, LRU)\n");
+    println!("Extension F: MPKI convergence with graph scale (bfs.urand, LRU)\n");
     println!("{}", table.render());
     println!(
         "Paper regime (full-size inputs): L1D 53.2 ~ L2C 44.2 ~ LLC 41.8, \

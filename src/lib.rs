@@ -14,14 +14,17 @@
 //!   and friends behind ChampSim-style hooks, plus an offline Belady
 //!   oracle;
 //! * [`core`] — the cache-hierarchy simulator (Cascade Lake-like core,
-//!   three cache levels, DDR4 DRAM) and the experiment harness;
+//!   three cache levels, DDR4 DRAM), the one-pass grid replay driver and
+//!   the job pool sweeps shard over: records in, `SimResult` out;
 //! * [`workloads`] — the four benchmark suites of the paper (GAP, SPEC-,
 //!   XSBench- and Qualcomm-like proxies);
 //! * [`ingest`] — streaming ingestion of external simulator traces
 //!   (ChampSim, CVP) into the native `CCTR` format;
 //! * [`campaign`] — declarative, resumable experiment campaigns with an
 //!   on-disk trace cache (synthetic and ingested), dry-run planning,
-//!   deterministic JSON/CSV reports and cross-campaign diffing;
+//!   deterministic JSON/CSV reports and cross-campaign diffing. Its band
+//!   executor is the one sweep driver: `ccsim sim` and every figure grid
+//!   (`campaigns/*.json`, Figure 2 / Figure 3 views) run through it;
 //! * [`dist`] — coordinator-free distributed campaign execution:
 //!   lease-based workload-band claiming over a shared filesystem (each
 //!   claim is one one-pass grid replay), per-worker journal segments,
@@ -31,8 +34,9 @@
 //!   metric catalog (sharded counters, gauges, log-bucketed
 //!   histograms with quantile summaries, span timers) feeding per-run
 //!   JSONL event logs, run manifests and Prometheus-style exposition,
-//!   all consumed by `ccsim campaign watch` — and the workspace's one
-//!   JSON module (`obs::json`, which `campaign::json` re-exports);
+//!   all consumed by `ccsim campaign watch` — and the workspace's
+//!   presentation layer: the one JSON module (`obs::json`, which
+//!   `campaign::json` re-exports) and the one ASCII/CSV `obs::Table`;
 //! * [`trends`] — the cross-revision performance ledger behind
 //!   `ccsim trends`: append-only `trends.jsonl` entries distilled
 //!   from bench reports, report diffs and obs manifests, deterministic

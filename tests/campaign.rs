@@ -6,10 +6,9 @@
 //! a campaign that is killed part-way and resumed from its journal must
 //! produce the same bytes as an uninterrupted run.
 
-use ccsim::campaign::{presets, Campaign, CampaignReport, CampaignSpec, RawCell, TraceCache};
+use ccsim::campaign::{Campaign, CampaignReport, CampaignSpec, RawCell, TraceCache};
 use ccsim::core::{CacheStats, DramStats};
 use ccsim::prelude::*;
-use ccsim::workloads::SuiteScale;
 
 use std::path::{Path, PathBuf};
 
@@ -112,21 +111,25 @@ fn killed_then_resumed_campaign_reproduces_the_uninterrupted_report() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every figure grid is checked-in data: each file under `campaigns/`
+/// parses, is named after its file, and the paper's two grids keep
+/// their sizes (Figure 2: the 35 GAP workloads under LRU; Figure 3: all
+/// 51 workloads under LRU plus the six policies).
 #[test]
-fn checked_in_specs_parse_and_fig3_matches_the_preset() {
+fn checked_in_specs_parse_and_pin_their_grid_sizes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let fig3 = CampaignSpec::from_file(&root.join("campaigns/fig3_quick.json")).unwrap();
-    assert_eq!(
-        fig3,
-        presets::fig3_spec(SuiteScale::Quick),
-        "campaigns/fig3_quick.json must stay in sync with the fig3 binary's grid"
-    );
-    assert_eq!(fig3.expand_workloads().unwrap().len(), 8 + 3 + 5 + 35);
-
-    let sweep = CampaignSpec::from_file(&root.join("campaigns/llc_sweep_quick.json")).unwrap();
-    assert_eq!(sweep.llc_scales, vec![1, 2, 4]);
-    assert_eq!(sweep.configs().len(), 3);
-    assert!(sweep.policies.contains(&PolicyKind::Hawkeye));
+    let mut cells = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(root.join("campaigns")).unwrap() {
+        let path = entry.unwrap().path();
+        let spec = CampaignSpec::from_file(&path).unwrap();
+        assert_eq!(Some(spec.name.as_str()), path.file_stem().and_then(|s| s.to_str()));
+        cells.insert(spec.name.clone(), Campaign::new(spec).grid().unwrap().cells.len());
+    }
+    assert!(cells.len() >= 9, "{cells:?}");
+    assert_eq!((cells["fig2"], cells["fig2_quick"]), (35, 35));
+    assert_eq!((cells["fig3"], cells["fig3_quick"]), (357, 357));
+    assert_eq!(cells["ext_llc_sweep"], 5 * 4);
+    assert_eq!(cells["llc_sweep_quick"], 5 * 3 * 3);
 
     // The ingest demo spec references the checked-in ChampSim fixture by
     // a repo-root-relative path; keep the selector and fixture in sync.
@@ -135,6 +138,36 @@ fn checked_in_specs_parse_and_fig3_matches_the_preset() {
     let workloads = ingest.expand_workloads().unwrap();
     assert_eq!(workloads[0], "trace:tests/fixtures/ingest_v1.champsim");
     assert!(root.join("tests/fixtures/ingest_v1.champsim").exists());
+}
+
+/// The report printer picks the paper's view from the grid alone: LRU
+/// only is Figure 2's per-level MPKI table with its `mean` row, LRU plus
+/// other policies is Figure 3's suite table, no LRU baseline is
+/// neither — one table per config variant either way.
+#[test]
+fn paper_views_follow_the_swept_policies() {
+    let views = |policies: &str| {
+        let spec = CampaignSpec::from_json_str(&format!(
+            r#"{{"name": "views", "base_config": "tiny", "llc_scales": [1, 2],
+                 "workloads": ["xsbench.small", "spec.stack"], "policies": {policies}}}"#
+        ))
+        .unwrap();
+        let views = Campaign::new(spec).threads(4).run().unwrap().report.paper_views();
+        views.into_iter().map(|(title, table)| (title, table.to_csv())).collect::<Vec<_>>()
+    };
+    let mpki = views(r#"["lru"]"#);
+    let speedup = views(r#"["srrip", "lru", "ship"]"#);
+    assert_eq!((mpki.len(), speedup.len()), (2, 2), "one table per LLC scale");
+    for (i, config) in ["llc_x1", "llc_x2"].into_iter().enumerate() {
+        let (title, csv) = &mpki[i];
+        assert!(title.starts_with(config) && title.contains("MPKI"), "{title}");
+        assert!(csv.starts_with("workload,L1D,L2C,LLC,dram_reach_%,ipc\nxsbench.small,"), "{csv}");
+        assert!(csv.lines().nth(3).unwrap().starts_with("mean,"), "{csv}");
+        let (title, csv) = &speedup[i];
+        assert!(title.starts_with(config) && title.contains("speed-up"), "{title}");
+        assert!(csv.starts_with("suite,srrip,ship\nSPEC,") && csv.contains("\nXSBench,"), "{csv}");
+    }
+    assert!(views(r#"["srrip", "ship"]"#).is_empty(), "no LRU baseline, no paper view");
 }
 
 /// Pins the v2 JSON report schema byte-for-byte, the way

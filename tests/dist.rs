@@ -16,8 +16,8 @@ use std::time::{Duration, SystemTime};
 use ccsim::campaign::journal::merge_dir;
 use ccsim::campaign::{Campaign, CampaignSpec, Journal};
 use ccsim::dist::{
-    assemble, band_lease_id, cell_lease_views, leases_dir, run_worker, sanitize_worker_id, status,
-    Claim, LeaseDir, WorkerOptions,
+    assemble, band_lease_id, cell_lease_views, dir_fingerprint, leases_dir, run_worker,
+    sanitize_worker_id, status, Claim, LeaseDir, WatchPacing, Watcher, WorkerOptions,
 };
 
 /// 2 workloads x 2 policies x 2 LLC sizes on the tiny platform: enough
@@ -40,6 +40,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// `worker` claimed `id` an hour ago and died: a leaked claim, never
+/// renewed, long past its TTL.
+fn plant_dead_lease(leases: &LeaseDir, id: &str, worker: &str) {
+    let Claim::Acquired(guard) = leases.claim(id, worker, Duration::from_secs(60)).unwrap() else {
+        panic!("{id} is already held");
+    };
+    std::mem::forget(guard); // crash: no release, no renewal
+    let lease = std::fs::File::options().write(true).open(leases.path_for(id)).unwrap();
+    lease.set_modified(SystemTime::now() - Duration::from_secs(3600)).unwrap();
 }
 
 /// The single-process reference bytes for the grid.
@@ -191,6 +202,35 @@ fn crashed_worker_band_lease_expires_and_a_second_worker_resumes_mid_band() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every worker died: nothing writes to the shared directory, so its
+/// fingerprint never moves — yet a lease turns stale by the clock alone.
+/// The watch loop's poll decision ([`WatchPacing::due`]) must come round
+/// on a silent directory too, once the idle backoff reaches its cap;
+/// this drives it tick by tick, adding the delays up instead of sleeping.
+#[test]
+fn watch_recollects_a_silent_directory_and_sees_the_stale_lease() {
+    let dir = temp_dir("watch_idle");
+    let shared = dir.join("shared");
+    let spec = spec();
+    let leases = LeaseDir::open(leases_dir(&shared)).unwrap();
+    plant_dead_lease(&leases, &band_lease_id("xsbench.small"), "dead");
+
+    const CAP_MS: u64 = 400;
+    let mut pacing = WatchPacing::new(CAP_MS, 1);
+    let silent = dir_fingerprint(&shared);
+    assert!(pacing.due(silent), "the first look always collects");
+    let mut idle = pacing.idle_delay();
+    while !pacing.due(dir_fingerprint(&shared)) {
+        idle += pacing.idle_delay();
+        assert!(idle < Duration::from_millis(2 * CAP_MS), "never came due: {idle:?}");
+    }
+    assert_eq!(dir_fingerprint(&shared), silent, "nothing wrote to the directory");
+    assert!(idle <= Duration::from_millis(CAP_MS + CAP_MS / 4), "due within one cap: {idle:?}");
+    let view = Watcher::new().poll(&spec, &shared).unwrap();
+    assert_eq!((view.status.leased, view.status.stale), (0, 4), "the dead band shows stale");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn partial_grids_refuse_to_assemble_and_report_progress() {
     let dir = temp_dir("partial");
@@ -272,17 +312,7 @@ fn stale_leases_covering_only_completed_cells_are_not_reported() {
 
     let leases = LeaseDir::open(leases_dir(&shared)).unwrap();
     for id in [band_lease_id("xsbench.small"), "spec.stack|llc_x1|lru".to_owned()] {
-        let guard = match leases.claim(&id, "crashed-late", Duration::from_secs(60)).unwrap() {
-            Claim::Acquired(g) => g,
-            Claim::Held(h) => panic!("completed campaign should hold no leases: {h:?}"),
-        };
-        std::mem::forget(guard);
-        std::fs::File::options()
-            .write(true)
-            .open(leases.path_for(&id))
-            .unwrap()
-            .set_modified(SystemTime::now() - Duration::from_secs(3600))
-            .unwrap();
+        plant_dead_lease(&leases, &id, "crashed-late");
     }
 
     let st = status(&spec(), &shared).unwrap();

@@ -249,6 +249,50 @@ fn campaign_trace_selector_converts_once_and_reuses_the_cache() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `trace:` selector whose file already is native `CCTR`, run with no
+/// cache attached, is streamed where it lies — no second copy of a
+/// multi-GB trace in `$TMPDIR` — and the report carries the selector as
+/// the workload, byte-equal to the same spec run through a cache.
+#[test]
+fn native_cctr_selector_streams_in_place_without_a_cache() {
+    // One-shot conversions are `ccsim-stream-<pid>-<seq>-<selector hash>.cctr`.
+    let stream_temps = |selector: &str| {
+        let prefix = format!("ccsim-stream-{}-", std::process::id());
+        let suffix = format!("{:016x}.cctr", ccsim::campaign::spec::fnv1a64(selector.as_bytes()));
+        let names = std::fs::read_dir(std::env::temp_dir()).unwrap().flatten();
+        let ours = |n: &str| n.starts_with(&prefix) && n.ends_with(&suffix);
+        names.filter(|e| e.file_name().to_str().is_some_and(ours)).count()
+    };
+    let spec_over = |fixture: &str| {
+        CampaignSpec::from_json_str(&format!(
+            r#"{{"name": "inplace", "base_config": "tiny",
+                 "workloads": ["trace:{}"], "policies": ["lru", "srrip"]}}"#,
+            fixture_path(fixture).display()
+        ))
+        .unwrap()
+    };
+    let spec = spec_over("ingest_golden_v1.cctr");
+    let selector = spec.workloads[0].clone();
+
+    let held = Campaign::new(spec.clone()).acquire(&selector).unwrap();
+    assert!(held.is_streamed() && stream_temps(&selector) == 0, "a CCTR source is not converted");
+    // The probe does see the temporary a foreign source needs.
+    let foreign = spec_over("ingest_v1.champsim");
+    let converted = Campaign::new(foreign.clone()).acquire(&foreign.workloads[0]).unwrap();
+    assert_eq!(stream_temps(&foreign.workloads[0]), 1);
+    drop((held, converted));
+    assert_eq!(stream_temps(&foreign.workloads[0]), 0);
+
+    let in_place = Campaign::new(spec.clone()).threads(2).run().unwrap().report;
+    assert_eq!(in_place.cells[0].workload, selector, "not the name embedded in the file");
+    let dir = temp_dir("inplace");
+    let cache = TraceCache::new(dir.join("traces")).unwrap();
+    let cached = Campaign::new(spec).threads(2).cache(cache).run().unwrap();
+    assert_eq!(cached.cache_misses, 1, "the cache-attached route still converts");
+    assert_eq!(in_place.to_json_string(), cached.report.to_json_string());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn corrupt_cached_conversion_is_regenerated_not_propagated() {
     let dir = temp_dir("poison");

@@ -1,8 +1,8 @@
 //! Trends integration tests: the pinned `ccsim_trends` ledger-line,
 //! table and check-verdict formats, rolling-median gate behavior over
 //! a realistic multi-source history, torn-tail recovery with
-//! byte-preserving gc, and ingest of a freshly produced manifest from a
-//! real campaign run.
+//! byte-preserving gc, ingest of a freshly produced manifest from a
+//! real campaign run, and a hostile manifest's way to the ledger.
 //!
 //! Unlike the obs goldens, every trends artifact is a pure function of
 //! its inputs — no clocks, no timing — so all three fixtures are
@@ -13,7 +13,8 @@
 use std::path::PathBuf;
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
-use ccsim::obs::QuantileSummary;
+use ccsim::dist::Watcher;
+use ccsim::obs::{Manifest, QuantileSummary, RunMeta, Snapshot, HISTOGRAM_BUCKETS};
 use ccsim::trends::{
     render_table, run_check, BenchCellSummary, BenchSummary, CheckOptions, DiffSummary, Ledger,
     ManifestSummary, TrendEntry, WatchSummary,
@@ -291,5 +292,49 @@ fn freshly_produced_v2_manifest_ingests_end_to_end() {
     assert!(verdict.pass());
     assert!(verdict.series.iter().all(|s| s.status == "insufficient_history"));
     assert!(render_table(ledger.last_n(10)).contains("fleet/records_per_sec"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Manifests are files in a shared directory: anyone can plant one.
+/// Every cell-sim bucket at 2^53 (the largest integer JSON carries)
+/// makes the sample count 65 x 2^53, whose product with a percentile
+/// overflows `u64`: the summary must widen, not wrap or panic, from the
+/// manifest reader through `watch --once --json` into a ledger line.
+#[test]
+fn planted_histogram_counts_saturate_from_manifest_to_watch_to_ledger() {
+    let dir = temp_dir("planted");
+    let spec = CampaignSpec::from_json_str(
+        r#"{"name": "planted", "base_config": "tiny",
+            "workloads": ["xsbench.small"], "policies": ["lru"]}"#,
+    )
+    .unwrap();
+    let meta =
+        RunMeta { campaign: spec.name.clone(), spec_digest: spec.digest(), worker: "evil".into() };
+    let mut planted = Manifest { meta, metrics: Snapshot::take(), ..Manifest::default() };
+    let cell_sim =
+        planted.metrics.histograms.iter_mut().find(|(n, _)| *n == "campaign_cell_sim_ns");
+    cell_sim.unwrap().1.buckets = [Json::MAX_INT; HISTOGRAM_BUCKETS];
+    let text = format!("{}\n", planted.to_json());
+    std::fs::write(dir.join("manifest.evil.json"), &text).unwrap();
+
+    let doc = Json::parse(&text).unwrap();
+    let read = Manifest::from_json(&doc).unwrap();
+    let q = read.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
+    assert_eq!(q.count, 65 << 53);
+    assert_eq!((q.p50, q.p90, q.p99), ((1 << 32) - 1, (1 << 58) - 1, u64::MAX));
+
+    let watch_doc = Json::parse(&Watcher::new().poll(&spec, &dir).unwrap().to_json()).unwrap();
+    let watch = WatchSummary::from_doc(&watch_doc).unwrap();
+    let fleet = watch.cell_sim.unwrap();
+    assert_eq!((fleet.p50, fleet.count), ((1 << 32) - 1, Json::MAX_INT), "clamped, not wrapped");
+
+    let mut e = TrendEntry::new("feedface", "itest", "0");
+    e.manifests.push(ManifestSummary::from_doc(&doc).unwrap());
+    e.watch = Some(watch);
+    let path = dir.join("trends.jsonl");
+    Ledger::append(&path, &e).unwrap();
+    let line = Ledger::load(&path).unwrap().entries.remove(0);
+    assert_eq!(line.watch, e.watch);
+    assert_eq!(line.manifests[0].cell_sim, e.watch.unwrap().cell_sim, "one worker is the fleet");
     std::fs::remove_dir_all(&dir).unwrap();
 }
