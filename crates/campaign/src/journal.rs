@@ -16,7 +16,9 @@
 //!
 //! A header mismatch (different spec digest — the grid changed) restarts
 //! the journal from scratch; a torn trailing line (the process died
-//! mid-write) is dropped.
+//! mid-write) is dropped, and so is everything from the first cell line
+//! that lacks a field this revision writes — there is one cell-line
+//! schema, and a cell it cannot read exactly is re-simulated.
 //!
 //! # Concurrent writers: per-worker segments
 //!
@@ -479,8 +481,7 @@ fn cache_stats_from_json(v: &Json) -> Option<CacheStats> {
         evictions: f("evictions")?,
         writebacks_out: f("writebacks_out")?,
         bypasses: f("bypasses")?,
-        // Absent in journals written before the stat existed: zero then.
-        writeback_bypass_overrides: f("writeback_bypass_overrides").unwrap_or(0),
+        writeback_bypass_overrides: f("writeback_bypass_overrides")?,
     })
 }
 
@@ -546,6 +547,32 @@ mod tests {
         let r = sample_result(777);
         let back = sim_result_from_json(&sim_result_to_json(&r)).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// One cell-line schema: a line written before
+    /// `writeback_bypass_overrides` existed is unparsable like any other,
+    /// so its cell is re-simulated — a resumed report stays byte-equal
+    /// to a fresh one instead of carrying a guessed zero.
+    #[test]
+    fn cell_line_missing_a_counter_is_not_resumed() {
+        let path = temp_journal_path("strict");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "camp", "abcd").unwrap();
+            j.record("w|c|lru", &sample_result(1)).unwrap();
+            j.record("w|c|srrip", &sample_result(2)).unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = text.replacen(",\"writeback_bypass_overrides\":0", "", 1);
+        assert_ne!(old, text);
+        std::fs::write(&path, old).unwrap();
+        assert!(Journal::peek_completed(&path, "camp", "abcd").is_empty());
+        let j = Journal::open(&path, "camp", "abcd").unwrap();
+        assert_eq!(j.resumed(), 0, "the replay stops at the first line of another schema");
+        drop(j);
+        let header = text.lines().next().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{header}\n"));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub use diff::{DiffCell, ReportDiff};
 pub use journal::{merge_dir, merge_dir_cached, Journal, MergeCursor, MergedJournal};
 pub use report::{CampaignCell, CampaignReport, RawCell, REPORT_SCHEMA_VERSION};
 pub use runner::{
-    record_band_metrics, AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan,
-    CellStatus, GridCell, LeaseView, PlanCell,
+    AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan, CellStatus, GridCell,
+    LeaseView, PlanCell,
 };
 pub use spec::{BaseConfig, CampaignSpec};
 

@@ -4,9 +4,10 @@
 //! There is one execution path: a workload's pending cells form a band,
 //! [`AcquiredTrace::simulate_cells`] shards the band over the worker
 //! threads, and each shard is one lockstep pass of
-//! [`ccsim_core::GridReplay`] over the trace. [`Campaign::run`] and the
-//! distributed worker (`ccsim-dist`) both call it, with the chunk
-//! length autotuned.
+//! [`ccsim_core::GridReplay`] over the trace, with the chunk length
+//! autotuned. [`Campaign::run_band`] is the one band step — acquire,
+//! simulate, account, journal — that [`Campaign::run`] and the
+//! distributed worker (`ccsim-dist`) both loop over.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -107,19 +108,8 @@ impl AcquiredTrace {
         threads: usize,
         chunk_records: usize,
     ) -> Result<Vec<SimResult>, String> {
-        self.simulate_band(cells, threads, chunk_records).map(|(results, _)| results)
-    }
-
-    /// [`AcquiredTrace::simulate_cells`], also returning how many shards
-    /// — trace passes — the band took.
-    fn simulate_band(
-        &self,
-        cells: &[(SimConfig, PolicyKind)],
-        threads: usize,
-        chunk_records: usize,
-    ) -> Result<(Vec<SimResult>, usize), String> {
         if cells.is_empty() {
-            return Ok((Vec::new(), 0));
+            return Ok(Vec::new());
         }
         let shards = threads.clamp(1, cells.len());
         let mut order: Vec<usize> = (0..cells.len()).collect();
@@ -150,9 +140,7 @@ impl AcquiredTrace {
                 results[cell] = Some(result);
             }
         }
-        let results =
-            results.into_iter().map(|r| r.expect("every cell lands in exactly one shard"));
-        Ok((results.collect(), shards))
+        Ok(results.into_iter().map(|r| r.expect("every cell lands in exactly one shard")).collect())
     }
 }
 
@@ -222,22 +210,6 @@ fn acquire_trace(
         None => build_workload_seeded(workload, scale, seed)?,
     };
     Ok(AcquiredTrace(Acquired::InMemory(trace)))
-}
-
-/// Accounts one simulated workload band in the global metric catalog:
-/// band/cell/record counters, the band wall-clock histogram, and the
-/// per-cell wall estimate (band ÷ cells). Shared by [`Campaign::run`]
-/// and the distributed worker loop so solo and dist runs manifest the
-/// same metrics.
-pub fn record_band_metrics(cells: u64, records_simulated: u64, band_ns: u64) {
-    let m = ccsim_obs::metrics();
-    m.campaign_bands.inc();
-    m.campaign_cells.add(cells);
-    m.campaign_records.add(records_simulated);
-    m.campaign_band_sim_ns.record(band_ns);
-    if let Some(per_cell) = band_ns.checked_div(cells) {
-        m.campaign_cell_sim_ns.record(per_cell);
-    }
 }
 
 /// A configured, runnable campaign.
@@ -421,6 +393,12 @@ impl CampaignGrid {
     /// The cells of `workload`, in grid order.
     pub fn cells_of<'a>(&'a self, workload: &'a str) -> impl Iterator<Item = &'a GridCell> + 'a {
         self.cells.iter().filter(move |c| c.workload == workload)
+    }
+
+    /// The stderr progress prefix of `workload`'s band: `[i/n] <workload>`.
+    fn progress_label(&self, workload: &str) -> String {
+        let at = self.workloads.iter().position(|w| w == workload).map_or(0, |i| i + 1);
+        format!("[{at}/{}] {workload:<16}", self.workloads.len())
     }
 }
 
@@ -676,6 +654,83 @@ impl Campaign {
         Ok(CampaignReport::build(&self.spec, raw))
     }
 
+    /// The one band step, shared by [`Campaign::run`] and the distributed
+    /// worker: acquires `workload`'s trace (only now — a fully-journaled
+    /// workload costs no generation at all), replays its `pending` cells
+    /// in one pass per shard over this campaign's threads, accounts the
+    /// band in the metric catalog and in `obs` (`band_start` / `band_done`
+    /// events, manifest rewrite), prints the progress line when verbose,
+    /// and journals every cell. Results come back in `pending` order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on trace acquisition, replay or journal I/O
+    /// failure; cells journaled before the failure stay journaled.
+    pub fn run_band(
+        &self,
+        grid: &CampaignGrid,
+        workload: &str,
+        pending: &[&GridCell],
+        journal: Option<&mut Journal>,
+        mut obs: Option<&mut ccsim_obs::RunObs>,
+    ) -> Result<Vec<SimResult>, String> {
+        let cells = Json::int_saturating(pending.len() as u64);
+        if let Some(o) = obs.as_mut() {
+            o.event(
+                "band_start",
+                vec![("workload", Json::str(workload)), ("cells", cells.clone())],
+            );
+        }
+        let trace = self.acquire(workload)?;
+        let band_start = std::time::Instant::now();
+        let band: Vec<(SimConfig, PolicyKind)> =
+            pending.iter().map(|cell| (grid.configs[cell.config_index].1, cell.policy)).collect();
+        let results = trace.simulate_cells(&band, self.threads, 0)?;
+        let band_ns = band_start.elapsed().as_nanos() as u64;
+        let records_simulated = trace.records() * pending.len() as u64;
+        // The global metric catalog: band/cell/record counters, the band
+        // wall-clock histogram and the per-cell wall estimate (band ÷ cells).
+        let m = ccsim_obs::metrics();
+        m.campaign_bands.inc();
+        m.campaign_cells.add(pending.len() as u64);
+        m.campaign_records.add(records_simulated);
+        m.campaign_band_sim_ns.record(band_ns);
+        if let Some(per_cell) = band_ns.checked_div(pending.len() as u64) {
+            m.campaign_cell_sim_ns.record(per_cell);
+        }
+        if let Some(o) = obs {
+            o.add_band(pending.len() as u64, records_simulated, band_ns);
+            o.event(
+                "band_done",
+                vec![
+                    ("workload", Json::str(workload)),
+                    ("cells", cells),
+                    ("trace_records", Json::int_saturating(trace.records())),
+                    ("sim_ns", Json::int_saturating(band_ns)),
+                    ("streamed", Json::Bool(trace.is_streamed())),
+                ],
+            );
+            let _ = o.write_manifest();
+        }
+        if self.verbose {
+            eprintln!(
+                "{} {} records, {} cells in {} pass(es){}",
+                grid.progress_label(workload),
+                trace.records(),
+                pending.len(),
+                self.threads.min(pending.len()),
+                if trace.is_streamed() { " (streamed)" } else { "" }
+            );
+        }
+        if let Some(j) = journal {
+            for (cell, result) in pending.iter().zip(&results) {
+                j.record(&cell.id, result)
+                    .map_err(|e| format!("writing journal {}: {e}", j.path().display()))?;
+            }
+        }
+        Ok(results)
+    }
+
     /// Runs every pending cell of the grid and assembles the report.
     ///
     /// # Errors
@@ -718,66 +773,16 @@ impl Campaign {
         let mut completed: std::collections::BTreeMap<String, SimResult> =
             journal.as_ref().map(|j| j.completed().clone()).unwrap_or_default();
         let mut cells_resumed = 0usize;
-        for (wi, workload) in grid.workloads.iter().enumerate() {
+        for workload in &grid.workloads {
             let cells: Vec<&GridCell> = grid.cells_of(workload).collect();
-            let pending: Vec<&&GridCell> =
-                cells.iter().filter(|c| !completed.contains_key(&c.id)).collect();
+            let pending: Vec<&GridCell> =
+                cells.iter().copied().filter(|c| !completed.contains_key(&c.id)).collect();
             cells_resumed += cells.len() - pending.len();
 
             if !pending.is_empty() {
-                if let Some(o) = obs.as_mut() {
-                    o.event(
-                        "band_start",
-                        vec![
-                            ("workload", Json::str(workload)),
-                            ("cells", Json::int_saturating(pending.len() as u64)),
-                        ],
-                    );
-                }
-                // Acquire the trace only when at least one cell needs it:
-                // a fully-journaled workload costs no generation at all.
-                let trace = self.acquire(workload)?;
-                let band_start = std::time::Instant::now();
-                let band: Vec<(SimConfig, PolicyKind)> = pending
-                    .iter()
-                    .map(|cell| (grid.configs[cell.config_index].1, cell.policy))
-                    .collect();
-                let (results, passes) = trace.simulate_band(&band, self.threads, 0)?;
-                let band_ns = band_start.elapsed().as_nanos() as u64;
-                let records_simulated = trace.records() * pending.len() as u64;
-                record_band_metrics(pending.len() as u64, records_simulated, band_ns);
-                if let Some(o) = obs.as_mut() {
-                    o.add_band(pending.len() as u64, records_simulated, band_ns);
-                    o.event(
-                        "band_done",
-                        vec![
-                            ("workload", Json::str(workload)),
-                            ("cells", Json::int_saturating(pending.len() as u64)),
-                            ("trace_records", Json::int_saturating(trace.records())),
-                            ("sim_ns", Json::int_saturating(band_ns)),
-                            ("streamed", Json::Bool(trace.is_streamed())),
-                        ],
-                    );
-                    let _ = o.write_manifest();
-                }
-                if self.verbose {
-                    eprintln!(
-                        "[{}/{}] {:<16} {} records, {} cells in {} pass(es){}",
-                        wi + 1,
-                        grid.workloads.len(),
-                        workload,
-                        trace.records(),
-                        pending.len(),
-                        passes,
-                        if trace.is_streamed() { " (streamed)" } else { "" }
-                    );
-                }
-                for (cell, result) in pending.iter().zip(results) {
-                    if let Some(j) = journal.as_mut() {
-                        j.record(&cell.id, &result).map_err(|e| format!("writing journal: {e}"))?;
-                    }
-                    completed.insert(cell.id.clone(), result);
-                }
+                let results =
+                    self.run_band(&grid, workload, &pending, journal.as_mut(), obs.as_mut())?;
+                completed.extend(pending.iter().map(|c| c.id.clone()).zip(results));
             } else {
                 if let Some(o) = obs.as_mut() {
                     o.event(
@@ -789,12 +794,7 @@ impl Campaign {
                     );
                 }
                 if self.verbose {
-                    eprintln!(
-                        "[{}/{}] {:<16} resumed from journal",
-                        wi + 1,
-                        grid.workloads.len(),
-                        workload
-                    );
+                    eprintln!("{} resumed from journal", grid.progress_label(workload));
                 }
             }
         }
@@ -900,9 +900,8 @@ mod tests {
         let reference = oracle(&trace, &band);
         for threads in [1, 2, 3, 16] {
             for chunk in [0, 17] {
-                let (results, passes) = trace.simulate_band(&band, threads, chunk).unwrap();
+                let results = trace.simulate_cells(&band, threads, chunk).unwrap();
                 assert_eq!(results, reference, "threads={threads} chunk={chunk}");
-                assert_eq!(passes, threads.min(band.len()));
             }
         }
         assert!(trace.simulate_cells(&[], 4, 0).unwrap().is_empty());

@@ -1,0 +1,225 @@
+//! `campaign worker|assemble|status|watch`: one grid drained by many
+//! processes through a shared directory.
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use crate::args::{Args, Command, Flag};
+use crate::campaign::{emit_report, load_spec, threads, write_metrics_out};
+
+pub const WORKER: Command = Command {
+    path: &["campaign", "worker"],
+    positionals: &["<spec.json>"],
+    flags: &[
+        Flag::required("--shared-dir", "dir"),
+        Flag::value("--worker-id", "id"),
+        Flag::value("--ttl-secs", "n"),
+        Flag::value("--threads", "n"),
+        Flag::value("--backoff-ms", "n"),
+        Flag::value("--max-cells", "n"),
+        Flag::switch("--quiet"),
+        Flag::value("--metrics-out", "file"),
+    ],
+    about: "drain a shared dir cooperatively
+
+Distributed campaigns: N `campaign worker` processes — same host or
+many hosts over a shared filesystem — drain one grid cooperatively
+through <shared-dir>. Claims are lease files (atomic create, TTL'd,
+heartbeat-renewed; a crashed worker's leases expire and its cells are
+reclaimed), each worker journals to its own journal.<id>.jsonl
+segment, and traces convert once into the shared trace-cache/.
+`campaign assemble` merges the segments into the report, `campaign
+status` and `campaign watch` show progress; telemetry and
+`--metrics-out` are as for `campaign`. See the Distributed-campaigns
+runbook in PAPER.md.",
+    run: worker,
+};
+
+pub const ASSEMBLE: Command = Command {
+    path: &["campaign", "assemble"],
+    positionals: &["<spec.json>"],
+    flags: &[
+        Flag::required("--shared-dir", "dir"),
+        Flag::value("--out", "dir"),
+        Flag::switch("--json"),
+        Flag::switch("--quiet"),
+    ],
+    about: "merge worker journals into a report
+
+`campaign assemble` merges any worker set's segments into a report
+byte-identical to a single-process run (failing loudly on incomplete
+grids or conflicting results).",
+    run: assemble,
+};
+
+pub const STATUS: Command = Command {
+    path: &["campaign", "status"],
+    positionals: &["<spec.json>"],
+    flags: &[Flag::required("--shared-dir", "dir")],
+    about: "distributed-campaign progress
+
+`campaign status` shows per-worker progress, live claims and stale
+leases.",
+    run: status,
+};
+
+pub const WATCH: Command = Command {
+    path: &["campaign", "watch"],
+    positionals: &["<spec.json>"],
+    flags: &[
+        Flag::required("--shared-dir", "dir"),
+        Flag::value("--max-idle-ms", "n"),
+        Flag::switch("--once"),
+        Flag::switch("--json"),
+    ],
+    about: "live distributed-campaign dashboard
+
+`campaign watch` renders a live dashboard — completed / leased / stale
+cells per worker, records/sec, cell-time quantiles and ETA from the
+manifests' completed-cell timings (see `ccsim campaign --help`); `--once`
+prints one frame and exits, `--json` emits a machine document
+(byte-identical across polls of an unchanged directory). The loop
+long-polls a cheap stat-level fingerprint of the shared dir with
+jittered exponential backoff (up to --max-idle-ms, default 2000) and
+re-collects when it moves or the backoff has reached that cap, so
+activity re-renders within tens of ms, an idle fleet costs one scan
+per cap, and a dead worker's lease still turns stale on screen.
+Watch polling is incremental: completed journal segments are never
+re-read. See the Observability runbook in PAPER.md.",
+    run: watch,
+};
+
+fn worker(args: &Args) -> Result<(), String> {
+    let spec = load_spec(args)?;
+    let shared: PathBuf = args.required("--shared-dir")?;
+    let mut opts = ccsim_dist::WorkerOptions::new(
+        args.get::<String>("--worker-id")?.unwrap_or_else(ccsim_dist::default_worker_id),
+    );
+    if let Some(ttl) = args.positive("--ttl-secs")? {
+        opts.ttl = Duration::from_secs(ttl);
+    }
+    opts.threads = threads(args)?;
+    if let Some(ms) = args.get::<u64>("--backoff-ms")? {
+        opts.backoff = Duration::from_millis(ms.max(1));
+    }
+    opts.max_cells = args.get("--max-cells")?;
+    opts.verbose = !args.has("--quiet");
+    let worker_id = ccsim_dist::sanitize_worker_id(&opts.worker_id);
+    let outcome = ccsim_dist::run_worker(&spec, &shared, &opts)?;
+    write_metrics_out(args)?;
+    println!(
+        "worker {worker_id}: {} cell(s) completed ({} reclaimed from stale leases), \
+         {} backoff(s), campaign {}",
+        outcome.completed,
+        outcome.reclaimed,
+        outcome.backoffs,
+        if outcome.campaign_done { "complete" } else { "still pending (cell limit reached)" }
+    );
+    Ok(())
+}
+
+fn assemble(args: &Args) -> Result<(), String> {
+    let spec = load_spec(args)?;
+    let shared: PathBuf = args.required("--shared-dir")?;
+    let name = spec.name.clone();
+    let outcome = ccsim_dist::assemble(&spec, &shared)?;
+    let out_dir: PathBuf =
+        args.get::<PathBuf>("--out")?.unwrap_or_else(|| PathBuf::from("campaign-out").join(&name));
+    let summary = format!(
+        "assembled campaign {name}: {} cells from {} segment(s), {} journal entries, \
+         {} duplicate(s)",
+        outcome.report.cells.len(),
+        outcome.segments.len(),
+        outcome.entries,
+        outcome.duplicates
+    );
+    emit_report(&outcome.report, &out_dir, args, &summary)
+}
+
+fn status(args: &Args) -> Result<(), String> {
+    let shared: PathBuf = args.required("--shared-dir")?;
+    println!("{}", ccsim_dist::status(&load_spec(args)?, &shared)?.render());
+    Ok(())
+}
+
+/// One loop: stat the shared directory ([`ccsim_dist::dir_fingerprint`]),
+/// re-collect the view when [`ccsim_dist::WatchPacing::due`] says so
+/// (the fingerprint moved, or the idle backoff reached `--max-idle-ms`:
+/// a dead worker's lease turns stale without any write), sleep the
+/// jittered backoff.
+fn watch(args: &Args) -> Result<(), String> {
+    let spec = load_spec(args)?;
+    let shared: PathBuf = args.required("--shared-dir")?;
+    let max_idle_ms = args.get::<u64>("--max-idle-ms")?.unwrap_or(2000);
+    // One watcher for the whole loop: its merge cursor makes each poll
+    // read only journal bytes appended since the previous poll.
+    let mut watcher = ccsim_dist::Watcher::new();
+    let mut pacing = ccsim_dist::WatchPacing::new(max_idle_ms, u64::from(std::process::id()));
+    loop {
+        if pacing.due(ccsim_dist::dir_fingerprint(&shared)) {
+            let view = watcher.poll(&spec, &shared)?;
+            if args.has("--json") {
+                print!("{}", view.to_json());
+            } else {
+                println!("{}", view.render());
+            }
+            if args.has("--once") {
+                return Ok(());
+            }
+            if view.done() {
+                println!("campaign complete");
+                return Ok(());
+            }
+        }
+        std::thread::sleep(pacing.idle_delay());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ccsim, spec_dir};
+
+    #[test]
+    fn campaign_worker_assemble_status_drain_a_shared_dir() {
+        let (dir, spec) = spec_dir(
+            "dist",
+            r#"{"name": "cli_dist", "base_config": "tiny",
+                "workloads": ["xsbench.small"], "policies": ["lru", "srrip"]}"#,
+        );
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let shared = path("shared");
+
+        // The distributed subcommands demand a shared dir.
+        assert!(ccsim(&["campaign", "worker", &spec]).is_err());
+        assert!(ccsim(&["campaign", "assemble", &spec]).is_err());
+        assert!(ccsim(&["campaign", "status", &spec]).is_err());
+        // --shared-dir on a *run* is rejected (that's what worker is for).
+        assert!(ccsim(&["campaign", &spec, "--shared-dir", &shared]).is_err());
+        // Assembling before any worker ran names the missing cells.
+        let err = ccsim(&["campaign", "assemble", &spec, "--shared-dir", &shared]).unwrap_err();
+        assert!(err.contains("2 of 2 cells"), "{err}");
+
+        // Status and lease-aware dry-run work on the empty dir too.
+        ccsim(&["campaign", "status", &spec, "--shared-dir", &shared]).unwrap();
+        ccsim(&["campaign", &spec, "--dry-run", "--shared-dir", &shared, "--quiet"]).unwrap();
+
+        // One worker drains the whole grid; assemble matches a
+        // single-process run byte for byte.
+        let worker = ["campaign", "worker", &spec, "--shared-dir", &shared];
+        ccsim(&[&worker[..], &["--worker-id", "cli-w1", "--threads", "2", "--quiet"]].concat())
+            .unwrap();
+        let assembled = ["--out", &path("assembled"), "--quiet"];
+        ccsim(
+            &[&["campaign", "assemble", &spec, "--shared-dir", &shared], &assembled[..]].concat(),
+        )
+        .unwrap();
+        let (solo, cache) = (path("solo"), path("cache"));
+        ccsim(&["campaign", &spec, "--out", &solo, "--cache-dir", &cache, "--quiet"]).unwrap();
+        let assembled = std::fs::read(dir.join("assembled/report.json")).unwrap();
+        let solo = std::fs::read(dir.join("solo/report.json")).unwrap();
+        assert_eq!(assembled, solo, "assemble must be byte-identical to a solo run");
+        ccsim(&["campaign", "status", &spec, "--shared-dir", &shared]).unwrap();
+        ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once", "--json"]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -12,25 +12,22 @@
 //! Claims are **workload bands** ([`crate::lease::band_lease_id`]): one
 //! lease covers every pending cell sharing a trace, and the holder
 //! replays that trace once for all of them
-//! ([`ccsim_campaign::AcquiredTrace::simulate_cells`]) instead of once
-//! per cell. Each cell is still journaled individually, so a worker that
-//! dies mid-band loses only its unjournaled cells — the reclaiming peer
-//! re-derives the band's pending remainder from the merged journals and
-//! resumes there. Sharding granularity is therefore the workload: peers
-//! parallelize across workloads (and across shards *within* a band via
-//! [`WorkerOptions::threads`]), not across cells of one workload.
+//! ([`ccsim_campaign::Campaign::run_band`], the band step of a solo run)
+//! instead of once per cell. Each cell is still journaled individually,
+//! so a worker that dies mid-band loses only its unjournaled cells — the
+//! reclaiming peer re-derives the band's pending remainder from the
+//! merged journals and resumes there. Sharding granularity is therefore
+//! the workload: peers parallelize across workloads (and across shards
+//! *within* a band via [`WorkerOptions::threads`]), not across cells of
+//! one workload.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ccsim_campaign::journal::merge_dir_cached;
 use ccsim_campaign::spec::fnv1a64;
-use ccsim_campaign::{
-    record_band_metrics, Campaign, CampaignSpec, GridCell, Journal, MergeCursor, TraceCache,
-};
-use ccsim_core::SimConfig;
+use ccsim_campaign::{Campaign, CampaignSpec, GridCell, Journal, MergeCursor, TraceCache};
 use ccsim_obs::{Json, RunMeta, RunObs};
-use ccsim_policies::PolicyKind;
 
 use crate::lease::{band_lease_id, Claim, LeaseDir};
 use crate::{leases_dir, trace_cache_dir};
@@ -146,7 +143,7 @@ pub fn run_worker(
     let digest = spec.digest();
     std::fs::create_dir_all(shared_dir)
         .map_err(|e| format!("creating {}: {e}", shared_dir.display()))?;
-    let campaign = Campaign::new(spec.clone()).cache(
+    let campaign = Campaign::new(spec.clone()).threads(opts.threads).verbose(opts.verbose).cache(
         TraceCache::new(trace_cache_dir(shared_dir))
             .map_err(|e| format!("opening shared trace cache: {e}"))?,
     );
@@ -195,8 +192,11 @@ pub fn run_worker(
         // The authoritative pending set: everything any worker has
         // journaled so far, merged read-only across segments.
         let done = merge_dir_cached(shared_dir, &spec.name, &digest, &mut cursor)?.completed;
-        if grid.cells.iter().all(|c| done.contains_key(&c.id)) {
-            outcome.campaign_done = true;
+        outcome.campaign_done = grid.cells.iter().all(|c| done.contains_key(&c.id));
+        // The one exit: the grid is drained, or the cell limit is reached
+        // (the campaign may nonetheless be complete — this worker's last
+        // band can have drained it — so `campaign_done` is re-derived).
+        if outcome.campaign_done || opts.max_cells.is_some_and(|max| outcome.completed >= max) {
             if let Some(o) = obs.take() {
                 let _ = o.finish();
             }
@@ -208,16 +208,7 @@ pub fn run_worker(
             let workload = &grid.workloads[(wi + offset) % grid.workloads.len()];
             let budget = opts.max_cells.map(|m| m.saturating_sub(outcome.completed));
             if budget == Some(0) {
-                // The cell limit is reached; the campaign may nonetheless
-                // be complete (this worker's last batch can have drained
-                // the grid), so report accurately.
-                let done =
-                    merge_dir_cached(shared_dir, &spec.name, &digest, &mut cursor)?.completed;
-                outcome.campaign_done = grid.cells.iter().all(|c| done.contains_key(&c.id));
-                if let Some(o) = obs.take() {
-                    let _ = o.finish();
-                }
-                return Ok(outcome);
+                break;
             }
             // Derive the band — every still-pending cell of the workload
             // — from a *fresh* merge: the round-start snapshot goes
@@ -276,8 +267,14 @@ pub fn run_worker(
                 );
             }
 
-            // Acquire and simulate under a heartbeat renewing the band
-            // lease at ttl/3. Acquisition is covered too: a first-time
+            if opts.verbose {
+                // Band attribution: which worker runs it, at which lease
+                // epoch (>1 = reclaimed from a crash, resuming mid-band).
+                eprintln!("[{worker} e{}] claimed {workload}", guard.epoch());
+            }
+
+            // The band step runs under a heartbeat renewing the band lease
+            // at ttl/3. Acquisition is covered too: a first-time
             // conversion of a multi-GB `trace:` source can easily outlive
             // the TTL, and losing the lease there would hand the same
             // conversion to a peer.
@@ -297,59 +294,17 @@ pub fn run_worker(
                         }
                     }
                 });
-                let out = campaign.acquire(workload).and_then(|trace| {
-                    let cells: Vec<(SimConfig, PolicyKind)> = pending
-                        .iter()
-                        .map(|cell| (grid.configs[cell.config_index].1, cell.policy))
-                        .collect();
-                    if opts.verbose {
-                        // Band attribution: which worker runs it, at
-                        // which lease epoch (>1 = reclaimed from a
-                        // crash, resuming mid-band).
-                        eprintln!(
-                            "[{} e{}] {workload}: {} cell(s) in one pass ({} records{})",
-                            worker,
-                            guard.epoch(),
-                            cells.len(),
-                            trace.records(),
-                            if trace.is_streamed() { ", streamed" } else { "" },
-                        );
-                    }
-                    let sim_started = Instant::now();
-                    trace.simulate_cells(&cells, opts.threads, 0).map(|results| {
-                        (results, trace.records(), sim_started.elapsed().as_nanos() as u64)
-                    })
-                });
+                let out =
+                    campaign.run_band(&grid, workload, &pending, Some(&mut journal), obs.as_mut());
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
                 out
             });
             m.dist_held_leases.dec();
-            // On acquisition/simulation failure the guard drops below and
-            // releases the band; everything already journaled stays
-            // journaled.
-            let (results, trace_records, band_ns) = band?;
-            for (cell, result) in pending.iter().zip(results) {
-                journal
-                    .record(&cell.id, &result)
-                    .map_err(|e| format!("writing journal segment: {e}"))?;
-                outcome.completed += 1;
-            }
+            // Every cell is journaled (flushed) before the release below. On
+            // failure the guard drops here instead and releases the band;
+            // everything already journaled stays journaled.
+            outcome.completed += band?.len();
             guard.release();
-            let records_simulated = trace_records * pending.len() as u64;
-            record_band_metrics(pending.len() as u64, records_simulated, band_ns);
-            if let Some(o) = &mut obs {
-                o.add_band(pending.len() as u64, records_simulated, band_ns);
-                o.event(
-                    "band_done",
-                    vec![
-                        ("workload", Json::str(workload)),
-                        ("cells", Json::int_saturating(pending.len() as u64)),
-                        ("trace_records", Json::int_saturating(trace_records)),
-                        ("sim_ns", Json::int_saturating(band_ns)),
-                    ],
-                );
-                let _ = o.write_manifest();
-            }
             progressed = true;
         }
 

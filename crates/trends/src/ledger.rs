@@ -1,17 +1,18 @@
 //! The append-only ledger file: load, append, compact.
 //!
 //! Durability contract: `record` appends exactly one `line + "\n"` in
-//! a single write to an append-mode handle, so concurrent recorders on
-//! a POSIX filesystem interleave at line granularity. A reader
-//! therefore treats an unparsable **final** line as a torn in-flight
-//! append — tolerated and reported via [`Ledger::torn_tail`] — while a
-//! bad line anywhere earlier means real corruption and fails loudly
-//! with its line number. `gc` never rewrites surviving entries: it
-//! copies their original bytes into a temp file and renames it over
-//! the ledger, so a gc'd ledger stays byte-comparable to its source.
+//! a single write to an append-mode handle, after dropping any torn
+//! final line, so concurrent recorders on a POSIX filesystem interleave
+//! at line granularity. A reader therefore treats an unparsable
+//! **final** line as a torn in-flight append — tolerated and reported
+//! via [`Ledger::torn_tail`] — while a bad line anywhere earlier means
+//! real corruption and fails loudly with its line number. `gc` never
+//! rewrites surviving entries: it copies their original bytes into a
+//! temp file and renames it over the ledger, so a gc'd ledger stays
+//! byte-comparable to its source.
 
 use std::fs::OpenOptions;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::entry::TrendEntry;
@@ -74,7 +75,11 @@ impl Ledger {
     }
 
     /// Appends one entry to the ledger file (creating it if needed)
-    /// as a single write.
+    /// as a single write that starts on a line boundary: a torn final
+    /// line left by a crashed writer is dropped first, as `load` and `gc`
+    /// drop it. Glued onto the fragment the entry would be unreadable,
+    /// and the append after it would turn the pair into mid-file
+    /// corruption that fails every later `load`.
     ///
     /// # Errors
     ///
@@ -88,9 +93,17 @@ impl Ledger {
         line.push('\n');
         let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)
             .map_err(|e| format!("opening {}: {e}", path.display()))?;
+        let mut existing = Vec::new();
+        file.read_to_end(&mut existing).map_err(|e| format!("reading {}: {e}", path.display()))?;
+        let boundary = existing.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if boundary < existing.len() {
+            file.set_len(boundary as u64)
+                .map_err(|e| format!("truncating {}: {e}", path.display()))?;
+        }
         file.write_all(line.as_bytes()).map_err(|e| format!("appending to {}: {e}", path.display()))
     }
 
@@ -169,6 +182,29 @@ mod tests {
         std::fs::write(&path, corrupt).unwrap();
         let err = Ledger::load(&path).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn append_after_a_torn_tail_starts_on_a_line_boundary() {
+        let path = temp_ledger("torn_append");
+        Ledger::append(&path, &TrendEntry::new("aaa", "", "")).unwrap();
+        let intact = std::fs::read_to_string(&path).unwrap();
+        // A writer died mid-line; the next two records must both land.
+        std::fs::write(&path, format!("{intact}{{\"ccsim_trends\":1,\"rev\":\"torn")).unwrap();
+        Ledger::append(&path, &TrendEntry::new("bbb", "", "")).unwrap();
+        Ledger::append(&path, &TrendEntry::new("ccc", "", "")).unwrap();
+        let ledger = Ledger::load(&path).unwrap();
+        let revs: Vec<&str> = ledger.entries.iter().map(|e| e.rev.as_str()).collect();
+        assert_eq!(revs, ["aaa", "bbb", "ccc"]);
+        assert!(!ledger.torn_tail(), "the fragment is gone, not carried along");
+        assert!(std::fs::read_to_string(&path).unwrap().starts_with(&intact));
+        assert_eq!(Ledger::gc(&path, 2).unwrap(), 1);
+        assert_eq!(Ledger::load(&path).unwrap().entries[0].rev, "bbb");
+        // A ledger that is one torn line and nothing else is appendable too.
+        std::fs::write(&path, "{\"ccsim_trends\":1,\"re").unwrap();
+        Ledger::append(&path, &TrendEntry::new("ddd", "", "")).unwrap();
+        assert_eq!(Ledger::load(&path).unwrap().entries.len(), 1);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

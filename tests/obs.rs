@@ -187,6 +187,14 @@ fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     for f in ["obs.w1.jsonl", "manifest.w1.json", "obs.w2.jsonl", "manifest.w2.json"] {
         assert!(shared.join(f).exists(), "worker telemetry file {f} missing");
     }
+    // One band step: a worker's band events are the solo log's pinned
+    // lines, between its own `claim` and `run_end`.
+    let log = std::fs::read_to_string(shared.join("obs.w1.jsonl")).unwrap();
+    let signature: Vec<String> = log.lines().map(event_signature).collect();
+    let pinned = std::fs::read_to_string(fixture_path("obs_events_v1.txt")).unwrap();
+    let band: Vec<&str> = pinned.lines().filter(|l| l.starts_with("band_")).take(2).collect();
+    assert_eq!(signature[2], "claim(ev,t_ns,workload,cells,epoch)", "{log}");
+    assert_eq!(signature[3..5], band[..], "{log}");
 
     // The watch document is a pure function of the directory: polling
     // again through the same watcher (warm merge cursor) and through a
