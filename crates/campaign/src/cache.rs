@@ -10,9 +10,10 @@
 //! Ingested external traces (`trace:<path>` selectors) follow the same
 //! discipline with a different identity: the **content digest** of the
 //! source file, the resolved source format, the ingest options and the
-//! `CCTR` version ([`TraceCache::get_or_ingest`]). A foreign trace is
-//! therefore decoded exactly once across cells, campaigns and repeated
-//! runs, and editing the source file in place changes the key.
+//! `CCTR` version ([`TraceCache::ensure_ingested`], which returns the
+//! entry's path for callers to stream). A foreign trace is therefore
+//! decoded exactly once across cells, campaigns and repeated runs, and
+//! editing the source file in place changes the key.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -206,24 +207,6 @@ impl TraceCache {
         Ok(path)
     }
 
-    /// Returns the cached conversion of the external trace `source` as an
-    /// in-memory [`Trace`], ingesting it first if needed (see
-    /// [`TraceCache::ensure_ingested`]). Campaign cells stream entries
-    /// instead; this remains for callers that genuinely need the whole
-    /// trace resident.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::ensure_ingested`], plus decode failures on the
-    /// cached entry itself.
-    pub fn get_or_ingest(&self, source: &Path, opts: &IngestOptions) -> Result<Trace, String> {
-        let path = self.ensure_ingested(source, opts)?;
-        let file = File::open(&path)
-            .map_err(|e| format!("reopening ingested trace {}: {e}", path.display()))?;
-        read_trace(BufReader::new(file))
-            .map_err(|e| format!("decoding ingested trace {}: {e}", path.display()))
-    }
-
     /// `true` if `path` holds a structurally valid `CCTR` file: good
     /// magic and header, and exactly the length the header promises.
     /// Used by campaign dry-runs to predict cache hits cheaply (the
@@ -312,6 +295,12 @@ mod tests {
         std::fs::remove_dir_all(cache.root()).unwrap();
     }
 
+    /// `ensure_ingested`, then the entry read back whole.
+    fn ingest(cache: &TraceCache, source: &Path, opts: &IngestOptions) -> Trace {
+        let path = cache.ensure_ingested(source, opts).unwrap();
+        read_trace(BufReader::new(File::open(path).unwrap())).unwrap()
+    }
+
     fn write_champsim_sample(path: &Path, records: u64) {
         use ccsim_ingest::champsim::{ChampSimRecord, ChampSimWriter};
         let mut w = ChampSimWriter::new(std::fs::File::create(path).unwrap());
@@ -328,13 +317,13 @@ mod tests {
         write_champsim_sample(&source, 10);
         let opts = IngestOptions { name: Some("ext".into()), ..Default::default() };
 
-        let first = cache.get_or_ingest(&source, &opts).unwrap();
+        let first = ingest(&cache, &source, &opts);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert_eq!(first.name(), "ext");
         assert_eq!(first.len(), 10);
         assert_eq!(first.instructions(), 20);
 
-        let second = cache.get_or_ingest(&source, &opts).unwrap();
+        let second = ingest(&cache, &source, &opts);
         assert_eq!((cache.hits(), cache.misses()), (1, 1), "second read is a hit");
         assert_eq!(first, second);
 
@@ -366,7 +355,7 @@ mod tests {
         let source = cache.root().join("sample.champsim");
         write_champsim_sample(&source, 8);
         let opts = IngestOptions { name: Some("ext".into()), ..Default::default() };
-        let good = cache.get_or_ingest(&source, &opts).unwrap();
+        let good = ingest(&cache, &source, &opts);
         let entry = cache.path_for_ingested(&source, &opts).unwrap();
 
         // Flip one record's access-kind byte mid-file: header and length
@@ -392,7 +381,7 @@ mod tests {
         let source = cache.root().join("sample.champsim");
         write_champsim_sample(&source, 8);
         let opts = IngestOptions { name: Some("ext".into()), ..Default::default() };
-        let good = cache.get_or_ingest(&source, &opts).unwrap();
+        let good = ingest(&cache, &source, &opts);
         let entry = cache.path_for_ingested(&source, &opts).unwrap();
 
         // Truncate the cached CCTR mid-records: the magic/length check
@@ -401,7 +390,7 @@ mod tests {
         let bytes = std::fs::read(&entry).unwrap();
         std::fs::write(&entry, &bytes[..bytes.len() - 7]).unwrap();
         assert!(!TraceCache::entry_is_valid(&entry));
-        let recovered = cache.get_or_ingest(&source, &opts).unwrap();
+        let recovered = ingest(&cache, &source, &opts);
         assert_eq!(recovered, good);
         assert_eq!(cache.misses(), 2, "truncated entry fell through to re-ingest");
         assert!(TraceCache::entry_is_valid(&entry), "entry was repaired in place");

@@ -4,8 +4,8 @@
 //! There is one execution path: a workload's pending cells form a band,
 //! [`AcquiredTrace::simulate_cells`] shards the band over the worker
 //! threads, and each shard is one lockstep pass of
-//! [`ccsim_core::GridReplay`] over the trace, with the chunk length
-//! autotuned. [`Campaign::run_band`] is the one band step — acquire,
+//! [`ccsim_core::GridReplay`] over the trace.
+//! [`Campaign::run_band`] is the one band step — acquire,
 //! simulate, account, journal — that [`Campaign::run`] and the
 //! distributed worker (`ccsim-dist`) both loop over.
 
@@ -95,8 +95,7 @@ impl AcquiredTrace {
     /// affects them.
     ///
     /// `chunk_records` is the lockstep chunk length per shard; `0`
-    /// autotunes it against the shard's combined tag-state footprint
-    /// ([`ccsim_core::autotune_chunk_records`]).
+    /// means [`ccsim_core::DEFAULT_CHUNK_RECORDS`].
     ///
     /// # Errors
     ///

@@ -52,11 +52,7 @@ in the shared dir) with a pinned schema (\"ccsim_obs\": 2; manifest
 histograms carry p50/p90/p99/min/max quantile summaries);
 `--metrics-out <file>` additionally dumps the process-wide metric
 catalog as Prometheus-style text exposition on exit (histograms
-include `_quantile` gauges).
-
-One-pass campaign chunks are autotuned from the grid's combined
-tag-state footprint (CCSIM_HOST_LLC_BYTES overrides the assumed host
-LLC budget).",
+include `_quantile` gauges).",
     run: campaign,
 };
 

@@ -254,8 +254,7 @@ impl Cache {
 
     /// Bytes of hot per-access state: the packed tag words, the dirty
     /// bitmap and the occupancy counters — everything a probe or fill
-    /// touches besides policy metadata. The grid chunk autotuner sizes
-    /// lockstep chunks against the sum of this over all live cells.
+    /// touches besides policy metadata.
     pub fn hot_state_bytes(&self) -> u64 {
         (self.tags.len() * 8 + self.dirty.len() * 8 + self.occupied.len() * 2) as u64
     }

@@ -31,12 +31,6 @@
 //! The steady state allocates nothing: the chunk buffer is reserved by
 //! the first streamed replay and reused, and the per-engine hot path is
 //! already allocation-free (`tests/alloc_free.rs` pins both).
-//!
-//! Chunk length is autotuned by default: [`autotune_chunk_records`]
-//! sums the engines' SoA tag-state footprints
-//! ([`crate::Hierarchy::hot_state_bytes`]) and, once the grid overflows
-//! the host LLC budget, grows the chunk with the overflow ratio so each
-//! engine's DRAM re-warm amortizes over more records.
 
 use std::io::Read;
 
@@ -52,51 +46,14 @@ use crate::simulator::{Engine, LlcLog};
 /// L2-resident alongside the active engine's hot tag state.
 pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 
-/// Ceiling the autotuner never exceeds, and the most records a
-/// streamed replay decodes per chunk whatever chunk length was asked
-/// for: past 64 K records per chunk the re-warm amortization has
-/// flattened out and longer chunks only grow the decode buffer.
+/// The most records a streamed replay decodes per chunk, whatever chunk
+/// length was asked for: longer chunks only grow the decode buffer.
 pub const MAX_CHUNK_RECORDS: usize = 65_536;
 
-/// Host LLC budget the autotuner sizes chunks against, in bytes (32 MiB
-/// covers common server parts; override with
-/// [`HOST_LLC_BYTES_ENV`] for a specific machine).
-pub const DEFAULT_HOST_LLC_BYTES: u64 = 32 << 20;
-
-/// Environment override for the host LLC budget, in bytes.
-pub const HOST_LLC_BYTES_ENV: &str = "CCSIM_HOST_LLC_BYTES";
-
-/// Picks the lockstep chunk length for a grid whose engines' combined
-/// hot tag state (sum of [`crate::Hierarchy::hot_state_bytes`] across
-/// cells) occupies `combined_tag_bytes`, against a host LLC `budget`.
-///
-/// While the combined state fits the budget, engines stay LLC-resident
-/// across chunk switches and [`DEFAULT_CHUNK_RECORDS`] is already
-/// optimal. Once it overflows, every switch re-warms the next engine's
-/// tags from DRAM — a cost proportional to its tag bytes and
-/// independent of chunk length — so the chunk grows with the overflow
-/// ratio to amortize the re-warm over proportionally more records,
-/// clamped to [`MAX_CHUNK_RECORDS`]. Chunk size never affects results
-/// (replay is bit-identical for any chunking), only wall-clock.
-pub fn autotune_chunk_records_for_budget(combined_tag_bytes: u64, budget: u64) -> usize {
-    let budget = budget.max(1);
-    if combined_tag_bytes <= budget {
-        return DEFAULT_CHUNK_RECORDS;
-    }
-    let scaled = (DEFAULT_CHUNK_RECORDS as u64).saturating_mul(combined_tag_bytes.div_ceil(budget));
-    scaled.min(MAX_CHUNK_RECORDS as u64) as usize
-}
-
-/// [`autotune_chunk_records_for_budget`] against the ambient budget:
-/// [`HOST_LLC_BYTES_ENV`] if set to a positive byte count, else
-/// [`DEFAULT_HOST_LLC_BYTES`].
-pub fn autotune_chunk_records(combined_tag_bytes: u64) -> usize {
-    let budget = std::env::var(HOST_LLC_BYTES_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_HOST_LLC_BYTES);
-    autotune_chunk_records_for_budget(combined_tag_bytes, budget)
+/// The chunk length `GridReplay::new(cells, 0)` uses: always
+/// [`DEFAULT_CHUNK_RECORDS`]. Kept for the benchmark, which records it.
+pub fn autotune_chunk_records(_combined_tag_bytes: u64) -> usize {
+    DEFAULT_CHUNK_RECORDS
 }
 
 /// A one-pass lockstep replay over N grid cells.
@@ -134,28 +91,17 @@ pub struct GridReplay {
 
 impl GridReplay {
     /// Builds one replay engine per `(config, policy)` cell with the
-    /// given chunk size. `0` means *autotune*: size the chunk against
-    /// the combined engines' hot tag-state footprint via
-    /// [`autotune_chunk_records`] (which yields
-    /// [`DEFAULT_CHUNK_RECORDS`] whenever the grid fits the host LLC
-    /// budget — small grids are unaffected).
+    /// given chunk size; `0` means [`DEFAULT_CHUNK_RECORDS`].
     ///
     /// # Panics
     ///
     /// Panics on an invalid [`SimConfig`], like [`crate::simulate`].
     pub fn new(cells: &[(SimConfig, PolicyKind)], chunk_records: usize) -> GridReplay {
-        let engines: Vec<Engine> =
-            cells.iter().map(|(cfg, policy)| Engine::new(cfg, *policy)).collect();
-        let chunk_records = if chunk_records == 0 {
-            autotune_chunk_records(engines.iter().map(Engine::hot_state_bytes).sum())
-        } else {
-            chunk_records
-        };
         GridReplay {
-            engines,
+            engines: cells.iter().map(|(cfg, policy)| Engine::new(cfg, *policy)).collect(),
             // Only streamed replay decodes: `replay_reader` reserves it.
             chunk: Vec::new(),
-            chunk_records,
+            chunk_records: if chunk_records == 0 { DEFAULT_CHUNK_RECORDS } else { chunk_records },
         }
     }
 
@@ -270,8 +216,7 @@ impl std::fmt::Debug for GridReplay {
 
 /// One-pass replay of an in-memory trace over every `(config, policy)`
 /// cell; results in cell order, bit-identical to [`crate::simulate`]
-/// per cell. `chunk_records = 0` autotunes the chunk against the grid's
-/// combined tag-state footprint ([`autotune_chunk_records`]).
+/// per cell. `chunk_records = 0` means [`DEFAULT_CHUNK_RECORDS`].
 pub fn simulate_grid(
     trace: &Trace,
     cells: &[(SimConfig, PolicyKind)],
@@ -286,7 +231,7 @@ pub fn simulate_grid(
 /// cell; results in cell order, bit-identical to
 /// [`crate::simulate_stream`] per cell (workload name and trailing
 /// non-memory count come from the stream header). `chunk_records = 0`
-/// autotunes the chunk ([`autotune_chunk_records`]).
+/// means [`DEFAULT_CHUNK_RECORDS`].
 ///
 /// # Errors
 ///
@@ -410,55 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn default_chunk_is_applied_when_the_grid_fits_the_llc_budget() {
-        // A single tiny cell is far below the host LLC budget, so the
-        // autotuned chunk (chunk_records = 0) is the default.
+    fn chunk_zero_means_the_default_chunk() {
         let grid = GridReplay::new(&[(SimConfig::tiny(), PolicyKind::Lru)], 0);
         assert_eq!(grid.chunk_records(), DEFAULT_CHUNK_RECORDS);
         assert_eq!(grid.cells(), 1);
         assert!(format!("{grid:?}").contains("cells: 1"));
-    }
-
-    #[test]
-    fn autotune_scales_chunks_with_the_overflow_ratio() {
-        let budget = 32 << 20;
-        // Within budget: the default chunk is already optimal.
-        assert_eq!(autotune_chunk_records_for_budget(0, budget), DEFAULT_CHUNK_RECORDS);
-        assert_eq!(autotune_chunk_records_for_budget(budget, budget), DEFAULT_CHUNK_RECORDS);
-        // 3x overflow: chunks triple.
-        assert_eq!(
-            autotune_chunk_records_for_budget(3 * budget, budget),
-            3 * DEFAULT_CHUNK_RECORDS
-        );
-        // Partial overflow rounds up.
-        assert_eq!(
-            autotune_chunk_records_for_budget(budget + 1, budget),
-            2 * DEFAULT_CHUNK_RECORDS
-        );
-        // Absurd overflow clamps at the ceiling instead of ballooning
-        // the decode buffer.
-        assert_eq!(autotune_chunk_records_for_budget(u64::MAX, budget), MAX_CHUNK_RECORDS);
-        assert_eq!(autotune_chunk_records_for_budget(u64::MAX, 0), MAX_CHUNK_RECORDS);
-    }
-
-    #[test]
-    fn autotuned_chunk_tracks_the_grid_tag_footprint() {
-        // Enough cascade-lake cells at large LLC scales to overflow the
-        // default 32 MiB budget: the autotuned chunk must grow past the
-        // default, and replay results must be unaffected (chunking is
-        // pure mechanics).
-        let mut cells = Vec::new();
-        for scale in [32u32, 64, 128] {
-            for policy in [PolicyKind::Lru, PolicyKind::Srrip] {
-                cells.push((SimConfig::cascade_lake().with_llc_scale(scale), policy));
-            }
-        }
-        let grid = GridReplay::new(&cells, 0);
-        assert!(
-            grid.chunk_records() > DEFAULT_CHUNK_RECORDS,
-            "combined tag state should overflow the budget, got chunk {}",
-            grid.chunk_records()
-        );
-        assert!(grid.chunk_records() <= MAX_CHUNK_RECORDS);
     }
 }

@@ -82,7 +82,7 @@ impl Hierarchy {
 
     /// Combined hot tag-state footprint of the three levels (see
     /// [`Cache::hot_state_bytes`]) — what one replay engine keeps warm
-    /// per record, and the per-cell input to the grid chunk autotuner.
+    /// per record.
     pub fn hot_state_bytes(&self) -> u64 {
         self.levels.iter().map(Cache::hot_state_bytes).sum()
     }

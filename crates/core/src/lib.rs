@@ -44,8 +44,8 @@ pub use config::{CacheConfig, CoreConfig, DramConfig, LlcScaleError, SimConfig, 
 pub use cpu::Core;
 pub use dram::{Dram, DramStats};
 pub use experiment::grid::{
-    autotune_chunk_records, autotune_chunk_records_for_budget, simulate_grid, simulate_grid_stream,
-    GridReplay, DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS,
+    autotune_chunk_records, simulate_grid, simulate_grid_stream, GridReplay, DEFAULT_CHUNK_RECORDS,
+    MAX_CHUNK_RECORDS,
 };
 pub use hierarchy::{Hierarchy, Level};
 pub use result::{geomean, geomean_speedup_percent, SimResult};

@@ -54,12 +54,6 @@ impl Engine {
         self.hierarchy.enable_llc_log();
     }
 
-    /// Hot tag-state bytes of this engine's hierarchy (the chunk
-    /// autotuner sums this across lockstep cells).
-    pub(crate) fn hot_state_bytes(&self) -> u64 {
-        self.hierarchy.hot_state_bytes()
-    }
-
     #[inline]
     pub(crate) fn step(&mut self, rec: &TraceRecord) {
         if rec.nonmem_before > 0 {

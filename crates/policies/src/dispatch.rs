@@ -25,9 +25,7 @@
 //! ```
 
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
-use crate::{
-    BitPlru, Brrip, Dip, Drrip, Fifo, Glider, Hawkeye, Lru, Mpppb, RandomPolicy, Ship, Srrip,
-};
+use crate::{BitPlru, Dip, Fifo, Glider, Hawkeye, Lru, Mpppb, RandomPolicy, Rrip, Ship};
 
 /// A replacement policy with enum (static) dispatch for every built-in
 /// implementation and a boxed escape hatch for external ones.
@@ -44,12 +42,8 @@ pub enum PolicyDispatch {
     BitPlru(BitPlru),
     /// Dynamic Insertion Policy.
     Dip(Dip),
-    /// Static RRIP.
-    Srrip(Srrip),
-    /// Bimodal RRIP.
-    Brrip(Brrip),
-    /// Dynamic RRIP.
-    Drrip(Drrip),
+    /// SRRIP, BRRIP or DRRIP (one policy, three insertion rules).
+    Rrip(Rrip),
     /// SHiP-PC.
     Ship(Ship),
     /// Hawkeye.
@@ -71,9 +65,7 @@ macro_rules! each_policy {
             PolicyDispatch::Random($p) => $body,
             PolicyDispatch::BitPlru($p) => $body,
             PolicyDispatch::Dip($p) => $body,
-            PolicyDispatch::Srrip($p) => $body,
-            PolicyDispatch::Brrip($p) => $body,
-            PolicyDispatch::Drrip($p) => $body,
+            PolicyDispatch::Rrip($p) => $body,
             PolicyDispatch::Ship($p) => $body,
             PolicyDispatch::Hawkeye($p) => $body,
             PolicyDispatch::Glider($p) => $body,

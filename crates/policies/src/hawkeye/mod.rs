@@ -7,7 +7,7 @@
 //! loads OPT discards are *cache-averse*. Friendly fills insert at RRPV 0
 //! and age gradually; averse fills insert at RRPV 7 and are evicted first.
 //! When a friendly line must be evicted anyway, the PC that inserted it is
-//! detrained.
+//! detrained. The 3-bit age store (`Ages`) is Glider's backend too.
 
 pub mod optgen;
 pub mod sampler;
@@ -18,12 +18,74 @@ pub use sampler::{SampleResult, Sampler, HISTORY_FACTOR, SAMPLED_SETS};
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::{hash_bits, SatCounter};
 
-/// RRPV width for Hawkeye's backend (3 bits, per the paper).
+/// RRPV width of the OPT-trained backends (3 bits, per the Hawkeye
+/// paper); MPPPB's RRPVs share it.
 pub const HAWKEYE_RRPV_BITS: u32 = 3;
 /// Maximum RRPV: cache-averse lines live here.
 pub const HAWKEYE_RRPV_MAX: u8 = (1 << HAWKEYE_RRPV_BITS) - 1;
-/// Friendly lines age up to this value only (7 is reserved for averse).
-const FRIENDLY_AGE_CAP: u8 = HAWKEYE_RRPV_MAX - 1;
+
+/// The 3-bit age store of Hawkeye and Glider. Averse lines sit at
+/// [`HAWKEYE_RRPV_MAX`]; a friendly fill ages the set's other lines but
+/// never past `MAX - 1`, which stays reserved for averse lines.
+#[derive(Debug)]
+pub(crate) struct Ages {
+    ways: u32,
+    ages: Vec<u8>,
+}
+
+impl Ages {
+    /// Every age starts at 0; a fill always overwrites its way's age, and
+    /// no way is a victim before its set is full.
+    pub(crate) fn new(sets: u32, ways: u32) -> Self {
+        assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
+        Ages { ways, ages: vec![0; (sets * ways) as usize] }
+    }
+
+    /// Index of `set`/`way`, for per-line state kept beside the ages.
+    #[inline]
+    pub(crate) fn idx(&self, set: u32, way: u32) -> usize {
+        (set * self.ways + way) as usize
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, set: u32, way: u32) -> u8 {
+        self.ages[self.idx(set, way)]
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, set: u32, way: u32, age: u8) {
+        let i = self.idx(set, way);
+        self.ages[i] = age;
+    }
+
+    /// Inserts `way` at age 0 and ages every other line of `set`, capped
+    /// at `MAX - 1`, so older friendly lines become the preferred victims
+    /// when no averse line exists.
+    pub(crate) fn insert_friendly(&mut self, set: u32, way: u32) {
+        let base = (set * self.ways) as usize;
+        for (w, age) in self.ages[base..base + self.ways as usize].iter_mut().enumerate() {
+            if w == way as usize {
+                *age = 0;
+            } else if *age < HAWKEYE_RRPV_MAX - 1 {
+                *age += 1;
+            }
+        }
+    }
+
+    /// The first way at [`HAWKEYE_RRPV_MAX`], else the oldest way (the
+    /// highest-indexed one on ties).
+    #[inline]
+    pub(crate) fn victim(&self, set: u32) -> u32 {
+        let base = (set * self.ways) as usize;
+        let ages = &self.ages[base..base + self.ways as usize];
+        let way = match ages.iter().position(|&a| a == HAWKEYE_RRPV_MAX) {
+            Some(w) => w,
+            None => ages.iter().enumerate().max_by_key(|&(_, &a)| a).expect("ways > 0").0,
+        };
+        way as u32
+    }
+}
+
 /// Predictor index width: 2^13 = 8192 entries of 3-bit counters.
 const PREDICTOR_INDEX_BITS: u32 = 13;
 /// Predictor counter width.
@@ -77,22 +139,12 @@ impl Default for OccupancyPredictor {
     }
 }
 
-/// Per-line Hawkeye metadata.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineMeta {
-    rrpv: u8,
-    /// PC of the access that last touched this line (for detraining).
-    last_pc: u64,
-    /// Whether the line was predicted friendly at its last touch.
-    friendly: bool,
-    valid: bool,
-}
-
 /// The Hawkeye replacement policy.
 #[derive(Debug)]
 pub struct Hawkeye {
-    ways: u32,
-    meta: Vec<LineMeta>,
+    ages: Ages,
+    /// PC of the access that last touched each line (for detraining).
+    last_pc: Vec<u64>,
     predictor: OccupancyPredictor,
     sampler: Sampler<u64>,
     detrained_evictions: u64,
@@ -101,19 +153,13 @@ pub struct Hawkeye {
 impl Hawkeye {
     /// Creates Hawkeye state for a `sets x ways` cache.
     pub fn new(sets: u32, ways: u32) -> Self {
-        assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         Hawkeye {
-            ways,
-            meta: vec![LineMeta::default(); (sets * ways) as usize],
+            ages: Ages::new(sets, ways),
+            last_pc: vec![0; (sets * ways) as usize],
             predictor: OccupancyPredictor::new(),
             sampler: Sampler::new(sets, ways),
             detrained_evictions: 0,
         }
-    }
-
-    #[inline]
-    fn idx(&self, set: u32, way: u32) -> usize {
-        (set * self.ways + way) as usize
     }
 
     /// Runs the sampled-OPT training pipeline for one demand access.
@@ -132,30 +178,18 @@ impl Hawkeye {
         }
     }
 
-    /// Applies the insertion/promotion decision shared by hits and fills.
+    /// Applies the prediction for `info` to `set`/`way`: averse lines go
+    /// to [`HAWKEYE_RRPV_MAX`], friendly ones to 0 — ageing the rest of
+    /// the set when this is a fill.
     fn touch(&mut self, set: u32, way: u32, info: &AccessInfo, is_fill: bool) {
-        let friendly = self.predictor.predict(info.pc);
-        let i = self.idx(set, way);
-        self.meta[i].last_pc = info.pc;
-        self.meta[i].friendly = friendly;
-        self.meta[i].valid = true;
-        if !friendly {
-            self.meta[i].rrpv = HAWKEYE_RRPV_MAX;
-            return;
-        }
-        self.meta[i].rrpv = 0;
-        if is_fill {
-            // Age every other friendly line so older friendly lines become
-            // the preferred victims when no averse line exists.
-            let base = self.idx(set, 0);
-            for w in 0..self.ways as usize {
-                if w != way as usize {
-                    let m = &mut self.meta[base + w];
-                    if m.valid && m.rrpv < FRIENDLY_AGE_CAP {
-                        m.rrpv += 1;
-                    }
-                }
-            }
+        let i = self.ages.idx(set, way);
+        self.last_pc[i] = info.pc;
+        if !self.predictor.predict(info.pc) {
+            self.ages.set(set, way, HAWKEYE_RRPV_MAX);
+        } else if is_fill {
+            self.ages.insert_friendly(set, way);
+        } else {
+            self.ages.set(set, way, 0);
         }
     }
 }
@@ -167,19 +201,15 @@ impl ReplacementPolicy for Hawkeye {
 
     #[inline]
     fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
-        let base = self.idx(set, 0);
-        let metas = &self.meta[base..base + self.ways as usize];
-        // Prefer a cache-averse line.
-        if let Some(w) = metas.iter().position(|m| m.rrpv == HAWKEYE_RRPV_MAX) {
-            return Victim::Way(w as u32);
+        let way = self.ages.victim(set);
+        if self.ages.get(set, way) < HAWKEYE_RRPV_MAX {
+            // No averse line: the oldest friendly one goes, and the PC
+            // that put it there is detrained — the predictor was too
+            // optimistic.
+            self.predictor.train_averse(self.last_pc[self.ages.idx(set, way)]);
+            self.detrained_evictions += 1;
         }
-        // Otherwise evict the oldest friendly line and detrain the PC that
-        // put it there: the predictor was too optimistic.
-        let (w, _) = metas.iter().enumerate().max_by_key(|(_, m)| m.rrpv).expect("ways > 0");
-        let pc = metas[w].last_pc;
-        self.predictor.train_averse(pc);
-        self.detrained_evictions += 1;
-        Victim::Way(w as u32)
+        Victim::Way(way)
     }
 
     #[inline]
@@ -194,10 +224,9 @@ impl ReplacementPolicy for Hawkeye {
     #[inline]
     fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, _evicted: Option<u64>) {
         if !info.kind.is_demand() {
-            // Writebacks are inserted averse and never train the predictor.
-            let i = self.idx(set, way);
-            self.meta[i] =
-                LineMeta { rrpv: HAWKEYE_RRPV_MAX, last_pc: 0, friendly: false, valid: true };
+            // Writebacks are inserted averse and never train the predictor
+            // (an averse victim detrains nothing, so its PC is never read).
+            self.ages.set(set, way, HAWKEYE_RRPV_MAX);
             return;
         }
         self.train(set, info);
@@ -256,6 +285,53 @@ mod tests {
         assert_eq!(hk.victim(3, &load(0x300, 9, 3)), Victim::Way(2));
     }
 
+    #[derive(Clone, Copy)]
+    enum Fill {
+        Friendly(u32),
+        Averse(u32),
+    }
+
+    /// Conformance rows of the age backend, run against both policies
+    /// that use it. Each row primes a PC friendly (tight reuse in sampled
+    /// set 0 — enough for Glider's confident, ageing insertion), fills
+    /// set 1 — friendly fills are fresh blocks from that PC, averse ones
+    /// writebacks — and reads the next victim.
+    #[test]
+    fn age_rows_hold_for_hawkeye_and_glider() {
+        use Fill::{Averse, Friendly};
+        let four = [Friendly(0), Friendly(1), Friendly(2), Friendly(3)];
+        let rows: [(&str, Vec<Fill>, u32); 4] = [
+            ("friendly fills age the others: the oldest goes", four.to_vec(), 0),
+            (
+                "an averse line sits at 7, ahead of older ones",
+                [&four[..], &[Averse(1)]].concat(),
+                1,
+            ),
+            ("the first way at 7 goes", [&four[..], &[Averse(3), Averse(1)]].concat(), 1),
+            (
+                "ageing stops at 6; ties go to the highest way",
+                [&four[..], &[Friendly(3); 8]].concat(),
+                2,
+            ),
+        ];
+        for kind in [crate::PolicyKind::Hawkeye, crate::PolicyKind::Glider] {
+            for (row, fills, victim) in &rows {
+                let mut p = kind.build_dispatch(64, 4);
+                let pc = 0x777;
+                for _ in 0..30 {
+                    p.on_hit(0, 0, &load(pc, 0xAB, 0));
+                }
+                for (block, fill) in (0x1000..).zip(fills) {
+                    match *fill {
+                        Friendly(way) => p.on_fill(1, way, &load(pc, block, 1), None),
+                        Averse(way) => p.on_fill(1, way, &wb(block, 1), None),
+                    }
+                }
+                assert_eq!(p.victim(1, &load(pc, 1, 1)), Victim::Way(*victim), "{kind}: {row}");
+            }
+        }
+    }
+
     #[test]
     fn friendly_eviction_detrains_inserting_pc() {
         let mut hk = Hawkeye::new(64, 2);
@@ -270,17 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn fills_age_other_friendly_lines() {
+    fn fills_age_other_friendly_lines_and_hits_do_not() {
         let mut hk = Hawkeye::new(64, 3);
         hk.on_fill(0, 0, &load(0x1, 1, 0), None);
         hk.on_fill(0, 1, &load(0x2, 2, 0), None);
+        hk.on_hit(0, 0, &load(0x1, 1, 0));
         hk.on_fill(0, 2, &load(0x3, 3, 0), None);
-        // Way 0 aged twice, way 1 once, way 2 fresh.
-        assert_eq!(hk.meta[hk.idx(0, 0)].rrpv, 2);
-        assert_eq!(hk.meta[hk.idx(0, 1)].rrpv, 1);
-        assert_eq!(hk.meta[hk.idx(0, 2)].rrpv, 0);
-        // Victim with no averse line: the oldest friendly (way 0).
-        assert_eq!(hk.victim(0, &load(0x4, 4, 0)), Victim::Way(0));
+        // Way 0 reset by its hit, then aged once; way 1 aged by the third
+        // fill only (not by the hit); way 2 fresh.
+        assert_eq!([0, 1, 2].map(|w| hk.ages.get(0, w)), [1, 1, 0]);
     }
 
     #[test]
@@ -288,7 +362,7 @@ mod tests {
         let mut hk = Hawkeye::new(64, 2);
         let (h0, m0) = hk.sampler.optgen_stats();
         hk.on_fill(0, 0, &wb(7, 0), None);
-        assert_eq!(hk.meta[hk.idx(0, 0)].rrpv, HAWKEYE_RRPV_MAX);
+        assert_eq!(hk.ages.get(0, 0), HAWKEYE_RRPV_MAX);
         assert_eq!(hk.sampler.optgen_stats(), (h0, m0));
     }
 

@@ -6,23 +6,24 @@
 //! The paper evaluates six state-of-the-art policies against an LRU
 //! baseline; this crate implements all of them plus several classical
 //! policies used for validation and ablations, and an offline Belady oracle
-//! for headroom analysis:
+//! for headroom analysis. Each replacement mechanism is written once — a
+//! policy is a backend plus its own insertion or training rule:
 //!
-//! | Policy | Module | Source |
-//! |--------|--------|--------|
-//! | LRU (baseline) | [`Lru`] | — |
-//! | FIFO | [`Fifo`] | — |
-//! | Random | [`RandomPolicy`] | — |
-//! | Bit-PLRU | [`BitPlru`] | — |
-//! | DIP | [`Dip`] | Qureshi et al., ISCA 2007 |
-//! | SRRIP | [`Srrip`] | Jaleel et al., ISCA 2010 |
-//! | BRRIP | [`Brrip`] | Jaleel et al., ISCA 2010 |
-//! | DRRIP | [`Drrip`] | Jaleel et al., ISCA 2010 |
-//! | SHiP-PC | [`Ship`] | Wu et al., MICRO 2011 |
-//! | Hawkeye | [`Hawkeye`] | Jain & Lin, ISCA 2016 |
-//! | Glider | [`Glider`] | Shi et al., MICRO 2019 |
-//! | MPPPB | [`Mpppb`] | Jiménez & Teran, MICRO 2017 |
-//! | Belady OPT | [`belady`] | offline oracle |
+//! | Policy | Type | Backend | Own rule | Source |
+//! |--------|------|---------|----------|--------|
+//! | LRU (baseline) | [`Lru`] | recency stamps | stamp on hit and fill | — |
+//! | FIFO | [`Fifo`] | recency stamps | stamp on fill only | — |
+//! | Random | [`RandomPolicy`] | — | uniform victim | — |
+//! | Bit-PLRU | [`BitPlru`] | MRU bits | — | — |
+//! | DIP | [`Dip`] | recency stamps + set dueling | LRU vs BIP insertion | Qureshi et al., ISCA 2007 |
+//! | SRRIP | [`Rrip::srrip`] | 2-bit RRPVs | long insertion | Jaleel et al., ISCA 2010 |
+//! | BRRIP | [`Rrip::brrip`] | 2-bit RRPVs | bimodal insertion | Jaleel et al., ISCA 2010 |
+//! | DRRIP | [`Rrip::drrip`] | 2-bit RRPVs + set dueling | duelled insertion | Jaleel et al., ISCA 2010 |
+//! | SHiP-PC | [`Ship`] | 2-bit RRPVs | SHCT-predicted insertion | Wu et al., MICRO 2011 |
+//! | Hawkeye | [`Hawkeye`] | 3-bit ages | OPT-trained PC predictor | Jain & Lin, ISCA 2016 |
+//! | Glider | [`Glider`] | 3-bit ages | OPT-trained ISVMs | Shi et al., MICRO 2019 |
+//! | MPPPB | [`Mpppb`] | 3-bit RRPVs | perceptron placement/promotion/bypass | Jiménez & Teran, MICRO 2017 |
+//! | Belady OPT | [`belady`] | — | offline oracle | — |
 //!
 //! # Example
 //!
@@ -41,33 +42,28 @@
 
 pub mod belady;
 mod bitplru;
-mod dip;
 mod dispatch;
-mod drrip;
-mod fifo;
+mod duel;
 pub mod glider;
 pub mod hawkeye;
-mod lru;
 pub mod mpppb;
 mod policy;
 mod random;
 pub mod rrip;
 mod ship;
+mod stamps;
 pub mod util;
 
 pub use bitplru::BitPlru;
-pub use dip::Dip;
 pub use dispatch::PolicyDispatch;
-pub use drrip::Drrip;
-pub use fifo::Fifo;
 pub use glider::Glider;
 pub use hawkeye::Hawkeye;
-pub use lru::Lru;
 pub use mpppb::Mpppb;
 pub use policy::{AccessInfo, AccessType, ReplacementPolicy, Victim};
 pub use random::RandomPolicy;
-pub use rrip::{Brrip, Srrip};
+pub use rrip::Rrip;
 pub use ship::Ship;
+pub use stamps::{Dip, Fifo, Lru};
 
 use std::fmt;
 use std::str::FromStr;
@@ -158,9 +154,9 @@ impl PolicyKind {
             PolicyKind::Random => PolicyDispatch::Random(RandomPolicy::new(sets, ways)),
             PolicyKind::BitPlru => PolicyDispatch::BitPlru(BitPlru::new(sets, ways)),
             PolicyKind::Dip => PolicyDispatch::Dip(Dip::new(sets, ways)),
-            PolicyKind::Srrip => PolicyDispatch::Srrip(Srrip::new(sets, ways)),
-            PolicyKind::Brrip => PolicyDispatch::Brrip(Brrip::new(sets, ways)),
-            PolicyKind::Drrip => PolicyDispatch::Drrip(Drrip::new(sets, ways)),
+            PolicyKind::Srrip => PolicyDispatch::Rrip(Rrip::srrip(sets, ways)),
+            PolicyKind::Brrip => PolicyDispatch::Rrip(Rrip::brrip(sets, ways)),
+            PolicyKind::Drrip => PolicyDispatch::Rrip(Rrip::drrip(sets, ways)),
             PolicyKind::Ship => PolicyDispatch::Ship(Ship::new(sets, ways)),
             PolicyKind::Hawkeye => PolicyDispatch::Hawkeye(Hawkeye::new(sets, ways)),
             PolicyKind::Glider => PolicyDispatch::Glider(Glider::new(sets, ways)),

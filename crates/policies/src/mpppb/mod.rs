@@ -20,6 +20,7 @@ pub mod features;
 
 pub use features::{feature_indices, FeatureContext, FEATURE_COUNT, TABLE_INDEX_BITS};
 
+use crate::hawkeye::{HAWKEYE_RRPV_BITS, HAWKEYE_RRPV_MAX};
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::rrip::RrpvTable;
 
@@ -34,10 +35,6 @@ const DEAD_THRESHOLD: i32 = 15;
 /// Training margin: only update weights when the sum is inside the margin
 /// or the prediction was wrong.
 const TRAINING_MARGIN: i32 = 70;
-/// RRPV width of the backend (3 bits like Hawkeye/Glider).
-const RRPV_BITS: u32 = 3;
-/// Maximum RRPV.
-const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
 /// Sampled sets used for dead-block training.
 const SAMPLED_SETS: u32 = 64;
 
@@ -75,7 +72,7 @@ impl Mpppb {
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         Mpppb {
-            table: RrpvTable::new(sets, ways, RRPV_BITS),
+            table: RrpvTable::new(sets, ways, HAWKEYE_RRPV_BITS),
             ways,
             weights: vec![[0; 1 << TABLE_INDEX_BITS]; FEATURE_COUNT],
             pc_history: [0; 3],
@@ -188,7 +185,7 @@ impl ReplacementPolicy for Mpppb {
         // Promotion by prediction: predicted-dead hits are parked near the
         // eviction point instead of being fully promoted.
         let sum = self.predict(&snap);
-        let rrpv = if sum >= DEAD_THRESHOLD { RRPV_MAX - 1 } else { 0 };
+        let rrpv = if sum >= DEAD_THRESHOLD { HAWKEYE_RRPV_MAX - 1 } else { 0 };
         self.table.set(set, way, rrpv);
         self.push_history(info.pc);
     }
@@ -196,7 +193,7 @@ impl ReplacementPolicy for Mpppb {
     #[inline]
     fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, _evicted: Option<u64>) {
         if !info.kind.is_demand() {
-            self.table.set(set, way, RRPV_MAX);
+            self.table.set(set, way, HAWKEYE_RRPV_MAX);
             return;
         }
         let snap = feature_indices(&self.context(info));
@@ -204,9 +201,9 @@ impl ReplacementPolicy for Mpppb {
         let sum = self.predict(&snap);
         let rrpv = if sum >= DEAD_THRESHOLD {
             self.dead_inserts += 1;
-            RRPV_MAX
+            HAWKEYE_RRPV_MAX
         } else if sum >= 0 {
-            RRPV_MAX - 1
+            HAWKEYE_RRPV_MAX - 1
         } else {
             self.live_inserts += 1;
             0
@@ -262,8 +259,8 @@ mod tests {
     fn cold_predictor_inserts_cool_not_dead() {
         let mut p = Mpppb::new(128, 4);
         p.on_fill(2, 0, &load(0x10, 0x5, 2), None);
-        // Sum 0 -> RRPV_MAX - 1 (cool but not immediately dead).
-        assert_eq!(p.table.get(2, 0), RRPV_MAX - 1);
+        // Sum 0 -> HAWKEYE_RRPV_MAX - 1 (cool but not immediately dead).
+        assert_eq!(p.table.get(2, 0), HAWKEYE_RRPV_MAX - 1);
     }
 
     #[test]
@@ -311,7 +308,7 @@ mod tests {
         p.on_fill(5, 2, &info, None);
         make_dead(&mut p, &info);
         p.on_hit(5, 2, &info);
-        assert_eq!(p.table.get(5, 2), RRPV_MAX - 1, "dead hit parks near eviction");
+        assert_eq!(p.table.get(5, 2), HAWKEYE_RRPV_MAX - 1, "dead hit parks near eviction");
     }
 
     #[test]

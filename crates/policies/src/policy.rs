@@ -1,7 +1,8 @@
 //! The replacement-policy framework: ChampSim-style hooks.
 //!
 //! A cache level owns a [`PolicyDispatch`](crate::PolicyDispatch) — an
-//! enum over the twelve built-in policies plus one boxed
+//! enum over the built-in policies (ten types covering the twelve
+//! [`PolicyKind`](crate::PolicyKind)s) plus one boxed
 //! [`ReplacementPolicy`] extension point — and drives it through three
 //! events: a *victim query* when a fill finds its set full, a *hit
 //! notification*, and a *fill notification*. The policy never sees the

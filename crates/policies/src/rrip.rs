@@ -1,11 +1,13 @@
-//! Re-Reference Interval Prediction: SRRIP and BRRIP
-//! (Jaleel et al., ISCA 2010).
+//! Re-Reference Interval Prediction (Jaleel et al., ISCA 2010): the RRPV
+//! backend of SRRIP, BRRIP, DRRIP, SHiP and MPPPB, and the [`Rrip`]
+//! policy whose three insertion rules are SRRIP, BRRIP and DRRIP.
 //!
 //! Each line carries an M-bit *re-reference prediction value* (RRPV);
 //! larger means "predicted to be re-used further in the future". Victims
 //! are lines holding the maximum RRPV (`2^M - 1`); if none exists, all
 //! RRPVs in the set are aged up until one does.
 
+use crate::duel::{bimodal_cold, SetDuel};
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::SplitMix64;
 
@@ -15,9 +17,6 @@ pub const RRPV_BITS: u32 = 2;
 pub const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
 /// "Long re-reference interval" insertion value (`2^M - 2`).
 pub const RRPV_LONG: u8 = RRPV_MAX - 1;
-/// BRRIP inserts with `RRPV_LONG` once every this many fills, otherwise
-/// `RRPV_MAX` (the paper's epsilon = 1/32).
-pub const BRRIP_EPSILON: u64 = 32;
 
 /// Shared RRPV array with the standard victim-search/aging loop.
 #[derive(Debug, Clone)]
@@ -35,11 +34,6 @@ impl RrpvTable {
         assert!((1..=7).contains(&bits), "rrpv width must be 1..=7");
         let max = (1u8 << bits) - 1;
         RrpvTable { ways, rrpv: vec![max; (sets * ways) as usize], max }
-    }
-
-    /// Maximum RRPV value for this table.
-    pub fn max(&self) -> u8 {
-        self.max
     }
 
     /// Current RRPV of `set`/`way`.
@@ -69,76 +63,57 @@ impl RrpvTable {
     }
 }
 
-/// Static RRIP with hit-priority promotion: insert at "long" (`2^M - 2`),
-/// promote to 0 on hit.
+/// How an [`Rrip`] policy picks a fill's RRPV.
 #[derive(Debug)]
-pub struct Srrip {
-    table: RrpvTable,
+enum Insertion {
+    /// SRRIP: always "long".
+    Long,
+    /// BRRIP: "distant" with a 1/32 trickle of "long".
+    Bimodal,
+    /// DRRIP: [`Insertion::Long`] or [`Insertion::Bimodal`] by set dueling.
+    Duelled(SetDuel),
 }
 
-impl Srrip {
-    /// Creates SRRIP state for a `sets x ways` cache.
-    pub fn new(sets: u32, ways: u32) -> Self {
-        Srrip { table: RrpvTable::new(sets, ways, RRPV_BITS) }
-    }
-}
-
-impl ReplacementPolicy for Srrip {
-    fn name(&self) -> &'static str {
-        "srrip"
-    }
-
-    #[inline]
-    fn victim(&mut self, set: u32, _info: &AccessInfo) -> Victim {
-        Victim::Way(self.table.find_victim(set))
-    }
-
-    #[inline]
-    fn on_hit(&mut self, set: u32, way: u32, info: &AccessInfo) {
-        if info.kind.is_demand() {
-            self.table.set(set, way, 0);
-        }
-    }
-
-    #[inline]
-    fn on_fill(&mut self, set: u32, way: u32, _info: &AccessInfo, _evicted: Option<u64>) {
-        self.table.set(set, way, RRPV_LONG);
-    }
-}
-
-/// Bimodal RRIP: like SRRIP but inserts at the *distant* RRPV except for a
-/// 1-in-32 trickle at "long", protecting against thrashing working sets.
+/// SRRIP, BRRIP or DRRIP: 2-bit RRPVs, hit-priority promotion to 0 on
+/// demand hits, and one of three insertion rules.
 #[derive(Debug)]
-pub struct Brrip {
+pub struct Rrip {
     table: RrpvTable,
-    fills: u64,
+    insertion: Insertion,
     rng: SplitMix64,
 }
 
-impl Brrip {
-    /// Creates BRRIP state for a `sets x ways` cache.
-    pub fn new(sets: u32, ways: u32) -> Self {
-        Brrip {
-            table: RrpvTable::new(sets, ways, RRPV_BITS),
-            fills: 0,
-            rng: SplitMix64::new(0xB441),
-        }
+impl Rrip {
+    fn new(sets: u32, ways: u32, insertion: Insertion, seed: u64) -> Self {
+        Rrip { table: RrpvTable::new(sets, ways, RRPV_BITS), insertion, rng: SplitMix64::new(seed) }
     }
 
-    /// Insertion RRPV for the next fill (advances the bimodal state).
-    fn insertion_rrpv(&mut self) -> u8 {
-        self.fills += 1;
-        if self.rng.one_in(BRRIP_EPSILON) {
-            RRPV_LONG
-        } else {
-            RRPV_MAX
-        }
+    /// Static RRIP: every fill inserts at "long" (`2^M - 2`).
+    pub fn srrip(sets: u32, ways: u32) -> Self {
+        Rrip::new(sets, ways, Insertion::Long, 0)
+    }
+
+    /// Bimodal RRIP: fills insert at the *distant* RRPV except for a
+    /// 1-in-32 trickle at "long", protecting against thrashing working
+    /// sets. Draws its RNG on every fill.
+    pub fn brrip(sets: u32, ways: u32) -> Self {
+        Rrip::new(sets, ways, Insertion::Bimodal, 0xB441)
+    }
+
+    /// Dynamic RRIP: SRRIP and BRRIP leader sets duel; followers adopt
+    /// the winner. Draws its RNG only when the bimodal rule applies.
+    pub fn drrip(sets: u32, ways: u32) -> Self {
+        Rrip::new(sets, ways, Insertion::Duelled(SetDuel::new()), 0xD441)
     }
 }
 
-impl ReplacementPolicy for Brrip {
+impl ReplacementPolicy for Rrip {
     fn name(&self) -> &'static str {
-        "brrip"
+        match self.insertion {
+            Insertion::Long => "srrip",
+            Insertion::Bimodal => "brrip",
+            Insertion::Duelled(_) => "drrip",
+        }
     }
 
     #[inline]
@@ -154,23 +129,23 @@ impl ReplacementPolicy for Brrip {
     }
 
     #[inline]
-    fn on_fill(&mut self, set: u32, way: u32, _info: &AccessInfo, _evicted: Option<u64>) {
-        let v = self.insertion_rrpv();
-        self.table.set(set, way, v);
+    fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, _evicted: Option<u64>) {
+        let bimodal = match &mut self.insertion {
+            Insertion::Long => false,
+            Insertion::Bimodal => true,
+            Insertion::Duelled(duel) => duel.fill(set, info.kind.is_demand()),
+        };
+        let rrpv = if bimodal && bimodal_cold(&mut self.rng) { RRPV_MAX } else { RRPV_LONG };
+        self.table.set(set, way, rrpv);
     }
-}
 
-/// The insertion behaviours shared by DRRIP/SHiP, factored for reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RripInsertion {
-    /// SRRIP-style: always "long".
-    Long,
-    /// BRRIP-style: "distant" with a 1/32 trickle of "long".
-    Bimodal,
-    /// Distant future (predicted dead).
-    Distant,
-    /// Immediate reuse predicted (RRPV 0).
-    Near,
+    fn diag(&self) -> String {
+        let Insertion::Duelled(duel) = &self.insertion else {
+            return String::new();
+        };
+        let [srrip, brrip] = duel.leader_misses();
+        format!("{} leader_misses: srrip={srrip} brrip={brrip}", duel.diag(["srrip", "brrip"]))
+    }
 }
 
 #[cfg(test)]
@@ -178,12 +153,8 @@ mod tests {
     use super::*;
     use crate::policy::AccessType;
 
-    fn load(set: u32) -> AccessInfo {
-        AccessInfo { pc: 7, block: 9, set, kind: AccessType::Load }
-    }
-
-    fn wb(set: u32) -> AccessInfo {
-        AccessInfo { pc: 0, block: 9, set, kind: AccessType::Writeback }
+    fn access(set: u32, kind: AccessType) -> AccessInfo {
+        AccessInfo { pc: 7, block: 9, set, kind }
     }
 
     #[test]
@@ -198,54 +169,88 @@ mod tests {
     }
 
     #[test]
-    fn srrip_inserts_long_and_promotes_to_zero() {
-        let mut p = Srrip::new(1, 4);
-        p.on_fill(0, 1, &load(0), None);
-        assert_eq!(p.table.get(0, 1), RRPV_LONG);
-        p.on_hit(0, 1, &load(0));
-        assert_eq!(p.table.get(0, 1), 0);
-    }
-
-    #[test]
-    fn srrip_ignores_writeback_hits_for_promotion() {
-        let mut p = Srrip::new(1, 4);
-        p.on_fill(0, 1, &load(0), None);
-        p.on_hit(0, 1, &wb(0));
-        assert_eq!(p.table.get(0, 1), RRPV_LONG, "writeback must not promote");
-    }
-
-    #[test]
-    fn srrip_scan_resistance() {
-        // A never-rereferenced streaming block (still at LONG) is evicted
-        // before a block that has hit (at 0), even if the streamer is newer.
-        let mut p = Srrip::new(1, 2);
-        p.on_fill(0, 0, &load(0), None);
-        p.on_hit(0, 0, &load(0)); // way 0 hot
-        p.on_fill(0, 1, &load(0), None); // way 1 streaming
-        let Victim::Way(v) = p.victim(0, &load(0)) else { unreachable!() };
-        assert_eq!(v, 1);
-    }
-
-    #[test]
-    fn brrip_mostly_inserts_distant() {
-        let mut p = Brrip::new(1, 16);
-        let mut distant = 0;
-        for i in 0..1600u32 {
-            p.on_fill(0, i % 16, &load(0), None);
-            if p.table.get(0, i % 16) == RRPV_MAX {
-                distant += 1;
-            }
-        }
-        assert!(distant > 1400, "only {distant}/1600 distant inserts");
-        assert!(distant < 1600, "epsilon trickle never fired");
-    }
-
-    #[test]
     fn find_victim_prefers_lowest_way_on_tie() {
         let mut t = RrpvTable::new(1, 4, 2);
         for w in 0..4 {
             t.set(0, w, 3);
         }
         assert_eq!(t.find_victim(0), 0);
+    }
+
+    /// Conformance rows of the RRIP backend, run against each insertion
+    /// rule: what a fill inserts (a twin RNG seeded like the policy and
+    /// drawn only where the rule draws predicts every bimodal fill),
+    /// that demand hits promote to 0 and writeback hits do not, and that
+    /// the victim search ages the set to the first way at max.
+    #[test]
+    fn insert_promote_age_rows_hold_for_every_insertion_rule() {
+        // (policy, set, seed of its RNG if this set's fills draw it)
+        let rows: [(Rrip, u32, Option<u64>); 5] = [
+            (Rrip::srrip(128, 4), 1, None),
+            (Rrip::brrip(128, 4), 1, Some(0xB441)),
+            (Rrip::drrip(128, 4), 0, None),          // SRRIP leader
+            (Rrip::drrip(128, 4), 1, None),          // follower, PSEL 0
+            (Rrip::drrip(128, 4), 33, Some(0xD441)), // BRRIP leader
+        ];
+        for (mut p, set, seed) in rows {
+            let name = p.name();
+            let mut twin = seed.map(SplitMix64::new);
+            let mut distant = 0;
+            for i in 0..320u32 {
+                p.on_fill(set, i % 4, &access(set, AccessType::Load), None);
+                let cold = twin.as_mut().is_some_and(bimodal_cold);
+                distant += u32::from(cold);
+                let want = if cold { RRPV_MAX } else { RRPV_LONG };
+                assert_eq!(p.table.get(set, i % 4), want, "{name} set {set} fill {i}");
+            }
+            if seed.is_some() {
+                assert!((280..320).contains(&distant), "{name}: {distant}/320 distant");
+            }
+            // Promotion: demand hits to 0, writeback hits leave the RRPV.
+            p.table.set(set, 1, RRPV_LONG);
+            p.on_hit(set, 1, &access(set, AccessType::Writeback));
+            assert_eq!(p.table.get(set, 1), RRPV_LONG, "{name}");
+            p.on_hit(set, 1, &access(set, AccessType::Rfo));
+            assert_eq!(p.table.get(set, 1), 0, "{name}");
+            // Aging: RRPVs [1, 0, 2, 1] age once, to the first way at max.
+            for (w, r) in [1, 0, 2, 1].into_iter().enumerate() {
+                p.table.set(set, w as u32, r);
+            }
+            assert_eq!(p.victim(set, &access(set, AccessType::Load)), Victim::Way(2), "{name}");
+            let aged: Vec<u8> = (0..4).map(|w| p.table.get(set, w)).collect();
+            assert_eq!(aged, [2, 1, 3, 2], "{name}");
+        }
+    }
+
+    #[test]
+    fn drrip_followers_insert_distant_once_brrip_wins() {
+        let mut p = Rrip::drrip(128, 4);
+        let load = |set| access(set, AccessType::Load);
+        for _ in 0..512 {
+            p.on_fill(0, 0, &load(0), None);
+        }
+        let mut twin = SplitMix64::new(0xD441);
+        for i in 0..100 {
+            p.on_fill(1, i % 4, &load(1), None);
+            let want = if bimodal_cold(&mut twin) { RRPV_MAX } else { RRPV_LONG };
+            assert_eq!(p.table.get(1, i % 4), want);
+        }
+        assert_eq!(p.diag(), "psel=512 (brrip) leader_misses: srrip=512 brrip=0");
+        assert_eq!(
+            (Rrip::srrip(1, 1).diag(), Rrip::brrip(1, 1).diag()),
+            (String::new(), String::new())
+        );
+    }
+
+    #[test]
+    fn srrip_scan_resistance() {
+        // A never-rereferenced streaming block (still at LONG) is evicted
+        // before a block that has hit (at 0), even if the streamer is newer.
+        let mut p = Rrip::srrip(1, 2);
+        let load = access(0, AccessType::Load);
+        p.on_fill(0, 0, &load, None);
+        p.on_hit(0, 0, &load); // way 0 hot
+        p.on_fill(0, 1, &load, None); // way 1 streaming
+        assert_eq!(p.victim(0, &load), Victim::Way(1));
     }
 }

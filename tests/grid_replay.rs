@@ -62,7 +62,7 @@ fn arb_cell() -> impl Strategy<Value = (SimConfig, PolicyKind)> {
     })
 }
 
-/// 0 = autotuned, 1 = record-at-a-time, 2 = beyond any trace (and any
+/// 0 = the default chunk, 1 = record-at-a-time, 2 = beyond any trace (and any
 /// buffer that could be reserved); everything else a small explicit
 /// chunk.
 fn chunk_records(sel: usize) -> usize {
@@ -324,7 +324,8 @@ fn campaign_streams_external_cells_identically() {
     // Reference: materialize the cached conversion and run the oracle.
     let cache = TraceCache::new(dir.join("cache")).unwrap();
     let opts = IngestOptions { name: Some(selector.clone()), ..Default::default() };
-    let reference_trace = cache.get_or_ingest(&source, &opts).unwrap();
+    let entry = cache.ensure_ingested(&source, &opts).unwrap();
+    let reference_trace = ccsim::trace::read_trace(&std::fs::read(entry).unwrap()[..]).unwrap();
     assert_eq!(cache.hits(), 1, "campaign must have converted the trace already");
     for cell in &outcome.report.cells {
         let policy: PolicyKind = cell.policy.parse().unwrap();

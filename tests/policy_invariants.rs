@@ -79,6 +79,27 @@ fn drrip_tracks_the_better_component() {
     );
 }
 
+/// A finding pinned, not fixed: set dueling puts its bimodal leader at
+/// set 33 of every 64, so an LLC of fewer than 34 sets has none. Under
+/// `SimConfig::tiny` (8 LLC sets; 8, 16 and 32 at the tag-store golden's
+/// scales) DIP and DRRIP run a one-sided duel — PSEL can only rise — and
+/// every such number, the golden's DIP/DRRIP rows included, measures it.
+#[test]
+fn tiny_llc_duels_have_no_bimodal_leader() {
+    let trace = zipf_trace(20_000);
+    for scale in [1u32, 2, 4, 8] {
+        let config = SimConfig::tiny().with_llc_scale(scale);
+        let diag = simulate(&trace, &config, PolicyKind::Drrip).llc_diag;
+        let brrip_leader_misses: u64 = diag.rsplit("brrip=").next().unwrap().parse().unwrap();
+        assert_eq!(
+            brrip_leader_misses == 0,
+            config.llc.sets < 34,
+            "{} sets: {diag}",
+            config.llc.sets
+        );
+    }
+}
+
 /// Sanity floor: no policy collapses to a small fraction of random
 /// replacement's hit count on a skewed stream. (Interestingly, plain LRU
 /// can legitimately fall *slightly below* random at the LLC: the L1/L2
