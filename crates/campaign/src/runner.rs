@@ -500,47 +500,43 @@ impl Campaign {
     ///
     /// Returns a message on invalid workload selectors.
     pub fn plan(&self) -> Result<CampaignPlan, String> {
-        let workloads = self.spec.expand_workloads()?;
-        let configs = self.spec.configs();
+        let grid = self.grid()?;
         let journaled = match &self.journal_path {
             Some(path) => Journal::peek_completed(path, &self.spec.name, &self.spec.digest()),
             None => Default::default(),
         };
         let mut cells = Vec::new();
-        for workload in &workloads {
-            let workload_status = self.plan_workload_status(workload);
-            for (label, _) in &configs {
-                for policy in &self.spec.policies {
-                    let id = format!("{workload}|{label}|{}", policy.name());
-                    let mut lease = None;
-                    let status =
-                        if journaled.contains_key(&id) || self.extra_completed.contains(&id) {
-                            CellStatus::Journaled
-                        } else if workload_status == CellStatus::MissingSource {
-                            // A lease can't fix a missing trace: source —
-                            // every (re)claim of this cell will fail at
-                            // acquisition, so the operator warning must
-                            // not be masked by claim state.
-                            lease = self.leases.get(&id).cloned();
-                            CellStatus::MissingSource
-                        } else if let Some(l) = self.leases.get(&id) {
-                            lease = Some(l.clone());
-                            if l.stale {
-                                CellStatus::StaleLease
-                            } else {
-                                CellStatus::Leased
-                            }
-                        } else {
-                            workload_status
-                        };
-                    cells.push(PlanCell {
-                        workload: workload.clone(),
-                        config: label.clone(),
-                        policy: policy.name().to_owned(),
-                        status,
-                        lease,
-                    });
-                }
+        for band in grid.cells.chunk_by(|a, b| a.workload == b.workload) {
+            let workload_status = self.plan_workload_status(&band[0].workload);
+            for cell in band {
+                let id = &cell.id;
+                let mut lease = None;
+                let status = if journaled.contains_key(id) || self.extra_completed.contains(id) {
+                    CellStatus::Journaled
+                } else if workload_status == CellStatus::MissingSource {
+                    // A lease can't fix a missing trace: source — every
+                    // (re)claim of this cell will fail at acquisition, so
+                    // the operator warning must not be masked by claim
+                    // state.
+                    lease = self.leases.get(id).cloned();
+                    CellStatus::MissingSource
+                } else if let Some(l) = self.leases.get(id) {
+                    lease = Some(l.clone());
+                    if l.stale {
+                        CellStatus::StaleLease
+                    } else {
+                        CellStatus::Leased
+                    }
+                } else {
+                    workload_status
+                };
+                cells.push(PlanCell {
+                    workload: cell.workload.clone(),
+                    config: grid.configs[cell.config_index].0.clone(),
+                    policy: cell.policy.name().to_owned(),
+                    status,
+                    lease,
+                });
             }
         }
         Ok(CampaignPlan { cells })

@@ -208,6 +208,16 @@ impl Args {
         }
     }
 
+    /// [`Args::get`] for a budget or threshold: a finite number, at least 0.
+    pub fn non_negative(&self, flag: &str) -> Result<Option<f64>, String> {
+        match self.get::<f64>(flag)? {
+            Some(v) if !v.is_finite() || v < 0.0 => {
+                Err(self.error(format!("{flag} must be a non-negative number")))
+            }
+            v => Ok(v),
+        }
+    }
+
     /// [`Args::get`] for a flag the table marks [`Flag::required`].
     pub fn required<T: FromStr>(&self, flag: &str) -> Result<T, String> {
         self.get(flag)?.ok_or_else(|| self.error(format!("needs {flag}")))

@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn every_row_renders_its_flags_and_the_help_renders_every_row() {
         let help = help();
-        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 58);
+        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 57);
         for (i, cmd) in COMMANDS.iter().enumerate() {
             let name = cmd.path.join(" ");
             assert!(COMMANDS[..i].iter().all(|c| c.path != cmd.path), "{name} has two rows");
@@ -162,7 +162,7 @@ mod tests {
         assert!(help.contains(
             "    ccsim campaign worker <spec.json> --shared-dir <dir> [--worker-id <id>]\n"
         ));
-        assert!(help.contains("[--from-manifest <file>]..."), "{help}");
+        assert!(help.contains("[--policy <name>]..."), "{help}");
     }
 
     #[test]
@@ -225,6 +225,27 @@ mod tests {
                 Some("ccsim campaign status: needs --shared-dir <dir>"),
             ),
             (&["trends", "gc", "--ledger", &ledger], Some("ccsim trends gc: needs --keep <n>")),
+            // A gate budget is a finite number, at least 0.
+            (
+                &["trends", "check", "--ledger", &ledger, "--max-drop-pct", "nan"],
+                Some("ccsim trends check: --max-drop-pct must be a non-negative number"),
+            ),
+            (
+                &["trends", "check", "--ledger", &ledger, "--max-drop-pct", "inf"],
+                Some("ccsim trends check: --max-drop-pct must be a non-negative number"),
+            ),
+            (
+                &["trends", "check", "--ledger", &ledger, "--max-rise-pct", "-5"],
+                Some("ccsim trends check: --max-rise-pct must be a non-negative number"),
+            ),
+            (
+                &["trends", "check", "--ledger", &ledger, "--max-overhead-rise-pp", "NaN"],
+                Some("ccsim trends check: --max-overhead-rise-pp must be a non-negative number"),
+            ),
+            (
+                &["trends", "check", "--ledger", &ledger, "--max-mpki-delta", "-inf"],
+                Some("ccsim trends check: --max-mpki-delta must be a non-negative number"),
+            ),
             // `--help` wins over what else is on the line and runs nothing.
             (&["sim", "--help"], None),
             (&["campaign", "worker", "-h"], None),

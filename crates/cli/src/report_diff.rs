@@ -19,10 +19,7 @@ dashboards (summary fields mirror the exit-code conditions).",
 };
 
 fn report_diff(args: &Args) -> Result<(), String> {
-    let threshold: f64 = args.get("--threshold")?.unwrap_or(0.0);
-    if !threshold.is_finite() || threshold < 0.0 {
-        return Err(args.error("--threshold must be a non-negative number"));
-    }
+    let threshold = args.non_negative("--threshold")?.unwrap_or(0.0);
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
     let diff = ReportDiff::from_json_strs(&read(args.pos(0))?, &read(args.pos(1))?)?;
     let json = args.has("--json");

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 
 use ccsim_campaign::Json;
-use ccsim_trends::{BenchSummary, DiffSummary, Ledger, ManifestSummary, TrendEntry, WatchSummary};
+use ccsim_trends::{Ledger, SeriesList, TrendEntry};
 
 use crate::args::{Args, Command, Flag};
 
@@ -18,20 +18,20 @@ pub const RECORD: Command = Command {
         Flag::value("--label", "s"),
         Flag::value("--timestamp", "s"),
         Flag::value("--from-bench", "file"),
-        Flag::value("--from-diff", "file"),
-        Flag::repeat("--from-manifest", "file"),
         Flag::value("--from-watch", "file"),
+        Flag::value("--from-diff", "file"),
     ],
     about: "append this revision's numbers to the ledger
 
 `trends` maintains an append-only cross-revision performance ledger
 (trends.jsonl, one entry per revision): `record` tags --rev/--label
 (--rev defaults to `git rev-parse HEAD`, or \"unknown\" outside a
-repository) and distills any of a `benchmark/run.sh --out` document
-(--from-bench), `report-diff --json` (--from-diff), obs manifests
-(--from-manifest, repeatable) and `watch --once --json`
-(--from-watch) into one line. See the Continuous benchmarking runbook
-in PAPER.md.
+repository) and turns any of a `benchmark/run.sh --out` document
+(--from-bench), a `campaign watch --once --json` document over a
+shared dir or a campaign's --out dir (--from-watch) and
+`report-diff --json` (--from-diff) into one line of named series
+(`ccsim_trends` 2); a quantity a document does not carry is no series,
+never a zero. See the Continuous benchmarking runbook in PAPER.md.
 
 Simulator performance is measured outside this binary, by
 `benchmark/run.sh` (see benchmark/README.md); `trends record
@@ -88,11 +88,20 @@ fn ledger_path(args: &Args) -> Result<PathBuf, String> {
     Ok(args.get("--ledger")?.unwrap_or_else(|| PathBuf::from(ccsim_trends::LEDGER_FILE)))
 }
 
-/// Reads one JSON source document for `trends record` and distills it.
-fn summarize<T>(path: &str, from_doc: fn(&Json) -> Result<T, String>) -> Result<T, String> {
+/// A source document's series reader (`ccsim_trends::*_series`).
+type SeriesReader = fn(&Json) -> Result<SeriesList, String>;
+
+/// Reads one JSON source document for `trends record` into its series;
+/// a value that is not a finite number would not survive the ledger
+/// line, so it is an error here.
+fn read_series(path: &str, read: SeriesReader) -> Result<SeriesList, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    from_doc(&doc).map_err(|e| format!("{path}: {e}"))
+    let series = read(&doc).map_err(|e| format!("{path}: {e}"))?;
+    match series.iter().find(|(_, v)| !v.is_finite()) {
+        Some((name, v)) => Err(format!("{path}: {name} is {v}, not a finite number")),
+        None => Ok(series),
+    }
 }
 
 /// Resolves the revision `trends record` tags its entry with when
@@ -122,23 +131,19 @@ fn record(args: &Args) -> Result<(), String> {
             .map_or_else(|_| "0".to_owned(), |d| d.as_secs().to_string()),
     };
     let mut entry = TrendEntry::new(&rev, &label, &timestamp);
-    let one = |flag| args.all(flag).next();
-    entry.bench = one("--from-bench").map(|p| summarize(p, BenchSummary::from_doc)).transpose()?;
-    entry.diff = one("--from-diff").map(|p| summarize(p, DiffSummary::from_doc)).transpose()?;
-    for path in args.all("--from-manifest") {
-        entry.manifests.push(summarize(path, ManifestSummary::from_doc)?);
+    // Bench, watch, diff: the line order tables and verdicts list rows in.
+    let sources: [(&str, SeriesReader); 3] = [
+        ("--from-bench", ccsim_trends::bench_series),
+        ("--from-watch", ccsim_trends::watch_series),
+        ("--from-diff", ccsim_trends::diff_series),
+    ];
+    for (flag, read) in sources {
+        if let Some(path) = args.all(flag).next() {
+            entry.series.extend(read_series(path, read)?);
+        }
     }
-    entry.watch = one("--from-watch").map(|p| summarize(p, WatchSummary::from_doc)).transpose()?;
     Ledger::append(&ledger, &entry)?;
-    println!(
-        "recorded {} to {}: bench={}, diff={}, manifests={}, watch={}",
-        entry.rev,
-        ledger.display(),
-        if entry.bench.is_some() { "yes" } else { "no" },
-        if entry.diff.is_some() { "yes" } else { "no" },
-        entry.manifests.len(),
-        if entry.watch.is_some() { "yes" } else { "no" },
-    );
+    println!("recorded {} to {}: {} series", entry.rev, ledger.display(), entry.series.len());
     Ok(())
 }
 
@@ -157,12 +162,12 @@ fn check(args: &Args) -> Result<(), String> {
     let options = ccsim_trends::CheckOptions {
         window: args.positive("--window")?.unwrap_or(default.window),
         min_history: args.positive("--min-history")?.unwrap_or(default.min_history),
-        max_drop_pct: args.get("--max-drop-pct")?.unwrap_or(default.max_drop_pct),
-        max_rise_pct: args.get("--max-rise-pct")?.unwrap_or(default.max_rise_pct),
+        max_drop_pct: args.non_negative("--max-drop-pct")?.unwrap_or(default.max_drop_pct),
+        max_rise_pct: args.non_negative("--max-rise-pct")?.unwrap_or(default.max_rise_pct),
         max_overhead_rise_pp: args
-            .get("--max-overhead-rise-pp")?
+            .non_negative("--max-overhead-rise-pp")?
             .unwrap_or(default.max_overhead_rise_pp),
-        max_mpki_delta: args.get("--max-mpki-delta")?.unwrap_or(default.max_mpki_delta),
+        max_mpki_delta: args.non_negative("--max-mpki-delta")?.unwrap_or(default.max_mpki_delta),
     };
     let ledger = Ledger::load(&ledger_path(args)?)?;
     let verdict = ccsim_trends::run_check(&ledger.entries, &options)?;
@@ -245,6 +250,12 @@ mod tests {
         let err = ccsim(&["trends", "check", "--ledger", ledger]).unwrap_err();
         assert!(err.contains("bench.smoke/gap_miss/median_rps"), "{err}");
 
+        // 1000 records in 1e-320 s overflows to a value no ledger line holds.
+        let instant = bench_doc(100.0).replace(r#""median_s": 10"#, r#""median_s": 1e-320"#);
+        std::fs::write(&bench_path, instant).unwrap();
+        let err = ccsim(&[&record[..], &["--rev", "inf"]].concat()).unwrap_err();
+        assert!(err.contains("median_rps is inf, not a finite number"), "{err}");
+
         ccsim(&["trends", "gc", "--ledger", ledger, "--keep", "2"]).unwrap();
         let text = std::fs::read_to_string(ledger).unwrap();
         assert_eq!(text.lines().count(), 2);
@@ -265,6 +276,35 @@ mod tests {
         assert!(ccsim(&["trends", "gc", "--ledger", ledger, "--keep", "0"]).is_err());
         assert!(ccsim(&["trends", "check", "--ledger", ledger, "--window", "0"]).is_err());
         assert!(ccsim(&["trends", "frobnicate"]).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Absent is not zero: an untraced bench document records no
+    /// overhead, so three of them do not anchor the gate at 0 % and the
+    /// first traced run bootstraps instead of failing.
+    #[test]
+    fn untraced_runs_leave_the_overhead_unmeasured() {
+        let dir = std::env::temp_dir().join(format!("ccsim_cli_untraced_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (ledger, bench) = (dir.join("trends.jsonl"), dir.join("bench.json"));
+        let (ledger, bench) = (ledger.to_str().unwrap(), bench.to_str().unwrap());
+        let traced = r#", "traced": {"per_layer": {"obs.overhead_pct": {"value": 2.8}}}"#;
+        for (i, traced) in ["", "", "", traced].iter().enumerate() {
+            let doc = format!(
+                r#"{{"ccsim_benchmark": 1, "smoke": true, "workloads": {{"gap_miss": {{"units":
+                    [{{"name": "lru", "cell_records": 1000, "min_s": 1, "median_s": 1}}]}}}}{traced}}}"#
+            );
+            std::fs::write(bench, doc).unwrap();
+            let rev = format!("r{i}");
+            ccsim(&["trends", "record", "--ledger", ledger, "--rev", &rev, "--from-bench", bench])
+                .unwrap();
+        }
+        ccsim(&["trends", "check", "--ledger", ledger]).expect("no median of fake zeros");
+        let text = std::fs::read_to_string(ledger).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(!lines[0].contains("obs_overhead_pct"), "{}", lines[0]);
+        assert!(lines[3].contains(r#""bench.smoke/obs_overhead_pct":2.8"#), "{}", lines[3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

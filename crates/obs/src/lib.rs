@@ -1,7 +1,7 @@
 //! # ccsim-obs
 //!
 //! Zero-allocation telemetry for the whole workspace: a process-wide
-//! catalog of sharded atomic [`Counter`]s, [`Gauge`]s, and log₂-bucketed
+//! catalog of atomic [`Counter`]s, [`Gauge`]s, and log₂-bucketed
 //! [`Histogram`]s with drop-guard [`Span`] timers, plus two pinned-schema
 //! sinks — a per-run JSONL event log + end-of-run manifest
 //! ([`RunObs`], [`Manifest`], [`OBS_SCHEMA_VERSION`]) and
@@ -14,10 +14,9 @@
 //!
 //! 1. **Zero steady-state allocations on instrumented hot paths.** The
 //!    catalog is a `const`-constructed `static` (no lazy init, no
-//!    registration), counter shards are picked through a
-//!    `const`-initialized thread-local, and recording is a handful of
-//!    relaxed atomics. `tests/alloc_free.rs` pins replay at 0
-//!    allocations per record *with telemetry enabled*.
+//!    registration), and recording is a handful of relaxed atomics.
+//!    `tests/alloc_free.rs` pins replay at 0 allocations per record
+//!    *with telemetry enabled*.
 //! 2. **No dependencies.** This crate sits below every other workspace
 //!    crate (core, ingest, campaign, dist, cli all instrument
 //!    through it), so it depends on nothing but `std` — which is why
@@ -51,8 +50,7 @@ pub mod table;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
-    enabled, metrics, set_enabled, Counter, Gauge, Histogram, Metrics, Span, COUNTER_SHARDS,
-    HISTOGRAM_BUCKETS,
+    enabled, metrics, set_enabled, Counter, Gauge, Histogram, Metrics, Span, HISTOGRAM_BUCKETS,
 };
 pub use sink::{check_document, document_header, DocumentError, Manifest, RunMeta, RunObs};
 pub use snapshot::{write_exposition, HistogramSnapshot, QuantileSummary, Snapshot};
@@ -73,9 +71,10 @@ pub const SOLO_WORKER: &str = "(solo)";
 
 /// Integer records-per-second over a nanosecond wall clock (0 when no
 /// time has accrued). The **one** rate rule every consumer shares —
-/// worker manifests, `DistStatus`/`campaign watch` rows and aggregates,
-/// and the `ccsim trends` ledger all derive throughput through here, so
-/// two views of the same accounting can never round differently.
+/// worker manifests and `DistStatus`/`campaign watch` rows and
+/// aggregates (which the `ccsim trends` ledger records) all derive
+/// throughput through here, so two views of the same accounting can
+/// never round differently.
 pub fn records_per_sec(records: u64, wall_ns: u64) -> u64 {
     if wall_ns == 0 {
         0

@@ -2,20 +2,13 @@
 //!
 //! Everything here is constructed in `const` context: the catalog is a
 //! plain `static`, handles are pre-registered fields, and the record
-//! path takes no locks and performs no allocation — a thread's counter
-//! shard is picked once through a `const`-initialized thread-local
-//! `Cell`, and histogram buckets are fixed arrays indexed by bit
+//! path takes no locks and performs no allocation — a counter is one
+//! relaxed atomic, and histogram buckets are fixed arrays indexed by bit
 //! length. `tests/alloc_free.rs` pins the zero-allocation contract with
 //! telemetry enabled.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Shards per [`Counter`]. A power of two so the thread → shard map is a
-/// mask; 16 cache lines bound worst-case contention without bloating
-/// the catalog.
-pub const COUNTER_SHARDS: usize = 16;
 
 /// Buckets per [`Histogram`]: one per value bit length (0..=64), so
 /// bucket `i` holds samples in `[2^(i-1), 2^i - 1]` (bucket 0 holds 0).
@@ -37,58 +30,28 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// One cache line per shard so two threads bumping the same counter
-/// never bounce a line between cores.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-impl PaddedU64 {
-    const fn new() -> PaddedU64 {
-        PaddedU64(AtomicU64::new(0))
-    }
-}
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's shard slot, assigned round-robin on first use.
-    /// `const`-initialized: touching it never allocates.
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn shard_index() -> usize {
-    SHARD.with(|slot| {
-        let v = slot.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (COUNTER_SHARDS - 1);
-            slot.set(v);
-            v
-        }
-    })
-}
-
-/// A monotonically increasing, sharded atomic counter.
+/// A monotonically increasing atomic counter.
 ///
-/// `add` touches one relaxed atomic in the caller's own shard — no
-/// locks, no allocation, no cross-thread cache-line sharing.
+/// `add` is one relaxed atomic — no locks, no allocation. One word
+/// shared by every thread: the most frequent update in the tree is once
+/// per lockstep chunk of replayed records (`grid_chunks`,
+/// `grid_records`), every other once per run, band, lease or cache
+/// lookup.
 pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     /// A zeroed counter, constructible in `const` context.
     pub const fn new() -> Counter {
-        Counter { shards: [const { PaddedU64::new() }; COUNTER_SHARDS] }
+        Counter { value: AtomicU64::new(0) }
     }
 
     /// Adds `n`. No-op while telemetry is disabled.
     #[inline]
     pub fn add(&self, n: u64) {
         if enabled() {
-            self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -98,9 +61,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -379,7 +342,7 @@ mod tests {
     use crate::test_support::enabled_lock;
 
     #[test]
-    fn counter_sums_across_shards_and_threads() {
+    fn counter_sums_across_threads() {
         let _guard = enabled_lock();
         let c = Counter::new();
         std::thread::scope(|s| {

@@ -86,13 +86,13 @@ impl QuantileSummary {
     }
 
     /// `{p50, p90, p99, min, max, count}`: the block `campaign watch
-    /// --json` and trend-ledger lines carry.
+    /// --json` carries.
     pub fn to_json(&self) -> Json {
         Json::obj(self.fields())
     }
 
     /// Reads [`QuantileSummary::to_json`] back: an absent field is 0,
-    /// anything but an object (a ledger line's `null`) is `None`.
+    /// anything but an object is `None`.
     pub fn from_json(doc: &Json) -> Option<QuantileSummary> {
         let Json::Obj(_) = doc else { return None };
         let field = |name| doc.get(name).and_then(Json::as_u64).unwrap_or(0);

@@ -1,7 +1,7 @@
 //! The regression gate: the newest ledger entry judged against the
 //! rolling median of the entries before it.
 //!
-//! Every tracked series has a direction ([`SeriesKind`]): throughput
+//! Every gated series has a direction ([`kind_of`]): throughput
 //! must not drop, latencies and overhead must not rise, golden-campaign
 //! MPKI drift must stay inside an absolute budget. Medians — not means
 //! — anchor the comparison so one noisy historical entry cannot move
@@ -43,95 +43,52 @@ impl SeriesKind {
     }
 }
 
-/// One tracked series over a window of ledger entries, one value slot
-/// per entry (in entry order; `None` where an entry lacks the source).
+/// The gate rule of series `name`, read from its last path segment —
+/// the one place that knows it, so a new ledger series is one name and
+/// one arm here. `None` is an informational series (the bench wall
+/// split): tables render it last and the gate skips it.
+pub fn kind_of(name: &str) -> Option<SeriesKind> {
+    match name.rsplit('/').next()? {
+        "median_rps" | "records_per_sec" => Some(SeriesKind::Throughput),
+        "cell_sim_p99_ns" => Some(SeriesKind::LatencyNs),
+        "obs_overhead_pct" => Some(SeriesKind::OverheadPct),
+        "max_abs_mpki_delta" => Some(SeriesKind::MpkiDelta),
+        _ => None,
+    }
+}
+
+/// One series over a window of ledger entries, one value slot per
+/// entry (in entry order; `None` where an entry did not record it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
-    /// Stable series name (`bench/llc_thrash/median_rps`, …).
+    /// Stable series name (`bench/gap_miss/median_rps`, …).
     pub name: String,
-    /// Direction of its regression test.
-    pub kind: SeriesKind,
+    /// Its gate rule, [`kind_of`] the name.
+    pub kind: Option<SeriesKind>,
     /// One slot per entry, oldest first.
     pub values: Vec<Option<f64>>,
 }
 
-/// Series-name prefix of the bench suite an entry belongs to: smoke and
-/// full-scale runs replay different inputs, so each scale is its own
-/// set of series and a gate only ever compares like against like.
-pub(crate) fn bench_suite(quick: bool) -> &'static str {
-    if quick {
-        "bench.smoke"
-    } else {
-        "bench"
-    }
-}
-
-/// Extracts every tracked series from `entries` (oldest first): per
-/// bench scale, one throughput rollup per workload (mean of per-unit
-/// median records/sec) and the telemetry overhead gate; then fleet
-/// throughput and per-cell p99 from manifests/watch, and
-/// golden-campaign MPKI drift. Series order is deterministic:
-/// full-scale bench series before smoke ones, workloads in first-seen
-/// order, then the fixed singletons.
+/// Every series `entries` (oldest first) recorded: the first-seen union
+/// of their names, gated series before informational ones. Entries list
+/// bench, watch, diff series in that order, so rows come out as bench
+/// throughput per workload, overhead, fleet, diff, then the wall split.
 pub fn extract_series(entries: &[TrendEntry]) -> Vec<Series> {
-    let mut out = Vec::new();
-    for quick in [false, true] {
-        let suite = bench_suite(quick);
-        let mut patterns: Vec<&str> = Vec::new();
-        for c in entries.iter().filter_map(|e| e.bench_at(quick)).flat_map(|b| &b.cells) {
-            if !patterns.contains(&c.pattern.as_str()) {
-                patterns.push(&c.pattern);
-            }
+    let mut names: Vec<&str> = Vec::new();
+    for (name, _) in entries.iter().flat_map(|e| &e.series) {
+        if !names.contains(&name.as_str()) {
+            names.push(name);
         }
-        for pattern in patterns {
-            let values = entries
-                .iter()
-                .map(|e| {
-                    let rps: Vec<f64> = e
-                        .bench_at(quick)?
-                        .cells
-                        .iter()
-                        .filter(|c| c.pattern == pattern)
-                        .map(|c| c.median_rps)
-                        .collect();
-                    if rps.is_empty() {
-                        None
-                    } else {
-                        Some(rps.iter().sum::<f64>() / rps.len() as f64)
-                    }
-                })
-                .collect();
-            out.push(Series {
-                name: format!("{suite}/{pattern}/median_rps"),
-                kind: SeriesKind::Throughput,
-                values,
-            });
-        }
-        out.push(Series {
-            name: format!("{suite}/obs_overhead_pct"),
-            kind: SeriesKind::OverheadPct,
-            values: entries.iter().map(|e| e.bench_at(quick).map(|b| b.overhead_pct)).collect(),
-        });
     }
-    let singleton =
-        |name: &str, kind, values: Vec<Option<f64>>| Series { name: name.to_owned(), kind, values };
-    out.push(singleton(
-        "fleet/records_per_sec",
-        SeriesKind::Throughput,
-        entries.iter().map(|e| e.fleet_records_per_sec().map(|v| v as f64)).collect(),
-    ));
-    out.push(singleton(
-        "fleet/cell_sim_p99_ns",
-        SeriesKind::LatencyNs,
-        entries.iter().map(|e| e.fleet_cell_sim_p99_ns().map(|v| v as f64)).collect(),
-    ));
-    out.push(singleton(
-        "diff/max_abs_mpki_delta",
-        SeriesKind::MpkiDelta,
-        entries.iter().map(|e| e.diff.as_ref().map(|d| d.max_abs_mpki_delta)).collect(),
-    ));
-    // A series nothing ever recorded is noise in tables and verdicts.
-    out.retain(|s| s.values.iter().any(Option::is_some));
+    let mut out: Vec<Series> = names
+        .into_iter()
+        .map(|name| Series {
+            name: name.to_owned(),
+            kind: kind_of(name),
+            values: entries.iter().map(|e| e.value(name)).collect(),
+        })
+        .collect();
+    out.sort_by_key(|s| s.kind.is_none());
     out
 }
 
@@ -253,38 +210,22 @@ pub fn run_check(entries: &[TrendEntry], options: &CheckOptions) -> Result<Check
     let Some(newest) = entries.last() else {
         return Err("empty ledger: record an entry before checking".to_owned());
     };
-    let series = extract_series(entries);
     let mut verdicts = Vec::new();
-    for s in series {
+    for s in extract_series(entries) {
+        let Some(kind) = s.kind else { continue };
         let (history, value_slot) = s.values.split_at(s.values.len() - 1);
         let value = value_slot[0];
         let prior: Vec<f64> =
             history.iter().rev().filter_map(|v| *v).take(options.window).collect();
-        let verdict = match (s.kind, value) {
-            (_, None) => SeriesVerdict {
-                name: s.name,
-                kind: s.kind,
-                value: None,
-                median: None,
-                bound: None,
-                status: "no_data",
-            },
-            (SeriesKind::MpkiDelta, Some(v)) => SeriesVerdict {
-                name: s.name,
-                kind: s.kind,
-                value: Some(v),
-                median: None,
-                bound: Some(options.max_mpki_delta),
-                status: if v > options.max_mpki_delta { "fail" } else { "pass" },
-            },
-            (kind, Some(v)) if prior.len() < options.min_history => SeriesVerdict {
-                name: s.name,
-                kind,
-                value: Some(v),
-                median: median(&prior),
-                bound: None,
-                status: "insufficient_history",
-            },
+        let fail_if = |failed: bool| if failed { "fail" } else { "pass" };
+        let (median, bound, status) = match (kind, value) {
+            (_, None) => (None, None, "no_data"),
+            (SeriesKind::MpkiDelta, Some(v)) => {
+                (None, Some(options.max_mpki_delta), fail_if(v > options.max_mpki_delta))
+            }
+            (_, Some(_)) if prior.len() < options.min_history => {
+                (median(&prior), None, "insufficient_history")
+            }
             (kind, Some(v)) => {
                 let m = median(&prior).expect("min_history >= 1 checked above");
                 let (bound, failed) = match kind {
@@ -302,17 +243,10 @@ pub fn run_check(entries: &[TrendEntry], options: &CheckOptions) -> Result<Check
                     }
                     SeriesKind::MpkiDelta => unreachable!("handled above"),
                 };
-                SeriesVerdict {
-                    name: s.name,
-                    kind,
-                    value: Some(v),
-                    median: Some(m),
-                    bound: Some(bound),
-                    status: if failed { "fail" } else { "pass" },
-                }
+                (Some(m), Some(bound), fail_if(failed))
             }
         };
-        verdicts.push(verdict);
+        verdicts.push(SeriesVerdict { name: s.name, kind, value, median, bound, status });
     }
     Ok(CheckVerdict { rev: newest.rev.clone(), options: options.clone(), series: verdicts })
 }
@@ -320,34 +254,71 @@ pub fn run_check(entries: &[TrendEntry], options: &CheckOptions) -> Result<Check
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{BenchCellSummary, BenchSummary, DiffSummary};
 
-    fn bench_entry(rev: &str, rps: f64, overhead: f64) -> TrendEntry {
+    fn entry(rev: &str, series: &[(&str, f64)]) -> TrendEntry {
         let mut e = TrendEntry::new(rev, "", "");
-        e.bench = Some(BenchSummary {
-            quick: false,
-            overhead_pct: overhead,
-            decode_ns: 1,
-            simulate_ns: 2,
-            report_ns: 3,
-            cells: vec![
-                BenchCellSummary {
-                    pattern: "llc_thrash".into(),
-                    policy: "lru".into(),
-                    records: 10,
-                    best_rps: rps * 1.1,
-                    median_rps: rps,
-                },
-                BenchCellSummary {
-                    pattern: "llc_thrash".into(),
-                    policy: "srrip".into(),
-                    records: 10,
-                    best_rps: rps * 1.1,
-                    median_rps: rps,
-                },
-            ],
-        });
+        e.series = series.iter().map(|&(name, v)| (name.to_owned(), v)).collect();
         e
+    }
+
+    /// A full-scale traced bench entry, its wall split included.
+    fn bench_entry(rev: &str, rps: f64, overhead: f64) -> TrendEntry {
+        entry(
+            rev,
+            &[
+                ("bench/llc_thrash/median_rps", rps),
+                ("bench/obs_overhead_pct", overhead),
+                ("bench/wall/simulate_pct", 80.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn kind_of_reads_the_last_path_segment() {
+        assert_eq!(kind_of("bench.smoke/gap_miss/median_rps"), Some(SeriesKind::Throughput));
+        assert_eq!(kind_of("fleet/records_per_sec"), Some(SeriesKind::Throughput));
+        assert_eq!(kind_of("fleet/cell_sim_p99_ns"), Some(SeriesKind::LatencyNs));
+        assert_eq!(kind_of("bench/obs_overhead_pct"), Some(SeriesKind::OverheadPct));
+        assert_eq!(kind_of("diff/max_abs_mpki_delta"), Some(SeriesKind::MpkiDelta));
+        assert_eq!(kind_of("bench/wall/decode_pct"), None);
+    }
+
+    #[test]
+    fn informational_series_come_last_and_are_never_gated() {
+        let mut entries: Vec<TrendEntry> =
+            (0..3).map(|i| bench_entry(&format!("r{i}"), 100.0, 1.0)).collect();
+        entries.push(entry(
+            "r3",
+            &[("bench/wall/simulate_pct", 10.0), ("diff/max_abs_mpki_delta", 0.0)],
+        ));
+        let names: Vec<String> = extract_series(&entries).into_iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "bench/llc_thrash/median_rps",
+                "bench/obs_overhead_pct",
+                "diff/max_abs_mpki_delta",
+                "bench/wall/simulate_pct"
+            ]
+        );
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        assert!(verdict.pass());
+        assert_eq!(verdict.series.len(), 3, "the wall row is not judged");
+    }
+
+    #[test]
+    fn untraced_entries_do_not_anchor_the_overhead_gate() {
+        let untraced = |rev: &str| entry(rev, &[("bench.smoke/gap_miss/median_rps", 100.0)]);
+        let mut entries = vec![untraced("r0"), untraced("r1"), untraced("r2")];
+        entries.push(entry(
+            "traced",
+            &[("bench.smoke/gap_miss/median_rps", 100.0), ("bench.smoke/obs_overhead_pct", 2.8)],
+        ));
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        assert!(verdict.pass(), "{:?}", verdict.series);
+        let overhead = &verdict.series[1];
+        assert_eq!(overhead.name, "bench.smoke/obs_overhead_pct");
+        assert_eq!((overhead.status, overhead.median), ("insufficient_history", None));
     }
 
     #[test]
@@ -414,9 +385,10 @@ mod tests {
         // regression.
         let mut entries: Vec<TrendEntry> =
             (0..3).map(|i| bench_entry(&format!("r{i}"), 100.0, 1.0)).collect();
-        let mut smoke = bench_entry("smoke", 10.0, 4.0);
-        smoke.bench.as_mut().unwrap().quick = true;
-        entries.push(smoke);
+        entries.push(entry(
+            "smoke",
+            &[("bench.smoke/llc_thrash/median_rps", 10.0), ("bench.smoke/obs_overhead_pct", 4.0)],
+        ));
         let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
         assert!(verdict.pass(), "{:?}", verdict.series);
         let status = |name: &str| verdict.series.iter().find(|s| s.name == name).unwrap().status;
@@ -434,19 +406,10 @@ mod tests {
 
     #[test]
     fn mpki_budget_is_absolute_and_needs_no_history() {
-        let mut e = TrendEntry::new("r0", "", "");
-        e.diff = Some(DiffSummary {
-            campaign_a: "g".into(),
-            campaign_b: "g".into(),
-            same_grid: true,
-            threshold: 0.0,
-            max_abs_mpki_delta: 0.0,
-            cells_over_threshold: 0,
-            cells: 6,
-        });
+        let mut e = entry("r0", &[("diff/max_abs_mpki_delta", 0.0)]);
         let verdict = run_check(std::slice::from_ref(&e), &CheckOptions::default()).unwrap();
         assert!(verdict.pass());
-        e.diff.as_mut().unwrap().max_abs_mpki_delta = 0.001;
+        e.series[0].1 = 0.001;
         let verdict = run_check(std::slice::from_ref(&e), &CheckOptions::default()).unwrap();
         assert!(!verdict.pass(), "any drift over the 0.0 budget fails");
         let opts = CheckOptions { max_mpki_delta: 0.01, ..CheckOptions::default() };

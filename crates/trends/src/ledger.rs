@@ -15,6 +15,8 @@ use std::fs::OpenOptions;
 use std::io::{Read, Write};
 use std::path::Path;
 
+use ccsim_obs::Json;
+
 use crate::entry::TrendEntry;
 
 /// An in-memory view of one `trends.jsonl` file.
@@ -50,10 +52,10 @@ impl Ledger {
                     ledger.entries.push(entry);
                     ledger.raw.push((*line).to_owned());
                 }
-                Err(e) if i + 1 == lines.len() => {
+                Err(_) if i + 1 == lines.len() && Json::parse(line).is_err() => {
                     // A torn final line is a crashed writer, not
-                    // corruption: everything before it is intact.
-                    let _ = e;
+                    // corruption: everything before it is intact. A
+                    // whole line of another schema is no torn append.
                     ledger.torn_tail = true;
                 }
                 Err(e) => {
@@ -167,7 +169,7 @@ mod tests {
         Ledger::append(&path, &TrendEntry::new("bbb", "", "")).unwrap();
         // Simulate a writer that died mid-line.
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"ccsim_trends\":1,\"rev\":\"ccc\",\"la");
+        text.push_str("{\"ccsim_trends\":2,\"rev\":\"ccc\",\"la");
         std::fs::write(&path, &text).unwrap();
         let ledger = Ledger::load(&path).unwrap();
         assert_eq!(ledger.entries.len(), 2, "intact prefix survives");
@@ -176,12 +178,17 @@ mod tests {
         // The same garbage mid-file is corruption and fails with its
         // line number.
         let corrupt = text.replace(
-            "{\"ccsim_trends\":1,\"rev\":\"bbb\"",
+            "{\"ccsim_trends\":2,\"rev\":\"bbb\"",
             "{\"ccsim_trends\":oops,\"rev\":\"bbb\"",
         );
         std::fs::write(&path, corrupt).unwrap();
         let err = Ledger::load(&path).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+
+        // A whole final line of the retired schema is not a torn append.
+        std::fs::write(&path, "{\"ccsim_trends\":1,\"rev\":\"seed\",\"bench\":null}\n").unwrap();
+        let err = Ledger::load(&path).unwrap_err();
+        assert!(err.ends_with("line 1: unsupported ccsim_trends schema 1"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -191,7 +198,7 @@ mod tests {
         Ledger::append(&path, &TrendEntry::new("aaa", "", "")).unwrap();
         let intact = std::fs::read_to_string(&path).unwrap();
         // A writer died mid-line; the next two records must both land.
-        std::fs::write(&path, format!("{intact}{{\"ccsim_trends\":1,\"rev\":\"torn")).unwrap();
+        std::fs::write(&path, format!("{intact}{{\"ccsim_trends\":2,\"rev\":\"torn")).unwrap();
         Ledger::append(&path, &TrendEntry::new("bbb", "", "")).unwrap();
         Ledger::append(&path, &TrendEntry::new("ccc", "", "")).unwrap();
         let ledger = Ledger::load(&path).unwrap();
@@ -202,7 +209,7 @@ mod tests {
         assert_eq!(Ledger::gc(&path, 2).unwrap(), 1);
         assert_eq!(Ledger::load(&path).unwrap().entries[0].rev, "bbb");
         // A ledger that is one torn line and nothing else is appendable too.
-        std::fs::write(&path, "{\"ccsim_trends\":1,\"re").unwrap();
+        std::fs::write(&path, "{\"ccsim_trends\":2,\"re").unwrap();
         Ledger::append(&path, &TrendEntry::new("ddd", "", "")).unwrap();
         assert_eq!(Ledger::load(&path).unwrap().entries.len(), 1);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -217,7 +224,7 @@ mod tests {
         let before = std::fs::read_to_string(&path).unwrap();
         let expected_tail: String = before.lines().skip(2).map(|l| format!("{l}\n")).collect();
         // Add a torn tail; gc must drop it too.
-        std::fs::write(&path, format!("{before}{{\"ccsim_trends\":1,\"re")).unwrap();
+        std::fs::write(&path, format!("{before}{{\"ccsim_trends\":2,\"re")).unwrap();
 
         let dropped = Ledger::gc(&path, 2).unwrap();
         assert_eq!(dropped, 3, "two old entries + the torn tail");

@@ -10,27 +10,27 @@
 //! JSONL ledger (`trends.jsonl`), and tables/gates are pure functions
 //! of that ledger.
 //!
-//! One [`TrendEntry`] per revision ingests up to four machine-readable
-//! documents the workspace already emits:
+//! One [`TrendEntry`] per revision is `rev / label / timestamp` plus
+//! one ordered list of `(series name, value)` pairs, read from up to
+//! three machine-readable documents the workspace already emits
+//! ([`ingest`]), in this order:
 //!
 //! * the result document `benchmark/run.sh [--smoke] [--traced] --out F`
-//!   writes (`ccsim_benchmark` schema, [`ingest::BenchSummary`]) —
-//!   records/sec per timed unit of the four workloads, the cold
-//!   campaign's wall-clock split, telemetry overhead gate; smoke and
-//!   full-scale runs are tracked as separate series
+//!   writes (`ccsim_benchmark` schema) — per-workload records/sec and,
+//!   from a traced run, the telemetry overhead and the cold campaign's
+//!   wall-clock split; smoke and full-scale runs are separate series
 //!   (`bench.smoke/…` vs `bench/…`);
-//! * `ccsim report-diff --json` (`ccsim_report_diff` schema,
-//!   [`ingest::DiffSummary`]) — golden-campaign MPKI drift;
-//! * per-worker obs manifests (`ccsim_obs` schema, read by
-//!   [`ccsim_obs::Manifest::from_json`] and distilled into
-//!   [`ingest::ManifestSummary`]) — fleet throughput and per-cell
-//!   sim-time quantiles;
-//! * `ccsim campaign watch --once --json` (`ccsim_obs` schema,
-//!   [`ingest::WatchSummary`]) — the aggregate fleet view.
+//! * `ccsim campaign watch --once --json` (`ccsim_obs` schema) — fleet
+//!   throughput and per-cell sim-time p99 over every manifest of a
+//!   shared dir or a solo campaign's `--out` dir;
+//! * `ccsim report-diff --json` (`ccsim_report_diff` schema) —
+//!   golden-campaign MPKI drift.
 //!
+//! A quantity a document does not carry is no series, never a zero.
+//! [`check::kind_of`] is the one place that knows a series' gate rule.
 //! [`table::render_table`] turns the last N entries into a
-//! byte-deterministic per-suite rollup table with unicode sparklines;
-//! [`check::run_check`] is the regression gate: each tracked series is
+//! byte-deterministic table with unicode sparklines;
+//! [`check::run_check`] is the regression gate: each gated series is
 //! compared against the rolling median of the previous K entries and
 //! the verdict serializes to a pinned schema
 //! ([`CHECK_SCHEMA_VERSION`]) with a non-zero CLI exit on failure.
@@ -49,15 +49,16 @@ pub mod ingest;
 pub mod ledger;
 pub mod table;
 
-pub use check::{run_check, CheckOptions, CheckVerdict, SeriesKind, SeriesVerdict};
+pub use check::{kind_of, run_check, CheckOptions, CheckVerdict, SeriesKind, SeriesVerdict};
 pub use entry::TrendEntry;
-pub use ingest::{BenchCellSummary, BenchSummary, DiffSummary, ManifestSummary, WatchSummary};
+pub use ingest::{bench_series, diff_series, watch_series, SeriesList};
 pub use ledger::Ledger;
 pub use table::render_table;
 
 /// Version of the `trends.jsonl` ledger entry schema (the
-/// `ccsim_trends` field every line leads with).
-pub const TRENDS_SCHEMA_VERSION: u64 = 1;
+/// `ccsim_trends` field every line leads with). Version 2 stores a
+/// series list; a version-1 line is an error, not a second reader.
+pub const TRENDS_SCHEMA_VERSION: u64 = 2;
 
 /// Version of the `trends check --json` verdict schema (the
 /// `ccsim_trends_check` field).

@@ -7,7 +7,7 @@
 //! `tests/trends.rs` pins and what makes the table diffable as a CI
 //! artifact.
 
-use crate::check::{bench_suite, extract_series, SeriesKind};
+use crate::check::{extract_series, SeriesKind};
 use crate::entry::TrendEntry;
 
 /// Sparkline glyphs, low to high.
@@ -31,12 +31,14 @@ fn fmt_scaled(v: f64) -> String {
     }
 }
 
-/// Formats one cell of a series row.
-fn fmt_value(kind: SeriesKind, v: f64) -> String {
+/// Formats one cell of a series row (`None`: an informational
+/// percentage, one decimal).
+fn fmt_value(kind: Option<SeriesKind>, v: f64) -> String {
     match kind {
-        SeriesKind::Throughput | SeriesKind::LatencyNs => fmt_scaled(v),
-        SeriesKind::OverheadPct => format!("{v:.2}"),
-        SeriesKind::MpkiDelta => format!("{v:.4}"),
+        Some(SeriesKind::Throughput | SeriesKind::LatencyNs) => fmt_scaled(v),
+        Some(SeriesKind::OverheadPct) => format!("{v:.2}"),
+        Some(SeriesKind::MpkiDelta) => format!("{v:.4}"),
+        None => format!("{v:.1}"),
     }
 }
 
@@ -61,47 +63,19 @@ fn sparkline(values: &[Option<f64>]) -> String {
         .collect()
 }
 
-/// Percent share of `part` in `total`, one decimal.
-fn share_pct(part: u64, total: u64) -> Option<f64> {
-    if total == 0 {
-        None
-    } else {
-        Some(100.0 * part as f64 / total as f64)
-    }
-}
-
 /// Renders the trend table for `entries` (oldest first; pass
 /// [`crate::Ledger::last_n`]). One column per revision, one row per
-/// tracked series plus the bench wall-clock split, ending in a
-/// sparkline column. Empty input renders a one-line notice.
+/// series in [`extract_series`] order (gated, then informational),
+/// ending in a sparkline column; `-` marks a revision that did not
+/// record the series. Empty input renders a one-line notice.
 pub fn render_table(entries: &[TrendEntry]) -> String {
     if entries.is_empty() {
         return "trends: empty ledger (run `ccsim trends record` first)\n".to_owned();
     }
-    // Rows: the gated series first, then informational wall-split rows.
     let mut rows: Vec<(String, Vec<Option<String>>, String)> = Vec::new();
     for s in extract_series(entries) {
         let cells = s.values.iter().map(|v| v.map(|v| fmt_value(s.kind, v))).collect();
         rows.push((s.name.clone(), cells, sparkline(&s.values)));
-    }
-    for quick in [false, true] {
-        for (name, pick) in
-            [("wall/decode_pct", 0usize), ("wall/simulate_pct", 1), ("wall/report_pct", 2)]
-        {
-            let values: Vec<Option<f64>> = entries
-                .iter()
-                .map(|e| {
-                    let b = e.bench_at(quick)?;
-                    let total = b.decode_ns + b.simulate_ns + b.report_ns;
-                    let part = [b.decode_ns, b.simulate_ns, b.report_ns][pick];
-                    share_pct(part, total)
-                })
-                .collect();
-            if values.iter().any(Option::is_some) {
-                let cells = values.iter().map(|v| v.map(|v| format!("{v:.1}"))).collect();
-                rows.push((format!("{}/{name}", bench_suite(quick)), cells, sparkline(&values)));
-            }
-        }
     }
 
     let mut headers: Vec<String> = vec!["series".to_owned()];
@@ -161,24 +135,13 @@ pub fn render_table(entries: &[TrendEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{BenchCellSummary, BenchSummary};
 
     fn entry(rev: &str, rps: f64) -> TrendEntry {
         let mut e = TrendEntry::new(rev, "", "100");
-        e.bench = Some(BenchSummary {
-            quick: false,
-            overhead_pct: 1.0,
-            decode_ns: 100,
-            simulate_ns: 800,
-            report_ns: 100,
-            cells: vec![BenchCellSummary {
-                pattern: "llc_thrash".into(),
-                policy: "lru".into(),
-                records: 10,
-                best_rps: rps,
-                median_rps: rps,
-            }],
-        });
+        e.series = vec![
+            ("bench/llc_thrash/median_rps".to_owned(), rps),
+            ("bench/wall/simulate_pct".to_owned(), 80.0),
+        ];
         e
     }
 
@@ -213,6 +176,14 @@ mod tests {
         assert!(a.contains("1.00M") && a.contains("1.20M"), "{a}");
         assert!(a.contains("bench/wall/simulate_pct"), "{a}");
         assert!(a.contains("80.0"), "{a}");
+        let mut untraced = entry("cccccccccccc", 1_100_000.0);
+        untraced.series.pop();
+        let c = render_table(&[untraced, entries[1].clone()]);
+        let wall = c.lines().find(|l| l.starts_with("bench/wall/simulate_pct")).unwrap();
+        assert_eq!(
+            wall.split_whitespace().collect::<Vec<_>>(),
+            ["bench/wall/simulate_pct", "-", "80.0", "·▄"]
+        );
         assert!(a.contains('▁') && a.contains('█'), "{a}");
         assert!(render_table(&[]).contains("empty ledger"));
     }

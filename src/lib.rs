@@ -38,8 +38,8 @@
 //!   presentation layer: the one JSON module (`obs::json`, which
 //!   `campaign::json` re-exports) and the one ASCII/CSV `obs::Table`;
 //! * [`trends`] — the cross-revision performance ledger behind
-//!   `ccsim trends`: append-only `trends.jsonl` entries distilled
-//!   from bench reports, report diffs and obs manifests, deterministic
+//!   `ccsim trends`: append-only `trends.jsonl` entries of named series
+//!   read from bench results, watch documents and report diffs, deterministic
 //!   trend tables with sparklines, and rolling-median regression gates.
 //!
 //! # Quickstart

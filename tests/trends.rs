@@ -1,8 +1,8 @@
 //! Trends integration tests: the pinned `ccsim_trends` ledger-line,
 //! table and check-verdict formats, rolling-median gate behavior over
 //! a realistic multi-source history, torn-tail recovery with
-//! byte-preserving gc, ingest of a freshly produced manifest from a
-//! real campaign run, and a hostile manifest's way to the ledger.
+//! byte-preserving gc, a real campaign's manifest reaching the ledger
+//! through the watch document, and a hostile manifest's way there.
 //!
 //! Unlike the obs goldens, every trends artifact is a pure function of
 //! its inputs — no clocks, no timing — so all three fixtures are
@@ -14,11 +14,8 @@ use std::path::PathBuf;
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
 use ccsim::dist::Watcher;
-use ccsim::obs::{Manifest, QuantileSummary, RunMeta, Snapshot, HISTOGRAM_BUCKETS};
-use ccsim::trends::{
-    render_table, run_check, BenchCellSummary, BenchSummary, CheckOptions, DiffSummary, Ledger,
-    ManifestSummary, TrendEntry, WatchSummary,
-};
+use ccsim::obs::{Manifest, RunMeta, Snapshot, HISTOGRAM_BUCKETS};
+use ccsim::trends::{render_table, run_check, watch_series, CheckOptions, Ledger, TrendEntry};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -44,10 +41,11 @@ fn compare_or_bless(fixture: &str, actual: &str, what: &str) {
     );
 }
 
-/// One fully populated synthetic revision: bench (two patterns x two
-/// policies), a clean golden diff, two worker manifests and the watch
-/// aggregate over them. `step` drifts throughput mildly upward and
-/// overhead mildly upward, both inside the default gate budgets.
+/// One fully populated synthetic revision, as `trends record` writes
+/// it from a traced smoke bench document (two workloads x two units), a
+/// two-worker watch aggregate and a clean golden diff. `step` drifts
+/// throughput mildly upward and overhead mildly upward, both inside the
+/// default gate budgets.
 fn revision(step: u64) -> TrendEntry {
     let rps = 1_200_000.0 + step as f64 * 10_000.0;
     let mut e = TrendEntry::new(
@@ -55,61 +53,25 @@ fn revision(step: u64) -> TrendEntry {
         "main",
         &format!("{}", 1_754_600_000 + step * 3600),
     );
-    let cell = |pattern: &str, policy: &str, median: f64| BenchCellSummary {
-        pattern: pattern.to_owned(),
-        policy: policy.to_owned(),
-        records: 400_000,
-        best_rps: median * 1.05,
-        median_rps: median,
-    };
-    e.bench = Some(BenchSummary {
-        quick: true,
-        overhead_pct: 1.0 + step as f64 * 0.05,
-        decode_ns: 2_000_000_000,
-        simulate_ns: 16_000_000_000,
-        report_ns: 2_000_000_000,
-        cells: vec![
-            cell("llc_thrash", "lru", rps),
-            cell("llc_thrash", "srrip", rps * 0.98),
-            cell("l1_hot", "lru", rps * 3.0),
-            cell("l1_hot", "srrip", rps * 3.1),
-        ],
-    });
-    e.diff = Some(DiffSummary {
-        campaign_a: "golden".into(),
-        campaign_b: "golden".into(),
-        same_grid: true,
-        threshold: 0.0,
-        max_abs_mpki_delta: 0.0,
-        cells_over_threshold: 0,
-        cells: 6,
-    });
-    let worker_q = QuantileSummary {
-        count: 2,
-        min: 4_294_967_296,
-        max: 8_589_934_591,
-        p50: 8_589_934_591,
-        p90: 8_589_934_591,
-        p99: 8_589_934_591,
-    };
-    for worker in ["w1", "w2"] {
-        e.manifests.push(ManifestSummary {
-            worker: worker.to_owned(),
-            cells_done: 2,
-            records_simulated: 40_000_000,
-            sim_wall_ns: 16_000_000_000,
-            cell_sim: Some(worker_q),
-        });
-    }
-    e.watch = Some(WatchSummary {
-        campaign: "obs_itest".into(),
-        done: true,
-        records_simulated: 80_000_000,
-        sim_wall_ns: 32_000_000_000,
-        mean_cell_sim_ns: 8_000_000_000,
-        cell_sim: Some(QuantileSummary { count: 4, ..worker_q }),
-    });
+    let series = [
+        ("bench.smoke/llc_thrash/median_rps", (rps + rps * 0.98) / 2.0),
+        ("bench.smoke/l1_hot/median_rps", (rps * 3.0 + rps * 3.1) / 2.0),
+        ("bench.smoke/obs_overhead_pct", 1.0 + step as f64 * 0.05),
+        ("bench.smoke/wall/decode_pct", 10.0),
+        ("bench.smoke/wall/simulate_pct", 80.0),
+        ("bench.smoke/wall/report_pct", 10.0),
+        ("fleet/records_per_sec", 2_500_000.0),
+        ("fleet/cell_sim_p99_ns", 8_589_934_591.0),
+        ("diff/max_abs_mpki_delta", 0.0),
+    ];
+    e.series = series.iter().map(|&(name, v)| (name.to_owned(), v)).collect();
     e
+}
+
+/// Sets series `name` of `e`, which must have recorded it.
+fn set(e: &mut TrendEntry, name: &str, f: impl Fn(f64) -> f64) {
+    let slot = e.series.iter_mut().find(|(n, _)| n == name).expect(name);
+    slot.1 = f(slot.1);
 }
 
 fn history() -> Vec<TrendEntry> {
@@ -124,15 +86,15 @@ fn golden_ledger_pins_the_line_format_and_round_trips() {
         Ledger::append(&path, &e).unwrap();
     }
     let text = std::fs::read_to_string(&path).unwrap();
-    compare_or_bless("trends_ledger_v1.jsonl", &text, "the ledger line format");
+    compare_or_bless("trends_ledger_v2.jsonl", &text, "the ledger line format");
 
     // Loading the pinned fixture reconstructs the exact in-memory
     // entries: nothing is lost or reinterpreted across the line format.
-    let ledger = Ledger::load(&fixture_path("trends_ledger_v1.jsonl")).unwrap();
+    let ledger = Ledger::load(&fixture_path("trends_ledger_v2.jsonl")).unwrap();
     assert!(!ledger.torn_tail());
     assert_eq!(ledger.entries, history());
     assert_eq!(ledger.entries[0].short_rev(), "feedc0de00");
-    assert_eq!(ledger.entries[4].fleet_records_per_sec(), Some(2_500_000));
+    assert_eq!(ledger.entries[4].value("fleet/records_per_sec"), Some(2_500_000.0));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -159,16 +121,20 @@ fn golden_table_is_byte_deterministic() {
     }
     assert!(table.contains("feedc0de00 (main)"), "{table}");
 
-    // The committed seed -> soa history was recorded by the reader of
-    // the first bench surface, before `benchmark/` replaced it: ledger
-    // lines written then must keep loading and rendering.
+    // The committed seed -> soa history predates `benchmark/`; its two
+    // lines are in the current schema, and the seed, measured without
+    // an overhead rung, shows no overhead rather than 0 %.
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_history.jsonl");
     let ledger = Ledger::load(&path).unwrap();
     let labels: Vec<&str> = ledger.entries.iter().map(|e| e.label.as_str()).collect();
     assert_eq!(labels, ["boxed_dyn_v0", "soa_tags_v2"]);
     let table = render_table(&ledger.entries);
-    let row = table.lines().find(|l| l.starts_with("bench/llc_thrash/median_rps")).unwrap();
-    assert!(row.contains("1.45M") && row.contains("4.72M"), "{table}");
+    let row = |name: &str| {
+        let line = table.lines().find(|l| l.starts_with(name)).unwrap();
+        line.split_whitespace().skip(1).collect::<Vec<_>>()
+    };
+    assert_eq!(row("bench/llc_thrash/median_rps"), ["1.45M", "4.72M", "▁█"], "{table}");
+    assert_eq!(row("bench/obs_overhead_pct"), ["-", "-3.71", "·▄"], "{table}");
 }
 
 #[test]
@@ -194,11 +160,7 @@ fn gate_fails_on_throughput_collapse_and_latency_spike() {
     // the bench series it hits) fails.
     let mut entries = history();
     let mut bad = revision(5);
-    for c in &mut bad.bench.as_mut().unwrap().cells {
-        if c.pattern == "llc_thrash" {
-            c.median_rps *= 0.8;
-        }
-    }
+    set(&mut bad, "bench.smoke/llc_thrash/median_rps", |v| v * 0.8);
     entries.push(bad);
     let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
     assert!(!verdict.pass());
@@ -210,7 +172,7 @@ fn gate_fails_on_throughput_collapse_and_latency_spike() {
     // latency series.
     let mut entries = history();
     let mut slow = revision(5);
-    slow.watch.as_mut().unwrap().cell_sim.as_mut().unwrap().p99 = 17_179_869_183;
+    set(&mut slow, "fleet/cell_sim_p99_ns", |_| 17_179_869_183.0);
     entries.push(slow);
     let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
     let p99 = verdict.series.iter().find(|s| s.name == "fleet/cell_sim_p99_ns").unwrap();
@@ -236,9 +198,9 @@ fn gate_fails_on_throughput_collapse_and_latency_spike() {
 fn torn_tail_recovers_and_gc_preserves_surviving_bytes() {
     let dir = temp_dir("torn");
     let path = dir.join("trends.jsonl");
-    let pinned = std::fs::read_to_string(fixture_path("trends_ledger_v1.jsonl")).unwrap();
+    let pinned = std::fs::read_to_string(fixture_path("trends_ledger_v2.jsonl")).unwrap();
     // A recorder died mid-append after the pinned history.
-    std::fs::write(&path, format!("{pinned}{{\"ccsim_trends\":1,\"rev\":\"fe")).unwrap();
+    std::fs::write(&path, format!("{pinned}{{\"ccsim_trends\":2,\"rev\":\"fe")).unwrap();
 
     let ledger = Ledger::load(&path).unwrap();
     assert!(ledger.torn_tail(), "partial final line is a torn append");
@@ -258,6 +220,8 @@ fn torn_tail_recovers_and_gc_preserves_surviving_bytes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A solo campaign's obs dir holds its `manifest.json`; the watch
+/// document over that dir is how its numbers reach the ledger.
 #[test]
 fn freshly_produced_v2_manifest_ingests_end_to_end() {
     let dir = temp_dir("v2_ingest");
@@ -271,23 +235,42 @@ fn freshly_produced_v2_manifest_ingests_end_to_end() {
         }"#,
     )
     .unwrap();
-    Campaign::new(spec).threads(2).obs_dir(&dir).run().unwrap();
+    Campaign::new(spec.clone())
+        .threads(2)
+        .journal(dir.join("journal.jsonl"))
+        .obs_dir(&dir)
+        .run()
+        .unwrap();
 
     let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    let m = ManifestSummary::from_doc(&Json::parse(&text).unwrap()).unwrap();
-    assert_eq!(m.worker, "(solo)");
+    let m = Manifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+    assert_eq!(m.meta.worker, "(solo)");
     assert_eq!(m.cells_done, 2);
     assert!(m.records_simulated > 0 && m.sim_wall_ns > 0);
-    let q = m.cell_sim.expect("v2 manifests always carry quantiles");
+    let q = m.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
     assert!(q.count > 0 && q.p50 <= q.p99 && q.min <= q.max);
+
+    let watch_doc = Json::parse(&Watcher::new().poll(&spec, &dir).unwrap().to_json()).unwrap();
+    let series = watch_series(&watch_doc).unwrap();
+    assert_eq!(
+        series,
+        [
+            (
+                "fleet/records_per_sec".to_owned(),
+                ccsim::obs::records_per_sec(m.records_simulated, m.sim_wall_ns) as f64
+            ),
+            ("fleet/cell_sim_p99_ns".to_owned(), q.p99 as f64),
+        ]
+    );
 
     // Record it and gate a single-entry ledger: relative series report
     // insufficient history, nothing fails.
     let path = dir.join("trends.jsonl");
     let mut e = TrendEntry::new("e2e0000001", "itest", "0");
-    e.manifests.push(m);
+    e.series = series;
     Ledger::append(&path, &e).unwrap();
     let ledger = Ledger::load(&path).unwrap();
+    assert_eq!(ledger.entries, [e]);
     let verdict = run_check(&ledger.entries, &CheckOptions::default()).unwrap();
     assert!(verdict.pass());
     assert!(verdict.series.iter().all(|s| s.status == "insufficient_history"));
@@ -324,17 +307,19 @@ fn planted_histogram_counts_saturate_from_manifest_to_watch_to_ledger() {
     assert_eq!((q.p50, q.p90, q.p99), ((1 << 32) - 1, (1 << 58) - 1, u64::MAX));
 
     let watch_doc = Json::parse(&Watcher::new().poll(&spec, &dir).unwrap().to_json()).unwrap();
-    let watch = WatchSummary::from_doc(&watch_doc).unwrap();
-    let fleet = watch.cell_sim.unwrap();
-    assert_eq!((fleet.p50, fleet.count), ((1 << 32) - 1, Json::MAX_INT), "clamped, not wrapped");
+    let fleet = watch_doc.get("aggregate").and_then(|a| a.get("cell_sim_ns")).unwrap();
+    let field = |name| fleet.get(name).and_then(Json::as_u64);
+    assert_eq!((field("p50"), field("count")), (Some((1 << 32) - 1), Some(Json::MAX_INT)));
 
     let mut e = TrendEntry::new("feedface", "itest", "0");
-    e.manifests.push(ManifestSummary::from_doc(&doc).unwrap());
-    e.watch = Some(watch);
+    e.series = watch_series(&watch_doc).unwrap();
+    assert_eq!(
+        e.value("fleet/cell_sim_p99_ns"),
+        Some(Json::MAX_INT as f64),
+        "clamped, not wrapped"
+    );
     let path = dir.join("trends.jsonl");
     Ledger::append(&path, &e).unwrap();
-    let line = Ledger::load(&path).unwrap().entries.remove(0);
-    assert_eq!(line.watch, e.watch);
-    assert_eq!(line.manifests[0].cell_sim, e.watch.unwrap().cell_sim, "one worker is the fleet");
+    assert_eq!(Ledger::load(&path).unwrap().entries, [e]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
