@@ -3,7 +3,7 @@
 mod mshr;
 mod stats;
 
-pub use mshr::{MshrBank, MshrGrant};
+pub use mshr::{MshrBank, MshrGrant, MshrSlots};
 pub use stats::CacheStats;
 
 use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, Victim};
@@ -20,6 +20,8 @@ pub const TAG_INVALID: u64 = u64::MAX;
 pub enum FillOutcome {
     /// The block was cached; a dirty victim (if any) must be written back.
     Filled {
+        /// Way of the set the block now occupies.
+        way: u32,
         /// Displaced dirty block that must be written to the level below.
         writeback: Option<u64>,
     },
@@ -123,9 +125,16 @@ impl Cache {
         self.policy.diag()
     }
 
+    /// Index of `(set, way)` in the set-major slot order of the tag store
+    /// (and of any per-slot column kept beside it).
+    #[inline]
+    pub fn slot(&self, set: u32, way: u32) -> u32 {
+        set * self.ways + way
+    }
+
     #[inline]
     fn idx(&self, set: u32, way: u32) -> usize {
-        (set * self.ways + way) as usize
+        self.slot(set, way) as usize
     }
 
     #[inline]
@@ -163,6 +172,7 @@ impl Cache {
     /// hit, or `None` after counting a miss.
     ///
     /// Store (RFO) hits and writeback hits mark the line dirty.
+    #[inline]
     pub fn lookup(&mut self, info: &AccessInfo) -> Option<u32> {
         debug_assert_eq!(info.set, self.set_of(info.block));
         let hit = self.probe(info.block);
@@ -244,7 +254,7 @@ impl Cache {
         self.write_dirty(i, matches!(info.kind, AccessType::Rfo | AccessType::Writeback));
         self.stats.fills += 1;
         self.policy.on_fill(set, way, info, (old_tag != TAG_INVALID).then_some(old_tag));
-        FillOutcome::Filled { writeback }
+        FillOutcome::Filled { way, writeback }
     }
 
     /// Number of valid lines (for tests and occupancy reports).
@@ -292,7 +302,7 @@ mod tests {
         let mut c = small();
         let a = load(&c, 0x100);
         assert_eq!(c.lookup(&a), None);
-        assert_eq!(c.fill(&a), FillOutcome::Filled { writeback: None });
+        assert_eq!(c.fill(&a), FillOutcome::Filled { way: 0, writeback: None });
         assert!(c.lookup(&a).is_some());
         assert_eq!(c.stats().demand_misses, 1);
         assert_eq!(c.stats().demand_hits, 1);
@@ -316,7 +326,7 @@ mod tests {
         c.fill(&load(&c, 4));
         // Set full; filling 8 evicts LRU = block 0 (dirty).
         let out = c.fill(&load(&c, 8));
-        assert_eq!(out, FillOutcome::Filled { writeback: Some(0) });
+        assert_eq!(out, FillOutcome::Filled { way: 0, writeback: Some(0) });
         assert_eq!(c.stats().writebacks_out, 1);
         assert_eq!(c.stats().evictions, 1);
     }
@@ -327,7 +337,7 @@ mod tests {
         c.fill(&load(&c, 0));
         c.fill(&load(&c, 4));
         let out = c.fill(&load(&c, 8));
-        assert_eq!(out, FillOutcome::Filled { writeback: None });
+        assert_eq!(out, FillOutcome::Filled { way: 0, writeback: None });
     }
 
     #[test]
@@ -338,7 +348,7 @@ mod tests {
         c.fill(&load(&c, 0x24));
         // Evicting 0x20 must now produce a writeback.
         let out = c.fill(&load(&c, 0x28));
-        assert_eq!(out, FillOutcome::Filled { writeback: Some(0x20) });
+        assert_eq!(out, FillOutcome::Filled { way: 0, writeback: Some(0x20) });
     }
 
     #[test]
@@ -377,9 +387,9 @@ mod tests {
         c.fill(&rfo(&c, 40)); // dirty
         c.fill(&load(&c, 40 + 64)); // clean, same set
         let out = c.fill(&load(&c, 40 + 128)); // evicts LRU = dirty block 40
-        assert_eq!(out, FillOutcome::Filled { writeback: Some(40) });
+        assert_eq!(out, FillOutcome::Filled { way: 0, writeback: Some(40) });
         let out = c.fill(&load(&c, 40 + 192)); // evicts clean block 104
-        assert_eq!(out, FillOutcome::Filled { writeback: None });
+        assert_eq!(out, FillOutcome::Filled { way: 1, writeback: None });
     }
 
     #[test]

@@ -1,5 +1,11 @@
-//! Miss-status holding registers: bounded outstanding-miss tracking with
-//! same-block merging.
+//! Miss-status holding registers: bounded outstanding-miss tracking, with
+//! same-block merging at the LLC.
+//!
+//! [`MshrSlots`] is the bandwidth half every level has: when each register
+//! frees. [`MshrBank`] adds the outstanding-miss map that only the LLC
+//! keeps — L1D and L2 merge nothing (a tag hit on a line whose fill has not
+//! landed waits on that slot's `ready_at` in the hierarchy instead), so the
+//! map, its hasher and its pruning serve one level.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -37,10 +43,10 @@ impl Hasher for BlockHasher {
 type BlockMap = HashMap<u64, u64, BuildHasherDefault<BlockHasher>>;
 
 /// Minimum reserved capacity for a bank's outstanding-miss map. The live
-/// window scales with the core's ROB depth, not the bank size (the L1
-/// bank has 8 registers but can have hundreds of completed-but-unretired
-/// misses in flight), so small banks still reserve room for a deep
-/// window.
+/// window scales with the core's ROB depth, not the bank size (an LLC
+/// bank of a few dozen registers can have hundreds of
+/// completed-but-unretired misses in flight), so small banks still
+/// reserve room for a deep window.
 const RESERVE_FLOOR: usize = 1024;
 
 /// Outcome of requesting an MSHR for a missing block.
@@ -63,12 +69,71 @@ pub enum MshrGrant {
     },
 }
 
-/// A bank of MSHRs. Each slot remembers when it frees; a full bank delays
-/// new misses until the earliest slot frees (modelling miss-bandwidth
-/// limits), and misses to an already-outstanding block merge.
+/// The registers of a bank: each remembers when it frees, and a full bank
+/// delays new misses until the earliest one frees (modelling
+/// miss-bandwidth limits).
+#[derive(Debug, Clone)]
+pub struct MshrSlots {
+    free_at: Vec<u64>,
+}
+
+impl MshrSlots {
+    /// `count` registers, all free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
+    pub fn new(count: u32) -> Self {
+        assert!(count > 0, "mshr bank must have at least one register");
+        MshrSlots { free_at: vec![0; count as usize] }
+    }
+
+    /// The register a miss observed at cycle `ready` takes, and the cycle
+    /// it can leave.
+    #[inline]
+    pub fn issue(&self, ready: u64) -> (u32, u64) {
+        // Any already-free slot is as good as the earliest-freeing one
+        // (`start_at` is `ready` either way), so stop at the first — the
+        // common case in steady state; the full min-scan only runs while
+        // the bank is saturated.
+        let mut slot = 0usize;
+        let mut free = self.free_at[0];
+        if free > ready {
+            for (i, &f) in self.free_at.iter().enumerate().skip(1) {
+                if f <= ready {
+                    (slot, free) = (i, f);
+                    break;
+                }
+                if f < free {
+                    (slot, free) = (i, f);
+                }
+            }
+        }
+        (slot as u32, ready.max(free))
+    }
+
+    /// Marks `slot` busy until `completes_at`.
+    #[inline]
+    pub fn complete(&mut self, slot: u32, completes_at: u64) {
+        self.free_at[slot as usize] = completes_at;
+    }
+
+    /// Number of registers.
+    pub fn len(&self) -> usize {
+        self.free_at.len()
+    }
+
+    /// Always false: the constructor requires at least one register.
+    pub fn is_empty(&self) -> bool {
+        self.free_at.is_empty()
+    }
+}
+
+/// The LLC's bank of MSHRs: [`MshrSlots`] plus the outstanding-miss map,
+/// through which misses to an already-outstanding block merge.
 #[derive(Debug)]
 pub struct MshrBank {
-    free_at: Vec<u64>,
+    slots: MshrSlots,
     outstanding: BlockMap,
     /// Map length that triggers the next stale-entry prune. Doubles past
     /// the surviving length after each prune (floored at 4x the bank) so
@@ -86,12 +151,16 @@ impl MshrBank {
     /// Upper bound for `prune_at`: half the reserved capacity, so inserts
     /// only ever rehash in place (see [`MshrBank::new`]).
     fn prune_cap(&self) -> usize {
-        RESERVE_FLOOR.max(16 * self.free_at.len()) / 2
+        RESERVE_FLOOR.max(16 * self.slots.len()) / 2
     }
 
     /// Creates a bank of `count` registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
     pub fn new(count: u32) -> Self {
-        assert!(count > 0, "mshr bank must have at least one register");
+        let slots = MshrSlots::new(count);
         // Reserve well past the prune band: hashbrown reallocates (rather
         // than rehashing tombstones in place) once length exceeds half
         // the table, so keeping `prune_at` <= reserve/2 pins the table's
@@ -100,7 +169,7 @@ impl MshrBank {
         let reserve = RESERVE_FLOOR.max(16 * count as usize);
         let outstanding =
             BlockMap::with_capacity_and_hasher(reserve, BuildHasherDefault::default());
-        MshrBank { free_at: vec![0; count as usize], outstanding, prune_at: 4 * count as usize }
+        MshrBank { slots, outstanding, prune_at: 4 * count as usize }
     }
 
     /// Requests a register for a miss to `block` observed at cycle `ready`.
@@ -120,32 +189,16 @@ impl MshrBank {
         if self.outstanding.len() > self.prune_at {
             self.outstanding.retain(|_, &mut c| c > ready);
             self.prune_at =
-                (2 * self.outstanding.len()).clamp(4 * self.free_at.len(), self.prune_cap());
+                (2 * self.outstanding.len()).clamp(4 * self.slots.len(), self.prune_cap());
         }
-        // Any already-free slot is as good as the earliest-freeing one
-        // (`start_at` is `ready` either way), so stop at the first — the
-        // common case in steady state; the full min-scan only runs while
-        // the bank is saturated.
-        let mut slot = 0usize;
-        let mut free = self.free_at[0];
-        if free > ready {
-            for (i, &f) in self.free_at.iter().enumerate().skip(1) {
-                if f <= ready {
-                    (slot, free) = (i, f);
-                    break;
-                }
-                if f < free {
-                    (slot, free) = (i, f);
-                }
-            }
-        }
-        MshrGrant::Issue { slot: slot as u32, start_at: ready.max(free) }
+        let (slot, start_at) = self.slots.issue(ready);
+        MshrGrant::Issue { slot, start_at }
     }
 
     /// Records that the miss in `slot` for `block` completes at
     /// `completes_at`, freeing the register at that time.
     pub fn complete(&mut self, slot: u32, block: u64, completes_at: u64) {
-        self.free_at[slot as usize] = completes_at;
+        self.slots.complete(slot, completes_at);
         self.outstanding.insert(block, completes_at);
     }
 
@@ -159,12 +212,12 @@ impl MshrBank {
 
     /// Number of registers.
     pub fn len(&self) -> usize {
-        self.free_at.len()
+        self.slots.len()
     }
 
     /// Always false: constructor requires at least one register.
     pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
+        self.slots.is_empty()
     }
 }
 

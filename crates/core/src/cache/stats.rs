@@ -13,7 +13,8 @@ pub struct CacheStats {
     pub demand_hits: u64,
     /// Demand lookups that missed.
     pub demand_misses: u64,
-    /// Demand misses merged into an already-outstanding MSHR.
+    /// Demand misses merged into an already-outstanding MSHR (LLC only:
+    /// L1D and L2 never merge, so theirs is always 0).
     pub mshr_merges: u64,
     /// Writeback lookups arriving from the level above.
     pub writeback_accesses: u64,

@@ -15,11 +15,10 @@
 //! them); this makes MLP slightly optimistic, uniformly across replacement
 //! policies, so relative comparisons are preserved.
 //!
-//! The ROB is run-length encoded: a run of `count` instructions completing
-//! at the same cycle occupies one entry, which keeps the model fast on
-//! traces with large non-memory preambles.
-
-use std::collections::VecDeque;
+//! The ROB is a ring of the last `rob_size` completion cycles. Retirement
+//! is in order, so instruction `k` can take a ROB entry only once
+//! instruction `k - rob_size` has completed. Each dispatch therefore reads
+//! one ring entry and overwrites it, with no queue to pop or merge.
 
 use crate::config::CoreConfig;
 
@@ -27,9 +26,13 @@ use crate::config::CoreConfig;
 /// memory instructions receive their completion time from the hierarchy.
 #[derive(Debug)]
 pub struct Core {
-    rob: VecDeque<(u64, u32)>,
-    occupancy: u32,
-    rob_size: u32,
+    /// Completion cycle of each of the last `rob_size` dispatched
+    /// instructions, by instruction number modulo `rob_size` (0 before
+    /// the window first fills).
+    done: Box<[u64]>,
+    /// Ring index of the next instruction: the slot of the instruction
+    /// `rob_size` older, which must have retired before it dispatches.
+    head: usize,
     width: u32,
     cycle: u64,
     dispatched_this_cycle: u32,
@@ -46,13 +49,8 @@ impl Core {
     pub fn new(config: CoreConfig) -> Self {
         config.validate().expect("invalid core config");
         Core {
-            // Each entry covers >= 1 instruction and total occupancy is
-            // capped at rob_size, so the ring can never hold more than
-            // rob_size entries: reserving once makes the dispatch loop
-            // allocation-free for the lifetime of the core.
-            rob: VecDeque::with_capacity(config.rob_size as usize + 1),
-            occupancy: 0,
-            rob_size: config.rob_size,
+            done: vec![0; config.rob_size as usize].into_boxed_slice(),
+            head: 0,
             width: config.width,
             cycle: 0,
             dispatched_this_cycle: 0,
@@ -71,66 +69,44 @@ impl Core {
         self.instructions
     }
 
-    /// Makes room and bandwidth for one instruction; returns its dispatch
-    /// cycle.
-    fn slot(&mut self) -> u64 {
+    /// Dispatches one instruction completing at `complete(cycle)`, where
+    /// `cycle` is its dispatch cycle: waits for dispatch bandwidth and for
+    /// the instruction `rob_size` older to complete (in-order retirement
+    /// frees its ROB entry), then takes its ROB entry.
+    #[inline]
+    fn dispatch<F: FnOnce(u64) -> u64>(&mut self, complete: F) {
         if self.dispatched_this_cycle >= self.width {
             self.cycle += 1;
             self.dispatched_this_cycle = 0;
         }
-        while self.occupancy >= self.rob_size {
-            // In-order retirement: wait for the head to complete.
-            let &(done, count) = self.rob.front().expect("occupancy > 0");
-            if done > self.cycle {
-                self.cycle = done;
-                self.dispatched_this_cycle = 0;
-            }
-            self.rob.pop_front();
-            self.occupancy -= count;
+        let oldest = self.done[self.head];
+        if oldest > self.cycle {
+            self.cycle = oldest;
+            self.dispatched_this_cycle = 0;
         }
         self.dispatched_this_cycle += 1;
-        self.cycle
-    }
-
-    fn push(&mut self, completion: u64, count: u32) {
-        self.max_completion = self.max_completion.max(completion);
-        if let Some(back) = self.rob.back_mut() {
-            if back.0 == completion {
-                back.1 += count;
-                self.occupancy += count;
-                return;
-            }
+        self.instructions += 1;
+        let done = complete(self.cycle);
+        self.max_completion = self.max_completion.max(done);
+        self.done[self.head] = done;
+        self.head += 1;
+        if self.head == self.done.len() {
+            self.head = 0;
         }
-        self.rob.push_back((completion, count));
-        self.occupancy += count;
     }
 
     /// Dispatches `n` non-memory instructions (unit execution latency).
-    pub fn dispatch_nonmem(&mut self, mut n: u64) {
-        while n > 0 {
-            let at = self.slot();
-            // Batch the rest of this cycle's bandwidth and ROB space
-            // (slot() already consumed one dispatch and guarantees space
-            // for at least one instruction).
-            let batch = (self.width - self.dispatched_this_cycle + 1)
-                .min(self.rob_size - self.occupancy)
-                .min(n.min(u32::MAX as u64) as u32)
-                .max(1);
-            // `slot` already consumed one dispatch; account the rest.
-            self.dispatched_this_cycle += batch - 1;
-            self.instructions += batch as u64;
-            self.push(at + 1, batch);
-            n -= batch as u64;
+    pub fn dispatch_nonmem(&mut self, n: u64) {
+        for _ in 0..n {
+            self.dispatch(|at| at + 1);
         }
     }
 
     /// Dispatches one memory instruction; `issue` receives the dispatch
     /// cycle and must return the completion cycle (from the hierarchy).
+    #[inline]
     pub fn dispatch_mem<F: FnOnce(u64) -> u64>(&mut self, issue: F) {
-        let at = self.slot();
-        self.instructions += 1;
-        let done = issue(at);
-        self.push(done.max(at + 1), 1);
+        self.dispatch(|at| issue(at).max(at + 1));
     }
 
     /// Finishes execution: returns (instructions, total cycles), draining

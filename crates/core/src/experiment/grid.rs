@@ -2,35 +2,24 @@
 //! workload from a single pass over its trace — **the** replay driver.
 //!
 //! The paper's characterization grids replay one workload under many
-//! (replacement policy × LLC size) cells. Replaying per cell reads and
-//! decodes the identical byte stream once *per cell* — a 12-policy ×
-//! 4-size grid makes 48 passes over the same records. [`GridReplay`]
-//! makes one: records are decoded into a fixed-size, reusable chunk
-//! buffer, and N independent replay engines (one [`crate::Hierarchy`] +
-//! core pair per cell) advance in lockstep through each chunk.
+//! (replacement policy × LLC size) cells. [`GridReplay`] decodes records
+//! once into a reusable chunk buffer and replays each chunk in two
+//! stages. The `FrontEnd` of each distinct `(l1d, l2)` geometry walks
+//! it once through L1D and L2, whose state is a pure function of the
+//! trace, writing one `UpperEvent` per record into an event buffer beside
+//! the chunk. Then each cell's engine (its own upper-level timing, LLC,
+//! DRAM and core) replays the chunk against those events. Same-block
+//! misses merge only at each cell's LLC.
 //!
-//! Nothing else in the crate advances an engine.
-//! [`GridReplay::step_records`] holds the only `Engine::step` call;
-//! [`GridReplay::replay_trace`] feeds it slices of a resident trace and
-//! [`GridReplay::replay_reader`] the chunk it just decoded. The five
-//! entry points are this driver at two grid widths: [`simulate_grid`] /
-//! [`simulate_grid_stream`] take N cells, and [`crate::simulate`] /
-//! [`crate::simulate_with_llc_log`] / [`crate::simulate_stream`] are a
-//! grid of one cell plus the `sim_*` run accounting.
+//! [`GridReplay::step_records`] holds the only `Engine::step` call in the
+//! crate. [`simulate_grid`] / [`simulate_grid_stream`] take N cells;
+//! [`crate::simulate`] and its siblings are a grid of one cell plus the
+//! `sim_*` run accounting.
 //!
-//! Chunking matters twice over. It amortizes every per-record decode
-//! across all cells, and it keeps each engine's working state
-//! cache-resident while it burns through a chunk instead of alternating
-//! engines record by record. Because every engine still observes the
-//! exact record sequence in order, per-cell results do not depend on
-//! the chunk size or on which other cells share the grid
-//! (`tests/grid_replay.rs` pins every entry point against a
-//! record-at-a-time drive, with proptests and the ingest golden
-//! fixture).
-//!
-//! The steady state allocates nothing: the chunk buffer is reserved by
-//! the first streamed replay and reused, and the per-engine hot path is
-//! already allocation-free (`tests/alloc_free.rs` pins both).
+//! Every engine observes the exact record sequence, so per-cell results
+//! depend neither on the chunk size nor on the other cells of the grid
+//! (`tests/grid_replay.rs`). The steady state allocates nothing: chunk and
+//! event buffers are reserved on first use (`tests/alloc_free.rs`).
 
 use std::io::Read;
 
@@ -38,6 +27,7 @@ use ccsim_policies::PolicyKind;
 use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
+use crate::hierarchy::{FrontEnd, UpperEvent};
 use crate::result::SimResult;
 use crate::simulator::{Engine, LlcLog};
 
@@ -84,7 +74,11 @@ pub fn autotune_chunk_records(_combined_tag_bytes: u64) -> usize {
 /// assert_eq!(results[1], simulate(&trace, &cells[1].0, cells[1].1));
 /// ```
 pub struct GridReplay {
-    engines: Vec<Engine>,
+    /// One front end per distinct `(l1d, l2)` geometry, with the
+    /// events it emitted for the current piece of records.
+    fronts: Vec<(FrontEnd, Vec<UpperEvent>)>,
+    /// Each cell's engine and the index of its front end.
+    engines: Vec<(Engine, usize)>,
     chunk: Vec<TraceRecord>,
     chunk_records: usize,
 }
@@ -97,8 +91,18 @@ impl GridReplay {
     ///
     /// Panics on an invalid [`SimConfig`], like [`crate::simulate`].
     pub fn new(cells: &[(SimConfig, PolicyKind)], chunk_records: usize) -> GridReplay {
+        // Event buffers are reserved by the first `step_records`.
+        let mut fronts: Vec<(FrontEnd, Vec<UpperEvent>)> = Vec::new();
+        let mut front_of = |config: &SimConfig| {
+            fronts.iter().position(|(f, _)| f.serves(config)).unwrap_or_else(|| {
+                fronts.push((FrontEnd::new(config), Vec::new()));
+                fronts.len() - 1
+            })
+        };
+        let engines = cells.iter().map(|(c, p)| (Engine::new(c, *p), front_of(c))).collect();
         GridReplay {
-            engines: cells.iter().map(|(cfg, policy)| Engine::new(cfg, *policy)).collect(),
+            fronts,
+            engines,
             // Only streamed replay decodes: `replay_reader` reserves it.
             chunk: Vec::new(),
             chunk_records: if chunk_records == 0 { DEFAULT_CHUNK_RECORDS } else { chunk_records },
@@ -109,7 +113,7 @@ impl GridReplay {
     /// ([`GridReplay::finish_logged`] returns it).
     pub(crate) fn logging_llc(config: &SimConfig, policy: PolicyKind) -> GridReplay {
         let mut grid = GridReplay::new(&[(*config, policy)], 0);
-        grid.engines[0].enable_llc_log();
+        grid.engines[0].0.enable_llc_log();
         grid
     }
 
@@ -123,29 +127,32 @@ impl GridReplay {
         self.chunk_records
     }
 
-    /// Advances every cell through `records`, in order — one lockstep
-    /// chunk, and the only place an engine steps. Allocation-free in
-    /// the steady state (the chunk counters are pre-registered sharded
-    /// atomics).
+    /// Advances every cell through `records`, in order, a chunk at a time:
+    /// each front end walks the chunk once, then every engine replays it
+    /// against its front end's events. Allocation-free in the steady state
+    /// (the first call reserves the event buffers; counters are atomics).
     pub fn step_records(&mut self, records: &[TraceRecord]) {
-        for engine in &mut self.engines {
-            for rec in records {
-                engine.step(rec);
+        let piece = self.chunk_records.min(MAX_CHUNK_RECORDS);
+        for records in records.chunks(piece) {
+            for (front, events) in &mut self.fronts {
+                events.reserve_exact(piece);
+                front.walk(records, events);
             }
+            for (engine, front) in &mut self.engines {
+                for (rec, event) in records.iter().zip(&self.fronts[*front].1) {
+                    engine.step(rec, event);
+                }
+            }
+            let m = ccsim_obs::metrics();
+            m.grid_chunks.inc();
+            m.grid_records.add((records.len() * self.engines.len()) as u64);
+            m.grid_frontend_records.add((records.len() * self.fronts.len()) as u64);
         }
-        let m = ccsim_obs::metrics();
-        m.grid_chunks.inc();
-        m.grid_records.add((records.len() * self.engines.len()) as u64);
     }
 
     /// Replays an in-memory trace through every cell, chunked.
     pub fn replay_trace(&mut self, trace: &Trace) {
-        // The records are already resident; chunking still bounds how
-        // much engine state is cycled between consecutive touches.
-        let chunk_records = self.chunk_records;
-        for chunk in trace.records().chunks(chunk_records) {
-            self.step_records(chunk);
-        }
+        self.step_records(trace.records());
     }
 
     /// Replays a `CCTR` stream through every cell: each chunk is decoded
@@ -168,14 +175,10 @@ impl GridReplay {
         chunk.reserve_exact(chunk_records);
         loop {
             while chunk.len() < chunk_records {
-                match reader.next_record()? {
-                    Some(rec) => chunk.push(rec),
-                    None => break,
-                }
+                let Some(rec) = reader.next_record()? else { break };
+                chunk.push(rec);
             }
-            if !chunk.is_empty() {
-                self.step_records(&chunk);
-            }
+            self.step_records(&chunk);
             let exhausted = chunk.len() < chunk_records; // short chunk
             chunk.clear();
             if exhausted {
@@ -187,10 +190,7 @@ impl GridReplay {
 
     /// Finishes every cell into its [`SimResult`], in cell order.
     pub fn finish(self, workload: &str, trailing_nonmem: u64) -> Vec<SimResult> {
-        self.finish_logged(workload, trailing_nonmem)
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect()
+        self.finish_logged(workload, trailing_nonmem).into_iter().map(|(r, _)| r).collect()
     }
 
     /// [`GridReplay::finish`] with each cell's LLC demand log (empty
@@ -201,7 +201,10 @@ impl GridReplay {
         trailing_nonmem: u64,
     ) -> Vec<(SimResult, LlcLog)> {
         ccsim_obs::metrics().grid_cells.add(self.engines.len() as u64);
-        self.engines.into_iter().map(|engine| engine.finish(workload, trailing_nonmem)).collect()
+        let fronts = &self.fronts;
+        let finish =
+            |(engine, f): (Engine, usize)| engine.finish(&fronts[f].0, workload, trailing_nonmem);
+        self.engines.into_iter().map(finish).collect()
     }
 }
 
@@ -209,6 +212,7 @@ impl std::fmt::Debug for GridReplay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GridReplay")
             .field("cells", &self.engines.len())
+            .field("front_ends", &self.fronts.len())
             .field("chunk_records", &self.chunk_records)
             .finish()
     }
@@ -265,24 +269,21 @@ mod tests {
     }
 
     fn paper_cells() -> Vec<(SimConfig, PolicyKind)> {
-        let mut cells = Vec::new();
-        for scale in [1u32, 2, 4] {
-            let config = SimConfig::tiny().with_llc_scale(scale);
-            for policy in [PolicyKind::Lru, PolicyKind::Ship, PolicyKind::Hawkeye] {
-                cells.push((config, policy));
-            }
-        }
-        cells
+        let policies = [PolicyKind::Lru, PolicyKind::Ship, PolicyKind::Hawkeye];
+        let configs = [1u32, 2, 4].map(|scale| SimConfig::tiny().with_llc_scale(scale));
+        configs.iter().flat_map(|c| policies.map(|p| (*c, p))).collect()
     }
 
     /// The driver-free reference: one bare engine stepped over the
     /// records, no `GridReplay` involved.
     fn bare_engine(trace: &Trace, (config, policy): &(SimConfig, PolicyKind)) -> SimResult {
+        let (mut front, mut event) = (FrontEnd::new(config), Vec::new());
         let mut engine = Engine::new(config, *policy);
         for rec in trace {
-            engine.step(rec);
+            front.walk(std::slice::from_ref(rec), &mut event);
+            engine.step(rec, &event[0]);
         }
-        engine.finish(trace.name(), trace.trailing_nonmem()).0
+        engine.finish(&front, trace.name(), trace.trailing_nonmem()).0
     }
 
     #[test]
@@ -301,9 +302,8 @@ mod tests {
 
     #[test]
     fn unbounded_chunk_request_reserves_no_unbounded_buffer() {
-        // `usize::MAX` records used to be reserved eagerly in `new`
-        // (capacity overflow); now nothing is reserved until a stream is
-        // replayed, and then at most `MAX_CHUNK_RECORDS`.
+        // Nothing is reserved until a stream is replayed, and then at most
+        // `MAX_CHUNK_RECORDS` (reserving `usize::MAX` would overflow).
         let trace = mixed_trace();
         let cells = paper_cells();
         let mut grid = GridReplay::new(&cells, usize::MAX);

@@ -1,4 +1,6 @@
-//! The three-level memory hierarchy: L1D -> L2 -> LLC -> DRAM.
+//! The three-level memory hierarchy: L1D -> L2 -> LLC -> DRAM, split at
+//! the L2/LLC boundary into a shared [`FrontEnd`] and a per-cell
+//! [`BackEnd`].
 //!
 //! The hierarchy is *non-inclusive* with fill-on-miss at every level (the
 //! ChampSim model): a demand miss walks down until it hits (or reaches
@@ -6,14 +8,30 @@
 //! posted writebacks to the level below; they update state and occupy DRAM
 //! banks but do not lengthen the demand path that displaced them.
 //!
-//! Timing composes per level: a lookup costs the level's hit latency; a
-//! miss acquires an MSHR (merging with an outstanding miss to the same
-//! block, or waiting when the bank is exhausted) and then pays the
-//! downstream path.
+//! **What is shared.** L1D and L2 always run LRU and their tag store is
+//! the only source of their state: which block sits in which slot is a
+//! pure function of the trace, never of timing. A block evicted while its
+//! fill is still in flight re-misses as a fresh miss; nothing merges at
+//! those two levels. So the [`FrontEnd`] walks L1D and L2 once per record
+//! and emits an [`UpperEvent`] — the slots it touched, whether each level
+//! hit, and the dirty L2 victims bound for the LLC — and every grid cell
+//! with the same L1D and L2 geometry replays that one event stream.
+//!
+//! **What each cell keeps.** A [`BackEnd`] holds the timing of the upper
+//! levels — a `ready_at` cycle per L1D/L2 slot and the `free_at` cycle of
+//! each MSHR — plus its own LLC (policy under study, MSHRs that merge
+//! same-block misses) and DRAM. Timing composes per level: a lookup costs
+//! the level's hit latency, a tag hit on a line whose fill has not landed
+//! waits for that slot's `ready_at`, and a miss waits for a free MSHR and
+//! then pays the downstream path.
+//!
+//! [`Hierarchy`] is one front end plus one back end, stepped together —
+//! the same walk the grid driver runs, at width one.
 
 use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, PolicyKind};
+use ccsim_trace::TraceRecord;
 
-use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant};
+use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant, MshrSlots};
 use crate::config::{CacheConfig, SimConfig};
 use crate::dram::{Dram, DramStats};
 
@@ -28,63 +46,355 @@ pub enum Level {
     Llc,
 }
 
-/// The memory hierarchy. L1D and L2 always use true LRU (as in the paper's
-/// setup); the LLC runs the policy under study.
+/// What the front end did for one demand access: everything a cell needs
+/// to time it and to replay its LLC traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct UpperEvent {
+    /// The L1D slot the access hit, or filled on a miss.
+    l1_slot: u32,
+    /// The L2 slot the L1D miss hit or filled (unused on an L1D hit).
+    l2_slot: u32,
+    /// The L2 slot the L1D victim's writeback filled, if it missed there.
+    l2_writeback_slot: Option<u32>,
+    l1_hit: bool,
+    l2_hit: bool,
+    /// Number of valid entries of `llc_writebacks`.
+    victims: u8,
+    /// Dirty L2 victims bound for the LLC, in walk order: the victim of
+    /// the L2 demand fill, then that of the L1D writeback's L2 fill.
+    llc_writebacks: [u64; 2],
+}
+
+impl UpperEvent {
+    fn push_victim(&mut self, block: u64) {
+        self.llc_writebacks[self.victims as usize] = block;
+        self.victims += 1;
+    }
+}
+
+/// The functional L1D and L2: LRU tag stores and their statistics, shared
+/// by every cell of a grid with the same L1D and L2 geometry.
 #[derive(Debug)]
-pub struct Hierarchy {
-    /// The cache levels, indexed by [`Level`]; index `levels.len()` is DRAM.
-    levels: [Cache; 3],
+pub(crate) struct FrontEnd {
+    l1d: Cache,
+    l2: Cache,
+    /// The L1D and L2 geometry it was built from.
+    geometry: [(u32, u32); 2],
+}
+
+/// The `(sets, ways)` of `config`'s L1D and L2: all that the front end's
+/// events depend on (latencies and MSHR counts are each cell's timing).
+fn upper_geometry(config: &SimConfig) -> [(u32, u32); 2] {
+    [(config.l1d.sets, config.l1d.ways), (config.l2.sets, config.l2.ways)]
+}
+
+impl FrontEnd {
+    /// The L1D and L2 of `config`.
+    pub(crate) fn new(config: &SimConfig) -> FrontEnd {
+        let lru = |c: CacheConfig| PolicyKind::Lru.build_dispatch(c.sets, c.ways);
+        FrontEnd {
+            l1d: Cache::new("L1D", config.l1d, lru(config.l1d)),
+            l2: Cache::new("L2", config.l2, lru(config.l2)),
+            geometry: upper_geometry(config),
+        }
+    }
+
+    /// Whether a cell on `config` can replay this front end's events.
+    pub(crate) fn serves(&self, config: &SimConfig) -> bool {
+        self.geometry == upper_geometry(config)
+    }
+
+    /// Replaces `events` with one event per record of `records`.
+    pub(crate) fn walk(&mut self, records: &[TraceRecord], events: &mut Vec<UpperEvent>) {
+        events.clear();
+        events.extend(records.iter().map(|rec| self.step(rec.pc, rec.block(), demand_kind(rec))));
+    }
+
+    /// Walks one demand access through L1D and L2: lookups, fills and the
+    /// L1D victim's writeback into L2.
+    #[inline]
+    fn step(&mut self, pc: u64, block: u64, kind: AccessType) -> UpperEvent {
+        let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
+        match self.l1d.lookup(&info) {
+            Some(way) => UpperEvent {
+                l1_slot: self.l1d.slot(info.set, way),
+                l1_hit: true,
+                ..Default::default()
+            },
+            None => self.l1_miss(&info),
+        }
+    }
+
+    /// The L1D miss path of [`FrontEnd::step`], kept out of the hit loop.
+    #[inline(never)]
+    fn l1_miss(&mut self, info: &AccessInfo) -> UpperEvent {
+        let (mut event, block) = (UpperEvent::default(), info.block);
+        let l2_info = AccessInfo { set: self.l2.set_of(block), ..*info };
+        if let Some(way) = self.l2.lookup(&l2_info) {
+            event.l2_slot = self.l2.slot(l2_info.set, way);
+            event.l2_hit = true;
+        } else {
+            let (slot, victim) = fill(&mut self.l2, &l2_info);
+            event.l2_slot = slot;
+            if let Some(victim) = victim {
+                event.push_victim(victim);
+            }
+        }
+        let (slot, victim) = fill(&mut self.l1d, info);
+        event.l1_slot = slot;
+        if let Some(victim) = victim {
+            let wb = AccessInfo {
+                pc: 0,
+                block: victim,
+                set: self.l2.set_of(victim),
+                kind: AccessType::Writeback,
+            };
+            if self.l2.lookup(&wb).is_none() {
+                let (slot, victim) = fill(&mut self.l2, &wb);
+                event.l2_writeback_slot = Some(slot);
+                if let Some(victim) = victim {
+                    event.push_victim(victim);
+                }
+            }
+        }
+        event
+    }
+
+    pub(crate) fn stats(&self, level: Level) -> &CacheStats {
+        match level {
+            Level::L1d => self.l1d.stats(),
+            _ => self.l2.stats(),
+        }
+    }
+
+    fn hot_state_bytes(&self) -> u64 {
+        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes()
+    }
+}
+
+/// The access type of a record's demand access.
+pub(crate) fn demand_kind(rec: &TraceRecord) -> AccessType {
+    if rec.kind.is_store() {
+        AccessType::Rfo
+    } else {
+        AccessType::Load
+    }
+}
+
+/// Fills an LRU level (which never bypasses): the slot the block landed
+/// in and the dirty victim it displaced.
+fn fill(cache: &mut Cache, info: &AccessInfo) -> (u32, Option<u64>) {
+    match cache.fill(info) {
+        FillOutcome::Filled { way, writeback } => (cache.slot(info.set, way), writeback),
+        FillOutcome::Bypassed => unreachable!("{}: LRU never bypasses", cache.name()),
+    }
+}
+
+/// Timing of one upper level inside one cell: when each slot's fill lands
+/// and when each MSHR frees.
+#[derive(Debug)]
+struct UpperTiming {
+    latency: u64,
+    ready_at: Vec<u64>,
+    mshrs: MshrSlots,
+}
+
+impl UpperTiming {
+    fn new(config: CacheConfig) -> UpperTiming {
+        UpperTiming {
+            latency: config.latency,
+            ready_at: vec![0; (config.sets * config.ways) as usize],
+            mshrs: MshrSlots::new(config.mshrs),
+        }
+    }
+}
+
+/// One cell's half of the hierarchy: the upper levels' timing, the LLC
+/// under study and DRAM.
+#[derive(Debug)]
+pub(crate) struct BackEnd {
+    l1d: UpperTiming,
+    l2: UpperTiming,
+    llc: Cache,
     dram: Dram,
     /// Optional capture of the LLC demand stream (set, block) for offline
     /// OPT analysis.
     llc_log: Option<Vec<(u32, u64)>>,
 }
 
-impl Hierarchy {
-    /// Builds the hierarchy with `llc_policy` at the last level.
-    pub fn new(config: &SimConfig, llc_policy: PolicyDispatch) -> Self {
-        let lru = |c: CacheConfig| PolicyKind::Lru.build_dispatch(c.sets, c.ways);
-        Hierarchy {
-            levels: [
-                Cache::new("L1D", config.l1d, lru(config.l1d)),
-                Cache::new("L2", config.l2, lru(config.l2)),
-                Cache::new("LLC", config.llc, llc_policy),
-            ],
+impl BackEnd {
+    pub(crate) fn new(config: &SimConfig, llc_policy: PolicyDispatch) -> BackEnd {
+        BackEnd {
+            l1d: UpperTiming::new(config.l1d),
+            l2: UpperTiming::new(config.l2),
+            llc: Cache::new("LLC", config.llc, llc_policy),
             dram: Dram::new(config.dram),
             llc_log: None,
         }
     }
 
-    /// Enables recording of the LLC demand stream (for Belady analysis).
-    pub fn enable_llc_log(&mut self) {
+    /// Records the LLC demand stream from here on.
+    pub(crate) fn enable_llc_log(&mut self) {
         self.llc_log = Some(Vec::new());
     }
 
     /// Takes the recorded LLC demand stream, if logging was enabled.
-    pub fn take_llc_log(&mut self) -> Option<Vec<(u32, u64)>> {
+    pub(crate) fn take_llc_log(&mut self) -> Option<Vec<(u32, u64)>> {
         self.llc_log.take()
+    }
+
+    pub(crate) fn llc_stats(&self) -> &CacheStats {
+        self.llc.stats()
+    }
+
+    pub(crate) fn dram_stats(&self) -> &DramStats {
+        self.dram.stats()
+    }
+
+    pub(crate) fn llc_policy_diag(&self) -> String {
+        self.llc.policy_diag()
+    }
+
+    fn hot_state_bytes(&self) -> u64 {
+        let columns = (self.l1d.ready_at.len() + self.l2.ready_at.len()) as u64 * 8;
+        columns + self.llc.hot_state_bytes()
+    }
+
+    /// Times the demand access the front end walked as `event`, issued at
+    /// cycle `at`; returns the cycle its data is available.
+    #[inline]
+    pub(crate) fn access(
+        &mut self,
+        pc: u64,
+        block: u64,
+        kind: AccessType,
+        event: &UpperEvent,
+        at: u64,
+    ) -> u64 {
+        let l1_tag = at + self.l1d.latency;
+        if event.l1_hit {
+            return l1_tag.max(self.l1d.ready_at[event.l1_slot as usize]);
+        }
+        self.l1_miss(pc, block, kind, event, l1_tag)
+    }
+
+    /// The L1D miss path of [`BackEnd::access`], kept out of the hit loop.
+    #[inline(never)]
+    fn l1_miss(
+        &mut self,
+        pc: u64,
+        block: u64,
+        kind: AccessType,
+        event: &UpperEvent,
+        l1_tag: u64,
+    ) -> u64 {
+        let (l1_mshr, l1_start) = self.l1d.mshrs.issue(l1_tag);
+        let l2_tag = l1_start + self.l2.latency;
+        let done = if event.l2_hit {
+            l2_tag.max(self.l2.ready_at[event.l2_slot as usize])
+        } else {
+            let (l2_mshr, l2_start) = self.l2.mshrs.issue(l2_tag);
+            let done = self.llc_access(pc, block, kind, l2_start);
+            self.l2.ready_at[event.l2_slot as usize] = done;
+            self.l2.mshrs.complete(l2_mshr, done);
+            done
+        };
+        self.l1d.ready_at[event.l1_slot as usize] = done;
+        self.l1d.mshrs.complete(l1_mshr, done);
+        if let Some(slot) = event.l2_writeback_slot {
+            // The written-back line is the L1D's own data: nothing to wait for.
+            self.l2.ready_at[slot as usize] = 0;
+        }
+        for &victim in &event.llc_writebacks[..event.victims as usize] {
+            self.llc_writeback(victim, done);
+        }
+        done
+    }
+
+    /// The LLC demand lookup at cycle `at`, fetching from DRAM on a miss;
+    /// returns the cycle the data is available.
+    fn llc_access(&mut self, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
+        let info = AccessInfo { pc, block, set: self.llc.set_of(block), kind };
+        if let Some(log) = &mut self.llc_log {
+            log.push((info.set, block));
+        }
+        let after_tag = at + self.llc.latency();
+        if self.llc.lookup(&info).is_some() {
+            // A tag hit on a block whose fill is still in flight must wait
+            // for the fill (fills update tags eagerly, timing lags).
+            let fill_ready = self.llc.mshrs().pending(block).unwrap_or(0);
+            return after_tag.max(fill_ready);
+        }
+        match self.llc.mshrs().acquire(block, after_tag) {
+            MshrGrant::Merged { completes_at } => {
+                self.llc.note_mshr_merge();
+                completes_at
+            }
+            MshrGrant::Issue { slot, start_at } => {
+                let done = self.dram.access(block, start_at, false);
+                if let FillOutcome::Filled { writeback: Some(victim), .. } = self.llc.fill(&info) {
+                    let _ = self.dram.access(victim, done, true);
+                }
+                self.llc.mshrs().complete(slot, block, done);
+                done
+            }
+        }
+    }
+
+    /// Posted writeback of a dirty L2 victim into the LLC at cycle `at`
+    /// (updates in place on a hit, allocates otherwise); the LLC's own
+    /// dirty victim is a DRAM write, which occupies a bank at `at` but is
+    /// on no demand path.
+    fn llc_writeback(&mut self, block: u64, at: u64) {
+        let info =
+            AccessInfo { pc: 0, block, set: self.llc.set_of(block), kind: AccessType::Writeback };
+        if self.llc.lookup(&info).is_some() {
+            return;
+        }
+        if let FillOutcome::Filled { writeback: Some(victim), .. } = self.llc.fill(&info) {
+            let _ = self.dram.access(victim, at, true);
+        }
+    }
+}
+
+/// The memory hierarchy of one cell: a [`FrontEnd`] of its own plus its
+/// [`BackEnd`]. L1D and L2 always use true LRU (as in the paper's setup);
+/// the LLC runs the policy under study.
+#[derive(Debug)]
+pub struct Hierarchy {
+    front: FrontEnd,
+    back: BackEnd,
+}
+
+impl Hierarchy {
+    /// Builds the hierarchy with `llc_policy` at the last level.
+    pub fn new(config: &SimConfig, llc_policy: PolicyDispatch) -> Self {
+        Hierarchy { front: FrontEnd::new(config), back: BackEnd::new(config, llc_policy) }
     }
 
     /// Stats of one cache level.
     pub fn cache_stats(&self, level: Level) -> &CacheStats {
-        self.levels[level as usize].stats()
+        match level {
+            Level::Llc => self.back.llc_stats(),
+            upper => self.front.stats(upper),
+        }
     }
 
     /// DRAM statistics.
     pub fn dram_stats(&self) -> &DramStats {
-        self.dram.stats()
+        self.back.dram_stats()
     }
 
     /// Diagnostic line from the LLC policy.
     pub fn llc_policy_diag(&self) -> String {
-        self.levels[Level::Llc as usize].policy_diag()
+        self.back.llc_policy_diag()
     }
 
-    /// Combined hot tag-state footprint of the three levels (see
-    /// [`Cache::hot_state_bytes`]) — what one replay engine keeps warm
-    /// per record.
+    /// Hot per-access state of the three levels: the L1D/L2 tag stores
+    /// (see [`Cache::hot_state_bytes`]), the cell's `ready_at` columns and
+    /// the LLC's tag store — what one replay engine keeps warm per record.
     pub fn hot_state_bytes(&self) -> u64 {
-        self.levels.iter().map(Cache::hot_state_bytes).sum()
+        self.front.hot_state_bytes() + self.back.hot_state_bytes()
     }
 
     /// Issues a demand access (load or store) at cycle `at`; returns the
@@ -92,65 +402,8 @@ impl Hierarchy {
     pub fn demand_access(&mut self, pc: u64, vaddr: u64, is_store: bool, at: u64) -> u64 {
         let block = vaddr >> ccsim_trace::BLOCK_SHIFT;
         let kind = if is_store { AccessType::Rfo } else { AccessType::Load };
-        self.access(Level::L1d as usize, pc, block, kind, at)
-    }
-
-    /// The demand walk: looks `block` up at `level` and, on a miss, fetches
-    /// it from the level below and fills on the way back. Level
-    /// `levels.len()` is the DRAM read. Returns the cycle the data is
-    /// available at `level`.
-    fn access(&mut self, level: usize, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
-        let Some(cache) = self.levels.get_mut(level) else {
-            return self.dram.access(block, at, false);
-        };
-        let info = AccessInfo { pc, block, set: cache.set_of(block), kind };
-        if level == Level::Llc as usize {
-            if let Some(log) = &mut self.llc_log {
-                log.push((info.set, block));
-            }
-        }
-        let after_tag = at + cache.latency();
-        if cache.lookup(&info).is_some() {
-            // A tag hit on a block whose fill is still in flight must wait
-            // for the fill (fills update tags eagerly, timing lags).
-            let fill_ready = cache.mshrs().pending(block).unwrap_or(0);
-            return after_tag.max(fill_ready);
-        }
-        match cache.mshrs().acquire(block, after_tag) {
-            MshrGrant::Merged { completes_at } => {
-                cache.note_mshr_merge();
-                completes_at
-            }
-            MshrGrant::Issue { slot, start_at } => {
-                let done = self.access(level + 1, pc, block, kind, start_at);
-                if let FillOutcome::Filled { writeback: Some(victim) } =
-                    self.levels[level].fill(&info)
-                {
-                    self.writeback(level + 1, victim, done);
-                }
-                self.levels[level].mshrs().complete(slot, block, done);
-                done
-            }
-        }
-    }
-
-    /// Posted writeback of a dirty victim into `level` (updates in place on
-    /// a hit, allocates otherwise, cascading its own dirty victim down).
-    /// Level `levels.len()` is the DRAM write, which occupies a bank at
-    /// `at` but is on no demand path.
-    fn writeback(&mut self, level: usize, block: u64, at: u64) {
-        let Some(cache) = self.levels.get_mut(level) else {
-            let _ = self.dram.access(block, at, true);
-            return;
-        };
-        let info =
-            AccessInfo { pc: 0, block, set: cache.set_of(block), kind: AccessType::Writeback };
-        if cache.lookup(&info).is_some() {
-            return;
-        }
-        if let FillOutcome::Filled { writeback: Some(victim) } = cache.fill(&info) {
-            self.writeback(level + 1, victim, at);
-        }
+        let event = self.front.step(pc, block, kind);
+        self.back.access(pc, block, kind, &event, at)
     }
 }
 
@@ -184,10 +437,10 @@ mod tests {
     fn fills_populate_every_level() {
         let mut h = hierarchy();
         h.demand_access(0x400, 0x20_000, false, 0);
-        // Evict from L1 by touching conflicting blocks; the block must
-        // still hit in L2.
         let block = 0x20_000u64 >> 6;
-        assert!(h.levels.iter().all(|cache| cache.probe(block).is_some()));
+        assert!(h.front.l1d.probe(block).is_some());
+        assert!(h.front.l2.probe(block).is_some());
+        assert!(h.back.llc.probe(block).is_some());
     }
 
     #[test]
@@ -201,6 +454,21 @@ mod tests {
         let t2 = h.demand_access(0x404, 0x30_010, false, 1);
         assert_eq!(t2, t1, "must wait for the outstanding fill");
         assert_eq!(h.dram_stats().reads, reads_before);
+    }
+
+    #[test]
+    fn block_evicted_in_flight_re_misses_as_a_fresh_miss() {
+        // Blocks 0, 2 and 4 share the tiny L1D's two-way set 0: the third
+        // fill evicts block 0 while its data is still on the way, and the
+        // second access to block 0 is a new L1D miss that refills — it
+        // does not merge into the outstanding one.
+        let mut h = hierarchy();
+        for (block, at) in [(0u64, 0u64), (2, 1), (4, 2), (0, 3)] {
+            h.demand_access(0x400, block << 6, false, at);
+        }
+        let l1d = h.cache_stats(Level::L1d);
+        assert_eq!((l1d.demand_misses, l1d.fills, l1d.mshr_merges), (4, 4, 0));
+        assert_eq!(h.cache_stats(Level::L2).demand_accesses, 4);
     }
 
     #[test]
@@ -220,13 +488,18 @@ mod tests {
 
     #[test]
     fn llc_log_captures_demand_stream() {
-        let mut h = hierarchy();
-        h.enable_llc_log();
-        h.demand_access(0x400, 0x50_000, false, 0);
-        h.demand_access(0x400, 0x50_000, false, 1000); // L1 hit: no LLC access
-        let log = h.take_llc_log().unwrap();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].1, 0x50_000 >> 6);
+        let cfg = SimConfig::tiny();
+        let mut front = FrontEnd::new(&cfg);
+        let mut back =
+            BackEnd::new(&cfg, PolicyKind::Lru.build_dispatch(cfg.llc.sets, cfg.llc.ways));
+        back.enable_llc_log();
+        let block = 0x50_000 >> 6;
+        for at in [0, 1000] {
+            // The second access is an L1 hit: no LLC access.
+            let event = front.step(0x400, block, AccessType::Load);
+            back.access(0x400, block, AccessType::Load, &event, at);
+        }
+        assert_eq!(back.take_llc_log().unwrap(), [(back.llc.set_of(block), block)]);
     }
 
     #[test]

@@ -19,23 +19,24 @@
 use std::io::Read;
 
 use ccsim_obs::Span;
-use ccsim_policies::PolicyKind;
+use ccsim_policies::{AccessType, PolicyKind};
 use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
 use crate::cpu::Core;
 use crate::experiment::grid::GridReplay;
-use crate::hierarchy::{Hierarchy, Level};
+use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Level, UpperEvent};
 use crate::result::SimResult;
 
 /// An LLC demand stream: one `(set, block)` pair per LLC demand access.
 pub(crate) type LlcLog = Vec<(u32, u64)>;
 
-/// The replay engine: one core driving one hierarchy, record by record.
-/// `GridReplay` advances one engine per grid cell in lockstep through
-/// shared record chunks.
+/// The replay engine of one grid cell: one core driving the cell's
+/// [`BackEnd`]. `GridReplay` advances one engine per grid cell in lockstep
+/// through shared record chunks, each against the [`UpperEvent`]s its
+/// cell's shared [`FrontEnd`] emitted for the chunk.
 pub(crate) struct Engine {
-    hierarchy: Hierarchy,
+    memory: BackEnd,
     core: Core,
     llc_policy: PolicyKind,
 }
@@ -43,28 +44,28 @@ pub(crate) struct Engine {
 impl Engine {
     pub(crate) fn new(config: &SimConfig, llc_policy: PolicyKind) -> Engine {
         config.validate().expect("invalid simulator config");
-        let hierarchy =
-            Hierarchy::new(config, llc_policy.build_dispatch(config.llc.sets, config.llc.ways));
-        Engine { hierarchy, core: Core::new(config.core), llc_policy }
+        let memory =
+            BackEnd::new(config, llc_policy.build_dispatch(config.llc.sets, config.llc.ways));
+        Engine { memory, core: Core::new(config.core), llc_policy }
     }
 
     /// Records the LLC demand stream from here on ([`Engine::finish`]
     /// returns it).
     pub(crate) fn enable_llc_log(&mut self) {
-        self.hierarchy.enable_llc_log();
+        self.memory.enable_llc_log();
     }
 
+    /// Replays `rec`, whose L1D/L2 walk the front end recorded as `event`.
     #[inline]
-    pub(crate) fn step(&mut self, rec: &TraceRecord) {
+    pub(crate) fn step(&mut self, rec: &TraceRecord, event: &UpperEvent) {
         if rec.nonmem_before > 0 {
             self.core.dispatch_nonmem(rec.nonmem_before as u64);
         }
-        let is_store = rec.kind.is_store();
-        let (pc, vaddr) = (rec.pc, rec.vaddr);
-        let hierarchy = &mut self.hierarchy;
+        let (pc, block, kind) = (rec.pc, rec.block(), demand_kind(rec));
+        let memory = &mut self.memory;
         self.core.dispatch_mem(|at| {
-            let done = hierarchy.demand_access(pc, vaddr, is_store, at);
-            if is_store {
+            let done = memory.access(pc, block, kind, event, at);
+            if kind == AccessType::Rfo {
                 // Stores retire through the store buffer: the RFO proceeds
                 // in the background and does not stall the core.
                 at + 1
@@ -74,23 +75,29 @@ impl Engine {
         });
     }
 
-    /// The cell's result and its LLC demand log (empty unless enabled).
-    pub(crate) fn finish(mut self, workload: &str, trailing_nonmem: u64) -> (SimResult, LlcLog) {
+    /// The cell's result — L1D/L2 statistics from `front`, the front end
+    /// it replayed — and its LLC demand log (empty unless enabled).
+    pub(crate) fn finish(
+        mut self,
+        front: &FrontEnd,
+        workload: &str,
+        trailing_nonmem: u64,
+    ) -> (SimResult, LlcLog) {
         if trailing_nonmem > 0 {
             self.core.dispatch_nonmem(trailing_nonmem);
         }
         let (instructions, cycles) = self.core.finish();
-        let log = self.hierarchy.take_llc_log().unwrap_or_default();
+        let log = self.memory.take_llc_log().unwrap_or_default();
         let result = SimResult {
             workload: workload.to_owned(),
             policy: self.llc_policy.name().to_owned(),
             instructions,
             cycles,
-            l1d: *self.hierarchy.cache_stats(Level::L1d),
-            l2: *self.hierarchy.cache_stats(Level::L2),
-            llc: *self.hierarchy.cache_stats(Level::Llc),
-            dram: *self.hierarchy.dram_stats(),
-            llc_diag: self.hierarchy.llc_policy_diag(),
+            l1d: *front.stats(Level::L1d),
+            l2: *front.stats(Level::L2),
+            llc: *self.memory.llc_stats(),
+            dram: *self.memory.dram_stats(),
+            llc_diag: self.memory.llc_policy_diag(),
         };
         (result, log)
     }

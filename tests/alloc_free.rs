@@ -71,20 +71,24 @@ fn steady_state_replay_allocates_nothing() {
     // Wider grids inherit the contract: advancing N warmed lockstep
     // engines through further records — including the streamed
     // chunk-decode loop, whose chunk buffer is reserved by the first
-    // streamed replay and reused — must not allocate either.
+    // streamed replay and reused, and the front ends' event buffers,
+    // reserved by the first chunk — must not allocate either. Two L2
+    // geometries make two front ends, each with its own event buffer.
     // The streamed trace ends in a short chunk (60 000 records), so a
     // decode buffer that is not handed back empty would regrow here.
     let mut bytes = Vec::new();
     ccsim::trace::write_trace(&mix, &mut bytes).unwrap();
+    let mut half_l2 = config;
+    half_l2.l2.sets /= 2;
     let cells = [
         (config, PolicyKind::Lru),
-        (config, PolicyKind::Ship),
+        (half_l2, PolicyKind::Ship),
         (config.with_llc_scale(2), PolicyKind::Hawkeye),
-        (config.with_llc_scale(4), PolicyKind::Mpppb),
+        (half_l2.with_llc_scale(4), PolicyKind::Mpppb),
     ];
     let mut grid = GridReplay::new(&cells, 0);
     // Warm pass: every engine fills its sets and samplers, and the chunk
-    // buffer reaches its full capacity.
+    // and event buffers reach their full capacity.
     let mut reader = ccsim::trace::TraceReader::new(&bytes[..]).unwrap();
     grid.replay_reader(&mut reader).unwrap();
     grid.replay_trace(&thrash);

@@ -55,11 +55,16 @@ fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
         .prop_map(|(records, trailing)| Trace::from_parts("prop", records, trailing))
 }
 
-/// A grid cell drawn from the full policy set and LLC scales 1/2/4.
+/// A grid cell drawn from the full policy set, LLC scales 1/2/4 and two
+/// L2 geometries (so grids mix cells with and without a shared front end).
 fn arb_cell() -> impl Strategy<Value = (SimConfig, PolicyKind)> {
-    (0usize..PolicyKind::ALL.len(), 0u32..3).prop_map(|(policy_idx, scale_log2)| {
-        (SimConfig::tiny().with_llc_scale(1 << scale_log2), PolicyKind::ALL[policy_idx])
-    })
+    (0usize..PolicyKind::ALL.len(), 0u32..3, 0u32..2).prop_map(
+        |(policy_idx, scale_log2, l2_log2)| {
+            let mut config = SimConfig::tiny().with_llc_scale(1 << scale_log2);
+            config.l2.sets <<= l2_log2;
+            (config, PolicyKind::ALL[policy_idx])
+        },
+    )
 }
 
 /// 0 = the default chunk, 1 = record-at-a-time, 2 = beyond any trace (and any
@@ -165,6 +170,40 @@ fn golden_ingest_fixture_grid_replays_identically() {
     // scales and policies agree on it — the proptests above cover
     // divergent grids.)
     assert!(reference[0].llc.demand_misses > 0, "golden fixture never reached the LLC");
+}
+
+/// Cells that differ in L2 sets (so in front end) and in LLC scale,
+/// interleaved in cell order: every cell of the grid is bit-equal to its
+/// grid-of-one oracle and the results come back in cell order, in memory
+/// and streamed, whatever the chunking.
+#[test]
+fn mixed_geometry_grid_equals_the_oracle_cell_for_cell() {
+    let mut buf = TraceBuffer::new("mixed-geometry");
+    RandomAccess::new(0x1000_0000, 1 << 10, 64, 20_000).store_fraction(0.25).seed(5).emit(&mut buf);
+    let trace = buf.finish();
+    let mut half_l2 = SimConfig::tiny();
+    half_l2.l2.sets /= 2;
+    let cells = [
+        (SimConfig::tiny(), PolicyKind::Lru),
+        (half_l2, PolicyKind::Lru),
+        (SimConfig::tiny().with_llc_scale(2), PolicyKind::Ship),
+        (half_l2.with_llc_scale(4), PolicyKind::Hawkeye),
+        (SimConfig::tiny(), PolicyKind::Drrip),
+        (half_l2.with_llc_scale(2), PolicyKind::Mpppb),
+    ];
+    let reference: Vec<SimResult> = cells.iter().map(|cell| oracle(&trace, cell)).collect();
+    assert_ne!(reference[0].l2, reference[1].l2, "the two L2 geometries must differ");
+    let bytes = cctr_bytes(&trace);
+    for chunk_records in [0usize, 1, 333] {
+        assert_eq!(
+            simulate_grid(&trace, &cells, chunk_records),
+            reference,
+            "chunk {chunk_records}"
+        );
+        let reader = TraceReader::new(&bytes[..]).unwrap();
+        let streamed = simulate_grid_stream(reader, &cells, chunk_records).unwrap();
+        assert_eq!(streamed, reference, "streamed, chunk {chunk_records}");
+    }
 }
 
 /// Differential golden for the tag-store layout: a deterministic

@@ -166,6 +166,51 @@ fn concurrent_counter_and_histogram_increments_are_exact() {
     assert_eq!(m.ingest_wall_ns.sum() - h_sum0, 8 * 10_000 * 7, "histogram sum drifted");
 }
 
+/// `grid_frontend_records` counts each record once per distinct L1D/L2
+/// geometry of a grid, `grid_records` once per cell: a 14-cell band
+/// (the benchmark's `grid_band` shape) walks its upper levels once, not 14
+/// times, and a second L1D/L2 geometry adds exactly one more walk.
+#[test]
+fn grid_walks_the_upper_levels_once_per_geometry() {
+    use ccsim::core::{simulate_grid, SimConfig};
+    use ccsim::policies::PolicyKind;
+
+    let _exclusive = exclusive_campaign_metrics();
+    ccsim::obs::set_enabled(true);
+    let mut buf = ccsim::trace::TraceBuffer::new("counted");
+    for i in 0..5_000u64 {
+        buf.load(0x400, (i * 7 % 1_000) << 6, 8);
+    }
+    let trace = buf.finish();
+    let n = trace.len() as u64;
+    let m = ccsim::obs::metrics();
+    let walks = |cells: &[(SimConfig, PolicyKind)]| {
+        let (grid0, front0) = (m.grid_records.get(), m.grid_frontend_records.get());
+        assert_eq!(simulate_grid(&trace, cells, 0).len(), cells.len());
+        (m.grid_records.get() - grid0, m.grid_frontend_records.get() - front0)
+    };
+
+    let policies = std::iter::once(PolicyKind::Lru).chain(PolicyKind::PAPER_POLICIES);
+    let band: Vec<(SimConfig, PolicyKind)> = policies
+        .flat_map(|p| [1, 4].map(|scale| (SimConfig::tiny().with_llc_scale(scale), p)))
+        .collect();
+    assert_eq!(band.len(), 14);
+    assert_eq!(walks(&band), (14 * n, n), "(grid records, front-end records)");
+
+    // L2 latency is each cell's own timing: it shares the tiny front end.
+    let (mut bigger_l2, mut slower_l2) = (SimConfig::tiny(), SimConfig::tiny());
+    bigger_l2.l2.sets *= 2;
+    slower_l2.l2.latency += 10;
+    let two_geometries = [
+        band[0],
+        (bigger_l2, PolicyKind::Lru),
+        band[1],
+        (bigger_l2, PolicyKind::Ship),
+        (slower_l2, PolicyKind::Lru),
+    ];
+    assert_eq!(walks(&two_geometries), (5 * n, 2 * n), "(grid records, front-end records)");
+}
+
 #[test]
 fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     let _exclusive = exclusive_campaign_metrics();

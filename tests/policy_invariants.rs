@@ -24,7 +24,9 @@ fn opt_dominates_every_online_policy() {
     let opt = belady_replay(&log, config.llc.sets, config.llc.ways);
     for kind in PolicyKind::ALL {
         let r = simulate(&trace, &config, kind);
-        // The LLC demand stream is identical across policies (L1/L2 fixed).
+        // The LLC demand stream is identical across policies: L1D and L2
+        // run LRU and their state depends on the trace alone, never on
+        // the LLC's timing.
         assert_eq!(r.llc.demand_accesses, opt.hits + opt.misses, "{kind}");
         assert!(
             r.llc.demand_hits <= opt.hits,
