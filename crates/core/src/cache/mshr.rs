@@ -10,10 +10,10 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiplicative hasher for block addresses. The outstanding-miss map is
-/// consulted on every lookup and updated on every miss at every level;
-/// SipHash (the `HashMap` default) was a measurable fraction of the
-/// per-record cost on miss-heavy traces. Block addresses are already
+/// Multiplicative hasher for block addresses. The outstanding-miss map —
+/// the LLC's alone — is consulted on every LLC lookup and updated on every
+/// LLC miss; SipHash (the `HashMap` default) was a measurable fraction of
+/// the per-record cost on miss-heavy traces. Block addresses are already
 /// high-entropy in the low bits, so a Fibonacci multiply followed by a
 /// down-mix is collision-adequate and compiles to a few cycles. Not
 /// DoS-resistant — fine for simulator-internal keys.

@@ -95,11 +95,39 @@ impl Core {
         }
     }
 
-    /// Dispatches `n` non-memory instructions (unit execution latency).
+    /// Dispatches `n` non-memory instructions (unit execution latency), in
+    /// O(min(n, rob_size)) time: a trace header may claim 2^48 of them.
     pub fn dispatch_nonmem(&mut self, n: u64) {
-        for _ in 0..n {
+        let rob = self.done.len() as u64;
+        for _ in 0..n.min(rob) {
             self.dispatch(|at| at + 1);
         }
+        if n > rob {
+            self.dispatch_unstalled(n - rob);
+        }
+    }
+
+    /// Dispatches the `rest` of a non-memory batch whose first `rob_size`
+    /// instructions have dispatched, without a loop. The window now holds
+    /// this batch alone, and instruction `k` waits on `k - rob_size`
+    /// exactly when both would share a cycle, so the rest dispatch at
+    /// `min(width, rob_size)` per cycle. The state left behind — ring
+    /// included — is the one-at-a-time loop's.
+    #[cold]
+    fn dispatch_unstalled(&mut self, rest: u64) {
+        let rob = self.done.len() as u64;
+        let width = u64::from(self.width).min(rob);
+        let (start, filled) = (self.cycle, u64::from(self.dispatched_this_cycle));
+        let cycle_of = |j: u64| start + (filled + j) / width;
+        let head = self.head as u64;
+        for j in rest.saturating_sub(rob)..rest {
+            self.done[((head + j) % rob) as usize] = cycle_of(j) + 1;
+        }
+        self.head = ((head + rest) % rob) as usize;
+        self.cycle = cycle_of(rest - 1);
+        self.dispatched_this_cycle = ((filled + rest - 1) % width + 1) as u32;
+        self.instructions += rest;
+        self.max_completion = self.max_completion.max(self.cycle + 1);
     }
 
     /// Dispatches one memory instruction; `issue` receives the dispatch

@@ -279,6 +279,25 @@ mod tests {
         assert_eq!(a.l2.demand_accesses, b.l2.demand_accesses);
     }
 
+    /// A header may claim up to 2^48 trailing non-memory instructions;
+    /// 2^40 of them must cost window-sized work, not 2^40 dispatches.
+    #[test]
+    fn huge_trailing_nonmem_streams_in_bounded_time() {
+        let body = trace_of(&SequentialStream::new(0, 1 << 12).work(3), "w");
+        let records = body.records().to_vec();
+        let record_instructions: u64 = records.iter().map(TraceRecord::instructions).sum();
+        let hostile = Trace::from_parts("w", records, 1 << 40);
+        let mut bytes = Vec::new();
+        write_trace(&hostile, &mut bytes).unwrap();
+        let start = std::time::Instant::now();
+        let reader = TraceReader::new(&bytes[..]).unwrap();
+        let r = simulate_stream(reader, &SimConfig::cascade_lake(), PolicyKind::Lru).unwrap();
+        assert!(start.elapsed().as_secs_f64() < 1.0, "took {:?}", start.elapsed());
+        assert_eq!(r.instructions, record_instructions + (1 << 40));
+        // Four per cycle at the Cascade Lake width.
+        assert!(r.cycles >= 1 << 38, "cycles {}", r.cycles);
+    }
+
     #[test]
     fn stream_replay_surfaces_decode_errors() {
         let t = trace_of(&SequentialStream::new(0, 1 << 12), "w");

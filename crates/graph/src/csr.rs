@@ -25,26 +25,54 @@ impl Graph {
     ///
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: u32, edges: &[(u32, u32)], undirected: bool) -> Self {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        // A counting sort: out-degrees (duplicates included) size each
+        // vertex's range of one array, the edges scatter into it, and each
+        // range is sorted and deduplicated in place, then slid left over
+        // the gaps its own and earlier duplicates left.
+        let mut offsets = vec![0u64; n as usize + 1];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge endpoint out of range");
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                if undirected {
+                    offsets[v as usize + 1] += 1;
+                }
             }
-            adj[u as usize].push(v);
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0u32; offsets[n as usize] as usize];
+        let mut place = |from: u32, to: u32| {
+            let slot = &mut cursor[from as usize];
+            neighbors[*slot as usize] = to;
+            *slot += 1;
+        };
+        for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+            place(u, v);
             if undirected {
-                adj[v as usize].push(u);
+                place(v, u);
             }
         }
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0u64);
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            neighbors.extend_from_slice(list);
-            offsets.push(neighbors.len() as u64);
+        let mut kept = 0;
+        for v in 0..n as usize {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            offsets[v] = kept as u64;
+            neighbors[lo..hi].sort_unstable();
+            // `neighbors[i - 1]` still holds its sorted value: every write
+            // so far landed below it (`kept` trails `i`) or rewrote it with
+            // itself.
+            for i in lo..hi {
+                if i == lo || neighbors[i] != neighbors[i - 1] {
+                    neighbors[kept] = neighbors[i];
+                    kept += 1;
+                }
+            }
         }
+        offsets[n as usize] = kept as u64;
+        neighbors.truncate(kept);
+        neighbors.shrink_to_fit();
         Graph { offsets, neighbors, weights: None }
     }
 

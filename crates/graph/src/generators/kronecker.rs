@@ -2,7 +2,7 @@
 //! input).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::Graph;
 
@@ -23,23 +23,25 @@ pub fn kronecker(scale: u32, edge_factor: u32, seed: u64) -> Graph {
     let n = 1u32 << scale;
     let m = n as u64 * edge_factor as u64 / 2;
     let mut rng = StdRng::seed_from_u64(seed);
+    // The probability draw `rng.gen::<f64>()` is one word's top 53 bits
+    // scaled by 2^-53, so it reaches `t` exactly when the word reaches
+    // `ceil(t * 2^53) << 11`: the descent compares the raw words against
+    // these, bit for bit the float comparison, without converting them.
+    let word_at = |t: f64| ((t * (1u64 << 53) as f64).ceil() as u64) << 11;
+    let (a, ab, abc) = (word_at(A), word_at(A + B), word_at(A + B + C));
     let mut edges = Vec::with_capacity(m as usize);
     for _ in 0..m {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.gen();
-            if r < A {
-                // upper-left: no bits set
-            } else if r < A + B {
-                v |= 1;
-            } else if r < A + B + C {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            // One draw per level picks the quadrant: [0, A) upper-left,
+            // [A, A+B) upper-right, [A+B, A+B+C) lower-left, else
+            // lower-right. The bits are computed, not branched on — the
+            // draw is unpredictable by construction.
+            let draw = rng.next_u64();
+            let lower = draw >= ab;
+            let right = ((draw >= a) & !lower) | (draw >= abc);
+            u = (u << 1) | lower as u32;
+            v = (v << 1) | right as u32;
         }
         edges.push((u, v));
     }

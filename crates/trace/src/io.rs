@@ -225,7 +225,12 @@ pub fn read_trace_header<R: Read>(mut reader: R) -> Result<TraceHeader, DecodeTr
     let mut name = vec![0u8; namelen];
     reader.read_exact(&mut name)?;
     let name = String::from_utf8(name).map_err(|_| DecodeTraceError::BadName)?;
+    // Both counts are bounded so that every instruction and cycle total a
+    // replay derives from them fits a `u64` with room to spare.
     let trailing_nonmem = read_u64(&mut reader)?;
+    if trailing_nonmem > 1 << 48 {
+        return Err(DecodeTraceError::Corrupt("trailing non-memory count"));
+    }
     let count = read_u64(&mut reader)?;
     if count > 1 << 40 {
         return Err(DecodeTraceError::Corrupt("record count"));
@@ -380,6 +385,25 @@ mod tests {
         write_trace(&sample_trace(), &mut bytes).unwrap();
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(read_trace(&bytes[..]), Err(DecodeTraceError::Corrupt("name length"))));
+    }
+
+    #[test]
+    fn implausible_counts_rejected() {
+        let mut bytes = Vec::new();
+        write_trace(&sample_trace(), &mut bytes).unwrap();
+        // Trailing count then record count, after the 6-byte name.
+        let (trailing, count) = (4 + 4 + 4 + 6, 4 + 4 + 4 + 6 + 8);
+        let mut huge = bytes.clone();
+        huge[trailing..trailing + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            read_trace(&huge[..]),
+            Err(DecodeTraceError::Corrupt("trailing non-memory count"))
+        ));
+        huge = bytes.clone();
+        huge[trailing..trailing + 8].copy_from_slice(&(1u64 << 48).to_le_bytes());
+        assert_eq!(read_trace(&huge[..]).unwrap().trailing_nonmem(), 1 << 48);
+        bytes[count..count + 8].copy_from_slice(&((1u64 << 40) + 1).to_le_bytes());
+        assert!(matches!(read_trace(&bytes[..]), Err(DecodeTraceError::Corrupt("record count"))));
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub enum SeriesKind {
     /// `max_drop_pct` below the rolling median.
     Throughput,
     /// Lower is better; fails when the value rises more than
-    /// `max_rise_pct` above the rolling median.
+    /// `max_rise_pct` above the rolling median. The rule is relative, so
+    /// it gates durations in any unit (`setup_s` is seconds).
     LatencyNs,
     /// Lower is better; fails when the value exceeds the rolling
     /// median by more than `max_overhead_rise_pp` percentage points.
@@ -50,7 +51,7 @@ impl SeriesKind {
 pub fn kind_of(name: &str) -> Option<SeriesKind> {
     match name.rsplit('/').next()? {
         "median_rps" | "records_per_sec" => Some(SeriesKind::Throughput),
-        "cell_sim_p99_ns" => Some(SeriesKind::LatencyNs),
+        "cell_sim_p99_ns" | "setup_s" => Some(SeriesKind::LatencyNs),
         "obs_overhead_pct" => Some(SeriesKind::OverheadPct),
         "max_abs_mpki_delta" => Some(SeriesKind::MpkiDelta),
         _ => None,
@@ -190,7 +191,7 @@ impl CheckVerdict {
 
 /// Median of an unsorted sample (mean of the middle two for even
 /// sizes); `None` when empty.
-fn median(values: &[f64]) -> Option<f64> {
+pub(crate) fn median(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -278,6 +279,7 @@ mod tests {
         assert_eq!(kind_of("bench.smoke/gap_miss/median_rps"), Some(SeriesKind::Throughput));
         assert_eq!(kind_of("fleet/records_per_sec"), Some(SeriesKind::Throughput));
         assert_eq!(kind_of("fleet/cell_sim_p99_ns"), Some(SeriesKind::LatencyNs));
+        assert_eq!(kind_of("bench/setup_s"), Some(SeriesKind::LatencyNs));
         assert_eq!(kind_of("bench/obs_overhead_pct"), Some(SeriesKind::OverheadPct));
         assert_eq!(kind_of("diff/max_abs_mpki_delta"), Some(SeriesKind::MpkiDelta));
         assert_eq!(kind_of("bench/wall/decode_pct"), None);
@@ -319,6 +321,20 @@ mod tests {
         let overhead = &verdict.series[1];
         assert_eq!(overhead.name, "bench.smoke/obs_overhead_pct");
         assert_eq!((overhead.status, overhead.median), ("insufficient_history", None));
+    }
+
+    #[test]
+    fn doubled_setup_time_fails_the_gate() {
+        let setup = |rev: &str, s: f64| entry(rev, &[("bench/setup_s", s)]);
+        let mut entries = vec![setup("r0", 1.0), setup("r1", 1.1), setup("r2", 0.9)];
+        entries.push(setup("steady", 1.2));
+        assert!(run_check(&entries, &CheckOptions::default()).unwrap().pass());
+        entries.pop();
+        entries.push(setup("doubled", 2.0));
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        assert!(!verdict.pass());
+        let s = &verdict.series[0];
+        assert_eq!((s.kind, s.median, s.status), (SeriesKind::LatencyNs, Some(1.0), "fail"));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use ccsim_obs::{check_document, Json};
 
+use crate::check::median;
+
 /// The `ccsim_benchmark` result-document schema (`benchmark/run.sh
 /// --out`) this crate ingests.
 pub const BENCHMARK_SCHEMA: u64 = 1;
@@ -34,6 +36,7 @@ fn schema_is(doc: &Json, field: &str, version: u64) -> Result<(), String> {
 ///
 /// * `<workload>/median_rps` per workload, in document order: the mean
 ///   of its units' `cell_records / median_s`;
+/// * `setup_s`, the median of `setup_samples_s` (the input-set builds);
 /// * from a `--traced` run, `obs_overhead_pct`, and
 ///   `wall/{decode,simulate,report}_pct` — the cold campaign's acquire,
 ///   simulate and report-build shares of their sum, recorded only when
@@ -67,6 +70,11 @@ pub fn bench_series(doc: &Json) -> Result<SeriesList, String> {
             let mean = rps.iter().sum::<f64>() / rps.len() as f64;
             out.push((format!("{suite}/{workload}/median_rps"), mean));
         }
+    }
+    let setup = doc.get("setup_samples_s").and_then(Json::as_array);
+    let setup: Vec<f64> = setup.unwrap_or(&[]).iter().filter_map(Json::as_f64).collect();
+    if let Some(s) = median(&setup) {
+        out.push((format!("{suite}/setup_s"), s));
     }
     let layer = |key: &str| doc.get("traced")?.get("per_layer")?.get(key)?.get("value")?.as_f64();
     if let Some(pct) = layer("obs.overhead_pct") {
@@ -140,6 +148,7 @@ mod tests {
                 "bench/hit_resident/median_rps",
                 "bench/grid_band/median_rps",
                 "bench/campaign_cold/median_rps",
+                "bench/setup_s",
                 "bench/obs_overhead_pct",
                 "bench/wall/decode_pct",
                 "bench/wall/simulate_pct",
@@ -147,10 +156,11 @@ mod tests {
             ]
         );
         assert_eq!(s[2].1, 42_088_186.0 / 3.4399131250000003, "one unit is its own mean");
-        assert!(s[4].1 != 0.0);
+        assert_eq!(s[4].1, 1.035123444, "the middle of three set-up samples");
+        assert!(s[5].1 != 0.0);
         let total = (1_214_492_744u64 + 2_545_565_310 + 267_656) as f64;
-        assert_eq!(s[5].1, 100.0 * 1_214_492_744.0 / total);
-        assert!((s[5].1 + s[6].1 + s[7].1 - 100.0).abs() < 1e-9);
+        assert_eq!(s[6].1, 100.0 * 1_214_492_744.0 / total);
+        assert!((s[6].1 + s[7].1 + s[8].1 - 100.0).abs() < 1e-9);
     }
 
     #[test]

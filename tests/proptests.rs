@@ -1,5 +1,6 @@
 //! Property-based tests over the whole stack.
 
+use ccsim::core::{Core, CoreConfig};
 use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
 use ccsim::ingest::{ingest, ingest_to_trace, IngestOptions};
 use ccsim::obs::Json;
@@ -319,6 +320,37 @@ proptest! {
         let ds = ccsim::graph::kernels::sssp(&g, 0, delta);
         let dj = ccsim::graph::kernels::dijkstra(&g, 0);
         prop_assert_eq!(ds, dj);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A batch of non-memory instructions leaves the core exactly as
+    /// dispatching them one at a time does — cycle, instruction count and
+    /// the whole ROB ring — whatever mix of slow loads came before, for
+    /// windows narrower and wider than the dispatch width.
+    #[test]
+    fn batched_nonmem_dispatch_equals_one_at_a_time(
+        rob in (0usize..6).prop_map(|i| [1u32, 2, 3, 4, 16, 352][i]),
+        width in 1u32..7,
+        ops in proptest::collection::vec((any::<bool>(), 0u64..800), 0..40),
+    ) {
+        let config = CoreConfig { rob_size: rob, width };
+        let (mut batched, mut single) = (Core::new(config), Core::new(config));
+        for (mem, x) in ops {
+            if mem {
+                batched.dispatch_mem(|at| at + x);
+                single.dispatch_mem(|at| at + x);
+            } else {
+                batched.dispatch_nonmem(x);
+                for _ in 0..x {
+                    single.dispatch_nonmem(1);
+                }
+            }
+            prop_assert_eq!(format!("{batched:?}"), format!("{single:?}"));
+        }
+        prop_assert_eq!(batched.finish(), single.finish());
     }
 }
 
