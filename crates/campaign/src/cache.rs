@@ -13,7 +13,15 @@
 //! `CCTR` version ([`TraceCache::ensure_ingested`], which returns the
 //! entry's path for callers to stream). A foreign trace is therefore
 //! decoded exactly once across cells, campaigns and repeated runs, and
-//! editing the source file in place changes the key.
+//! editing the source file in place changes the key. The content digest is
+//! [`ccsim_ingest::digest_file`]'s four-lane word digest, and the key
+//! string names that scheme (`lanes64`): entries keyed by the older
+//! byte-wise FNV-1a digest can never be looked up again, so each source
+//! is re-ingested once and the old file is left orphaned.
+//!
+//! Every write goes through a temporary file named by `temp_tag` and an
+//! atomic rename, so concurrent fillers of one key — processes or threads —
+//! never share a half-written file.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -29,6 +37,14 @@ use crate::spec::fnv1a64;
 /// Version suffix baked into every cache key; bump when
 /// [`ccsim_trace::write_trace`]'s format version changes.
 const FORMAT_VERSION: u32 = 1;
+
+/// A name fragment unique to this call within this host's processes: the
+/// pid plus a process-wide counter, so two threads filling the same cache
+/// key (dist workers run as threads in tests) never share a temp file.
+pub(crate) fn temp_tag() -> String {
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    format!("{}-{}", std::process::id(), TEMP_SEQ.fetch_add(1, Ordering::Relaxed))
+}
 
 /// A content-addressed store of generated workload traces.
 #[derive(Debug)]
@@ -108,7 +124,7 @@ impl TraceCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         ccsim_obs::metrics().cache_misses.inc();
         let trace = generate()?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = path.with_extension(format!("tmp.{}", temp_tag()));
         let write = || -> std::io::Result<()> {
             let file = File::create(&tmp)?;
             let mut writer = BufWriter::new(file);
@@ -124,7 +140,8 @@ impl TraceCache {
     }
 
     /// The on-disk path an ingested conversion of `source` would use:
-    /// keyed by the file's content digest, the resolved source format,
+    /// keyed by the file's content digest (named by its scheme, so a digest
+    /// change can never alias an old entry), the resolved source format,
     /// the ingest options and the `CCTR` version. Reads (digests) the
     /// whole source file, in bounded memory.
     ///
@@ -142,7 +159,8 @@ impl TraceCache {
             Some(f) => f,
             None => detect_file(source).map_err(|e| format!("{}: {e}", source.display()))?,
         };
-        let key = format!("ingest#{digest:016x}#{format}#{}#v{FORMAT_VERSION}", opts.cache_key());
+        let key =
+            format!("ingest#lanes64:{digest:016x}#{format}#{}#v{FORMAT_VERSION}", opts.cache_key());
         Ok(self.root.join(format!("ingest-{:016x}.cctr", fnv1a64(key.as_bytes()))))
     }
 
@@ -194,7 +212,7 @@ impl TraceCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         ccsim_obs::metrics().cache_misses.inc();
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = path.with_extension(format!("tmp.{}", temp_tag()));
         let convert = || -> Result<(), String> {
             ingest_file(source, &tmp, opts)
                 .map_err(|e| format!("ingesting {}: {e}", source.display()))?;
@@ -292,6 +310,40 @@ mod tests {
             cache.get_or_generate("w", SuiteScale::Quick, 0, || Err("boom".into())).unwrap_err();
         assert_eq!(err, "boom");
         assert!(!cache.path_for("w", SuiteScale::Quick, 0).exists());
+        std::fs::remove_dir_all(cache.root()).unwrap();
+    }
+
+    #[test]
+    fn two_threads_filling_one_key_both_succeed() {
+        // Both generators finish together, so both write and rename their
+        // temp files at once; a shared temp name made one rename fail.
+        let cache = temp_cache("race");
+        let mut b = TraceBuffer::new("w");
+        RandomAccess::new(0, 1 << 16, 64, 200_000).emit(&mut b);
+        let want = b.finish();
+        for round in 0..8u64 {
+            let barrier = std::sync::Barrier::new(2);
+            let results = std::thread::scope(|s| {
+                let fill = || {
+                    cache.get_or_generate("w", SuiteScale::Quick, round, || {
+                        barrier.wait();
+                        Ok(want.clone())
+                    })
+                };
+                let handles = [s.spawn(fill), s.spawn(fill)];
+                handles.map(|h| h.join().unwrap())
+            });
+            for r in results {
+                assert_eq!(r.unwrap(), want, "round {round}");
+            }
+            let path = cache.path_for("w", SuiteScale::Quick, round);
+            assert!(TraceCache::entry_is_valid(&path), "round {round}");
+        }
+        let leftovers = std::fs::read_dir(cache.root())
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().to_string_lossy().contains(".tmp."))
+            .count();
+        assert_eq!(leftovers, 0, "no temp file survives");
         std::fs::remove_dir_all(cache.root()).unwrap();
     }
 

@@ -182,15 +182,12 @@ fn acquire_trace(
             }
             None => {
                 // One-shot conversion: still streamed (bounded memory),
-                // just not kept. pid + a process-wide counter keep the
-                // name unique even across concurrent campaigns in one
-                // process replaying the same selector.
-                static TEMP_SEQ: std::sync::atomic::AtomicU64 =
-                    std::sync::atomic::AtomicU64::new(0);
+                // just not kept. The temp tag keeps the name unique even
+                // across concurrent campaigns in one process replaying the
+                // same selector.
                 let tmp = std::env::temp_dir().join(format!(
-                    "ccsim-stream-{}-{}-{:016x}.cctr",
-                    std::process::id(),
-                    TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                    "ccsim-stream-{}-{:016x}.cctr",
+                    crate::cache::temp_tag(),
                     crate::spec::fnv1a64(workload.as_bytes()),
                 ));
                 ingest_file(source, &tmp, &opts)

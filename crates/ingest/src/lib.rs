@@ -28,8 +28,9 @@
 //! * [`champsim::ChampSimWriter`] / [`cvp::CvpWriter`] — fixture
 //!   *encoders*, used by the test suite and the repo's golden fixtures;
 //!   production code only ever decodes.
-//! * [`Fnv64`] / [`digest_file`] — the streaming content digest the
-//!   campaign trace cache keys ingested conversions by.
+//! * [`digest_file`] — the streaming content digest the campaign trace
+//!   cache keys ingested conversions by; [`Fnv64`] — the byte-wise hash
+//!   of short keys (cache filenames, spec digests, goldens).
 //!
 //! # Example
 //!

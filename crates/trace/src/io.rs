@@ -26,6 +26,9 @@ pub const MAGIC: [u8; 4] = *b"CCTR";
 /// The current `CCTR` format version.
 pub const VERSION: u32 = 1;
 const RECORD_BYTES: usize = 20;
+/// Records encoded into one buffer per `write_all` by both writers: a
+/// syscall (or `BufWriter` copy) per 80 KiB instead of per record.
+const CHUNK_RECORDS: usize = 4096;
 
 fn encode_record(r: &TraceRecord, rec: &mut [u8; RECORD_BYTES]) {
     rec[0..8].copy_from_slice(&r.pc.to_le_bytes());
@@ -33,6 +36,29 @@ fn encode_record(r: &TraceRecord, rec: &mut [u8; RECORD_BYTES]) {
     rec[16] = r.size;
     rec[17] = r.kind.is_store() as u8;
     rec[18..20].copy_from_slice(&r.nonmem_before.to_le_bytes());
+}
+
+/// Appends the encodings of `records` to `out`.
+fn encode_records(records: &[TraceRecord], out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + records.len() * RECORD_BYTES, 0);
+    for (r, rec) in records.iter().zip(out[at..].chunks_exact_mut(RECORD_BYTES)) {
+        encode_record(r, rec.try_into().expect("record-sized chunk"));
+    }
+}
+
+/// The header bytes: magic, version, name, then `trailing` and `count`
+/// (the last 16 bytes, which [`TraceWriter::finish`] patches).
+fn header_bytes(name: &str, trailing_nonmem: u64, count: u64) -> Vec<u8> {
+    let name = name.as_bytes();
+    let mut header = Vec::with_capacity(4 + 4 + 4 + name.len() + 8 + 8);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    header.extend_from_slice(name);
+    header.extend_from_slice(&trailing_nonmem.to_le_bytes());
+    header.extend_from_slice(&count.to_le_bytes());
+    header
 }
 
 fn decode_record(rec: &[u8; RECORD_BYTES]) -> Result<TraceRecord, DecodeTraceError> {
@@ -75,17 +101,12 @@ fn decode_record(rec: &[u8; RECORD_BYTES]) -> Result<TraceRecord, DecodeTraceErr
 /// # }
 /// ```
 pub fn write_trace<W: Write>(trace: &Trace, mut writer: W) -> io::Result<()> {
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    let name = trace.name().as_bytes();
-    writer.write_all(&(name.len() as u32).to_le_bytes())?;
-    writer.write_all(name)?;
-    writer.write_all(&trace.trailing_nonmem().to_le_bytes())?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut rec = [0u8; RECORD_BYTES];
-    for r in trace.records() {
-        encode_record(r, &mut rec);
-        writer.write_all(&rec)?;
+    writer.write_all(&header_bytes(trace.name(), trace.trailing_nonmem(), trace.len() as u64))?;
+    let mut chunk = Vec::with_capacity(trace.len().min(CHUNK_RECORDS) * RECORD_BYTES);
+    for records in trace.records().chunks(CHUNK_RECORDS) {
+        chunk.clear();
+        encode_records(records, &mut chunk);
+        writer.write_all(&chunk)?;
     }
     Ok(())
 }
@@ -96,8 +117,11 @@ pub fn write_trace<W: Write>(trace: &Trace, mut writer: W) -> io::Result<()> {
 /// The header is written immediately with placeholder `trailing`/`count`
 /// fields; [`TraceWriter::finish`] seeks back and patches them, so the
 /// finished file is byte-identical to [`write_trace`] over the same
-/// records. The writer itself holds O(1) memory regardless of trace
-/// length.
+/// records. Records are encoded into one pending buffer of 4,096 records
+/// and handed to the underlying writer a buffer at a time, so the writer
+/// holds O(1) memory regardless of trace length. An I/O error surfaces
+/// from the [`TraceWriter::write_record`] that fills the buffer or from
+/// [`TraceWriter::finish`].
 ///
 /// # Examples
 ///
@@ -122,6 +146,8 @@ pub struct TraceWriter<W: Write + Seek> {
     /// Byte offset of the `trailing` header field (just past the name).
     patch_offset: u64,
     count: u64,
+    /// Encoded records not yet written: fewer than [`CHUNK_RECORDS`].
+    pending: Vec<u8>,
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
@@ -135,15 +161,11 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// Propagates I/O errors from the underlying writer.
     pub fn new(mut writer: W, name: &str) -> io::Result<TraceWriter<W>> {
         let start = writer.stream_position()?;
-        writer.write_all(&MAGIC)?;
-        writer.write_all(&VERSION.to_le_bytes())?;
-        let name = name.as_bytes();
-        writer.write_all(&(name.len() as u32).to_le_bytes())?;
-        writer.write_all(name)?;
-        let patch_offset = start + 4 + 4 + 4 + name.len() as u64;
-        writer.write_all(&0u64.to_le_bytes())?; // trailing, patched by finish
-        writer.write_all(&0u64.to_le_bytes())?; // count, patched by finish
-        Ok(TraceWriter { writer, patch_offset, count: 0 })
+        let header = header_bytes(name, 0, 0);
+        writer.write_all(&header)?;
+        let patch_offset = start + header.len() as u64 - 16;
+        let pending = Vec::with_capacity(CHUNK_RECORDS * RECORD_BYTES);
+        Ok(TraceWriter { writer, patch_offset, count: 0, pending })
     }
 
     /// Appends one record to the stream.
@@ -152,10 +174,12 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn write_record(&mut self, r: &TraceRecord) -> io::Result<()> {
-        let mut rec = [0u8; RECORD_BYTES];
-        encode_record(r, &mut rec);
-        self.writer.write_all(&rec)?;
+        encode_records(std::slice::from_ref(r), &mut self.pending);
         self.count += 1;
+        if self.pending.len() == CHUNK_RECORDS * RECORD_BYTES {
+            self.writer.write_all(&self.pending)?;
+            self.pending.clear();
+        }
         Ok(())
     }
 
@@ -164,14 +188,15 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.count
     }
 
-    /// Completes the stream: patches the header's `trailing` and `count`
-    /// fields, flushes, and returns the underlying writer (positioned at
-    /// the end of the trace).
+    /// Completes the stream: writes the pending records, patches the
+    /// header's `trailing` and `count` fields, flushes, and returns the
+    /// underlying writer (positioned at the end of the trace).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn finish(mut self, trailing_nonmem: u64) -> io::Result<W> {
+        self.writer.write_all(&self.pending)?;
         let end = self.writer.stream_position()?;
         self.writer.seek(SeekFrom::Start(self.patch_offset))?;
         self.writer.write_all(&trailing_nonmem.to_le_bytes())?;
@@ -406,38 +431,111 @@ mod tests {
         assert!(matches!(read_trace(&bytes[..]), Err(DecodeTraceError::Corrupt("record count"))));
     }
 
+    /// `n` records of every shape: loads and stores, sizes, gaps.
+    fn trace_of(n: usize) -> Trace {
+        let mut b = TraceBuffer::new("chunks");
+        for i in 0..n as u64 {
+            b.nonmem(i % 5);
+            if i % 3 == 0 {
+                b.store(0x400000 + 4 * (i % 97), 0x7000_0000 + 8 * i, 4);
+            } else {
+                b.load(0x400100 + 4 * (i % 89), 0x1000 + 64 * i, 8);
+            }
+        }
+        b.nonmem(9);
+        b.finish()
+    }
+
+    /// Counts around every chunk boundary.
+    const CHUNK_EDGES: [usize; 6] =
+        [0, 1, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1, 3 * CHUNK_RECORDS + 7];
+
     #[test]
     fn streaming_writer_is_byte_identical_to_write_trace() {
-        let t = sample_trace();
-        let mut whole = Vec::new();
-        write_trace(&t, &mut whole).unwrap();
+        let prefix = b"CONTAINER-HEADER";
+        for n in CHUNK_EDGES {
+            let t = trace_of(n);
+            let mut whole = Vec::new();
+            write_trace(&t, &mut whole).unwrap();
+            assert_eq!(read_trace(&whole[..]).unwrap(), t, "{n} records round-trip");
+            assert_eq!(
+                read_trace_header(&whole[..]).unwrap().expected_file_len(),
+                whole.len() as u64
+            );
 
-        let mut cursor = std::io::Cursor::new(Vec::new());
-        let mut w = TraceWriter::new(&mut cursor, t.name()).unwrap();
-        for r in t.records() {
-            w.write_record(r).unwrap();
+            // At offset 0, and appended after a container's own header.
+            for start in [&[][..], &prefix[..]] {
+                let mut cursor = std::io::Cursor::new(start.to_vec());
+                cursor.seek(SeekFrom::End(0)).unwrap();
+                let mut w = TraceWriter::new(&mut cursor, t.name()).unwrap();
+                for r in t.records() {
+                    w.write_record(r).unwrap();
+                }
+                assert_eq!(w.count(), n as u64);
+                w.finish(t.trailing_nonmem()).unwrap();
+                let bytes = cursor.into_inner();
+                assert_eq!(&bytes[..start.len()], start, "{n} records: prefix untouched");
+                assert!(bytes[start.len()..] == whole[..], "{n} records at offset {}", start.len());
+            }
         }
-        assert_eq!(w.count(), t.len() as u64);
-        w.finish(t.trailing_nonmem()).unwrap();
-        assert_eq!(cursor.into_inner(), whole);
+    }
+
+    /// A seekable sink that cannot grow past `limit` bytes (a full disk):
+    /// short-writes up to the limit, then fails.
+    struct Full {
+        cursor: std::io::Cursor<Vec<u8>>,
+        limit: u64,
+    }
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let room = self.limit.saturating_sub(self.cursor.position()) as usize;
+            if room == 0 && !buf.is_empty() {
+                return Err(io::Error::other("disk full"));
+            }
+            self.cursor.write(&buf[..buf.len().min(room)])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for Full {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.cursor.seek(pos)
+        }
+    }
+
+    fn stream(t: &Trace, sink: Full) -> io::Result<Vec<u8>> {
+        let mut w = TraceWriter::new(sink, t.name())?;
+        for r in t.records() {
+            w.write_record(r)?;
+        }
+        Ok(w.finish(t.trailing_nonmem())?.cursor.into_inner())
     }
 
     #[test]
-    fn streaming_writer_appends_inside_a_container() {
-        // The writer must patch its own header even when the trace does
-        // not start at offset 0 of the underlying stream.
-        let prefix = b"CONTAINER-HEADER";
-        let mut cursor = std::io::Cursor::new(prefix.to_vec());
-        cursor.seek(SeekFrom::End(0)).unwrap();
-        let mut w = TraceWriter::new(&mut cursor, "inner").unwrap();
-        w.write_record(&TraceRecord::load(0x400, 0x1000, 8)).unwrap();
-        w.finish(5).unwrap();
-        let bytes = cursor.into_inner();
-        assert_eq!(&bytes[..prefix.len()], prefix, "prefix untouched");
-        let inner = read_trace(&bytes[prefix.len()..]).unwrap();
-        assert_eq!(inner.name(), "inner");
-        assert_eq!(inner.len(), 1);
-        assert_eq!(inner.trailing_nonmem(), 5);
+    fn a_failing_writer_surfaces_its_error() {
+        let t = trace_of(3 * CHUNK_RECORDS + 7);
+        let mut whole = Vec::new();
+        write_trace(&t, &mut whole).unwrap();
+        let len = whole.len() as u64;
+        let header = len - (t.len() * RECORD_BYTES) as u64;
+        let chunk = (CHUNK_RECORDS * RECORD_BYTES) as u64;
+        for limit in
+            [0, 5, header, header + 1, header + chunk, header + 2 * chunk + 3, len - 1, len]
+        {
+            let fits = limit >= len;
+            let sink = || Full { cursor: std::io::Cursor::new(Vec::new()), limit };
+            let mut out = sink();
+            assert_eq!(write_trace(&t, &mut out).is_ok(), fits, "write_trace, limit {limit}");
+
+            match stream(&t, sink()) {
+                Ok(bytes) => assert!(fits && bytes == whole, "limit {limit}: silently short"),
+                Err(e) => assert!(!fits && e.to_string() == "disk full", "limit {limit}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Random-access patterns with uniform or Zipfian locality.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -11,9 +13,10 @@ use crate::TraceBuffer;
 pub enum AccessDistribution {
     /// Every element equally likely (worst-case locality).
     Uniform,
-    /// Zipfian with the given exponent (hot/cold skew, models lookup tables
-    /// and software caches).
-    Zipf(f64),
+    /// Zipfian over a prepared table (hot/cold skew, models lookup tables
+    /// and software caches). The table's domain must be the region's
+    /// element count; one table serves every pattern over that region.
+    Zipf(Arc<Zipf>),
 }
 
 /// Emits `count` random accesses into a region of `elems` elements.
@@ -90,16 +93,15 @@ impl RandomAccess {
 impl PatternGen for RandomAccess {
     fn emit(&self, buf: &mut TraceBuffer) {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let zipf = match &self.dist {
-            AccessDistribution::Uniform => None,
-            AccessDistribution::Zipf(theta) => Some(Zipf::new(self.elems as usize, *theta)),
-        };
+        if let AccessDistribution::Zipf(zipf) = &self.dist {
+            assert_eq!(zipf.n() as u64, self.elems, "zipf table must span the region");
+        }
         let size = self.elem_bytes.min(8) as u8;
         for _ in 0..self.count {
             buf.nonmem(self.nonmem_per_access as u64);
-            let idx = match &zipf {
-                Some(z) => z.sample(&mut rng) as u64,
-                None => rng.gen_range(0..self.elems),
+            let idx = match &self.dist {
+                AccessDistribution::Zipf(z) => z.sample(&mut rng) as u64,
+                AccessDistribution::Uniform => rng.gen_range(0..self.elems),
             };
             let addr = self.base + idx * self.elem_bytes;
             if self.store_fraction > 0.0 && rng.gen::<f64>() < self.store_fraction {
@@ -142,13 +144,21 @@ mod tests {
     #[test]
     fn zipf_skews_toward_low_indices() {
         let r = RandomAccess::new(0, 1 << 12, 8, 20_000)
-            .distribution(AccessDistribution::Zipf(1.1))
+            .distribution(AccessDistribution::Zipf(Arc::new(Zipf::new(1 << 12, 1.1))))
             .seed(3);
         let mut buf = TraceBuffer::new("t");
         r.emit(&mut buf);
         let t = buf.finish();
         let hot = t.iter().filter(|x| x.vaddr < 64 * 8).count();
         assert!(hot > 4_000, "hot-head count {hot} too small");
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf table must span the region")]
+    fn zipf_table_of_another_size_rejected() {
+        let r = RandomAccess::new(0, 64, 8, 1)
+            .distribution(AccessDistribution::Zipf(Arc::new(Zipf::new(32, 1.0))));
+        r.emit(&mut TraceBuffer::new("t"));
     }
 
     #[test]

@@ -8,6 +8,14 @@ use rand::Rng;
 /// Implemented with an exact inverse-CDF table, so sampling is one uniform
 /// draw plus a binary search. Suitable for `n` up to a few million.
 ///
+/// Building the table costs one `powf` per element, far more than the
+/// samples a short phase draws from it, so build it once per (domain,
+/// exponent) and share it: [`AccessDistribution::Zipf`] carries an
+/// `Arc<Zipf>`, and a workload that revisits one table across phases
+/// hands every phase the same `Arc`.
+///
+/// [`AccessDistribution::Zipf`]: crate::synth::AccessDistribution::Zipf
+///
 /// # Examples
 ///
 /// ```

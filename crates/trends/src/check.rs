@@ -22,7 +22,8 @@ pub enum SeriesKind {
     Throughput,
     /// Lower is better; fails when the value rises more than
     /// `max_rise_pct` above the rolling median. The rule is relative, so
-    /// it gates durations in any unit (`setup_s` is seconds).
+    /// it gates durations in any unit (`setup_s` and `acquire_s` are
+    /// seconds).
     LatencyNs,
     /// Lower is better; fails when the value exceeds the rolling
     /// median by more than `max_overhead_rise_pp` percentage points.
@@ -51,7 +52,7 @@ impl SeriesKind {
 pub fn kind_of(name: &str) -> Option<SeriesKind> {
     match name.rsplit('/').next()? {
         "median_rps" | "records_per_sec" => Some(SeriesKind::Throughput),
-        "cell_sim_p99_ns" | "setup_s" => Some(SeriesKind::LatencyNs),
+        "cell_sim_p99_ns" | "setup_s" | "acquire_s" => Some(SeriesKind::LatencyNs),
         "obs_overhead_pct" => Some(SeriesKind::OverheadPct),
         "max_abs_mpki_delta" => Some(SeriesKind::MpkiDelta),
         _ => None,
@@ -280,6 +281,7 @@ mod tests {
         assert_eq!(kind_of("fleet/records_per_sec"), Some(SeriesKind::Throughput));
         assert_eq!(kind_of("fleet/cell_sim_p99_ns"), Some(SeriesKind::LatencyNs));
         assert_eq!(kind_of("bench/setup_s"), Some(SeriesKind::LatencyNs));
+        assert_eq!(kind_of("bench/acquire_s"), Some(SeriesKind::LatencyNs));
         assert_eq!(kind_of("bench/obs_overhead_pct"), Some(SeriesKind::OverheadPct));
         assert_eq!(kind_of("diff/max_abs_mpki_delta"), Some(SeriesKind::MpkiDelta));
         assert_eq!(kind_of("bench/wall/decode_pct"), None);
@@ -335,6 +337,20 @@ mod tests {
         assert!(!verdict.pass());
         let s = &verdict.series[0];
         assert_eq!((s.kind, s.median, s.status), (SeriesKind::LatencyNs, Some(1.0), "fail"));
+    }
+
+    #[test]
+    fn doubled_acquire_time_fails_the_gate() {
+        let acquire = |rev: &str, s: f64| entry(rev, &[("bench/acquire_s", s)]);
+        let mut entries = vec![acquire("r0", 0.40), acquire("r1", 0.44), acquire("r2", 0.38)];
+        entries.push(acquire("steady", 0.45));
+        assert!(run_check(&entries, &CheckOptions::default()).unwrap().pass());
+        entries.pop();
+        entries.push(acquire("doubled", 0.80));
+        let verdict = run_check(&entries, &CheckOptions::default()).unwrap();
+        assert!(!verdict.pass());
+        let s = &verdict.series[0];
+        assert_eq!((s.kind, s.median, s.status), (SeriesKind::LatencyNs, Some(0.40), "fail"));
     }
 
     #[test]

@@ -37,7 +37,9 @@ fn schema_is(doc: &Json, field: &str, version: u64) -> Result<(), String> {
 /// * `<workload>/median_rps` per workload, in document order: the mean
 ///   of its units' `cell_records / median_s`;
 /// * `setup_s`, the median of `setup_samples_s` (the input-set builds);
-/// * from a `--traced` run, `obs_overhead_pct`, and
+/// * from a `--traced` run, `acquire_s` (the cold campaign's trace
+///   acquisition: digest, ingest, generation, cache writes),
+///   `obs_overhead_pct`, and
 ///   `wall/{decode,simulate,report}_pct` — the cold campaign's acquire,
 ///   simulate and report-build shares of their sum, recorded only when
 ///   all three stage times are present.
@@ -77,6 +79,9 @@ pub fn bench_series(doc: &Json) -> Result<SeriesList, String> {
         out.push((format!("{suite}/setup_s"), s));
     }
     let layer = |key: &str| doc.get("traced")?.get("per_layer")?.get(key)?.get("value")?.as_f64();
+    if let Some(s) = layer("campaign.acquire_s") {
+        out.push((format!("{suite}/acquire_s"), s));
+    }
     if let Some(pct) = layer("obs.overhead_pct") {
         out.push((format!("{suite}/obs_overhead_pct"), pct));
     }
@@ -149,6 +154,7 @@ mod tests {
                 "bench/grid_band/median_rps",
                 "bench/campaign_cold/median_rps",
                 "bench/setup_s",
+                "bench/acquire_s",
                 "bench/obs_overhead_pct",
                 "bench/wall/decode_pct",
                 "bench/wall/simulate_pct",
@@ -157,10 +163,11 @@ mod tests {
         );
         assert_eq!(s[2].1, 42_088_186.0 / 3.4399131250000003, "one unit is its own mean");
         assert_eq!(s[4].1, 1.035123444, "the middle of three set-up samples");
-        assert!(s[5].1 != 0.0);
+        assert_eq!(s[5].1, 1.214492744, "the traced acquire stage");
+        assert!(s[6].1 != 0.0);
         let total = (1_214_492_744u64 + 2_545_565_310 + 267_656) as f64;
-        assert_eq!(s[6].1, 100.0 * 1_214_492_744.0 / total);
-        assert!((s[6].1 + s[7].1 + s[8].1 - 100.0).abs() < 1e-9);
+        assert_eq!(s[7].1, 100.0 * 1_214_492_744.0 / total);
+        assert!((s[7].1 + s[8].1 + s[9].1 - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! that middle ground: many phases, each with its own PC set, alternating
 //! hot structures, streams, chases and stack traffic.
 
+use std::sync::Arc;
+
 use ccsim_trace::synth::{
-    AccessDistribution, PatternGen, PointerChase, RandomAccess, SequentialStream, StackWalk,
+    AccessDistribution, PatternGen, PointerChase, RandomAccess, SequentialStream, StackWalk, Zipf,
 };
 use ccsim_trace::{Trace, TraceBuffer};
 
@@ -47,6 +49,8 @@ fn server_workload(name: &str, variant: u64, reps: u64, seed: u64) -> Trace {
     let table_entries = 1u64 << (15 + variant % 3);
     let session_nodes = 1u64 << (12 + variant % 3);
     let req_buffer = (16 << 10) << (variant % 2);
+    // Every request phase samples the same tables: one CDF per trace.
+    let hot = Arc::new(Zipf::new(table_entries as usize, theta));
     for r in 0..reps {
         for req in 0..12u64 {
             let code = 0x50_0000 + (variant * 101 + req * 13) % 97 * 0x200;
@@ -58,7 +62,7 @@ fn server_workload(name: &str, variant: u64, reps: u64, seed: u64) -> Trace {
                 .emit(&mut buf);
             // Shared lookup tables: Zipf-hot.
             RandomAccess::new(data + (1 << 28), table_entries, 64, 2_000)
-                .distribution(AccessDistribution::Zipf(theta))
+                .distribution(AccessDistribution::Zipf(Arc::clone(&hot)))
                 .work(6)
                 .seed((variant * 1000 + r * 12 + req) ^ seed)
                 .sites(code + 8, code + 12)

@@ -11,8 +11,10 @@
 //! benchmark (named in its constructor) rather than claiming instruction-
 //! level fidelity.
 
+use std::sync::Arc;
+
 use ccsim_trace::synth::{
-    AccessDistribution, PatternGen, PointerChase, RandomAccess, SequentialStream, StackWalk,
+    AccessDistribution, PatternGen, PointerChase, RandomAccess, SequentialStream, StackWalk, Zipf,
 };
 use ccsim_trace::{Trace, TraceBuffer};
 
@@ -193,7 +195,7 @@ fn hot_cold(name: &str, reps: u64, seed: u64) -> Trace {
     let mut buf = TraceBuffer::new(name);
     let (pl, ps) = pcs(30);
     RandomAccess::new(DATA, 1 << 18, 64, 250_000 * reps)
-        .distribution(AccessDistribution::Zipf(0.9))
+        .distribution(AccessDistribution::Zipf(Arc::new(Zipf::new(1 << 18, 0.9))))
         .store_fraction(0.2)
         .work(5)
         .seed(7 ^ seed)

@@ -7,13 +7,15 @@
 //! introducing nondeterminism, which would make the paper's figures
 //! unreproducible.
 
+use std::sync::Arc;
+
 use ccsim::prelude::*;
-use ccsim::trace::synth::{AccessDistribution, PatternGen, PointerChase, RandomAccess};
+use ccsim::trace::synth::{AccessDistribution, PatternGen, PointerChase, RandomAccess, Zipf};
 
 fn seeded_trace(seed: u64) -> Trace {
     let mut buf = TraceBuffer::new("determinism");
     RandomAccess::new(0x1000_0000, 1 << 12, 64, 6_000)
-        .distribution(AccessDistribution::Zipf(0.8))
+        .distribution(AccessDistribution::Zipf(Arc::new(Zipf::new(1 << 12, 0.8))))
         .store_fraction(0.2)
         .seed(seed)
         .emit(&mut buf);

@@ -1,13 +1,15 @@
 //! Cross-policy invariants checked on real simulated streams.
 
+use std::sync::Arc;
+
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
-use ccsim::trace::synth::{AccessDistribution, PatternGen, RandomAccess, SequentialStream};
+use ccsim::trace::synth::{AccessDistribution, PatternGen, RandomAccess, SequentialStream, Zipf};
 
 fn zipf_trace(records: u64) -> Trace {
     let mut buf = TraceBuffer::new("zipf");
     RandomAccess::new(0x1000_0000, 1 << 16, 64, records)
-        .distribution(AccessDistribution::Zipf(0.8))
+        .distribution(AccessDistribution::Zipf(Arc::new(Zipf::new(1 << 16, 0.8))))
         .store_fraction(0.1)
         .seed(11)
         .emit(&mut buf);
