@@ -16,9 +16,10 @@
 //!
 //! A header mismatch (different spec digest — the grid changed) restarts
 //! the journal from scratch; a torn trailing line (the process died
-//! mid-write) is dropped, and so is everything from the first cell line
-//! that lacks a field this revision writes — there is one cell-line
-//! schema, and a cell it cannot read exactly is re-simulated.
+//! mid-write, possibly inside a multi-byte character) is dropped, and so
+//! is everything from the first cell line that lacks a field this
+//! revision writes — there is one cell-line schema, and a cell it cannot
+//! read exactly is re-simulated.
 //!
 //! # Concurrent writers: per-worker segments
 //!
@@ -31,7 +32,10 @@
 //! torn tails per segment and **failing loudly when two segments record
 //! conflicting results for the same cell**. Identical duplicates (a
 //! lease expired mid-cell and the cell was re-run — results are
-//! deterministic, so re-runs agree) merge cleanly and are counted.
+//! deterministic, so re-runs agree) merge cleanly and are counted. A
+//! merge keeps no state between calls: it re-reads every segment in
+//! full, which for the largest checked-in grid (`fig3`, 357 cells, about
+//! 340 KB of journal) takes a few milliseconds.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -71,10 +75,8 @@ impl Journal {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let (completed, valid_bytes) = match std::fs::read_to_string(&path) {
-            Ok(text) => replay(&text, campaign, spec_digest),
-            Err(_) => (BTreeMap::new(), 0),
-        };
+        let (completed, valid_bytes) =
+            read_journal(&path, campaign, spec_digest).unwrap_or_default();
         let resumed = completed.len();
         let file = if valid_bytes == 0 {
             let mut f = File::create(&path)?;
@@ -138,10 +140,7 @@ impl Journal {
         campaign: &str,
         spec_digest: &str,
     ) -> BTreeMap<String, SimResult> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => replay(&text, campaign, spec_digest).0,
-            Err(_) => BTreeMap::new(),
-        }
+        read_journal(path, campaign, spec_digest).unwrap_or_default().0
     }
 
     /// The journal-segment path of `worker` under `dir`:
@@ -184,56 +183,14 @@ pub struct MergedJournal {
     /// `(file name, valid cell lines)` per matching segment, sorted by
     /// file name.
     pub segments: Vec<(String, usize)>,
-    /// Segments (re)parsed this merge — fully on first sight, suffix-only
-    /// on growth.
-    pub segments_scanned: usize,
-    /// Segments served straight from the [`MergeCursor`] because their
-    /// length was unchanged — zero bytes read.
-    pub segments_reused: usize,
-}
-
-/// Per-segment offset cursors for incremental [`merge_dir_cached`]
-/// polling.
-///
-/// Each tracked segment remembers how many bytes of valid prefix were
-/// already parsed and the cells they held. On the next merge, an
-/// unchanged file is served from the cursor with **zero I/O**, and a
-/// grown file is read **from its previous valid offset only** — turning
-/// an N-segment poll loop (`ccsim campaign watch`, the worker's merge
-/// rounds) from O(total journal bytes) per poll into O(new bytes). A
-/// shrunk or rewritten file falls back to a full re-read, so semantics
-/// stay byte-identical to [`merge_dir`].
-#[derive(Debug, Default)]
-pub struct MergeCursor {
-    /// The (campaign, spec digest) this cursor's state belongs to;
-    /// reusing the cursor for a different grid resets it.
-    key: Option<(String, String)>,
-    segments: BTreeMap<String, SegmentCursor>,
-}
-
-impl MergeCursor {
-    /// An empty cursor: the first merge through it reads everything.
-    pub fn new() -> MergeCursor {
-        MergeCursor::default()
-    }
-}
-
-#[derive(Debug)]
-struct SegmentCursor {
-    /// Bytes of this segment observed at the last parse.
-    seen_len: u64,
-    /// Byte length of the valid prefix (header + whole cell lines); 0
-    /// when the header did not match this campaign/spec.
-    valid_bytes: usize,
-    /// Completed cells parsed from the valid prefix.
-    cells: BTreeMap<String, SimResult>,
 }
 
 /// Merges the solo `journal.jsonl` plus every `journal.<worker>.jsonl`
 /// segment under `dir` for (campaign, spec digest) into one
-/// completed-cell map, read-only. Missing directories yield an empty
-/// merge; foreign-spec and torn-tail content is skipped per segment
-/// exactly as [`Journal::open`] would.
+/// completed-cell map, read-only. Every call reads every segment in
+/// full. Missing directories yield an empty merge; foreign-spec and
+/// torn-tail content is skipped per segment exactly as [`Journal::open`]
+/// would.
 ///
 /// # Errors
 ///
@@ -243,30 +200,7 @@ struct SegmentCursor {
 /// binaries or a corrupted segment), and assembling a report would
 /// silently pick one of the two.
 pub fn merge_dir(dir: &Path, campaign: &str, spec_digest: &str) -> Result<MergedJournal, String> {
-    merge_dir_cached(dir, campaign, spec_digest, &mut MergeCursor::new())
-}
-
-/// [`merge_dir`] with a [`MergeCursor`]: repeated merges of the same
-/// directory skip unchanged segments entirely and read only the
-/// appended suffix of grown ones. Same output as [`merge_dir`] for any
-/// sequence of calls; new, deleted, truncated and rewritten segments
-/// are all picked up.
-///
-/// # Errors
-///
-/// Exactly as [`merge_dir`]: the first cross-segment result conflict.
-pub fn merge_dir_cached(
-    dir: &Path,
-    campaign: &str,
-    spec_digest: &str,
-    cursor: &mut MergeCursor,
-) -> Result<MergedJournal, String> {
     let _span = ccsim_obs::metrics().journal_merge_ns.span();
-    let key = (campaign.to_owned(), spec_digest.to_owned());
-    if cursor.key.as_ref() != Some(&key) {
-        cursor.segments.clear();
-        cursor.key = Some(key);
-    }
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
         Err(_) => Vec::new(),
         Ok(entries) => entries
@@ -283,29 +217,19 @@ pub fn merge_dir_cached(
     };
     paths.sort();
     let mut merged = MergedJournal::default();
-    let mut present: Vec<String> = Vec::with_capacity(paths.len());
     for path in paths {
+        // A segment that vanished or is unreadable is skipped this merge.
+        let Ok((cells, _)) = read_journal(&path, campaign, spec_digest) else { continue };
+        ccsim_obs::metrics().journal_segments_scanned.inc();
         let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
-        let Some(seg) = advance_segment_cursor(&path, &name, campaign, spec_digest, cursor) else {
-            continue;
-        };
-        present.push(name.clone());
-        if seg.reused {
-            merged.segments_reused += 1;
-            ccsim_obs::metrics().journal_segments_reused.inc();
-        } else {
-            merged.segments_scanned += 1;
-            ccsim_obs::metrics().journal_segments_scanned.inc();
-        }
-        let cells = &cursor.segments[&name].cells;
         merged.entries += cells.len();
         merged.segments.push((name.clone(), cells.len()));
         for (cell, result) in cells {
-            match merged.completed.get(cell) {
+            match merged.completed.get(&cell) {
                 None => {
-                    merged.completed.insert(cell.clone(), result.clone());
+                    merged.completed.insert(cell, result);
                 }
-                Some(existing) if existing == result => merged.duplicates += 1,
+                Some(existing) if *existing == result => merged.duplicates += 1,
                 Some(_) => {
                     return Err(format!(
                         "conflicting results for cell {cell:?}: segment {name} disagrees with an \
@@ -316,102 +240,49 @@ pub fn merge_dir_cached(
             }
         }
     }
-    // Forget segments whose files are gone, so a recreated file is
-    // re-read from scratch.
-    cursor.segments.retain(|name, _| present.iter().any(|p| p == name));
     Ok(merged)
 }
 
-/// How [`advance_segment_cursor`] refreshed one segment.
-struct SegmentAdvance {
-    reused: bool,
-}
-
-/// Brings `cursor`'s entry for `name` up to date with the file at
-/// `path`: zero I/O when the length is unchanged, suffix-only parse
-/// when it grew, full re-read otherwise. Returns `None` when the file
-/// vanished or is unreadable (the segment is skipped this round, as
-/// [`merge_dir`] always did).
-fn advance_segment_cursor(
+/// Reads the journal file at `path` and [`replay`]s its longest valid
+/// UTF-8 prefix: a kill that tears an append inside a multi-byte
+/// character leaves a tail that is dropped like any other torn line.
+fn read_journal(
     path: &Path,
-    name: &str,
     campaign: &str,
     spec_digest: &str,
-    cursor: &mut MergeCursor,
-) -> Option<SegmentAdvance> {
-    let file_len = std::fs::metadata(path).ok()?.len();
-    if let Some(seg) = cursor.segments.get_mut(name) {
-        if file_len == seg.seen_len {
-            return Some(SegmentAdvance { reused: true });
-        }
-        // Grown with a matching header: parse the appended suffix only.
-        // (A previously mismatched header — valid_bytes 0 — always falls
-        // through to a full re-read: the file may have been rewritten
-        // for this spec since.)
-        if file_len > seg.seen_len && seg.valid_bytes > 0 {
-            use std::io::{Read as _, Seek as _};
-            let mut file = File::open(path).ok()?;
-            file.seek(std::io::SeekFrom::Start(seg.valid_bytes as u64)).ok()?;
-            let mut suffix = String::new();
-            if file.read_to_string(&mut suffix).is_err() {
-                // Non-UTF-8 tail: treat like a torn line — keep what was
-                // valid, note the observed length so an unchanged file
-                // is not re-probed.
-                seg.seen_len = file_len;
-                return Some(SegmentAdvance { reused: false });
-            }
-            // Bytes actually observed: the old valid prefix plus
-            // everything the suffix read returned (the file may have
-            // grown past the stat in the meantime).
-            let observed = (seg.valid_bytes + suffix.len()) as u64;
-            seg.valid_bytes += replay_body(&suffix, &mut seg.cells);
-            seg.seen_len = observed;
-            return Some(SegmentAdvance { reused: false });
-        }
-    }
-    // First sight, shrunk, or header previously foreign: full re-read.
-    let text = std::fs::read_to_string(path).ok()?;
-    let (cells, valid_bytes) = replay(&text, campaign, spec_digest);
-    cursor
-        .segments
-        .insert(name.to_owned(), SegmentCursor { seen_len: text.len() as u64, valid_bytes, cells });
-    Some(SegmentAdvance { reused: false })
+) -> std::io::Result<(BTreeMap<String, SimResult>, usize)> {
+    let bytes = std::fs::read(path)?;
+    let text = bytes.utf8_chunks().next().map_or("", |chunk| chunk.valid());
+    Ok(replay(text, campaign, spec_digest))
 }
 
 /// Replays journal `text` for (campaign, spec digest): the completed-cell
 /// map plus the byte length of the valid prefix (header + whole lines).
+/// A torn final line (or any corruption) ends the replay: everything
+/// after it will simply be re-simulated.
 fn replay(text: &str, campaign: &str, spec_digest: &str) -> (BTreeMap<String, SimResult>, usize) {
     let mut completed = BTreeMap::new();
-    let mut valid_bytes = 0usize;
-    let header_line = text.split_inclusive('\n').next().unwrap_or("");
+    let mut lines = text.split_inclusive('\n');
+    let header_line = lines.next().unwrap_or("");
     let header_ok = header_line.ends_with('\n')
         && Json::parse(header_line.trim_end()).ok().is_some_and(|h| {
             h.get("ccsim_campaign_journal").and_then(Json::as_u64) == Some(JOURNAL_VERSION)
                 && h.get("campaign").and_then(Json::as_str) == Some(campaign)
                 && h.get("spec").and_then(Json::as_str) == Some(spec_digest)
         });
-    if header_ok {
-        valid_bytes = header_line.len();
-        valid_bytes += replay_body(&text[header_line.len()..], &mut completed);
+    if !header_ok {
+        return (completed, 0);
     }
-    (completed, valid_bytes)
-}
-
-/// Replays cell lines (no header) from `text` into `into`, returning
-/// the byte length of the fully-valid prefix consumed. A torn final
-/// line (or any corruption) ends the replay: everything after it will
-/// simply be re-simulated.
-fn replay_body(text: &str, into: &mut BTreeMap<String, SimResult>) -> usize {
-    let mut consumed = 0usize;
-    for line in text.split_inclusive('\n') {
+    let mut valid_bytes = header_line.len();
+    for line in lines {
         let Some((cell, result)) = parse_cell_line(line.trim_end()) else { break };
         if !line.ends_with('\n') {
             break;
         }
-        into.insert(cell, result);
-        consumed += line.len();
+        completed.insert(cell, result);
+        valid_bytes += line.len();
     }
-    consumed
+    (completed, valid_bytes)
 }
 
 fn parse_cell_line(line: &str) -> Option<(String, SimResult)> {
@@ -709,87 +580,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A kill that tears an append inside a multi-byte character (a
+    /// `trace:` selector naming a non-ASCII path) drops only the torn
+    /// line: every reader keeps the cells before it.
     #[test]
-    fn cursored_merge_skips_unchanged_segments_and_reads_only_growth() {
-        let dir = temp_journal_dir("cursor");
-        let mut a = Journal::open_segment(&dir, "a", "camp", "abcd").unwrap();
-        a.record("w|c|lru", &sample_result(1)).unwrap();
-        let mut b = Journal::open_segment(&dir, "b", "camp", "abcd").unwrap();
-        b.record("w|c|srrip", &sample_result(2)).unwrap();
+    fn append_torn_inside_a_multibyte_character_drops_only_the_tail() {
+        let dir = temp_journal_dir("torn_utf8");
+        let path = Journal::segment_path(&dir, "a");
+        {
+            let mut j = Journal::open(&path, "camp", "abcd").unwrap();
+            j.record("w|c|lru", &sample_result(1)).unwrap();
+            j.record("w|c|srrip", &sample_result(2)).unwrap();
+            j.record("trace:/data/caf\u{e9}.champsim|c|lru", &sample_result(3)).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let tear = bytes.iter().rposition(|&b| b == 0xC3).unwrap() + 1;
+        std::fs::write(&path, &bytes[..tear]).unwrap();
 
-        let mut cursor = MergeCursor::new();
-        let first = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(first.completed.len(), 2);
-        assert_eq!((first.segments_scanned, first.segments_reused), (2, 0), "cold cursor");
-
-        // Nothing changed: both segments served from the cursor.
-        let second = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(second.completed.len(), 2);
-        assert_eq!(second.entries, first.entries);
-        assert_eq!(second.segments, first.segments);
-        assert_eq!((second.segments_scanned, second.segments_reused), (0, 2));
-
-        // One segment grows: only it is rescanned, and only its suffix.
-        a.record("w|c|drrip", &sample_result(3)).unwrap();
-        let third = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(third.completed.len(), 3);
-        assert_eq!((third.segments_scanned, third.segments_reused), (1, 1));
-        assert_eq!(third.completed["w|c|drrip"], sample_result(3));
-
-        // The cursored result always matches a cold full merge.
-        let cold = merge_dir(&dir, "camp", "abcd").unwrap();
-        assert_eq!(cold.completed, third.completed);
-        assert_eq!(cold.segments, third.segments);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cursored_merge_handles_torn_growth_truncation_and_new_segments() {
-        let dir = temp_journal_dir("cursor_edges");
-        let mut a = Journal::open_segment(&dir, "a", "camp", "abcd").unwrap();
-        a.record("w|c|lru", &sample_result(1)).unwrap();
-        drop(a);
-        let a_path = Journal::segment_path(&dir, "a");
-
-        let mut cursor = MergeCursor::new();
-        assert_eq!(merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap().entries, 1);
-
-        // A torn append (no trailing newline) is growth, but nothing of
-        // it is valid yet.
-        let full = std::fs::read_to_string(&a_path).unwrap();
-        let cell_line = full.lines().nth(1).unwrap();
-        let torn = &cell_line.replace("w|c|lru", "w|c|ship")[..cell_line.len() - 20];
-        std::fs::write(&a_path, format!("{full}{torn}")).unwrap();
-        let merged = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(merged.completed.len(), 1, "torn tail not merged");
-
-        // Completing the line merges it from the suffix alone.
-        std::fs::write(&a_path, format!("{full}{}\n", cell_line.replace("w|c|lru", "w|c|ship")))
-            .unwrap();
-        let merged = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert!(merged.completed.contains_key("w|c|ship"), "{:?}", merged.completed.keys());
-
-        // Truncation back to the original forces a full, correct re-read.
-        std::fs::write(&a_path, &full).unwrap();
-        let merged = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(merged.completed.len(), 1);
-        assert!(merged.completed.contains_key("w|c|lru"));
-
-        // A brand-new segment appears mid-polling.
-        let mut b = Journal::open_segment(&dir, "b", "camp", "abcd").unwrap();
-        b.record("w|c|hawkeye", &sample_result(9)).unwrap();
-        drop(b);
-        let merged = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
+        assert_eq!(Journal::peek_completed(&path, "camp", "abcd").len(), 2);
+        let merged = merge_dir(&dir, "camp", "abcd").unwrap();
         assert_eq!(merged.completed.len(), 2);
-
-        // A deleted segment disappears from the merge (and the cursor).
-        std::fs::remove_file(Journal::segment_path(&dir, "b")).unwrap();
-        let merged = merge_dir_cached(&dir, "camp", "abcd", &mut cursor).unwrap();
-        assert_eq!(merged.completed.len(), 1);
-        assert_eq!(merged.segments.len(), 1);
-
-        // Switching spec through the same cursor resets it safely.
-        assert!(merge_dir_cached(&dir, "camp", "zzzz", &mut cursor).unwrap().completed.is_empty());
+        assert_eq!(merged.completed["w|c|srrip"], sample_result(2));
+        let mut j = Journal::open(&path, "camp", "abcd").unwrap();
+        assert_eq!(j.resumed(), 2, "the torn line is dropped, the journal kept");
+        j.record("w|c|drrip", &sample_result(4)).unwrap();
+        drop(j);
+        let j = Journal::open(&path, "camp", "abcd").unwrap();
+        assert_eq!(j.resumed(), 3, "appends after the tear replay");
+        assert_eq!(j.completed()["w|c|drrip"], sample_result(4));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -59,7 +59,7 @@ pub mod spec;
 
 pub use cache::TraceCache;
 pub use diff::{DiffCell, ReportDiff};
-pub use journal::{merge_dir, merge_dir_cached, Journal, MergeCursor, MergedJournal};
+pub use journal::{merge_dir, Journal, MergedJournal};
 pub use report::{CampaignCell, CampaignReport, RawCell, REPORT_SCHEMA_VERSION};
 pub use runner::{
     AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan, CellStatus, GridCell,

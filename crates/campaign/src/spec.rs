@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "name": "llc_sweep_quick",
+//!   "name": "policy_sweep_quick",
 //!   "scale": "quick",
 //!   "seed": 0,
 //!   "base_config": "cascade_lake",

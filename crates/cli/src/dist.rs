@@ -79,13 +79,11 @@ cells per worker, records/sec, cell-time quantiles and ETA from the
 manifests' completed-cell timings (see `ccsim campaign --help`); `--once`
 prints one frame and exits, `--json` emits a machine document
 (byte-identical across polls of an unchanged directory). The loop
-long-polls a cheap stat-level fingerprint of the shared dir with
-jittered exponential backoff (up to --max-idle-ms, default 2000) and
-re-collects when it moves or the backoff has reached that cap, so
-activity re-renders within tens of ms, an idle fleet costs one scan
-per cap, and a dead worker's lease still turns stale on screen.
-Watch polling is incremental: completed journal segments are never
-re-read. See the Observability runbook in PAPER.md.",
+re-reads the whole shared dir and prints a frame once every
+--max-idle-ms (default 2000, at least 1): an active campaign re-renders
+once per period, not on each write, and a dead worker's lease turns
+stale on screen with nothing writing. It exits once the grid is
+complete. See the Observability runbook in PAPER.md.",
     run: watch,
 };
 
@@ -142,36 +140,27 @@ fn status(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One loop: stat the shared directory ([`ccsim_dist::dir_fingerprint`]),
-/// re-collect the view when [`ccsim_dist::WatchPacing::due`] says so
-/// (the fingerprint moved, or the idle backoff reached `--max-idle-ms`:
-/// a dead worker's lease turns stale without any write), sleep the
-/// jittered backoff.
+/// One loop: collect, print, return on `--once` or a complete grid,
+/// sleep `--max-idle-ms`.
 fn watch(args: &Args) -> Result<(), String> {
+    let period = Duration::from_millis(args.positive("--max-idle-ms")?.unwrap_or(2000));
     let spec = load_spec(args)?;
     let shared: PathBuf = args.required("--shared-dir")?;
-    let max_idle_ms = args.get::<u64>("--max-idle-ms")?.unwrap_or(2000);
-    // One watcher for the whole loop: its merge cursor makes each poll
-    // read only journal bytes appended since the previous poll.
-    let mut watcher = ccsim_dist::Watcher::new();
-    let mut pacing = ccsim_dist::WatchPacing::new(max_idle_ms, u64::from(std::process::id()));
     loop {
-        if pacing.due(ccsim_dist::dir_fingerprint(&shared)) {
-            let view = watcher.poll(&spec, &shared)?;
-            if args.has("--json") {
-                print!("{}", view.to_json());
-            } else {
-                println!("{}", view.render());
-            }
-            if args.has("--once") {
-                return Ok(());
-            }
-            if view.done() {
-                println!("campaign complete");
-                return Ok(());
-            }
+        let view = ccsim_dist::watch(&spec, &shared)?;
+        if args.has("--json") {
+            print!("{}", view.to_json());
+        } else {
+            println!("{}", view.render());
         }
-        std::thread::sleep(pacing.idle_delay());
+        if args.has("--once") {
+            return Ok(());
+        }
+        if view.done() {
+            println!("campaign complete");
+            return Ok(());
+        }
+        std::thread::sleep(period);
     }
 }
 

@@ -210,6 +210,10 @@ mod tests {
             (&["sim", &t, "--threads", "--help"], Some("ccsim sim: --threads needs a value <n>")),
             (&["sim", &t, "--threads", "two"], Some("ccsim sim: --threads needs a valid value")),
             (&["sim", &t, "--threads", "0"], Some("ccsim sim: --threads must be at least 1")),
+            (
+                &["campaign", "watch", "spec.json", "--shared-dir", &out, "--max-idle-ms", "0"],
+                Some("ccsim campaign watch: --max-idle-ms must be at least 1"),
+            ),
             // Positionals are counted.
             (&["sim"], Some("ccsim sim: missing <in>")),
             (&["ingest", champsim], Some("ccsim ingest: missing <out.cctr>")),

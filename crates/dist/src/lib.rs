@@ -28,11 +28,10 @@
 //!   loudly on conflicts or an unfinished grid;
 //! * [`status`] — a read-only progress snapshot: per-worker
 //!   contributions, live claims, stale leases;
-//! * [`watch`] — the polling dashboard behind `ccsim campaign watch`:
-//!   [`status`] joined with every worker's telemetry manifest
-//!   (throughput, cell timings, ETA), incremental via a journal
-//!   [`ccsim_campaign::MergeCursor`] so polls never re-read completed
-//!   segments.
+//! * [`watch()`] — one frame of the dashboard behind `ccsim campaign
+//!   watch`: [`status()`] joined with every worker's telemetry manifest
+//!   (throughput, cell timings, ETA). Like [`status()`], it re-reads the
+//!   whole directory on every call and keeps no state between calls.
 //!
 //! The shared trace cache (`trace-cache/`) is content-addressed
 //! (digest-keyed filenames, tmp-file + atomic-rename writes), so workers
@@ -83,8 +82,8 @@ pub use assemble::{assemble, AssembleOutcome};
 pub use lease::{
     band_lease_id, band_workload, cell_lease_views, Claim, Lease, LeaseDir, LeaseGuard,
 };
-pub use status::{status, status_with_cursor, DistStatus, WorkerStatus};
-pub use watch::{dir_fingerprint, WatchPacing, WatchView, WatchWorker, Watcher};
+pub use status::{status, DistStatus, WorkerStatus};
+pub use watch::{watch, WatchView, WatchWorker};
 pub use worker::{default_worker_id, run_worker, sanitize_worker_id, WorkerOptions, WorkerOutcome};
 
 use std::path::{Path, PathBuf};

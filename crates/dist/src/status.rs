@@ -3,14 +3,13 @@
 //! `ccsim campaign status` renders this: how much of the grid is done,
 //! which workers contributed what, who currently claims which cells, and
 //! which leases have gone stale (crashed holders awaiting reclaim).
-//! Collection is entirely read-only — journals are merged with
-//! [`merge_dir_cached`] and leases scanned without touching any file.
+//! Collection is entirely read-only — journals are merged in full with
+//! [`merge_dir`] and leases scanned without touching any file.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ccsim_campaign::journal::merge_dir_cached;
-use ccsim_campaign::{Campaign, CampaignSpec, MergeCursor};
+use ccsim_campaign::{merge_dir, Campaign, CampaignSpec};
 use ccsim_obs::Table;
 
 use crate::lease::{band_workload, Lease, LeaseDir};
@@ -60,23 +59,8 @@ pub struct DistStatus {
 ///
 /// Returns a message on invalid specs or conflicting journal segments.
 pub fn status(spec: &CampaignSpec, shared_dir: &Path) -> Result<DistStatus, String> {
-    status_with_cursor(spec, shared_dir, &mut MergeCursor::new())
-}
-
-/// [`status`], reusing a journal [`MergeCursor`] across calls so a
-/// poller (`ccsim campaign watch`) re-reads only journal bytes appended
-/// since its previous poll instead of rescanning every segment.
-///
-/// # Errors
-///
-/// Same failure modes as [`status`].
-pub fn status_with_cursor(
-    spec: &CampaignSpec,
-    shared_dir: &Path,
-    cursor: &mut MergeCursor,
-) -> Result<DistStatus, String> {
     let grid = Campaign::new(spec.clone()).grid()?;
-    let merged = merge_dir_cached(shared_dir, &spec.name, &spec.digest(), cursor)?;
+    let merged = merge_dir(shared_dir, &spec.name, &spec.digest())?;
     let leases_root = leases_dir(shared_dir);
     let leases: Vec<Lease> = if leases_root.is_dir() {
         LeaseDir::open(leases_root)

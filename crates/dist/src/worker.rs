@@ -7,7 +7,9 @@
 //! merging every worker's journal segment, claims are arbitrated by the
 //! lease files alone, and a worker that finds nothing claimable backs
 //! off and polls until the grid is drained (leases held by live peers
-//! either complete or expire).
+//! either complete or expire). A worker merges the journals once at the
+//! start of each round and once after each acquired claim, and each
+//! merge re-reads every segment in full.
 //!
 //! Claims are **workload bands** ([`crate::lease::band_lease_id`]): one
 //! lease covers every pending cell sharing a trace, and the holder
@@ -24,9 +26,8 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use ccsim_campaign::journal::merge_dir_cached;
 use ccsim_campaign::spec::fnv1a64;
-use ccsim_campaign::{Campaign, CampaignSpec, GridCell, Journal, MergeCursor, TraceCache};
+use ccsim_campaign::{merge_dir, Campaign, CampaignSpec, GridCell, Journal, TraceCache};
 use ccsim_obs::{Json, RunMeta, RunObs};
 
 use crate::lease::{band_lease_id, Claim, LeaseDir};
@@ -179,10 +180,6 @@ pub fn run_worker(
             ],
         );
     }
-    // One merge cursor for the whole worker loop: each of the frequent
-    // pending-set merges below re-reads only journal bytes appended since
-    // the previous merge instead of rescanning every segment.
-    let mut cursor = MergeCursor::new();
     // Start each worker at a different workload so N workers spread over
     // the grid instead of stampeding the same cells (claims stay correct
     // regardless; this only reduces contention).
@@ -191,7 +188,7 @@ pub fn run_worker(
     loop {
         // The authoritative pending set: everything any worker has
         // journaled so far, merged read-only across segments.
-        let done = merge_dir_cached(shared_dir, &spec.name, &digest, &mut cursor)?.completed;
+        let mut done = merge_dir(shared_dir, &spec.name, &digest)?.completed;
         outcome.campaign_done = grid.cells.iter().all(|c| done.contains_key(&c.id));
         // The one exit: the grid is drained, or the cell limit is reached
         // (the campaign may nonetheless be complete — this worker's last
@@ -210,10 +207,9 @@ pub fn run_worker(
             if budget == Some(0) {
                 break;
             }
-            // Derive the band — every still-pending cell of the workload
-            // — from a *fresh* merge: the round-start snapshot goes
-            // stale while earlier bands simulate.
-            let done = merge_dir_cached(shared_dir, &spec.name, &digest, &mut cursor)?.completed;
+            // The band is every cell of the workload still pending in the
+            // latest merge. A peer may have finished it since; the
+            // re-merge after the claim below finds that out.
             let mut pending: Vec<&GridCell> =
                 grid.cells_of(workload).filter(|c| !done.contains_key(&c.id)).collect();
             if pending.is_empty() {
@@ -238,7 +234,8 @@ pub fn run_worker(
             // them makes duplicate simulation impossible on a coherent
             // filesystem. This is also how a reclaimed band resumes
             // mid-band: the dead holder's journaled cells drop out here.
-            let done = merge_dir_cached(shared_dir, &spec.name, &digest, &mut cursor)?.completed;
+            // The merge stands in for the round's until the next claim.
+            done = merge_dir(shared_dir, &spec.name, &digest)?.completed;
             let band_size = pending.len();
             pending.retain(|c| !done.contains_key(&c.id));
             if pending.len() < band_size {

@@ -296,10 +296,8 @@ catalog! {
         campaign_cells => "campaign_cells",
         /// Engine-records simulated by campaign bands (records × cells).
         campaign_records => "campaign_records",
-        /// Journal segments parsed (fully or incrementally) by merges.
+        /// Journal segments read by merges.
         journal_segments_scanned => "journal_segments_scanned",
-        /// Journal segments served from a merge cursor with zero reads.
-        journal_segments_reused => "journal_segments_reused",
         /// Leases acquired by dist workers.
         dist_lease_claims => "dist_lease_claims",
         /// Claim attempts that lost to another live worker.

@@ -16,8 +16,8 @@ use std::time::{Duration, SystemTime};
 use ccsim::campaign::journal::merge_dir;
 use ccsim::campaign::{Campaign, CampaignSpec, Journal};
 use ccsim::dist::{
-    assemble, band_lease_id, cell_lease_views, dir_fingerprint, leases_dir, run_worker,
-    sanitize_worker_id, status, Claim, LeaseDir, WatchPacing, Watcher, WorkerOptions,
+    assemble, band_lease_id, cell_lease_views, leases_dir, run_worker, sanitize_worker_id, status,
+    watch, Claim, LeaseDir, WorkerOptions,
 };
 
 /// 2 workloads x 2 policies x 2 LLC sizes on the tiny platform: enough
@@ -202,11 +202,9 @@ fn crashed_worker_band_lease_expires_and_a_second_worker_resumes_mid_band() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Every worker died: nothing writes to the shared directory, so its
-/// fingerprint never moves — yet a lease turns stale by the clock alone.
-/// The watch loop's poll decision ([`WatchPacing::due`]) must come round
-/// on a silent directory too, once the idle backoff reaches its cap;
-/// this drives it tick by tick, adding the delays up instead of sleeping.
+/// Every worker died: nothing writes to the shared directory, yet a
+/// lease turns stale by the clock alone. Each watch poll re-collects
+/// the whole directory, so it sees the dead band as stale.
 #[test]
 fn watch_recollects_a_silent_directory_and_sees_the_stale_lease() {
     let dir = temp_dir("watch_idle");
@@ -215,18 +213,7 @@ fn watch_recollects_a_silent_directory_and_sees_the_stale_lease() {
     let leases = LeaseDir::open(leases_dir(&shared)).unwrap();
     plant_dead_lease(&leases, &band_lease_id("xsbench.small"), "dead");
 
-    const CAP_MS: u64 = 400;
-    let mut pacing = WatchPacing::new(CAP_MS, 1);
-    let silent = dir_fingerprint(&shared);
-    assert!(pacing.due(silent), "the first look always collects");
-    let mut idle = pacing.idle_delay();
-    while !pacing.due(dir_fingerprint(&shared)) {
-        idle += pacing.idle_delay();
-        assert!(idle < Duration::from_millis(2 * CAP_MS), "never came due: {idle:?}");
-    }
-    assert_eq!(dir_fingerprint(&shared), silent, "nothing wrote to the directory");
-    assert!(idle <= Duration::from_millis(CAP_MS + CAP_MS / 4), "due within one cap: {idle:?}");
-    let view = Watcher::new().poll(&spec, &shared).unwrap();
+    let view = watch(&spec, &shared).unwrap();
     assert_eq!((view.status.leased, view.status.stale), (0, 4), "the dead band shows stale");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
-use ccsim::dist::{run_worker, Watcher, WorkerOptions};
+use ccsim::dist::{run_worker, watch, WorkerOptions};
 
 /// 2 workloads x 2 policies on the tiny platform: two bands, four
 /// cells — enough for two workers to split meaningfully.
@@ -241,18 +241,11 @@ fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     assert_eq!(signature[2], "claim(ev,t_ns,workload,cells,epoch)", "{log}");
     assert_eq!(signature[3..5], band[..], "{log}");
 
-    // The watch document is a pure function of the directory: polling
-    // again through the same watcher (warm merge cursor) and through a
-    // cold one must produce identical bytes.
-    let mut watcher = Watcher::new();
-    let view = watcher.poll(&spec, &shared).unwrap();
+    // The watch document is a pure function of the directory: two
+    // collects of it produce identical bytes.
+    let view = watch(&spec, &shared).unwrap();
     let json = view.to_json();
-    assert_eq!(watcher.poll(&spec, &shared).unwrap().to_json(), json, "warm re-poll diverged");
-    assert_eq!(
-        Watcher::new().poll(&spec, &shared).unwrap().to_json(),
-        json,
-        "cold re-poll diverged"
-    );
+    assert_eq!(watch(&spec, &shared).unwrap().to_json(), json, "re-poll diverged");
 
     assert!(view.done());
     let doc = Json::parse(&json).unwrap();

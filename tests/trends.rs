@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
-use ccsim::dist::Watcher;
+use ccsim::dist::watch;
 use ccsim::obs::{Manifest, RunMeta, Snapshot, HISTOGRAM_BUCKETS};
 use ccsim::trends::{render_table, run_check, watch_series, CheckOptions, Ledger, TrendEntry};
 
@@ -250,7 +250,7 @@ fn freshly_produced_v2_manifest_ingests_end_to_end() {
     let q = m.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
     assert!(q.count > 0 && q.p50 <= q.p99 && q.min <= q.max);
 
-    let watch_doc = Json::parse(&Watcher::new().poll(&spec, &dir).unwrap().to_json()).unwrap();
+    let watch_doc = Json::parse(&watch(&spec, &dir).unwrap().to_json()).unwrap();
     let series = watch_series(&watch_doc).unwrap();
     assert_eq!(
         series,
@@ -306,7 +306,7 @@ fn planted_histogram_counts_saturate_from_manifest_to_watch_to_ledger() {
     assert_eq!(q.count, 65 << 53);
     assert_eq!((q.p50, q.p90, q.p99), ((1 << 32) - 1, (1 << 58) - 1, u64::MAX));
 
-    let watch_doc = Json::parse(&Watcher::new().poll(&spec, &dir).unwrap().to_json()).unwrap();
+    let watch_doc = Json::parse(&watch(&spec, &dir).unwrap().to_json()).unwrap();
     let fleet = watch_doc.get("aggregate").and_then(|a| a.get("cell_sim_ns")).unwrap();
     let field = |name| fleet.get(name).and_then(Json::as_u64);
     assert_eq!((field("p50"), field("count")), (Some((1 << 32) - 1), Some(Json::MAX_INT)));
