@@ -42,10 +42,10 @@ pub enum FillOutcome {
 /// **zero heap allocations**. The tag store is a struct-of-arrays: one
 /// contiguous `Vec<u64>` of packed tag words (block address, or
 /// [`TAG_INVALID`] for an empty slot) plus a one-bit-per-slot dirty
-/// bitmap, so `probe`'s way scan is a branch-free equality sweep over a
-/// cache-line-contiguous `u64` slice that LLVM autovectorizes. The
-/// policy is driven through statically dispatched [`PolicyDispatch`]
-/// hooks and sees only set, way and access — never the tag store.
+/// bitmap, so `probe`'s way scan reads one contiguous `u64` slice and
+/// stops at the hit. The policy is driven through statically dispatched
+/// [`PolicyDispatch`] hooks and sees only set, way and access — never
+/// the tag store.
 /// `tests/alloc_free.rs` enforces the allocation-free property with a
 /// counting allocator.
 #[derive(Debug)]
@@ -65,8 +65,7 @@ pub struct Cache {
     /// Valid lines per set. Lines are never invalidated (the hierarchy is
     /// non-inclusive, without back-invalidation), so the valid ways of a
     /// set are always a prefix and this counter *is* the first free way —
-    /// fills skip the invalid-way scan entirely, and probes bound their
-    /// sweep to the valid prefix.
+    /// fills skip the invalid-way scan entirely.
     occupied: Vec<u16>,
 }
 
@@ -149,23 +148,18 @@ impl Cache {
         *word = (*word & !bit) | (u64::from(dirty) * bit);
     }
 
-    /// Looks up `block` without changing any state.
-    ///
-    /// The scan is bounded to the set's valid prefix (`occupied`) and is
-    /// a branch-free match-mask reduction over the packed tag words — no
-    /// early exit, so LLVM turns the equality sweep into vector compares.
-    /// At most one way can match (blocks are unique within a set), so
-    /// the lowest set bit *is* the hit way.
+    /// Looks up `block` without changing any state: an early-exit scan of
+    /// the set's tag words. Empty slots hold [`TAG_INVALID`], which matches
+    /// no block, and a block sits in at most one way. The scan measured
+    /// faster than a branch-free match mask, hits and misses alike: the
+    /// default x86-64 target has no packed 64-bit compare (`pcmpeqq` is
+    /// SSE4.1), so the mask compiled to a serial chain.
     #[inline]
     pub fn probe(&self, block: u64) -> Option<u32> {
-        let set = self.set_of(block);
-        let base = self.idx(set, 0);
-        let occ = self.occupied[set as usize] as usize;
-        let mut mask = 0u64;
-        for (way, &tag) in self.tags[base..base + occ].iter().enumerate() {
-            mask |= u64::from(tag == block) << way;
-        }
-        (mask != 0).then(|| mask.trailing_zeros())
+        debug_assert_ne!(block, TAG_INVALID, "block collides with the empty-slot sentinel");
+        let base = self.idx(self.set_of(block), 0);
+        let tags = &self.tags[base..base + self.ways as usize];
+        tags.iter().position(|&tag| tag == block).map(|way| way as u32)
     }
 
     /// Processes a lookup: returns `Some(way)` and updates policy/stats on a
@@ -210,7 +204,6 @@ impl Cache {
     pub fn fill(&mut self, info: &AccessInfo) -> FillOutcome {
         debug_assert_eq!(info.set, self.set_of(info.block));
         debug_assert!(self.probe(info.block).is_none(), "fill of resident block");
-        debug_assert_ne!(info.block, TAG_INVALID, "block collides with the empty-slot sentinel");
         let set = info.set;
         let way = if (self.occupied[set as usize] as u32) < self.ways {
             // Valid lines form a prefix (nothing ever invalidates a line),
@@ -396,5 +389,23 @@ mod tests {
     fn hot_state_bytes_counts_tags_dirty_words_and_occupancy() {
         // 4 sets x 2 ways: 8 tag words + 1 dirty word + 4 u16 counters.
         assert_eq!(small().hot_state_bytes(), 8 * 8 + 8 + 4 * 2);
+    }
+
+    #[test]
+    fn probe_agrees_with_a_linear_scan() {
+        for ways in [1, 11, crate::config::MAX_WAYS] {
+            let cfg = CacheConfig { sets: 4, ways, latency: 1, mshrs: 2 };
+            let mut c =
+                Cache::new("probe", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways));
+            // Set 1 fills up to full and then evicts; set 2 stays empty.
+            for n in 0..u64::from(ways) + 3 {
+                for block in (0..u64::from(ways) + 4).map(|b| 4 * b + 1).chain([2, 6]) {
+                    let valid = u32::from(c.occupied[c.set_of(block) as usize]);
+                    let scan = (0..valid).find(|&w| c.tags[c.idx(c.set_of(block), w)] == block);
+                    assert_eq!(c.probe(block), scan, "ways {ways}, {n} fills, block {block}");
+                }
+                c.fill(&load(&c, 4 * n + 1));
+            }
+        }
     }
 }

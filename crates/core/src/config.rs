@@ -8,10 +8,11 @@ use std::fmt;
 
 /// Compile-time ceiling on cache associativity.
 ///
-/// The SoA tag store's probe builds a one-bit-per-way match mask in a
-/// `u64`, which caps the ways per set at 64.
-/// [`CacheConfig::validate`] enforces the bound, so every constructed
-/// cache can rely on it.
+/// A bound on spec input, not a limit of any data structure: a probe and
+/// most victim searches scan every way of a set, so a mistyped
+/// associativity would make each access a long linear search, and no
+/// modelled cache comes near 64 ways. [`CacheConfig::validate`] enforces
+/// the bound, so every constructed cache can rely on it.
 pub const MAX_WAYS: u32 = 64;
 
 /// Geometry and timing of one cache level.
@@ -39,7 +40,7 @@ impl CacheConfig {
     ///
     /// Returns a message if sets/ways/mshrs are zero, sets is not a power
     /// of two (the set-index mapping requires it), or ways exceeds
-    /// [`MAX_WAYS`] (the width of the probe match mask).
+    /// [`MAX_WAYS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.sets == 0 || self.ways == 0 {
             return Err("cache must have non-zero sets and ways".into());

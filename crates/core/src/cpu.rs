@@ -15,10 +15,19 @@
 //! them); this makes MLP slightly optimistic, uniformly across replacement
 //! policies, so relative comparisons are preserved.
 //!
-//! The ROB is a ring of the last `rob_size` completion cycles. Retirement
-//! is in order, so instruction `k` can take a ROB entry only once
-//! instruction `k - rob_size` has completed. Each dispatch therefore reads
-//! one ring entry and overwrites it, with no queue to pop or merge.
+//! Retirement is in order, so instruction `k` can take a ROB entry only
+//! once instruction `k - rob_size` has completed. With the dispatch width
+//! clamped to `min(width, rob_size)` — which changes nothing, as the
+//! window alone already limits dispatch to `rob_size` per cycle — `k`
+//! dispatches at least `rob_size / width` cycles after `k - rob_size`. A
+//! non-memory instruction, or a memory one done within that slack (88
+//! cycles at the default window, longer than an LLC hit), has therefore
+//! always completed when its entry is wanted again. Only slower memory
+//! instructions can hold dispatch back, so the ROB keeps only those: a
+//! ring of at most `rob_size` of them, oldest first. A batch of non-memory
+//! instructions is placed in closed form up to each instruction that
+//! waits on one, so it costs O(1) plus one step per such instruction it
+//! retires past — a trace header may claim 2^48.
 
 use crate::config::CoreConfig;
 
@@ -26,17 +35,22 @@ use crate::config::CoreConfig;
 /// memory instructions receive their completion time from the hierarchy.
 #[derive(Debug)]
 pub struct Core {
-    /// Completion cycle of each of the last `rob_size` dispatched
-    /// instructions, by instruction number modulo `rob_size` (0 before
-    /// the window first fills).
-    done: Box<[u64]>,
-    /// Ring index of the next instruction: the slot of the instruction
-    /// `rob_size` older, which must have retired before it dispatches.
+    /// Ring of `rob_size` slots: the memory instructions that may still
+    /// hold dispatch back, `len` of them from slot `head`, oldest first.
+    /// Each is the number of the instruction `rob_size` younger, which
+    /// reuses its ROB entry and so waits for it, and its completion cycle.
+    mem: Box<[(u64, u64)]>,
     head: usize,
+    len: usize,
+    /// Dispatch width, clamped to `rob_size`.
     width: u32,
+    /// `rob_size / width`: the instruction `rob_size` younger than one
+    /// dispatched at cycle `c` dispatches at cycle `c + slack` or later.
+    slack: u64,
     cycle: u64,
     dispatched_this_cycle: u32,
     instructions: u64,
+    /// Latest completion cycle of any memory instruction.
     max_completion: u64,
 }
 
@@ -49,9 +63,11 @@ impl Core {
     pub fn new(config: CoreConfig) -> Self {
         config.validate().expect("invalid core config");
         Core {
-            done: vec![0; config.rob_size as usize].into_boxed_slice(),
+            mem: vec![(0, 0); config.rob_size as usize].into_boxed_slice(),
             head: 0,
-            width: config.width,
+            len: 0,
+            width: config.width.min(config.rob_size),
+            slack: u64::from(config.rob_size / config.width.min(config.rob_size)),
             cycle: 0,
             dispatched_this_cycle: 0,
             instructions: 0,
@@ -69,78 +85,80 @@ impl Core {
         self.instructions
     }
 
-    /// Dispatches one instruction completing at `complete(cycle)`, where
-    /// `cycle` is its dispatch cycle: waits for dispatch bandwidth and for
-    /// the instruction `rob_size` older to complete (in-order retirement
-    /// frees its ROB entry), then takes its ROB entry.
+    /// Dispatches the next instruction: waits for dispatch bandwidth and,
+    /// if the instruction `rob_size` older is in the ring, for it to
+    /// complete and free its ROB entry.
     #[inline]
-    fn dispatch<F: FnOnce(u64) -> u64>(&mut self, complete: F) {
+    fn take_slot(&mut self) {
         if self.dispatched_this_cycle >= self.width {
             self.cycle += 1;
             self.dispatched_this_cycle = 0;
         }
-        let oldest = self.done[self.head];
-        if oldest > self.cycle {
-            self.cycle = oldest;
-            self.dispatched_this_cycle = 0;
+        if self.len != 0 {
+            let (waiter, done) = self.mem[self.head];
+            if waiter == self.instructions {
+                self.head = if self.head + 1 == self.mem.len() { 0 } else { self.head + 1 };
+                self.len -= 1;
+                if done > self.cycle {
+                    self.cycle = done;
+                    self.dispatched_this_cycle = 0;
+                }
+            }
         }
         self.dispatched_this_cycle += 1;
         self.instructions += 1;
-        let done = complete(self.cycle);
-        self.max_completion = self.max_completion.max(done);
-        self.done[self.head] = done;
-        self.head += 1;
-        if self.head == self.done.len() {
-            self.head = 0;
-        }
     }
 
-    /// Dispatches `n` non-memory instructions (unit execution latency), in
-    /// O(min(n, rob_size)) time: a trace header may claim 2^48 of them.
-    pub fn dispatch_nonmem(&mut self, n: u64) {
-        let rob = self.done.len() as u64;
-        for _ in 0..n.min(rob) {
-            self.dispatch(|at| at + 1);
-        }
-        if n > rob {
-            self.dispatch_unstalled(n - rob);
-        }
+    /// Dispatches `n` instructions that wait on no memory instruction, at
+    /// `width` per cycle. Most runs spill into the next cycle at most, so
+    /// they skip the divide.
+    #[inline]
+    fn advance(&mut self, n: u64) {
+        let (last, width) = (u64::from(self.dispatched_this_cycle) + n, u64::from(self.width));
+        let spill = if last <= 2 * width { u64::from(last > width) } else { (last - 1) / width };
+        self.cycle += spill;
+        self.dispatched_this_cycle = (last - spill * width) as u32;
+        self.instructions += n;
     }
 
-    /// Dispatches the `rest` of a non-memory batch whose first `rob_size`
-    /// instructions have dispatched, without a loop. The window now holds
-    /// this batch alone, and instruction `k` waits on `k - rob_size`
-    /// exactly when both would share a cycle, so the rest dispatch at
-    /// `min(width, rob_size)` per cycle. The state left behind — ring
-    /// included — is the one-at-a-time loop's.
-    #[cold]
-    fn dispatch_unstalled(&mut self, rest: u64) {
-        let rob = self.done.len() as u64;
-        let width = u64::from(self.width).min(rob);
-        let (start, filled) = (self.cycle, u64::from(self.dispatched_this_cycle));
-        let cycle_of = |j: u64| start + (filled + j) / width;
-        let head = self.head as u64;
-        for j in rest.saturating_sub(rob)..rest {
-            self.done[((head + j) % rob) as usize] = cycle_of(j) + 1;
+    /// Dispatches `n` non-memory instructions (unit execution latency).
+    #[inline]
+    pub fn dispatch_nonmem(&mut self, mut n: u64) {
+        while self.len != 0 {
+            let run = self.mem[self.head].0 - self.instructions;
+            if run >= n {
+                break;
+            }
+            self.advance(run);
+            self.take_slot();
+            n -= run + 1;
         }
-        self.head = ((head + rest) % rob) as usize;
-        self.cycle = cycle_of(rest - 1);
-        self.dispatched_this_cycle = ((filled + rest - 1) % width + 1) as u32;
-        self.instructions += rest;
-        self.max_completion = self.max_completion.max(self.cycle + 1);
+        self.advance(n);
     }
 
     /// Dispatches one memory instruction; `issue` receives the dispatch
     /// cycle and must return the completion cycle (from the hierarchy).
     #[inline]
     pub fn dispatch_mem<F: FnOnce(u64) -> u64>(&mut self, issue: F) {
-        self.dispatch(|at| issue(at).max(at + 1));
+        self.take_slot();
+        let done = issue(self.cycle).max(self.cycle + 1);
+        self.max_completion = self.max_completion.max(done);
+        // Instruction `instructions - 1` takes the slot after the others
+        // (at most `rob_size - 1` wait beyond it). It is written always but
+        // kept only if it can hold its waiter back: a branch would
+        // mispredict on miss-heavy traces.
+        let mut tail = self.head + self.len;
+        if tail >= self.mem.len() {
+            tail -= self.mem.len();
+        }
+        self.mem[tail] = (self.instructions - 1 + self.mem.len() as u64, done);
+        self.len += usize::from(done > self.cycle + self.slack);
     }
 
     /// Finishes execution: returns (instructions, total cycles), draining
-    /// the window.
+    /// the window; the last instruction completes after the current cycle.
     pub fn finish(self) -> (u64, u64) {
-        (self.instructions, self.cycle.max(self.max_completion).max(1))
+        (self.instructions, self.max_completion.max(self.cycle + 1))
     }
 }
 

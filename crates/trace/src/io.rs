@@ -315,14 +315,28 @@ impl<R: Read> TraceReader<R> {
 /// access kind).
 pub fn read_trace<R: Read>(reader: R) -> Result<Trace, DecodeTraceError> {
     let mut stream = TraceReader::new(reader)?;
-    // Cap the pre-allocation: a corrupt-but-plausible header count must
-    // not commit gigabytes before the short read surfaces.
-    let mut records = Vec::with_capacity(stream.header().count.min(1 << 20) as usize);
-    while let Some(r) = stream.next_record()? {
-        records.push(r);
-    }
+    let records = read_records(&mut stream)?;
     let TraceHeader { name, trailing_nonmem, .. } = stream.header().clone();
     Ok(Trace::from_parts(name, records, trailing_nonmem))
+}
+
+/// Decodes every record of `stream` into a vector that grows toward the
+/// header's count in steps no larger than the records already read: an
+/// honest stream fills it exactly, and a corrupt-but-plausible count
+/// commits at most about twice the bytes actually read before the short
+/// read surfaces.
+fn read_records<R: Read>(
+    stream: &mut TraceReader<R>,
+) -> Result<Vec<TraceRecord>, DecodeTraceError> {
+    let count = stream.header().count as usize;
+    let mut records = Vec::with_capacity(count.min(1 << 20));
+    while let Some(r) = stream.next_record()? {
+        if records.len() == records.capacity() {
+            records.reserve_exact((count - records.len()).min(records.len()));
+        }
+        records.push(r);
+    }
+    Ok(records)
 }
 
 fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
@@ -429,6 +443,19 @@ mod tests {
         assert_eq!(read_trace(&huge[..]).unwrap().trailing_nonmem(), 1 << 48);
         bytes[count..count + 8].copy_from_slice(&((1u64 << 40) + 1).to_le_bytes());
         assert!(matches!(read_trace(&bytes[..]), Err(DecodeTraceError::Corrupt("record count"))));
+    }
+
+    #[test]
+    fn honest_trace_reads_into_exactly_its_records() {
+        let n = (1 << 20) + 5;
+        let mut b = TraceBuffer::with_capacity("big", n);
+        for i in 0..n as u64 {
+            b.load(0x400, 64 * i, 8);
+        }
+        let mut bytes = Vec::new();
+        write_trace(&b.finish(), &mut bytes).unwrap();
+        let records = read_records(&mut TraceReader::new(&bytes[..]).unwrap()).unwrap();
+        assert_eq!((records.len(), records.capacity()), (n, n));
     }
 
     /// `n` records of every shape: loads and stores, sizes, gaps.

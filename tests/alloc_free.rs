@@ -4,8 +4,9 @@
 //! The binary installs a counting global allocator and drives a warmed
 //! grid of one cell — the driver `simulate` runs — across a second full
 //! pass of an eviction-heavy trace, asserting the allocation counter
-//! does not move at all. The same is then asserted for a lockstep grid
-//! of several cells, including the streamed chunk-decode loop.
+//! does not move at all. The same is then asserted for the bare
+//! `Hierarchy::demand_access` walk and for a lockstep grid of several
+//! cells, including the streamed chunk-decode loop.
 //! Telemetry is explicitly enabled for the measurement, and the
 //! `ccsim-obs` primitives themselves (counter, gauge, histogram, span)
 //! are hammered inside the measured region: the zero-alloc contract is
@@ -14,6 +15,7 @@
 //! Everything lives in one `#[test]`: the counter is process-global, so
 //! concurrent tests in the same binary would pollute the measurement.
 
+use ccsim::core::Hierarchy;
 use ccsim::prelude::*;
 use ccsim::trace::synth::{PatternGen, RandomAccess, SequentialStream};
 use ccsim::trace::TraceBuffer;
@@ -67,6 +69,29 @@ fn steady_state_replay_allocates_nothing() {
             thrash.len() + mix.len(),
         );
     }
+
+    // The hierarchy alone, driven as the benchmark's
+    // `core.hierarchy.demand_access_ns` rung drives it (a blocking
+    // in-order clock, no core in front): a warmed L1D/L2/LLC/DRAM walk
+    // allocates nothing either.
+    let lru = PolicyKind::Lru.build_dispatch(config.llc.sets, config.llc.ways);
+    let mut hierarchy = Hierarchy::new(&config, lru);
+    let mut now = 0u64;
+    let mut walk = |hierarchy: &mut Hierarchy| {
+        for rec in thrash.iter().chain(mix.iter()) {
+            now += rec.instructions();
+            let is_store = rec.kind.is_store();
+            let done = hierarchy.demand_access(rec.pc, rec.vaddr, is_store, now);
+            if !is_store {
+                now = done;
+            }
+        }
+    };
+    walk(&mut hierarchy);
+    let before = allocations();
+    walk(&mut hierarchy);
+    let during = allocations() - before;
+    assert_eq!(during, 0, "hierarchy: {during} heap allocations across a warmed walk");
 
     // Wider grids inherit the contract: advancing N warmed lockstep
     // engines through further records — including the streamed
