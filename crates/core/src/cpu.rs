@@ -15,19 +15,29 @@
 //! them); this makes MLP slightly optimistic, uniformly across replacement
 //! policies, so relative comparisons are preserved.
 //!
-//! Retirement is in order, so instruction `k` can take a ROB entry only
-//! once instruction `k - rob_size` has completed. With the dispatch width
-//! clamped to `min(width, rob_size)` — which changes nothing, as the
-//! window alone already limits dispatch to `rob_size` per cycle — `k`
-//! dispatches at least `rob_size / width` cycles after `k - rob_size`. A
-//! non-memory instruction, or a memory one done within that slack (88
-//! cycles at the default window, longer than an LLC hit), has therefore
-//! always completed when its entry is wanted again. Only slower memory
-//! instructions can hold dispatch back, so the ROB keeps only those: a
-//! ring of at most `rob_size` of them, oldest first. A batch of non-memory
-//! instructions is placed in closed form up to each instruction that
-//! waits on one, so it costs O(1) plus one step per such instruction it
-//! retires past — a trace header may claim 2^48.
+//! Retirement is in order: instruction `k + rob_size` reuses the ROB
+//! entry of `k`, so it cannot dispatch before `k` completes (it is `k`'s
+//! *waiter*). With the dispatch width clamped to `min(width, rob_size)` —
+//! which changes nothing, as the window alone already limits dispatch to
+//! `rob_size` per cycle — a waiter dispatches at least `slack = rob_size /
+//! width` cycles after the instruction it waits on (88 cycles at the
+//! default window, longer than an LLC hit). The ROB therefore keeps a
+//! memory instruction only if it completes later than both `cycle + slack`
+//! and every memory instruction before it; nothing else can ever hold
+//! dispatch back. Take instruction `j`: when its waiter dispatches, every
+//! memory instruction `i` up to `j` has completed. If `i` was kept, it was
+//! waited for by its own waiter, which came no later; if not, it completed
+//! within the slack of its waiter, or no later than an earlier memory
+//! instruction, which has completed by the same argument. The ring so
+//! holds strictly increasing completion cycles, at most `rob_size` of
+//! them, oldest first. A batch of non-memory instructions is placed in
+//! closed form up to each instruction that waits on one, so it costs O(1)
+//! plus one step per such instruction it retires past — a trace header may
+//! claim 2^48.
+//!
+//! A run of instructions none of which can be kept — L1D hits that
+//! complete by [`Core::hit_horizon`] and the non-memory instructions
+//! between them — is dispatched as one batch by [`Core::dispatch_run`].
 
 use crate::config::CoreConfig;
 
@@ -36,7 +46,8 @@ use crate::config::CoreConfig;
 #[derive(Debug)]
 pub struct Core {
     /// Ring of `rob_size` slots: the memory instructions that may still
-    /// hold dispatch back, `len` of them from slot `head`, oldest first.
+    /// hold dispatch back, `len` of them from slot `head`, oldest (and so
+    /// earliest to complete) first.
     /// Each is the number of the instruction `rob_size` younger, which
     /// reuses its ROB entry and so waits for it, and its completion cycle.
     mem: Box<[(u64, u64)]>,
@@ -142,6 +153,7 @@ impl Core {
     pub fn dispatch_mem<F: FnOnce(u64) -> u64>(&mut self, issue: F) {
         self.take_slot();
         let done = issue(self.cycle).max(self.cycle + 1);
+        let horizon = (self.cycle + self.slack).max(self.max_completion);
         self.max_completion = self.max_completion.max(done);
         // Instruction `instructions - 1` takes the slot after the others
         // (at most `rob_size - 1` wait beyond it). It is written always but
@@ -152,7 +164,32 @@ impl Core {
             tail -= self.mem.len();
         }
         self.mem[tail] = (self.instructions - 1 + self.mem.len() as u64, done);
-        self.len += usize::from(done > self.cycle + self.slack);
+        self.len += usize::from(done > horizon);
+    }
+
+    /// The latest cycle an L1D hit dispatched from now on, done `latency`
+    /// cycles after its dispatch or when its line lands, may complete by
+    /// and still never be kept; `None` if `latency` exceeds the slack.
+    /// Later hits only see a later horizon: `cycle` and `max_completion`
+    /// only grow.
+    pub(crate) fn hit_horizon(&self, latency: u64) -> Option<u64> {
+        (latency <= self.slack).then(|| (self.cycle + self.slack).max(self.max_completion))
+    }
+
+    /// Dispatches a run of `n` instructions that [`Core::dispatch_mem`]
+    /// would never keep, exactly as `n` single dispatches would: non-memory
+    /// ones, store hits, and load hits within a [`Core::hit_horizon`] taken
+    /// before the run, each done `latency` after its dispatch or when its
+    /// line lands, by `ready`. The `last_load`-th (0: none) is the last
+    /// load, so only its completion and `ready` can raise `max_completion`;
+    /// a store's (a cycle after its dispatch) never does.
+    pub(crate) fn dispatch_run(&mut self, n: u64, last_load: u64, latency: u64, ready: u64) {
+        if last_load > 0 {
+            self.dispatch_nonmem(last_load);
+            let done = (self.cycle + latency).max(ready);
+            self.max_completion = self.max_completion.max(done);
+        }
+        self.dispatch_nonmem(n - last_load);
     }
 
     /// Finishes execution: returns (instructions, total cycles), draining
@@ -226,6 +263,18 @@ mod tests {
         c.dispatch_mem(|at| at + 1);
         c.dispatch_nonmem(1);
         assert_eq!(c.instructions(), 125);
+    }
+
+    #[test]
+    fn the_ring_keeps_only_strictly_later_completions() {
+        // Four loads dispatch per cycle, all done 500 cycles later: only
+        // the first of each cycle completes after every load before it.
+        let mut c = core(352, 4);
+        for _ in 0..100 {
+            c.dispatch_mem(|at| at + 500);
+        }
+        assert_eq!(c.len, 25);
+        assert_eq!(c.finish(), (100, 24 + 500));
     }
 
     #[test]

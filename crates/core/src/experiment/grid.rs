@@ -11,8 +11,10 @@
 //! DRAM and core) replays the chunk against those events. Same-block
 //! misses merge only at each cell's LLC.
 //!
-//! [`GridReplay::step_records`] holds the only `Engine::step` call in the
-//! crate. [`simulate_grid`] / [`simulate_grid_stream`] take N cells;
+//! [`GridReplay::step_records`] hands each chunk to every cell's
+//! `Engine::replay`, the crate's one record loop, which dispatches runs of
+//! L1D hits that cannot stall the core as one batch and steps every other
+//! record alone. [`simulate_grid`] / [`simulate_grid_stream`] take N cells;
 //! [`crate::simulate`] and its siblings are a grid of one cell plus the
 //! `sim_*` run accounting.
 //!
@@ -139,9 +141,7 @@ impl GridReplay {
                 front.walk(records, events);
             }
             for (engine, front) in &mut self.engines {
-                for (rec, event) in records.iter().zip(&self.fronts[*front].1) {
-                    engine.step(rec, event);
-                }
+                engine.replay(records, &self.fronts[*front].1);
             }
             let m = ccsim_obs::metrics();
             m.grid_chunks.inc();

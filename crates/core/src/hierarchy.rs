@@ -260,6 +260,13 @@ impl BackEnd {
         columns + self.llc.hot_state_bytes()
     }
 
+    /// When the line of an L1D hit lands, all that [`BackEnd::access`]
+    /// reads for one; `None` on an L1D miss.
+    #[inline]
+    pub(crate) fn l1_hit_ready(&self, event: &UpperEvent) -> Option<u64> {
+        event.l1_hit.then(|| self.l1d.ready_at[event.l1_slot as usize])
+    }
+
     /// Times the demand access the front end walked as `event`, issued at
     /// cycle `at`; returns the cycle its data is available.
     #[inline]

@@ -1,11 +1,11 @@
 //! Trace replay: ties the core model to the memory hierarchy.
 //!
-//! This module owns the per-record [`Engine`] and the single-cell entry
-//! points; it owns no record loop. Every replay in the crate is a grid
-//! (`experiment::grid`): `GridReplay::step_records` holds the one call
-//! to [`Engine::step`], and [`simulate`], [`simulate_with_llc_log`] and
-//! [`simulate_stream`] build a grid of one cell and add the `sim_*`
-//! accounting:
+//! This module owns the [`Engine`] and the single-cell entry points.
+//! Every replay in the crate is a grid (`experiment::grid`):
+//! `GridReplay::step_records` hands each chunk to every cell's
+//! [`Engine::replay`], the one record loop, and [`simulate`],
+//! [`simulate_with_llc_log`] and [`simulate_stream`] build a grid of one
+//! cell and add the `sim_*` accounting:
 //!
 //! * [`simulate`] replays an in-memory [`Trace`];
 //! * [`simulate_stream`] replays records straight from a
@@ -13,8 +13,15 @@
 //!   disk simulates in bounded memory (one decoded chunk) without ever
 //!   materializing.
 //!
+//! `Engine::replay` gathers the L1D hits that can never hold the core
+//! back — every store hit, and each load hit on a line that lands within
+//! the core's horizon — into runs, each dispatched as one batch; an L1D
+//! hit changes no state of the memory system. Any other record ends the
+//! run and takes [`Engine::step`].
+//!
 //! `tests/grid_replay.rs` pins all of them, and the N-cell helpers,
-//! against a record-at-a-time drive of the same driver.
+//! against a record-at-a-time drive of the same driver and against a
+//! per-record reference built on the public `Core` and `Hierarchy`.
 
 use std::io::Read;
 
@@ -39,6 +46,7 @@ pub(crate) struct Engine {
     memory: BackEnd,
     core: Core,
     llc_policy: PolicyKind,
+    l1_latency: u64,
 }
 
 impl Engine {
@@ -46,13 +54,40 @@ impl Engine {
         config.validate().expect("invalid simulator config");
         let memory =
             BackEnd::new(config, llc_policy.build_dispatch(config.llc.sets, config.llc.ways));
-        Engine { memory, core: Core::new(config.core), llc_policy }
+        Engine { memory, core: Core::new(config.core), llc_policy, l1_latency: config.l1d.latency }
     }
 
     /// Records the LLC demand stream from here on ([`Engine::finish`]
     /// returns it).
     pub(crate) fn enable_llc_log(&mut self) {
         self.memory.enable_llc_log();
+    }
+
+    /// Replays `records`, whose L1D/L2 walks the front end recorded as
+    /// `events`: runs of L1D hits that cannot be kept in the ROB go to the
+    /// core in bulk, and every other record takes [`Engine::step`].
+    pub(crate) fn replay(&mut self, records: &[TraceRecord], events: &[UpperEvent]) {
+        let latency = self.l1_latency;
+        let mut horizon = self.core.hit_horizon(latency);
+        let (mut run, mut last_load, mut ready) = (0, 0, 0);
+        for (rec, event) in records.iter().zip(events) {
+            let n = u64::from(rec.nonmem_before) + 1;
+            match self.memory.l1_hit_ready(event) {
+                Some(_) if rec.kind.is_store() => run += n,
+                Some(r) if horizon.is_some_and(|h| r <= h) => {
+                    run += n;
+                    last_load = run;
+                    ready = ready.max(r);
+                }
+                _ => {
+                    self.core.dispatch_run(run, last_load, latency, ready);
+                    (run, last_load, ready) = (0, 0, 0);
+                    self.step(rec, event);
+                    horizon = self.core.hit_horizon(latency);
+                }
+            }
+        }
+        self.core.dispatch_run(run, last_load, latency, ready);
     }
 
     /// Replays `rec`, whose L1D/L2 walk the front end recorded as `event`.

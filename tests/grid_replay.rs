@@ -10,10 +10,17 @@
 //! produce an indistinguishable `SimResult` (every counter of every
 //! level): single cell or grid, in memory or streamed, any chunk size,
 //! whatever the other cells of the grid are.
+//!
+//! The oracle still replays through the engine's record loop, which
+//! dispatches runs of L1D hits in bulk. A second reference,
+//! `per_record`, shares nothing with that loop: a public `Core` and
+//! `Hierarchy` stepped one demand access per record, on hit-heavy
+//! traces.
 
 use std::io::BufReader;
 use std::path::Path;
 
+use ccsim::core::{Core, Hierarchy, Level};
 use ccsim::prelude::*;
 use ccsim::trace::synth::{PatternGen, RandomAccess, SequentialStream};
 use ccsim::trace::{write_trace, AccessKind, TraceReader, TraceRecord, TraceWriter};
@@ -130,6 +137,139 @@ proptest! {
             prop_assert_eq!(result, &reference);
         }
     }
+}
+
+/// The per-record reference: a `Core` and a `Hierarchy`, one demand
+/// access per record, a store retiring the cycle after its dispatch
+/// (its RFO proceeds in the background).
+fn per_record(trace: &Trace, (config, policy): &(SimConfig, PolicyKind)) -> SimResult {
+    let llc = policy.build_dispatch(config.llc.sets, config.llc.ways);
+    let (mut memory, mut core) = (Hierarchy::new(config, llc), Core::new(config.core));
+    for rec in trace.records() {
+        core.dispatch_nonmem(u64::from(rec.nonmem_before));
+        let store = rec.kind.is_store();
+        core.dispatch_mem(|at| {
+            let done = memory.demand_access(rec.pc, rec.vaddr, store, at);
+            if store {
+                at + 1
+            } else {
+                done
+            }
+        });
+    }
+    core.dispatch_nonmem(trace.trailing_nonmem());
+    let (instructions, cycles) = core.finish();
+    SimResult {
+        workload: trace.name().to_owned(),
+        policy: policy.name().to_owned(),
+        instructions,
+        cycles,
+        l1d: *memory.cache_stats(Level::L1d),
+        l2: *memory.cache_stats(Level::L2),
+        llc: *memory.cache_stats(Level::Llc),
+        dram: *memory.dram_stats(),
+        llc_diag: memory.llc_policy_diag(),
+    }
+}
+
+/// `tiny`, `cascade_lake`, and `tiny` with an L1D latency beyond the
+/// core's slack (`rob_size / width` = 8), where no load hit may join a run.
+fn hit_configs() -> [SimConfig; 3] {
+    let mut slow_l1d = SimConfig::tiny();
+    slow_l1d.l1d.latency = 12;
+    [SimConfig::tiny(), SimConfig::cascade_lake(), slow_l1d]
+}
+
+/// Hit-heavy traces: every access goes to one of 1, 2, 4, ... 64 blocks,
+/// laid out 1, 2 or 64 blocks apart (64 apart, they share a Cascade Lake
+/// L1D set), so hits on lines still in flight and loads on lines a store
+/// brought in are common. Any share of stores, 0..20 non-memory
+/// instructions per record, 0..50 trailing.
+fn arb_hit_trace() -> impl Strategy<Value = Trace> {
+    let layout = (0u32..7, 0usize..3, 0u32..=100, 0u64..50);
+    let records = proptest::collection::vec((0u64..64, 0u32..100, 0u16..20), 0..400);
+    (layout, records).prop_map(|((pool_log2, stride, store_pct, trailing), draws)| {
+        let (pool, stride) = (1 << pool_log2, [1, 2, 64][stride]);
+        let records = draws.into_iter().map(|(i, r, nonmem)| TraceRecord {
+            pc: 0x400 + i % pool,
+            vaddr: i % pool * stride * 64,
+            size: 8,
+            kind: if r < store_pct { AccessKind::Store } else { AccessKind::Load },
+            nonmem_before: nonmem,
+        });
+        Trace::from_parts("hits", records.collect(), trailing)
+    })
+}
+
+/// `trace` replays to `per_record`'s result on `config` under LRU at
+/// chunk sizes 1, 7 and the default.
+fn assert_matches_per_record(trace: &Trace, config: SimConfig) {
+    let cell = (config, PolicyKind::Lru);
+    let reference = per_record(trace, &cell);
+    for chunk in [1, 7, 0] {
+        assert_eq!(simulate_grid(trace, &[cell], chunk)[0], reference, "chunk {chunk}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The engine's record loop — L1D hits in runs, every other record
+    /// stepped — equals the per-record reference: instructions, cycles
+    /// and every statistic, at chunk sizes 1, 7 and the default.
+    #[test]
+    fn replay_equals_a_per_record_core_and_hierarchy(
+        trace in arb_hit_trace(),
+        config_sel in 0usize..3,
+        policy_idx in 0usize..PolicyKind::ALL.len(),
+    ) {
+        let cell = (hit_configs()[config_sel], PolicyKind::ALL[policy_idx]);
+        let reference = per_record(&trace, &cell);
+        for chunk in [1, 7, 0] {
+            let result = &simulate_grid(&trace, &[cell], chunk)[0];
+            prop_assert!(result == &reference, "chunk {chunk}: {result:?} != {reference:?}");
+        }
+    }
+}
+
+/// A store misses, and a load hits its line before the RFO's data lands:
+/// the load completes beyond the core's horizon, so it must not join a
+/// run. The 400 trailing instructions reach its waiter, which must stall.
+#[test]
+fn a_load_on_a_line_still_in_flight_is_stepped() {
+    let mut buf = TraceBuffer::new("in-flight");
+    buf.store(0x400, 0x1_0000, 8);
+    buf.load(0x404, 0x1_0000, 8);
+    let trace = Trace::from_parts("in-flight", buf.finish().records().to_vec(), 400);
+    for config in hit_configs() {
+        assert_matches_per_record(&trace, config);
+    }
+    let cascade_lake = per_record(&trace, &(SimConfig::cascade_lake(), PolicyKind::Lru));
+    assert_eq!(cascade_lake.l1d.demand_hits, 1);
+}
+
+/// A load hit, then a store hit eight non-memory instructions later, end
+/// the trace: the finish cycle is the load's completion, four cycles
+/// after the load's own dispatch cycle — not after the run's last one.
+#[test]
+fn a_run_remembers_its_last_load_completion() {
+    let record = |vaddr, store, nonmem_before| TraceRecord {
+        pc: 0x400,
+        vaddr,
+        size: 8,
+        kind: if store { AccessKind::Store } else { AccessKind::Load },
+        nonmem_before,
+    };
+    // The first load misses; the 1,999 instructions after it stall on it
+    // and place the second load first in its cycle, on the landed line.
+    let records =
+        vec![record(0x1_0000, false, 0), record(0x1_0000, false, 1999), record(0x1_0000, true, 8)];
+    let trace = Trace::from_parts("last-load", records, 0);
+    for config in hit_configs() {
+        assert_matches_per_record(&trace, config);
+    }
+    let cascade_lake = per_record(&trace, &(SimConfig::cascade_lake(), PolicyKind::Lru));
+    assert_eq!(cascade_lake.l1d.demand_hits, 2);
 }
 
 /// Regression: the pinned ingest golden fixture (a real converted
