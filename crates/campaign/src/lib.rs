@@ -63,7 +63,7 @@ pub use journal::{merge_dir, Journal, MergedJournal};
 pub use report::{CampaignCell, CampaignReport, RawCell, REPORT_SCHEMA_VERSION};
 pub use runner::{
     AcquiredTrace, Campaign, CampaignGrid, CampaignOutcome, CampaignPlan, CellStatus, GridCell,
-    LeaseView, PlanCell,
+    PlanCell,
 };
 pub use spec::{BaseConfig, CampaignSpec};
 

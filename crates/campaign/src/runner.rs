@@ -237,24 +237,7 @@ pub struct Campaign {
     cache: Option<TraceCache>,
     journal_path: Option<PathBuf>,
     obs_dir: Option<PathBuf>,
-    leases: std::collections::BTreeMap<String, LeaseView>,
-    extra_completed: std::collections::BTreeSet<String>,
     verbose: bool,
-}
-
-/// A cell lease as seen by [`Campaign::plan`] — who holds it and whether
-/// the hold has outlived its TTL. Produced by `ccsim-dist`'s lease
-/// scanner and overlaid on dry-run predictions via [`Campaign::leases`];
-/// the campaign crate itself never reads or writes lease files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaseView {
-    /// Worker id holding the lease.
-    pub worker: String,
-    /// Lease epoch (bumped on every reclaim of the cell).
-    pub epoch: u64,
-    /// The lease outlived its TTL: the holder is presumed dead and the
-    /// cell reclaimable.
-    pub stale: bool,
 }
 
 /// The predicted fate of one grid cell, as reported by
@@ -272,12 +255,6 @@ pub enum CellStatus {
     /// A `trace:` selector whose source file does not exist — the run
     /// would fail at this workload.
     MissingSource,
-    /// Claimed by a live distributed worker (see [`PlanCell::lease`]) —
-    /// that worker is expected to complete it.
-    Leased,
-    /// Claimed, but the lease outlived its TTL — the holder is presumed
-    /// crashed and any worker may reclaim the cell.
-    StaleLease,
 }
 
 impl CellStatus {
@@ -288,8 +265,6 @@ impl CellStatus {
             CellStatus::CachedTrace => "cached-trace",
             CellStatus::NeedsTrace => "needs-trace",
             CellStatus::MissingSource => "missing-source!",
-            CellStatus::Leased => "leased",
-            CellStatus::StaleLease => "stale-lease",
         }
     }
 }
@@ -305,9 +280,6 @@ pub struct PlanCell {
     pub policy: String,
     /// What a run would do with this cell.
     pub status: CellStatus,
-    /// The live or stale lease on this cell, when a lease overlay was
-    /// provided ([`Campaign::leases`]) and the cell is not journaled.
-    pub lease: Option<LeaseView>,
 }
 
 /// The resolved grid of a campaign, with per-cell predictions — what
@@ -323,33 +295,24 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// Cell count with each [`CellStatus`], in enum order:
-    /// `(journaled, cached_trace, needs_trace, missing_source, leased,
-    /// stale_lease)`.
-    pub fn counts(&self) -> (usize, usize, usize, usize, usize, usize) {
+    /// `(journaled, cached_trace, needs_trace, missing_source)`.
+    pub fn counts(&self) -> (usize, usize, usize, usize) {
         let of = |s: CellStatus| self.cells.iter().filter(|c| c.status == s).count();
         (
             of(CellStatus::Journaled),
             of(CellStatus::CachedTrace),
             of(CellStatus::NeedsTrace),
             of(CellStatus::MissingSource),
-            of(CellStatus::Leased),
-            of(CellStatus::StaleLease),
         )
     }
 
-    /// The plan as a printable table, one row per cell. Leased cells name
-    /// their holder: `leased(worker-a)` / `stale-lease(worker-a)`.
+    /// The plan as a printable table, one row per cell.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             ["workload", "config", "policy", "status"].iter().map(|s| (*s).to_owned()).collect(),
         );
         for c in &self.cells {
-            let status = match (&c.status, &c.lease) {
-                (CellStatus::Leased | CellStatus::StaleLease, Some(l)) => {
-                    format!("{}({})", c.status.name(), l.worker)
-                }
-                _ => c.status.name().to_owned(),
-            };
+            let status = c.status.name().to_owned();
             t.row(vec![c.workload.clone(), c.config.clone(), c.policy.clone(), status]);
         }
         t
@@ -423,8 +386,6 @@ impl Campaign {
             cache: None,
             journal_path: None,
             obs_dir: None,
-            leases: Default::default(),
-            extra_completed: Default::default(),
             verbose: false,
         }
     }
@@ -468,26 +429,6 @@ impl Campaign {
         self
     }
 
-    /// Overlays live lease state (cell id → [`LeaseView`]) onto
-    /// [`Campaign::plan`] predictions, so a dry run against a shared
-    /// distributed-campaign directory reports claimed cells as
-    /// `leased(<worker>)` / `stale-lease(<worker>)` instead of plainly
-    /// pending. Ignored by [`Campaign::run`].
-    pub fn leases(mut self, leases: std::collections::BTreeMap<String, LeaseView>) -> Campaign {
-        self.leases = leases;
-        self
-    }
-
-    /// Marks additional cell ids as already completed for
-    /// [`Campaign::plan`] — used by distributed dry runs, where the
-    /// completed set comes from merging every worker's journal segment
-    /// ([`crate::journal::merge_dir`]) rather than from one journal file.
-    /// Ignored by [`Campaign::run`] (which needs results, not just ids).
-    pub fn mark_completed(mut self, cells: impl IntoIterator<Item = String>) -> Campaign {
-        self.extra_completed.extend(cells);
-        self
-    }
-
     /// Predicts what [`Campaign::run`] would do, cell by cell, without
     /// simulating, generating or writing anything: which cells the
     /// journal already holds, which workload traces are valid cache
@@ -506,24 +447,8 @@ impl Campaign {
         for band in grid.cells.chunk_by(|a, b| a.workload == b.workload) {
             let workload_status = self.plan_workload_status(&band[0].workload);
             for cell in band {
-                let id = &cell.id;
-                let mut lease = None;
-                let status = if journaled.contains_key(id) || self.extra_completed.contains(id) {
+                let status = if journaled.contains_key(&cell.id) {
                     CellStatus::Journaled
-                } else if workload_status == CellStatus::MissingSource {
-                    // A lease can't fix a missing trace: source — every
-                    // (re)claim of this cell will fail at acquisition, so
-                    // the operator warning must not be masked by claim
-                    // state.
-                    lease = self.leases.get(id).cloned();
-                    CellStatus::MissingSource
-                } else if let Some(l) = self.leases.get(id) {
-                    lease = Some(l.clone());
-                    if l.stale {
-                        CellStatus::StaleLease
-                    } else {
-                        CellStatus::Leased
-                    }
                 } else {
                     workload_status
                 };
@@ -532,7 +457,6 @@ impl Campaign {
                     config: grid.configs[cell.config_index].0.clone(),
                     policy: cell.policy.name().to_owned(),
                     status,
-                    lease,
                 });
             }
         }
@@ -939,7 +863,7 @@ mod tests {
             .plan()
             .unwrap();
         assert_eq!(fresh.cells.len(), 4);
-        assert_eq!(fresh.counts(), (0, 0, 4, 0, 0, 0), "nothing exists yet");
+        assert_eq!(fresh.counts(), (0, 0, 4, 0), "nothing exists yet");
         assert!(!journal.exists(), "planning must not create the journal");
 
         Campaign::new(tiny_spec())
@@ -952,7 +876,7 @@ mod tests {
             .journal(&journal)
             .plan()
             .unwrap();
-        assert_eq!(done.counts(), (4, 0, 0, 0, 0, 0), "everything journaled after a run");
+        assert_eq!(done.counts(), (4, 0, 0, 0), "everything journaled after a run");
 
         // Journal gone, cache intact: cells pend but the trace is cached.
         std::fs::remove_file(&journal).unwrap();
@@ -961,7 +885,7 @@ mod tests {
             .journal(&journal)
             .plan()
             .unwrap();
-        assert_eq!(cached.counts(), (0, 4, 0, 0, 0, 0));
+        assert_eq!(cached.counts(), (0, 4, 0, 0));
         let table = cached.table().to_csv();
         assert!(table.contains("xsbench.small,llc_x1,lru,cached-trace"), "{table}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -976,50 +900,10 @@ mod tests {
         )
         .unwrap();
         let plan = Campaign::new(spec.clone()).plan().unwrap();
-        assert_eq!(plan.counts(), (0, 0, 0, 1, 0, 0));
+        assert_eq!(plan.counts(), (0, 0, 0, 1));
         assert_eq!(plan.cells[0].status.name(), "missing-source!");
-
-        // A lease on the cell must not mask the missing source: every
-        // (re)claim of it would fail at acquisition anyway.
-        let mut leases = std::collections::BTreeMap::new();
-        leases.insert(
-            "trace:/nonexistent/foo.champsim|llc_x1|lru".to_owned(),
-            LeaseView { worker: "w".into(), epoch: 1, stale: false },
-        );
-        let leased_plan = Campaign::new(spec.clone()).leases(leases).plan().unwrap();
-        assert_eq!(leased_plan.counts(), (0, 0, 0, 1, 0, 0), "missing-source wins over leased");
-        assert_eq!(leased_plan.cells[0].lease.as_ref().unwrap().worker, "w");
         let err = Campaign::new(spec).run().unwrap_err();
         assert!(err.contains("/nonexistent/foo.champsim"), "{err}");
-    }
-
-    #[test]
-    fn plan_overlays_leases_and_merged_completion() {
-        use std::collections::BTreeMap;
-        let mut leases = BTreeMap::new();
-        leases.insert(
-            "xsbench.small|llc_x1|lru".to_owned(),
-            LeaseView { worker: "w-alive".into(), epoch: 1, stale: false },
-        );
-        leases.insert(
-            "xsbench.small|llc_x1|srrip".to_owned(),
-            LeaseView { worker: "w-dead".into(), epoch: 2, stale: true },
-        );
-        // A lease on an already-completed cell must not demote it.
-        leases.insert(
-            "xsbench.small|llc_x2|lru".to_owned(),
-            LeaseView { worker: "w-late".into(), epoch: 1, stale: false },
-        );
-        let plan = Campaign::new(tiny_spec())
-            .leases(leases)
-            .mark_completed(["xsbench.small|llc_x2|lru".to_owned()])
-            .plan()
-            .unwrap();
-        assert_eq!(plan.counts(), (1, 0, 1, 0, 1, 1));
-        let csv = plan.table().to_csv();
-        assert!(csv.contains("xsbench.small,llc_x1,lru,leased(w-alive)"), "{csv}");
-        assert!(csv.contains("xsbench.small,llc_x1,srrip,stale-lease(w-dead)"), "{csv}");
-        assert!(csv.contains("xsbench.small,llc_x2,lru,journaled"), "{csv}");
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub const CAMPAIGN: Command = Command {
         Flag::switch("--json"),
         Flag::switch("--quiet"),
         Flag::switch("--dry-run"),
-        Flag::value("--shared-dir", "dir"),
         Flag::value("--metrics-out", "file"),
     ],
     about: "run a declarative campaign
@@ -39,9 +38,9 @@ policy (Figure 2: campaigns/fig2*.json), geomean speed-up over lru per
 suite when lru is swept with others (Figure 3: campaigns/fig3*.json).
 `--dry-run` prints the resolved grid and each cell's predicted fate
 (journaled / cached-trace / needs-trace) without simulating anything;
-with `--shared-dir` it reads that distributed directory instead —
-merged worker journals count as journaled, and claimed cells report
-as leased(<worker>) or stale-lease(<worker>).
+`--dry-run --fresh --cache-dir <shared>/trace-cache` predicts a
+distributed directory's trace cache, and `campaign watch --once` shows
+its progress and leases.
 Campaign specs accept external traces as `trace:<path>` workload
 selectors, converted once into the trace cache.
 
@@ -79,66 +78,30 @@ fn campaign(args: &Args) -> Result<(), String> {
     let cache_dir: PathBuf = args
         .get::<PathBuf>("--cache-dir")?
         .unwrap_or_else(|| PathBuf::from("campaign-out").join("trace-cache"));
-    let shared_dir: Option<PathBuf> = args.get("--shared-dir")?;
     let journal_path = out_dir.join("journal.jsonl");
     let name = spec.name.clone();
-    if shared_dir.is_some() && !args.has("--dry-run") {
-        return Err(args.error(
-            "--shared-dir only applies to --dry-run here; to execute against a shared \
-             directory use `ccsim campaign worker`",
-        ));
-    }
 
     if args.has("--dry-run") {
         // Inspect only: no output dir, no journal, no cache mutation
-        // beyond creating the (possibly shared) cache directory. With
-        // --fresh the real run would discard the journal first, so the
-        // plan must not count its cells as journaled either.
-        let digest = spec.digest();
+        // beyond creating the cache directory. With --fresh the real run
+        // would discard the journal first, so the plan must not count
+        // its cells as journaled either.
         let mut campaign = Campaign::new(spec);
-        if let Some(shared) = &shared_dir {
-            // Distributed view: completion comes from merging every
-            // worker's journal segment; claims overlay as leased /
-            // stale-lease. Strictly read-only — nothing under the shared
-            // dir is created or touched.
-            let merged = ccsim_campaign::journal::merge_dir(shared, &name, &digest)?;
-            campaign = campaign.mark_completed(merged.completed.into_keys());
-            let leases_root = ccsim_dist::leases_dir(shared);
-            if leases_root.is_dir() {
-                let leases = ccsim_dist::LeaseDir::open(leases_root)
-                    .map_err(|e| format!("opening lease dir: {e}"))?;
-                // Workers claim workload bands; the per-cell plan wants
-                // per-cell fates, so expand each band lease over the
-                // cells it covers.
-                let grid = campaign.grid()?;
-                campaign = campaign.leases(ccsim_dist::cell_lease_views(&grid, &leases.views()));
-            }
-            let shared_cache = ccsim_dist::trace_cache_dir(shared);
-            if shared_cache.is_dir() && !args.has("--no-cache") {
-                campaign = campaign.cache(open_cache(&shared_cache)?);
-            }
-        } else {
-            if !args.has("--fresh") {
-                campaign = campaign.journal(&journal_path);
-            }
-            if !args.has("--no-cache") {
-                campaign = campaign.cache(open_cache(&cache_dir)?);
-            }
+        if !args.has("--fresh") {
+            campaign = campaign.journal(&journal_path);
+        }
+        if !args.has("--no-cache") {
+            campaign = campaign.cache(open_cache(&cache_dir)?);
         }
         let plan = campaign.plan()?;
         if !args.has("--quiet") {
             println!("{}", plan.table().render());
         }
-        let (journaled, cached, needs, missing, leased, stale) = plan.counts();
-        let lease_part = if shared_dir.is_some() {
-            format!(", {leased} leased, {stale} stale-leased")
-        } else {
-            String::new()
-        };
+        let (journaled, cached, needs, missing) = plan.counts();
         println!(
             "campaign {name} (dry run): {} cells — {journaled} journaled, \
              {cached} trace-cache hits, {needs} to generate/ingest, {missing} missing \
-             sources{lease_part}",
+             sources",
             plan.cells.len()
         );
         if missing > 0 {

@@ -1,4 +1,4 @@
-//! `campaign worker|assemble|status|watch`: one grid drained by many
+//! `campaign worker|assemble|watch`: one grid drained by many
 //! processes through a shared directory.
 
 use std::path::PathBuf;
@@ -29,9 +29,8 @@ heartbeat-renewed; a crashed worker's leases expire and its cells are
 reclaimed), each worker journals to its own journal.<id>.jsonl
 segment, and traces convert once into the shared trace-cache/.
 `campaign assemble` merges the segments into the report, `campaign
-status` and `campaign watch` show progress; telemetry and
-`--metrics-out` are as for `campaign`. See the Distributed-campaigns
-runbook in PAPER.md.",
+watch` shows progress and leases; telemetry and `--metrics-out` are as
+for `campaign`. See the Distributed-campaigns runbook in PAPER.md.",
     run: worker,
 };
 
@@ -52,17 +51,6 @@ grids or conflicting results).",
     run: assemble,
 };
 
-pub const STATUS: Command = Command {
-    path: &["campaign", "status"],
-    positionals: &["<spec.json>"],
-    flags: &[Flag::required("--shared-dir", "dir")],
-    about: "distributed-campaign progress
-
-`campaign status` shows per-worker progress, live claims and stale
-leases.",
-    run: status,
-};
-
 pub const WATCH: Command = Command {
     path: &["campaign", "watch"],
     positionals: &["<spec.json>"],
@@ -75,8 +63,10 @@ pub const WATCH: Command = Command {
     about: "live distributed-campaign dashboard
 
 `campaign watch` renders a live dashboard — completed / leased / stale
-cells per worker, records/sec, cell-time quantiles and ETA from the
-manifests' completed-cell timings (see `ccsim campaign --help`); `--once`
+cells, duplicate journal entries, per-worker completed cells and
+claims, records/sec, cell-time quantiles and ETA from the manifests'
+completed-cell timings (see `ccsim campaign --help`), and one line per
+lease blocking a pending cell (holder, epoch, age, ttl); `--once`
 prints one frame and exits, `--json` emits a machine document
 (byte-identical across polls of an unchanged directory). The loop
 re-reads the whole shared dir and prints a frame once every
@@ -134,12 +124,6 @@ fn assemble(args: &Args) -> Result<(), String> {
     emit_report(&outcome.report, &out_dir, args, &summary)
 }
 
-fn status(args: &Args) -> Result<(), String> {
-    let shared: PathBuf = args.required("--shared-dir")?;
-    println!("{}", ccsim_dist::status(&load_spec(args)?, &shared)?.render());
-    Ok(())
-}
-
 /// One loop: collect, print, return on `--once` or a complete grid,
 /// sleep `--max-idle-ms`.
 fn watch(args: &Args) -> Result<(), String> {
@@ -169,7 +153,7 @@ mod tests {
     use crate::{ccsim, spec_dir};
 
     #[test]
-    fn campaign_worker_assemble_status_drain_a_shared_dir() {
+    fn campaign_worker_assemble_watch_drain_a_shared_dir() {
         let (dir, spec) = spec_dir(
             "dist",
             r#"{"name": "cli_dist", "base_config": "tiny",
@@ -181,16 +165,16 @@ mod tests {
         // The distributed subcommands demand a shared dir.
         assert!(ccsim(&["campaign", "worker", &spec]).is_err());
         assert!(ccsim(&["campaign", "assemble", &spec]).is_err());
-        assert!(ccsim(&["campaign", "status", &spec]).is_err());
-        // --shared-dir on a *run* is rejected (that's what worker is for).
-        assert!(ccsim(&["campaign", &spec, "--shared-dir", &shared]).is_err());
+        assert!(ccsim(&["campaign", "watch", &spec, "--once"]).is_err());
+        // A run takes no shared dir (that's what worker is for).
+        let err = ccsim(&["campaign", &spec, "--shared-dir", &shared]).unwrap_err();
+        assert!(err.starts_with("ccsim campaign: unknown flag \"--shared-dir\""), "{err}");
         // Assembling before any worker ran names the missing cells.
         let err = ccsim(&["campaign", "assemble", &spec, "--shared-dir", &shared]).unwrap_err();
         assert!(err.contains("2 of 2 cells"), "{err}");
 
-        // Status and lease-aware dry-run work on the empty dir too.
-        ccsim(&["campaign", "status", &spec, "--shared-dir", &shared]).unwrap();
-        ccsim(&["campaign", &spec, "--dry-run", "--shared-dir", &shared, "--quiet"]).unwrap();
+        // Watch works on the empty dir too.
+        ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once"]).unwrap();
 
         // One worker drains the whole grid; assemble matches a
         // single-process run byte for byte.
@@ -207,7 +191,7 @@ mod tests {
         let assembled = std::fs::read(dir.join("assembled/report.json")).unwrap();
         let solo = std::fs::read(dir.join("solo/report.json")).unwrap();
         assert_eq!(assembled, solo, "assemble must be byte-identical to a solo run");
-        ccsim(&["campaign", "status", &spec, "--shared-dir", &shared]).unwrap();
+        ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once"]).unwrap();
         ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once", "--json"]).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -22,7 +22,7 @@ mod trace;
 mod trends;
 
 /// Every subcommand, in the order `ccsim --help` lists them.
-static COMMANDS: [&Command; 16] = [
+static COMMANDS: [&Command; 15] = [
     &trace::GEN,
     &trace::STATS,
     &trace::INGEST,
@@ -30,7 +30,6 @@ static COMMANDS: [&Command; 16] = [
     &campaign::CAMPAIGN,
     &dist::WORKER,
     &dist::ASSEMBLE,
-    &dist::STATUS,
     &dist::WATCH,
     &report_diff::REPORT_DIFF,
     &trends::RECORD,
@@ -133,7 +132,7 @@ mod tests {
     #[test]
     fn every_row_renders_its_flags_and_the_help_renders_every_row() {
         let help = help();
-        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 57);
+        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 55);
         for (i, cmd) in COMMANDS.iter().enumerate() {
             let name = cmd.path.join(" ");
             assert!(COMMANDS[..i].iter().all(|c| c.path != cmd.path), "{name} has two rows");
@@ -225,8 +224,8 @@ mod tests {
             ),
             // Required flags are the table's too.
             (
-                &["campaign", "status", "spec.json"],
-                Some("ccsim campaign status: needs --shared-dir <dir>"),
+                &["campaign", "watch", "spec.json"],
+                Some("ccsim campaign watch: needs --shared-dir <dir>"),
             ),
             (&["trends", "gc", "--ledger", &ledger], Some("ccsim trends gc: needs --keep <n>")),
             // A gate budget is a finite number, at least 0.

@@ -31,7 +31,7 @@ use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 use crate::config::SimConfig;
 use crate::hierarchy::{FrontEnd, UpperEvent};
 use crate::result::SimResult;
-use crate::simulator::{Engine, LlcLog};
+use crate::simulator::Engine;
 
 /// Default records per lockstep chunk: 4096 records (80 KB of CCTR
 /// bytes) keep decode amortization high while the chunk itself stays
@@ -111,14 +111,6 @@ impl GridReplay {
         }
     }
 
-    /// A grid of one cell that records its LLC demand stream
-    /// ([`GridReplay::finish_logged`] returns it).
-    pub(crate) fn logging_llc(config: &SimConfig, policy: PolicyKind) -> GridReplay {
-        let mut grid = GridReplay::new(&[(*config, policy)], 0);
-        grid.engines[0].0.enable_llc_log();
-        grid
-    }
-
     /// Number of grid cells driven in lockstep.
     pub fn cells(&self) -> usize {
         self.engines.len()
@@ -190,16 +182,6 @@ impl GridReplay {
 
     /// Finishes every cell into its [`SimResult`], in cell order.
     pub fn finish(self, workload: &str, trailing_nonmem: u64) -> Vec<SimResult> {
-        self.finish_logged(workload, trailing_nonmem).into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// [`GridReplay::finish`] with each cell's LLC demand log (empty
-    /// unless the grid came from [`GridReplay::logging_llc`]).
-    pub(crate) fn finish_logged(
-        self,
-        workload: &str,
-        trailing_nonmem: u64,
-    ) -> Vec<(SimResult, LlcLog)> {
         ccsim_obs::metrics().grid_cells.add(self.engines.len() as u64);
         let fronts = &self.fronts;
         let finish =
@@ -283,7 +265,7 @@ mod tests {
             front.walk(std::slice::from_ref(rec), &mut event);
             engine.step(rec, &event[0]);
         }
-        engine.finish(&front, trace.name(), trace.trailing_nonmem()).0
+        engine.finish(&front, trace.name(), trace.trailing_nonmem())
     }
 
     #[test]

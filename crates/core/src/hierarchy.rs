@@ -66,6 +66,11 @@ pub(crate) struct UpperEvent {
 }
 
 impl UpperEvent {
+    /// Whether the access missed L1D and L2 and so looks up the LLC.
+    pub(crate) fn reaches_llc(&self) -> bool {
+        !self.l1_hit && !self.l2_hit
+    }
+
     fn push_victim(&mut self, block: u64) {
         self.llc_writebacks[self.victims as usize] = block;
         self.victims += 1;
@@ -113,7 +118,7 @@ impl FrontEnd {
     /// Walks one demand access through L1D and L2: lookups, fills and the
     /// L1D victim's writeback into L2.
     #[inline]
-    fn step(&mut self, pc: u64, block: u64, kind: AccessType) -> UpperEvent {
+    pub(crate) fn step(&mut self, pc: u64, block: u64, kind: AccessType) -> UpperEvent {
         let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
         match self.l1d.lookup(&info) {
             Some(way) => UpperEvent {
@@ -217,9 +222,6 @@ pub(crate) struct BackEnd {
     l2: UpperTiming,
     llc: Cache,
     dram: Dram,
-    /// Optional capture of the LLC demand stream (set, block) for offline
-    /// OPT analysis.
-    llc_log: Option<Vec<(u32, u64)>>,
 }
 
 impl BackEnd {
@@ -229,18 +231,7 @@ impl BackEnd {
             l2: UpperTiming::new(config.l2),
             llc: Cache::new("LLC", config.llc, llc_policy),
             dram: Dram::new(config.dram),
-            llc_log: None,
         }
-    }
-
-    /// Records the LLC demand stream from here on.
-    pub(crate) fn enable_llc_log(&mut self) {
-        self.llc_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded LLC demand stream, if logging was enabled.
-    pub(crate) fn take_llc_log(&mut self) -> Option<Vec<(u32, u64)>> {
-        self.llc_log.take()
     }
 
     pub(crate) fn llc_stats(&self) -> &CacheStats {
@@ -322,9 +313,6 @@ impl BackEnd {
     /// returns the cycle the data is available.
     fn llc_access(&mut self, pc: u64, block: u64, kind: AccessType, at: u64) -> u64 {
         let info = AccessInfo { pc, block, set: self.llc.set_of(block), kind };
-        if let Some(log) = &mut self.llc_log {
-            log.push((info.set, block));
-        }
         let after_tag = at + self.llc.latency();
         if self.llc.lookup(&info).is_some() {
             // A tag hit on a block whose fill is still in flight must wait
@@ -491,22 +479,6 @@ mod tests {
         h.demand_access(0x400, base + 2 * step, false, 200);
         // The dirty block was written back to L2 (writeback hit there).
         assert!(h.cache_stats(Level::L2).writeback_accesses >= 1);
-    }
-
-    #[test]
-    fn llc_log_captures_demand_stream() {
-        let cfg = SimConfig::tiny();
-        let mut front = FrontEnd::new(&cfg);
-        let mut back =
-            BackEnd::new(&cfg, PolicyKind::Lru.build_dispatch(cfg.llc.sets, cfg.llc.ways));
-        back.enable_llc_log();
-        let block = 0x50_000 >> 6;
-        for at in [0, 1000] {
-            // The second access is an L1 hit: no LLC access.
-            let event = front.step(0x400, block, AccessType::Load);
-            back.access(0x400, block, AccessType::Load, &event, at);
-        }
-        assert_eq!(back.take_llc_log().unwrap(), [(back.llc.set_of(block), block)]);
     }
 
     #[test]

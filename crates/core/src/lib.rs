@@ -49,4 +49,4 @@ pub use experiment::grid::{
 };
 pub use hierarchy::{Hierarchy, Level};
 pub use result::{geomean, geomean_speedup_percent, SimResult};
-pub use simulator::{simulate, simulate_stream, simulate_with_llc_log};
+pub use simulator::{llc_demand_stream, simulate, simulate_stream};

@@ -3,15 +3,18 @@
 //! This module owns the [`Engine`] and the single-cell entry points.
 //! Every replay in the crate is a grid (`experiment::grid`):
 //! `GridReplay::step_records` hands each chunk to every cell's
-//! [`Engine::replay`], the one record loop, and [`simulate`],
-//! [`simulate_with_llc_log`] and [`simulate_stream`] build a grid of one
-//! cell and add the `sim_*` accounting:
+//! [`Engine::replay`], the one record loop, and [`simulate`] and
+//! [`simulate_stream`] build a grid of one cell and add the `sim_*`
+//! accounting:
 //!
 //! * [`simulate`] replays an in-memory [`Trace`];
 //! * [`simulate_stream`] replays records straight from a
 //!   [`ccsim_trace::TraceReader`], so a multi-gigabyte `CCTR` file on
 //!   disk simulates in bounded memory (one decoded chunk) without ever
 //!   materializing.
+//!
+//! [`llc_demand_stream`] is not a replay: it walks the front end alone,
+//! since which accesses reach the LLC is a pure function of the trace.
 //!
 //! `Engine::replay` gathers the L1D hits that can never hold the core
 //! back — every store hit, and each load hit on a line that lands within
@@ -35,9 +38,6 @@ use crate::experiment::grid::GridReplay;
 use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Level, UpperEvent};
 use crate::result::SimResult;
 
-/// An LLC demand stream: one `(set, block)` pair per LLC demand access.
-pub(crate) type LlcLog = Vec<(u32, u64)>;
-
 /// The replay engine of one grid cell: one core driving the cell's
 /// [`BackEnd`]. `GridReplay` advances one engine per grid cell in lockstep
 /// through shared record chunks, each against the [`UpperEvent`]s its
@@ -55,12 +55,6 @@ impl Engine {
         let memory =
             BackEnd::new(config, llc_policy.build_dispatch(config.llc.sets, config.llc.ways));
         Engine { memory, core: Core::new(config.core), llc_policy, l1_latency: config.l1d.latency }
-    }
-
-    /// Records the LLC demand stream from here on ([`Engine::finish`]
-    /// returns it).
-    pub(crate) fn enable_llc_log(&mut self) {
-        self.memory.enable_llc_log();
     }
 
     /// Replays `records`, whose L1D/L2 walks the front end recorded as
@@ -110,20 +104,19 @@ impl Engine {
         });
     }
 
-    /// The cell's result — L1D/L2 statistics from `front`, the front end
-    /// it replayed — and its LLC demand log (empty unless enabled).
+    /// The cell's result, with L1D/L2 statistics from `front`, the front
+    /// end it replayed.
     pub(crate) fn finish(
         mut self,
         front: &FrontEnd,
         workload: &str,
         trailing_nonmem: u64,
-    ) -> (SimResult, LlcLog) {
+    ) -> SimResult {
         if trailing_nonmem > 0 {
             self.core.dispatch_nonmem(trailing_nonmem);
         }
         let (instructions, cycles) = self.core.finish();
-        let log = self.memory.take_llc_log().unwrap_or_default();
-        let result = SimResult {
+        SimResult {
             workload: workload.to_owned(),
             policy: self.llc_policy.name().to_owned(),
             instructions,
@@ -133,8 +126,7 @@ impl Engine {
             llc: *self.memory.llc_stats(),
             dram: *self.memory.dram_stats(),
             llc_diag: self.memory.llc_policy_diag(),
-        };
-        (result, log)
+        }
     }
 }
 
@@ -155,17 +147,31 @@ impl Engine {
 /// assert_eq!(result.instructions, trace.instructions());
 /// ```
 pub fn simulate(trace: &Trace, config: &SimConfig, llc_policy: PolicyKind) -> SimResult {
-    replay_one(trace, GridReplay::new(&[(*config, llc_policy)], 0)).0
+    let span = ccsim_obs::metrics().sim_wall_ns.span();
+    let mut grid = GridReplay::new(&[(*config, llc_policy)], 0);
+    grid.replay_trace(trace);
+    finish_one(grid, trace.name(), trace.trailing_nonmem(), trace.len() as u64, span)
 }
 
-/// Like [`simulate`], additionally returning the LLC demand stream
-/// (`(set, block)` pairs) for offline OPT analysis.
-pub fn simulate_with_llc_log(
-    trace: &Trace,
-    config: &SimConfig,
-    llc_policy: PolicyKind,
-) -> (SimResult, Vec<(u32, u64)>) {
-    replay_one(trace, GridReplay::logging_llc(config, llc_policy))
+/// The LLC demand stream of `trace` on `config`, for offline OPT
+/// analysis: one `(llc set, block)` pair per record whose demand access
+/// misses both L1D and L2, in record order. L1D and L2 state is a pure
+/// function of the trace, so every LLC policy sees this stream; only the
+/// front end is walked (no timing, LLC or DRAM).
+///
+/// # Panics
+///
+/// Panics on an invalid [`SimConfig`], like [`simulate`].
+pub fn llc_demand_stream(trace: &Trace, config: &SimConfig) -> Vec<(u32, u64)> {
+    config.validate().expect("invalid simulator config");
+    let mut front = FrontEnd::new(config);
+    let set_mask = u64::from(config.llc.sets) - 1;
+    let llc_access = |rec: &TraceRecord| {
+        let block = rec.block();
+        let event = front.step(rec.pc, block, demand_kind(rec));
+        event.reaches_llc().then_some(((block & set_mask) as u32, block))
+    };
+    trace.records().iter().filter_map(llc_access).collect()
 }
 
 /// Replays a `CCTR` stream straight from `reader` — one decoded chunk in
@@ -211,14 +217,7 @@ pub fn simulate_stream<R: Read>(
     let mut grid = GridReplay::new(&[(*config, llc_policy)], 0);
     grid.replay_reader(&mut reader)?;
     let header = reader.header();
-    Ok(finish_one(grid, &header.name, header.trailing_nonmem, header.count, span).0)
-}
-
-/// Replays `trace` through a grid of one cell.
-fn replay_one(trace: &Trace, mut grid: GridReplay) -> (SimResult, LlcLog) {
-    let span = ccsim_obs::metrics().sim_wall_ns.span();
-    grid.replay_trace(trace);
-    finish_one(grid, trace.name(), trace.trailing_nonmem(), trace.len() as u64, span)
+    Ok(finish_one(grid, &header.name, header.trailing_nonmem, header.count, span))
 }
 
 /// Finishes a grid of one cell and accounts the run in the `sim_*`
@@ -229,8 +228,8 @@ fn finish_one(
     trailing_nonmem: u64,
     records: u64,
     span: Span<'_>,
-) -> (SimResult, LlcLog) {
-    let cell = grid.finish_logged(workload, trailing_nonmem).pop().expect("a grid of one cell");
+) -> SimResult {
+    let cell = grid.finish(workload, trailing_nonmem).pop().expect("a grid of one cell");
     let m = ccsim_obs::metrics();
     m.sim_runs.inc();
     m.sim_records.add(records);
@@ -290,17 +289,6 @@ mod tests {
         let t = trace_of(&SequentialStream::new(0, 1 << 12).work(7), "w");
         let r = simulate(&t, &SimConfig::tiny(), PolicyKind::Srrip);
         assert_eq!(r.instructions, t.instructions());
-    }
-
-    #[test]
-    fn llc_log_covers_l2_misses() {
-        let t = trace_of(&RandomAccess::new(0, 1 << 16, 64, 5_000).seed(3), "r");
-        let (r, log) = simulate_with_llc_log(&t, &SimConfig::cascade_lake(), PolicyKind::Lru);
-        assert_eq!(
-            log.len() as u64,
-            r.llc.demand_accesses,
-            "log must contain every llc demand access"
-        );
     }
 
     #[test]

@@ -33,11 +33,11 @@
 //! its recorded TTL it is **stale**: any worker may remove it and race a
 //! fresh claim (remove is idempotent; the subsequent hard-link race again
 //! has exactly one winner). The new lease carries `epoch + 1`, making
-//! reclaims visible in status output and logs. Staleness compares the
-//! *fileserver* mtime against the local clock, so workers on hosts with
-//! skewed clocks disagree only by their skew — keep TTLs an order of
-//! magnitude above worst-case skew plus cell runtime (see the
-//! "Distributed campaigns" runbook in PAPER.md).
+//! reclaims visible in `campaign watch` output and logs. Staleness
+//! compares the *fileserver* mtime against the local clock, so workers
+//! on hosts with skewed clocks disagree only by their skew — keep TTLs
+//! an order of magnitude above worst-case skew plus cell runtime (see
+//! the "Distributed campaigns" runbook in PAPER.md).
 //!
 //! Because simulation results are a deterministic function of the spec,
 //! the one harmful race left — a live-but-slow holder losing its lease
@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use ccsim_campaign::spec::fnv1a64;
-use ccsim_campaign::{CampaignGrid, Json, LeaseView};
+use ccsim_campaign::Json;
 
 /// Lease file format version.
 const LEASE_VERSION: u64 = 1;
@@ -67,25 +67,6 @@ pub fn band_workload(id: &str) -> Option<&str> {
     id.strip_prefix("band:")
 }
 
-/// Expands a scanned lease map — which may contain band claims — into
-/// the per-cell overlay [`ccsim_campaign::Campaign::leases`] expects:
-/// a band lease covers every cell of its workload. A lease that is not
-/// a band of `grid` is ignored.
-pub fn cell_lease_views(
-    grid: &CampaignGrid,
-    views: &std::collections::BTreeMap<String, LeaseView>,
-) -> std::collections::BTreeMap<String, LeaseView> {
-    let mut out = std::collections::BTreeMap::new();
-    for (id, view) in views {
-        if let Some(workload) = band_workload(id) {
-            for cell in grid.cells_of(workload) {
-                out.insert(cell.id.clone(), view.clone());
-            }
-        }
-    }
-    out
-}
-
 /// A parsed lease file, plus the derived age/staleness at scan time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lease {
@@ -101,13 +82,6 @@ pub struct Lease {
     pub age_secs: u64,
     /// `age_secs > ttl_secs`: the holder is presumed dead.
     pub stale: bool,
-}
-
-impl Lease {
-    /// The [`LeaseView`] campaign dry-runs overlay on their plan.
-    pub fn view(&self) -> LeaseView {
-        LeaseView { worker: self.worker.clone(), epoch: self.epoch, stale: self.stale }
-    }
 }
 
 /// The outcome of a claim attempt.
@@ -239,15 +213,6 @@ impl LeaseDir {
         };
         leases.sort_by(|a, b| a.cell.cmp(&b.cell));
         leases
-    }
-
-    /// The scan as a lease-id → [`LeaseView`] map. Band claims keep
-    /// their `band:<workload>` ids here; expand with
-    /// [`cell_lease_views`] before feeding the map to
-    /// [`ccsim_campaign::Campaign::leases`] (as `ccsim campaign
-    /// --dry-run` does).
-    pub fn views(&self) -> std::collections::BTreeMap<String, LeaseView> {
-        self.scan().into_iter().map(|l| (l.cell.clone(), l.view())).collect()
     }
 }
 
@@ -520,50 +485,25 @@ mod tests {
     }
 
     #[test]
-    fn views_expose_cells_for_dry_run_overlays() {
-        let dir = temp_leases("views");
-        let selector = "trace:/data/some path/t.champsim|llc_x1|lru";
+    fn scan_maps_a_sanitized_path_back_to_the_full_id() {
+        let dir = temp_leases("scan");
+        let selector = "band:trace:/data/some path/t.champsim";
         let _g = match dir.claim(selector, "alpha", TTL).unwrap() {
             Claim::Acquired(g) => g,
             Claim::Held(_) => unreachable!(),
         };
-        let views = dir.views();
-        assert_eq!(views.len(), 1);
-        assert_eq!(views[selector].worker, "alpha");
-        assert!(!views[selector].stale, "sanitized path still maps back to the full cell id");
+        let scanned = dir.scan();
+        assert_eq!(scanned.len(), 1);
+        assert_eq!((scanned[0].cell.as_str(), scanned[0].worker.as_str()), (selector, "alpha"));
+        assert!(!scanned[0].stale);
         std::fs::remove_dir_all(dir.root()).unwrap();
     }
 
     #[test]
-    fn band_ids_round_trip_and_expand_to_per_cell_views() {
+    fn band_ids_round_trip() {
         assert_eq!(band_lease_id("xsbench.small"), "band:xsbench.small");
         assert_eq!(band_workload("band:xsbench.small"), Some("xsbench.small"));
         assert_eq!(band_workload("xsbench.small|llc_x1|lru"), None);
-
-        let spec = ccsim_campaign::CampaignSpec::from_json_str(
-            r#"{"name": "b", "base_config": "tiny",
-                "workloads": ["xsbench.small", "spec.stack"],
-                "policies": ["lru", "srrip"]}"#,
-        )
-        .unwrap();
-        let grid = ccsim_campaign::Campaign::new(spec).grid().unwrap();
-        let mut views = std::collections::BTreeMap::new();
-        views.insert(
-            band_lease_id("xsbench.small"),
-            LeaseView { worker: "w1".into(), epoch: 2, stale: false },
-        );
-        // Neither a band of another grid nor a non-band id covers a cell.
-        for foreign in ["band:bfs.kron", "spec.stack|llc_x1|lru"] {
-            views.insert(
-                foreign.to_owned(),
-                LeaseView { worker: "w2".into(), epoch: 1, stale: true },
-            );
-        }
-        let cells = cell_lease_views(&grid, &views);
-        assert_eq!(cells.len(), 2, "the band covers its workload's 2 cells, nothing else");
-        for id in ["xsbench.small|llc_x1|lru", "xsbench.small|llc_x1|srrip"] {
-            assert_eq!((cells[id].worker.as_str(), cells[id].epoch), ("w1", 2));
-        }
     }
 
     #[test]

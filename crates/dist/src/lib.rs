@@ -23,15 +23,15 @@
 //!   never interleave, and each band cell is journaled individually, so
 //!   a reclaimed band resumes from the dead holder's last journaled
 //!   cell;
-//! * [`assemble`] — merges any worker set's partial journals into the
+//! * [`mod@assemble`] — merges any worker set's partial journals into the
 //!   same byte-identical report a single-process run produces, failing
 //!   loudly on conflicts or an unfinished grid;
-//! * [`status`] — a read-only progress snapshot: per-worker
-//!   contributions, live claims, stale leases;
-//! * [`watch()`] — one frame of the dashboard behind `ccsim campaign
-//!   watch`: [`status()`] joined with every worker's telemetry manifest
-//!   (throughput, cell timings, ETA). Like [`status()`], it re-reads the
-//!   whole directory on every call and keeps no state between calls.
+//! * [`watch()`] — the one read-only view of a shared directory, one
+//!   frame of `ccsim campaign watch`: grid progress, per-worker
+//!   contributions and claims, every lease blocking a pending cell, and
+//!   each worker's telemetry manifest (throughput, cell timings, ETA).
+//!   It re-reads the whole directory on every call and keeps no state
+//!   between calls.
 //!
 //! The shared trace cache (`trace-cache/`) is content-addressed
 //! (digest-keyed filenames, tmp-file + atomic-rename writes), so workers
@@ -74,16 +74,12 @@
 
 pub mod assemble;
 pub mod lease;
-pub mod status;
 pub mod watch;
 pub mod worker;
 
 pub use assemble::{assemble, AssembleOutcome};
-pub use lease::{
-    band_lease_id, band_workload, cell_lease_views, Claim, Lease, LeaseDir, LeaseGuard,
-};
-pub use status::{status, DistStatus, WorkerStatus};
-pub use watch::{watch, WatchView, WatchWorker};
+pub use lease::{band_lease_id, band_workload, Claim, Lease, LeaseDir, LeaseGuard};
+pub use watch::{watch, DistStatus, WatchView, WatchWorker};
 pub use worker::{default_worker_id, run_worker, sanitize_worker_id, WorkerOptions, WorkerOutcome};
 
 use std::path::{Path, PathBuf};

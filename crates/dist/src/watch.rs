@@ -1,9 +1,10 @@
-//! Live campaign dashboard: merge [`DistStatus`] with every worker's
-//! telemetry manifest.
+//! The one view of a shared campaign directory: grid progress, leases
+//! and every worker's telemetry manifest.
 //!
-//! `ccsim campaign watch` calls [`watch`] once per poll period. Each call
-//! is read-only and keeps no state between calls: journals are merged in
-//! full ([`crate::status`]), lease files are `stat`ed, and the per-worker
+//! `ccsim campaign watch` calls [`watch`] once per poll period (`--once`:
+//! a single frame). Each call is read-only and keeps no state between
+//! calls: journals are merged in full with [`merge_dir`], lease files are
+//! scanned without touching any file, and the per-worker
 //! `manifest.<worker>.json` documents written by [`crate::run_worker`]
 //! (or `manifest.json` for a single-process run) are parsed for
 //! throughput and timing.
@@ -20,22 +21,50 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ccsim_campaign::CampaignSpec;
+use ccsim_campaign::{merge_dir, Campaign, CampaignSpec};
 use ccsim_obs::{
     document_header, records_per_sec, Json, Manifest, QuantileSummary, Table, HISTOGRAM_BUCKETS,
+    SOLO_WORKER,
 };
 
-use crate::status::{status, DistStatus};
+use crate::lease::{band_workload, Lease, LeaseDir};
+use crate::leases_dir;
 
-/// One worker row of the dashboard: journal + lease facts from
-/// [`DistStatus`] joined with the worker's own manifest (when present).
+/// A campaign's grid progress over a shared directory.
+#[derive(Debug)]
+pub struct DistStatus {
+    /// Campaign name.
+    pub campaign: String,
+    /// Total grid cells.
+    pub cells_total: usize,
+    /// Cells with a journaled result.
+    pub completed: usize,
+    /// Pending cells under a live lease — a band lease counts every
+    /// pending cell of its workload.
+    pub leased: usize,
+    /// Pending cells under a stale lease (holder presumed crashed).
+    pub stale: usize,
+    /// Cells with neither a result nor a lease.
+    pub unclaimed: usize,
+    /// Duplicate (identical) journal entries across segments.
+    pub duplicates: usize,
+    /// Every lease, live or stale, still covering at least one pending
+    /// cell, sorted by lease id (a lease covering only completed cells
+    /// blocks nothing and is omitted, so this list and the counters
+    /// can't contradict each other).
+    pub leases: Vec<Lease>,
+}
+
+/// One worker row of the dashboard: its journal segment and lease files
+/// joined with its own manifest (when present).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchWorker {
     /// Worker id (`(solo)` for a single-process run).
     pub worker: String,
     /// Cells journaled by this worker (authoritative, from the merge).
     pub completed: usize,
-    /// Lease files this worker currently holds.
+    /// Band lease files of this grid this worker currently holds,
+    /// including stale ones.
     pub claims: usize,
     /// The worker's telemetry manifest; `None` when it has not written
     /// one (pre-telemetry runs, or a crash before the first band).
@@ -68,32 +97,75 @@ pub struct WatchView {
 /// Unparsable or foreign manifest files are skipped, not errors — a
 /// watcher must tolerate mid-write and mixed-version directories.
 pub fn watch(spec: &CampaignSpec, shared_dir: &Path) -> Result<WatchView, String> {
-    let status = status(spec, shared_dir)?;
-    let manifests = read_manifests(shared_dir, &spec.name, &spec.digest());
+    let grid = Campaign::new(spec.clone()).grid()?;
+    let merged = merge_dir(shared_dir, &spec.name, &spec.digest())?;
+    let leases_root = leases_dir(shared_dir);
+    let leases: Vec<Lease> = if leases_root.is_dir() {
+        LeaseDir::open(leases_root)
+            .map_err(|e| format!("opening lease dir: {e}"))?
+            .scan()
+            .into_iter()
+            // Only leases naming workload bands of *this* grid; an
+            // aborted older spec under the same dir must not pollute the
+            // counts.
+            .filter(|l| {
+                band_workload(&l.cell).is_some_and(|w| grid.workloads.iter().any(|g| g == w))
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
 
-    // Join on worker id: status rows first (journal + leases are the
-    // authority on progress), then any manifest-only workers (e.g. a
-    // worker that died before journaling its first cell).
+    // One row per worker id that has a journal segment, a lease or a
+    // manifest (e.g. a worker that died before journaling its first
+    // cell).
     let mut workers: BTreeMap<String, WatchWorker> = BTreeMap::new();
-    for w in &status.workers {
-        workers.insert(
-            w.worker.clone(),
-            WatchWorker {
-                worker: w.worker.clone(),
-                completed: w.completed,
-                claims: w.claims,
-                manifest: manifests.get(&w.worker).cloned(),
-            },
-        );
+    fn row(workers: &mut BTreeMap<String, WatchWorker>, worker: String) -> &mut WatchWorker {
+        let blank = WatchWorker { worker: worker.clone(), completed: 0, claims: 0, manifest: None };
+        workers.entry(worker).or_insert(blank)
     }
-    for (worker, manifest) in &manifests {
-        workers.entry(worker.clone()).or_insert(WatchWorker {
-            worker: worker.clone(),
-            completed: 0,
-            claims: 0,
-            manifest: Some(manifest.clone()),
-        });
+    for (segment, cells) in &merged.segments {
+        let worker = segment
+            .strip_prefix("journal.")
+            .and_then(|s| s.strip_suffix(".jsonl"))
+            .filter(|s| !s.is_empty())
+            .unwrap_or(SOLO_WORKER);
+        row(&mut workers, worker.to_owned()).completed += cells;
     }
+    for lease in &leases {
+        row(&mut workers, lease.worker.clone()).claims += 1;
+    }
+    for (worker, manifest) in read_manifests(shared_dir, &spec.name, &spec.digest()) {
+        row(&mut workers, worker).manifest = Some(manifest);
+    }
+
+    let completed = grid.cells.iter().filter(|c| merged.completed.contains_key(&c.id)).count();
+    // A band lease covers every pending cell of its workload. One
+    // covering only completed cells (a worker crashed between journaling
+    // and releasing) blocks nothing: it drops out of the counters *and*
+    // the lease listing.
+    let (mut leased, mut stale) = (0, 0);
+    let mut blocking = Vec::new();
+    for lease in leases {
+        let workload = band_workload(&lease.cell).unwrap_or_default();
+        let pending = grid.cells_of(workload).filter(|c| !merged.completed.contains_key(&c.id));
+        match pending.count() {
+            0 => continue,
+            n if lease.stale => stale += n,
+            n => leased += n,
+        }
+        blocking.push(lease);
+    }
+    let status = DistStatus {
+        campaign: spec.name.clone(),
+        cells_total: grid.cells.len(),
+        completed,
+        leased,
+        stale,
+        unclaimed: grid.cells.len() - completed - leased - stale,
+        duplicates: merged.duplicates,
+        leases: blocking,
+    };
     Ok(WatchView { status, workers: workers.into_values().collect() })
 }
 
@@ -267,10 +339,15 @@ impl WatchView {
             q.p99 / 1_000_000,
             self.eta_seconds()
         ));
-        for l in &s.stale_leases {
+        for l in &s.leases {
             out.push_str(&format!(
-                "\nstale lease: {} held by {} (epoch {}, age {}s)",
-                l.cell, l.worker, l.epoch, l.age_secs
+                "\n{}lease: {} held by {} (epoch {}, age {}s, ttl {}s)",
+                if l.stale { "stale " } else { "" },
+                l.cell,
+                l.worker,
+                l.epoch,
+                l.age_secs,
+                l.ttl_secs
             ));
         }
         out

@@ -71,8 +71,8 @@ pub const SOLO_WORKER: &str = "(solo)";
 
 /// Integer records-per-second over a nanosecond wall clock (0 when no
 /// time has accrued). The **one** rate rule every consumer shares —
-/// worker manifests and `DistStatus`/`campaign watch` rows and
-/// aggregates (which the `ccsim trends` ledger records) all derive
+/// worker manifests and `campaign watch` rows and aggregates (which
+/// the `ccsim trends` ledger records) all derive
 /// throughput through here, so two views of the same accounting can
 /// never round differently.
 pub fn records_per_sec(records: u64, wall_ns: u64) -> u64 {

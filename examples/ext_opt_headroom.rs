@@ -1,11 +1,12 @@
-//! Extension D: Belady headroom — replays each workload's recorded LLC
-//! demand stream through the offline OPT oracle and compares its hit rate
+//! Extension D: Belady headroom — replays each workload's LLC demand
+//! stream through the offline OPT oracle and compares its hit rate
 //! against LRU and the best online policy. Shows how much of the
 //! (small) OPT-LRU gap the learned policies actually capture on graphs.
 //!
 //! Run with `cargo run --release --example ext_opt_headroom` (quick-scale
 //! inputs).
 
+use ccsim::core::llc_demand_stream;
 use ccsim::obs::Table;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
@@ -37,11 +38,12 @@ fn main() {
     for w in workloads {
         let trace = w.trace(GapScale::Quick);
         // The LLC demand stream is policy-independent (L1/L2 are fixed
-        // LRU), so one logging run serves the oracle.
-        let (lru, log) = simulate_with_llc_log(&trace, &config, PolicyKind::Lru);
-        let hawkeye = simulate(&trace, &config, PolicyKind::Hawkeye);
-        let ship = simulate(&trace, &config, PolicyKind::Ship);
-        let opt = belady_replay(&log, config.llc.sets, config.llc.ways);
+        // LRU), so the front end alone computes it for the oracle.
+        let stream = llc_demand_stream(&trace, &config);
+        let opt = belady_replay(&stream, config.llc.sets, config.llc.ways);
+        let cells = [PolicyKind::Lru, PolicyKind::Hawkeye, PolicyKind::Ship].map(|p| (config, p));
+        let results = simulate_grid(&trace, &cells, 0);
+        let (lru, hawkeye, ship) = (&results[0], &results[1], &results[2]);
         let lru_hr = lru.llc.hit_rate();
         let hk_hr = hawkeye.llc.hit_rate();
         let headroom = opt.hit_rate() - lru_hr;

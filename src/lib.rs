@@ -31,7 +31,7 @@
 //!   crash healing, and byte-identical report assembly from any worker
 //!   set;
 //! * [`obs`] — the zero-allocation telemetry core: a process-wide
-//!   metric catalog (sharded counters, gauges, log-bucketed
+//!   metric catalog (atomic counters, gauges, log-bucketed
 //!   histograms with quantile summaries, span timers) feeding per-run
 //!   JSONL event logs, run manifests and Prometheus-style exposition,
 //!   all consumed by `ccsim campaign watch` — and the workspace's
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use ccsim_campaign::{Campaign, CampaignReport, CampaignSpec, TraceCache};
     pub use ccsim_core::{
         geomean, geomean_speedup_percent, simulate, simulate_grid, simulate_grid_stream,
-        simulate_stream, simulate_with_llc_log, GridReplay, SimConfig, SimResult,
+        simulate_stream, GridReplay, SimConfig, SimResult,
     };
     pub use ccsim_graph::Graph;
     pub use ccsim_ingest::{IngestOptions, SourceFormat};

@@ -13,11 +13,10 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use ccsim::campaign::journal::merge_dir;
 use ccsim::campaign::{Campaign, CampaignSpec, Journal};
 use ccsim::dist::{
-    assemble, band_lease_id, cell_lease_views, leases_dir, run_worker, sanitize_worker_id, status,
-    watch, Claim, LeaseDir, WorkerOptions,
+    assemble, band_lease_id, leases_dir, run_worker, sanitize_worker_id, watch, Claim, LeaseDir,
+    WorkerOptions,
 };
 
 /// 2 workloads x 2 policies x 2 LLC sizes on the tiny platform: enough
@@ -156,20 +155,25 @@ fn crashed_worker_band_lease_expires_and_a_second_worker_resumes_mid_band() {
     }
 
     // While the band lease is live, a peer cannot claim the band, and
-    // status/plan count every *pending* cell it covers as leased (3 of
-    // the band's 4 — the journaled one is completed, not leased).
-    let st = status(&spec, &shared).unwrap();
+    // watch counts every *pending* cell it covers as leased (3 of the
+    // band's 4 — the journaled one is completed, not leased) and lists
+    // the one live lease.
+    let view = watch(&spec, &shared).unwrap();
+    let st = &view.status;
     assert_eq!((st.completed, st.leased, st.stale), (1, 3, 0));
+    assert_eq!(st.leases.len(), 1, "one live lease file covers the three cells");
+    assert_eq!((st.leases[0].worker.as_str(), st.leases[0].cell.as_str()), ("dead", &*band));
+    assert!(!st.leases[0].stale);
+    let rendered = view.render();
+    assert!(
+        rendered.contains("\nlease: band:xsbench.small held by dead (epoch 1, age "),
+        "{rendered}"
+    );
+    assert!(rendered.ends_with("s, ttl 60s)"), "{rendered}");
     assert!(matches!(
         leases.claim(&band, "other", Duration::from_secs(60)).unwrap(),
         Claim::Held(h) if h.worker == "dead"
     ));
-    let plan = Campaign::new(spec.clone())
-        .mark_completed(merge_dir(&shared, &spec.name, &digest).unwrap().completed.into_keys())
-        .leases(cell_lease_views(&grid, &leases.views()))
-        .plan()
-        .unwrap();
-    assert_eq!(plan.counts().4, 3, "dry run predicts the live band lease per pending cell");
 
     // The holder dies: backdate the band lease past its TTL.
     let lease_path = leases.path_for(&band);
@@ -179,11 +183,18 @@ fn crashed_worker_band_lease_expires_and_a_second_worker_resumes_mid_band() {
         .unwrap()
         .set_modified(SystemTime::now() - Duration::from_secs(3600))
         .unwrap();
-    let st = status(&spec, &shared).unwrap();
+    let view = watch(&spec, &shared).unwrap();
+    let st = &view.status;
     assert_eq!((st.leased, st.stale), (0, 3), "expired band lease reported stale per cell");
-    assert_eq!(st.stale_leases.len(), 1, "one stale lease file covers the three cells");
-    assert_eq!(st.stale_leases[0].worker, "dead");
-    assert_eq!(st.stale_leases[0].cell, band);
+    assert_eq!(st.leases.len(), 1, "one stale lease file covers the three cells");
+    assert_eq!(st.leases[0].worker, "dead");
+    assert_eq!(st.leases[0].cell, band);
+    assert!(st.leases[0].stale);
+    let rendered = view.render();
+    assert!(
+        rendered.contains("\nstale lease: band:xsbench.small held by dead (epoch 1"),
+        "{rendered}"
+    );
 
     // A healer worker reclaims the band and finishes everything — but
     // does NOT redo the victim's journaled cell.
@@ -231,13 +242,14 @@ fn partial_grids_refuse_to_assemble_and_report_progress() {
     let err = assemble(&spec(), &shared).unwrap_err();
     assert!(err.contains("5 of 8 cells"), "{err}");
 
-    let st = status(&spec(), &shared).unwrap();
+    let view = watch(&spec(), &shared).unwrap();
+    let st = &view.status;
     assert_eq!((st.cells_total, st.completed, st.unclaimed), (8, 3, 5));
-    assert_eq!(st.workers.len(), 1);
-    assert_eq!(st.workers[0].worker, "limited");
-    assert_eq!(st.workers[0].completed, 3);
-    let rendered = st.render();
-    assert!(rendered.contains("3 completed"), "{rendered}");
+    assert_eq!(view.workers.len(), 1);
+    assert_eq!(view.workers[0].worker, "limited");
+    assert_eq!(view.workers[0].completed, 3);
+    let rendered = view.render();
+    assert!(rendered.contains("3/8 cells"), "{rendered}");
 
     // A second worker whose limit exactly covers the remainder must
     // still notice the campaign finished under its last batch.
@@ -273,7 +285,7 @@ fn a_cell_budget_truncates_a_band_leaving_the_rest_pending() {
     assert_eq!(first.completed, 4);
     // After the truncated band, half the grid is pending and fully
     // unclaimed — a peer starting now has cells to take immediately.
-    let st = status(&spec, &shared).unwrap();
+    let st = watch(&spec, &shared).unwrap().status;
     assert_eq!((st.completed, st.leased, st.unclaimed), (4, 0, 4));
     let rest = run_worker(&spec, &shared, &WorkerOptions::new("peer")).unwrap();
     assert!(rest.campaign_done);
@@ -287,7 +299,7 @@ fn a_cell_budget_truncates_a_band_leaving_the_rest_pending() {
 
 /// A worker that crashes *between* journaling its band and releasing
 /// the lease leaves a stale lease covering only completed cells. It
-/// blocks nothing, so status must neither count it nor list it — the
+/// blocks nothing, so watch must neither count it nor list it — the
 /// summary line and the stale-lease listing can never contradict each
 /// other. A stale lease file that is not a band of this grid is ignored
 /// too, as a foreign spec's is.
@@ -302,10 +314,11 @@ fn stale_leases_covering_only_completed_cells_are_not_reported() {
         plant_dead_lease(&leases, &id, "crashed-late");
     }
 
-    let st = status(&spec(), &shared).unwrap();
+    let view = watch(&spec(), &shared).unwrap();
+    let st = &view.status;
     assert_eq!((st.completed, st.leased, st.stale, st.unclaimed), (8, 0, 0, 0));
-    assert!(st.stale_leases.is_empty(), "leases on completed cells must not be listed");
-    let late = st.workers.iter().find(|w| w.worker == "crashed-late").unwrap();
+    assert!(st.leases.is_empty(), "leases on completed cells must not be listed");
+    let late = view.workers.iter().find(|w| w.worker == "crashed-late").unwrap();
     assert_eq!(late.claims, 1, "only the band lease is this grid's; the other file is ignored");
     std::fs::remove_dir_all(&dir).unwrap();
 }

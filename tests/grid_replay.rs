@@ -1,9 +1,9 @@
 //! The differential replay suite: every replay entry point against one
 //! obviously-right oracle.
 //!
-//! All replay goes through `GridReplay` (`simulate`, `simulate_stream`
-//! and `simulate_with_llc_log` are a grid of one cell), so what can go
-//! wrong is the mechanics around the per-record step: chunking, the
+//! All replay goes through `GridReplay` (`simulate` and
+//! `simulate_stream` are a grid of one cell), so what can go wrong is
+//! the mechanics around the per-record step: chunking, the
 //! streamed decode buffer, lockstep cells sharing a pass. The oracle has
 //! none of them — one cell, one record per `step_records` call, built
 //! from public API only. Every other way to replay the same records must

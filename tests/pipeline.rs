@@ -1,7 +1,13 @@
 //! End-to-end integration: graph generation -> instrumented kernel ->
 //! trace -> simulation -> statistics, checking cross-crate invariants.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use ccsim::core::{llc_demand_stream, CacheStats, Hierarchy, Level};
+use ccsim::policies::{AccessInfo, PolicyDispatch, Victim};
 use ccsim::prelude::*;
+use ccsim::trace::synth::{PatternGen, RandomAccess, SequentialStream};
 use ccsim::workloads::{GapGraph, GapKernel};
 
 fn quick_trace(kernel: GapKernel, graph: GapGraph) -> Trace {
@@ -94,4 +100,94 @@ fn larger_llc_never_increases_misses() {
     // of smaller ones, but an 8x LLC on the same trace should never lose.
     assert!(big.llc.demand_misses <= small.llc.demand_misses);
     assert!(big.ipc() >= small.ipc() * 0.99);
+}
+
+/// An LLC policy that never bypasses and records every demand access it
+/// is told about: a hit (`on_hit`) or a fill (`on_fill`).
+#[derive(Debug)]
+struct DemandRecorder {
+    seen: Rc<RefCell<Vec<(u32, u64)>>>,
+    ways: u32,
+    next: u32,
+}
+
+impl DemandRecorder {
+    fn record(&self, set: u32, info: &AccessInfo) {
+        if info.kind.is_demand() {
+            self.seen.borrow_mut().push((set, info.block));
+        }
+    }
+}
+
+impl ReplacementPolicy for DemandRecorder {
+    fn name(&self) -> &'static str {
+        "demand-recorder"
+    }
+
+    fn victim(&mut self, _set: u32, _info: &AccessInfo) -> Victim {
+        self.next = (self.next + 1) % self.ways;
+        Victim::Way(self.next)
+    }
+
+    fn on_hit(&mut self, set: u32, _way: u32, info: &AccessInfo) {
+        self.record(set, info);
+    }
+
+    fn on_fill(&mut self, set: u32, _way: u32, info: &AccessInfo, _evicted: Option<u64>) {
+        self.record(set, info);
+    }
+}
+
+/// `llc_demand_stream` walks only L1D and L2, yet it is exactly the
+/// sequence of demand accesses a real LLC's policy sees, and exactly as
+/// long as every policy's `llc.demand_accesses`.
+#[test]
+fn llc_demand_stream_is_what_a_real_llc_sees() {
+    let mut traces = Vec::new();
+    for stores in [0.1, 0.5, 0.9] {
+        let mut buf = TraceBuffer::new("random");
+        RandomAccess::new(0x1000_0000, 1 << 15, 64, 30_000)
+            .store_fraction(stores)
+            .seed(3)
+            .emit(&mut buf);
+        traces.push(buf.finish());
+    }
+    // 48 blocks 4096 blocks apart: one set at every level of every
+    // config below, so each lap conflicts all the way down.
+    let mut buf = TraceBuffer::new("conflict");
+    SequentialStream::new(0, 48 << 18).stride(1 << 18).laps(6).store_every(3).emit(&mut buf);
+    traces.push(buf.finish());
+
+    for config in
+        [SimConfig::tiny(), SimConfig::cascade_lake(), SimConfig::tiny().with_llc_scale(2)]
+    {
+        let mut covered = CacheStats::default();
+        for trace in &traces {
+            let stream = llc_demand_stream(trace, &config);
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let recorder =
+                DemandRecorder { seen: Rc::clone(&seen), ways: config.llc.ways, next: 0 };
+            let mut hierarchy = Hierarchy::new(&config, PolicyDispatch::Custom(Box::new(recorder)));
+            // Each access issues when the previous one's data arrives, so
+            // no fill is ever in flight and no LLC miss merges: every LLC
+            // demand access reaches the policy as a hit or a fill.
+            let mut at = 0;
+            for rec in trace {
+                at = hierarchy.demand_access(rec.pc, rec.vaddr, rec.kind.is_store(), at);
+            }
+            let llc = hierarchy.cache_stats(Level::Llc);
+            assert_eq!((llc.mshr_merges, llc.bypasses), (0, 0), "{}", trace.name());
+            covered.demand_hits += llc.demand_hits;
+            covered.demand_misses += llc.demand_misses;
+            covered.writeback_accesses += llc.writeback_accesses;
+            assert_eq!(*seen.borrow(), stream, "{} on {config:?}", trace.name());
+            for kind in PolicyKind::ALL {
+                let r = simulate(trace, &config, kind);
+                assert_eq!(r.llc.demand_accesses, stream.len() as u64, "{kind} {}", trace.name());
+            }
+        }
+        // The recorder saw hits, fills and writeback traffic on each config.
+        assert!(covered.demand_hits > 0 && covered.demand_misses > 0, "{config:?}: {covered:?}");
+        assert!(covered.writeback_accesses > 0, "{config:?}: {covered:?}");
+    }
 }

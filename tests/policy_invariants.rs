@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use ccsim::core::llc_demand_stream;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
 use ccsim::trace::synth::{AccessDistribution, PatternGen, RandomAccess, SequentialStream, Zipf};
@@ -22,8 +23,8 @@ fn zipf_trace(records: u64) -> Trace {
 fn opt_dominates_every_online_policy() {
     let trace = zipf_trace(60_000);
     let config = SimConfig::cascade_lake();
-    let (_, log) = simulate_with_llc_log(&trace, &config, PolicyKind::Lru);
-    let opt = belady_replay(&log, config.llc.sets, config.llc.ways);
+    let stream = llc_demand_stream(&trace, &config);
+    let opt = belady_replay(&stream, config.llc.sets, config.llc.ways);
     for kind in PolicyKind::ALL {
         let r = simulate(&trace, &config, kind);
         // The LLC demand stream is identical across policies: L1D and L2
