@@ -165,7 +165,8 @@ impl CampaignReport {
     /// Figure 3's table: geometric-mean speed-up (%) over LRU per suite,
     /// one column per non-LRU policy, for the cells of `config`.
     ///
-    /// Suites appear in the paper's order; a suite absent from the grid is
+    /// Suites appear in the paper's order, followed by an `external` row
+    /// for ingested `trace:` workloads; a suite absent from the grid is
     /// skipped. Per-workload IPC ratios enter the geomean in spec
     /// (figure) order.
     pub fn speedup_by_suite_table(&self, config: &str) -> Table {
@@ -176,16 +177,13 @@ impl CampaignReport {
                 .chain(policies.iter().map(|p| (*p).to_owned()))
                 .collect(),
         );
-        for suite in Suite::ALL {
-            let suite_cells: Vec<&CampaignCell> = self
-                .cells
-                .iter()
-                .filter(|c| c.config == config && c.suite == suite.name())
-                .collect();
+        for suite in Suite::ALL.map(Suite::name).into_iter().chain([EXTERNAL]) {
+            let suite_cells: Vec<&CampaignCell> =
+                self.cells.iter().filter(|c| c.config == config && c.suite == suite).collect();
             if suite_cells.is_empty() {
                 continue;
             }
-            let mut row = vec![suite.name().to_owned()];
+            let mut row = vec![suite.to_owned()];
             for p in &policies {
                 // Per-workload IPC ratios, computed straight from the two
                 // cells' IPCs (no round-trip through the percentage, which
@@ -278,11 +276,14 @@ impl CampaignReport {
     }
 }
 
+/// The display suite of ingested `trace:` workloads.
+const EXTERNAL: &str = "external";
+
 /// The display suite of a workload: ingested `trace:` selectors report
-/// as `"external"`, everything else by its benchmark suite.
+/// as [`EXTERNAL`], everything else by its benchmark suite.
 fn suite_name(workload: &str) -> String {
     if workload.starts_with("trace:") {
-        "external".to_owned()
+        EXTERNAL.to_owned()
     } else {
         Suite::of_workload(workload).name().to_owned()
     }
@@ -425,6 +426,22 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("GAPBS,25.00"), "{csv}");
         assert!(!csv.contains("SPEC"), "absent suites are skipped");
+    }
+
+    #[test]
+    fn suite_speedup_table_keeps_external_traces() {
+        let report = CampaignReport::build(
+            &spec(),
+            vec![
+                raw_cell("bfs.kron", "llc_x1", 1, "lru", 1000),
+                raw_cell("bfs.kron", "llc_x1", 1, "srrip", 800),
+                raw_cell("trace:t.cctr", "llc_x1", 1, "lru", 1000),
+                raw_cell("trace:t.cctr", "llc_x1", 1, "srrip", 500),
+            ],
+        );
+        let csv = report.speedup_by_suite_table("llc_x1").to_csv();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows, ["GAPBS,25.00", "external,100.00"], "{csv}");
     }
 
     #[test]

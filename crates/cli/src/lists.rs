@@ -1,7 +1,7 @@
 //! `workloads`, `policies`: the names the other commands accept.
 
 use ccsim_policies::PolicyKind;
-use ccsim_workloads::{paper_workloads, qualcomm_suite, spec_suite, xsbench_suite, SuiteScale};
+use ccsim_workloads::Suite;
 
 use crate::args::{Args, Command};
 
@@ -22,23 +22,21 @@ pub const POLICIES: Command = Command {
 };
 
 fn workloads(_: &Args) -> Result<(), String> {
-    println!("GAP (kernel.graph):");
-    for w in paper_workloads() {
-        println!("  {w}");
-    }
-    println!("SPEC-like:");
-    for t in spec_suite(SuiteScale::Quick) {
-        println!("  {}", t.name());
-    }
-    println!("XSBench-like:");
-    for t in xsbench_suite(SuiteScale::Quick) {
-        println!("  {}", t.name());
-    }
-    println!("Qualcomm-like:");
-    for t in qualcomm_suite(SuiteScale::Quick) {
-        println!("  {}", t.name());
-    }
+    print!("{}", workload_listing());
     Ok(())
+}
+
+/// Every suite's member names under one header per suite — names only,
+/// so listing builds no trace.
+fn workload_listing() -> String {
+    let mut out = String::new();
+    for suite in Suite::ALL {
+        out += &format!("{}:\n", suite.name());
+        for name in suite.member_names() {
+            out += &format!("  {name}\n");
+        }
+    }
+    out
 }
 
 fn policies(_: &Args) -> Result<(), String> {
@@ -50,11 +48,25 @@ fn policies(_: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::ccsim;
 
     #[test]
     fn listings_do_not_fail() {
         ccsim(&["workloads"]).unwrap();
         ccsim(&["policies"]).unwrap();
+    }
+
+    #[test]
+    fn workloads_lists_every_member_once() {
+        let listing = workload_listing();
+        let names: Vec<&str> = listing.lines().filter_map(|l| l.strip_prefix("  ")).collect();
+        assert_eq!(names.len(), 51, "{listing}");
+        for suite in Suite::ALL {
+            assert!(listing.contains(&format!("{}:\n", suite.name())), "{listing}");
+            for name in suite.member_names() {
+                assert_eq!(names.iter().filter(|n| **n == name).count(), 1, "{name}");
+            }
+        }
     }
 }

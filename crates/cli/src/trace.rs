@@ -1,13 +1,13 @@
 //! `trace-gen`, `trace-stats`, `ingest`: making and characterizing traces.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 use ccsim_ingest::{ingest_file_to_trace, IngestOptions, IngestReport, SourceFormat};
 use ccsim_trace::stats::{ReuseProfile, TraceStats};
 use ccsim_trace::{read_trace, write_trace, Trace};
-use ccsim_workloads::SuiteScale;
+use ccsim_workloads::{build_workload_seeded, SuiteScale};
 
 use crate::args::{Args, Command, Flag};
 
@@ -58,9 +58,14 @@ record count, unlike the plain conversion).",
 fn trace_gen(args: &Args) -> Result<(), String> {
     let (workload, out) = (args.pos(0), args.pos(1));
     let scale = if args.has("--quick") { SuiteScale::Quick } else { SuiteScale::Full };
-    let trace = ccsim_workloads::build_workload(workload, scale)?;
+    let trace = build_workload_seeded(workload, scale, 0)?;
     let file = File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-    write_trace(&trace, BufWriter::new(file)).map_err(|e| format!("writing {out}: {e}"))?;
+    // Flush explicitly: `BufWriter`'s drop would discard an error on the
+    // last buffered bytes.
+    let mut writer = BufWriter::new(file);
+    write_trace(&trace, &mut writer)
+        .and_then(|()| writer.flush())
+        .map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {}: {} records, {} instructions", out, trace.len(), trace.instructions());
     Ok(())
 }
@@ -160,7 +165,7 @@ mod tests {
 
     #[test]
     fn build_workload_accepts_gap_and_suite_names() {
-        let build = |name| ccsim_workloads::build_workload(name, SuiteScale::Quick);
+        let build = |name| build_workload_seeded(name, SuiteScale::Quick, 0);
         assert!(build("bfs.kron").is_ok());
         assert!(build("spec.stream").is_ok());
         assert!(build("xsbench.small").is_ok());
@@ -184,6 +189,13 @@ mod tests {
         let err = ccsim(&["trace-gen", "xsbench.small", path_s, "--bogus"]).unwrap_err();
         assert!(err.contains("unknown flag \"--bogus\""), "{err}");
         assert!(!path.exists());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn trace_gen_reports_a_failed_write() {
+        let err = ccsim(&["trace-gen", "xsbench.small", "/dev/full", "--quick"]).unwrap_err();
+        assert!(err.starts_with("writing /dev/full: "), "{err}");
     }
 
     fn write_champsim(path: &Path, loads: u64) {

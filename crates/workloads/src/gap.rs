@@ -7,6 +7,8 @@ use std::str::FromStr;
 use ccsim_graph::{generators, traced, Graph};
 use ccsim_trace::Trace;
 
+use crate::SuiteScale;
+
 /// The six GAP kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GapKernel {
@@ -105,16 +107,6 @@ impl GapGraph {
     }
 }
 
-/// Trace-size preset: `Full` regenerates the figures, `Quick` keeps tests
-/// and Criterion benches fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GapScale {
-    /// Figure-quality scale: property arrays exceed the 1.375 MB LLC.
-    Full,
-    /// Small graphs for unit tests and micro-benchmarks.
-    Quick,
-}
-
 /// One GAP workload: a kernel applied to an input graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GapWorkload {
@@ -150,7 +142,7 @@ impl FromStr for GapWorkload {
 impl GapWorkload {
     /// Graph scale (log2 vertices) for this kernel at the given preset.
     /// Heavier kernels get smaller graphs so trace lengths stay comparable.
-    pub fn scale(&self, preset: GapScale) -> u32 {
+    pub fn scale(&self, preset: SuiteScale) -> u32 {
         let full = match self.kernel {
             GapKernel::Bfs => 20,
             GapKernel::Cc => 18,
@@ -160,20 +152,15 @@ impl GapWorkload {
             GapKernel::Tc => 13,
         };
         match preset {
-            GapScale::Full => full,
-            GapScale::Quick => full.saturating_sub(6).max(8),
+            SuiteScale::Full => full,
+            SuiteScale::Quick => full.saturating_sub(6).max(8),
         }
     }
 
     /// Runs the instrumented kernel and returns its trace, named
-    /// `kernel.graph`.
-    pub fn trace(&self, preset: GapScale) -> Trace {
-        self.trace_seeded(preset, 0)
-    }
-
-    /// Like [`GapWorkload::trace`], but perturbs graph synthesis with
-    /// `extra_seed` (0 reproduces the paper's graphs exactly).
-    pub fn trace_seeded(&self, preset: GapScale, extra_seed: u64) -> Trace {
+    /// `kernel.graph`; `extra_seed` perturbs graph synthesis (0 reproduces
+    /// the paper's graphs exactly).
+    pub(crate) fn trace(&self, preset: SuiteScale, extra_seed: u64) -> Trace {
         const GAP_SEED: u64 = 0x6A50_5EED;
         let seed = GAP_SEED
             ^ ((self.kernel as u64) << 8)
@@ -203,7 +190,7 @@ impl GapWorkload {
 
 /// The 35 kernel/graph combinations of the paper's Figure 2 (every pair
 /// except `sssp.friendster`, absent from the figure).
-pub fn paper_workloads() -> Vec<GapWorkload> {
+pub(crate) fn paper_workloads() -> Vec<GapWorkload> {
     let mut v = Vec::new();
     for kernel in GapKernel::ALL {
         for graph in GapGraph::ALL {
@@ -249,7 +236,7 @@ mod tests {
     #[test]
     fn quick_traces_have_graph_signature() {
         let w = GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Kron };
-        let t = w.trace(GapScale::Quick);
+        let t = w.trace(SuiteScale::Quick, 0);
         assert_eq!(t.name(), "bfs.kron");
         let stats = TraceStats::compute(&t);
         assert!(stats.distinct_pcs <= 12, "pcs {}", stats.distinct_pcs);
@@ -260,7 +247,7 @@ mod tests {
     fn every_kernel_produces_a_quick_trace() {
         for kernel in GapKernel::ALL {
             let w = GapWorkload { kernel, graph: GapGraph::Urand };
-            let t = w.trace(GapScale::Quick);
+            let t = w.trace(SuiteScale::Quick, 0);
             assert!(!t.is_empty(), "{w} produced an empty trace");
         }
     }

@@ -4,14 +4,20 @@
 //! kernel x graph grid of the paper's Figure 2, plus the SPEC-like,
 //! XSBench-like and Qualcomm-server-like proxy suites of Figure 3.
 //!
+//! Every workload has a canonical name, [`Suite::member_names`] lists
+//! them without building anything, and [`build_workload_seeded`] is the
+//! one way to turn a name into a trace.
+//!
 //! # Example
 //!
 //! ```
-//! use ccsim_workloads::{Suite, SuiteScale};
+//! use ccsim_workloads::{build_workload_seeded, Suite, SuiteScale};
 //!
-//! let traces = Suite::XsBench.traces(SuiteScale::Quick);
-//! assert_eq!(traces.len(), 3);
-//! assert!(traces[0].name().starts_with("xsbench."));
+//! let names = Suite::XsBench.member_names();
+//! assert_eq!(names.len(), 3);
+//! let trace = build_workload_seeded(&names[0], SuiteScale::Quick, 0).unwrap();
+//! assert_eq!(trace.name(), "xsbench.small");
+//! assert!(build_workload_seeded("nope.nothing", SuiteScale::Quick, 0).is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -21,18 +27,48 @@ pub mod qualcomm;
 pub mod spec;
 pub mod xsbench;
 
-pub use gap::{paper_workloads, GapGraph, GapKernel, GapScale, GapWorkload};
-pub use qualcomm::{qualcomm_suite, qualcomm_workload, QUALCOMM_NAMES};
-pub use spec::{spec_suite, spec_workload, SuiteScale, SPEC_NAMES};
-pub use xsbench::{xsbench_suite, xsbench_workload, XSBENCH_NAMES};
+pub use gap::{GapGraph, GapKernel, GapWorkload};
+pub use qualcomm::QUALCOMM_NAMES;
+pub use spec::SPEC_NAMES;
+pub use xsbench::XSBENCH_NAMES;
 
 use ccsim_trace::Trace;
 
-impl From<SuiteScale> for GapScale {
-    fn from(scale: SuiteScale) -> GapScale {
-        match scale {
-            SuiteScale::Full => GapScale::Full,
-            SuiteScale::Quick => GapScale::Quick,
+/// Trace-size preset, shared by every suite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SuiteScale {
+    /// Figure-quality length: GAP property arrays exceed the 1.375 MB LLC,
+    /// proxies emit ~1-2 M memory records per workload.
+    Full,
+    /// Small graphs and short traces for tests and smoke runs.
+    Quick,
+}
+
+impl SuiteScale {
+    /// Stable lowercase name (`"full"` / `"quick"`), used in campaign
+    /// specs and trace-cache keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            SuiteScale::Full => "full",
+            SuiteScale::Quick => "quick",
+        }
+    }
+}
+
+impl std::fmt::Display for SuiteScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for SuiteScale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "full" => Ok(SuiteScale::Full),
+            "quick" => Ok(SuiteScale::Quick),
+            other => Err(format!("unknown scale {other:?}, expected \"quick\" or \"full\"")),
         }
     }
 }
@@ -41,49 +77,28 @@ impl From<SuiteScale> for GapScale {
 /// `kernel.graph` pair or a synthetic-suite member (`spec.*`, `xsbench.*`,
 /// `qcom.srv*`) — without materializing the rest of its suite.
 ///
-/// This is the single name-to-trace entry point shared by the CLI and the
-/// campaign engine.
-///
-/// # Errors
-///
-/// Returns a message naming the unknown workload.
-///
-/// # Examples
-///
-/// ```
-/// use ccsim_workloads::{build_workload, SuiteScale};
-///
-/// let t = build_workload("xsbench.small", SuiteScale::Quick).unwrap();
-/// assert_eq!(t.name(), "xsbench.small");
-/// assert!(build_workload("nope.nothing", SuiteScale::Quick).is_err());
-/// ```
-pub fn build_workload(name: &str, scale: SuiteScale) -> Result<Trace, String> {
-    build_workload_seeded(name, scale, 0)
-}
-
-/// Like [`build_workload`], but perturbs the stochastic components of
-/// synthesis with `seed` (0 reproduces the paper's traces exactly; purely
-/// streaming proxies are seed-insensitive by construction). Campaigns
-/// thread their spec seed through here, and the trace cache keys on it.
+/// This is the one name-to-trace entry point: the CLI, the campaign
+/// engine and the benchmark all build through it. `seed` perturbs the
+/// stochastic components of synthesis (0 reproduces the paper's traces
+/// exactly; purely streaming proxies are seed-insensitive by
+/// construction); campaigns thread their spec seed through here, and the
+/// trace cache keys on it.
 ///
 /// # Errors
 ///
 /// Returns a message naming the unknown workload.
 pub fn build_workload_seeded(name: &str, scale: SuiteScale, seed: u64) -> Result<Trace, String> {
-    if let Ok(gap) = name.parse::<GapWorkload>() {
-        return Ok(gap.trace_seeded(scale.into(), seed));
-    }
-    let unknown = || format!("unknown workload {name:?}; try `ccsim workloads`");
-    match name.split('.').next() {
-        Some("spec") => spec_workload(name, scale, seed).ok_or_else(unknown),
-        Some("xsbench") => xsbench_workload(name, scale, seed).ok_or_else(unknown),
-        Some("qcom") => qualcomm_workload(name, scale, seed).ok_or_else(unknown),
-        _ => Err(unknown()),
-    }
+    let trace = match Suite::of_workload(name) {
+        Suite::Spec => spec::spec_workload(name, scale, seed),
+        Suite::XsBench => xsbench::xsbench_workload(name, scale, seed),
+        Suite::Qualcomm => qualcomm::qualcomm_workload(name, scale, seed),
+        Suite::Gapbs => name.parse::<GapWorkload>().ok().map(|w| w.trace(scale, seed)),
+    };
+    trace.ok_or_else(|| format!("unknown workload {name:?}; try `ccsim workloads`"))
 }
 
-/// `true` if [`build_workload`] would succeed for `name`, without building
-/// anything (used to validate campaign specs cheaply).
+/// `true` if [`build_workload_seeded`] would succeed for `name`, without
+/// building anything (used to validate campaign specs cheaply).
 pub fn is_known_workload(name: &str) -> bool {
     name.parse::<GapWorkload>().is_ok()
         || SPEC_NAMES.contains(&name)
@@ -118,25 +133,15 @@ impl Suite {
         }
     }
 
-    /// Number of workloads the suite materializes.
-    pub fn len(self, _scale: SuiteScale) -> usize {
-        match self {
-            Suite::Spec => 8,
-            Suite::XsBench => 3,
-            Suite::Qualcomm => 5,
-            Suite::Gapbs => paper_workloads().len(),
-        }
-    }
-
     /// Canonical member workload names, in suite (figure) order. These are
-    /// exactly the names [`build_workload`] accepts, and expanding them is
-    /// free — no trace is materialized.
+    /// names [`build_workload_seeded`] accepts, and expanding them is free
+    /// — no trace is materialized.
     pub fn member_names(self) -> Vec<String> {
         match self {
             Suite::Spec => SPEC_NAMES.iter().map(|s| (*s).to_owned()).collect(),
             Suite::XsBench => XSBENCH_NAMES.iter().map(|s| (*s).to_owned()).collect(),
             Suite::Qualcomm => QUALCOMM_NAMES.iter().map(|s| (*s).to_owned()).collect(),
-            Suite::Gapbs => paper_workloads().iter().map(|w| w.to_string()).collect(),
+            Suite::Gapbs => gap::paper_workloads().iter().map(|w| w.to_string()).collect(),
         }
     }
 
@@ -163,33 +168,6 @@ impl Suite {
             _ => Suite::Gapbs,
         }
     }
-
-    /// Streams the suite's traces one at a time through `f`, so that at
-    /// most one multi-million-record trace is alive at once. Prefer this
-    /// over [`Suite::traces`] for the GAP suite at [`SuiteScale::Full`].
-    pub fn for_each_trace(self, scale: SuiteScale, mut f: impl FnMut(Trace)) {
-        match self {
-            Suite::Spec => spec_suite(scale).into_iter().for_each(f),
-            Suite::XsBench => xsbench_suite(scale).into_iter().for_each(f),
-            Suite::Qualcomm => qualcomm_suite(scale).into_iter().for_each(f),
-            Suite::Gapbs => {
-                for w in paper_workloads() {
-                    f(w.trace(scale.into()));
-                }
-            }
-        }
-    }
-
-    /// Materializes all of the suite's traces at once.
-    ///
-    /// For `Gapbs` this runs the instrumented kernels over the full
-    /// Figure 2 grid; at [`SuiteScale::Full`] that is several gigabytes of
-    /// records — use [`Suite::for_each_trace`] instead there.
-    pub fn traces(self, scale: SuiteScale) -> Vec<Trace> {
-        let mut v = Vec::new();
-        self.for_each_trace(scale, |t| v.push(t));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -203,34 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn non_gap_suites_materialize_quickly() {
+    fn every_synthetic_member_builds_by_name() {
         for suite in [Suite::Spec, Suite::XsBench, Suite::Qualcomm] {
-            let traces = suite.traces(SuiteScale::Quick);
-            assert!(!traces.is_empty());
-            for t in &traces {
-                assert!(!t.is_empty(), "{} has empty trace {}", suite.name(), t.name());
+            for name in suite.member_names() {
+                let trace = build_workload_seeded(&name, SuiteScale::Quick, 0).unwrap();
+                assert_eq!(trace.name(), name);
+                assert!(!trace.is_empty(), "{name} has an empty trace");
+                assert_eq!(Suite::of_workload(&name), suite, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn member_names_match_generated_traces() {
-        for suite in [Suite::Spec, Suite::XsBench, Suite::Qualcomm] {
-            let names = suite.member_names();
-            let generated: Vec<String> =
-                suite.traces(SuiteScale::Quick).iter().map(|t| t.name().to_owned()).collect();
-            assert_eq!(names, generated, "{}", suite.name());
-        }
         assert_eq!(Suite::Gapbs.member_names().len(), 35);
-    }
-
-    #[test]
-    fn build_workload_matches_suite_member_bytes() {
-        // The per-name builder must produce the identical trace the whole-
-        // suite builder does — the campaign trace cache depends on it.
-        let from_suite = &qualcomm_suite(SuiteScale::Quick)[2];
-        let direct = build_workload("qcom.srv2", SuiteScale::Quick).unwrap();
-        assert_eq!(&direct, from_suite);
     }
 
     #[test]
@@ -247,11 +207,7 @@ mod tests {
 
     #[test]
     fn seed_perturbs_stochastic_workloads() {
-        // Seed 0 is the canonical (paper) trace...
-        let canonical = build_workload("xsbench.small", SuiteScale::Quick).unwrap();
-        let seeded0 = build_workload_seeded("xsbench.small", SuiteScale::Quick, 0).unwrap();
-        assert_eq!(canonical, seeded0);
-        // ...a different seed actually reaches synthesis...
+        // A nonzero seed actually reaches synthesis...
         for name in ["xsbench.small", "qcom.srv0", "spec.hotcold", "bfs.kron"] {
             let a = build_workload_seeded(name, SuiteScale::Quick, 0).unwrap();
             let b = build_workload_seeded(name, SuiteScale::Quick, 0xDEAD).unwrap();

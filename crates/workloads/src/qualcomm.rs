@@ -14,21 +14,16 @@ use ccsim_trace::synth::{
 };
 use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::spec::SuiteScale;
+use crate::SuiteScale;
 
 /// Names of the Qualcomm-server-like proxy workloads, in suite order.
 pub const QUALCOMM_NAMES: [&str; 5] =
     ["qcom.srv0", "qcom.srv1", "qcom.srv2", "qcom.srv3", "qcom.srv4"];
 
-/// Builds the Qualcomm-server-like proxy suite.
-pub fn qualcomm_suite(scale: SuiteScale) -> Vec<Trace> {
-    QUALCOMM_NAMES.iter().map(|n| qualcomm_workload(n, scale, 0).expect("listed member")).collect()
-}
-
 /// Builds one member of the Qualcomm-like suite by name, or `None` if the
 /// name is not in [`QUALCOMM_NAMES`]. `seed` perturbs the stochastic
 /// request mix (0 reproduces the paper's traces).
-pub fn qualcomm_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
+pub(crate) fn qualcomm_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
     let reps = match scale {
         SuiteScale::Full => 6,
         SuiteScale::Quick => 1,
@@ -88,23 +83,29 @@ mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
 
+    fn quick(name: &str) -> Trace {
+        qualcomm_workload(name, SuiteScale::Quick, 0).unwrap()
+    }
+
     #[test]
     fn suite_has_five_servers() {
-        let suite = qualcomm_suite(SuiteScale::Quick);
-        assert_eq!(suite.len(), 5);
+        assert_eq!(QUALCOMM_NAMES.len(), 5);
+        for name in QUALCOMM_NAMES {
+            assert_eq!(quick(name).name(), name);
+        }
     }
 
     #[test]
     fn many_pcs_distinguish_from_gap_and_xsbench() {
-        for t in qualcomm_suite(SuiteScale::Quick) {
-            let s = TraceStats::compute(&t);
-            assert!(s.distinct_pcs > 30, "{}: pcs {}", t.name(), s.distinct_pcs);
+        for name in QUALCOMM_NAMES {
+            let s = TraceStats::compute(&quick(name));
+            assert!(s.distinct_pcs > 30, "{name}: pcs {}", s.distinct_pcs);
         }
     }
 
     #[test]
     fn variants_differ() {
-        let suite = qualcomm_suite(SuiteScale::Quick);
-        assert_ne!(suite[0].records()[..100], suite[1].records()[..100]);
+        let (a, b) = (quick(QUALCOMM_NAMES[0]), quick(QUALCOMM_NAMES[1]));
+        assert_ne!(a.records()[..100], b.records()[..100]);
     }
 }

@@ -18,51 +18,7 @@ use ccsim_trace::synth::{
 };
 use ccsim_trace::{Trace, TraceBuffer};
 
-/// Trace-size preset for the synthetic suites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SuiteScale {
-    /// Figure-quality length (~1-2 M memory records per workload).
-    Full,
-    /// Short traces for tests and micro-benchmarks.
-    Quick,
-}
-
-impl SuiteScale {
-    /// Multiplier applied to per-phase repetition counts.
-    fn reps(self) -> u64 {
-        match self {
-            SuiteScale::Full => 8,
-            SuiteScale::Quick => 1,
-        }
-    }
-
-    /// Stable lowercase name (`"full"` / `"quick"`), used in campaign
-    /// specs and trace-cache keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            SuiteScale::Full => "full",
-            SuiteScale::Quick => "quick",
-        }
-    }
-}
-
-impl std::fmt::Display for SuiteScale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SuiteScale {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(SuiteScale::Full),
-            "quick" => Ok(SuiteScale::Quick),
-            other => Err(format!("unknown scale {other:?}, expected \"quick\" or \"full\"")),
-        }
-    }
-}
+use crate::SuiteScale;
 
 /// Names of the SPEC-like proxy workloads, in suite order.
 pub const SPEC_NAMES: [&str; 8] = [
@@ -80,8 +36,11 @@ pub const SPEC_NAMES: [&str; 8] = [
 /// is not in [`SPEC_NAMES`]. `seed` perturbs the stochastic phases of the
 /// proxy (0 reproduces the paper's traces); purely streaming members are
 /// seed-insensitive by construction.
-pub fn spec_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
-    let r = scale.reps();
+pub(crate) fn spec_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
+    let r = match scale {
+        SuiteScale::Full => 8,
+        SuiteScale::Quick => 1,
+    };
     Some(match name {
         "spec.stream" => stream_heavy(name, r),
         "spec.blocked" => blocked_loops(name, r),
@@ -103,11 +62,6 @@ const CODE_STRIDE: u64 = 0x1000;
 fn pcs(phase: u64) -> (u64, u64) {
     let base = 0x40_0000 + phase * CODE_STRIDE;
     (base, base + 4)
-}
-
-/// Builds the SPEC-like proxy suite.
-pub fn spec_suite(scale: SuiteScale) -> Vec<Trace> {
-    SPEC_NAMES.iter().map(|n| spec_workload(n, scale, 0).expect("listed member")).collect()
 }
 
 /// `libquantum`/`lbm`-like: several long unit-stride streams, each from its
@@ -278,22 +232,28 @@ mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
 
+    fn quick(name: &str) -> Trace {
+        spec_workload(name, SuiteScale::Quick, 0).unwrap()
+    }
+
     #[test]
     fn suite_has_eight_named_workloads() {
-        let suite = spec_suite(SuiteScale::Quick);
-        assert_eq!(suite.len(), 8);
-        let names: Vec<_> = suite.iter().map(|t| t.name().to_owned()).collect();
-        assert!(names.iter().all(|n| n.starts_with("spec.")));
-        let mut dedup = names.clone();
+        assert_eq!(SPEC_NAMES.len(), 8);
+        for name in SPEC_NAMES {
+            assert!(name.starts_with("spec."));
+            assert_eq!(quick(name).name(), name);
+        }
+        let mut dedup = SPEC_NAMES.to_vec();
+        dedup.sort();
         dedup.dedup();
-        assert_eq!(dedup, names, "names must be unique");
+        assert_eq!(dedup.len(), SPEC_NAMES.len(), "names must be unique");
     }
 
     #[test]
     fn spec_proxies_have_pc_diversity() {
         // The decisive contrast with GAP: an order of magnitude more PCs.
-        let suite = spec_suite(SuiteScale::Quick);
-        let total_pcs: u64 = suite.iter().map(|t| TraceStats::compute(t).distinct_pcs).sum();
+        let total_pcs: u64 =
+            SPEC_NAMES.iter().map(|n| TraceStats::compute(&quick(n)).distinct_pcs).sum();
         assert!(total_pcs >= 20, "suite pcs {total_pcs}");
     }
 
@@ -306,10 +266,9 @@ mod tests {
 
     #[test]
     fn full_scale_is_larger() {
-        let q = spec_suite(SuiteScale::Quick);
-        let f = spec_suite(SuiteScale::Full);
-        for (a, b) in q.iter().zip(&f) {
-            assert!(b.len() > a.len(), "{}", a.name());
+        for name in SPEC_NAMES {
+            let full = spec_workload(name, SuiteScale::Full, 0).unwrap();
+            assert!(full.len() > quick(name).len(), "{name}");
         }
     }
 }

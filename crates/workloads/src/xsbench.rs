@@ -10,28 +10,23 @@
 use ccsim_trace::synth::{BinarySearchProbe, PatternGen};
 use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::spec::SuiteScale;
+use crate::SuiteScale;
 
 /// Names of the XSBench-like proxy workloads, in suite order.
 pub const XSBENCH_NAMES: [&str; 3] = ["xsbench.small", "xsbench.large", "xsbench.xl"];
 
-/// Builds the XSBench-like proxy suite (three problem sizes).
-pub fn xsbench_suite(scale: SuiteScale) -> Vec<Trace> {
-    XSBENCH_NAMES.iter().map(|n| xsbench_workload(n, scale, 0).expect("listed member")).collect()
-}
-
 /// Builds one member of the XSBench-like suite by name, or `None` if the
 /// name is not in [`XSBENCH_NAMES`]. `seed` perturbs the lookup sequence
 /// (0 reproduces the paper's traces).
-pub fn xsbench_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
+pub(crate) fn xsbench_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
     let probes = match scale {
         SuiteScale::Full => 60_000,
         SuiteScale::Quick => 3_000,
     };
     Some(match name {
-        "xsbench.small" => lookup_workload(name, 1 << 17, 16 << 10, probes, seed),
-        "xsbench.large" => lookup_workload(name, 1 << 20, 64 << 10, probes, seed),
-        "xsbench.xl" => lookup_workload(name, 1 << 22, 64 << 10, probes / 2, seed),
+        "xsbench.small" => lookup_workload(name, 1 << 17, probes, seed),
+        "xsbench.large" => lookup_workload(name, 1 << 20, probes, seed),
+        "xsbench.xl" => lookup_workload(name, 1 << 22, probes / 2, seed),
         _ => return None,
     })
 }
@@ -39,13 +34,7 @@ pub fn xsbench_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trac
 /// One XSBench configuration: `grid_points` grid entries (8 B keys) and a
 /// nuclide payload region; each lookup binary-searches the grid then reads
 /// a 128 B cross-section bundle.
-fn lookup_workload(
-    name: &str,
-    grid_points: u64,
-    payload_entries: u64,
-    probes: u64,
-    seed: u64,
-) -> Trace {
+fn lookup_workload(name: &str, grid_points: u64, probes: u64, seed: u64) -> Trace {
     let mut buf = TraceBuffer::new(name);
     let grid_base = 0x2000_0000;
     let payload_base = grid_base + grid_points * 8 + (1 << 20);
@@ -53,7 +42,6 @@ fn lookup_workload(
         .probes(probes)
         .seed(grid_points ^ seed) // distinct but deterministic per size
         .emit(&mut buf);
-    let _ = payload_entries;
     buf.finish()
 }
 
@@ -62,25 +50,31 @@ mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
 
+    fn quick(name: &str) -> Trace {
+        xsbench_workload(name, SuiteScale::Quick, 0).unwrap()
+    }
+
     #[test]
     fn suite_has_three_sizes() {
-        let suite = xsbench_suite(SuiteScale::Quick);
-        assert_eq!(suite.len(), 3);
-        assert!(suite.iter().all(|t| t.name().starts_with("xsbench.")));
+        assert_eq!(XSBENCH_NAMES.len(), 3);
+        for name in XSBENCH_NAMES {
+            assert!(name.starts_with("xsbench."));
+            assert_eq!(quick(name).name(), name);
+        }
     }
 
     #[test]
     fn tiny_pc_set_like_graph_workloads() {
-        for t in xsbench_suite(SuiteScale::Quick) {
-            let s = TraceStats::compute(&t);
-            assert!(s.distinct_pcs <= 3, "{}: {}", t.name(), s.distinct_pcs);
+        for name in XSBENCH_NAMES {
+            let s = TraceStats::compute(&quick(name));
+            assert!(s.distinct_pcs <= 3, "{name}: {}", s.distinct_pcs);
         }
     }
 
     #[test]
     fn footprint_grows_with_problem_size() {
-        let suite = xsbench_suite(SuiteScale::Quick);
-        let f: Vec<u64> = suite.iter().map(|t| TraceStats::compute(t).footprint_bytes).collect();
+        let f: Vec<u64> =
+            XSBENCH_NAMES.iter().map(|n| TraceStats::compute(&quick(n)).footprint_bytes).collect();
         assert!(f[1] > f[0], "large > small");
     }
 }

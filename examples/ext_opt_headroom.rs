@@ -10,18 +10,11 @@ use ccsim::core::llc_demand_stream;
 use ccsim::obs::Table;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
-use ccsim::workloads::{GapGraph, GapKernel};
+use ccsim::workloads::build_workload_seeded;
 
 fn main() {
     let config = SimConfig::cascade_lake();
-    let workloads = [
-        GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Kron },
-        GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Road },
-        GapWorkload { kernel: GapKernel::Pr, graph: GapGraph::Urand },
-        GapWorkload { kernel: GapKernel::Cc, graph: GapGraph::Twitter },
-        GapWorkload { kernel: GapKernel::Sssp, graph: GapGraph::Web },
-        GapWorkload { kernel: GapKernel::Bc, graph: GapGraph::Friendster },
-    ];
+    let workloads = ["bfs.kron", "bfs.road", "pr.urand", "cc.twitter", "sssp.web", "bc.friendster"];
     let mut table = Table::new(
         [
             "workload",
@@ -35,8 +28,8 @@ fn main() {
         .map(str::to_owned)
         .to_vec(),
     );
-    for w in workloads {
-        let trace = w.trace(GapScale::Quick);
+    for name in workloads {
+        let trace = build_workload_seeded(name, SuiteScale::Quick, 0).expect("a GAP workload");
         // The LLC demand stream is policy-independent (L1/L2 are fixed
         // LRU), so the front end alone computes it for the oracle.
         let stream = llc_demand_stream(&trace, &config);
@@ -49,7 +42,7 @@ fn main() {
         let headroom = opt.hit_rate() - lru_hr;
         let captured =
             if headroom.abs() < 1e-9 { 0.0 } else { 100.0 * (hk_hr - lru_hr) / headroom };
-        let mut row = vec![w.to_string()];
+        let mut row = vec![name.to_owned()];
         for pct in [lru_hr, hk_hr, ship.llc.hit_rate(), opt.hit_rate(), headroom] {
             row.push(format!("{:.1}", 100.0 * pct));
         }

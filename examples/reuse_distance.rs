@@ -13,7 +13,7 @@ use ccsim::obs::Table;
 use ccsim::prelude::*;
 use ccsim::trace::stats::ReuseProfile;
 use ccsim::trace::synth::{PatternGen, PointerChase, SequentialStream};
-use ccsim::workloads::{GapGraph, GapKernel};
+use ccsim::workloads::build_workload_seeded;
 
 /// Capacities (in 64 B blocks) at which the CDF is reported; chosen to
 /// bracket L1D (512), L2 (16K) and the LLC (22K).
@@ -29,19 +29,14 @@ fn main() {
     let mut chase = TraceBuffer::new("chase-8mb");
     PointerChase::new(0, 1 << 17, 64).steps(1 << 18).emit(&mut chase);
     entries.push(("synthetic:chase-8mb".into(), chase.finish()));
-    for suite in [Suite::Spec, Suite::XsBench, Suite::Qualcomm] {
-        let mut traces = suite.traces(SuiteScale::Quick);
-        traces.truncate(2);
-        for t in traces {
-            entries.push((format!("{}:{}", suite.name(), t.name()), t));
-        }
-    }
-    for w in [
-        GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Kron },
-        GapWorkload { kernel: GapKernel::Pr, graph: GapGraph::Twitter },
-        GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Road },
-    ] {
-        entries.push((format!("GAPBS:{w}"), w.trace(GapScale::Quick)));
+    let mut names: Vec<String> = [Suite::Spec, Suite::XsBench, Suite::Qualcomm]
+        .into_iter()
+        .flat_map(|suite| suite.member_names().into_iter().take(2))
+        .collect();
+    names.extend(["bfs.kron", "pr.twitter", "bfs.road"].map(String::from));
+    for name in names {
+        let trace = build_workload_seeded(&name, SuiteScale::Quick, 0).expect("a suite member");
+        entries.push((format!("{}:{name}", Suite::of_workload(&name).name()), trace));
     }
 
     let mut table = Table::new(

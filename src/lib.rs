@@ -80,5 +80,5 @@ pub mod prelude {
     pub use ccsim_ingest::{IngestOptions, SourceFormat};
     pub use ccsim_policies::{PolicyKind, ReplacementPolicy};
     pub use ccsim_trace::{Trace, TraceArena, TraceBuffer};
-    pub use ccsim_workloads::{GapScale, GapWorkload, Suite, SuiteScale};
+    pub use ccsim_workloads::{GapWorkload, Suite, SuiteScale};
 }

@@ -8,10 +8,10 @@ use ccsim::core::{llc_demand_stream, CacheStats, Hierarchy, Level};
 use ccsim::policies::{AccessInfo, PolicyDispatch, Victim};
 use ccsim::prelude::*;
 use ccsim::trace::synth::{PatternGen, RandomAccess, SequentialStream};
-use ccsim::workloads::{GapGraph, GapKernel};
+use ccsim::workloads::build_workload_seeded;
 
-fn quick_trace(kernel: GapKernel, graph: GapGraph) -> Trace {
-    GapWorkload { kernel, graph }.trace(GapScale::Quick)
+fn quick_trace(name: &str) -> Trace {
+    build_workload_seeded(name, SuiteScale::Quick, 0).unwrap()
 }
 
 /// Every L1D demand miss becomes exactly one L2 demand access, and every
@@ -20,22 +20,18 @@ fn quick_trace(kernel: GapKernel, graph: GapGraph) -> Trace {
 #[test]
 fn miss_traffic_cascades_exactly() {
     let config = SimConfig::cascade_lake();
-    for (kernel, graph) in [
-        (GapKernel::Bfs, GapGraph::Kron),
-        (GapKernel::Pr, GapGraph::Urand),
-        (GapKernel::Cc, GapGraph::Web),
-    ] {
-        let trace = quick_trace(kernel, graph);
+    for name in ["bfs.kron", "pr.urand", "cc.web"] {
+        let trace = quick_trace(name);
         let r = simulate(&trace, &config, PolicyKind::Lru);
-        assert_eq!(r.l2.demand_accesses, r.l1d.demand_misses, "{kernel:?}.{graph:?}");
-        assert_eq!(r.llc.demand_accesses, r.l2.demand_misses, "{kernel:?}.{graph:?}");
-        assert_eq!(r.dram.reads, r.llc.demand_misses, "{kernel:?}.{graph:?}");
+        assert_eq!(r.l2.demand_accesses, r.l1d.demand_misses, "{name}");
+        assert_eq!(r.llc.demand_accesses, r.l2.demand_misses, "{name}");
+        assert_eq!(r.dram.reads, r.llc.demand_misses, "{name}");
     }
 }
 
 #[test]
 fn instruction_count_flows_from_trace_to_result() {
-    let trace = quick_trace(GapKernel::Bfs, GapGraph::Road);
+    let trace = quick_trace("bfs.road");
     let r = simulate(&trace, &SimConfig::cascade_lake(), PolicyKind::Srrip);
     assert_eq!(r.instructions, trace.instructions());
     assert_eq!(r.l1d.demand_accesses, trace.len() as u64, "every memory record is one L1D access");
@@ -44,7 +40,7 @@ fn instruction_count_flows_from_trace_to_result() {
 #[test]
 fn ipc_bounded_by_core_width() {
     let config = SimConfig::cascade_lake();
-    let trace = quick_trace(GapKernel::Cc, GapGraph::Twitter);
+    let trace = quick_trace("cc.twitter");
     let r = simulate(&trace, &config, PolicyKind::Lru);
     assert!(r.ipc() > 0.0);
     assert!(r.ipc() <= config.core.width as f64 + 1e-9);
@@ -52,7 +48,7 @@ fn ipc_bounded_by_core_width() {
 
 #[test]
 fn simulation_is_deterministic() {
-    let trace = quick_trace(GapKernel::Sssp, GapGraph::Urand);
+    let trace = quick_trace("sssp.urand");
     let config = SimConfig::cascade_lake();
     for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye, PolicyKind::Mpppb] {
         let a = simulate(&trace, &config, kind);
@@ -66,7 +62,7 @@ fn simulation_is_deterministic() {
 /// the policies time their LLC misses.
 #[test]
 fn llc_policies_do_not_perturb_upper_levels() {
-    let trace = quick_trace(GapKernel::Bc, GapGraph::Kron);
+    let trace = quick_trace("bc.kron");
     let config = SimConfig::cascade_lake();
     let base = simulate(&trace, &config, PolicyKind::Lru);
     for kind in PolicyKind::PAPER_POLICIES {
@@ -78,7 +74,7 @@ fn llc_policies_do_not_perturb_upper_levels() {
 
 #[test]
 fn fill_accounting_balances() {
-    let trace = quick_trace(GapKernel::Pr, GapGraph::Friendster);
+    let trace = quick_trace("pr.friendster");
     let config = SimConfig::cascade_lake();
     for kind in [PolicyKind::Lru, PolicyKind::Mpppb] {
         let r = simulate(&trace, &config, kind);
@@ -93,7 +89,7 @@ fn fill_accounting_balances() {
 
 #[test]
 fn larger_llc_never_increases_misses() {
-    let trace = quick_trace(GapKernel::Bfs, GapGraph::Urand);
+    let trace = quick_trace("bfs.urand");
     let small = simulate(&trace, &SimConfig::cascade_lake(), PolicyKind::Lru);
     let big = simulate(&trace, &SimConfig::cascade_lake().with_llc_scale(8), PolicyKind::Lru);
     // LRU set-associative caches with more sets are not strictly inclusive
