@@ -6,7 +6,7 @@ mod stats;
 pub use mshr::{MshrBank, MshrGrant, MshrSlots};
 pub use stats::CacheStats;
 
-use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, Victim};
+use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, ReplacementPolicy, Victim};
 
 use crate::config::CacheConfig;
 
@@ -36,6 +36,12 @@ pub enum FillOutcome {
 /// count (sets are a power of two, validated by
 /// [`CacheConfig::validate`]).
 ///
+/// The level is generic over its policy `P`. The default,
+/// [`PolicyDispatch`], is what a level under study holds (the LLC): one
+/// enum over every built-in policy, dispatched per hook. A level that
+/// always runs one policy names it — the simulator's L1D and L2 are
+/// `Cache<Lru>` — and its hooks inline with no dispatch at all.
+///
 /// # Hot-path contract
 ///
 /// Steady-state accesses (lookup + fill, including victim queries) perform
@@ -44,12 +50,12 @@ pub enum FillOutcome {
 /// [`TAG_INVALID`] for an empty slot) plus a one-bit-per-slot dirty
 /// bitmap, so `probe`'s way scan reads one contiguous `u64` slice and
 /// stops at the hit. The policy is driven through statically dispatched
-/// [`PolicyDispatch`] hooks and sees only set, way and access — never
+/// [`ReplacementPolicy`] hooks and sees only set, way and access — never
 /// the tag store.
 /// `tests/alloc_free.rs` enforces the allocation-free property with a
 /// counting allocator.
 #[derive(Debug)]
-pub struct Cache {
+pub struct Cache<P: ReplacementPolicy = PolicyDispatch> {
     name: &'static str,
     sets: u32,
     ways: u32,
@@ -59,7 +65,7 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Dirty bits, one per tag slot, packed 64 slots per word.
     dirty: Vec<u64>,
-    policy: PolicyDispatch,
+    policy: P,
     mshrs: MshrBank,
     stats: CacheStats,
     /// Valid lines per set. Lines are never invalidated (the hierarchy is
@@ -69,14 +75,14 @@ pub struct Cache {
     occupied: Vec<u16>,
 }
 
-impl Cache {
+impl<P: ReplacementPolicy> Cache<P> {
     /// Builds a cache from `config` with the given `policy`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (callers validate configs at
     /// the simulator boundary; this is a defence in depth).
-    pub fn new(name: &'static str, config: CacheConfig, policy: PolicyDispatch) -> Self {
+    pub fn new(name: &'static str, config: CacheConfig, policy: P) -> Self {
         config.validate().expect("invalid cache config");
         let slots = (config.sets * config.ways) as usize;
         Cache {
@@ -153,7 +159,9 @@ impl Cache {
     /// no block, and a block sits in at most one way. The scan measured
     /// faster than a branch-free match mask, hits and misses alike: the
     /// default x86-64 target has no packed 64-bit compare (`pcmpeqq` is
-    /// SSE4.1), so the mask compiled to a serial chain.
+    /// SSE4.1), so the mask compiled to a serial chain. Where the hit
+    /// usually lands on the way its set used last (the hierarchy's L1D),
+    /// a one-word check of that way comes first and this scan second.
     #[inline]
     pub fn probe(&self, block: u64) -> Option<u32> {
         debug_assert_ne!(block, TAG_INVALID, "block collides with the empty-slot sentinel");
@@ -162,14 +170,37 @@ impl Cache {
         tags.iter().position(|&tag| tag == block).map(|way| way as u32)
     }
 
+    /// [`Cache::probe`] for a caller that remembers which way of the set
+    /// it last used: checks way `hint` first and scans only on a mismatch.
+    /// The answer is the scan's — a block sits in at most one way — so a
+    /// stale hint costs one compare and never a wrong way.
+    #[inline]
+    pub(crate) fn probe_hinted(&self, block: u64, hint: u32) -> Option<u32> {
+        debug_assert!(hint < self.ways, "hint {hint} outside {} ways", self.ways);
+        if self.tags[self.idx(self.set_of(block), hint)] == block {
+            Some(hint)
+        } else {
+            self.probe(block)
+        }
+    }
+
     /// Processes a lookup: returns `Some(way)` and updates policy/stats on a
     /// hit, or `None` after counting a miss.
     ///
     /// Store (RFO) hits and writeback hits mark the line dirty.
     #[inline]
     pub fn lookup(&mut self, info: &AccessInfo) -> Option<u32> {
-        debug_assert_eq!(info.set, self.set_of(info.block));
         let hit = self.probe(info.block);
+        self.record_lookup(info, hit)
+    }
+
+    /// The bookkeeping of [`Cache::lookup`] for `hit`, the answer a probe
+    /// of `info.block` already gave: statistics, the dirty bit and the
+    /// policy's hit notification. Returns `hit`.
+    #[inline]
+    pub(crate) fn record_lookup(&mut self, info: &AccessInfo, hit: Option<u32>) -> Option<u32> {
+        debug_assert_eq!(info.set, self.set_of(info.block));
+        debug_assert_eq!(hit, self.probe(info.block), "{}: not the scan's answer", self.name);
         match info.kind {
             AccessType::Writeback => {
                 self.stats.writeback_accesses += 1;
@@ -271,22 +302,23 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_policies::PolicyKind;
+    use ccsim_policies::util::SplitMix64;
+    use ccsim_policies::{Lru, PolicyKind};
 
     fn small() -> Cache {
         let cfg = CacheConfig { sets: 4, ways: 2, latency: 1, mshrs: 2 };
         Cache::new("test", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways))
     }
 
-    fn load(cache: &Cache, block: u64) -> AccessInfo {
+    fn load<P: ReplacementPolicy>(cache: &Cache<P>, block: u64) -> AccessInfo {
         AccessInfo { pc: 0x400, block, set: cache.set_of(block), kind: AccessType::Load }
     }
 
-    fn rfo(cache: &Cache, block: u64) -> AccessInfo {
+    fn rfo<P: ReplacementPolicy>(cache: &Cache<P>, block: u64) -> AccessInfo {
         AccessInfo { pc: 0x404, block, set: cache.set_of(block), kind: AccessType::Rfo }
     }
 
-    fn wb(cache: &Cache, block: u64) -> AccessInfo {
+    fn wb<P: ReplacementPolicy>(cache: &Cache<P>, block: u64) -> AccessInfo {
         AccessInfo { pc: 0, block, set: cache.set_of(block), kind: AccessType::Writeback }
     }
 
@@ -398,17 +430,67 @@ mod tests {
     fn probe_agrees_with_a_linear_scan() {
         for ways in [1, 11, crate::config::MAX_WAYS] {
             let cfg = CacheConfig { sets: 4, ways, latency: 1, mshrs: 2 };
-            let mut c =
-                Cache::new("probe", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways));
+            let mut c: Cache<Lru> = Cache::new("probe", cfg, Lru::new(cfg.sets, cfg.ways));
             // Set 1 fills up to full and then evicts; set 2 stays empty.
+            // The hint follows set 1's last hit or fill, as the front end's
+            // does, so most probes find their block in another way.
+            let mut hint = 0;
             for n in 0..u64::from(ways) + 3 {
                 for block in (0..u64::from(ways) + 4).map(|b| 4 * b + 1).chain([2, 6]) {
-                    let valid = u32::from(c.occupied[c.set_of(block) as usize]);
-                    let scan = (0..valid).find(|&w| c.tags[c.idx(c.set_of(block), w)] == block);
-                    assert_eq!(c.probe(block), scan, "ways {ways}, {n} fills, block {block}");
+                    let set = c.set_of(block);
+                    let valid = u32::from(c.occupied[set as usize]);
+                    let scan = (0..valid).find(|&w| c.tags[c.idx(set, w)] == block);
+                    let at = format!("ways {ways}, {n} fills, block {block}, hint {hint}");
+                    assert_eq!(c.probe(block), scan, "{at}");
+                    let hinted = if set == 1 { hint } else { 0 };
+                    assert_eq!(c.probe_hinted(block, hinted), scan, "{at}");
+                    if let (1, Some(way)) = (set, c.lookup(&load(&c, block))) {
+                        hint = way;
+                        assert_eq!(c.probe_hinted(block, hint), Some(way), "{at}");
+                    }
                 }
-                c.fill(&load(&c, 4 * n + 1));
+                match c.fill(&load(&c, 4 * n + 1)) {
+                    FillOutcome::Filled { way, .. } => hint = way,
+                    FillOutcome::Bypassed => unreachable!("LRU never bypasses"),
+                }
             }
+            assert_eq!(u32::from(c.occupied[1]), ways, "set 1 ends full");
+            assert!(c.stats().evictions > 0, "ways {ways}: full set 1 evicted");
+        }
+    }
+
+    /// A level that names its policy, `Cache<Lru>`, answers exactly as one
+    /// that dispatches to the same policy through `PolicyDispatch`.
+    #[test]
+    fn static_lru_matches_dispatched_lru() {
+        let geometries = [
+            crate::config::SimConfig::cascade_lake().l1d,
+            crate::config::SimConfig::cascade_lake().l2,
+        ];
+        for cfg in geometries {
+            let mut fixed: Cache<Lru> = Cache::new("fixed", cfg, Lru::new(cfg.sets, cfg.ways));
+            let mut dispatched =
+                Cache::new("dispatched", cfg, PolicyKind::Lru.build_dispatch(cfg.sets, cfg.ways));
+            let mut rng = SplitMix64::new(0x1DE5);
+            let blocks = 3 * u64::from(cfg.sets * cfg.ways);
+            for n in 0..200_000 {
+                let block = rng.below(blocks);
+                let kind = match rng.below(10) {
+                    0 | 1 => AccessType::Rfo,
+                    2 => AccessType::Writeback,
+                    _ => AccessType::Load,
+                };
+                let info = AccessInfo { pc: 0x400, block, set: fixed.set_of(block), kind };
+                let hit = fixed.lookup(&info);
+                assert_eq!(hit, dispatched.lookup(&info), "{cfg:?}: lookup {n}");
+                if hit.is_none() {
+                    assert_eq!(fixed.fill(&info), dispatched.fill(&info), "{cfg:?}: fill {n}");
+                }
+            }
+            assert_eq!(fixed.stats(), dispatched.stats(), "{cfg:?}");
+            let stats = fixed.stats();
+            assert!(stats.demand_hits > 0 && stats.writeback_hits > 0, "{cfg:?}: {stats:?}");
+            assert!(stats.writebacks_out > 0, "{cfg:?}: {stats:?}");
         }
     }
 }

@@ -148,28 +148,32 @@ pub struct MshrBank {
 }
 
 impl MshrBank {
-    /// Upper bound for `prune_at`: half the reserved capacity, so inserts
-    /// only ever rehash in place (see [`MshrBank::new`]).
-    fn prune_cap(&self) -> usize {
-        RESERVE_FLOOR.max(16 * self.slots.len()) / 2
+    /// Capacity the outstanding-miss map reserves on its first insert:
+    /// well past the prune band. hashbrown reallocates (rather than
+    /// rehashing tombstones in place) once length exceeds half the table,
+    /// so keeping `prune_at` <= reserve/2 pins the table's allocation for
+    /// the bank's lifetime under any bounded-lag workload.
+    fn reserve(&self) -> usize {
+        RESERVE_FLOOR.max(16 * self.slots.len())
     }
 
-    /// Creates a bank of `count` registers.
+    /// Upper bound for `prune_at`: half the reserved capacity, so inserts
+    /// only ever rehash in place (see [`MshrBank::reserve`]).
+    fn prune_cap(&self) -> usize {
+        self.reserve() / 2
+    }
+
+    /// Creates a bank of `count` registers. The outstanding-miss map
+    /// allocates on its first insert, not here: a bank whose level merges
+    /// nothing (the hierarchy's L1D and L2 time misses with
+    /// [`MshrSlots`] alone) never pays for it.
     ///
     /// # Panics
     ///
     /// Panics if `count` is zero.
     pub fn new(count: u32) -> Self {
         let slots = MshrSlots::new(count);
-        // Reserve well past the prune band: hashbrown reallocates (rather
-        // than rehashing tombstones in place) once length exceeds half
-        // the table, so keeping `prune_at` <= reserve/2 pins the table's
-        // allocation for the bank's lifetime under any bounded-lag
-        // workload.
-        let reserve = RESERVE_FLOOR.max(16 * count as usize);
-        let outstanding =
-            BlockMap::with_capacity_and_hasher(reserve, BuildHasherDefault::default());
-        MshrBank { slots, outstanding, prune_at: 4 * count as usize }
+        MshrBank { slots, outstanding: BlockMap::default(), prune_at: 4 * count as usize }
     }
 
     /// Requests a register for a miss to `block` observed at cycle `ready`.
@@ -199,6 +203,9 @@ impl MshrBank {
     /// `completes_at`, freeing the register at that time.
     pub fn complete(&mut self, slot: u32, block: u64, completes_at: u64) {
         self.slots.complete(slot, completes_at);
+        if self.outstanding.capacity() == 0 {
+            self.outstanding.reserve(self.reserve());
+        }
         self.outstanding.insert(block, completes_at);
     }
 
@@ -270,6 +277,17 @@ mod tests {
         assert_ne!(s0, s1);
         assert_eq!(start_at, 5, "second mshr is free");
         b.complete(s1, 0xB, 900);
+    }
+
+    #[test]
+    fn the_outstanding_map_is_reserved_on_its_first_insert() {
+        let mut b = MshrBank::new(8);
+        assert_eq!(b.outstanding.capacity(), 0, "a new bank allocates no map");
+        let MshrGrant::Issue { slot, .. } = b.acquire(0xA, 0) else { panic!() };
+        assert_eq!((b.pending(0xA), b.outstanding.capacity()), (None, 0));
+        b.complete(slot, 0xA, 100);
+        assert!(b.outstanding.capacity() >= RESERVE_FLOOR, "{}", b.outstanding.capacity());
+        assert_eq!(b.pending(0xA), Some(100));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! once into a reusable chunk buffer and replays each chunk in two
 //! stages. The `FrontEnd` of each distinct `(l1d, l2)` geometry walks
 //! it once through L1D and L2, whose state is a pure function of the
-//! trace, writing one `UpperEvent` per record into an event buffer beside
-//! the chunk. Then each cell's engine (its own upper-level timing, LLC,
-//! DRAM and core) replays the chunk against those events. Same-block
-//! misses merge only at each cell's LLC.
+//! trace, writing one 16-byte `UpperEvent` per record, plus the dirty L2
+//! victims bound for the LLC, into a `Walk` beside the chunk. Then each
+//! cell's engine (its own upper-level timing, LLC, DRAM and core) replays
+//! the chunk against that walk. Same-block misses merge only at each
+//! cell's LLC.
 //!
 //! [`GridReplay::step_records`] hands each chunk to every cell's
 //! `Engine::replay`, the crate's one record loop, which dispatches runs of
@@ -20,8 +21,8 @@
 //!
 //! Every engine observes the exact record sequence, so per-cell results
 //! depend neither on the chunk size nor on the other cells of the grid
-//! (`tests/grid_replay.rs`). The steady state allocates nothing: chunk and
-//! event buffers are reserved on first use (`tests/alloc_free.rs`).
+//! (`tests/grid_replay.rs`). The steady state allocates nothing: the chunk
+//! and walk buffers are reserved on first use (`tests/alloc_free.rs`).
 
 use std::io::Read;
 
@@ -29,7 +30,7 @@ use ccsim_policies::PolicyKind;
 use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
-use crate::hierarchy::{FrontEnd, UpperEvent};
+use crate::hierarchy::{FrontEnd, Walk};
 use crate::result::SimResult;
 use crate::simulator::Engine;
 
@@ -76,9 +77,9 @@ pub fn autotune_chunk_records(_combined_tag_bytes: u64) -> usize {
 /// assert_eq!(results[1], simulate(&trace, &cells[1].0, cells[1].1));
 /// ```
 pub struct GridReplay {
-    /// One front end per distinct `(l1d, l2)` geometry, with the
-    /// events it emitted for the current piece of records.
-    fronts: Vec<(FrontEnd, Vec<UpperEvent>)>,
+    /// One front end per distinct `(l1d, l2)` geometry, with its walk of
+    /// the current piece of records.
+    fronts: Vec<(FrontEnd, Walk)>,
     /// Each cell's engine and the index of its front end.
     engines: Vec<(Engine, usize)>,
     chunk: Vec<TraceRecord>,
@@ -93,11 +94,11 @@ impl GridReplay {
     ///
     /// Panics on an invalid [`SimConfig`], like [`crate::simulate`].
     pub fn new(cells: &[(SimConfig, PolicyKind)], chunk_records: usize) -> GridReplay {
-        // Event buffers are reserved by the first `step_records`.
-        let mut fronts: Vec<(FrontEnd, Vec<UpperEvent>)> = Vec::new();
+        // Walk buffers are reserved by the first `step_records`.
+        let mut fronts: Vec<(FrontEnd, Walk)> = Vec::new();
         let mut front_of = |config: &SimConfig| {
             fronts.iter().position(|(f, _)| f.serves(config)).unwrap_or_else(|| {
-                fronts.push((FrontEnd::new(config), Vec::new()));
+                fronts.push((FrontEnd::new(config), Walk::default()));
                 fronts.len() - 1
             })
         };
@@ -123,14 +124,14 @@ impl GridReplay {
 
     /// Advances every cell through `records`, in order, a chunk at a time:
     /// each front end walks the chunk once, then every engine replays it
-    /// against its front end's events. Allocation-free in the steady state
-    /// (the first call reserves the event buffers; counters are atomics).
+    /// against its front end's walk. Allocation-free in the steady state
+    /// (the first full chunk reserves the walk buffers; counters are
+    /// atomics).
     pub fn step_records(&mut self, records: &[TraceRecord]) {
         let piece = self.chunk_records.min(MAX_CHUNK_RECORDS);
         for records in records.chunks(piece) {
-            for (front, events) in &mut self.fronts {
-                events.reserve_exact(piece);
-                front.walk(records, events);
+            for (front, walk) in &mut self.fronts {
+                front.walk(records, walk);
             }
             for (engine, front) in &mut self.engines {
                 engine.replay(records, &self.fronts[*front].1);
@@ -259,11 +260,11 @@ mod tests {
     /// The driver-free reference: one bare engine stepped over the
     /// records, no `GridReplay` involved.
     fn bare_engine(trace: &Trace, (config, policy): &(SimConfig, PolicyKind)) -> SimResult {
-        let (mut front, mut event) = (FrontEnd::new(config), Vec::new());
+        let (mut front, mut walk) = (FrontEnd::new(config), Walk::default());
         let mut engine = Engine::new(config, *policy);
         for rec in trace {
-            front.walk(std::slice::from_ref(rec), &mut event);
-            engine.step(rec, &event[0]);
+            front.walk(std::slice::from_ref(rec), &mut walk);
+            engine.step(rec, &walk.events[0], &mut walk.victims.iter());
         }
         engine.finish(&front, trace.name(), trace.trailing_nonmem())
     }
@@ -279,6 +280,58 @@ mod tests {
         // The single-cell entry point is the same driver at width one.
         for ((cfg, policy), reference) in cells.iter().zip(&reference) {
             assert_eq!(&simulate(&trace, cfg, *policy), reference);
+        }
+    }
+
+    #[test]
+    fn walk_buffers_are_reserved_once_at_the_chunk_length() {
+        // The walk clears its buffers before reserving: reserving first
+        // would find the last chunk still in them and double the room.
+        let trace = mixed_trace();
+        let mut grid = GridReplay::new(&paper_cells(), 64);
+        grid.step_records(&trace.records()[..3 * 64]);
+        let walk = &grid.fronts[0].1;
+        assert_eq!((walk.events.capacity(), walk.victims.capacity()), (64, 2 * 64));
+    }
+
+    /// Three stores to blocks 2, 10 and 18 of the tiny hierarchy: one L1D
+    /// set, one L2 set and one LLC set. The third misses everywhere; its
+    /// L2 fill evicts dirty block 2, and its L1D fill evicts dirty block 2
+    /// too, whose writeback misses L2 and evicts dirty block 10.
+    fn two_victim_stores(base: u64) -> [TraceRecord; 3] {
+        [2, 10, 18].map(|block| TraceRecord::store(0x400, (base + block) << 6, 8))
+    }
+
+    #[test]
+    fn an_access_with_two_dirty_l2_victims_writes_both_back_in_walk_order() {
+        let config = SimConfig::tiny();
+        let (mut front, mut walk) = (FrontEnd::new(&config), Walk::default());
+        let stores = two_victim_stores(0);
+        front.walk(&stores[..2], &mut walk);
+        assert_eq!(walk.victims, []);
+        front.walk(&stores[2..], &mut walk);
+        assert_eq!(walk.victims, [2, 10], "the L2 demand fill's victim first");
+
+        // In walk order, victim 2 misses the LLC and evicts block 10, so
+        // victim 10 misses too; the other order would hit on 10.
+        let trace = Trace::from_parts("two victims", two_victim_stores(0).to_vec(), 0);
+        let llc = simulate(&trace, &config, PolicyKind::Lru).llc;
+        assert_eq!((llc.writeback_accesses, llc.writeback_hits), (2, 0), "{llc:?}");
+
+        // Forty such groups, each followed by a load, at chunk lengths
+        // that split the groups every way.
+        let mut records = Vec::new();
+        for base in (0..40).map(|g| g * 64) {
+            records.extend(two_victim_stores(base));
+            records.push(TraceRecord::load(0x404, base << 6, 8));
+        }
+        front.walk(&records, &mut walk);
+        assert!(walk.victims.len() >= 2 * 40, "{} victims", walk.victims.len());
+        let trace = Trace::from_parts("two victims", records, 0);
+        let cells = paper_cells();
+        let reference: Vec<SimResult> = cells.iter().map(|c| bare_engine(&trace, c)).collect();
+        for chunk in [1, 7, 0] {
+            assert_eq!(simulate_grid(&trace, &cells, chunk), reference, "chunk={chunk}");
         }
     }
 

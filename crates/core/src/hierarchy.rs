@@ -13,9 +13,19 @@
 //! pure function of the trace, never of timing. A block evicted while its
 //! fill is still in flight re-misses as a fresh miss; nothing merges at
 //! those two levels. So the [`FrontEnd`] walks L1D and L2 once per record
-//! and emits an [`UpperEvent`] — the slots it touched, whether each level
-//! hit, and the dirty L2 victims bound for the LLC — and every grid cell
-//! with the same L1D and L2 geometry replays that one event stream.
+//! and emits a 16-byte [`UpperEvent`] — the slots it touched, whether
+//! each level hit, and how many dirty L2 victims it sends to the LLC —
+//! while the victims themselves go, in walk order, into the [`Walk`]'s
+//! one victim buffer. Every grid cell with the same L1D and L2 geometry
+//! replays that one walk, taking each stepped event's victims through a
+//! cursor.
+//!
+//! **What the front end pays for.** Its levels never depend on the policy
+//! under study, so they are `Cache<Lru>`: the LRU hooks inline, with no
+//! enum dispatch on hits, fills or victim queries. And most L1D hits land
+//! on the block their set touched last, so the front end keeps that way
+//! per L1D set and checks its tag before scanning the set
+//! ([`Cache::probe_hinted`]); the policy still sees every hit.
 //!
 //! **What each cell keeps.** A [`BackEnd`] holds the timing of the upper
 //! levels — a `ready_at` cycle per L1D/L2 slot and the `free_at` cycle of
@@ -28,7 +38,7 @@
 //! [`Hierarchy`] is one front end plus one back end, stepped together —
 //! the same walk the grid driver runs, at width one.
 
-use ccsim_policies::{AccessInfo, AccessType, PolicyDispatch, PolicyKind};
+use ccsim_policies::{AccessInfo, AccessType, Lru, PolicyDispatch};
 use ccsim_trace::TraceRecord;
 
 use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant, MshrSlots};
@@ -46,34 +56,68 @@ pub enum Level {
     Llc,
 }
 
+/// The `l2_writeback_slot` of an event whose L1D victim caused no L2
+/// fill. Slots index a `sets * ways` array, so no real slot is this.
+const NO_SLOT: u32 = u32::MAX;
+
 /// What the front end did for one demand access: everything a cell needs
-/// to time it and to replay its LLC traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// to time it. Sixteen bytes: the dirty L2 victims it sends to the LLC
+/// (at most two) go out of line, into the [`Walk`]'s victim buffer, and
+/// the event keeps only their count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UpperEvent {
     /// The L1D slot the access hit, or filled on a miss.
     l1_slot: u32,
     /// The L2 slot the L1D miss hit or filled (unused on an L1D hit).
     l2_slot: u32,
-    /// The L2 slot the L1D victim's writeback filled, if it missed there.
-    l2_writeback_slot: Option<u32>,
+    /// The L2 slot the L1D victim's writeback filled, or [`NO_SLOT`].
+    l2_writeback_slot: u32,
     l1_hit: bool,
     l2_hit: bool,
-    /// Number of valid entries of `llc_writebacks`.
+    /// How many dirty L2 victims the access sends to the LLC (0 to 2):
+    /// its entries of the walk's victim buffer — the victim of the L2
+    /// demand fill, then that of the L1D writeback's L2 fill.
     victims: u8,
-    /// Dirty L2 victims bound for the LLC, in walk order: the victim of
-    /// the L2 demand fill, then that of the L1D writeback's L2 fill.
-    llc_writebacks: [u64; 2],
 }
 
 impl UpperEvent {
+    /// An L1D hit in `l1_slot`.
+    fn l1_hit(l1_slot: u32) -> UpperEvent {
+        UpperEvent {
+            l1_slot,
+            l2_slot: 0,
+            l2_writeback_slot: NO_SLOT,
+            l1_hit: true,
+            l2_hit: false,
+            victims: 0,
+        }
+    }
+
     /// Whether the access missed L1D and L2 and so looks up the LLC.
     pub(crate) fn reaches_llc(&self) -> bool {
         !self.l1_hit && !self.l2_hit
     }
+}
 
-    fn push_victim(&mut self, block: u64) {
-        self.llc_writebacks[self.victims as usize] = block;
-        self.victims += 1;
+/// A front end's walk over a piece of records: one [`UpperEvent`] per
+/// record, and the dirty L2 victims of all of them in walk order — each
+/// event's `victims` consecutive entries, consumed through a cursor as a
+/// cell replays the events in order.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    pub(crate) events: Vec<UpperEvent>,
+    pub(crate) victims: Vec<u64>,
+}
+
+impl Walk {
+    /// Empties both buffers, then reserves room for a walk of `records`
+    /// records — in that order, so a buffer that still holds the last
+    /// walk does not grow.
+    fn reset(&mut self, records: usize) {
+        self.events.clear();
+        self.victims.clear();
+        self.events.reserve_exact(records);
+        self.victims.reserve_exact(2 * records);
     }
 }
 
@@ -81,11 +125,17 @@ impl UpperEvent {
 /// by every cell of a grid with the same L1D and L2 geometry.
 #[derive(Debug)]
 pub(crate) struct FrontEnd {
-    l1d: Cache,
-    l2: Cache,
+    l1d: Cache<Lru>,
+    l2: Cache<Lru>,
+    /// Per L1D set, the way it last hit or filled: the way
+    /// [`FrontEnd::step`] checks before it scans the set. A way fits in a
+    /// byte (see the assertion below).
+    l1_last_way: Vec<u8>,
     /// The L1D and L2 geometry it was built from.
     geometry: [(u32, u32); 2],
 }
+
+const _: () = assert!(crate::config::MAX_WAYS <= 1 << u8::BITS, "L1D ways must fit a u8 hint");
 
 /// The `(sets, ways)` of `config`'s L1D and L2: all that the front end's
 /// events depend on (latencies and MSHR counts are each cell's timing).
@@ -96,10 +146,11 @@ fn upper_geometry(config: &SimConfig) -> [(u32, u32); 2] {
 impl FrontEnd {
     /// The L1D and L2 of `config`.
     pub(crate) fn new(config: &SimConfig) -> FrontEnd {
-        let lru = |c: CacheConfig| PolicyKind::Lru.build_dispatch(c.sets, c.ways);
+        let lru = |c: CacheConfig| Lru::new(c.sets, c.ways);
         FrontEnd {
             l1d: Cache::new("L1D", config.l1d, lru(config.l1d)),
             l2: Cache::new("L2", config.l2, lru(config.l2)),
+            l1_last_way: vec![0; config.l1d.sets as usize],
             geometry: upper_geometry(config),
         }
     }
@@ -109,45 +160,62 @@ impl FrontEnd {
         self.geometry == upper_geometry(config)
     }
 
-    /// Replaces `events` with one event per record of `records`.
-    pub(crate) fn walk(&mut self, records: &[TraceRecord], events: &mut Vec<UpperEvent>) {
-        events.clear();
-        events.extend(records.iter().map(|rec| self.step(rec.pc, rec.block(), demand_kind(rec))));
+    /// Replaces `walk` with the walk of `records`. Both buffers are
+    /// reserved, after the clear, for the longest piece walked so far, so
+    /// a grid's fixed-length chunks reuse them without allocating.
+    pub(crate) fn walk(&mut self, records: &[TraceRecord], walk: &mut Walk) {
+        walk.reset(records.len());
+        for rec in records {
+            self.step(rec.pc, rec.block(), demand_kind(rec), walk);
+        }
     }
 
-    /// Walks one demand access through L1D and L2: lookups, fills and the
-    /// L1D victim's writeback into L2.
-    #[inline]
-    pub(crate) fn step(&mut self, pc: u64, block: u64, kind: AccessType) -> UpperEvent {
+    /// Replaces `walk` with the walk of one demand access.
+    pub(crate) fn walk_one(&mut self, pc: u64, block: u64, kind: AccessType, walk: &mut Walk) {
+        walk.reset(1);
+        self.step(pc, block, kind, walk);
+    }
+
+    /// Walks one demand access through L1D and L2 — lookups, fills and the
+    /// L1D victim's writeback into L2 — and appends its event, and the
+    /// dirty L2 victims it sends to the LLC, to `walk`.
+    ///
+    /// Each branch pushes its own event, so an L1D hit's is stored
+    /// straight into the buffer: an event returned to one shared push is
+    /// built on the stack by narrow stores and re-read as one 16-byte
+    /// copy, which store forwarding cannot serve, stalling every hit. It
+    /// is inlined into both walks: as a call it costs a frame per record.
+    #[inline(always)]
+    fn step(&mut self, pc: u64, block: u64, kind: AccessType, walk: &mut Walk) {
         let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
-        match self.l1d.lookup(&info) {
-            Some(way) => UpperEvent {
-                l1_slot: self.l1d.slot(info.set, way),
-                l1_hit: true,
-                ..Default::default()
-            },
-            None => self.l1_miss(&info),
+        let last_way = &mut self.l1_last_way[info.set as usize];
+        let hit = self.l1d.probe_hinted(block, u32::from(*last_way));
+        match self.l1d.record_lookup(&info, hit) {
+            Some(way) => {
+                *last_way = way as u8;
+                walk.events.push(UpperEvent::l1_hit(self.l1d.slot(info.set, way)));
+            }
+            None => self.l1_miss(&info, walk),
         }
     }
 
     /// The L1D miss path of [`FrontEnd::step`], kept out of the hit loop.
     #[inline(never)]
-    fn l1_miss(&mut self, info: &AccessInfo) -> UpperEvent {
-        let (mut event, block) = (UpperEvent::default(), info.block);
-        let l2_info = AccessInfo { set: self.l2.set_of(block), ..*info };
-        if let Some(way) = self.l2.lookup(&l2_info) {
-            event.l2_slot = self.l2.slot(l2_info.set, way);
-            event.l2_hit = true;
-        } else {
-            let (slot, victim) = fill(&mut self.l2, &l2_info);
-            event.l2_slot = slot;
-            if let Some(victim) = victim {
-                event.push_victim(victim);
+    fn l1_miss(&mut self, info: &AccessInfo, walk: &mut Walk) {
+        let victims = &mut walk.victims;
+        let before = victims.len();
+        let l2_info = AccessInfo { set: self.l2.set_of(info.block), ..*info };
+        let l2_hit = self.l2.lookup(&l2_info);
+        let l2_way = l2_hit.unwrap_or_else(|| fill(&mut self.l2, &l2_info, victims));
+        let (l1_slot, l1_victim) = match self.l1d.fill(info) {
+            FillOutcome::Filled { way, writeback } => {
+                self.l1_last_way[info.set as usize] = way as u8;
+                (self.l1d.slot(info.set, way), writeback)
             }
-        }
-        let (slot, victim) = fill(&mut self.l1d, info);
-        event.l1_slot = slot;
-        if let Some(victim) = victim {
+            FillOutcome::Bypassed => unreachable!("L1D: LRU never bypasses"),
+        };
+        let mut l2_writeback_slot = NO_SLOT;
+        if let Some(victim) = l1_victim {
             let wb = AccessInfo {
                 pc: 0,
                 block: victim,
@@ -155,14 +223,18 @@ impl FrontEnd {
                 kind: AccessType::Writeback,
             };
             if self.l2.lookup(&wb).is_none() {
-                let (slot, victim) = fill(&mut self.l2, &wb);
-                event.l2_writeback_slot = Some(slot);
-                if let Some(victim) = victim {
-                    event.push_victim(victim);
-                }
+                let way = fill(&mut self.l2, &wb, victims);
+                l2_writeback_slot = self.l2.slot(wb.set, way);
             }
         }
-        event
+        walk.events.push(UpperEvent {
+            l1_slot,
+            l2_slot: self.l2.slot(l2_info.set, l2_way),
+            l2_writeback_slot,
+            l1_hit: false,
+            l2_hit: l2_hit.is_some(),
+            victims: (victims.len() - before) as u8,
+        });
     }
 
     pub(crate) fn stats(&self, level: Level) -> &CacheStats {
@@ -172,8 +244,9 @@ impl FrontEnd {
         }
     }
 
+    /// The L1D and L2 tag stores plus the L1D's last-way hints.
     fn hot_state_bytes(&self) -> u64 {
-        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes()
+        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes() + self.l1_last_way.len() as u64
     }
 }
 
@@ -186,12 +259,15 @@ pub(crate) fn demand_kind(rec: &TraceRecord) -> AccessType {
     }
 }
 
-/// Fills an LRU level (which never bypasses): the slot the block landed
-/// in and the dirty victim it displaced.
-fn fill(cache: &mut Cache, info: &AccessInfo) -> (u32, Option<u64>) {
-    match cache.fill(info) {
-        FillOutcome::Filled { way, writeback } => (cache.slot(info.set, way), writeback),
-        FillOutcome::Bypassed => unreachable!("{}: LRU never bypasses", cache.name()),
+/// Fills the LRU L2 (which never bypasses): returns the way the block
+/// landed in, and pushes the dirty victim it displaced onto `victims`.
+fn fill(l2: &mut Cache<Lru>, info: &AccessInfo, victims: &mut Vec<u64>) -> u32 {
+    match l2.fill(info) {
+        FillOutcome::Filled { way, writeback } => {
+            victims.extend(writeback);
+            way
+        }
+        FillOutcome::Bypassed => unreachable!("L2: LRU never bypasses"),
     }
 }
 
@@ -213,6 +289,10 @@ impl UpperTiming {
         }
     }
 }
+
+/// A cursor over a [`Walk`]'s victims: each L1D miss that
+/// [`BackEnd::access`] times takes its event's entries from the front.
+pub(crate) type Victims<'a> = std::slice::Iter<'a, u64>;
 
 /// One cell's half of the hierarchy: the upper levels' timing, the LLC
 /// under study and DRAM.
@@ -259,7 +339,8 @@ impl BackEnd {
     }
 
     /// Times the demand access the front end walked as `event`, issued at
-    /// cycle `at`; returns the cycle its data is available.
+    /// cycle `at`; returns the cycle its data is available. `victims` is
+    /// the walk's victim cursor: the access takes its event's entries.
     #[inline]
     pub(crate) fn access(
         &mut self,
@@ -267,13 +348,14 @@ impl BackEnd {
         block: u64,
         kind: AccessType,
         event: &UpperEvent,
+        victims: &mut Victims<'_>,
         at: u64,
     ) -> u64 {
         let l1_tag = at + self.l1d.latency;
         if event.l1_hit {
             return l1_tag.max(self.l1d.ready_at[event.l1_slot as usize]);
         }
-        self.l1_miss(pc, block, kind, event, l1_tag)
+        self.l1_miss(pc, block, kind, event, victims, l1_tag)
     }
 
     /// The L1D miss path of [`BackEnd::access`], kept out of the hit loop.
@@ -284,6 +366,7 @@ impl BackEnd {
         block: u64,
         kind: AccessType,
         event: &UpperEvent,
+        victims: &mut Victims<'_>,
         l1_tag: u64,
     ) -> u64 {
         let (l1_mshr, l1_start) = self.l1d.mshrs.issue(l1_tag);
@@ -299,11 +382,11 @@ impl BackEnd {
         };
         self.l1d.ready_at[event.l1_slot as usize] = done;
         self.l1d.mshrs.complete(l1_mshr, done);
-        if let Some(slot) = event.l2_writeback_slot {
+        if event.l2_writeback_slot != NO_SLOT {
             // The written-back line is the L1D's own data: nothing to wait for.
-            self.l2.ready_at[slot as usize] = 0;
+            self.l2.ready_at[event.l2_writeback_slot as usize] = 0;
         }
-        for &victim in &event.llc_writebacks[..event.victims as usize] {
+        for &victim in victims.by_ref().take(event.victims.into()) {
             self.llc_writeback(victim, done);
         }
         done
@@ -359,12 +442,18 @@ impl BackEnd {
 pub struct Hierarchy {
     front: FrontEnd,
     back: BackEnd,
+    /// The front end's walk of the current access.
+    walk: Walk,
 }
 
 impl Hierarchy {
     /// Builds the hierarchy with `llc_policy` at the last level.
     pub fn new(config: &SimConfig, llc_policy: PolicyDispatch) -> Self {
-        Hierarchy { front: FrontEnd::new(config), back: BackEnd::new(config, llc_policy) }
+        Hierarchy {
+            front: FrontEnd::new(config),
+            back: BackEnd::new(config, llc_policy),
+            walk: Walk::default(),
+        }
     }
 
     /// Stats of one cache level.
@@ -386,7 +475,8 @@ impl Hierarchy {
     }
 
     /// Hot per-access state of the three levels: the L1D/L2 tag stores
-    /// (see [`Cache::hot_state_bytes`]), the cell's `ready_at` columns and
+    /// (see [`Cache::hot_state_bytes`]) and the L1D's last-way hints (a
+    /// byte per set), the cell's `ready_at` columns and
     /// the LLC's tag store — what one replay engine keeps warm per record.
     pub fn hot_state_bytes(&self) -> u64 {
         self.front.hot_state_bytes() + self.back.hot_state_bytes()
@@ -397,18 +487,25 @@ impl Hierarchy {
     pub fn demand_access(&mut self, pc: u64, vaddr: u64, is_store: bool, at: u64) -> u64 {
         let block = vaddr >> ccsim_trace::BLOCK_SHIFT;
         let kind = if is_store { AccessType::Rfo } else { AccessType::Load };
-        let event = self.front.step(pc, block, kind);
-        self.back.access(pc, block, kind, &event, at)
+        self.front.walk_one(pc, block, kind, &mut self.walk);
+        let Walk { events, victims } = &self.walk;
+        self.back.access(pc, block, kind, &events[0], &mut victims.iter(), at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsim_policies::PolicyKind;
 
     fn hierarchy() -> Hierarchy {
         let cfg = SimConfig::tiny();
         Hierarchy::new(&cfg, PolicyKind::Lru.build_dispatch(cfg.llc.sets, cfg.llc.ways))
+    }
+
+    #[test]
+    fn an_event_fits_in_sixteen_bytes() {
+        assert!(std::mem::size_of::<UpperEvent>() <= 16, "{}", std::mem::size_of::<UpperEvent>());
     }
 
     #[test]

@@ -34,14 +34,14 @@ use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 
 use crate::config::SimConfig;
 use crate::cpu::Core;
-use crate::experiment::grid::GridReplay;
-use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Level, UpperEvent};
+use crate::experiment::grid::{GridReplay, DEFAULT_CHUNK_RECORDS};
+use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Level, UpperEvent, Victims, Walk};
 use crate::result::SimResult;
 
 /// The replay engine of one grid cell: one core driving the cell's
 /// [`BackEnd`]. `GridReplay` advances one engine per grid cell in lockstep
-/// through shared record chunks, each against the [`UpperEvent`]s its
-/// cell's shared [`FrontEnd`] emitted for the chunk.
+/// through shared record chunks, each against the [`Walk`] its cell's
+/// shared [`FrontEnd`] made of the chunk.
 pub(crate) struct Engine {
     memory: BackEnd,
     core: Core,
@@ -57,14 +57,17 @@ impl Engine {
         Engine { memory, core: Core::new(config.core), llc_policy, l1_latency: config.l1d.latency }
     }
 
-    /// Replays `records`, whose L1D/L2 walks the front end recorded as
-    /// `events`: runs of L1D hits that cannot be kept in the ROB go to the
-    /// core in bulk, and every other record takes [`Engine::step`].
-    pub(crate) fn replay(&mut self, records: &[TraceRecord], events: &[UpperEvent]) {
+    /// Replays `records`, whose L1D/L2 walk the front end recorded as
+    /// `walk`: runs of L1D hits that cannot be kept in the ROB go to the
+    /// core in bulk, and every other record takes [`Engine::step`]. An L1D
+    /// hit sends no victim to the LLC, so only stepped records move the
+    /// victim cursor.
+    pub(crate) fn replay(&mut self, records: &[TraceRecord], walk: &Walk) {
         let latency = self.l1_latency;
         let mut horizon = self.core.hit_horizon(latency);
         let (mut run, mut last_load, mut ready) = (0, 0, 0);
-        for (rec, event) in records.iter().zip(events) {
+        let mut victims = walk.victims.iter();
+        for (rec, event) in records.iter().zip(&walk.events) {
             let n = u64::from(rec.nonmem_before) + 1;
             match self.memory.l1_hit_ready(event) {
                 Some(_) if rec.kind.is_store() => run += n,
@@ -76,24 +79,31 @@ impl Engine {
                 _ => {
                     self.core.dispatch_run(run, last_load, latency, ready);
                     (run, last_load, ready) = (0, 0, 0);
-                    self.step(rec, event);
+                    self.step(rec, event, &mut victims);
                     horizon = self.core.hit_horizon(latency);
                 }
             }
         }
         self.core.dispatch_run(run, last_load, latency, ready);
+        debug_assert!(victims.next().is_none(), "a victim no event claimed");
     }
 
-    /// Replays `rec`, whose L1D/L2 walk the front end recorded as `event`.
+    /// Replays `rec`, whose L1D/L2 walk the front end recorded as `event`,
+    /// taking its dirty L2 victims from the `victims` cursor.
     #[inline]
-    pub(crate) fn step(&mut self, rec: &TraceRecord, event: &UpperEvent) {
+    pub(crate) fn step(
+        &mut self,
+        rec: &TraceRecord,
+        event: &UpperEvent,
+        victims: &mut Victims<'_>,
+    ) {
         if rec.nonmem_before > 0 {
             self.core.dispatch_nonmem(rec.nonmem_before as u64);
         }
         let (pc, block, kind) = (rec.pc, rec.block(), demand_kind(rec));
         let memory = &mut self.memory;
         self.core.dispatch_mem(|at| {
-            let done = memory.access(pc, block, kind, event, at);
+            let done = memory.access(pc, block, kind, event, victims, at);
             if kind == AccessType::Rfo {
                 // Stores retire through the store buffer: the RFO proceeds
                 // in the background and does not stall the core.
@@ -157,21 +167,26 @@ pub fn simulate(trace: &Trace, config: &SimConfig, llc_policy: PolicyKind) -> Si
 /// analysis: one `(llc set, block)` pair per record whose demand access
 /// misses both L1D and L2, in record order. L1D and L2 state is a pure
 /// function of the trace, so every LLC policy sees this stream; only the
-/// front end is walked (no timing, LLC or DRAM).
+/// front end is walked (no timing, LLC or DRAM), a chunk at a time as
+/// the grid walks it.
 ///
 /// # Panics
 ///
 /// Panics on an invalid [`SimConfig`], like [`simulate`].
 pub fn llc_demand_stream(trace: &Trace, config: &SimConfig) -> Vec<(u32, u64)> {
     config.validate().expect("invalid simulator config");
-    let mut front = FrontEnd::new(config);
+    let (mut front, mut walk) = (FrontEnd::new(config), Walk::default());
     let set_mask = u64::from(config.llc.sets) - 1;
-    let llc_access = |rec: &TraceRecord| {
-        let block = rec.block();
-        let event = front.step(rec.pc, block, demand_kind(rec));
-        event.reaches_llc().then_some(((block & set_mask) as u32, block))
-    };
-    trace.records().iter().filter_map(llc_access).collect()
+    let mut stream = Vec::new();
+    for chunk in trace.records().chunks(DEFAULT_CHUNK_RECORDS) {
+        front.walk(chunk, &mut walk);
+        let llc_access = |(rec, event): (&TraceRecord, &UpperEvent)| {
+            let block = rec.block();
+            event.reaches_llc().then_some(((block & set_mask) as u32, block))
+        };
+        stream.extend(chunk.iter().zip(&walk.events).filter_map(llc_access));
+    }
+    stream
 }
 
 /// Replays a `CCTR` stream straight from `reader` — one decoded chunk in

@@ -12,10 +12,15 @@
 //! [`ReplacementPolicy`] that, like every built-in, keeps its own
 //! per-line metadata from the `on_fill`/`on_hit` notifications.
 //!
+//! `PolicyDispatch` is itself a [`ReplacementPolicy`], so a cache level
+//! is generic over its policy: the LLC holds a `PolicyDispatch`, while a
+//! level that always runs one policy (the simulator's LRU L1D and L2)
+//! holds that policy's type and pays no dispatch at all.
+//!
 //! # Examples
 //!
 //! ```
-//! use ccsim_policies::{AccessInfo, PolicyDispatch, PolicyKind, Victim};
+//! use ccsim_policies::{AccessInfo, PolicyDispatch, PolicyKind, ReplacementPolicy, Victim};
 //!
 //! let mut policy: PolicyDispatch = PolicyKind::Srrip.build_dispatch(64, 8);
 //! let info = AccessInfo::load(0x400, 0xBEEF, 3);
@@ -75,39 +80,33 @@ macro_rules! each_policy {
     };
 }
 
-impl PolicyDispatch {
-    /// Short stable identifier of the wrapped policy.
+impl ReplacementPolicy for PolicyDispatch {
     #[inline]
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         each_policy!(self, p => p.name())
     }
 
-    /// Chooses a victim way (or a bypass) for `info` in a full `set`.
     #[inline]
-    pub fn victim(&mut self, set: u32, info: &AccessInfo) -> Victim {
+    fn victim(&mut self, set: u32, info: &AccessInfo) -> Victim {
         each_policy!(self, p => p.victim(set, info))
     }
 
-    /// Chooses a victim way when bypassing is not permitted.
     #[inline]
-    pub fn forced_victim(&mut self, set: u32, info: &AccessInfo) -> u32 {
+    fn forced_victim(&mut self, set: u32, info: &AccessInfo) -> u32 {
         each_policy!(self, p => p.forced_victim(set, info))
     }
 
-    /// Notifies the wrapped policy of a hit.
     #[inline]
-    pub fn on_hit(&mut self, set: u32, way: u32, info: &AccessInfo) {
+    fn on_hit(&mut self, set: u32, way: u32, info: &AccessInfo) {
         each_policy!(self, p => p.on_hit(set, way, info))
     }
 
-    /// Notifies the wrapped policy of a fill.
     #[inline]
-    pub fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, evicted: Option<u64>) {
+    fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, evicted: Option<u64>) {
         each_policy!(self, p => p.on_fill(set, way, info, evicted))
     }
 
-    /// One-line diagnostic string from the wrapped policy.
-    pub fn diag(&self) -> String {
+    fn diag(&self) -> String {
         each_policy!(self, p => p.diag())
     }
 }

@@ -83,7 +83,7 @@ impl SetDuel {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AccessInfo, AccessType, PolicyDispatch, PolicyKind};
+    use crate::{AccessInfo, AccessType, PolicyDispatch, PolicyKind, ReplacementPolicy};
 
     fn fill(p: &mut PolicyDispatch, set: u32, kind: AccessType) {
         p.on_fill(set, 0, &AccessInfo { pc: 0x400, block: 0x10, set, kind }, None);

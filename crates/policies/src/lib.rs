@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use ccsim_policies::{AccessInfo, PolicyKind, Victim};
+//! use ccsim_policies::{AccessInfo, PolicyKind, ReplacementPolicy, Victim};
 //!
 //! let mut policy = PolicyKind::Srrip.build_dispatch(2048, 11);
 //! let info = AccessInfo::load(0x400123, 0xABCD, 17);
