@@ -2,52 +2,12 @@
 //! same-block merging at the LLC.
 //!
 //! [`MshrSlots`] is the bandwidth half every level has: when each register
-//! frees. [`MshrBank`] adds the outstanding-miss map that only the LLC
-//! keeps — L1D and L2 merge nothing (a tag hit on a line whose fill has not
-//! landed waits on that slot's `ready_at` in the hierarchy instead), so the
-//! map, its hasher and its pruning serve one level.
+//! frees. [`MshrBank`] adds the block each register holds, which only the
+//! LLC keeps — L1D and L2 merge nothing (a tag hit on a line whose fill has
+//! not landed waits on that slot's `ready_at` in the hierarchy instead). A
+//! register forgets its block once another miss takes it.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for block addresses. The outstanding-miss map —
-/// the LLC's alone — is consulted on every LLC lookup and updated on every
-/// LLC miss; SipHash (the `HashMap` default) was a measurable fraction of
-/// the per-record cost on miss-heavy traces. Block addresses are already
-/// high-entropy in the low bits, so a Fibonacci multiply followed by a
-/// down-mix is collision-adequate and compiles to a few cycles. Not
-/// DoS-resistant — fine for simulator-internal keys.
-#[derive(Debug, Default)]
-struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by MshrBank).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type BlockMap = HashMap<u64, u64, BuildHasherDefault<BlockHasher>>;
-
-/// Minimum reserved capacity for a bank's outstanding-miss map. The live
-/// window scales with the core's ROB depth, not the bank size (an LLC
-/// bank of a few dozen registers can have hundreds of
-/// completed-but-unretired misses in flight), so small banks still
-/// reserve room for a deep window.
-const RESERVE_FLOOR: usize = 1024;
+use super::TAG_INVALID;
 
 /// Outcome of requesting an MSHR for a missing block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,71 +89,42 @@ impl MshrSlots {
     }
 }
 
-/// The LLC's bank of MSHRs: [`MshrSlots`] plus the outstanding-miss map,
-/// through which misses to an already-outstanding block merge.
+/// The LLC's bank of MSHRs: [`MshrSlots`] plus the block each register
+/// holds, through which misses to an already-outstanding block merge.
 #[derive(Debug)]
 pub struct MshrBank {
     slots: MshrSlots,
-    outstanding: BlockMap,
-    /// Map length that triggers the next stale-entry prune. Doubles past
-    /// the surviving length after each prune (floored at 4x the bank) so
-    /// pruning costs amortized O(1) per miss even when the retirement
-    /// frontier lags far behind the fill frontier and most entries are
-    /// still live — a fixed threshold made every acquire rescan the map
-    /// on ROB-deep miss streams. Capped at [`MshrBank::prune_cap`] so the
-    /// map's length can never cross the half-capacity line where a
-    /// tombstone-triggered rehash would reallocate instead of rehashing
-    /// in place: steady-state misses stay allocation-free.
-    prune_at: usize,
+    /// The block of each register's last miss, or [`TAG_INVALID`].
+    blocks: Vec<u64>,
 }
 
 impl MshrBank {
-    /// Capacity the outstanding-miss map reserves on its first insert:
-    /// well past the prune band. hashbrown reallocates (rather than
-    /// rehashing tombstones in place) once length exceeds half the table,
-    /// so keeping `prune_at` <= reserve/2 pins the table's allocation for
-    /// the bank's lifetime under any bounded-lag workload.
-    fn reserve(&self) -> usize {
-        RESERVE_FLOOR.max(16 * self.slots.len())
-    }
-
-    /// Upper bound for `prune_at`: half the reserved capacity, so inserts
-    /// only ever rehash in place (see [`MshrBank::reserve`]).
-    fn prune_cap(&self) -> usize {
-        self.reserve() / 2
-    }
-
-    /// Creates a bank of `count` registers. The outstanding-miss map
-    /// allocates on its first insert, not here: a bank whose level merges
-    /// nothing (the hierarchy's L1D and L2 time misses with
-    /// [`MshrSlots`] alone) never pays for it.
+    /// Creates a bank of `count` registers, all free and holding no block.
     ///
     /// # Panics
     ///
     /// Panics if `count` is zero.
     pub fn new(count: u32) -> Self {
-        let slots = MshrSlots::new(count);
-        MshrBank { slots, outstanding: BlockMap::default(), prune_at: 4 * count as usize }
+        MshrBank { slots: MshrSlots::new(count), blocks: vec![TAG_INVALID; count as usize] }
     }
 
-    /// Requests a register for a miss to `block` observed at cycle `ready`.
+    /// The register holding `block`, if any.
+    #[inline]
+    fn holding(&self, block: u64) -> Option<usize> {
+        self.blocks.iter().position(|&b| b == block)
+    }
+
+    /// Requests a register for a miss to `block` observed at cycle `ready`:
+    /// the register holding `block` merges it if it frees after `ready`.
     pub fn acquire(&mut self, block: u64, ready: u64) -> MshrGrant {
-        if let Some(&completes) = self.outstanding.get(&block) {
-            if completes > ready {
-                return MshrGrant::Merged { completes_at: completes };
+        if let Some(i) = self.holding(block) {
+            let completes_at = self.slots.free_at[i];
+            if completes_at > ready {
+                return MshrGrant::Merged { completes_at };
             }
-            // Stale entry: the miss already completed.
-            self.outstanding.remove(&block);
-        }
-        // Opportunistic pruning keeps the map proportional to the live
-        // miss window. Dropping a stale entry (completes <= ready) never
-        // changes behaviour — a lookup would discard it anyway — so the
-        // schedule is free to amortize: prune only once the map doubles
-        // past the last prune's survivors.
-        if self.outstanding.len() > self.prune_at {
-            self.outstanding.retain(|_, &mut c| c > ready);
-            self.prune_at =
-                (2 * self.outstanding.len()).clamp(4 * self.slots.len(), self.prune_cap());
+            // The miss already completed: clearing its register keeps each
+            // block in at most one register.
+            self.blocks[i] = TAG_INVALID;
         }
         let (slot, start_at) = self.slots.issue(ready);
         MshrGrant::Issue { slot, start_at }
@@ -203,18 +134,14 @@ impl MshrBank {
     /// `completes_at`, freeing the register at that time.
     pub fn complete(&mut self, slot: u32, block: u64, completes_at: u64) {
         self.slots.complete(slot, completes_at);
-        if self.outstanding.capacity() == 0 {
-            self.outstanding.reserve(self.reserve());
-        }
-        self.outstanding.insert(block, completes_at);
+        self.blocks[slot as usize] = block;
     }
 
-    /// Completion time of an outstanding (or recently completed) miss to
-    /// `block`, if one was recorded. Used by the hit path: a tag hit on a
-    /// block whose fill is still in flight cannot return data before the
-    /// fill arrives.
+    /// Completion time of the miss to `block` that a register still
+    /// holds, if any. Used by the hit path: a tag hit on a block whose
+    /// fill is still in flight cannot return data before the fill arrives.
     pub fn pending(&self, block: u64) -> Option<u64> {
-        self.outstanding.get(&block).copied()
+        self.holding(block).map(|i| self.slots.free_at[i])
     }
 
     /// Number of registers.
@@ -280,14 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn the_outstanding_map_is_reserved_on_its_first_insert() {
-        let mut b = MshrBank::new(8);
-        assert_eq!(b.outstanding.capacity(), 0, "a new bank allocates no map");
+    fn a_reassigned_register_forgets_its_block() {
+        let mut b = MshrBank::new(1);
         let MshrGrant::Issue { slot, .. } = b.acquire(0xA, 0) else { panic!() };
-        assert_eq!((b.pending(0xA), b.outstanding.capacity()), (None, 0));
         b.complete(slot, 0xA, 100);
-        assert!(b.outstanding.capacity() >= RESERVE_FLOOR, "{}", b.outstanding.capacity());
-        assert_eq!(b.pending(0xA), Some(100));
+        assert_eq!(b.acquire(0xB, 50), MshrGrant::Issue { slot, start_at: 100 });
+        b.complete(slot, 0xB, 300);
+        assert_eq!(b.acquire(0xA, 60), MshrGrant::Issue { slot, start_at: 300 });
+        assert_eq!(b.pending(0xA), None);
     }
 
     #[test]

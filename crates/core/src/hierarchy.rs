@@ -435,8 +435,8 @@ impl BackEnd {
     }
 }
 
-/// The memory hierarchy of one cell: a [`FrontEnd`] of its own plus its
-/// [`BackEnd`]. L1D and L2 always use true LRU (as in the paper's setup);
+/// The memory hierarchy of one cell: a `FrontEnd` of its own plus its
+/// `BackEnd`. L1D and L2 always use true LRU (as in the paper's setup);
 /// the LLC runs the policy under study.
 #[derive(Debug)]
 pub struct Hierarchy {
@@ -496,7 +496,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_policies::PolicyKind;
+    use ccsim_policies::{PolicyKind, ReplacementPolicy, Victim};
 
     fn hierarchy() -> Hierarchy {
         let cfg = SimConfig::tiny();
@@ -546,6 +546,42 @@ mod tests {
         let t2 = h.demand_access(0x404, 0x30_010, false, 1);
         assert_eq!(t2, t1, "must wait for the outstanding fill");
         assert_eq!(h.dram_stats().reads, reads_before);
+    }
+
+    /// An LLC policy that caches nothing it is asked to place.
+    #[derive(Debug)]
+    struct BypassAll;
+
+    impl ReplacementPolicy for BypassAll {
+        fn name(&self) -> &'static str {
+            "bypass-all"
+        }
+        fn victim(&mut self, _: u32, _: &AccessInfo) -> Victim {
+            Victim::Bypass
+        }
+        fn on_hit(&mut self, _: u32, _: u32, _: &AccessInfo) {}
+        fn on_fill(&mut self, _: u32, _: u32, _: &AccessInfo, _: Option<u64>) {}
+    }
+
+    #[test]
+    fn a_bypassed_block_requested_again_in_flight_merges_at_the_llc() {
+        // Blocks 8 and 16 fill the tiny LLC's set 0, so block 32 is
+        // bypassed. Blocks 36 and 44 share L1D and L2 set 0 with it and
+        // push it out of both before its fill lands; the next request for
+        // 32 misses everywhere and merges into the LLC's outstanding miss.
+        // Eight L1D/L2 MSHRs keep those misses from queueing behind it.
+        let mut cfg = SimConfig::tiny();
+        (cfg.l1d.mshrs, cfg.l2.mshrs) = (8, 8);
+        let mut h = Hierarchy::new(&cfg, PolicyDispatch::Custom(Box::new(BypassAll)));
+        h.demand_access(0x400, 8 << 6, false, 0);
+        h.demand_access(0x400, 16 << 6, false, 1000);
+        let reads_before = h.dram_stats().reads;
+        for (block, at) in [(32u64, 5000u64), (36, 5001), (44, 5002), (32, 5003)] {
+            h.demand_access(0x400, block << 6, false, at);
+        }
+        let llc = h.cache_stats(Level::Llc);
+        assert_eq!((llc.mshr_merges, llc.bypasses), (1, 1));
+        assert_eq!(h.dram_stats().reads - reads_before, 3);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property-based tests over the whole stack.
 
+use std::collections::HashMap;
+
+use ccsim::core::cache::{MshrBank, MshrGrant, MshrSlots};
 use ccsim::core::{Core, CoreConfig};
 use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
 use ccsim::ingest::{ingest, ingest_to_trace, IngestOptions};
@@ -408,6 +411,68 @@ proptest! {
             prop_assert_eq!(core.cycle(), reference.cycle);
         }
         prop_assert_eq!(core.finish(), reference.finish());
+    }
+}
+
+/// The outstanding-miss map `MshrBank` once kept beside its registers:
+/// every block's last completion, never forgotten.
+struct MapMshrs {
+    slots: MshrSlots,
+    completions: HashMap<u64, u64>,
+}
+
+impl MapMshrs {
+    fn acquire(&self, block: u64, ready: u64) -> MshrGrant {
+        match self.completions.get(&block) {
+            Some(&completes_at) if completes_at > ready => MshrGrant::Merged { completes_at },
+            _ => {
+                let (slot, start_at) = self.slots.issue(ready);
+                MshrGrant::Issue { slot, start_at }
+            }
+        }
+    }
+
+    fn complete(&mut self, slot: u32, block: u64, completes_at: u64) {
+        self.slots.complete(slot, completes_at);
+        self.completions.insert(block, completes_at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `MshrBank` remembers one block per register, the map every block's
+    /// last completion. While time runs forward and no miss has waited for
+    /// a register, a register is handed on only after its fill landed, so
+    /// the two give the same grants, and a hit at cycle `t` waits for the
+    /// same `max(t, pending)`. The first miss that waits may take a
+    /// register whose fill is still in flight; past it they may differ.
+    #[test]
+    fn mshr_registers_agree_with_the_map_until_a_miss_waits(
+        count in 1u32..9,
+        ops in proptest::collection::vec((any::<bool>(), 0u64..12, 0u64..100, 1u64..400), 0..200),
+    ) {
+        let mut bank = MshrBank::new(count);
+        let mut map = MapMshrs { slots: MshrSlots::new(count), completions: HashMap::new() };
+        let mut t = 0;
+        for (miss, block, dt, latency) in ops {
+            t += dt;
+            if !miss {
+                let held = bank.pending(block).unwrap_or(0);
+                let mapped = map.completions.get(&block).copied().unwrap_or(0);
+                prop_assert_eq!(t.max(held), t.max(mapped));
+                continue;
+            }
+            let grant = bank.acquire(block, t);
+            prop_assert_eq!(grant, map.acquire(block, t));
+            if let MshrGrant::Issue { slot, start_at } = grant {
+                if start_at > t {
+                    break;
+                }
+                bank.complete(slot, block, start_at + latency);
+                map.complete(slot, block, start_at + latency);
+            }
+        }
     }
 }
 
