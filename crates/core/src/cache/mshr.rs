@@ -6,8 +6,14 @@
 //! LLC keeps — L1D and L2 merge nothing (a tag hit on a line whose fill has
 //! not landed waits on that slot's `ready_at` in the hierarchy instead). A
 //! register forgets its block once another miss takes it.
+//!
+//! The LLC asks the bank for a block on every lookup, and the block is
+//! almost never in flight, so the bank keeps a filter in front of the
+//! register scan: per hash bucket, how many registers hold a block of that
+//! bucket. An empty bucket answers "none" without the scan.
 
 use super::TAG_INVALID;
+use crate::config::MAX_MSHRS;
 
 /// Outcome of requesting an MSHR for a missing block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +95,16 @@ impl MshrSlots {
     }
 }
 
+/// Buckets of [`MshrBank`]'s in-flight filter: a power of two, several
+/// times the registers of a modelled bank, so most buckets are empty.
+const FILTER_BUCKETS: usize = 512;
+
+/// The filter bucket of `block` (a Fibonacci hash: strided blocks spread).
+#[inline]
+fn bucket(block: u64) -> usize {
+    (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BUCKETS.trailing_zeros())) as usize
+}
+
 /// The LLC's bank of MSHRs: [`MshrSlots`] plus the block each register
 /// holds, through which misses to an already-outstanding block merge.
 #[derive(Debug)]
@@ -96,6 +112,9 @@ pub struct MshrBank {
     slots: MshrSlots,
     /// The block of each register's last miss, or [`TAG_INVALID`].
     blocks: Vec<u64>,
+    /// Per [`bucket`], how many registers hold a block of it. A bank has
+    /// at most [`MAX_MSHRS`] registers, so a count fits a byte.
+    holders: Box<[u8; FILTER_BUCKETS]>,
 }
 
 impl MshrBank {
@@ -103,15 +122,46 @@ impl MshrBank {
     ///
     /// # Panics
     ///
-    /// Panics if `count` is zero.
+    /// Panics if `count` is zero or above [`MAX_MSHRS`].
     pub fn new(count: u32) -> Self {
-        MshrBank { slots: MshrSlots::new(count), blocks: vec![TAG_INVALID; count as usize] }
+        assert!(count <= MAX_MSHRS, "an mshr bank holds at most {MAX_MSHRS} registers");
+        MshrBank {
+            slots: MshrSlots::new(count),
+            blocks: vec![TAG_INVALID; count as usize],
+            holders: Box::new([0; FILTER_BUCKETS]),
+        }
     }
 
-    /// The register holding `block`, if any.
+    /// The register holding `block`, if any: none without a scan when no
+    /// register holds a block of its bucket.
     #[inline]
     fn holding(&self, block: u64) -> Option<usize> {
+        if self.holders[bucket(block)] == 0 {
+            return None;
+        }
         self.blocks.iter().position(|&b| b == block)
+    }
+
+    /// Points register `i` at `block` (or [`TAG_INVALID`]), keeping the
+    /// filter's counts.
+    fn hold(&mut self, i: usize, block: u64) {
+        let old = std::mem::replace(&mut self.blocks[i], block);
+        if old != TAG_INVALID {
+            self.holders[bucket(old)] -= 1;
+        }
+        if block != TAG_INVALID {
+            self.holders[bucket(block)] += 1;
+        }
+    }
+
+    /// Whether the filter's count for every bucket equals a recount of the
+    /// registers' blocks: a consistency check for tests.
+    pub fn filter_is_exact(&self) -> bool {
+        let mut recount = [0u8; FILTER_BUCKETS];
+        for &block in self.blocks.iter().filter(|&&b| b != TAG_INVALID) {
+            recount[bucket(block)] += 1;
+        }
+        *self.holders == recount
     }
 
     /// Requests a register for a miss to `block` observed at cycle `ready`:
@@ -124,7 +174,7 @@ impl MshrBank {
             }
             // The miss already completed: clearing its register keeps each
             // block in at most one register.
-            self.blocks[i] = TAG_INVALID;
+            self.hold(i, TAG_INVALID);
         }
         let (slot, start_at) = self.slots.issue(ready);
         MshrGrant::Issue { slot, start_at }
@@ -134,7 +184,7 @@ impl MshrBank {
     /// `completes_at`, freeing the register at that time.
     pub fn complete(&mut self, slot: u32, block: u64, completes_at: u64) {
         self.slots.complete(slot, completes_at);
-        self.blocks[slot as usize] = block;
+        self.hold(slot as usize, block);
     }
 
     /// Completion time of the miss to `block` that a register still
@@ -215,6 +265,24 @@ mod tests {
         b.complete(slot, 0xB, 300);
         assert_eq!(b.acquire(0xA, 60), MshrGrant::Issue { slot, start_at: 300 });
         assert_eq!(b.pending(0xA), None);
+    }
+
+    #[test]
+    fn a_freed_holder_leaves_the_filter() {
+        let mut b = MshrBank::new(2);
+        let MshrGrant::Issue { slot, .. } = b.acquire(0xA, 0) else { panic!() };
+        b.complete(slot, 0xA, 100);
+        assert!(b.filter_is_exact() && b.holders.iter().map(|&n| u32::from(n)).sum::<u32>() == 1);
+        // A miss after the fill landed clears the holder.
+        assert!(matches!(b.acquire(0xA, 200), MshrGrant::Issue { .. }));
+        assert!(b.filter_is_exact() && b.holders.iter().all(|&n| n == 0));
+        assert_eq!(b.pending(0xA), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 registers")]
+    fn oversized_bank_rejected() {
+        let _ = MshrBank::new(MAX_MSHRS + 1);
     }
 
     #[test]

@@ -15,6 +15,13 @@ use std::fmt;
 /// the bound, so every constructed cache can rely on it.
 pub const MAX_WAYS: u32 = 64;
 
+/// Ceiling on a level's miss-status holding registers.
+///
+/// Like [`MAX_WAYS`], a bound on spec input: the LLC's MSHR bank counts
+/// the registers of each filter bucket in a byte, and no modelled cache
+/// comes near 255 outstanding misses.
+pub const MAX_MSHRS: u32 = u8::MAX as u32;
+
 /// Geometry and timing of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -39,8 +46,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns a message if sets/ways/mshrs are zero, sets is not a power
-    /// of two (the set-index mapping requires it), or ways exceeds
-    /// [`MAX_WAYS`].
+    /// of two (the set-index mapping requires it), ways exceeds
+    /// [`MAX_WAYS`], or mshrs exceeds [`MAX_MSHRS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.sets == 0 || self.ways == 0 {
             return Err("cache must have non-zero sets and ways".into());
@@ -53,6 +60,9 @@ impl CacheConfig {
         }
         if self.mshrs == 0 {
             return Err("cache must have at least one mshr".into());
+        }
+        if self.mshrs > MAX_MSHRS {
+            return Err(format!("mshrs must be <= {MAX_MSHRS}, got {}", self.mshrs));
         }
         Ok(())
     }
@@ -306,6 +316,16 @@ mod tests {
         let mut c = SimConfig::tiny();
         c.l2.mshrs = 0;
         assert!(c.validate().unwrap_err().contains("l2"));
+    }
+
+    #[test]
+    fn oversized_mshr_bank_rejected() {
+        let mut c = SimConfig::tiny();
+        c.llc.mshrs = MAX_MSHRS + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("llc") && err.contains("mshrs must be <= 255"), "{err}");
+        c.llc.mshrs = MAX_MSHRS;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

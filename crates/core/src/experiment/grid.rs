@@ -6,16 +6,22 @@
 //! once into a reusable chunk buffer and replays each chunk in two
 //! stages. The `FrontEnd` of each distinct `(l1d, l2)` geometry walks
 //! it once through L1D and L2, whose state is a pure function of the
-//! trace, writing one 16-byte `UpperEvent` per record, plus the dirty L2
-//! victims bound for the LLC, into a `Walk` beside the chunk. Then each
-//! cell's engine (its own upper-level timing, LLC, DRAM and core) replays
-//! the chunk against that walk. Same-block misses merge only at each
-//! cell's LLC.
+//! trace, writing one `UpperEvent` per record a cell must time — every
+//! L1D miss, and each L1D load hit on a line an RFO filled — plus the
+//! dirty L2 victims bound for the LLC, into a `Walk` beside the chunk.
+//! The other records fold into the events' gaps and the walk's tail. Then
+//! each cell's engine (its own upper-level timing, LLC, DRAM and core)
+//! replays the chunk's events against that walk. Same-block misses merge
+//! only at each cell's LLC. A front end serving a cell whose L1D latency
+//! exceeds its core's slack emits every load hit, since that cell steps
+//! each one.
 //!
 //! [`GridReplay::step_records`] hands each chunk to every cell's
-//! `Engine::replay`, the crate's one record loop, which dispatches runs of
-//! L1D hits that cannot stall the core as one batch and steps every other
-//! record alone. [`simulate_grid`] / [`simulate_grid_stream`] take N cells;
+//! `Engine::replay`, the crate's one replay loop, which dispatches the
+//! gaps and the L1D hits that cannot stall the core in runs, one batch
+//! each, and steps every other event alone. [`GridReplay::cell_events`]
+//! and the `grid_cell_events` counter say how many events the cells
+//! replayed. [`simulate_grid`] / [`simulate_grid_stream`] take N cells;
 //! [`crate::simulate`] and its siblings are a grid of one cell plus the
 //! `sim_*` run accounting.
 //!
@@ -84,6 +90,8 @@ pub struct GridReplay {
     engines: Vec<(Engine, usize)>,
     chunk: Vec<TraceRecord>,
     chunk_records: usize,
+    /// Events replayed so far, summed over cells.
+    cell_events: u64,
 }
 
 impl GridReplay {
@@ -102,13 +110,20 @@ impl GridReplay {
                 fronts.len() - 1
             })
         };
-        let engines = cells.iter().map(|(c, p)| (Engine::new(c, *p), front_of(c))).collect();
+        let engines: Vec<(Engine, usize)> =
+            cells.iter().map(|(c, p)| (Engine::new(c, *p), front_of(c))).collect();
+        for (engine, front) in &engines {
+            if !engine.batches_load_hits() {
+                fronts[*front].0.time_load_hits();
+            }
+        }
         GridReplay {
             fronts,
             engines,
             // Only streamed replay decodes: `replay_reader` reserves it.
             chunk: Vec::new(),
             chunk_records: if chunk_records == 0 { DEFAULT_CHUNK_RECORDS } else { chunk_records },
+            cell_events: 0,
         }
     }
 
@@ -122,6 +137,14 @@ impl GridReplay {
         self.chunk_records
     }
 
+    /// Events the cells have replayed so far, summed over cells: the
+    /// records a cell times one at a time (every L1D miss, and the L1D
+    /// load hits whose timing it can observe). The other records reach
+    /// each core in runs.
+    pub fn cell_events(&self) -> u64 {
+        self.cell_events
+    }
+
     /// Advances every cell through `records`, in order, a chunk at a time:
     /// each front end walks the chunk once, then every engine replays it
     /// against its front end's walk. Allocation-free in the steady state
@@ -133,12 +156,17 @@ impl GridReplay {
             for (front, walk) in &mut self.fronts {
                 front.walk(records, walk);
             }
+            let mut events = 0;
             for (engine, front) in &mut self.engines {
-                engine.replay(records, &self.fronts[*front].1);
+                let walk = &self.fronts[*front].1;
+                engine.replay(records, walk);
+                events += walk.events.len() as u64;
             }
+            self.cell_events += events;
             let m = ccsim_obs::metrics();
             m.grid_chunks.inc();
             m.grid_records.add((records.len() * self.engines.len()) as u64);
+            m.grid_cell_events.add(events);
             m.grid_frontend_records.add((records.len() * self.fronts.len()) as u64);
         }
     }
@@ -238,6 +266,7 @@ pub fn simulate_grid_stream<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::demand_kind;
     use crate::simulate;
     use ccsim_trace::synth::{PatternGen, RandomAccess};
     use ccsim_trace::{write_trace, TraceBuffer};
@@ -263,7 +292,7 @@ mod tests {
         let (mut front, mut walk) = (FrontEnd::new(config), Walk::default());
         let mut engine = Engine::new(config, *policy);
         for rec in trace {
-            front.walk(std::slice::from_ref(rec), &mut walk);
+            front.walk_one(rec.pc, rec.block(), demand_kind(rec), &mut walk);
             engine.step(rec, &walk.events[0], &mut walk.victims.iter());
         }
         engine.finish(&front, trace.name(), trace.trailing_nonmem())

@@ -13,12 +13,26 @@
 //! pure function of the trace, never of timing. A block evicted while its
 //! fill is still in flight re-misses as a fresh miss; nothing merges at
 //! those two levels. So the [`FrontEnd`] walks L1D and L2 once per record
-//! and emits a 16-byte [`UpperEvent`] — the slots it touched, whether
-//! each level hit, and how many dirty L2 victims it sends to the LLC —
-//! while the victims themselves go, in walk order, into the [`Walk`]'s
-//! one victim buffer. Every grid cell with the same L1D and L2 geometry
-//! replays that one walk, taking each stepped event's victims through a
-//! cursor.
+//! and emits an [`UpperEvent`] for each record a cell must time — the
+//! slots it touched, whether each level hit, and how many dirty L2
+//! victims it sends to the LLC — while the victims themselves go, in walk
+//! order, into the [`Walk`]'s one victim buffer. Every grid cell with the
+//! same L1D and L2 geometry replays that one walk, taking each stepped
+//! event's victims through a cursor.
+//!
+//! **What a cell must time.** Every L1D miss, and each L1D load hit on a
+//! line whose last fill was an RFO. Only an L1D miss writes a slot's
+//! `ready_at`, and a load miss's is its own completion, which the core
+//! has already taken into its latest completion; so a load hit on a
+//! load-filled line never waits for its line beyond anything the core
+//! waits for, and only its dispatch cycle plus the L1D latency counts. A
+//! store hit retires through the store buffer. Such *quiet* records fold
+//! into the next event's [`Gap`] — their instructions, and where the last
+//! quiet load falls — or, after the last event, into the walk's tail: a
+//! cell loops over events, not records. A front end serving a cell that
+//! batches no hits at all (its L1D latency exceeds its core's slack)
+//! emits every load hit, and the one-access walk behind
+//! [`Hierarchy::demand_access`] emits every access.
 //!
 //! **What the front end pays for.** Its levels never depend on the policy
 //! under study, so they are `Cache<Lru>`: the LRU hooks inline, with no
@@ -44,6 +58,7 @@ use ccsim_trace::TraceRecord;
 use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant, MshrSlots};
 use crate::config::{CacheConfig, SimConfig};
 use crate::dram::{Dram, DramStats};
+use crate::experiment::grid::MAX_CHUNK_RECORDS;
 
 /// Identifies the cache levels for stats queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,10 +75,37 @@ pub enum Level {
 /// fill. Slots index a `sets * ways` array, so no real slot is this.
 const NO_SLOT: u32 = u32::MAX;
 
-/// What the front end did for one demand access: everything a cell needs
-/// to time it. Sixteen bytes: the dirty L2 victims it sends to the LLC
-/// (at most two) go out of line, into the [`Walk`]'s victim buffer, and
-/// the event keeps only their count.
+/// The quiet records between two events: how many instructions they
+/// hold, and how many of those run up to and include the last quiet load
+/// (0: no load among them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Gap {
+    pub(crate) instructions: u64,
+    pub(crate) last_load: u64,
+}
+
+impl Gap {
+    /// The gap of `rec` alone.
+    #[inline(always)]
+    pub(crate) fn of(rec: &TraceRecord) -> Gap {
+        let instructions = rec.instructions();
+        Gap { instructions, last_load: if rec.kind.is_store() { 0 } else { instructions } }
+    }
+
+    /// Appends `next` to this gap.
+    #[inline(always)]
+    pub(crate) fn extend(&mut self, next: Gap) {
+        if next.last_load > 0 {
+            self.last_load = self.instructions + next.last_load;
+        }
+        self.instructions += next.instructions;
+    }
+}
+
+/// What the front end did for one demand access a cell must time, and
+/// the quiet records before it. Twenty-eight bytes: the dirty L2 victims
+/// it sends to the LLC (at most two) go out of line, into the [`Walk`]'s
+/// victim buffer, and the event keeps only their count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UpperEvent {
     /// The L1D slot the access hit, or filled on a miss.
@@ -72,6 +114,14 @@ pub(crate) struct UpperEvent {
     l2_slot: u32,
     /// The L2 slot the L1D victim's writeback filled, or [`NO_SLOT`].
     l2_writeback_slot: u32,
+    /// The access's record: its index in the walked piece.
+    pub(crate) index: u32,
+    /// The gap before the record: [`Gap::instructions`] and
+    /// [`Gap::last_load`]. A piece holds at most
+    /// [`MAX_CHUNK_RECORDS`] records of at most 2^16 instructions each,
+    /// so a gap, which excludes the record, fits.
+    gap_instructions: u32,
+    gap_last_load: u32,
     l1_hit: bool,
     l2_hit: bool,
     /// How many dirty L2 victims the access sends to the LLC (0 to 2):
@@ -80,17 +130,31 @@ pub(crate) struct UpperEvent {
     victims: u8,
 }
 
+const _: () = assert!(
+    (MAX_CHUNK_RECORDS as u64 - 1) << 16 <= u32::MAX as u64,
+    "a gap must fit its u32 fields"
+);
+
 impl UpperEvent {
-    /// An L1D hit in `l1_slot`.
-    fn l1_hit(l1_slot: u32) -> UpperEvent {
+    /// An L1D hit in `l1_slot` by record `index`, after `gap`.
+    fn l1_hit(l1_slot: u32, index: u32, gap: Gap) -> UpperEvent {
         UpperEvent {
             l1_slot,
             l2_slot: 0,
             l2_writeback_slot: NO_SLOT,
+            index,
+            gap_instructions: gap.instructions as u32,
+            gap_last_load: gap.last_load as u32,
             l1_hit: true,
             l2_hit: false,
             victims: 0,
         }
+    }
+
+    /// The quiet records between the previous event and this one.
+    #[inline]
+    pub(crate) fn gap(&self) -> Gap {
+        Gap { instructions: self.gap_instructions.into(), last_load: self.gap_last_load.into() }
     }
 
     /// Whether the access missed L1D and L2 and so looks up the LLC.
@@ -100,13 +164,16 @@ impl UpperEvent {
 }
 
 /// A front end's walk over a piece of records: one [`UpperEvent`] per
-/// record, and the dirty L2 victims of all of them in walk order — each
-/// event's `victims` consecutive entries, consumed through a cursor as a
-/// cell replays the events in order.
+/// record a cell must time, the quiet records after the last of them, and
+/// the dirty L2 victims of all of them in walk order — each event's
+/// `victims` consecutive entries, consumed through a cursor as a cell
+/// replays the events in order.
 #[derive(Debug, Default)]
 pub(crate) struct Walk {
     pub(crate) events: Vec<UpperEvent>,
     pub(crate) victims: Vec<u64>,
+    /// The quiet records after the last event.
+    pub(crate) tail: Gap,
 }
 
 impl Walk {
@@ -116,6 +183,7 @@ impl Walk {
     fn reset(&mut self, records: usize) {
         self.events.clear();
         self.victims.clear();
+        self.tail = Gap::default();
         self.events.reserve_exact(records);
         self.victims.reserve_exact(2 * records);
     }
@@ -131,6 +199,11 @@ pub(crate) struct FrontEnd {
     /// [`FrontEnd::step`] checks before it scans the set. A way fits in a
     /// byte (see the assertion below).
     l1_last_way: Vec<u8>,
+    /// Per L1D slot, whether a load hit on its line is an event: its last
+    /// fill was an RFO, or the front end times every load hit.
+    l1_timed: Vec<bool>,
+    /// Whether every L1D load hit is an event.
+    time_load_hits: bool,
     /// The L1D and L2 geometry it was built from.
     geometry: [(u32, u32); 2],
 }
@@ -151,6 +224,8 @@ impl FrontEnd {
             l1d: Cache::new("L1D", config.l1d, lru(config.l1d)),
             l2: Cache::new("L2", config.l2, lru(config.l2)),
             l1_last_way: vec![0; config.l1d.sets as usize],
+            l1_timed: vec![false; (config.l1d.sets * config.l1d.ways) as usize],
+            time_load_hits: false,
             geometry: upper_geometry(config),
         }
     }
@@ -160,48 +235,79 @@ impl FrontEnd {
         self.geometry == upper_geometry(config)
     }
 
-    /// Replaces `walk` with the walk of `records`. Both buffers are
-    /// reserved, after the clear, for the longest piece walked so far, so
-    /// a grid's fixed-length chunks reuse them without allocating.
+    /// Makes every later L1D load hit an event, for a cell that steps
+    /// each one (its L1D latency exceeds its core's slack).
+    pub(crate) fn time_load_hits(&mut self) {
+        self.time_load_hits = true;
+        self.l1_timed.fill(true);
+    }
+
+    /// Replaces `walk` with the walk of `records`, at most
+    /// [`MAX_CHUNK_RECORDS`] of them. Both buffers are reserved, after the
+    /// clear, for the longest piece walked so far, so a grid's
+    /// fixed-length chunks reuse them without allocating.
     pub(crate) fn walk(&mut self, records: &[TraceRecord], walk: &mut Walk) {
+        assert!(records.len() <= MAX_CHUNK_RECORDS, "{} records in one walk", records.len());
         walk.reset(records.len());
-        for rec in records {
-            self.step(rec.pc, rec.block(), demand_kind(rec), walk);
+        let mut gap = Gap::default();
+        for (index, rec) in records.iter().enumerate() {
+            let (kind, index) = (demand_kind(rec), index as u32);
+            match self.step(rec.pc, rec.block(), kind, index, gap, walk) {
+                Some(slot) if kind == AccessType::Load && self.l1_timed[slot as usize] => {
+                    walk.events.push(UpperEvent::l1_hit(slot, index, gap));
+                    gap = Gap::default();
+                }
+                Some(_) => gap.extend(Gap::of(rec)),
+                // The miss pushed its event.
+                None => gap = Gap::default(),
+            }
+        }
+        walk.tail = gap;
+    }
+
+    /// Replaces `walk` with the walk of one demand access: an event, even
+    /// for a hit.
+    pub(crate) fn walk_one(&mut self, pc: u64, block: u64, kind: AccessType, walk: &mut Walk) {
+        walk.reset(1);
+        if let Some(slot) = self.step(pc, block, kind, 0, Gap::default(), walk) {
+            walk.events.push(UpperEvent::l1_hit(slot, 0, Gap::default()));
         }
     }
 
-    /// Replaces `walk` with the walk of one demand access.
-    pub(crate) fn walk_one(&mut self, pc: u64, block: u64, kind: AccessType, walk: &mut Walk) {
-        walk.reset(1);
-        self.step(pc, block, kind, walk);
-    }
-
-    /// Walks one demand access through L1D and L2 — lookups, fills and the
-    /// L1D victim's writeback into L2 — and appends its event, and the
-    /// dirty L2 victims it sends to the LLC, to `walk`.
-    ///
-    /// Each branch pushes its own event, so an L1D hit's is stored
-    /// straight into the buffer: an event returned to one shared push is
-    /// built on the stack by narrow stores and re-read as one 16-byte
-    /// copy, which store forwarding cannot serve, stalling every hit. It
-    /// is inlined into both walks: as a call it costs a frame per record.
+    /// Walks one demand access, record `index` after `gap`, through L1D
+    /// and L2 — lookups, fills and the L1D victim's writeback into L2. On
+    /// an L1D hit it returns the slot hit and pushes nothing; on a miss it
+    /// appends the event, and the dirty L2 victims the access sends to
+    /// the LLC, to `walk`. It is inlined into both walks: as a call it
+    /// costs a frame per record.
     #[inline(always)]
-    fn step(&mut self, pc: u64, block: u64, kind: AccessType, walk: &mut Walk) {
+    fn step(
+        &mut self,
+        pc: u64,
+        block: u64,
+        kind: AccessType,
+        index: u32,
+        gap: Gap,
+        walk: &mut Walk,
+    ) -> Option<u32> {
         let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
         let last_way = &mut self.l1_last_way[info.set as usize];
         let hit = self.l1d.probe_hinted(block, u32::from(*last_way));
         match self.l1d.record_lookup(&info, hit) {
             Some(way) => {
                 *last_way = way as u8;
-                walk.events.push(UpperEvent::l1_hit(self.l1d.slot(info.set, way)));
+                Some(self.l1d.slot(info.set, way))
             }
-            None => self.l1_miss(&info, walk),
+            None => {
+                self.l1_miss(&info, index, gap, walk);
+                None
+            }
         }
     }
 
     /// The L1D miss path of [`FrontEnd::step`], kept out of the hit loop.
     #[inline(never)]
-    fn l1_miss(&mut self, info: &AccessInfo, walk: &mut Walk) {
+    fn l1_miss(&mut self, info: &AccessInfo, index: u32, gap: Gap, walk: &mut Walk) {
         let victims = &mut walk.victims;
         let before = victims.len();
         let l2_info = AccessInfo { set: self.l2.set_of(info.block), ..*info };
@@ -214,6 +320,7 @@ impl FrontEnd {
             }
             FillOutcome::Bypassed => unreachable!("L1D: LRU never bypasses"),
         };
+        self.l1_timed[l1_slot as usize] = self.time_load_hits || info.kind == AccessType::Rfo;
         let mut l2_writeback_slot = NO_SLOT;
         if let Some(victim) = l1_victim {
             let wb = AccessInfo {
@@ -231,6 +338,9 @@ impl FrontEnd {
             l1_slot,
             l2_slot: self.l2.slot(l2_info.set, l2_way),
             l2_writeback_slot,
+            index,
+            gap_instructions: gap.instructions as u32,
+            gap_last_load: gap.last_load as u32,
             l1_hit: false,
             l2_hit: l2_hit.is_some(),
             victims: (victims.len() - before) as u8,
@@ -244,9 +354,11 @@ impl FrontEnd {
         }
     }
 
-    /// The L1D and L2 tag stores plus the L1D's last-way hints.
+    /// The L1D and L2 tag stores plus the L1D's last-way hints and
+    /// timed-line flags.
     fn hot_state_bytes(&self) -> u64 {
-        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes() + self.l1_last_way.len() as u64
+        let l1_bytes = self.l1_last_way.len() + self.l1_timed.len();
+        self.l1d.hot_state_bytes() + self.l2.hot_state_bytes() + l1_bytes as u64
     }
 }
 
@@ -475,8 +587,9 @@ impl Hierarchy {
     }
 
     /// Hot per-access state of the three levels: the L1D/L2 tag stores
-    /// (see [`Cache::hot_state_bytes`]) and the L1D's last-way hints (a
-    /// byte per set), the cell's `ready_at` columns and
+    /// (see [`Cache::hot_state_bytes`]), the L1D's last-way hints (a byte
+    /// per set) and timed-line flags (a byte per slot), the cell's
+    /// `ready_at` columns and
     /// the LLC's tag store — what one replay engine keeps warm per record.
     pub fn hot_state_bytes(&self) -> u64 {
         self.front.hot_state_bytes() + self.back.hot_state_bytes()
@@ -488,7 +601,7 @@ impl Hierarchy {
         let block = vaddr >> ccsim_trace::BLOCK_SHIFT;
         let kind = if is_store { AccessType::Rfo } else { AccessType::Load };
         self.front.walk_one(pc, block, kind, &mut self.walk);
-        let Walk { events, victims } = &self.walk;
+        let Walk { events, victims, .. } = &self.walk;
         self.back.access(pc, block, kind, &events[0], &mut victims.iter(), at)
     }
 }
@@ -497,6 +610,8 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use ccsim_policies::{PolicyKind, ReplacementPolicy, Victim};
+    use ccsim_trace::AccessKind;
+    use proptest::prelude::*;
 
     fn hierarchy() -> Hierarchy {
         let cfg = SimConfig::tiny();
@@ -504,8 +619,133 @@ mod tests {
     }
 
     #[test]
-    fn an_event_fits_in_sixteen_bytes() {
-        assert!(std::mem::size_of::<UpperEvent>() <= 16, "{}", std::mem::size_of::<UpperEvent>());
+    fn an_event_fits_in_thirty_two_bytes() {
+        assert!(std::mem::size_of::<UpperEvent>() <= 32, "{}", std::mem::size_of::<UpperEvent>());
+    }
+
+    fn record(block: u64, store: bool, nonmem_before: u16) -> TraceRecord {
+        let kind = if store { AccessKind::Store } else { AccessKind::Load };
+        TraceRecord { pc: 0x400, vaddr: block << 6, size: 8, kind, nonmem_before }
+    }
+
+    /// `(index, l1_hit, gap)` of each event of `walk`.
+    fn events(walk: &Walk) -> Vec<(u32, bool, Gap)> {
+        walk.events.iter().map(|e| (e.index, e.l1_hit, e.gap())).collect()
+    }
+
+    fn gap(instructions: u64, last_load: u64) -> Gap {
+        Gap { instructions, last_load }
+    }
+
+    #[test]
+    fn a_walk_emits_only_the_records_a_cell_must_time() {
+        // Blocks 0 and 1 sit in the tiny L1D's two sets.
+        let records = [
+            record(0, false, 2), // a load miss
+            record(0, false, 3), // quiet: a load hit on a load-filled line
+            record(0, true, 1),  // quiet: a store hit
+            record(1, true, 0),  // a store miss: an RFO fill
+            record(1, false, 4), // a load hit on the RFO-filled line
+            record(1, true, 0),  // quiet: a store hit
+            record(0, false, 5), // quiet: a load hit
+            record(1, true, 2),  // quiet: a store hit
+        ];
+        let mut front = FrontEnd::new(&SimConfig::tiny());
+        let mut walk = Walk::default();
+        front.walk(&records, &mut walk);
+        let expected = [(0, false, gap(0, 0)), (3, false, gap(4 + 2, 4)), (4, true, gap(0, 0))];
+        assert_eq!(events(&walk), expected);
+        assert_eq!(walk.tail, gap(1 + 6 + 3, 1 + 6));
+        assert!(walk.events.iter().all(|e| e.victims == 0) && walk.victims.is_empty());
+
+        // A front end that times every load hit also emits the quiet
+        // loads — from its next walk on — but never a store hit.
+        front.time_load_hits();
+        front.walk(&records, &mut walk);
+        let indices: Vec<u32> = walk.events.iter().map(|e| e.index).collect();
+        assert_eq!(indices, [0, 1, 4, 6]);
+        assert_eq!(walk.tail, gap(3, 0));
+    }
+
+    #[test]
+    fn a_miss_event_carries_its_gap_and_victims() {
+        // Stores to blocks 2, 10 and 18 share one set of the tiny L1D, L2
+        // and LLC: the third misses with two dirty L2 victims, 2 then 10
+        // (see `grid::tests`). Quiet accesses to block 1, in the other
+        // L1D set, come before it.
+        let records = [
+            record(2, true, 0),
+            record(10, true, 1),
+            record(1, false, 0),
+            record(1, false, 3), // quiet
+            record(1, true, 2),  // quiet
+            record(18, true, 7),
+            record(18, false, 0), // a load hit on the RFO-filled line
+            record(1, false, 0),  // quiet
+        ];
+        let mut front = FrontEnd::new(&SimConfig::tiny());
+        let mut walk = Walk::default();
+        front.walk(&records, &mut walk);
+        let expected = [
+            (0, false, gap(0, 0)),
+            (1, false, gap(0, 0)),
+            (2, false, gap(0, 0)),
+            (5, false, gap(4 + 3, 4)),
+            (6, true, gap(0, 0)),
+        ];
+        assert_eq!(events(&walk), expected);
+        let miss = walk.events[3];
+        assert_eq!((miss.l2_hit, miss.victims), (false, 2));
+        assert_ne!(miss.l2_writeback_slot, NO_SLOT, "the L1D victim's writeback filled L2");
+        assert_eq!(walk.victims, [2, 10]);
+        assert_eq!(walk.tail, gap(1, 1));
+    }
+
+    /// Hit-heavy records, shaped like `tests/grid_replay.rs`'s
+    /// `arb_hit_trace`: 1..64 blocks 1, 2 or 64 apart, any share of
+    /// stores, 0..20 non-memory instructions per record.
+    fn arb_hit_records() -> impl Strategy<Value = Vec<TraceRecord>> {
+        let layout = (0u32..7, 0usize..3, 0u32..=100);
+        let draws = proptest::collection::vec((0u64..64, 0u32..100, 0u16..20), 0..400);
+        (layout, draws).prop_map(|((pool_log2, stride, store_pct), draws)| {
+            let (pool, stride) = (1 << pool_log2, [1, 2, 64][stride]);
+            let draw = |(i, r, nonmem)| record(i % pool * stride, r < store_pct, nonmem);
+            draws.into_iter().map(draw).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A walk accounts for every instruction of its piece exactly
+        /// once: in an event's gap, in an event's record, or in the tail —
+        /// on the tiny and Cascade Lake hierarchies, with and without
+        /// every load hit timed.
+        #[test]
+        fn gaps_events_and_tail_add_up_to_the_piece(
+            records in arb_hit_records(),
+            cascade_lake in any::<bool>(),
+            time_load_hits in any::<bool>(),
+        ) {
+            let config = if cascade_lake { SimConfig::cascade_lake() } else { SimConfig::tiny() };
+            let mut front = FrontEnd::new(&config);
+            if time_load_hits {
+                front.time_load_hits();
+            }
+            let mut walk = Walk::default();
+            for piece in records.chunks(64) {
+                front.walk(piece, &mut walk);
+                let event_instructions = |e: &UpperEvent| {
+                    e.gap().instructions + piece[e.index as usize].instructions()
+                };
+                let timed: u64 = walk.events.iter().map(event_instructions).sum();
+                let total: u64 = piece.iter().map(TraceRecord::instructions).sum();
+                prop_assert_eq!(timed + walk.tail.instructions, total);
+                prop_assert!(walk.events.windows(2).all(|w| w[0].index < w[1].index));
+                let victims: usize = walk.events.iter().map(|e| usize::from(e.victims)).sum();
+                prop_assert_eq!(victims, walk.victims.len());
+            }
+        }
     }
 
     #[test]

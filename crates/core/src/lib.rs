@@ -40,7 +40,9 @@ mod result;
 mod simulator;
 
 pub use cache::{Cache, CacheStats, FillOutcome, TAG_INVALID};
-pub use config::{CacheConfig, CoreConfig, DramConfig, LlcScaleError, SimConfig, MAX_WAYS};
+pub use config::{
+    CacheConfig, CoreConfig, DramConfig, LlcScaleError, SimConfig, MAX_MSHRS, MAX_WAYS,
+};
 pub use cpu::Core;
 pub use dram::{Dram, DramStats};
 pub use experiment::grid::{

@@ -3,7 +3,7 @@
 //! This module owns the [`Engine`] and the single-cell entry points.
 //! Every replay in the crate is a grid (`experiment::grid`):
 //! `GridReplay::step_records` hands each chunk to every cell's
-//! [`Engine::replay`], the one record loop, and [`simulate`] and
+//! [`Engine::replay`], the one replay loop, and [`simulate`] and
 //! [`simulate_stream`] build a grid of one cell and add the `sim_*`
 //! accounting:
 //!
@@ -16,11 +16,14 @@
 //! [`llc_demand_stream`] is not a replay: it walks the front end alone,
 //! since which accesses reach the LLC is a pure function of the trace.
 //!
-//! `Engine::replay` gathers the L1D hits that can never hold the core
-//! back — every store hit, and each load hit on a line that lands within
-//! the core's horizon — into runs, each dispatched as one batch; an L1D
-//! hit changes no state of the memory system. Any other record ends the
-//! run and takes [`Engine::step`].
+//! `Engine::replay` loops over the walk's events — one per record the cell
+//! must time — not over the records. The quiet records between events
+//! (store hits, and load hits on lines a load filled) arrive as each
+//! event's gap, and join the run of L1D hits that can never hold the core
+//! back, together with each event's load hit on a line that lands within
+//! the core's horizon; a run is dispatched as one batch, and an L1D hit
+//! changes no state of the memory system. Any other event ends the run
+//! and takes [`Engine::step`].
 //!
 //! `tests/grid_replay.rs` pins all of them, and the N-cell helpers,
 //! against a record-at-a-time drive of the same driver and against a
@@ -35,7 +38,7 @@ use ccsim_trace::{DecodeTraceError, Trace, TraceReader, TraceRecord};
 use crate::config::SimConfig;
 use crate::cpu::Core;
 use crate::experiment::grid::{GridReplay, DEFAULT_CHUNK_RECORDS};
-use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Level, UpperEvent, Victims, Walk};
+use crate::hierarchy::{demand_kind, BackEnd, FrontEnd, Gap, Level, UpperEvent, Victims, Walk};
 use crate::result::SimResult;
 
 /// The replay engine of one grid cell: one core driving the cell's
@@ -57,34 +60,41 @@ impl Engine {
         Engine { memory, core: Core::new(config.core), llc_policy, l1_latency: config.l1d.latency }
     }
 
+    /// Whether the engine batches L1D load hits at all: not if its L1D
+    /// latency exceeds its core's slack, when it steps every one.
+    pub(crate) fn batches_load_hits(&self) -> bool {
+        self.core.hit_horizon(self.l1_latency).is_some()
+    }
+
     /// Replays `records`, whose L1D/L2 walk the front end recorded as
-    /// `walk`: runs of L1D hits that cannot be kept in the ROB go to the
-    /// core in bulk, and every other record takes [`Engine::step`]. An L1D
-    /// hit sends no victim to the LLC, so only stepped records move the
-    /// victim cursor.
+    /// `walk`: the quiet records between events, and the events' L1D hits
+    /// that cannot be kept in the ROB, go to the core in runs, and every
+    /// other event takes [`Engine::step`]. An L1D hit sends no victim to
+    /// the LLC, so only stepped events move the victim cursor.
     pub(crate) fn replay(&mut self, records: &[TraceRecord], walk: &Walk) {
         let latency = self.l1_latency;
         let mut horizon = self.core.hit_horizon(latency);
-        let (mut run, mut last_load, mut ready) = (0, 0, 0);
+        let (mut run, mut ready) = (Gap::default(), 0);
         let mut victims = walk.victims.iter();
-        for (rec, event) in records.iter().zip(&walk.events) {
-            let n = u64::from(rec.nonmem_before) + 1;
+        for event in &walk.events {
+            run.extend(event.gap());
+            let rec = &records[event.index as usize];
             match self.memory.l1_hit_ready(event) {
-                Some(_) if rec.kind.is_store() => run += n,
                 Some(r) if horizon.is_some_and(|h| r <= h) => {
-                    run += n;
-                    last_load = run;
+                    debug_assert!(!rec.kind.is_store(), "a store hit is quiet");
+                    run.extend(Gap::of(rec));
                     ready = ready.max(r);
                 }
                 _ => {
-                    self.core.dispatch_run(run, last_load, latency, ready);
-                    (run, last_load, ready) = (0, 0, 0);
+                    self.core.dispatch_run(run.instructions, run.last_load, latency, ready);
+                    (run, ready) = (Gap::default(), 0);
                     self.step(rec, event, &mut victims);
                     horizon = self.core.hit_horizon(latency);
                 }
             }
         }
-        self.core.dispatch_run(run, last_load, latency, ready);
+        run.extend(walk.tail);
+        self.core.dispatch_run(run.instructions, run.last_load, latency, ready);
         debug_assert!(victims.next().is_none(), "a victim no event claimed");
     }
 
@@ -180,11 +190,11 @@ pub fn llc_demand_stream(trace: &Trace, config: &SimConfig) -> Vec<(u32, u64)> {
     let mut stream = Vec::new();
     for chunk in trace.records().chunks(DEFAULT_CHUNK_RECORDS) {
         front.walk(chunk, &mut walk);
-        let llc_access = |(rec, event): (&TraceRecord, &UpperEvent)| {
-            let block = rec.block();
+        let llc_access = |event: &UpperEvent| {
+            let block = chunk[event.index as usize].block();
             event.reaches_llc().then_some(((block & set_mask) as u32, block))
         };
-        stream.extend(chunk.iter().zip(&walk.events).filter_map(llc_access));
+        stream.extend(walk.events.iter().filter_map(llc_access));
     }
     stream
 }

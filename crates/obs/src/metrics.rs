@@ -35,8 +35,8 @@ pub fn enabled() -> bool {
 /// `add` is one relaxed atomic — no locks, no allocation. One word
 /// shared by every thread: the most frequent update in the tree is once
 /// per lockstep chunk of replayed records (`grid_chunks`,
-/// `grid_records`, `grid_frontend_records`), every other once per run,
-/// band, lease or cache lookup.
+/// `grid_records`, `grid_cell_events`, `grid_frontend_records`), every
+/// other once per run, band, lease or cache lookup.
 pub struct Counter {
     value: AtomicU64,
 }
@@ -283,6 +283,9 @@ catalog! {
         grid_chunks => "grid_chunks",
         /// Engine-records advanced by `GridReplay` (records × cells).
         grid_records => "grid_records",
+        /// Events replayed by `GridReplay`'s cells (events × cells): the
+        /// records a cell times one at a time, out of `grid_records`.
+        grid_cell_events => "grid_cell_events",
         /// Records walked through L1D/L2 by `GridReplay`'s shared front
         /// ends (records × distinct `(l1d, l2)` geometries).
         grid_frontend_records => "grid_frontend_records",

@@ -11,11 +11,11 @@
 //! level): single cell or grid, in memory or streamed, any chunk size,
 //! whatever the other cells of the grid are.
 //!
-//! The oracle still replays through the engine's record loop, which
-//! dispatches runs of L1D hits in bulk. A second reference,
-//! `per_record`, shares nothing with that loop: a public `Core` and
-//! `Hierarchy` stepped one demand access per record, on hit-heavy
-//! traces.
+//! The oracle still replays through the engine's replay loop, which
+//! skips quiet L1D hits and dispatches runs of them in bulk. A second
+//! reference, `per_record`, shares nothing with that loop: a public
+//! `Core` and `Hierarchy` stepped one demand access per record, on
+//! hit-heavy traces.
 
 use std::io::BufReader;
 use std::path::Path;
@@ -214,8 +214,8 @@ fn assert_matches_per_record(trace: &Trace, config: SimConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The engine's record loop — L1D hits in runs, every other record
-    /// stepped — equals the per-record reference: instructions, cycles
+    /// The engine's replay loop — quiet records and L1D hits in runs,
+    /// every other event stepped — equals the per-record reference: instructions, cycles
     /// and every statistic, at chunk sizes 1, 7 and the default.
     #[test]
     fn replay_equals_a_per_record_core_and_hierarchy(
@@ -270,6 +270,50 @@ fn a_run_remembers_its_last_load_completion() {
     }
     let cascade_lake = per_record(&trace, &(SimConfig::cascade_lake(), PolicyKind::Lru));
     assert_eq!(cascade_lake.l1d.demand_hits, 2);
+}
+
+/// A front end shared by a Cascade Lake cell and a cell whose L1D latency
+/// is beyond its core's slack emits every load hit: the slow cell steps
+/// each one, and the other replays them in runs. Both cells equal
+/// `per_record`, and the shared walk costs each cell as many events as
+/// the slow cell alone.
+#[test]
+fn a_front_end_with_a_cell_that_steps_every_hit_emits_every_load_hit() {
+    let mut slow = SimConfig::cascade_lake();
+    slow.l1d.latency = u64::from(slow.core.rob_size / slow.core.width) + 1;
+    let cells = [(SimConfig::cascade_lake(), PolicyKind::Lru), (slow, PolicyKind::Lru)];
+    let replay = |trace: &Trace, cells: &[(SimConfig, PolicyKind)]| {
+        let mut grid = GridReplay::new(cells, 0);
+        grid.replay_trace(trace);
+        (grid.cell_events(), grid.finish(trace.name(), trace.trailing_nonmem()))
+    };
+
+    // Loads over 64 blocks: after the first lap, every record is a load
+    // hit on a load-filled line.
+    let mut buf = TraceBuffer::new("loads");
+    for i in 0..4_000u64 {
+        buf.nonmem(i % 5);
+        buf.load(0x400, (i * 7 % 64) << 6, 8);
+    }
+    let loads = buf.finish();
+    let (shared, results) = replay(&loads, &cells);
+    assert_eq!(shared, 2 * loads.len() as u64, "every record is an event in both cells");
+    assert_eq!(replay(&loads, &cells[..1]).0, 64, "alone, the fast cell times its misses");
+    for (cell, result) in cells.iter().zip(&results) {
+        assert_eq!(result, &per_record(&loads, cell));
+    }
+
+    // Stores too: a store hit is never an event.
+    let mut buf = TraceBuffer::new("mixed");
+    RandomAccess::new(0x1000_0000, 1 << 12, 64, 6_000).store_fraction(0.2).seed(7).emit(&mut buf);
+    let mixed = buf.finish();
+    let (shared, results) = replay(&mixed, &cells);
+    let (alone, _) = replay(&mixed, &cells[1..]);
+    assert!(alone < mixed.len() as u64, "{alone} events for {} records", mixed.len());
+    assert_eq!(shared, 2 * alone);
+    for (cell, result) in cells.iter().zip(&results) {
+        assert_eq!(result, &per_record(&mixed, cell));
+    }
 }
 
 /// Regression: the pinned ingest golden fixture (a real converted

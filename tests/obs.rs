@@ -211,6 +211,38 @@ fn grid_walks_the_upper_levels_once_per_geometry() {
     assert_eq!(walks(&two_geometries), (5 * n, 2 * n), "(grid records, front-end records)");
 }
 
+/// `grid_cell_events` counts the records each cell times one at a time:
+/// its L1D misses and its L1D load hits on lines an RFO filled. Fifty laps
+/// over 100 blocks that fit the Cascade Lake L1D, the first ten of them
+/// stored on the first lap, cost each cell 100 misses plus 49 × 10 loads
+/// on RFO-filled lines, out of 5,000 records.
+#[test]
+fn grid_cell_events_count_the_timed_records() {
+    use ccsim::core::{simulate_grid, SimConfig};
+    use ccsim::policies::PolicyKind;
+
+    let _exclusive = exclusive_campaign_metrics();
+    ccsim::obs::set_enabled(true);
+    let mut buf = ccsim::trace::TraceBuffer::new("laps");
+    for lap in 0..50u64 {
+        for block in 0..100u64 {
+            if lap == 0 && block < 10 {
+                buf.store(0x404, block << 6, 8);
+            } else {
+                buf.load(0x400, block << 6, 8);
+            }
+        }
+    }
+    let trace = buf.finish();
+    let cells =
+        [1, 4].map(|scale| (SimConfig::cascade_lake().with_llc_scale(scale), PolicyKind::Lru));
+    let m = ccsim::obs::metrics();
+    let (records0, events0) = (m.grid_records.get(), m.grid_cell_events.get());
+    simulate_grid(&trace, &cells, 0);
+    let counted = (m.grid_records.get() - records0, m.grid_cell_events.get() - events0);
+    assert_eq!(counted, (2 * 5_000, 2 * (100 + 49 * 10)), "(grid records, cell events)");
+}
+
 #[test]
 fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     let _exclusive = exclusive_campaign_metrics();

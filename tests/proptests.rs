@@ -438,6 +438,38 @@ impl MapMshrs {
     }
 }
 
+/// Drives a `MshrBank` of `count` registers and the map through `ops`
+/// — `(miss, block, dt, latency)`: a miss issues and completes `latency`
+/// after it starts, a hit asks for the block's pending fill — until a miss
+/// waits for a register. Both must agree, and after every operation the
+/// bank's in-flight filter must equal a recount of its registers.
+fn registers_agree_with_the_map(count: u32, ops: Vec<(bool, u64, u64, u64)>) -> Result<(), String> {
+    let mut bank = MshrBank::new(count);
+    let mut map = MapMshrs { slots: MshrSlots::new(count), completions: HashMap::new() };
+    let mut t = 0;
+    for (miss, block, dt, latency) in ops {
+        t += dt;
+        if !miss {
+            let held = bank.pending(block).unwrap_or(0);
+            let mapped = map.completions.get(&block).copied().unwrap_or(0);
+            prop_assert_eq!(t.max(held), t.max(mapped));
+            continue;
+        }
+        let grant = bank.acquire(block, t);
+        prop_assert_eq!(grant, map.acquire(block, t));
+        prop_assert!(bank.filter_is_exact(), "filter after acquiring {block}");
+        if let MshrGrant::Issue { slot, start_at } = grant {
+            if start_at > t {
+                break;
+            }
+            bank.complete(slot, block, start_at + latency);
+            map.complete(slot, block, start_at + latency);
+            prop_assert!(bank.filter_is_exact(), "filter after completing {block}");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -452,27 +484,18 @@ proptest! {
         count in 1u32..9,
         ops in proptest::collection::vec((any::<bool>(), 0u64..12, 0u64..100, 1u64..400), 0..200),
     ) {
-        let mut bank = MshrBank::new(count);
-        let mut map = MapMshrs { slots: MshrSlots::new(count), completions: HashMap::new() };
-        let mut t = 0;
-        for (miss, block, dt, latency) in ops {
-            t += dt;
-            if !miss {
-                let held = bank.pending(block).unwrap_or(0);
-                let mapped = map.completions.get(&block).copied().unwrap_or(0);
-                prop_assert_eq!(t.max(held), t.max(mapped));
-                continue;
-            }
-            let grant = bank.acquire(block, t);
-            prop_assert_eq!(grant, map.acquire(block, t));
-            if let MshrGrant::Issue { slot, start_at } = grant {
-                if start_at > t {
-                    break;
-                }
-                bank.complete(slot, block, start_at + latency);
-                map.complete(slot, block, start_at + latency);
-            }
-        }
+        registers_agree_with_the_map(count, ops)?;
+    }
+
+    /// The same over many blocks and up to 64 registers, most of them in
+    /// flight at once: filter buckets collide, so a non-empty bucket's
+    /// scan must still find only its own block.
+    #[test]
+    fn mshr_filter_counts_agree_across_colliding_buckets(
+        count in 1u32..65,
+        ops in proptest::collection::vec((any::<bool>(), 0u64..4096, 0u64..20, 1u64..400), 0..400),
+    ) {
+        registers_agree_with_the_map(count, ops)?;
     }
 }
 
