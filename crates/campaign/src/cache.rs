@@ -6,6 +6,9 @@
 //! name, scale, synthesis seed and `CCTR` format version — so traces are
 //! shared across cells, campaigns and repeated runs, and a key change
 //! (new scale, new seed, format bump) can never alias an old file.
+//! [`TraceCache::ensure_generated`] fills an entry by streaming the
+//! generator straight into it ([`ccsim_workloads::write_workload`]) and
+//! returns its path for callers to stream: no trace is ever resident.
 //!
 //! Ingested external traces (`trace:<path>` selectors) follow the same
 //! discipline with a different identity: the **content digest** of the
@@ -19,24 +22,29 @@
 //! byte-wise FNV-1a digest can never be looked up again, so each source
 //! is re-ingested once and the old file is left orphaned.
 //!
-//! Every write goes through a temporary file named by `temp_tag` and an
-//! atomic rename, so concurrent fillers of one key — processes or threads —
-//! never share a half-written file.
+//! Both kinds of entry are validated the same way before they count as a
+//! hit: header, exact length, embedded name and a scan of every record.
+//! A failing entry is refilled. Every write goes through a temporary file
+//! named by `temp_tag` and an atomic rename, so concurrent fillers of one
+//! key — processes or threads — never share a half-written file.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ccsim_ingest::{detect_file, digest_file, ingest_file, IngestOptions};
-use ccsim_trace::{read_trace, read_trace_header, write_trace, Trace, TraceReader};
-use ccsim_workloads::SuiteScale;
+use ccsim_trace::{read_trace_header, TraceHeader, TraceReader};
+use ccsim_workloads::{write_workload, SuiteScale};
 
 use crate::spec::fnv1a64;
 
 /// Version suffix baked into every cache key; bump when
 /// [`ccsim_trace::write_trace`]'s format version changes.
 const FORMAT_VERSION: u32 = 1;
+
+/// Records decoded per call by the entry scan.
+const SCAN_RECORDS: usize = 4096;
 
 /// A name fragment unique to this call within this host's processes: the
 /// pid plus a process-wide counter, so two threads filling the same cache
@@ -91,52 +99,28 @@ impl TraceCache {
         self.root.join(format!("{sanitized}-{scale}-{:016x}.cctr", fnv1a64(key.as_bytes())))
     }
 
-    /// Returns the cached trace for the identity, or runs `generate`,
-    /// stores its result, and returns it. A present-but-corrupt cache file
-    /// is regenerated and overwritten. Writes go through a temporary file
-    /// and an atomic rename, so a killed campaign never leaves a truncated
-    /// trace behind for the resumed run to read.
+    /// Ensures a cached trace of the synthetic workload `workload` (at
+    /// `scale`, synthesized with `seed`) exists on disk and returns its
+    /// path. A missing, truncated, misnamed or record-corrupt entry is
+    /// regenerated: the generator streams into a temporary file
+    /// ([`write_workload`]), which an atomic rename puts in place, so a
+    /// killed campaign never leaves a truncated trace behind for the
+    /// resumed run to read.
     ///
     /// # Errors
     ///
-    /// Propagates generation errors and cache-write I/O errors.
-    pub fn get_or_generate(
+    /// Returns a message on unknown workloads and cache I/O failures.
+    pub fn ensure_generated(
         &self,
         workload: &str,
         scale: SuiteScale,
         seed: u64,
-        generate: impl FnOnce() -> Result<Trace, String>,
-    ) -> Result<Trace, String> {
+    ) -> Result<PathBuf, String> {
         let _span = ccsim_obs::metrics().cache_ensure_ns.span();
         let path = self.path_for(workload, scale, seed);
-        if let Ok(file) = File::open(&path) {
-            match read_trace(BufReader::new(file)) {
-                Ok(trace) if trace.name() == workload => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    ccsim_obs::metrics().cache_hits.inc();
-                    return Ok(trace);
-                }
-                _ => {
-                    // Corrupt or aliased: fall through and regenerate.
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ccsim_obs::metrics().cache_misses.inc();
-        let trace = generate()?;
-        let tmp = path.with_extension(format!("tmp.{}", temp_tag()));
-        let write = || -> std::io::Result<()> {
-            let file = File::create(&tmp)?;
-            let mut writer = BufWriter::new(file);
-            write_trace(&trace, &mut writer)?;
-            std::io::Write::flush(&mut writer)?;
-            std::fs::rename(&tmp, &path)
-        };
-        write().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("caching trace to {}: {e}", path.display())
-        })?;
-        Ok(trace)
+        self.ensure(path, Some(workload), |tmp| {
+            write_workload(workload, scale, seed, tmp).map(drop)
+        })
     }
 
     /// The on-disk path an ingested conversion of `source` would use:
@@ -169,10 +153,9 @@ impl TraceCache {
     /// so callers can stream the entry through
     /// [`ccsim_core::simulate_stream`] in O(1) memory. A missing,
     /// truncated, magic-damaged, misnamed or record-corrupt entry is
-    /// re-ingested (validation decodes every record in bounded memory,
-    /// preserving the poisoned-cache recovery guarantee the old
-    /// full-read path provided) with the usual tmp-file + atomic-rename
-    /// discipline.
+    /// re-ingested (the validation [`TraceCache::ensure_generated`]
+    /// runs, which decodes every record in bounded memory) with the
+    /// usual tmp-file + atomic-rename discipline.
     ///
     /// # Errors
     ///
@@ -181,31 +164,23 @@ impl TraceCache {
     pub fn ensure_ingested(&self, source: &Path, opts: &IngestOptions) -> Result<PathBuf, String> {
         let _span = ccsim_obs::metrics().cache_ensure_ns.span();
         let path = self.path_for_ingested(source, opts)?;
-        let entry_matches = || -> bool {
-            let Some(header) = valid_entry_header(&path) else {
-                return false;
-            };
-            if opts.name.as_deref().is_some_and(|n| n != header.name) {
-                return false;
-            }
-            // Record-level scan: a flipped byte mid-file must fall
-            // through to re-ingest here, not abort every downstream cell
-            // at replay time. One sequential pass, one record in memory.
-            let Ok(file) = File::open(&path) else {
-                return false;
-            };
-            let Ok(mut reader) = TraceReader::new(BufReader::new(file)) else {
-                return false;
-            };
-            loop {
-                match reader.next_record() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => return true,
-                    Err(_) => return false,
-                }
-            }
-        };
-        if entry_matches() {
+        self.ensure(path, opts.name.as_deref(), |tmp| {
+            ingest_file(source, tmp, opts)
+                .map(drop)
+                .map_err(|e| format!("ingesting {}: {e}", source.display()))
+        })
+    }
+
+    /// The one cache step: a sound entry at `path` (see [`entry_is_sound`])
+    /// is a hit; anything else is a miss that `fill` writes into a
+    /// temporary file, renamed over `path` once complete.
+    fn ensure(
+        &self,
+        path: PathBuf,
+        name: Option<&str>,
+        fill: impl FnOnce(&Path) -> Result<(), String>,
+    ) -> Result<PathBuf, String> {
+        if entry_is_sound(&path, name) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             ccsim_obs::metrics().cache_hits.inc();
             return Ok(path);
@@ -213,13 +188,11 @@ impl TraceCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         ccsim_obs::metrics().cache_misses.inc();
         let tmp = path.with_extension(format!("tmp.{}", temp_tag()));
-        let convert = || -> Result<(), String> {
-            ingest_file(source, &tmp, opts)
-                .map_err(|e| format!("ingesting {}: {e}", source.display()))?;
+        let filled = fill(&tmp).and_then(|()| {
             std::fs::rename(&tmp, &path)
-                .map_err(|e| format!("caching ingested trace to {}: {e}", path.display()))
-        };
-        convert().inspect_err(|_| {
+                .map_err(|e| format!("caching trace to {}: {e}", path.display()))
+        });
+        filled.inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })?;
         Ok(path)
@@ -228,8 +201,9 @@ impl TraceCache {
     /// `true` if `path` holds a structurally valid `CCTR` file: good
     /// magic and header, and exactly the length the header promises.
     /// Used by campaign dry-runs to predict cache hits cheaply (the
-    /// actual acquisition, [`TraceCache::ensure_ingested`], additionally
-    /// scans the records).
+    /// actual acquisition, [`TraceCache::ensure_generated`] or
+    /// [`TraceCache::ensure_ingested`], also checks the name and scans
+    /// the records).
     pub fn entry_is_valid(path: &Path) -> bool {
         valid_entry_header(path).is_some()
     }
@@ -237,24 +211,50 @@ impl TraceCache {
 
 /// Shared structural probe: the parsed header of `path` if its magic,
 /// header and exact file length check out; `None` otherwise.
-fn valid_entry_header(path: &Path) -> Option<ccsim_trace::TraceHeader> {
+fn valid_entry_header(path: &Path) -> Option<TraceHeader> {
     let file = File::open(path).ok()?;
     let meta = file.metadata().ok()?;
     let header = read_trace_header(BufReader::new(file)).ok()?;
     (header.expected_file_len() == meta.len()).then_some(header)
 }
 
+/// `true` if `path` is an entry a cell can replay: a valid header and
+/// exact length ([`valid_entry_header`]), the embedded name `name` (any
+/// name when `None`), and every record decodes — a flipped byte mid-file
+/// must fall through to a refill here, not abort every downstream cell
+/// at replay time. One sequential pass in bounded memory.
+fn entry_is_sound(path: &Path, name: Option<&str>) -> bool {
+    let Some(header) = valid_entry_header(path) else {
+        return false;
+    };
+    if name.is_some_and(|n| n != header.name) {
+        return false;
+    }
+    let Ok(file) = File::open(path) else {
+        return false;
+    };
+    let Ok(mut reader) = TraceReader::new(BufReader::new(file)) else {
+        return false;
+    };
+    let mut chunk = Vec::with_capacity(SCAN_RECORDS);
+    loop {
+        chunk.clear();
+        match reader.read_chunk(&mut chunk, SCAN_RECORDS) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(_) => return false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_trace::synth::{PatternGen, RandomAccess};
-    use ccsim_trace::TraceBuffer;
+    use ccsim_trace::{read_trace, write_trace, Trace};
+    use ccsim_workloads::build_workload_seeded;
 
-    fn sample(name: &str) -> Trace {
-        let mut b = TraceBuffer::new(name);
-        RandomAccess::new(0, 1 << 10, 64, 500).emit(&mut b);
-        b.finish()
-    }
+    /// A quick synthetic workload: small, and seed-sensitive.
+    const W: &str = "xsbench.small";
 
     fn temp_cache(tag: &str) -> TraceCache {
         let dir =
@@ -263,16 +263,26 @@ mod tests {
         TraceCache::new(dir).unwrap()
     }
 
-    #[test]
-    fn second_read_is_a_hit_and_byte_identical() {
-        let cache = temp_cache("hit");
-        let first = cache.get_or_generate("w", SuiteScale::Quick, 0, || Ok(sample("w"))).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = cache
-            .get_or_generate("w", SuiteScale::Quick, 0, || panic!("must not regenerate on a hit"))
+    /// The `CCTR` bytes of the in-memory build of `W`.
+    fn built_bytes(seed: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_trace(&build_workload_seeded(W, SuiteScale::Quick, seed).unwrap(), &mut bytes)
             .unwrap();
+        bytes
+    }
+
+    #[test]
+    fn second_ensure_is_a_hit_and_the_entry_is_the_built_trace() {
+        let cache = temp_cache("hit");
+        let first = cache.ensure_generated(W, SuiteScale::Quick, 0).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(first, cache.path_for(W, SuiteScale::Quick, 0));
+        let modified = std::fs::metadata(&first).unwrap().modified().unwrap();
+        let second = cache.ensure_generated(W, SuiteScale::Quick, 0).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(first, second);
+        assert_eq!(std::fs::metadata(&second).unwrap().modified().unwrap(), modified);
+        assert!(std::fs::read(&second).unwrap() == built_bytes(0), "byte-identical to a build");
         std::fs::remove_dir_all(cache.root()).unwrap();
     }
 
@@ -288,56 +298,60 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_cache_file_is_regenerated() {
+    fn unsound_entries_are_regenerated() {
         let cache = temp_cache("corrupt");
-        let path = cache.path_for("w", SuiteScale::Quick, 0);
-        cache.get_or_generate("w", SuiteScale::Quick, 0, || Ok(sample("w"))).unwrap();
-        std::fs::write(&path, b"CCTRgarbage").unwrap();
-        let t = cache.get_or_generate("w", SuiteScale::Quick, 0, || Ok(sample("w"))).unwrap();
-        assert_eq!(t, sample("w"));
-        assert_eq!(cache.misses(), 2);
-        // The corrupt file was replaced with a valid one.
-        let reread =
-            cache.get_or_generate("w", SuiteScale::Quick, 0, || panic!("cached now")).unwrap();
-        assert_eq!(reread, t);
+        let path = cache.ensure_generated(W, SuiteScale::Quick, 0).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let header = good.len() - 20 * read_trace(&good[..]).unwrap().len();
+        let mut flipped = good.clone();
+        flipped[header + 17] = 9; // the first record's kind byte
+        let mut misnamed = Vec::new();
+        let mut other = read_trace(&good[..]).unwrap();
+        other.set_name("xsbench.large");
+        write_trace(&other, &mut misnamed).unwrap();
+        let damaged: [(&str, Vec<u8>); 4] = [
+            ("garbage", b"CCTRgarbage".to_vec()),
+            ("truncated", good[..good.len() - 7].to_vec()),
+            ("kind byte", flipped),
+            ("misnamed", misnamed),
+        ];
+        for (i, (what, bytes)) in damaged.into_iter().enumerate() {
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(cache.ensure_generated(W, SuiteScale::Quick, 0).unwrap(), path);
+            assert_eq!(cache.misses(), 2 + i as u64, "{what}: regenerated");
+            assert!(std::fs::read(&path).unwrap() == good, "{what}: repaired in place");
+        }
+        assert_eq!(cache.hits(), 0);
+        cache.ensure_generated(W, SuiteScale::Quick, 0).unwrap();
+        assert_eq!(cache.hits(), 1, "cached now");
         std::fs::remove_dir_all(cache.root()).unwrap();
     }
 
     #[test]
     fn generation_errors_propagate_and_leave_no_file() {
         let cache = temp_cache("err");
-        let err =
-            cache.get_or_generate("w", SuiteScale::Quick, 0, || Err("boom".into())).unwrap_err();
-        assert_eq!(err, "boom");
-        assert!(!cache.path_for("w", SuiteScale::Quick, 0).exists());
+        let err = cache.ensure_generated("nope.nothing", SuiteScale::Quick, 0).unwrap_err();
+        assert!(err.contains("unknown workload \"nope.nothing\""), "{err}");
+        assert_eq!(std::fs::read_dir(cache.root()).unwrap().count(), 0, "no file, no temp");
         std::fs::remove_dir_all(cache.root()).unwrap();
     }
 
     #[test]
     fn two_threads_filling_one_key_both_succeed() {
-        // Both generators finish together, so both write and rename their
-        // temp files at once; a shared temp name made one rename fail.
+        // Both generators run at once, so both write and rename their
+        // temp files at about the same time; a shared temp name made one
+        // rename fail.
         let cache = temp_cache("race");
-        let mut b = TraceBuffer::new("w");
-        RandomAccess::new(0, 1 << 16, 64, 200_000).emit(&mut b);
-        let want = b.finish();
-        for round in 0..8u64 {
-            let barrier = std::sync::Barrier::new(2);
+        for seed in 0..4u64 {
             let results = std::thread::scope(|s| {
-                let fill = || {
-                    cache.get_or_generate("w", SuiteScale::Quick, round, || {
-                        barrier.wait();
-                        Ok(want.clone())
-                    })
-                };
+                let fill = || cache.ensure_generated(W, SuiteScale::Quick, seed);
                 let handles = [s.spawn(fill), s.spawn(fill)];
                 handles.map(|h| h.join().unwrap())
             });
             for r in results {
-                assert_eq!(r.unwrap(), want, "round {round}");
+                let path = r.unwrap();
+                assert!(std::fs::read(&path).unwrap() == built_bytes(seed), "seed {seed}");
             }
-            let path = cache.path_for("w", SuiteScale::Quick, round);
-            assert!(TraceCache::entry_is_valid(&path), "round {round}");
         }
         let leftovers = std::fs::read_dir(cache.root())
             .unwrap()

@@ -14,12 +14,12 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use ccsim_core::experiment::run_jobs;
-use ccsim_core::{simulate_grid, simulate_grid_stream, SimConfig, SimResult};
+use ccsim_core::{simulate_grid_stream, SimConfig, SimResult};
 use ccsim_ingest::{detect_file, ingest_file, IngestOptions, SourceFormat};
 use ccsim_obs::Table;
 use ccsim_policies::PolicyKind;
-use ccsim_trace::{read_trace_header, Trace, TraceReader};
-use ccsim_workloads::{build_workload_seeded, SuiteScale};
+use ccsim_trace::{read_trace_header, TraceReader};
+use ccsim_workloads::{write_workload, SuiteScale};
 
 use crate::cache::TraceCache;
 use crate::journal::Journal;
@@ -36,12 +36,14 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 
 /// The acquired trace of one workload, ready to simulate cells against.
 ///
-/// Synthetic workloads are generated (or cache-read) into memory — they
-/// are bounded by construction. External `trace:` selectors stay **on
-/// disk**: each shard of cells streams the `CCTR` file (the source
-/// itself if it is one and no cache is attached, else its conversion)
-/// through [`simulate_grid_stream`], so a multi-gigabyte trace never
-/// materializes no matter how many (policy × config) cells replay it.
+/// Every trace stays **on disk**: each shard of cells streams a `CCTR`
+/// file through [`simulate_grid_stream`], so no trace is ever resident,
+/// however long it is and however many (policy × config) cells replay
+/// it. The file is a trace-cache entry when a cache is attached
+/// (generated, or converted from a `trace:` source, on first use); an
+/// external `CCTR` source itself when no cache is attached; else a
+/// one-shot temporary file the generator or the conversion streamed
+/// into.
 ///
 /// This is the workload-band granularity the campaign runner and the
 /// distributed worker (`ccsim-dist`) build on: acquire a workload once
@@ -50,35 +52,23 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 /// is still journaled individually, so kill/resume and lease semantics
 /// are per cell.
 ///
-/// The internals stay private: one-shot conversions delete their file
-/// when the handle drops, a contract callers must not be able to point
-/// at arbitrary paths.
+/// The fields stay private: one-shot files are deleted when the handle
+/// drops, a contract callers must not be able to point at arbitrary
+/// paths.
 #[derive(Debug)]
-pub struct AcquiredTrace(Acquired);
-
-#[derive(Debug)]
-enum Acquired {
-    /// Resident trace, replayed with [`simulate_grid`].
-    InMemory(Trace),
-    /// On-disk `CCTR` file, streamed per shard; results carry `selector`
-    /// as their workload whatever name the file embeds. `temp` marks a
-    /// one-shot conversion (no cache attached) deleted when the handle
-    /// drops.
-    Streamed { path: PathBuf, selector: String, records: u64, temp: bool },
+pub struct AcquiredTrace {
+    path: PathBuf,
+    /// The workload results carry, whatever name the file embeds.
+    selector: String,
+    records: u64,
+    /// A one-shot file (no cache attached), deleted on drop.
+    temp: bool,
 }
 
 impl AcquiredTrace {
     /// Memory-access records per replay (for progress lines).
     pub fn records(&self) -> u64 {
-        match &self.0 {
-            Acquired::InMemory(trace) => trace.len() as u64,
-            Acquired::Streamed { records, .. } => *records,
-        }
-    }
-
-    /// `true` when cells stream from disk instead of replaying memory.
-    pub fn is_streamed(&self) -> bool {
-        matches!(self.0, Acquired::Streamed { .. })
+        self.records
     }
 
     /// Runs a whole band of grid cells over this trace in one pass per
@@ -118,19 +108,15 @@ impl AcquiredTrace {
         let shard_results = run_jobs(shards, shards, |s| -> Result<Vec<SimResult>, String> {
             let shard: Vec<(SimConfig, PolicyKind)> =
                 assignment[s].iter().map(|&i| cells[i]).collect();
-            match &self.0 {
-                Acquired::InMemory(trace) => Ok(simulate_grid(trace, &shard, chunk_records)),
-                Acquired::Streamed { path, selector, .. } => {
-                    let file = File::open(path)
-                        .map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-                    let reader = TraceReader::new(BufReader::new(file))
-                        .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
-                    let mut results = simulate_grid_stream(reader, &shard, chunk_records)
-                        .map_err(|e| format!("streaming trace {}: {e}", path.display()))?;
-                    results.iter_mut().for_each(|r| r.workload.clone_from(selector));
-                    Ok(results)
-                }
-            }
+            let path = &self.path;
+            let file =
+                File::open(path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
+            let reader = TraceReader::new(BufReader::new(file))
+                .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
+            let mut results = simulate_grid_stream(reader, &shard, chunk_records)
+                .map_err(|e| format!("streaming trace {}: {e}", path.display()))?;
+            results.iter_mut().for_each(|r| r.workload.clone_from(&self.selector));
+            Ok(results)
         });
         // Scatter shard results back into `cells` order.
         let mut results: Vec<Option<SimResult>> = (0..cells.len()).map(|_| None).collect();
@@ -145,8 +131,8 @@ impl AcquiredTrace {
 
 impl Drop for AcquiredTrace {
     fn drop(&mut self) {
-        if let Acquired::Streamed { path, temp: true, .. } = &self.0 {
-            let _ = std::fs::remove_file(path);
+        if self.temp {
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
@@ -159,64 +145,72 @@ fn cctr_record_count(path: &Path) -> Result<u64, String> {
         .map_err(|e| format!("reading header of {}: {e}", path.display()))
 }
 
-/// Acquires the trace for one workload selector: external `trace:` files
-/// are streamed per shard from disk — from the trace cache when one is
-/// attached (converted on first use), else in place when the file
-/// already is native `CCTR`, else from a temporary conversion;
-/// synthetic workloads come from the per-name builders (cached when a
-/// cache is attached).
+/// Acquires the trace file of one workload selector, to stream per
+/// shard: from the trace cache when one is attached (external `trace:`
+/// sources converted, synthetic workloads generated, on first use); else
+/// an external `CCTR` source in place; else a one-shot temporary file
+/// that the conversion or the generator streams into.
 fn acquire_trace(
     cache: Option<&TraceCache>,
     workload: &str,
     scale: SuiteScale,
     seed: u64,
 ) -> Result<AcquiredTrace, String> {
-    if let Some(source) = workload.strip_prefix("trace:") {
-        let opts = ingest_options_for(workload);
-        let source = Path::new(source);
-        let (path, temp) = match cache {
-            Some(cache) => (cache.ensure_ingested(source, &opts)?, false),
-            // Nothing to convert and nowhere to keep a copy.
-            None if matches!(detect_file(source), Ok(SourceFormat::Cctr)) => {
-                (source.to_owned(), false)
-            }
-            None => {
-                // One-shot conversion: still streamed (bounded memory),
-                // just not kept. The temp tag keeps the name unique even
-                // across concurrent campaigns in one process replaying the
-                // same selector.
-                let tmp = std::env::temp_dir().join(format!(
-                    "ccsim-stream-{}-{:016x}.cctr",
-                    crate::cache::temp_tag(),
-                    crate::spec::fnv1a64(workload.as_bytes()),
-                ));
-                ingest_file(source, &tmp, &opts)
-                    .map_err(|e| format!("ingesting {}: {e}", source.display()))?;
-                (tmp, true)
-            }
-        };
-        let records = cctr_record_count(&path)?;
-        let selector = workload.to_owned();
-        return Ok(AcquiredTrace(Acquired::Streamed { path, selector, records, temp }));
-    }
-    let trace = match cache {
-        Some(cache) => cache.get_or_generate(workload, scale, seed, || {
-            build_workload_seeded(workload, scale, seed)
-        })?,
-        None => build_workload_seeded(workload, scale, seed)?,
+    let (path, temp) = match (workload.strip_prefix("trace:").map(Path::new), cache) {
+        (Some(source), Some(cache)) => {
+            (cache.ensure_ingested(source, &ingest_options_for(workload))?, false)
+        }
+        // Nothing to convert and nowhere to keep a copy.
+        (Some(source), None) if matches!(detect_file(source), Ok(SourceFormat::Cctr)) => {
+            (source.to_owned(), false)
+        }
+        (Some(source), None) => (
+            one_shot(workload, |tmp| {
+                ingest_file(source, tmp, &ingest_options_for(workload))
+                    .map(drop)
+                    .map_err(|e| format!("ingesting {}: {e}", source.display()))
+            })?,
+            true,
+        ),
+        (None, Some(cache)) => (cache.ensure_generated(workload, scale, seed)?, false),
+        (None, None) => {
+            (one_shot(workload, |tmp| write_workload(workload, scale, seed, tmp).map(drop))?, true)
+        }
     };
-    Ok(AcquiredTrace(Acquired::InMemory(trace)))
+    let mut acquired = AcquiredTrace { path, selector: workload.to_owned(), records: 0, temp };
+    // On failure the handle drops, taking a one-shot file with it.
+    acquired.records = cctr_record_count(&acquired.path)?;
+    Ok(acquired)
+}
+
+/// Fills a one-shot temporary `CCTR` file for `workload` with `fill` and
+/// returns its path; a failed fill leaves no file behind. The temp tag
+/// keeps the name unique even across concurrent campaigns in one process
+/// acquiring the same selector.
+fn one_shot(
+    workload: &str,
+    fill: impl FnOnce(&Path) -> Result<(), String>,
+) -> Result<PathBuf, String> {
+    let tmp = std::env::temp_dir().join(format!(
+        "ccsim-stream-{}-{:016x}.cctr",
+        crate::cache::temp_tag(),
+        crate::spec::fnv1a64(workload.as_bytes()),
+    ));
+    fill(&tmp).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
+    Ok(tmp)
 }
 
 /// A configured, runnable campaign.
 ///
-/// Traces are acquired per workload (via the [`TraceCache`] when one is
-/// attached, regenerated otherwise) and dropped as soon as the workload's
-/// cells finish, so at most one trace is alive at a time — the memory
-/// profile of the old streaming figure binaries. Within a workload, all
-/// pending (policy x config) cells advance in lockstep through one pass
-/// over the trace per thread shard ([`AcquiredTrace::simulate_cells`]),
-/// so reports are byte-identical for any thread count.
+/// Traces are acquired per workload as files (via the [`TraceCache`]
+/// when one is attached, into a one-shot temporary file otherwise) and
+/// streamed, so no trace is ever resident: a campaign's heap does not
+/// grow with trace length. Within a workload, all pending
+/// (policy x config) cells advance in lockstep through one pass over the
+/// trace file per thread shard ([`AcquiredTrace::simulate_cells`]), so
+/// reports are byte-identical for any thread count.
 ///
 /// # Examples
 ///
@@ -623,19 +617,17 @@ impl Campaign {
                     ("cells", cells),
                     ("trace_records", Json::int_saturating(trace.records())),
                     ("sim_ns", Json::int_saturating(band_ns)),
-                    ("streamed", Json::Bool(trace.is_streamed())),
                 ],
             );
             let _ = o.write_manifest();
         }
         if self.verbose {
             eprintln!(
-                "{} {} records, {} cells in {} pass(es){}",
+                "{} {} records, {} cells in {} pass(es)",
                 grid.progress_label(workload),
                 trace.records(),
                 pending.len(),
                 self.threads.min(pending.len()),
-                if trace.is_streamed() { " (streamed)" } else { "" }
             );
         }
         if let Some(j) = journal {
@@ -738,11 +730,15 @@ mod tests {
     use ccsim_core::GridReplay;
 
     /// The reference every execution shape is judged against: each cell
-    /// alone, one record at a time.
-    fn oracle(acquired: &AcquiredTrace, cells: &[(SimConfig, PolicyKind)]) -> Vec<SimResult> {
-        let Acquired::InMemory(trace) = &acquired.0 else {
-            panic!("the oracle replays resident traces");
-        };
+    /// alone over the in-memory build of `workload`, one record at a time.
+    fn oracle(
+        campaign: &Campaign,
+        workload: &str,
+        cells: &[(SimConfig, PolicyKind)],
+    ) -> Vec<SimResult> {
+        let spec = campaign.spec();
+        let trace =
+            ccsim_workloads::build_workload_seeded(workload, spec.scale, spec.seed).unwrap();
         let one = |cell: &(SimConfig, PolicyKind)| {
             let mut grid = GridReplay::new(std::slice::from_ref(cell), 1);
             for rec in trace.records() {
@@ -798,12 +794,11 @@ mod tests {
     fn campaign_run_reports_the_oracle_result_of_every_cell() {
         let campaign = Campaign::new(tiny_spec());
         let grid = campaign.grid().unwrap();
-        let trace = campaign.acquire("xsbench.small").unwrap();
         let band: Vec<(SimConfig, PolicyKind)> =
             grid.cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
         let report = Campaign::new(tiny_spec()).threads(3).run().unwrap().report;
         let reported: Vec<SimResult> = report.cells.into_iter().map(|c| c.result).collect();
-        assert_eq!(reported, oracle(&trace, &band));
+        assert_eq!(reported, oracle(&campaign, "xsbench.small", &band));
     }
 
     #[test]
@@ -813,7 +808,7 @@ mod tests {
         let trace = campaign.acquire("xsbench.small").unwrap();
         let band: Vec<(SimConfig, PolicyKind)> =
             grid.cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
-        let reference = oracle(&trace, &band);
+        let reference = oracle(&campaign, "xsbench.small", &band);
         for threads in [1, 2, 3, 16] {
             for chunk in [0, 17] {
                 let results = trace.simulate_cells(&band, threads, chunk).unwrap();
@@ -838,10 +833,32 @@ mod tests {
                 band.push((SimConfig::tiny().with_llc_scale(scale), policy));
             }
         }
-        let reference = oracle(&trace, &band);
+        let reference = oracle(&campaign, "xsbench.small", &band);
         for threads in [1, 2, 3, 5, 14, 100] {
             assert_eq!(trace.simulate_cells(&band, threads, 0).unwrap(), reference, "{threads}");
         }
+    }
+
+    #[test]
+    fn without_a_cache_a_synthetic_trace_streams_from_a_one_shot_file() {
+        let campaign = Campaign::new(tiny_spec());
+        let trace = campaign.acquire("xsbench.small").unwrap();
+        assert!(trace.temp && trace.path.starts_with(std::env::temp_dir()));
+        let bytes = std::fs::read(&trace.path).unwrap();
+        let built = ccsim_workloads::build_workload_seeded(
+            "xsbench.small",
+            campaign.spec().scale,
+            campaign.spec().seed,
+        )
+        .unwrap();
+        let mut want = Vec::new();
+        ccsim_trace::write_trace(&built, &mut want).unwrap();
+        assert!(bytes == want, "the file is the built trace");
+        assert_eq!(trace.records(), built.len() as u64);
+        let path = trace.path.clone();
+        drop(trace);
+        assert!(!path.exists(), "a one-shot file goes with its handle");
+        assert!(campaign.acquire("nope.nothing").is_err());
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -1,13 +1,13 @@
 //! `trace-gen`, `trace-stats`, `ingest`: making and characterizing traces.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::Path;
 
 use ccsim_ingest::{ingest_file_to_trace, IngestOptions, IngestReport, SourceFormat};
 use ccsim_trace::stats::{ReuseProfile, TraceStats};
-use ccsim_trace::{read_trace, write_trace, Trace};
-use ccsim_workloads::{build_workload_seeded, SuiteScale};
+use ccsim_trace::{read_trace, Trace};
+use ccsim_workloads::{write_workload, SuiteScale};
 
 use crate::args::{Args, Command, Flag};
 
@@ -58,15 +58,9 @@ record count, unlike the plain conversion).",
 fn trace_gen(args: &Args) -> Result<(), String> {
     let (workload, out) = (args.pos(0), args.pos(1));
     let scale = if args.has("--quick") { SuiteScale::Quick } else { SuiteScale::Full };
-    let trace = build_workload_seeded(workload, scale, 0)?;
-    let file = File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-    // Flush explicitly: `BufWriter`'s drop would discard an error on the
-    // last buffered bytes.
-    let mut writer = BufWriter::new(file);
-    write_trace(&trace, &mut writer)
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {}: {} records, {} instructions", out, trace.len(), trace.instructions());
+    // Streams: the generator writes each chunk as it runs.
+    let written = write_workload(workload, scale, 0, Path::new(out))?;
+    println!("wrote {}: {} records, {} instructions", out, written.records, written.instructions);
     Ok(())
 }
 
@@ -164,14 +158,18 @@ mod tests {
     use crate::ccsim;
 
     #[test]
-    fn build_workload_accepts_gap_and_suite_names() {
-        let build = |name| build_workload_seeded(name, SuiteScale::Quick, 0);
-        assert!(build("bfs.kron").is_ok());
-        assert!(build("spec.stream").is_ok());
-        assert!(build("xsbench.small").is_ok());
-        assert!(build("qcom.srv0").is_ok());
-        assert!(build("nope.nothing").is_err());
-        assert!(build("spec.nothing").is_err());
+    fn trace_gen_accepts_gap_and_suite_names_only() {
+        let path =
+            std::env::temp_dir().join(format!("ccsim_cli_names_{}.cctr", std::process::id()));
+        let write = |name| write_workload(name, SuiteScale::Quick, 0, &path);
+        for name in ["bfs.kron", "spec.stream", "xsbench.small", "qcom.srv0"] {
+            assert!(write(name).is_ok_and(|w| w.records > 0), "{name}");
+        }
+        std::fs::remove_file(&path).unwrap();
+        for name in ["nope.nothing", "spec.nothing"] {
+            assert!(write(name).is_err(), "{name}");
+            assert!(!path.exists(), "{name}: nothing written");
+        }
     }
 
     #[test]

@@ -195,10 +195,7 @@ impl GridReplay {
         let mut chunk = std::mem::take(&mut self.chunk);
         chunk.reserve_exact(chunk_records);
         loop {
-            while chunk.len() < chunk_records {
-                let Some(rec) = reader.next_record()? else { break };
-                chunk.push(rec);
-            }
+            reader.read_chunk(&mut chunk, chunk_records)?;
             self.step_records(&chunk);
             let exhausted = chunk.len() < chunk_records; // short chunk
             chunk.clear();

@@ -1,16 +1,24 @@
 //! Instrumented Brandes betweenness centrality.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Traced Brandes betweenness centrality from the given sources. Returns
 /// the trace and per-vertex scores (identical to
 /// [`crate::kernels::betweenness`]).
 pub fn betweenness(g: &Graph, sources: &[u32]) -> (Trace, Vec<f64>) {
+    let mut buf = TraceBuffer::new("bc");
+    let scores = betweenness_into(g, sources, &mut buf);
+    (buf.finish(), scores)
+}
+
+/// [`betweenness`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn betweenness_into(g: &Graph, sources: &[u32], buf: &mut TraceBuffer) -> Vec<f64> {
     let n = g.num_vertices() as usize;
-    let arena = TraceArena::new("bc");
+    let arena = arena_over(buf);
     let csr = TracedCsr::new(&arena, g);
     let s_depth_rd = arena.code_site();
     let s_depth_wr = arena.code_site();
@@ -85,7 +93,8 @@ pub fn betweenness(g: &Graph, sources: &[u32]) -> (Trace, Vec<f64>) {
 
     let result = centrality.into_inner();
     drop(csr);
-    (arena.finish(), result)
+    *buf = arena.into_buffer();
+    result
 }
 
 #[cfg(test)]

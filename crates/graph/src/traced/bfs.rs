@@ -1,9 +1,9 @@
 //! Instrumented direction-optimizing BFS.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
 use crate::kernels::NO_PARENT;
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Frontier-size threshold divisor for switching to bottom-up (matches the
@@ -13,9 +13,17 @@ const BOTTOM_UP_THRESHOLD_DIV: usize = 20;
 /// Traced direction-optimizing BFS from `source`. Returns the captured
 /// trace and the parent array (identical to [`crate::kernels::bfs`]).
 pub fn bfs(g: &Graph, source: u32) -> (Trace, Vec<u32>) {
+    let mut buf = TraceBuffer::new("bfs");
+    let parents = bfs_into(g, source, &mut buf);
+    (buf.finish(), parents)
+}
+
+/// [`bfs`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn bfs_into(g: &Graph, source: u32, buf: &mut TraceBuffer) -> Vec<u32> {
     let n = g.num_vertices() as usize;
     assert!((source as usize) < n, "source out of range");
-    let arena = TraceArena::new("bfs");
+    let arena = arena_over(buf);
     let csr = TracedCsr::new(&arena, g);
     let s_parent_rd = arena.code_site();
     let s_parent_wr = arena.code_site();
@@ -103,7 +111,8 @@ pub fn bfs(g: &Graph, source: u32) -> (Trace, Vec<u32>) {
     drop(queue);
     drop(bitmap);
     drop(csr);
-    (arena.finish(), result)
+    *buf = arena.into_buffer();
+    result
 }
 
 #[cfg(test)]

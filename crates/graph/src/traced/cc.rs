@@ -1,15 +1,23 @@
 //! Instrumented Shiloach–Vishkin connected components.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Traced Shiloach–Vishkin connected components. Returns the trace and the
 /// component labels (identical to [`crate::kernels::connected_components`]).
 pub fn connected_components(g: &Graph) -> (Trace, Vec<u32>) {
+    let mut buf = TraceBuffer::new("cc");
+    let labels = connected_components_into(g, &mut buf);
+    (buf.finish(), labels)
+}
+
+/// [`connected_components`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn connected_components_into(g: &Graph, buf: &mut TraceBuffer) -> Vec<u32> {
     let n = g.num_vertices();
-    let arena = TraceArena::new("cc");
+    let arena = arena_over(buf);
     let csr = TracedCsr::new(&arena, g);
     let s_comp_rd = arena.code_site();
     let s_comp_wr = arena.code_site();
@@ -52,7 +60,8 @@ pub fn connected_components(g: &Graph) -> (Trace, Vec<u32>) {
 
     let result: Vec<u32> = comp.into_inner().into_iter().map(|c| c as u32).collect();
     drop(csr);
-    (arena.finish(), result)
+    *buf = arena.into_buffer();
+    result
 }
 
 #[cfg(test)]

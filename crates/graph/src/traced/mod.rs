@@ -6,7 +6,9 @@
 //!
 //! Each kernel returns both its *result* (verified against the reference
 //! implementation by the test suite) and the captured
-//! [`Trace`](ccsim_trace::Trace). The small
+//! [`Trace`](ccsim_trace::Trace); its `_into` twin records into a
+//! caller's [`TraceBuffer`] instead — in memory, or streamed to a file
+//! chunk by chunk so no trace is ever resident. The small
 //! number of distinct code sites per kernel (5-12) is not a modelling
 //! shortcut: compiled GAP kernels genuinely concentrate their memory
 //! traffic in a handful of instructions, which is the paper's central
@@ -19,16 +21,23 @@ mod pr;
 mod sssp;
 mod tc;
 
-pub use bc::betweenness;
-pub use bfs::bfs;
-pub use cc::connected_components;
-pub use pr::pagerank;
-pub use sssp::sssp;
-pub use tc::triangle_count;
+pub use bc::{betweenness, betweenness_into};
+pub use bfs::{bfs, bfs_into};
+pub use cc::{connected_components, connected_components_into};
+pub use pr::{pagerank, pagerank_into};
+pub use sssp::{sssp, sssp_into};
+pub use tc::{triangle_count, triangle_count_into};
 
-use ccsim_trace::{Pc, TraceArena, TracedVec};
+use ccsim_trace::{Pc, TraceArena, TraceBuffer, TracedVec};
 
 use crate::Graph;
+
+/// An arena recording into the caller's `buf`, which it takes for the
+/// kernel's run: the kernel returns it with
+/// `*buf = arena.into_buffer()`.
+fn arena_over(buf: &mut TraceBuffer) -> TraceArena {
+    TraceArena::with_buffer(std::mem::replace(buf, TraceBuffer::new("")))
+}
 
 /// A CSR graph laid out in a trace arena: loads of OA/NA/weights are
 /// recorded at dedicated code sites.

@@ -1,8 +1,8 @@
 //! Instrumented pull-based PageRank.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Traced pull PageRank: `iterations` sweeps over the transpose graph.
@@ -12,9 +12,23 @@ use crate::Graph;
 /// The inner loop's load of `contrib[u]` indexed by NA contents is the
 /// irregular SpMV access the paper's extended abstract highlights.
 pub fn pagerank(g: &Graph, transpose: &Graph, iterations: u32, damping: f64) -> (Trace, Vec<f64>) {
+    let mut buf = TraceBuffer::new("pr");
+    let ranks = pagerank_into(g, transpose, iterations, damping, &mut buf);
+    (buf.finish(), ranks)
+}
+
+/// [`pagerank`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn pagerank_into(
+    g: &Graph,
+    transpose: &Graph,
+    iterations: u32,
+    damping: f64,
+    buf: &mut TraceBuffer,
+) -> Vec<f64> {
     let n = g.num_vertices() as usize;
     assert_eq!(transpose.num_vertices() as usize, n, "transpose mismatch");
-    let arena = TraceArena::new("pr");
+    let arena = arena_over(buf);
     // Kernel iterates the transpose (incoming edges); out-degrees come from
     // the forward graph's degree array (precomputed, as GAP does).
     let csr = TracedCsr::new(&arena, transpose);
@@ -54,7 +68,8 @@ pub fn pagerank(g: &Graph, transpose: &Graph, iterations: u32, damping: f64) -> 
     drop(contrib);
     drop(deg);
     drop(csr);
-    (arena.finish(), result)
+    *buf = arena.into_buffer();
+    result
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Instrumented delta-stepping SSSP.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
 use crate::kernels::INF;
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Traced delta-stepping SSSP from `source`. Returns the trace and the
@@ -14,11 +14,19 @@ use crate::Graph;
 /// loads. Bucket *bookkeeping* (lengths, indices) stays in registers, as
 /// it does in the real implementation.
 pub fn sssp(g: &Graph, source: u32, delta: u32) -> (Trace, Vec<u32>) {
+    let mut buf = TraceBuffer::new("sssp");
+    let dist = sssp_into(g, source, delta, &mut buf);
+    (buf.finish(), dist)
+}
+
+/// [`sssp`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn sssp_into(g: &Graph, source: u32, delta: u32, buf: &mut TraceBuffer) -> Vec<u32> {
     assert!(delta > 0, "delta must be positive");
     assert!(g.weights().is_some(), "sssp requires an edge-weighted graph");
     let n = g.num_vertices() as usize;
     assert!((source as usize) < n, "source out of range");
-    let arena = TraceArena::new("sssp");
+    let arena = arena_over(buf);
     let csr = TracedCsr::new(&arena, g);
     let s_dist_rd = arena.code_site();
     let s_dist_wr = arena.code_site();
@@ -80,7 +88,8 @@ pub fn sssp(g: &Graph, source: u32, delta: u32) -> (Trace, Vec<u32>) {
     let result = dist.into_inner();
     drop(slab);
     drop(csr);
-    (arena.finish(), result)
+    *buf = arena.into_buffer();
+    result
 }
 
 #[cfg(test)]

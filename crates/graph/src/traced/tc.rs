@@ -1,8 +1,8 @@
 //! Instrumented triangle counting.
 
-use ccsim_trace::{Trace, TraceArena};
+use ccsim_trace::{Trace, TraceBuffer};
 
-use crate::traced::TracedCsr;
+use crate::traced::{arena_over, TracedCsr};
 use crate::Graph;
 
 /// Traced triangle counting by ordered adjacency merging. Returns the
@@ -12,7 +12,15 @@ use crate::Graph;
 /// TC is by far the most edge-intensive GAP kernel (quadratic in hub
 /// degree); callers control cost through the graph scale.
 pub fn triangle_count(g: &Graph) -> (Trace, u64) {
-    let arena = TraceArena::new("tc");
+    let mut buf = TraceBuffer::new("tc");
+    let count = triangle_count_into(g, &mut buf);
+    (buf.finish(), count)
+}
+
+/// [`triangle_count`] recording into the caller's `buf` (in memory or streaming)
+/// instead of a trace of its own; returns the kernel's result.
+pub fn triangle_count_into(g: &Graph, buf: &mut TraceBuffer) -> u64 {
+    let arena = arena_over(buf);
     let csr = TracedCsr::new(&arena, g);
     let mut count = 0u64;
     for u in 0..g.num_vertices() {
@@ -47,7 +55,8 @@ pub fn triangle_count(g: &Graph) -> (Trace, u64) {
         }
     }
     drop(csr);
-    (arena.finish(), count)
+    *buf = arena.into_buffer();
+    count
 }
 
 #[cfg(test)]

@@ -91,10 +91,16 @@ pub struct TraceArena {
 }
 
 impl TraceArena {
-    /// Creates an arena recording a workload called `name`.
+    /// Creates an arena recording a workload called `name` in memory.
     pub fn new(name: impl Into<String>) -> Self {
+        TraceArena::with_buffer(TraceBuffer::new(name))
+    }
+
+    /// Creates an arena recording into `buf` — in memory or to a stream,
+    /// whichever `buf` does. [`TraceArena::into_buffer`] hands it back.
+    pub fn with_buffer(buf: TraceBuffer) -> Self {
         TraceArena {
-            buf: RefCell::new(TraceBuffer::new(name)),
+            buf: RefCell::new(buf),
             next_base: Cell::new(DATA_BASE),
             next_pc: Cell::new(CODE_BASE),
         }
@@ -168,7 +174,14 @@ impl TraceArena {
     /// they have been dropped (or their data extracted via
     /// [`TracedVec::into_inner`]) before `finish` can be called.
     pub fn finish(self) -> Trace {
-        self.buf.into_inner().finish()
+        self.into_buffer().finish()
+    }
+
+    /// Returns the buffer the arena recorded into, to finish or to
+    /// record more into. The same borrow rule as
+    /// [`TraceArena::finish`] applies.
+    pub fn into_buffer(self) -> TraceBuffer {
+        self.buf.into_inner()
     }
 }
 

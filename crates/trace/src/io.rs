@@ -27,8 +27,13 @@ pub const MAGIC: [u8; 4] = *b"CCTR";
 pub const VERSION: u32 = 1;
 const RECORD_BYTES: usize = 20;
 /// Records encoded into one buffer per `write_all` by both writers: a
-/// syscall (or `BufWriter` copy) per 80 KiB instead of per record.
-const CHUNK_RECORDS: usize = 4096;
+/// syscall (or `BufWriter` copy) per 80 KiB instead of per record. Also
+/// the chunk a streaming [`crate::TraceBuffer`] hands its writer.
+pub(crate) const CHUNK_RECORDS: usize = 4096;
+/// Records [`TraceReader::read_chunk`] reads per call into its on-stack
+/// byte block (20 KiB, so the block stays in the L1 cache while it is
+/// decoded).
+const BLOCK_RECORDS: usize = 1024;
 
 fn encode_record(r: &TraceRecord, rec: &mut [u8; RECORD_BYTES]) {
     rec[0..8].copy_from_slice(&r.pc.to_le_bytes());
@@ -62,18 +67,28 @@ fn header_bytes(name: &str, trailing_nonmem: u64, count: u64) -> Vec<u8> {
 }
 
 fn decode_record(rec: &[u8; RECORD_BYTES]) -> Result<TraceRecord, DecodeTraceError> {
-    let kind = match rec[17] {
-        0 => AccessKind::Load,
-        1 => AccessKind::Store,
-        _ => return Err(DecodeTraceError::Corrupt("access kind")),
-    };
-    Ok(TraceRecord {
+    if !kind_is_valid(rec) {
+        return Err(DecodeTraceError::Corrupt("access kind"));
+    }
+    Ok(decode_valid(rec))
+}
+
+/// `true` if the record's kind byte encodes an [`AccessKind`].
+fn kind_is_valid(rec: &[u8]) -> bool {
+    rec[17] <= 1
+}
+
+/// Decodes a record whose kind byte [`kind_is_valid`].
+#[inline(always)]
+fn decode_valid(rec: &[u8]) -> TraceRecord {
+    let rec: &[u8; RECORD_BYTES] = rec.try_into().expect("a record-sized chunk");
+    TraceRecord {
         pc: u64::from_le_bytes(rec[0..8].try_into().unwrap()),
         vaddr: u64::from_le_bytes(rec[8..16].try_into().unwrap()),
         size: rec[16],
-        kind,
+        kind: if rec[17] == 0 { AccessKind::Load } else { AccessKind::Store },
         nonmem_before: u16::from_le_bytes(rec[18..20].try_into().unwrap()),
-    })
+    }
 }
 
 /// Serializes `trace` into `writer` in the `CCTR` binary format.
@@ -119,8 +134,11 @@ pub fn write_trace<W: Write>(trace: &Trace, mut writer: W) -> io::Result<()> {
 /// finished file is byte-identical to [`write_trace`] over the same
 /// records. Records are encoded into one pending buffer of 4,096 records
 /// and handed to the underlying writer a buffer at a time, so the writer
-/// holds O(1) memory regardless of trace length. An I/O error surfaces
-/// from the [`TraceWriter::write_record`] that fills the buffer or from
+/// holds O(1) memory regardless of trace length. Records arrive one at a
+/// time ([`TraceWriter::write_record`]) or as a slice
+/// ([`TraceWriter::write_records`], what a streaming
+/// [`crate::TraceBuffer`] sends each full chunk through). An I/O error
+/// surfaces from the write that fills the buffer or from
 /// [`TraceWriter::finish`].
 ///
 /// # Examples
@@ -174,11 +192,27 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn write_record(&mut self, r: &TraceRecord) -> io::Result<()> {
-        encode_records(std::slice::from_ref(r), &mut self.pending);
-        self.count += 1;
-        if self.pending.len() == CHUNK_RECORDS * RECORD_BYTES {
-            self.writer.write_all(&self.pending)?;
-            self.pending.clear();
+        self.write_records(std::slice::from_ref(r))
+    }
+
+    /// Appends `records` to the stream, writing each pending buffer as
+    /// it fills (a full 4,096-record slice goes out in one write).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the underlying writer.
+    pub fn write_records(&mut self, mut records: &[TraceRecord]) -> io::Result<()> {
+        const FULL: usize = CHUNK_RECORDS * RECORD_BYTES;
+        while !records.is_empty() {
+            let room = (FULL - self.pending.len()) / RECORD_BYTES;
+            let (now, later) = records.split_at(room.min(records.len()));
+            encode_records(now, &mut self.pending);
+            self.count += now.len() as u64;
+            if self.pending.len() == FULL {
+                self.writer.write_all(&self.pending)?;
+                self.pending.clear();
+            }
+            records = later;
         }
         Ok(())
     }
@@ -263,8 +297,10 @@ pub fn read_trace_header<R: Read>(mut reader: R) -> Result<TraceHeader, DecodeTr
     Ok(TraceHeader { name, trailing_nonmem, count })
 }
 
-/// Streaming record reader over a `CCTR` stream: one record at a time,
-/// O(1) memory. [`read_trace`] is a thin wrapper that collects it.
+/// Streaming record reader over a `CCTR` stream, in O(1) memory: one
+/// record at a time ([`TraceReader::next_record`]) or a chunk at a time
+/// ([`TraceReader::read_chunk`], the fast path). [`read_trace`] is a
+/// thin wrapper that collects it.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     reader: R,
@@ -304,6 +340,50 @@ impl<R: Read> TraceReader<R> {
         self.remaining -= 1;
         Ok(Some(decode_record(&rec)?))
     }
+
+    /// Decodes up to `max` more records onto the end of `out` — fewer
+    /// only when the stream's `count` runs out — and returns how many it
+    /// appended (0 once the stream is exhausted, or when `max` is 0).
+    /// Bytes are read a block at a time into a fixed on-stack buffer, so
+    /// no heap buffer is made; `out` grows only if it has less spare
+    /// capacity than the records appended.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DecodeTraceError`] a [`TraceReader::next_record`]
+    /// loop would meet on the same bytes, after appending every record
+    /// that loop would have returned before it.
+    pub fn read_chunk(
+        &mut self,
+        out: &mut Vec<TraceRecord>,
+        max: usize,
+    ) -> Result<usize, DecodeTraceError> {
+        let want = self.remaining.min(max as u64) as usize;
+        out.reserve(want);
+        let mut block = [0u8; BLOCK_RECORDS * RECORD_BYTES];
+        let mut done = 0;
+        while done < want {
+            let n = (want - done).min(BLOCK_RECORDS);
+            let bytes = &mut block[..n * RECORD_BYTES];
+            let filled = read_full(&mut self.reader, bytes)?;
+            let whole = &bytes[..filled - filled % RECORD_BYTES];
+            // Validate the block's kind bytes first, so the decode loop
+            // below has no error path.
+            let bad = whole.chunks_exact(RECORD_BYTES).position(|rec| !kind_is_valid(rec));
+            let good = &whole[..bad.map_or(whole.len(), |i| i * RECORD_BYTES)];
+            out.extend(good.chunks_exact(RECORD_BYTES).map(decode_valid));
+            self.remaining -= (good.len() / RECORD_BYTES) as u64;
+            if bad.is_some() {
+                self.remaining -= 1;
+                return Err(DecodeTraceError::Corrupt("access kind"));
+            }
+            if filled < bytes.len() {
+                return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+            }
+            done += n;
+        }
+        Ok(want)
+    }
 }
 
 /// Deserializes a trace previously written by [`write_trace`].
@@ -330,13 +410,30 @@ fn read_records<R: Read>(
 ) -> Result<Vec<TraceRecord>, DecodeTraceError> {
     let count = stream.header().count as usize;
     let mut records = Vec::with_capacity(count.min(1 << 20));
-    while let Some(r) = stream.next_record()? {
+    loop {
         if records.len() == records.capacity() {
             records.reserve_exact((count - records.len()).min(records.len()));
         }
-        records.push(r);
+        let room = records.capacity() - records.len();
+        if stream.read_chunk(&mut records, room)? == 0 {
+            return Ok(records);
+        }
     }
-    Ok(records)
+}
+
+/// Reads until `buf` is full or the stream ends, returning the bytes
+/// read (`read_exact` leaves a short read's bytes unspecified).
+fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {

@@ -9,7 +9,8 @@
 //! * [`TraceRecord`] / [`Trace`] — the compact trace representation: one
 //!   record per memory instruction, with interleaved non-memory instruction
 //!   counts so MPKI and IPC can be computed.
-//! * [`TraceBuffer`] — incremental construction.
+//! * [`TraceBuffer`] — incremental construction, in memory or streamed
+//!   to a `CCTR` file chunk by chunk.
 //! * [`TraceArena`] / [`TracedVec`] — an instrumented-execution layer that
 //!   plays the role of a PIN-style tracer: real algorithms (the GAP graph
 //!   kernels in `ccsim-graph`) run against arena-allocated arrays and every
@@ -45,7 +46,7 @@ pub mod stats;
 pub mod synth;
 
 pub use arena::{Pc, TraceArena, TraceScalar, TracedVec};
-pub use buffer::TraceBuffer;
+pub use buffer::{TraceBuffer, WrittenTrace};
 pub use error::DecodeTraceError;
 pub use io::{
     read_trace, read_trace_header, write_trace, TraceHeader, TraceReader, TraceWriter,

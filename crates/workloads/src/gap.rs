@@ -5,7 +5,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use ccsim_graph::{generators, traced, Graph};
-use ccsim_trace::Trace;
+use ccsim_trace::TraceBuffer;
 
 use crate::SuiteScale;
 
@@ -157,10 +157,10 @@ impl GapWorkload {
         }
     }
 
-    /// Runs the instrumented kernel and returns its trace, named
-    /// `kernel.graph`; `extra_seed` perturbs graph synthesis (0 reproduces
-    /// the paper's graphs exactly).
-    pub(crate) fn trace(&self, preset: SuiteScale, extra_seed: u64) -> Trace {
+    /// Runs the instrumented kernel, recording into `buf` (which names
+    /// the trace: `kernel.graph` by convention); `extra_seed` perturbs
+    /// graph synthesis (0 reproduces the paper's graphs exactly).
+    pub(crate) fn trace_into(&self, preset: SuiteScale, extra_seed: u64, buf: &mut TraceBuffer) {
         const GAP_SEED: u64 = 0x6A50_5EED;
         let seed = GAP_SEED
             ^ ((self.kernel as u64) << 8)
@@ -169,22 +169,28 @@ impl GapWorkload {
         let scale = self.scale(preset);
         let g = self.graph.build(scale, seed);
         let source = hub_vertex(&g);
-        let mut trace = match self.kernel {
-            GapKernel::Bfs => traced::bfs(&g, source).0,
-            GapKernel::Cc => traced::connected_components(&g).0,
+        match self.kernel {
+            GapKernel::Bfs => {
+                traced::bfs_into(&g, source, buf);
+            }
+            GapKernel::Cc => {
+                traced::connected_components_into(&g, buf);
+            }
             GapKernel::Pr => {
                 let t = g.transpose();
-                traced::pagerank(&g, &t, 2, 0.85).0
+                traced::pagerank_into(&g, &t, 2, 0.85, buf);
             }
             GapKernel::Sssp => {
                 let gw = g.with_random_weights(64, seed);
-                traced::sssp(&gw, source, 16).0
+                traced::sssp_into(&gw, source, 16, buf);
             }
-            GapKernel::Bc => traced::betweenness(&g, &[source]).0,
-            GapKernel::Tc => traced::triangle_count(&g).0,
-        };
-        trace.set_name(self.to_string());
-        trace
+            GapKernel::Bc => {
+                traced::betweenness_into(&g, &[source], buf);
+            }
+            GapKernel::Tc => {
+                traced::triangle_count_into(&g, buf);
+            }
+        }
     }
 }
 
@@ -213,6 +219,11 @@ fn hub_vertex(g: &Graph) -> u32 {
 mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
+    use ccsim_trace::Trace;
+
+    fn quick(w: GapWorkload) -> Trace {
+        crate::build_workload_seeded(&w.to_string(), SuiteScale::Quick, 0).unwrap()
+    }
 
     #[test]
     fn paper_workload_list_matches_figure() {
@@ -236,7 +247,7 @@ mod tests {
     #[test]
     fn quick_traces_have_graph_signature() {
         let w = GapWorkload { kernel: GapKernel::Bfs, graph: GapGraph::Kron };
-        let t = w.trace(SuiteScale::Quick, 0);
+        let t = quick(w);
         assert_eq!(t.name(), "bfs.kron");
         let stats = TraceStats::compute(&t);
         assert!(stats.distinct_pcs <= 12, "pcs {}", stats.distinct_pcs);
@@ -247,7 +258,7 @@ mod tests {
     fn every_kernel_produces_a_quick_trace() {
         for kernel in GapKernel::ALL {
             let w = GapWorkload { kernel, graph: GapGraph::Urand };
-            let t = w.trace(SuiteScale::Quick, 0);
+            let t = quick(w);
             assert!(!t.is_empty(), "{w} produced an empty trace");
         }
     }

@@ -5,8 +5,10 @@
 //! XSBench-like and Qualcomm-server-like proxy suites of Figure 3.
 //!
 //! Every workload has a canonical name, [`Suite::member_names`] lists
-//! them without building anything, and [`build_workload_seeded`] is the
-//! one way to turn a name into a trace.
+//! them without building anything, and one generator per name records
+//! its trace: into memory ([`build_workload_seeded`]) or straight to a
+//! `CCTR` file, chunk by chunk ([`write_workload`]) — the two are byte
+//! for byte the same trace.
 //!
 //! # Example
 //!
@@ -32,7 +34,11 @@ pub use qualcomm::QUALCOMM_NAMES;
 pub use spec::SPEC_NAMES;
 pub use xsbench::XSBENCH_NAMES;
 
-use ccsim_trace::Trace;
+use std::fs::File;
+use std::io::BufWriter;
+use std::path::Path;
+
+use ccsim_trace::{Trace, TraceBuffer, WrittenTrace};
 
 /// Trace-size preset, shared by every suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,26 +81,69 @@ impl std::str::FromStr for SuiteScale {
 
 /// Builds any workload the crate knows by its canonical name — a GAP
 /// `kernel.graph` pair or a synthetic-suite member (`spec.*`, `xsbench.*`,
-/// `qcom.srv*`) — without materializing the rest of its suite.
+/// `qcom.srv*`) — in memory, without materializing the rest of its suite.
 ///
-/// This is the one name-to-trace entry point: the CLI, the campaign
-/// engine and the benchmark all build through it. `seed` perturbs the
-/// stochastic components of synthesis (0 reproduces the paper's traces
-/// exactly; purely streaming proxies are seed-insensitive by
-/// construction); campaigns thread their spec seed through here, and the
-/// trace cache keys on it.
+/// This and [`write_workload`] are the name-to-trace entry points: the
+/// CLI and the campaign engine stream through [`write_workload`]; the
+/// benchmark, the examples and the tests build here. `seed` perturbs the stochastic
+/// components of synthesis (0 reproduces the paper's traces exactly;
+/// purely streaming proxies are seed-insensitive by construction);
+/// campaigns thread their spec seed through, and the trace cache keys
+/// on it.
 ///
 /// # Errors
 ///
 /// Returns a message naming the unknown workload.
 pub fn build_workload_seeded(name: &str, scale: SuiteScale, seed: u64) -> Result<Trace, String> {
-    let trace = match Suite::of_workload(name) {
-        Suite::Spec => spec::spec_workload(name, scale, seed),
-        Suite::XsBench => xsbench::xsbench_workload(name, scale, seed),
-        Suite::Qualcomm => qualcomm::qualcomm_workload(name, scale, seed),
-        Suite::Gapbs => name.parse::<GapWorkload>().ok().map(|w| w.trace(scale, seed)),
+    let mut buf = TraceBuffer::new(name);
+    generate(name, scale, seed, &mut buf)?;
+    Ok(buf.finish())
+}
+
+/// Writes the trace [`build_workload_seeded`] builds, byte for byte as
+/// [`ccsim_trace::write_trace`] would encode it, to a new `CCTR` file at
+/// `path` — while the generator runs, a 4,096-record chunk at a time,
+/// so the trace is never resident whatever its length. Returns the
+/// trace's totals.
+///
+/// # Errors
+///
+/// Returns a message naming an unknown workload (no file is created) or
+/// the I/O failure; a file the failure leaves behind is the caller's to
+/// remove.
+pub fn write_workload(
+    name: &str,
+    scale: SuiteScale,
+    seed: u64,
+    path: &Path,
+) -> Result<WrittenTrace, String> {
+    if !is_known_workload(name) {
+        return Err(unknown_workload(name));
+    }
+    let io_err = |e: std::io::Error| format!("writing {}: {e}", path.display());
+    let file = File::create(path).map_err(io_err)?;
+    let mut buf = TraceBuffer::streaming(name, BufWriter::new(file)).map_err(io_err)?;
+    generate(name, scale, seed, &mut buf)?;
+    buf.finish_stream().map_err(io_err)
+}
+
+/// Runs `name`'s generator into `buf`.
+fn generate(name: &str, scale: SuiteScale, seed: u64, buf: &mut TraceBuffer) -> Result<(), String> {
+    let known = match Suite::of_workload(name) {
+        Suite::Spec => spec::spec_workload(name, scale, seed, buf),
+        Suite::XsBench => xsbench::xsbench_workload(name, scale, seed, buf),
+        Suite::Qualcomm => qualcomm::qualcomm_workload(name, scale, seed, buf),
+        Suite::Gapbs => name.parse::<GapWorkload>().map(|w| w.trace_into(scale, seed, buf)).is_ok(),
     };
-    trace.ok_or_else(|| format!("unknown workload {name:?}; try `ccsim workloads`"))
+    if known {
+        Ok(())
+    } else {
+        Err(unknown_workload(name))
+    }
+}
+
+fn unknown_workload(name: &str) -> String {
+    format!("unknown workload {name:?}; try `ccsim workloads`")
 }
 
 /// `true` if [`build_workload_seeded`] would succeed for `name`, without

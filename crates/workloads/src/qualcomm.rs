@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ccsim_trace::synth::{
     AccessDistribution, PatternGen, PointerChase, RandomAccess, SequentialStream, StackWalk, Zipf,
 };
-use ccsim_trace::{Trace, TraceBuffer};
+use ccsim_trace::TraceBuffer;
 
 use crate::SuiteScale;
 
@@ -20,23 +20,30 @@ use crate::SuiteScale;
 pub const QUALCOMM_NAMES: [&str; 5] =
     ["qcom.srv0", "qcom.srv1", "qcom.srv2", "qcom.srv3", "qcom.srv4"];
 
-/// Builds one member of the Qualcomm-like suite by name, or `None` if the
-/// name is not in [`QUALCOMM_NAMES`]. `seed` perturbs the stochastic
-/// request mix (0 reproduces the paper's traces).
-pub(crate) fn qualcomm_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
+/// Builds one member of the Qualcomm-like suite by name into `buf`, or
+/// returns `false` if the name is not in [`QUALCOMM_NAMES`]. `seed`
+/// perturbs the stochastic request mix (0 reproduces the paper's traces).
+pub(crate) fn qualcomm_workload(
+    name: &str,
+    scale: SuiteScale,
+    seed: u64,
+    buf: &mut TraceBuffer,
+) -> bool {
     let reps = match scale {
         SuiteScale::Full => 6,
         SuiteScale::Quick => 1,
     };
-    let variant = QUALCOMM_NAMES.iter().position(|n| *n == name)? as u64;
-    Some(server_workload(name, variant, reps, seed))
+    let Some(variant) = QUALCOMM_NAMES.iter().position(|n| *n == name) else {
+        return false;
+    };
+    server_workload(buf, variant as u64, reps, seed);
+    true
 }
 
 /// One server workload: interleaved request-processing phases. Each phase
 /// uses its own code region (distinct PCs), touches a per-request buffer,
 /// consults shared hot tables (Zipf), and walks session objects.
-fn server_workload(name: &str, variant: u64, reps: u64, seed: u64) -> Trace {
-    let mut buf = TraceBuffer::new(name);
+fn server_workload(buf: &mut TraceBuffer, variant: u64, reps: u64, seed: u64) {
     let data = 0x4000_0000 + variant * (1 << 30);
     // Per-variant service characteristics: table skew and sizes differ so
     // the five servers stress the hierarchy differently.
@@ -54,37 +61,37 @@ fn server_workload(name: &str, variant: u64, reps: u64, seed: u64) -> Trace {
                 .store_every(3)
                 .work(3)
                 .sites(code, code + 4)
-                .emit(&mut buf);
+                .emit(buf);
             // Shared lookup tables: Zipf-hot.
             RandomAccess::new(data + (1 << 28), table_entries, 64, 2_000)
                 .distribution(AccessDistribution::Zipf(Arc::clone(&hot)))
                 .work(6)
                 .seed((variant * 1000 + r * 12 + req) ^ seed)
                 .sites(code + 8, code + 12)
-                .emit(&mut buf);
+                .emit(buf);
             // Session-object walk.
             PointerChase::new(data + (1 << 29), session_nodes, 128)
                 .steps(1_500)
                 .seed(req ^ seed)
                 .work(4)
                 .site(code + 16)
-                .emit(&mut buf);
+                .emit(buf);
         }
         StackWalk::new(0x7FFF_4000_0000 + (variant << 20), 12)
             .calls(5_000)
             .seed(r ^ seed)
-            .emit(&mut buf);
+            .emit(buf);
     }
-    buf.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
+    use ccsim_trace::Trace;
 
     fn quick(name: &str) -> Trace {
-        qualcomm_workload(name, SuiteScale::Quick, 0).unwrap()
+        crate::build_workload_seeded(name, SuiteScale::Quick, 0).unwrap()
     }
 
     #[test]

@@ -8,50 +8,55 @@
 //! paper's point for this suite.
 
 use ccsim_trace::synth::{BinarySearchProbe, PatternGen};
-use ccsim_trace::{Trace, TraceBuffer};
+use ccsim_trace::TraceBuffer;
 
 use crate::SuiteScale;
 
 /// Names of the XSBench-like proxy workloads, in suite order.
 pub const XSBENCH_NAMES: [&str; 3] = ["xsbench.small", "xsbench.large", "xsbench.xl"];
 
-/// Builds one member of the XSBench-like suite by name, or `None` if the
-/// name is not in [`XSBENCH_NAMES`]. `seed` perturbs the lookup sequence
-/// (0 reproduces the paper's traces).
-pub(crate) fn xsbench_workload(name: &str, scale: SuiteScale, seed: u64) -> Option<Trace> {
+/// Builds one member of the XSBench-like suite by name into `buf`, or
+/// returns `false` if the name is not in [`XSBENCH_NAMES`]. `seed`
+/// perturbs the lookup sequence (0 reproduces the paper's traces).
+pub(crate) fn xsbench_workload(
+    name: &str,
+    scale: SuiteScale,
+    seed: u64,
+    buf: &mut TraceBuffer,
+) -> bool {
     let probes = match scale {
         SuiteScale::Full => 60_000,
         SuiteScale::Quick => 3_000,
     };
-    Some(match name {
-        "xsbench.small" => lookup_workload(name, 1 << 17, probes, seed),
-        "xsbench.large" => lookup_workload(name, 1 << 20, probes, seed),
-        "xsbench.xl" => lookup_workload(name, 1 << 22, probes / 2, seed),
-        _ => return None,
-    })
+    match name {
+        "xsbench.small" => lookup_workload(buf, 1 << 17, probes, seed),
+        "xsbench.large" => lookup_workload(buf, 1 << 20, probes, seed),
+        "xsbench.xl" => lookup_workload(buf, 1 << 22, probes / 2, seed),
+        _ => return false,
+    }
+    true
 }
 
 /// One XSBench configuration: `grid_points` grid entries (8 B keys) and a
 /// nuclide payload region; each lookup binary-searches the grid then reads
 /// a 128 B cross-section bundle.
-fn lookup_workload(name: &str, grid_points: u64, probes: u64, seed: u64) -> Trace {
-    let mut buf = TraceBuffer::new(name);
+fn lookup_workload(buf: &mut TraceBuffer, grid_points: u64, probes: u64, seed: u64) {
     let grid_base = 0x2000_0000;
     let payload_base = grid_base + grid_points * 8 + (1 << 20);
     BinarySearchProbe::new(grid_base, grid_points, 8, payload_base, 128)
         .probes(probes)
         .seed(grid_points ^ seed) // distinct but deterministic per size
-        .emit(&mut buf);
-    buf.finish()
+        .emit(buf);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccsim_trace::stats::TraceStats;
+    use ccsim_trace::Trace;
 
     fn quick(name: &str) -> Trace {
-        xsbench_workload(name, SuiteScale::Quick, 0).unwrap()
+        crate::build_workload_seeded(name, SuiteScale::Quick, 0).unwrap()
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Every synthetic trace pinned byte for byte.
 //!
-//! Each workload `build_workload_seeded` knows is serialized with
-//! `write_trace` and digested (FNV-1a over the `CCTR` bytes), then compared
-//! with a digest recorded before the Zipf sampler became a shared, prebuilt
-//! table. Any change that moves one record of one trace — or one byte of
-//! its encoding — fails here and names the workload. The full-scale server
+//! Each workload is recorded both ways — built in memory by
+//! `build_workload_seeded` and serialized with `write_trace`, and streamed
+//! to a file by `write_workload` — and each copy is digested (FNV-1a over
+//! the `CCTR` bytes), then compared with a digest recorded before the Zipf
+//! sampler became a shared, prebuilt table. Any change that moves one
+//! record of one trace — or one byte of its encoding, on either path —
+//! fails here and names the workload. The full-scale server
 //! and `omnetpp`-like members are `#[ignore]`d, like the graph crate's
 //! full-scale golden — run them with
 //! `cargo test --release -p ccsim-workloads -- --ignored` (CI does).
@@ -13,7 +15,7 @@ use std::io::{self, Write};
 
 use ccsim_ingest::Fnv64;
 use ccsim_trace::write_trace;
-use ccsim_workloads::{build_workload_seeded, Suite, SuiteScale};
+use ccsim_workloads::{build_workload_seeded, write_workload, Suite, SuiteScale};
 
 /// A `Write` sink that only digests.
 struct Digest(Fnv64);
@@ -29,6 +31,7 @@ impl Write for Digest {
     }
 }
 
+/// The digest of the in-memory trace's `write_trace` bytes.
 fn digest(name: &str, scale: SuiteScale, seed: u64) -> u64 {
     let trace = build_workload_seeded(name, scale, seed).unwrap();
     let mut sink = Digest(Fnv64::new());
@@ -36,15 +39,31 @@ fn digest(name: &str, scale: SuiteScale, seed: u64) -> u64 {
     sink.0.finish()
 }
 
-/// Compares each `(name, seed, digest)` and prints every mismatch as a
-/// table row, so a deliberate change re-pins by pasting.
+/// The digest of the file `write_workload` streams.
+fn streamed_digest(name: &str, scale: SuiteScale, seed: u64) -> u64 {
+    let path = std::env::temp_dir()
+        .join(format!("ccsim-golden-{}-{name}-{scale}-{seed}.cctr", std::process::id()));
+    write_workload(name, scale, seed, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let mut fnv = Fnv64::new();
+    fnv.update(&bytes);
+    fnv.finish()
+}
+
+/// Compares each `(name, seed, digest)` on both paths and prints every
+/// mismatch as a table row, so a deliberate change re-pins by pasting.
 fn assert_pinned(scale: SuiteScale, cases: &[(&str, u64, u64)]) {
     let wrong: Vec<String> = cases
         .iter()
-        .filter_map(|&(name, seed, want)| {
-            let got = digest(name, scale, seed);
-            (got != want)
-                .then(|| format!("(\"{name}\", {seed}, {got:#018x}), // pinned {want:#018x}"))
+        .flat_map(|&(name, seed, want)| {
+            let paths = [
+                ("built", digest(name, scale, seed)),
+                ("streamed", streamed_digest(name, scale, seed)),
+            ];
+            paths.into_iter().filter(move |&(_, got)| got != want).map(move |(path, got)| {
+                format!("(\"{name}\", {seed}, {got:#018x}), // {path}; pinned {want:#018x}")
+            })
         })
         .collect();
     assert!(wrong.is_empty(), "{scale} traces moved:\n{}", wrong.join("\n"));

@@ -77,6 +77,37 @@ fn second_run_hits_the_trace_cache_without_regenerating() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A damaged synthetic cache entry is regenerated, not replayed: a
+/// flipped kind byte (header and length intact, so only the record scan
+/// sees it) and, separately, a truncation each cost the next run one
+/// miss, and the report does not change by a byte.
+#[test]
+fn damaged_synthetic_cache_entries_are_regenerated() {
+    let dir = temp_dir("damaged");
+    let run = || {
+        Campaign::new(spec())
+            .threads(2)
+            .cache(TraceCache::new(dir.join("traces")).unwrap())
+            .run()
+            .unwrap()
+    };
+    let reference = run().report.to_json_string();
+    let cache = TraceCache::new(dir.join("traces")).unwrap();
+    let entry = cache.path_for("spec.stack", spec().scale, spec().seed);
+    let good = std::fs::read(&entry).unwrap();
+    let mut flipped = good.clone();
+    let kind_byte = good.len() - 20 + 17; // the last record's
+    flipped[kind_byte] = 7;
+    for (what, bytes) in [("kind byte", flipped), ("truncated", good[..good.len() - 9].to_vec())] {
+        std::fs::write(&entry, bytes).unwrap();
+        let healed = run();
+        assert_eq!((healed.cache_hits, healed.cache_misses), (1, 1), "{what}");
+        assert_eq!(healed.report.to_json_string(), reference, "{what}");
+        assert!(std::fs::read(&entry).unwrap() == good, "{what}: entry repaired");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn killed_then_resumed_campaign_reproduces_the_uninterrupted_report() {
     let dir = temp_dir("resume");

