@@ -611,6 +611,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Hostile bytes: every truncation and every one-bit flip of a 3-cell
+    /// journal (one cell names a non-ASCII `trace:` path) reads without a
+    /// panic, all three readers agree, and no damage costs a cell whose
+    /// line ends before it — a cut keeps exactly those cells.
+    #[test]
+    fn every_truncation_and_bit_flip_keeps_the_lines_before_it() {
+        let dir = temp_journal_dir("hostile");
+        let path = dir.join("journal.jsonl");
+        let cells = ["w|c|lru", "w|c|srrip", "trace:/data/caf\u{e9}.champsim|c|lru"];
+        let results: Vec<SimResult> = (0..3).map(|i| sample_result(100 + i)).collect();
+        {
+            let mut j = Journal::open(&path, "camp", "abcd").unwrap();
+            for (cell, result) in cells.iter().zip(&results) {
+                j.record(cell, result).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let line_ends: Vec<usize> =
+            (0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1).skip(1).collect();
+        assert_eq!(line_ends.len(), cells.len());
+        // The cells of the lines that end at or before `offset`.
+        let whole_before = |offset: usize| -> BTreeMap<String, SimResult> {
+            let whole = line_ends.iter().filter(|&&end| end <= offset).count();
+            cells[..whole].iter().map(|c| (*c).to_owned()).zip(results.clone()).collect()
+        };
+        let read = |content: &[u8]| {
+            std::fs::write(&path, content).unwrap();
+            let peeked = Journal::peek_completed(&path, "camp", "abcd");
+            assert_eq!(merge_dir(&dir, "camp", "abcd").unwrap().completed, peeked);
+            assert_eq!(Journal::open(&path, "camp", "abcd").unwrap().completed(), &peeked);
+            peeked
+        };
+        for cut in 0..=bytes.len() {
+            assert_eq!(read(&bytes[..cut]), whole_before(cut), "cut at {cut}");
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let kept = read(&flipped);
+            assert!(kept.len() <= cells.len(), "flip at {at}");
+            for (cell, result) in whole_before(at) {
+                assert_eq!(kept.get(&cell), Some(&result), "flip at {at} lost {cell}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_trailing_line_is_dropped() {
         let path = temp_journal_path("torn");

@@ -19,10 +19,9 @@ mod lists;
 mod report_diff;
 mod sim;
 mod trace;
-mod trends;
 
 /// Every subcommand, in the order `ccsim --help` lists them.
-static COMMANDS: [&Command; 15] = [
+static COMMANDS: [&Command; 11] = [
     &trace::GEN,
     &trace::STATS,
     &trace::INGEST,
@@ -32,10 +31,6 @@ static COMMANDS: [&Command; 15] = [
     &dist::ASSEMBLE,
     &dist::WATCH,
     &report_diff::REPORT_DIFF,
-    &trends::RECORD,
-    &trends::TABLE,
-    &trends::CHECK,
-    &trends::GC,
     &lists::WORKLOADS,
     &lists::POLICIES,
 ];
@@ -68,14 +63,7 @@ fn dispatch(argv: &[String]) -> Result<(), String> {
         })
         .max_by_key(|cmd| cmd.path.len());
     let Some(cmd) = selected else {
-        // `trends` or `trends frob`: a prefix of rows, but no row.
-        let family: String =
-            COMMANDS.iter().filter(|c| c.path[0] == first).map(|c| c.synopsis() + "\n").collect();
-        return Err(if family.is_empty() {
-            format!("ccsim: unknown command {first:?}; `ccsim --help` lists them")
-        } else {
-            format!("ccsim {first}: expected a subcommand\n\nUSAGE:\n{}", family.trim_end())
-        });
+        return Err(format!("ccsim: unknown command {first:?}; `ccsim --help` lists them"));
     };
     match Args::parse(cmd, &argv[cmd.path.len()..])? {
         Some(args) => (cmd.run)(&args),
@@ -124,15 +112,12 @@ mod tests {
         // Performance is measured by `benchmark/run.sh`, not by this binary.
         let err = ccsim(&["bench", "--quick"]).unwrap_err();
         assert!(err.starts_with("ccsim: unknown command \"bench\""), "{err}");
-        let err = ccsim(&["trends", "frobnicate"]).unwrap_err();
-        assert!(err.starts_with("ccsim trends: expected a subcommand"), "{err}");
-        assert!(err.contains("ccsim trends gc") && !err.contains("ccsim sim"), "{err}");
     }
 
     #[test]
     fn every_row_renders_its_flags_and_the_help_renders_every_row() {
         let help = help();
-        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 55);
+        assert_eq!(COMMANDS.iter().map(|c| c.flags.len()).sum::<usize>(), 36);
         for (i, cmd) in COMMANDS.iter().enumerate() {
             let name = cmd.path.join(" ");
             assert!(COMMANDS[..i].iter().all(|c| c.path != cmd.path), "{name} has two rows");
@@ -179,7 +164,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-        let (t, out, ledger) = (path("t.cctr"), path("o.cctr"), path("trends.jsonl"));
+        let (t, out, unwritten) = (path("t.cctr"), path("o.cctr"), path("u.cctr"));
         let champsim =
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/ingest_v1.champsim");
         ccsim(&["trace-gen", "--quick", "xsbench.small", &t]).expect("flags before positionals");
@@ -196,8 +181,12 @@ mod tests {
             (&["sim", &t, "--json", "--json"], Some("ccsim sim: --json given more than once")),
             (&["sim", "--policy", "lru", "--llc-scale", "2", "--policy", "srrip", &t], None),
             (
-                &["trends", "record", "--ledger", &ledger, "--rev", "r", "--rev", "s"],
-                Some("ccsim trends record: --rev given more than once"),
+                &["trace-gen", "xsbench.small", &unwritten, "--quick", "--quick"],
+                Some("ccsim trace-gen: --quick given more than once"),
+            ),
+            (
+                &["campaign", "watch", "spec.json", "--shared-dir", &out, "--shared-dir", &out],
+                Some("ccsim campaign watch: --shared-dir given more than once"),
             ),
             // A value flag takes a value, and a declared flag is not one.
             (&["sim", &t, "--policy"], Some("ccsim sim: --policy needs a value <name>")),
@@ -219,40 +208,31 @@ mod tests {
             (&["sim", &t, &out], Some("ccsim sim: unexpected argument")),
             (&["workloads", "extra"], Some("ccsim workloads: unexpected argument \"extra\"")),
             (
-                &["trends", "table", "--ledger", &ledger, "extra"],
-                Some("ccsim trends table: unexpected argument \"extra\""),
+                &["campaign", "assemble", "spec.json", "extra", "--shared-dir", &out],
+                Some("ccsim campaign assemble: unexpected argument \"extra\""),
             ),
             // Required flags are the table's too.
             (
                 &["campaign", "watch", "spec.json"],
                 Some("ccsim campaign watch: needs --shared-dir <dir>"),
             ),
-            (&["trends", "gc", "--ledger", &ledger], Some("ccsim trends gc: needs --keep <n>")),
-            // A gate budget is a finite number, at least 0.
+            // A threshold is a finite number, at least 0.
             (
-                &["trends", "check", "--ledger", &ledger, "--max-drop-pct", "nan"],
-                Some("ccsim trends check: --max-drop-pct must be a non-negative number"),
+                &["report-diff", "a", "b", "--threshold", "nan"],
+                Some("ccsim report-diff: --threshold must be a non-negative number"),
             ),
             (
-                &["trends", "check", "--ledger", &ledger, "--max-drop-pct", "inf"],
-                Some("ccsim trends check: --max-drop-pct must be a non-negative number"),
+                &["report-diff", "a", "b", "--threshold", "inf"],
+                Some("ccsim report-diff: --threshold must be a non-negative number"),
             ),
             (
-                &["trends", "check", "--ledger", &ledger, "--max-rise-pct", "-5"],
-                Some("ccsim trends check: --max-rise-pct must be a non-negative number"),
-            ),
-            (
-                &["trends", "check", "--ledger", &ledger, "--max-overhead-rise-pp", "NaN"],
-                Some("ccsim trends check: --max-overhead-rise-pp must be a non-negative number"),
-            ),
-            (
-                &["trends", "check", "--ledger", &ledger, "--max-mpki-delta", "-inf"],
-                Some("ccsim trends check: --max-mpki-delta must be a non-negative number"),
+                &["report-diff", "a", "b", "--threshold", "-5"],
+                Some("ccsim report-diff: --threshold must be a non-negative number"),
             ),
             // `--help` wins over what else is on the line and runs nothing.
             (&["sim", "--help"], None),
             (&["campaign", "worker", "-h"], None),
-            (&["trends", "gc", "--help", "--keep"], None),
+            (&["campaign", "watch", "--help", "--shared-dir"], None),
         ];
         for (argv, expected) in cases {
             match (ccsim(argv), expected) {
@@ -267,10 +247,13 @@ mod tests {
                 (got, _) => panic!("{argv:?}: expected {expected:?}, got {got:?}"),
             }
         }
-        assert!(!std::path::Path::new(&ledger).exists(), "a rejected line must run nothing");
+        assert!(!std::path::Path::new(&unwritten).exists(), "a rejected line must run nothing");
         let sim_help = sim::SIM.help();
         assert!(sim_help.contains("[--policy <name>]...") && sim_help.contains("one-workload"));
-        assert!(sim_help.lines().count() < 30 && !sim_help.contains("trends"), "{sim_help}");
+        assert!(
+            sim_help.lines().count() < 30 && !sim_help.contains("ccsim campaign"),
+            "{sim_help}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -62,8 +62,8 @@ pub use table::Table;
 /// v2 added bucket-derived quantile summaries ([`QuantileSummary`]) to
 /// every manifest histogram, `_quantile` gauges to the Prometheus
 /// exposition, and the aggregate `cell_sim_ns` quantile block to the
-/// watch document. Readers (`ccsim trends`, `campaign watch`) accept
-/// exactly this version.
+/// watch document. [`check_document`] (which [`Manifest::from_json`]
+/// calls) accepts exactly this version.
 pub const OBS_SCHEMA_VERSION: u64 = 2;
 
 /// Worker id used by single-process (non-dist) runs in obs documents.
@@ -71,8 +71,7 @@ pub const SOLO_WORKER: &str = "(solo)";
 
 /// Integer records-per-second over a nanosecond wall clock (0 when no
 /// time has accrued). The **one** rate rule every consumer shares —
-/// worker manifests and `campaign watch` rows and aggregates (which
-/// the `ccsim trends` ledger records) all derive
+/// worker manifests and `campaign watch` rows and aggregates all derive
 /// throughput through here, so two views of the same accounting can
 /// never round differently.
 pub fn records_per_sec(records: u64, wall_ns: u64) -> u64 {

@@ -97,9 +97,9 @@ impl RunMeta {
 
 /// A run manifest: who ran, how much simulation work the run did, and
 /// the catalog delta it accrued. [`RunObs::write_manifest`] renders one;
-/// [`Manifest::from_json`] is the one reader (`campaign watch` and
-/// `ccsim trends` both go through it). Integers above 2^53 render
-/// clamped — the top histogram bucket's bound is `u64::MAX`.
+/// [`Manifest::from_json`] is the one reader (`campaign watch` goes
+/// through it). Integers above 2^53 render clamped — the top histogram
+/// bucket's bound is `u64::MAX`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Manifest {
     /// The run's identity.

@@ -36,11 +36,7 @@
 //!   JSONL event logs, run manifests and Prometheus-style exposition,
 //!   all consumed by `ccsim campaign watch` — and the workspace's
 //!   presentation layer: the one JSON module (`obs::json`, which
-//!   `campaign::json` re-exports) and the one ASCII/CSV `obs::Table`;
-//! * [`trends`] — the cross-revision performance ledger behind
-//!   `ccsim trends`: append-only `trends.jsonl` entries of named series
-//!   read from bench results, watch documents and report diffs, deterministic
-//!   trend tables with sparklines, and rolling-median regression gates.
+//!   `campaign::json` re-exports) and the one ASCII/CSV `obs::Table`.
 //!
 //! # Quickstart
 //!
@@ -66,7 +62,6 @@ pub use ccsim_ingest as ingest;
 pub use ccsim_obs as obs;
 pub use ccsim_policies as policies;
 pub use ccsim_trace as trace;
-pub use ccsim_trends as trends;
 pub use ccsim_workloads as workloads;
 
 /// The most commonly used items, for glob import.

@@ -15,6 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use ccsim::campaign::{Campaign, CampaignSpec, Json};
 use ccsim::dist::{run_worker, watch, WorkerOptions};
+use ccsim::obs::{Manifest, RunMeta, Snapshot, HISTOGRAM_BUCKETS};
 
 /// 2 workloads x 2 policies on the tiny platform: two bands, four
 /// cells — enough for two workers to split meaningfully.
@@ -116,7 +117,7 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.ends_with("}\n"));
     let doc = Json::parse(&manifest).unwrap();
-    let read = ccsim::obs::Manifest::from_json(&doc).expect("the manifest reads back");
+    let read = Manifest::from_json(&doc).expect("the manifest reads back");
     assert_eq!((read.meta.worker.as_str(), read.cells_done, read.bands_done), ("(solo)", 4, 2));
     assert!(read.records_simulated > 0 && read.sim_wall_ns > 0);
     compare_or_bless(
@@ -130,6 +131,15 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
     let q = read.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
     assert_eq!(q.count, 2);
     assert!(0 < q.p50 && q.min <= q.p50 && q.p50 <= q.p99 && q.p99 <= q.max, "{q:?}");
+
+    // `campaign watch` over a solo `--out` dir aggregates its manifest as
+    // a fleet of one.
+    let view = Json::parse(&watch(&spec(), &dir).unwrap().to_json()).unwrap();
+    let agg = view.get("aggregate").unwrap();
+    let rps = ccsim::obs::records_per_sec(read.records_simulated, read.sim_wall_ns);
+    assert_eq!(agg.get("records_per_sec").and_then(Json::as_u64), Some(rps));
+    let p99 = agg.get("cell_sim_ns").and_then(|q| q.get("p99")).and_then(Json::as_u64);
+    assert_eq!(p99, Some(q.p99));
 
     // A re-run into the same directory truncates and rewrites both
     // files with the same schema (fresh baseline, not accumulation).
@@ -300,7 +310,7 @@ fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     assert!(agg.get("mean_cell_sim_ns").and_then(Json::as_u64).unwrap() > 0);
     // Fleet-wide cell-sim quantiles, summed over both workers' buckets:
     // one per-cell sample per band, one band per worker here, ordered
-    // p50 <= p99, ingestible by `trends record --from-watch`.
+    // p50 <= p99.
     let cs = agg.get("cell_sim_ns").expect("watch aggregate carries cell_sim_ns quantiles");
     assert_eq!(cs.get("count").and_then(Json::as_u64), Some(2));
     let (p50, p99) = (
@@ -309,5 +319,40 @@ fn watch_json_over_a_two_worker_dir_is_byte_identical_across_polls() {
     );
     assert!(p50 > 0 && p50 <= p99, "p50 {p50} / p99 {p99}");
     assert_eq!(agg.get("eta_seconds").and_then(Json::as_u64), Some(0), "grid is drained");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Manifests are files in a shared directory: anyone can plant one.
+/// Every cell-sim bucket at 2^53 (the largest integer JSON carries)
+/// makes the sample count 65 x 2^53, whose product with a percentile
+/// overflows `u64`: the summary must widen, not wrap or panic, from the
+/// manifest reader through `watch --once --json`.
+#[test]
+fn planted_histogram_counts_saturate_from_manifest_to_watch() {
+    let dir = temp_dir("planted");
+    let spec = CampaignSpec::from_json_str(
+        r#"{"name": "planted", "base_config": "tiny",
+            "workloads": ["xsbench.small"], "policies": ["lru"]}"#,
+    )
+    .unwrap();
+    let meta =
+        RunMeta { campaign: spec.name.clone(), spec_digest: spec.digest(), worker: "evil".into() };
+    let mut planted = Manifest { meta, metrics: Snapshot::take(), ..Manifest::default() };
+    let cell_sim =
+        planted.metrics.histograms.iter_mut().find(|(n, _)| *n == "campaign_cell_sim_ns");
+    cell_sim.unwrap().1.buckets = [Json::MAX_INT; HISTOGRAM_BUCKETS];
+    let text = format!("{}\n", planted.to_json());
+    std::fs::write(dir.join("manifest.evil.json"), &text).unwrap();
+
+    let read = Manifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+    let q = read.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
+    assert_eq!(q.count, 65 << 53);
+    assert_eq!((q.p50, q.p90, q.p99), ((1 << 32) - 1, (1 << 58) - 1, u64::MAX));
+
+    let doc = Json::parse(&watch(&spec, &dir).unwrap().to_json()).unwrap();
+    let fleet = doc.get("aggregate").and_then(|a| a.get("cell_sim_ns")).unwrap();
+    let field = |name| fleet.get(name).and_then(Json::as_u64);
+    assert_eq!((field("p50"), field("count")), (Some((1 << 32) - 1), Some(Json::MAX_INT)));
+    assert_eq!(field("p99"), Some(Json::MAX_INT), "clamped, not wrapped");
     std::fs::remove_dir_all(&dir).unwrap();
 }
