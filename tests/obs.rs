@@ -132,15 +132,6 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
     assert_eq!(q.count, 2);
     assert!(0 < q.p50 && q.min <= q.p50 && q.p50 <= q.p99 && q.p99 <= q.max, "{q:?}");
 
-    // `campaign watch` over a solo `--out` dir aggregates its manifest as
-    // a fleet of one.
-    let view = Json::parse(&watch(&spec(), &dir).unwrap().to_json()).unwrap();
-    let agg = view.get("aggregate").unwrap();
-    let rps = ccsim::obs::records_per_sec(read.records_simulated, read.sim_wall_ns);
-    assert_eq!(agg.get("records_per_sec").and_then(Json::as_u64), Some(rps));
-    let p99 = agg.get("cell_sim_ns").and_then(|q| q.get("p99")).and_then(Json::as_u64);
-    assert_eq!(p99, Some(q.p99));
-
     // A re-run into the same directory truncates and rewrites both
     // files with the same schema (fresh baseline, not accumulation).
     let again = Campaign::new(spec()).threads(2).obs_dir(&dir).run().unwrap();
@@ -148,6 +139,48 @@ fn solo_run_emits_pinned_event_log_and_manifest_schemas() {
     let doc2 = Json::parse(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
     assert_eq!(doc2.get("cells_done").and_then(Json::as_u64), Some(4));
     assert_eq!(shape(&doc2), shape(&doc));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A solo campaign's obs dir holds its `manifest.json`; `campaign watch`
+/// over that dir aggregates it as a fleet of one, carrying the manifest's
+/// throughput and cell-sim p99 unchanged.
+#[test]
+fn freshly_produced_v2_manifest_ingests_end_to_end() {
+    let _exclusive = exclusive_campaign_metrics();
+    let dir = temp_dir("v2_ingest");
+    let spec = CampaignSpec::from_json_str(
+        r#"{
+            "name": "obs_ingest_itest",
+            "scale": "quick",
+            "base_config": "tiny",
+            "workloads": ["xsbench.small"],
+            "policies": ["lru", "srrip"]
+        }"#,
+    )
+    .unwrap();
+    Campaign::new(spec.clone())
+        .threads(2)
+        .journal(dir.join("journal.jsonl"))
+        .obs_dir(&dir)
+        .run()
+        .unwrap();
+
+    let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    let m = Manifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+    assert_eq!(m.meta.worker, "(solo)");
+    assert_eq!(m.cells_done, 2);
+    assert!(m.records_simulated > 0 && m.sim_wall_ns > 0);
+    let q = m.metrics.histogram("campaign_cell_sim_ns").unwrap().quantiles();
+    assert!(q.count > 0 && q.p50 <= q.p99 && q.min <= q.max);
+
+    let view = Json::parse(&watch(&spec, &dir).unwrap().to_json()).unwrap();
+    assert_eq!(ccsim::obs::check_document(&view, "watch"), Ok(()));
+    let agg = view.get("aggregate").unwrap();
+    let rps = ccsim::obs::records_per_sec(m.records_simulated, m.sim_wall_ns);
+    assert_eq!(agg.get("records_per_sec").and_then(Json::as_u64), Some(rps));
+    let p99 = agg.get("cell_sim_ns").and_then(|q| q.get("p99")).and_then(Json::as_u64);
+    assert_eq!(p99, Some(q.p99));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
