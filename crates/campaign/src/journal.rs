@@ -15,9 +15,11 @@
 //! ```
 //!
 //! A header mismatch (different spec digest — the grid changed) restarts
-//! the journal from scratch; a torn trailing line (the process died
-//! mid-write, possibly inside a multi-byte character) is dropped, and so
-//! is everything from the first cell line that lacks a field this
+//! the journal from scratch. A first line that is no header at all, with
+//! whole lines after it, is damage: [`Journal::open`] refuses the file
+//! rather than truncate its cells. A torn trailing line (the process
+//! died mid-write, possibly inside a multi-byte character) is dropped,
+//! and so is everything from the first cell line that lacks a field this
 //! revision writes — there is one cell-line schema, and a cell it cannot
 //! read exactly is re-simulated.
 //!
@@ -61,11 +63,15 @@ pub struct Journal {
 impl Journal {
     /// Opens the journal at `path`, replaying any completed cells recorded
     /// by a previous run of the same campaign (matching `spec_digest`).
-    /// A missing, foreign or unreadable journal starts fresh.
+    /// A missing journal, one whose header names another campaign or
+    /// spec, and one torn inside its header start fresh.
     ///
     /// # Errors
     ///
-    /// Propagates file-creation failures.
+    /// Propagates file-creation failures. A journal whose first line is
+    /// no journal header but has whole lines after it is damage, not a
+    /// foreign grid: that is an [`std::io::ErrorKind::InvalidData`] error
+    /// naming the path, and the file is left as it is.
     pub fn open(
         path: impl Into<PathBuf>,
         campaign: &str,
@@ -75,8 +81,21 @@ impl Journal {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let (completed, valid_bytes) =
-            read_journal(&path, campaign, spec_digest).unwrap_or_default();
+        let (completed, valid_bytes) = match std::fs::read(&path) {
+            Ok(bytes) if header_is_damaged(&bytes) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: the first line is not a campaign journal header, but lines follow \
+                         it; refusing to overwrite them (move the file aside, or run with \
+                         --fresh to discard it)",
+                        path.display()
+                    ),
+                ));
+            }
+            Ok(bytes) => replay(valid_utf8_prefix(&bytes), campaign, spec_digest),
+            Err(_) => Default::default(),
+        };
         let resumed = completed.len();
         let file = if valid_bytes == 0 {
             let mut f = File::create(&path)?;
@@ -243,17 +262,41 @@ pub fn merge_dir(dir: &Path, campaign: &str, spec_digest: &str) -> Result<Merged
     Ok(merged)
 }
 
-/// Reads the journal file at `path` and [`replay`]s its longest valid
-/// UTF-8 prefix: a kill that tears an append inside a multi-byte
-/// character leaves a tail that is dropped like any other torn line.
+/// Reads the journal file at `path` and [`replay`]s it.
 fn read_journal(
     path: &Path,
     campaign: &str,
     spec_digest: &str,
 ) -> std::io::Result<(BTreeMap<String, SimResult>, usize)> {
     let bytes = std::fs::read(path)?;
-    let text = bytes.utf8_chunks().next().map_or("", |chunk| chunk.valid());
-    Ok(replay(text, campaign, spec_digest))
+    Ok(replay(valid_utf8_prefix(&bytes), campaign, spec_digest))
+}
+
+/// The longest valid UTF-8 prefix of `bytes`: a kill that tears an
+/// append inside a multi-byte character leaves a tail that is dropped
+/// like any other torn line.
+fn valid_utf8_prefix(bytes: &[u8]) -> &str {
+    bytes.utf8_chunks().next().map_or("", |chunk| chunk.valid())
+}
+
+/// The header fields a journal's first line must carry to be read at
+/// all (whether they match this campaign is [`replay`]'s question).
+fn header_fields(line: &str) -> Option<(u64, String, String)> {
+    let h = Json::parse(line.trim_end()).ok()?;
+    Some((
+        h.get("ccsim_campaign_journal")?.as_u64()?,
+        h.get("campaign")?.as_str()?.to_owned(),
+        h.get("spec")?.as_str()?.to_owned(),
+    ))
+}
+
+/// `true` when the first line of `bytes` is whole but no readable
+/// header, and at least one whole line follows it: a damaged journal
+/// whose cells a fresh start would discard.
+fn header_is_damaged(bytes: &[u8]) -> bool {
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let (Some(first), Some(second)) = (lines.next(), lines.next()) else { return false };
+    second.ends_with(b"\n") && std::str::from_utf8(first).ok().and_then(header_fields).is_none()
 }
 
 /// Replays journal `text` for (campaign, spec digest): the completed-cell
@@ -265,10 +308,8 @@ fn replay(text: &str, campaign: &str, spec_digest: &str) -> (BTreeMap<String, Si
     let mut lines = text.split_inclusive('\n');
     let header_line = lines.next().unwrap_or("");
     let header_ok = header_line.ends_with('\n')
-        && Json::parse(header_line.trim_end()).ok().is_some_and(|h| {
-            h.get("ccsim_campaign_journal").and_then(Json::as_u64) == Some(JOURNAL_VERSION)
-                && h.get("campaign").and_then(Json::as_str) == Some(campaign)
-                && h.get("spec").and_then(Json::as_str) == Some(spec_digest)
+        && header_fields(header_line).is_some_and(|(version, name, spec)| {
+            version == JOURNAL_VERSION && name == campaign && spec == spec_digest
         });
     if !header_ok {
         return (completed, 0);
@@ -496,6 +537,39 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// An unreadable header with cell lines after it is damage: `open`
+    /// refuses it and keeps the file. With nothing whole after it, the
+    /// header is torn or the lone line is junk, and the journal starts
+    /// fresh.
+    #[test]
+    fn unreadable_header_with_lines_after_it_is_refused_and_kept() {
+        let path = temp_journal_path("bad_header");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "camp", "abcd").unwrap();
+            j.record("w|c|lru", &sample_result(1)).unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cells = text.split_once('\n').unwrap().1;
+        let damaged = format!("not a header\n{cells}");
+        std::fs::write(&path, &damaged).unwrap();
+        let err = Journal::open(&path, "camp", "abcd").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
+        assert!(err.to_string().contains("--fresh"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+
+        for fresh in ["not a header\n", "{\"ccsim_campaign_jour", "not a header\n{\"cell\""] {
+            std::fs::write(&path, fresh).unwrap();
+            let j = Journal::open(&path, "camp", "abcd").unwrap();
+            assert_eq!(j.resumed(), 0, "{fresh:?}");
+            drop(j);
+            let header = text.lines().next().unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{header}\n"));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     fn temp_journal_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("ccsim_journal_dir_{}_{tag}", std::process::id()));
@@ -614,7 +688,10 @@ mod tests {
     /// Hostile bytes: every truncation and every one-bit flip of a 3-cell
     /// journal (one cell names a non-ASCII `trace:` path) reads without a
     /// panic, all three readers agree, and no damage costs a cell whose
-    /// line ends before it — a cut keeps exactly those cells.
+    /// line ends before it — a cut keeps exactly those cells. A flip that
+    /// leaves the header unreadable makes `Journal::open` refuse the file
+    /// and leave it as it is; one that leaves it readable names another
+    /// grid, which starts fresh.
     #[test]
     fn every_truncation_and_bit_flip_keeps_the_lines_before_it() {
         let dir = temp_journal_dir("hostile");
@@ -629,32 +706,69 @@ mod tests {
         }
         let bytes = std::fs::read(&path).unwrap();
         let line_ends: Vec<usize> =
-            (0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1).skip(1).collect();
+            (0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1).collect();
+        let (header_end, line_ends) = (line_ends[0], &line_ends[1..]);
         assert_eq!(line_ends.len(), cells.len());
         // The cells of the lines that end at or before `offset`.
         let whole_before = |offset: usize| -> BTreeMap<String, SimResult> {
             let whole = line_ends.iter().filter(|&&end| end <= offset).count();
             cells[..whole].iter().map(|c| (*c).to_owned()).zip(results.clone()).collect()
         };
+        // The cells every reader agrees on, or the error `Journal::open`
+        // refused the file with.
         let read = |content: &[u8]| {
             std::fs::write(&path, content).unwrap();
             let peeked = Journal::peek_completed(&path, "camp", "abcd");
             assert_eq!(merge_dir(&dir, "camp", "abcd").unwrap().completed, peeked);
-            assert_eq!(Journal::open(&path, "camp", "abcd").unwrap().completed(), &peeked);
-            peeked
+            match Journal::open(&path, "camp", "abcd") {
+                Ok(j) => {
+                    assert_eq!(j.completed(), &peeked);
+                    Ok(peeked)
+                }
+                Err(e) => {
+                    assert!(peeked.is_empty());
+                    assert_eq!(std::fs::read(&path).unwrap(), content, "a refused file is kept");
+                    Err(e)
+                }
+            }
         };
         for cut in 0..=bytes.len() {
-            assert_eq!(read(&bytes[..cut]), whole_before(cut), "cut at {cut}");
+            assert_eq!(read(&bytes[..cut]).unwrap(), whole_before(cut), "cut at {cut}");
         }
+        // A first line is readable when it is a JSON object carrying the
+        // three header fields, whatever their values.
+        let readable = |content: &[u8]| {
+            let first = content.split(|&b| b == b'\n').next().unwrap();
+            let header = std::str::from_utf8(first).ok().and_then(|l| Json::parse(l).ok());
+            header.is_some_and(|h| {
+                h.get("ccsim_campaign_journal").and_then(Json::as_u64).is_some()
+                    && h.get("campaign").and_then(Json::as_str).is_some()
+                    && h.get("spec").and_then(Json::as_str).is_some()
+            })
+        };
+        let mut refused = 0;
         for at in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[at] ^= 1 << (at % 8);
-            let kept = read(&flipped);
-            assert!(kept.len() <= cells.len(), "flip at {at}");
-            for (cell, result) in whole_before(at) {
-                assert_eq!(kept.get(&cell), Some(&result), "flip at {at} lost {cell}");
+            match read(&flipped) {
+                Ok(kept) => {
+                    assert!(at >= header_end || readable(&flipped), "flip at {at} was not refused");
+                    assert!(kept.len() <= cells.len(), "flip at {at}");
+                    for (cell, result) in whole_before(at) {
+                        assert_eq!(kept.get(&cell), Some(&result), "flip at {at} lost {cell}");
+                    }
+                }
+                Err(e) => {
+                    assert!(at < header_end && !readable(&flipped), "flip at {at}: {e}");
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "flip at {at}");
+                    let message = e.to_string();
+                    assert!(message.contains(&*path.to_string_lossy()), "{message}");
+                    assert!(message.contains("--fresh"), "{message}");
+                    refused += 1;
+                }
             }
         }
+        assert!(refused > header_end / 2, "most header flips are refused: {refused}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

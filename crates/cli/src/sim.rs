@@ -68,6 +68,8 @@ mod tests {
     #[test]
     fn sim_cells_equal_per_cell_simulate_and_its_json_diffs_clean() {
         use ccsim_core::{simulate, SimConfig, SimResult};
+        use ccsim_ingest::{ingest, IngestOptions};
+        use ccsim_trace::read_trace;
         let dir = std::env::temp_dir().join(format!("ccsim_cli_sim_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -86,7 +88,12 @@ mod tests {
             sim_report(&Args::parse(&SIM, &argv).unwrap().unwrap()).unwrap()
         };
         for input in [cctr.as_str(), champsim] {
-            let (trace, _) = crate::trace::load_any_trace(input).unwrap();
+            // The oracle's trace: the input through the ingest fold
+            // (a CCTR input passes through), read back whole.
+            let mut converted = std::io::Cursor::new(Vec::new());
+            let source = std::fs::File::open(input).unwrap();
+            ingest(source, &mut converted, &IngestOptions::default()).unwrap();
+            let trace = read_trace(&converted.into_inner()[..]).unwrap();
             let oracle: Vec<SimResult> = policies
                 .iter()
                 .map(|&p| SimResult {

@@ -4,9 +4,9 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-use ccsim_ingest::{ingest_file_to_trace, IngestOptions, IngestReport, SourceFormat};
-use ccsim_trace::stats::{ReuseProfile, TraceStats};
-use ccsim_trace::{read_trace, Trace};
+use ccsim_ingest::{ingest_file_observed, IngestOptions, IngestReport, SourceFormat};
+use ccsim_trace::stats::{ReuseProfile, ReuseProfileBuilder, TraceStats, TraceStatsBuilder};
+use ccsim_trace::{TraceReader, TraceRecord};
 use ccsim_workloads::{write_workload, SuiteScale};
 
 use crate::args::{Args, Command, Flag};
@@ -29,7 +29,11 @@ pub const STATS: Command = Command {
     flags: &[],
     about: "footprint / PC / reuse statistics
 
-`trace-stats` accepts the same foreign formats as `ingest` directly.",
+`trace-stats` streams the trace once through the statistics builders
+`ingest --stats` uses, so no trace is held in memory (the reuse profile
+itself grows with the record count). It accepts the same foreign
+formats as `ingest` directly, folding them as `ingest` would without
+writing the conversion.",
     run: trace_stats,
 };
 
@@ -55,6 +59,9 @@ record count, unlike the plain conversion).",
     run: ingest,
 };
 
+/// Records per `read_chunk` when `trace-stats` streams a `CCTR` file.
+const STATS_CHUNK_RECORDS: usize = 4096;
+
 fn trace_gen(args: &Args) -> Result<(), String> {
     let (workload, out) = (args.pos(0), args.pos(1));
     let scale = if args.has("--quick") { SuiteScale::Quick } else { SuiteScale::Full };
@@ -64,24 +71,84 @@ fn trace_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_trace(path: &str) -> Result<Trace, String> {
-    let file = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    read_trace(BufReader::new(file)).map_err(|e| format!("decoding {path}: {e}"))
+/// The statistics builders `trace-stats` and `ingest --stats` feed, one
+/// record at a time.
+#[derive(Default)]
+struct StatsBuilders {
+    records: u64,
+    stats: TraceStatsBuilder,
+    reuse: ReuseProfileBuilder,
 }
 
-/// Loads a trace of any supported format: native `CCTR` directly,
-/// foreign formats (ChampSim/CVP) through the ingest pipeline. Returns
-/// the trace plus the ingest report for foreign inputs.
-pub(crate) fn load_any_trace(path: &str) -> Result<(Trace, Option<IngestReport>), String> {
+impl StatsBuilders {
+    fn push(&mut self, r: &TraceRecord) {
+        self.records += 1;
+        self.stats.push(r);
+        self.reuse.push_block(r.block());
+    }
+
+    fn finish(self, name: &str, trailing_nonmem: u64) -> Characterization {
+        Characterization {
+            name: name.to_owned(),
+            records: self.records,
+            stats: self.stats.finish(trailing_nonmem),
+            reuse: self.reuse.finish(),
+        }
+    }
+}
+
+/// What the stats block prints about one trace.
+struct Characterization {
+    name: String,
+    records: u64,
+    stats: TraceStats,
+    reuse: ReuseProfile,
+}
+
+/// Streams the trace at `path` through the statistics builders: a
+/// `CCTR` file chunk by chunk, a foreign one through the ingest fold
+/// with its output discarded (returning that fold's report too).
+fn characterize_file(path: &str) -> Result<(Characterization, Option<IngestReport>), String> {
     let p = Path::new(path);
     let format = ccsim_ingest::detect_file(p).map_err(|e| format!("{path}: {e}"))?;
-    if format == SourceFormat::Cctr {
-        return Ok((load_trace(path)?, None));
+    let mut builders = StatsBuilders::default();
+    if format != SourceFormat::Cctr {
+        let opts = IngestOptions { format: Some(format), ..Default::default() };
+        let (report, trailing) = ingest_file_observed(p, None, &opts, |r| builders.push(r))
+            .map_err(|e| format!("ingesting {path}: {e}"))?;
+        return Ok((builders.finish(&report.name, trailing), Some(report)));
     }
-    let opts = IngestOptions { format: Some(format), ..Default::default() };
-    let (trace, report) =
-        ingest_file_to_trace(p, &opts).map_err(|e| format!("ingesting {path}: {e}"))?;
-    Ok((trace, Some(report)))
+    let file = File::open(p).map_err(|e| format!("opening {path}: {e}"))?;
+    let decoding = |e| format!("decoding {path}: {e}");
+    let mut reader = TraceReader::new(BufReader::new(file)).map_err(decoding)?;
+    let mut chunk = Vec::with_capacity(STATS_CHUNK_RECORDS);
+    while reader.read_chunk(&mut chunk, STATS_CHUNK_RECORDS).map_err(decoding)? > 0 {
+        chunk.iter().for_each(|r| builders.push(r));
+        chunk.clear();
+    }
+    let header = reader.header();
+    Ok((builders.finish(&header.name, header.trailing_nonmem), None))
+}
+
+/// Converts `input` to `CCTR` at `output`. With `stats` the builders
+/// ride the emit path, so the source is read once and the output is
+/// never read back.
+fn convert(
+    input: &str,
+    output: &str,
+    opts: &IngestOptions,
+    stats: bool,
+) -> Result<(IngestReport, Option<Characterization>), String> {
+    let mut builders = StatsBuilders::default();
+    let (report, trailing) =
+        ingest_file_observed(Path::new(input), Some(Path::new(output)), opts, |r| {
+            if stats {
+                builders.push(r);
+            }
+        })
+        .map_err(|e| format!("ingesting {input}: {e}"))?;
+    let characterized = stats.then(|| builders.finish(&report.name, trailing));
+    Ok((report, characterized))
 }
 
 fn ingest(args: &Args) -> Result<(), String> {
@@ -91,36 +158,21 @@ fn ingest(args: &Args) -> Result<(), String> {
         name: args.get::<String>("--name")?,
         lossy: args.has("--lossy"),
     };
-    // One-pass convert + characterize: with `--stats` the streaming stats
-    // builders ride the emit path, so the source is read once and the
-    // output is never read back — the summary block below is identical
-    // to running `trace-stats` on the converted file.
-    let stats = args.has("--stats");
-    let mut stats_b = TraceStats::builder();
-    let mut reuse_b = ReuseProfile::builder();
-    let (report, trailing) =
-        ccsim_ingest::ingest_file_observed(Path::new(input), Path::new(output), &opts, |r| {
-            if stats {
-                stats_b.push(r);
-                reuse_b.push_block(r.block());
-            }
-        })
-        .map_err(|e| format!("ingesting {input}: {e}"))?;
+    let (report, characterized) = convert(input, output, &opts, args.has("--stats"))?;
     println!("wrote {output} [{}]", report.name);
     println!("  {}", report.summary());
-    if stats {
-        let (s, p) = (stats_b.finish(trailing), reuse_b.finish());
-        print_stats_block(&report.name, report.records, &s, &p);
+    if let Some(c) = &characterized {
+        print_stats_block(c);
     }
     Ok(())
 }
 
 /// The characterization block shared by `trace-stats` and
-/// `ingest --stats` — identical rendering whether the statistics came
-/// from a materialized trace or from the streaming builders.
-fn print_stats_block(name: &str, records: u64, s: &TraceStats, p: &ReuseProfile) {
-    println!("workload            : {name}");
-    println!("memory records      : {records}");
+/// `ingest --stats`.
+fn print_stats_block(c: &Characterization) {
+    let (s, p) = (&c.stats, &c.reuse);
+    println!("workload            : {}", c.name);
+    println!("memory records      : {}", c.records);
     println!("instructions        : {}", s.instructions);
     println!("loads / stores      : {} / {}", s.loads, s.stores);
     println!("mem per kinstr      : {:.1}", s.mem_per_kilo_instruction());
@@ -142,13 +194,11 @@ fn print_stats_block(name: &str, records: u64, s: &TraceStats, p: &ReuseProfile)
 }
 
 fn trace_stats(args: &Args) -> Result<(), String> {
-    let (trace, ingested) = load_any_trace(args.pos(0))?;
+    let (characterized, ingested) = characterize_file(args.pos(0))?;
     if let Some(report) = &ingested {
         println!("ingested            : {}", report.summary());
     }
-    let s = TraceStats::compute(&trace);
-    let p = ReuseProfile::compute(&trace);
-    print_stats_block(trace.name(), trace.len() as u64, &s, &p);
+    print_stats_block(&characterized);
     Ok(())
 }
 
@@ -156,6 +206,11 @@ fn trace_stats(args: &Args) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::ccsim;
+    use ccsim_trace::{read_trace, Trace};
+
+    fn load_trace(path: &str) -> Trace {
+        read_trace(BufReader::new(File::open(path).unwrap())).unwrap()
+    }
 
     #[test]
     fn trace_gen_accepts_gap_and_suite_names_only() {
@@ -216,7 +271,7 @@ mod tests {
         let (in_s, out_s) = (input.to_str().unwrap(), out.to_str().unwrap());
 
         ccsim(&["ingest", in_s, out_s]).unwrap();
-        let trace = load_trace(out_s).unwrap();
+        let trace = load_trace(out_s);
         assert_eq!(trace.name(), "mini");
         assert_eq!(trace.len(), 50);
         assert_eq!(trace.instructions(), 100);
@@ -238,10 +293,43 @@ mod tests {
         let out2 = dir.join("renamed.cctr");
         let out2_s = out2.to_str().unwrap();
         ccsim(&["ingest", in_s, out2_s, "--format", "champsim", "--name", "bespoke"]).unwrap();
-        assert_eq!(load_trace(out2_s).unwrap().name(), "bespoke");
+        assert_eq!(load_trace(out2_s).name(), "bespoke");
 
         assert!(ccsim(&["ingest", in_s]).is_err(), "missing output path");
         assert!(ccsim(&["ingest", in_s, out_s, "--format", "elf"]).is_err(), "unknown format");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One stats path: on a ChampSim, a CVP and a CCTR input,
+    /// `trace-stats` on the input, `ingest --stats`, and `trace-stats` on
+    /// the converted file all equal the in-memory reference computed over
+    /// `read_trace` of the conversion.
+    #[test]
+    fn every_stats_path_equals_the_in_memory_reference() {
+        let dir = std::env::temp_dir().join(format!("ccsim_cli_one_stats_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for fixture in ["ingest_v1.champsim", "ingest_v1.cvp", "golden_v1.cctr"] {
+            let input = format!("{}/../../tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+            let output = dir.join(format!("{fixture}.cctr"));
+            let output = output.to_str().unwrap();
+            let (on_input, _) = characterize_file(&input).unwrap();
+            let opts = IngestOptions::default();
+            let (report, on_ingest) = convert(&input, output, &opts, true).unwrap();
+            let on_output = characterize_file(output).unwrap();
+            assert!(on_output.1.is_none(), "{fixture}: the conversion streams as CCTR");
+
+            let trace = load_trace(output);
+            let reference = (TraceStats::compute(&trace), ReuseProfile::compute(&trace));
+            assert_eq!(report.records, trace.len() as u64, "{fixture}");
+            for (path, c) in
+                [("input", on_input), ("ingest", on_ingest.unwrap()), ("output", on_output.0)]
+            {
+                assert_eq!(c.records, trace.len() as u64, "{fixture} {path}");
+                assert_eq!(c.stats, reference.0, "{fixture} {path}");
+                assert!(c.reuse == reference.1, "{fixture} {path}: the reuse profiles differ");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

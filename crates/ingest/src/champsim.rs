@@ -24,8 +24,8 @@ use std::io::Read;
 
 use ccsim_trace::AccessKind;
 
-use crate::pipeline::{Batch, MemOp, TraceSource};
-use crate::{IngestError, SourceFormat};
+use crate::pipeline::{Batch, MemOp};
+use crate::IngestError;
 
 /// Size of one ChampSim trace record in bytes.
 pub const RECORD_BYTES: usize = 64;
@@ -134,10 +134,9 @@ impl ChampSimRecord {
 /// Reads one 64-byte record at a time (O(1) memory). In strict mode a
 /// partial trailing record or an implausible branch flag is a
 /// [`IngestError::Corrupt`]; in lossy mode the tail is dropped and flags
-/// are coerced, with every such event counted in
-/// [`TraceSource::skipped`].
+/// are coerced, with every such event counted in `skipped`.
 #[derive(Debug)]
-pub struct ChampSimDecoder<R: Read> {
+pub(crate) struct ChampSimDecoder<R: Read> {
     reader: R,
     strict: bool,
     offset: u64,
@@ -147,7 +146,7 @@ pub struct ChampSimDecoder<R: Read> {
 
 impl<R: Read> ChampSimDecoder<R> {
     /// Wraps `reader` as a ChampSim record stream.
-    pub fn new(reader: R, strict: bool) -> ChampSimDecoder<R> {
+    pub(crate) fn new(reader: R, strict: bool) -> ChampSimDecoder<R> {
         ChampSimDecoder { reader, strict, offset: 0, skipped: 0, done: false }
     }
 
@@ -193,10 +192,10 @@ impl<R: Read> ChampSimDecoder<R> {
         self.offset += RECORD_BYTES as u64;
         Ok(Some(rec))
     }
-}
 
-impl<R: Read> TraceSource for ChampSimDecoder<R> {
-    fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
+    /// Fills `out` with the next batch; `false` once the stream is
+    /// exhausted.
+    pub(crate) fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
         out.clear();
         while let Some(rec) = self.next_raw()? {
             if rec.is_nonmem() {
@@ -218,11 +217,8 @@ impl<R: Read> TraceSource for ChampSimDecoder<R> {
         Ok(out.nonmem > 0)
     }
 
-    fn format(&self) -> SourceFormat {
-        SourceFormat::ChampSim
-    }
-
-    fn skipped(&self) -> u64 {
+    /// Malformed records skipped or coerced so far (lossy mode).
+    pub(crate) fn skipped(&self) -> u64 {
         self.skipped
     }
 }

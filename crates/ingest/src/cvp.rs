@@ -22,8 +22,8 @@ use std::io::Read;
 
 use ccsim_trace::AccessKind;
 
-use crate::pipeline::{Batch, MemOp, TraceSource};
-use crate::{IngestError, SourceFormat};
+use crate::pipeline::{Batch, MemOp};
+use crate::IngestError;
 
 /// CVP instruction classes (the CVP-1 `InstClass` enum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,11 +86,11 @@ impl CvpRecord {
 /// In strict mode an unknown class byte or a truncated record is a
 /// [`IngestError::Corrupt`]; in lossy mode an unknown class is treated as
 /// a non-memory instruction and a truncated tail is dropped, counted in
-/// [`TraceSource::skipped`]. (Records are variable-length, so after an
-/// unknown class byte lossy decoding is best-effort: the stream is
-/// re-entered at the next byte boundary.)
+/// `skipped`. (Records are variable-length, so after an unknown class
+/// byte lossy decoding is best-effort: the stream is re-entered at the
+/// next byte boundary.)
 #[derive(Debug)]
-pub struct CvpDecoder<R: Read> {
+pub(crate) struct CvpDecoder<R: Read> {
     reader: R,
     strict: bool,
     offset: u64,
@@ -100,7 +100,7 @@ pub struct CvpDecoder<R: Read> {
 
 impl<R: Read> CvpDecoder<R> {
     /// Wraps `reader` as a CVP-style record stream.
-    pub fn new(reader: R, strict: bool) -> CvpDecoder<R> {
+    pub(crate) fn new(reader: R, strict: bool) -> CvpDecoder<R> {
         CvpDecoder { reader, strict, offset: 0, skipped: 0, done: false }
     }
 
@@ -134,10 +134,10 @@ impl<R: Read> CvpDecoder<R> {
         }
         Ok(true)
     }
-}
 
-impl<R: Read> TraceSource for CvpDecoder<R> {
-    fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
+    /// Fills `out` with the next batch; `false` once the stream is
+    /// exhausted.
+    pub(crate) fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
         out.clear();
         while !self.done {
             let mut head = [0u8; 9];
@@ -187,11 +187,8 @@ impl<R: Read> TraceSource for CvpDecoder<R> {
         Ok(out.nonmem > 0)
     }
 
-    fn format(&self) -> SourceFormat {
-        SourceFormat::Cvp
-    }
-
-    fn skipped(&self) -> u64 {
+    /// Malformed records skipped or coerced so far (lossy mode).
+    pub(crate) fn skipped(&self) -> u64 {
         self.skipped
     }
 }

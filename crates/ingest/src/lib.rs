@@ -12,16 +12,14 @@
 //!   trace (64-byte fixed records), a CVP-style per-instruction
 //!   load/store format, and pass-through `CCTR`; with auto-detection
 //!   from magic bytes and structural heuristics ([`SourceFormat::detect`]).
-//! * [`TraceSource`] — the streaming decoder abstraction
-//!   ([`champsim::ChampSimDecoder`], [`cvp::CvpDecoder`],
-//!   [`pipeline::CctrSource`]), each reading one instruction batch at a
-//!   time in O(1) memory.
-//! * [`ingest`] / [`ingest_to_trace`] — the folding pipeline: non-memory
-//!   instructions are folded into `nonmem_before` (splitting across
-//!   records when the `u16` saturates, exactly like
-//!   [`ccsim_trace::TraceBuffer`]), operand sizes are normalized to the
-//!   64-byte block invariant, and `CCTR` is emitted incrementally so a
-//!   multi-gigabyte trace never materializes in memory.
+//! * [`ingest`] (reader to writer), [`ingest_file`] (path to path) and
+//!   [`ingest_file_observed`] (path to an optional path, with a
+//!   per-record observer) — three entry points over one fold. The fold
+//!   decodes one instruction batch at a time, folds non-memory
+//!   instructions into `nonmem_before` (splitting across records when
+//!   the `u16` saturates, exactly like [`ccsim_trace::TraceBuffer`]),
+//!   normalizes operand sizes to the 64-byte block invariant, and writes
+//!   `CCTR` as it goes, so a multi-gigabyte trace never materializes.
 //! * [`IngestOptions`] / [`IngestReport`] — strict/lossy error handling
 //!   and exact accounting of what was decoded, folded, clamped or
 //!   skipped.
@@ -36,7 +34,7 @@
 //!
 //! ```
 //! use ccsim_ingest::champsim::{ChampSimRecord, ChampSimWriter};
-//! use ccsim_ingest::{ingest_to_trace, IngestOptions};
+//! use ccsim_ingest::{ingest, IngestOptions};
 //!
 //! // Encode three ChampSim instructions: two ALU ops and one load.
 //! let mut bytes = Vec::new();
@@ -45,7 +43,9 @@
 //! w.write(&ChampSimRecord::nonmem(0x400004)).unwrap();
 //! w.write(&ChampSimRecord::load(0x400008, 0x7000_0000)).unwrap();
 //!
-//! let (trace, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
+//! let mut out = std::io::Cursor::new(Vec::new());
+//! let report = ingest(&bytes[..], &mut out, &IngestOptions::default()).unwrap();
+//! let trace = ccsim_trace::read_trace(&out.into_inner()[..]).unwrap();
 //! assert_eq!(trace.len(), 1);
 //! assert_eq!(trace.instructions(), 3);
 //! assert_eq!(report.source_instructions, 3);
@@ -59,13 +59,9 @@ pub mod cvp;
 mod digest;
 mod error;
 mod format;
-pub mod pipeline;
+mod pipeline;
 
 pub use digest::{digest_file, Fnv64};
 pub use error::IngestError;
 pub use format::{detect_file, SourceFormat};
-pub use pipeline::{
-    ingest, ingest_file, ingest_file_observed, ingest_file_to_trace, ingest_observed,
-    ingest_to_trace, open_source, AnySource, Batch, CctrSource, IngestOptions, IngestReport, MemOp,
-    TraceSource,
-};
+pub use pipeline::{ingest, ingest_file, ingest_file_observed, IngestOptions, IngestReport};

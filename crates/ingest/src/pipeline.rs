@@ -1,116 +1,68 @@
-//! The streaming ingest pipeline: decode, fold, normalize, emit.
+//! The one ingest fold: detect the format, decode batches, fold them
+//! into `CCTR` records, and write each record as soon as it exists.
 //!
-//! The pipeline pulls [`Batch`]es from a [`TraceSource`] (one memory
-//! instruction plus the non-memory run before it), folds them into
-//! `CCTR` records under the [`TraceBuffer`](ccsim_trace::TraceBuffer)
-//! `nonmem_before` splitting invariant, normalizes operands to the
-//! 64-byte block rule, and pushes each record to the sink as soon as it
-//! exists. Peak memory is one batch — a multi-gigabyte source never
-//! materializes.
-//!
-//! # Instruction accounting
-//!
-//! `CCTR` counts every record as one instruction. A foreign instruction
-//! with *k > 1* memory operands becomes *k* records, which would
-//! over-count by *k − 1*; the pipeline tracks that as **debt** and repays
-//! it from subsequent non-memory instructions before they accrue to
-//! `nonmem_before`. Any debt still open at end-of-stream is reported in
-//! [`IngestReport::residual_debt`], so
-//! `output instructions = source instructions + residual_debt` always
-//! holds exactly.
+//! Every public entry point runs `fold_into`. A decoder yields one
+//! `Batch` at a time (one memory instruction plus the non-memory run
+//! before it); the fold turns it into records under the
+//! [`TraceBuffer`](ccsim_trace::TraceBuffer) `nonmem_before` splitting
+//! invariant, with operands normalized to the 64-byte block rule, and
+//! hands each record to the observer and then to a [`TraceWriter`].
+//! Peak memory is one batch plus the writer's buffer: a multi-gigabyte
+//! source never materializes.
 
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 
-use ccsim_trace::{AccessKind, Trace, TraceReader, TraceRecord, TraceWriter, BLOCK_BYTES};
+use ccsim_trace::{AccessKind, TraceReader, TraceRecord, TraceWriter, BLOCK_BYTES};
 
+use crate::champsim::ChampSimDecoder;
+use crate::cvp::CvpDecoder;
 use crate::{IngestError, SourceFormat};
 
 /// One memory operand of a source instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemOp {
+pub(crate) struct MemOp {
     /// Virtual byte address.
-    pub vaddr: u64,
-    /// Access size in bytes (normalized by the pipeline).
-    pub size: u8,
+    pub(crate) vaddr: u64,
+    /// Access size in bytes (normalized by the fold).
+    pub(crate) size: u8,
     /// Load or store.
-    pub kind: AccessKind,
+    pub(crate) kind: AccessKind,
 }
 
 /// A decoded unit of source trace: `nonmem` non-memory instructions
 /// followed by (at most) one memory instruction at `pc` touching `ops`.
-///
-/// The pipeline reuses a single `Batch` across `read_batch` calls, so
-/// decoding is allocation-free in the steady state.
+/// The fold reuses one `Batch` across reads, so decoding is
+/// allocation-free in the steady state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// Non-memory instructions preceding `ops`.
-    pub nonmem: u64,
+    pub(crate) nonmem: u64,
     /// Program counter of the memory instruction (meaningless when `ops`
     /// is empty).
-    pub pc: u64,
+    pub(crate) pc: u64,
     /// The memory operands; empty for a trailing non-memory-only batch.
-    pub ops: Vec<MemOp>,
+    pub(crate) ops: Vec<MemOp>,
 }
 
 impl Batch {
     /// Resets the batch for reuse.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.nonmem = 0;
         self.pc = 0;
         self.ops.clear();
     }
 }
 
-/// A streaming decoder of some external trace format.
-///
-/// Implementations read one batch at a time in O(1) memory and must be
-/// exhausted by repeated [`TraceSource::read_batch`] calls.
-pub trait TraceSource {
-    /// Fills `out` with the next batch. Returns `false` (with `out`
-    /// cleared or op-less) once the stream is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IngestError`] on I/O failure or (strict mode) a corrupt
-    /// source record.
-    fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError>;
-
-    /// The format this source decodes.
-    fn format(&self) -> SourceFormat;
-
-    /// Malformed items skipped or coerced so far (lossy mode).
-    fn skipped(&self) -> u64;
-}
-
-/// Pass-through source over a native `CCTR` stream.
-///
-/// Lets the pipeline re-serve `CCTR` files uniformly (renaming, stats on
-/// foreign *and* native inputs, cache population) — each record becomes a
-/// batch of its `nonmem_before` run plus its single memory operand.
+/// Pass-through decoder over a native `CCTR` stream: each record becomes
+/// a batch of its `nonmem_before` run plus its one operand.
 #[derive(Debug)]
-pub struct CctrSource<R: Read> {
+struct CctrSource<R: Read> {
     reader: TraceReader<R>,
     trailing_emitted: bool,
 }
 
 impl<R: Read> CctrSource<R> {
-    /// Opens a `CCTR` stream, consuming its header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IngestError`] on a malformed header.
-    pub fn new(reader: R) -> Result<CctrSource<R>, IngestError> {
-        Ok(CctrSource { reader: TraceReader::new(reader)?, trailing_emitted: false })
-    }
-
-    /// The workload name embedded in the source header.
-    pub fn name(&self) -> &str {
-        &self.reader.header().name
-    }
-}
-
-impl<R: Read> TraceSource for CctrSource<R> {
     fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
         out.clear();
         match self.reader.next_record()? {
@@ -130,71 +82,46 @@ impl<R: Read> TraceSource for CctrSource<R> {
             }
         }
     }
-
-    fn format(&self) -> SourceFormat {
-        SourceFormat::Cctr
-    }
-
-    fn skipped(&self) -> u64 {
-        0
-    }
 }
 
-/// Every source the pipeline can drive, behind one concrete type (so
-/// callers stay generic over the reader without boxing).
+/// The decoder of each format, dispatched statically per batch. Each
+/// `read_batch` fills `out` with the next batch and returns `false` once
+/// the stream is exhausted.
 #[derive(Debug)]
-pub enum AnySource<R: Read> {
-    /// ChampSim 64-byte records.
-    ChampSim(crate::champsim::ChampSimDecoder<R>),
-    /// CVP-style variable-length records.
-    Cvp(crate::cvp::CvpDecoder<R>),
-    /// Native `CCTR` pass-through.
+enum Source<R: Read> {
+    ChampSim(ChampSimDecoder<R>),
+    Cvp(CvpDecoder<R>),
     Cctr(CctrSource<R>),
 }
 
-impl<R: Read> TraceSource for AnySource<R> {
+impl<R: Read> Source<R> {
+    fn open(reader: R, format: SourceFormat, strict: bool) -> Result<Source<R>, IngestError> {
+        Ok(match format {
+            SourceFormat::ChampSim => Source::ChampSim(ChampSimDecoder::new(reader, strict)),
+            SourceFormat::Cvp => Source::Cvp(CvpDecoder::new(reader, strict)),
+            SourceFormat::Cctr => Source::Cctr(CctrSource {
+                reader: TraceReader::new(reader)?,
+                trailing_emitted: false,
+            }),
+        })
+    }
+
     fn read_batch(&mut self, out: &mut Batch) -> Result<bool, IngestError> {
         match self {
-            AnySource::ChampSim(s) => s.read_batch(out),
-            AnySource::Cvp(s) => s.read_batch(out),
-            AnySource::Cctr(s) => s.read_batch(out),
+            Source::ChampSim(s) => s.read_batch(out),
+            Source::Cvp(s) => s.read_batch(out),
+            Source::Cctr(s) => s.read_batch(out),
         }
     }
 
-    fn format(&self) -> SourceFormat {
-        match self {
-            AnySource::ChampSim(s) => s.format(),
-            AnySource::Cvp(s) => s.format(),
-            AnySource::Cctr(s) => s.format(),
-        }
-    }
-
+    /// Malformed items skipped or coerced so far (lossy mode).
     fn skipped(&self) -> u64 {
         match self {
-            AnySource::ChampSim(s) => s.skipped(),
-            AnySource::Cvp(s) => s.skipped(),
-            AnySource::Cctr(s) => s.skipped(),
+            Source::ChampSim(s) => s.skipped(),
+            Source::Cvp(s) => s.skipped(),
+            Source::Cctr(_) => 0,
         }
     }
-}
-
-/// Wraps `reader` in the decoder for `format`.
-///
-/// # Errors
-///
-/// Returns [`IngestError`] when a `CCTR` source has a malformed header.
-pub fn open_source<R: Read>(
-    reader: R,
-    format: SourceFormat,
-    strict: bool,
-) -> Result<AnySource<R>, IngestError> {
-    Ok(match format {
-        SourceFormat::ChampSim => {
-            AnySource::ChampSim(crate::champsim::ChampSimDecoder::new(reader, strict))
-        }
-        SourceFormat::Cvp => AnySource::Cvp(crate::cvp::CvpDecoder::new(reader, strict)),
-        SourceFormat::Cctr => AnySource::Cctr(CctrSource::new(reader)?),
-    })
 }
 
 /// How to decode and fold a source trace.
@@ -225,6 +152,15 @@ impl IngestOptions {
 }
 
 /// Exact accounting of one ingest run.
+///
+/// `CCTR` counts every record as one instruction. A foreign instruction
+/// with *k > 1* memory operands becomes *k* records, which would
+/// over-count by *k − 1*; the fold tracks that as debt and repays it
+/// from later non-memory instructions before they accrue to
+/// `nonmem_before`. Debt still open at end-of-stream is
+/// [`IngestReport::residual_debt`], so
+/// `instructions = source_instructions + residual_debt` always holds
+/// exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
     /// The (possibly auto-detected) source format.
@@ -244,7 +180,7 @@ pub struct IngestReport {
     /// Operands whose size was clamped to the 64-byte block invariant.
     pub clamped: u64,
     /// Multi-operand over-count not repaid by later non-memory
-    /// instructions (see the module docs).
+    /// instructions.
     pub residual_debt: u64,
 }
 
@@ -268,7 +204,7 @@ impl IngestReport {
     }
 }
 
-/// The folding state machine (see the module docs for the accounting).
+/// The folding state machine (see [`IngestReport`] for the accounting).
 #[derive(Debug, Default)]
 struct Fold {
     pending_nonmem: u64,
@@ -291,8 +227,8 @@ impl Fold {
         &mut self,
         pc: u64,
         ops: &[MemOp],
-        mut emit: impl FnMut(TraceRecord) -> Result<(), IngestError>,
-    ) -> Result<(), IngestError> {
+        mut emit: impl FnMut(TraceRecord) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         debug_assert!(!ops.is_empty());
         self.source_instructions += 1;
         self.debt += ops.len() as u64 - 1;
@@ -318,10 +254,10 @@ impl Fold {
         Ok(())
     }
 
-    fn report(&self, format: SourceFormat, name: &str, skipped: u64) -> IngestReport {
+    fn report(&self, format: SourceFormat, name: String, skipped: u64) -> IngestReport {
         IngestReport {
             format,
-            name: name.to_owned(),
+            name,
             source_instructions: self.source_instructions,
             records: self.records,
             instructions: self.records + self.emitted_nonmem + self.pending_nonmem,
@@ -335,15 +271,15 @@ impl Fold {
 /// A reader with its peeked detection prefix stitched back on.
 type ReplayReader<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
 
-/// Resolves `opts.format`, peeking up to 512 bytes of `reader` when
+/// Resolves `format`, peeking up to 512 bytes of `reader` when
 /// auto-detecting, and returns `(format, replayable reader)`.
 fn resolve_format<R: Read>(
     mut reader: R,
-    opts: &IngestOptions,
+    format: Option<SourceFormat>,
     file_len: Option<u64>,
 ) -> Result<(SourceFormat, ReplayReader<R>), IngestError> {
     let mut prefix = Vec::new();
-    let format = match opts.format {
+    let format = match format {
         Some(f) => f,
         None => {
             let mut buf = [0u8; 512];
@@ -361,13 +297,25 @@ fn resolve_format<R: Read>(
     Ok((format, std::io::Cursor::new(prefix).chain(reader)))
 }
 
-/// Runs the fold over `source`, pushing records into `emit`, and returns
-/// the report plus the trailing non-memory count.
-fn run_fold<S: TraceSource>(
-    source: &mut S,
-    name: &str,
-    mut emit: impl FnMut(TraceRecord) -> Result<(), IngestError>,
+/// The one ingest loop: decodes `reader` as `format`, folds every batch,
+/// and hands each record to `observe` and then to a `CCTR` writer on
+/// `writer`. Returns the report and the trailing non-memory epilogue.
+fn fold_into<R: Read, W: Write + Seek>(
+    format: SourceFormat,
+    reader: R,
+    writer: W,
+    opts: &IngestOptions,
+    mut observe: impl FnMut(&TraceRecord),
 ) -> Result<(IngestReport, u64), IngestError> {
+    let mut source = Source::open(reader, format, !opts.lossy)?;
+    // The CCTR header precedes the records, so the name is resolved up
+    // front.
+    let name = match (&opts.name, &source) {
+        (Some(n), _) => n.clone(),
+        (None, Source::Cctr(s)) => s.reader.header().name.clone(),
+        (None, _) => "ingested".to_owned(),
+    };
+    let mut out = TraceWriter::new(writer, &name)?;
     // Telemetry is totals-only, accounted once after the fold — the
     // per-record path stays untouched.
     let span = ccsim_obs::metrics().ingest_wall_ns.span();
@@ -376,35 +324,27 @@ fn run_fold<S: TraceSource>(
     while source.read_batch(&mut batch)? {
         fold.nonmem(batch.nonmem);
         if !batch.ops.is_empty() {
-            fold.mem_instr(batch.pc, &batch.ops, &mut emit)?;
+            fold.mem_instr(batch.pc, &batch.ops, |rec| {
+                observe(&rec);
+                out.write_record(&rec)
+            })?;
         }
     }
     let trailing = fold.pending_nonmem;
-    let report = fold.report(source.format(), name, source.skipped());
+    let report = fold.report(format, name, source.skipped());
     let m = ccsim_obs::metrics();
     m.ingest_runs.inc();
     m.ingest_records.add(report.records);
     m.ingest_skipped.add(report.skipped);
     span.stop();
+    out.finish(trailing)?;
     Ok((report, trailing))
-}
-
-/// The output trace name: the explicit option, the `CCTR` source's
-/// embedded name, or the `"ingested"` fallback.
-fn resolve_name<R: Read>(opts: &IngestOptions, source: &AnySource<R>) -> String {
-    match (&opts.name, source) {
-        (Some(n), _) => n.clone(),
-        (None, AnySource::Cctr(s)) => s.name().to_owned(),
-        (None, _) => "ingested".to_owned(),
-    }
 }
 
 /// Streams `reader` (any supported format) into `writer` as `CCTR`.
 ///
 /// Decoding, folding and emission are fully incremental: peak memory is
-/// one source batch, independent of trace length. The emitted file is
-/// byte-identical to what [`ingest_to_trace`] +
-/// [`ccsim_trace::write_trace`] would produce for the same input.
+/// one source batch, independent of trace length.
 ///
 /// # Errors
 ///
@@ -415,62 +355,8 @@ pub fn ingest<R: Read, W: Write + Seek>(
     writer: W,
     opts: &IngestOptions,
 ) -> Result<IngestReport, IngestError> {
-    ingest_observed(reader, writer, opts, |_| {}).map(|(report, _)| report)
-}
-
-/// [`ingest`] with a per-record observer: `observe` sees every emitted
-/// [`TraceRecord`], in emission order, before it is written. The second
-/// return value is the trailing non-memory epilogue
-/// ([`ccsim_trace::Trace::trailing_nonmem`] of the emitted trace).
-///
-/// This is how `ccsim ingest --stats` characterizes a conversion in the
-/// same single pass that produces the `CCTR` file — the source is never
-/// read twice and the output is never read back.
-///
-/// # Errors
-///
-/// Returns [`IngestError`] exactly as [`ingest`] does.
-pub fn ingest_observed<R: Read, W: Write + Seek>(
-    reader: R,
-    writer: W,
-    opts: &IngestOptions,
-    mut observe: impl FnMut(&TraceRecord),
-) -> Result<(IngestReport, u64), IngestError> {
-    let (format, reader) = resolve_format(reader, opts, None)?;
-    let mut source = open_source(reader, format, !opts.lossy)?;
-    // The output name must be known before the fold starts (the CCTR
-    // header precedes the records), so resolve it up front.
-    let name = resolve_name(opts, &source);
-    let mut out = TraceWriter::new(writer, &name)?;
-    let (report, trailing) = run_fold(&mut source, &name, |rec| {
-        observe(&rec);
-        out.write_record(&rec).map_err(IngestError::Io)
-    })?;
-    out.finish(trailing)?;
-    Ok((report, trailing))
-}
-
-/// Ingests `reader` fully into memory as a [`Trace`].
-///
-/// Same fold as [`ingest`], materialized — for statistics, small inputs
-/// and cache-less campaign runs.
-///
-/// # Errors
-///
-/// Returns [`IngestError`] exactly as [`ingest`] does.
-pub fn ingest_to_trace<R: Read>(
-    reader: R,
-    opts: &IngestOptions,
-) -> Result<(Trace, IngestReport), IngestError> {
-    let (format, reader) = resolve_format(reader, opts, None)?;
-    let mut source = open_source(reader, format, !opts.lossy)?;
-    let name = resolve_name(opts, &source);
-    let mut records = Vec::new();
-    let (report, trailing) = run_fold(&mut source, &name, |rec| {
-        records.push(rec);
-        Ok(())
-    })?;
-    Ok((Trace::from_parts(name, records, trailing), report))
+    let (format, reader) = resolve_format(reader, opts.format, None)?;
+    fold_into(format, reader, writer, opts, |_| {}).map(|(report, _)| report)
 }
 
 /// Ingests the file at `input` into a `CCTR` file at `output`.
@@ -488,53 +374,28 @@ pub fn ingest_file(
     output: &Path,
     opts: &IngestOptions,
 ) -> Result<IngestReport, IngestError> {
-    ingest_file_observed(input, output, opts, |_| {}).map(|(report, _)| report)
+    ingest_file_observed(input, Some(output), opts, |_| {}).map(|(report, _)| report)
 }
 
-/// [`ingest_file`] with a per-record observer — the file-level twin of
-/// [`ingest_observed`], sharing [`ingest_file`]'s length-aware detection,
-/// stem-derived default name and partial-output cleanup.
+/// [`ingest_file`] with a per-record observer: `observe` sees every
+/// emitted [`TraceRecord`], in order, before it is written, and the
+/// second return value is the trailing non-memory epilogue
+/// ([`ccsim_trace::Trace::trailing_nonmem`] of the emitted trace). With
+/// no `output` the records are folded and observed but written nowhere.
+///
+/// This is how `ccsim ingest --stats` characterizes a conversion in the
+/// pass that writes it, and how `ccsim trace-stats` characterizes a
+/// foreign file without converting it.
 ///
 /// # Errors
 ///
-/// Returns [`IngestError`] on I/O failure or malformed input; the
-/// partially-written output is removed on error.
+/// Returns [`IngestError`] exactly as [`ingest_file`] does.
 pub fn ingest_file_observed(
     input: &Path,
-    output: &Path,
+    output: Option<&Path>,
     opts: &IngestOptions,
     observe: impl FnMut(&TraceRecord),
 ) -> Result<(IngestReport, u64), IngestError> {
-    let (reader, opts) = open_input(input, opts)?;
-    let out = std::fs::File::create(output)?;
-    let result = ingest_observed(reader, std::io::BufWriter::new(out), &opts, observe);
-    if result.is_err() {
-        let _ = std::fs::remove_file(output);
-    }
-    result
-}
-
-/// Ingests the file at `input` fully into memory as a [`Trace`] — the
-/// file-level twin of [`ingest_to_trace`], with the same length-aware
-/// detection and stem-derived default name as [`ingest_file`].
-///
-/// # Errors
-///
-/// Returns [`IngestError`] on I/O failure or malformed input.
-pub fn ingest_file_to_trace(
-    input: &Path,
-    opts: &IngestOptions,
-) -> Result<(Trace, IngestReport), IngestError> {
-    let (reader, opts) = open_input(input, opts)?;
-    ingest_to_trace(reader, &opts)
-}
-
-/// Shared file-input front end: opens `input`, resolves the format using
-/// the file length, and defaults the output name to the file stem.
-fn open_input(
-    input: &Path,
-    opts: &IngestOptions,
-) -> Result<(ReplayReader<std::io::BufReader<std::fs::File>>, IngestOptions), IngestError> {
     let file = std::fs::File::open(input)?;
     let len = file.metadata()?.len();
     let mut opts = opts.clone();
@@ -545,9 +406,16 @@ fn open_input(
                 .map_or_else(|| "ingested".to_owned(), |s| s.to_string_lossy().into_owned()),
         );
     }
-    let (format, reader) = resolve_format(std::io::BufReader::new(file), &opts, Some(len))?;
-    opts.format = Some(format);
-    Ok((reader, opts))
+    let (format, reader) = resolve_format(std::io::BufReader::new(file), opts.format, Some(len))?;
+    let Some(output) = output else {
+        return fold_into(format, reader, std::io::empty(), &opts, observe);
+    };
+    let out = std::io::BufWriter::new(std::fs::File::create(output)?);
+    let result = fold_into(format, reader, out, &opts, observe);
+    if result.is_err() {
+        let _ = std::fs::remove_file(output);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -555,7 +423,7 @@ mod tests {
     use super::*;
     use crate::champsim::{ChampSimRecord, ChampSimWriter};
     use crate::cvp::{CvpRecord, CvpWriter, InstClass};
-    use ccsim_trace::{read_trace, write_trace, TraceBuffer};
+    use ccsim_trace::{read_trace, write_trace, Trace, TraceBuffer};
 
     fn champsim_sample() -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -568,25 +436,32 @@ mod tests {
         bytes
     }
 
+    /// Ingests `bytes` into an in-memory `CCTR` stream and reads it back.
+    fn ingest_bytes(bytes: &[u8], opts: &IngestOptions) -> (Trace, IngestReport) {
+        let mut out = std::io::Cursor::new(Vec::new());
+        let report = ingest(bytes, &mut out, opts).unwrap();
+        (read_trace(&out.into_inner()[..]).unwrap(), report)
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ccsim_ingest_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
-    fn streaming_and_in_memory_paths_agree_byte_for_byte() {
-        let bytes = champsim_sample();
+    fn nonmem_runs_fold_into_the_next_record() {
         let opts = IngestOptions { name: Some("t".into()), ..Default::default() };
-
-        let (trace, report_mem) = ingest_to_trace(&bytes[..], &opts).unwrap();
-        let mut via_mem = Vec::new();
-        write_trace(&trace, &mut via_mem).unwrap();
-
-        let mut cursor = std::io::Cursor::new(Vec::new());
-        let report_stream = ingest(&bytes[..], &mut cursor, &opts).unwrap();
-
-        assert_eq!(cursor.into_inner(), via_mem);
-        assert_eq!(report_mem, report_stream);
+        let (trace, report) = ingest_bytes(&champsim_sample(), &opts);
+        assert_eq!(trace.name(), "t");
         assert_eq!(trace.instructions(), 5);
         assert_eq!(trace.len(), 2);
+        assert_eq!(trace.records()[0].nonmem_before, 2);
         assert_eq!(trace.trailing_nonmem(), 1);
-        assert_eq!(report_mem.source_instructions, 5);
-        assert_eq!(report_mem.residual_debt, 0);
+        assert_eq!(report.source_instructions, 5);
+        assert_eq!(report.records, 2);
+        assert_eq!(report.residual_debt, 0);
     }
 
     #[test]
@@ -600,7 +475,7 @@ mod tests {
         for i in 0..5u64 {
             bytes.extend_from_slice(&ChampSimRecord::nonmem(0x44 + 4 * i).encode());
         }
-        let (trace, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
+        let (trace, report) = ingest_bytes(&bytes, &IngestOptions::default());
         assert_eq!(trace.len(), 3);
         assert_eq!(report.source_instructions, 6);
         assert_eq!(report.residual_debt, 0);
@@ -612,8 +487,7 @@ mod tests {
     fn unrepaid_debt_is_reported() {
         let mut rec = ChampSimRecord::nonmem(0x40);
         rec.source_memory = [0x1000, 0x2000, 0x3000, 0];
-        let bytes = rec.encode().to_vec();
-        let (trace, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
+        let (trace, report) = ingest_bytes(&rec.encode(), &IngestOptions::default());
         assert_eq!(trace.len(), 3);
         assert_eq!(report.source_instructions, 1);
         assert_eq!(report.residual_debt, 2);
@@ -627,7 +501,7 @@ mod tests {
         w.write(&CvpRecord::load(0x18, 60, 16)).unwrap(); // straddles
         w.write(&CvpRecord::store(0x1c, 128, 0)).unwrap(); // zero size
         w.write(&CvpRecord::load(0x20, 8, 8)).unwrap(); // fine
-        let (trace, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
+        let (trace, report) = ingest_bytes(&bytes, &IngestOptions::default());
         assert_eq!(report.clamped, 2);
         assert_eq!(trace.records()[0].size, 4, "60 + 16 clamps to the block end");
         assert_eq!(trace.records()[1].size, 1, "zero size becomes one byte");
@@ -649,17 +523,16 @@ mod tests {
         write_trace(&t, &mut bytes).unwrap();
 
         // Without a name override the embedded name survives.
-        let (same, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
-        assert_eq!(same.name(), "orig");
+        let (same, report) = ingest_bytes(&bytes, &IngestOptions::default());
         assert_eq!(report.format, SourceFormat::Cctr);
-        assert_eq!(same.instructions(), t.instructions());
-        assert_eq!(same.records(), t.records());
+        assert_eq!(same, t);
 
         // With an override the records stay identical under the new name.
         let opts = IngestOptions { name: Some("renamed".into()), ..Default::default() };
-        let (renamed, _) = ingest_to_trace(&bytes[..], &opts).unwrap();
+        let (renamed, _) = ingest_bytes(&bytes, &opts);
         assert_eq!(renamed.name(), "renamed");
         assert_eq!(renamed.records(), t.records());
+        assert_eq!(renamed.trailing_nonmem(), t.trailing_nonmem());
     }
 
     #[test]
@@ -674,7 +547,7 @@ mod tests {
         }
         w.write(&CvpRecord::load(0x99, 0x1000, 8)).unwrap();
         let opts = IngestOptions { format: Some(SourceFormat::Cvp), ..Default::default() };
-        let (trace, report) = ingest_to_trace(&bytes[..], &opts).unwrap();
+        let (trace, report) = ingest_bytes(&bytes, &opts);
         assert_eq!(report.format, SourceFormat::Cvp);
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.records()[0].nonmem_before, 64);
@@ -682,9 +555,7 @@ mod tests {
 
     #[test]
     fn ingest_file_names_after_the_stem_and_cleans_up_on_error() {
-        let dir = std::env::temp_dir().join(format!("ccsim_ingest_file_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("file");
         let input = dir.join("workload.champsim");
         std::fs::write(&input, champsim_sample()).unwrap();
         let output = dir.join("out.cctr");
@@ -716,7 +587,7 @@ mod tests {
         }
         w.write(&CvpRecord::load(1, 0x1000, 8)).unwrap();
         w.write(&CvpRecord::load(2, 0x2000, 8)).unwrap();
-        let (trace, report) = ingest_to_trace(&bytes[..], &IngestOptions::default()).unwrap();
+        let (trace, report) = ingest_bytes(&bytes, &IngestOptions::default());
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.records()[0].nonmem_before, u16::MAX);
         assert_eq!(trace.records()[1].nonmem_before, u16::MAX);
@@ -736,32 +607,28 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_record_in_one_pass() {
+    fn observer_sees_every_record_in_one_pass_with_or_without_an_output() {
         // The observer must see exactly the records the CCTR file holds,
-        // in order, and the trailing epilogue must match — this is the
-        // contract `ccsim ingest --stats` characterizes through.
-        let bytes = champsim_sample();
-        let mut seen = Vec::new();
-        let mut out = std::io::Cursor::new(Vec::new());
-        let (report, trailing) =
-            ingest_observed(&bytes[..], &mut out, &IngestOptions::default(), |r| {
-                seen.push(*r);
-            })
-            .unwrap();
-        let trace = read_trace(&out.into_inner()[..]).unwrap();
+        // in order, and the trailing epilogue must match — the contract
+        // `ccsim ingest --stats` and `ccsim trace-stats` characterize
+        // through. Without an output the same records are observed.
+        let dir = temp_dir("observed");
+        let input = dir.join("sample.champsim");
+        std::fs::write(&input, champsim_sample()).unwrap();
+        let output = dir.join("sample.cctr");
+        let observe = |out: Option<&Path>| {
+            let mut seen = Vec::new();
+            let opts = IngestOptions::default();
+            let (report, trailing) =
+                ingest_file_observed(&input, out, &opts, |r| seen.push(*r)).unwrap();
+            (report, trailing, seen)
+        };
+        let (report, trailing, seen) = observe(Some(&output));
+        let trace = read_trace(std::fs::File::open(&output).unwrap()).unwrap();
         assert_eq!(seen, trace.records());
         assert_eq!(trailing, trace.trailing_nonmem());
         assert_eq!(report.records, seen.len() as u64);
-
-        // Streaming characterization equals batch over the materialized
-        // trace.
-        let mut stats = ccsim_trace::stats::TraceStats::builder();
-        let mut reuse = ccsim_trace::stats::ReuseProfile::builder();
-        for r in &seen {
-            stats.push(r);
-            reuse.push_block(r.block());
-        }
-        assert_eq!(stats.finish(trailing), ccsim_trace::stats::TraceStats::compute(&trace));
-        assert_eq!(reuse.finish(), ccsim_trace::stats::ReuseProfile::compute(&trace));
+        assert_eq!(observe(None), (report, trailing, seen));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

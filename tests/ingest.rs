@@ -15,9 +15,9 @@ use std::path::{Path, PathBuf};
 use ccsim::campaign::{Campaign, CampaignSpec, TraceCache};
 use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
 use ccsim::ingest::cvp::{CvpRecord, CvpWriter, InstClass};
-use ccsim::ingest::{ingest, ingest_file, ingest_file_to_trace, IngestOptions, SourceFormat};
+use ccsim::ingest::{ingest, ingest_file, IngestError, IngestOptions, SourceFormat};
 use ccsim::prelude::*;
-use ccsim::trace::{read_trace, read_trace_header};
+use ccsim::trace::{read_trace, read_trace_header, TraceRecord};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -129,6 +129,62 @@ fn cvp_fixture_ingests_deterministically_with_clamping() {
     for r in trace.records() {
         assert!(r.vaddr % 64 + r.size as u64 <= 64, "block invariant after clamping");
     }
+}
+
+/// Hostile bytes: every cut and every one-bit flip of the two foreign
+/// fixtures goes through `ingest` in strict and lossy mode, with the
+/// format given and auto-detected. Nothing panics; lossy mode fails only
+/// where auto-detection declines to guess; the output stays within a
+/// fixed multiple of the input; and a cut that succeeds emits a prefix
+/// of the uncut fixture's records.
+#[test]
+fn every_cut_and_bit_flip_of_the_foreign_fixtures_is_handled() {
+    for (bytes, format) in [
+        (champsim_fixture_bytes(), SourceFormat::ChampSim),
+        (cvp_fixture_bytes(), SourceFormat::Cvp),
+    ] {
+        let full = ingested_records(&bytes, &IngestOptions::default());
+        // The records of every mode that succeeded on `input`.
+        let ingest_all_ways = |input: &[u8], case: &str| {
+            let mut emitted = Vec::new();
+            for (lossy, format) in
+                [(false, None), (false, Some(format)), (true, None), (true, Some(format))]
+            {
+                let case = format!("{case}, lossy {lossy}, format {format:?}");
+                let opts = IngestOptions { format, lossy, name: None };
+                let mut out = std::io::Cursor::new(Vec::new());
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ingest(input, &mut out, &opts)
+                }))
+                .unwrap_or_else(|_| panic!("{case}: panicked"));
+                let out = out.into_inner();
+                assert!(out.len() <= 64 + 3 * input.len(), "{case}: {} bytes out", out.len());
+                match result {
+                    Ok(_) => emitted.push(read_trace(&out[..]).unwrap().records().to_vec()),
+                    Err(IngestError::UnknownFormat) if format.is_none() => {}
+                    Err(e) => assert!(!lossy, "{case}: {e}"),
+                }
+            }
+            emitted
+        };
+        for cut in 0..=bytes.len() {
+            for records in ingest_all_ways(&bytes[..cut], &format!("{format} cut at {cut}")) {
+                assert!(full.starts_with(&records), "{format} cut at {cut}: not a prefix");
+            }
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            ingest_all_ways(&flipped, &format!("{format} flip at {at}"));
+        }
+    }
+}
+
+/// The records `ingest` emits for `bytes`, read back from memory.
+fn ingested_records(bytes: &[u8], opts: &IngestOptions) -> Vec<TraceRecord> {
+    let mut out = std::io::Cursor::new(Vec::new());
+    ingest(bytes, &mut out, opts).unwrap();
+    read_trace(&out.into_inner()[..]).unwrap().records().to_vec()
 }
 
 /// A `Read` that synthesizes ChampSim records on the fly: the "file"
@@ -351,10 +407,11 @@ fn ingest_file_and_in_memory_agree_on_the_fixture() {
     let report =
         ingest_file(&fixture_path("ingest_v1.champsim"), &out, &IngestOptions::default()).unwrap();
     assert_eq!(report.name, "ingest_v1", "default name is the file stem");
-    let from_file = read_trace(std::fs::File::open(&out).unwrap()).unwrap();
-    let (in_memory, _) =
-        ingest_file_to_trace(&fixture_path("ingest_v1.champsim"), &IngestOptions::default())
-            .unwrap();
-    assert_eq!(from_file, in_memory);
+    let on_disk = std::fs::read(&out).unwrap();
+    let mut in_memory = std::io::Cursor::new(Vec::new());
+    let opts = IngestOptions { name: Some("ingest_v1".into()), ..Default::default() };
+    ingest(&champsim_fixture_bytes()[..], &mut in_memory, &opts).unwrap();
+    assert_eq!(on_disk, in_memory.into_inner());
+    assert_eq!(read_trace(&on_disk[..]).unwrap().len() as u64, report.records);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use ccsim::core::cache::{MshrBank, MshrGrant, MshrSlots};
 use ccsim::core::{Core, CoreConfig};
 use ccsim::ingest::champsim::{ChampSimRecord, ChampSimWriter};
-use ccsim::ingest::{ingest, ingest_to_trace, IngestOptions};
+use ccsim::ingest::{ingest, IngestOptions};
 use ccsim::obs::Json;
 use ccsim::policies::belady::belady_replay;
 use ccsim::prelude::*;
@@ -277,9 +277,12 @@ proptest! {
         prop_assert_eq!(back, trace);
     }
 
-    /// Ingesting arbitrary ChampSim instruction streams: the streaming
-    /// and in-memory pipelines emit identical bytes, and the exact
-    /// accounting identity `output = source + residual_debt` holds.
+    /// Ingesting arbitrary ChampSim instruction streams: the streamed
+    /// conversion equals an in-memory `TraceBuffer` reference that folds
+    /// the same instructions (loads before stores, each extra operand of
+    /// a multi-operand instruction repaid from the next non-memory
+    /// instructions), and the exact accounting identity
+    /// `output = source + residual_debt` holds.
     #[test]
     fn champsim_ingest_streaming_equals_in_memory(
         instrs in proptest::collection::vec(
@@ -287,7 +290,8 @@ proptest! {
     ) {
         let mut source = Vec::new();
         let mut w = ChampSimWriter::new(&mut source);
-        let mut source_instructions = 0u64;
+        let mut reference = TraceBuffer::new("prop");
+        let mut debt = 0u64;
         for &(pc, loads, stores, branch) in &instrs {
             let mut rec = if branch {
                 ChampSimRecord::branch(pc, pc % 2 == 0)
@@ -295,13 +299,21 @@ proptest! {
                 ChampSimRecord::nonmem(pc)
             };
             for l in 0..loads {
-                rec.source_memory[l as usize] = 0x1000 + 64 * (pc % 97) + l as u64;
+                let addr = 0x1000 + 64 * (pc % 97) + l as u64;
+                rec.source_memory[l as usize] = addr;
+                reference.load(pc, addr, 8);
             }
             for s in 0..stores {
-                rec.destination_memory[s as usize] = 0x8000_0000 + 64 * (pc % 31) + s as u64;
+                let addr = 0x8000_0000 + 64 * (pc % 31) + s as u64;
+                rec.destination_memory[s as usize] = addr;
+                reference.store(pc, addr, 8);
+            }
+            match (loads + stores) as u64 {
+                0 if debt > 0 => debt -= 1,
+                0 => reference.nonmem(1),
+                ops => debt += ops - 1,
             }
             w.write(&rec).unwrap();
-            source_instructions += 1;
         }
         // Explicit format: an empty stream has nothing to auto-detect.
         let opts = IngestOptions {
@@ -309,14 +321,13 @@ proptest! {
             name: Some("prop".into()),
             ..Default::default()
         };
-        let (trace, report) = ingest_to_trace(&source[..], &opts).unwrap();
-        let mut via_mem = Vec::new();
-        write_trace(&trace, &mut via_mem).unwrap();
         let mut cursor = std::io::Cursor::new(Vec::new());
-        let stream_report = ingest(&source[..], &mut cursor, &opts).unwrap();
-        prop_assert_eq!(cursor.into_inner(), via_mem);
-        prop_assert_eq!(&report, &stream_report);
-        prop_assert_eq!(report.source_instructions, source_instructions);
+        let report = ingest(&source[..], &mut cursor, &opts).unwrap();
+        let trace = read_trace(&cursor.into_inner()[..]).unwrap();
+        prop_assert_eq!(&trace, &reference.finish());
+        prop_assert_eq!(report.source_instructions, instrs.len() as u64);
+        prop_assert_eq!(report.records, trace.len() as u64);
+        prop_assert_eq!(report.residual_debt, debt);
         prop_assert_eq!(
             trace.instructions(),
             report.source_instructions + report.residual_debt
