@@ -16,12 +16,14 @@
 //!
 //! A header mismatch (different spec digest — the grid changed) restarts
 //! the journal from scratch. A first line that is no header at all, with
-//! whole lines after it, is damage: [`Journal::open`] refuses the file
-//! rather than truncate its cells. A torn trailing line (the process
-//! died mid-write, possibly inside a multi-byte character) is dropped,
-//! and so is everything from the first cell line that lacks a field this
-//! revision writes — there is one cell-line schema, and a cell it cannot
-//! read exactly is re-simulated.
+//! whole lines after it, is damage: every reader refuses the file —
+//! [`Journal::open`] rather than truncate its cells,
+//! [`Journal::peek_completed`] and [`merge_dir`] rather than report them
+//! as never run. A torn trailing line (the process died mid-write,
+//! possibly inside a multi-byte character) is dropped, and so is
+//! everything from the first cell line that lacks a field this revision
+//! writes — there is one cell-line schema, and a cell it cannot read
+//! exactly is re-simulated.
 //!
 //! # Concurrent writers: per-worker segments
 //!
@@ -81,19 +83,9 @@ impl Journal {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let (completed, valid_bytes) = match std::fs::read(&path) {
-            Ok(bytes) if header_is_damaged(&bytes) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: the first line is not a campaign journal header, but lines follow \
-                         it; refusing to overwrite them (move the file aside, or run with \
-                         --fresh to discard it)",
-                        path.display()
-                    ),
-                ));
-            }
-            Ok(bytes) => replay(valid_utf8_prefix(&bytes), campaign, spec_digest),
+        let (completed, valid_bytes) = match read_journal(&path, campaign, spec_digest) {
+            Ok(read) => read,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => return Err(refuse(e)),
             Err(_) => Default::default(),
         };
         let resumed = completed.len();
@@ -154,12 +146,24 @@ impl Journal {
     /// for this campaign/spec, creating and truncating nothing (campaign
     /// dry-runs inspect journals through this). A missing, foreign or
     /// torn journal simply yields fewer (or no) cells.
+    ///
+    /// # Errors
+    ///
+    /// A journal [`Journal::open`] would refuse (its first line is no
+    /// header, but whole lines follow it) is the same
+    /// [`std::io::ErrorKind::InvalidData`] error; other read failures
+    /// than a missing file propagate.
     pub fn peek_completed(
         path: &Path,
         campaign: &str,
         spec_digest: &str,
-    ) -> BTreeMap<String, SimResult> {
-        read_journal(path, campaign, spec_digest).unwrap_or_default().0
+    ) -> std::io::Result<BTreeMap<String, SimResult>> {
+        match read_journal(path, campaign, spec_digest) {
+            Ok((completed, _)) => Ok(completed),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(BTreeMap::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => Err(refuse(e)),
+            Err(e) => Err(e),
+        }
     }
 
     /// The journal-segment path of `worker` under `dir`:
@@ -217,7 +221,10 @@ pub struct MergedJournal {
 /// **different** results — the distributed-campaign invariant that every
 /// cell is a deterministic function of the spec has been violated (mixed
 /// binaries or a corrupted segment), and assembling a report would
-/// silently pick one of the two.
+/// silently pick one of the two. Returns a message naming the segment
+/// when one is damaged the way [`Journal::open`] refuses (its first line
+/// is no header, but whole lines follow it): merging without its cells
+/// would show them as never run.
 pub fn merge_dir(dir: &Path, campaign: &str, spec_digest: &str) -> Result<MergedJournal, String> {
     let _span = ccsim_obs::metrics().journal_merge_ns.span();
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
@@ -237,8 +244,17 @@ pub fn merge_dir(dir: &Path, campaign: &str, spec_digest: &str) -> Result<Merged
     paths.sort();
     let mut merged = MergedJournal::default();
     for path in paths {
-        // A segment that vanished or is unreadable is skipped this merge.
-        let Ok((cells, _)) = read_journal(&path, campaign, spec_digest) else { continue };
+        let cells = match read_journal(&path, campaign, spec_digest) {
+            Ok((cells, _)) => cells,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(format!(
+                    "damaged journal segment {e}; refusing to merge without its cells (move \
+                     the file aside to re-simulate them)"
+                ));
+            }
+            // A segment that vanished or is unreadable is skipped this merge.
+            Err(_) => continue,
+        };
         ccsim_obs::metrics().journal_segments_scanned.inc();
         let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
         merged.entries += cells.len();
@@ -263,13 +279,38 @@ pub fn merge_dir(dir: &Path, campaign: &str, spec_digest: &str) -> Result<Merged
 }
 
 /// Reads the journal file at `path` and [`replay`]s it.
+///
+/// # Errors
+///
+/// Read failures, and an [`std::io::ErrorKind::InvalidData`] error naming
+/// the path when the header is damaged ([`header_is_damaged`]).
 fn read_journal(
     path: &Path,
     campaign: &str,
     spec_digest: &str,
 ) -> std::io::Result<(BTreeMap<String, SimResult>, usize)> {
     let bytes = std::fs::read(path)?;
+    if header_is_damaged(&bytes) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{}: the first line is not a campaign journal header, but lines follow it",
+                path.display()
+            ),
+        ));
+    }
     Ok(replay(valid_utf8_prefix(&bytes), campaign, spec_digest))
+}
+
+/// A solo journal's damage error, with what a campaign run does about it.
+fn refuse(damage: std::io::Error) -> std::io::Error {
+    std::io::Error::new(
+        damage.kind(),
+        format!(
+            "{damage}; refusing to overwrite them (move the file aside, or run with --fresh to \
+             discard it)"
+        ),
+    )
 }
 
 /// The longest valid UTF-8 prefix of `bytes`: a kill that tears an
@@ -478,7 +519,7 @@ mod tests {
         let old = text.replacen(",\"writeback_bypass_overrides\":0", "", 1);
         assert_ne!(old, text);
         std::fs::write(&path, old).unwrap();
-        assert!(Journal::peek_completed(&path, "camp", "abcd").is_empty());
+        assert!(Journal::peek_completed(&path, "camp", "abcd").unwrap().is_empty());
         let j = Journal::open(&path, "camp", "abcd").unwrap();
         assert_eq!(j.resumed(), 0, "the replay stops at the first line of another schema");
         drop(j);
@@ -509,17 +550,17 @@ mod tests {
         let path = temp_journal_path("peek");
         let _ = std::fs::remove_file(&path);
         // Peeking a missing journal creates nothing.
-        assert!(Journal::peek_completed(&path, "camp", "abcd").is_empty());
+        assert!(Journal::peek_completed(&path, "camp", "abcd").unwrap().is_empty());
         assert!(!path.exists());
         {
             let mut j = Journal::open(&path, "camp", "abcd").unwrap();
             j.record("w|c|lru", &sample_result(5)).unwrap();
         }
         let before = std::fs::read(&path).unwrap();
-        let peeked = Journal::peek_completed(&path, "camp", "abcd");
+        let peeked = Journal::peek_completed(&path, "camp", "abcd").unwrap();
         assert_eq!(peeked.len(), 1);
         assert_eq!(peeked["w|c|lru"], sample_result(5));
-        assert!(Journal::peek_completed(&path, "camp", "zzzz").is_empty(), "foreign spec");
+        assert!(Journal::peek_completed(&path, "camp", "zzzz").unwrap().is_empty(), "foreign spec");
         assert_eq!(std::fs::read(&path).unwrap(), before, "peek must not modify the file");
         std::fs::remove_file(&path).unwrap();
     }
@@ -538,9 +579,10 @@ mod tests {
     }
 
     /// An unreadable header with cell lines after it is damage: `open`
-    /// refuses it and keeps the file. With nothing whole after it, the
-    /// header is torn or the lone line is junk, and the journal starts
-    /// fresh.
+    /// refuses it and keeps the file, and `peek_completed` refuses it with
+    /// the same error (`merge_dir`'s refusal is in the bit-flip test). With
+    /// nothing whole after it, the header is torn or the lone line is
+    /// junk, and the journal starts fresh.
     #[test]
     fn unreadable_header_with_lines_after_it_is_refused_and_kept() {
         let path = temp_journal_path("bad_header");
@@ -558,6 +600,8 @@ mod tests {
         assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
         assert!(err.to_string().contains("--fresh"), "{err}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+        let peek_err = Journal::peek_completed(&path, "camp", "abcd").unwrap_err();
+        assert_eq!(peek_err.to_string(), err.to_string());
 
         for fresh in ["not a header\n", "{\"ccsim_campaign_jour", "not a header\n{\"cell\""] {
             std::fs::write(&path, fresh).unwrap();
@@ -671,7 +715,7 @@ mod tests {
         let tear = bytes.iter().rposition(|&b| b == 0xC3).unwrap() + 1;
         std::fs::write(&path, &bytes[..tear]).unwrap();
 
-        assert_eq!(Journal::peek_completed(&path, "camp", "abcd").len(), 2);
+        assert_eq!(Journal::peek_completed(&path, "camp", "abcd").unwrap().len(), 2);
         let merged = merge_dir(&dir, "camp", "abcd").unwrap();
         assert_eq!(merged.completed.len(), 2);
         assert_eq!(merged.completed["w|c|srrip"], sample_result(2));
@@ -689,9 +733,10 @@ mod tests {
     /// journal (one cell names a non-ASCII `trace:` path) reads without a
     /// panic, all three readers agree, and no damage costs a cell whose
     /// line ends before it — a cut keeps exactly those cells. A flip that
-    /// leaves the header unreadable makes `Journal::open` refuse the file
-    /// and leave it as it is; one that leaves it readable names another
-    /// grid, which starts fresh.
+    /// leaves the header unreadable makes all three readers refuse the
+    /// file — `Journal::open` leaves it as it is, `peek_completed` fails
+    /// with the same error and `merge_dir` names the segment; one that
+    /// leaves it readable names another grid, which starts fresh.
     #[test]
     fn every_truncation_and_bit_flip_keeps_the_lines_before_it() {
         let dir = temp_journal_dir("hostile");
@@ -714,19 +759,25 @@ mod tests {
             let whole = line_ends.iter().filter(|&&end| end <= offset).count();
             cells[..whole].iter().map(|c| (*c).to_owned()).zip(results.clone()).collect()
         };
-        // The cells every reader agrees on, or the error `Journal::open`
-        // refused the file with.
+        // The cells every reader agrees on, or the error every reader
+        // refused the file with (`Journal::open`'s).
         let read = |content: &[u8]| {
             std::fs::write(&path, content).unwrap();
             let peeked = Journal::peek_completed(&path, "camp", "abcd");
-            assert_eq!(merge_dir(&dir, "camp", "abcd").unwrap().completed, peeked);
+            let merged = merge_dir(&dir, "camp", "abcd");
             match Journal::open(&path, "camp", "abcd") {
                 Ok(j) => {
+                    let peeked = peeked.unwrap();
+                    assert_eq!(merged.unwrap().completed, peeked);
                     assert_eq!(j.completed(), &peeked);
                     Ok(peeked)
                 }
                 Err(e) => {
-                    assert!(peeked.is_empty());
+                    let peek_err = peeked.unwrap_err();
+                    assert_eq!((peek_err.kind(), peek_err.to_string()), (e.kind(), e.to_string()));
+                    let merge_err = merged.unwrap_err();
+                    assert!(merge_err.contains(&*path.to_string_lossy()), "{merge_err}");
+                    assert!(merge_err.contains("damaged journal segment"), "{merge_err}");
                     assert_eq!(std::fs::read(&path).unwrap(), content, "a refused file is kept");
                     Err(e)
                 }

@@ -430,11 +430,13 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns a message on invalid workload selectors.
+    /// Returns a message on invalid workload selectors, and on a journal
+    /// [`Journal::open`] would refuse (see [`Journal::peek_completed`]).
     pub fn plan(&self) -> Result<CampaignPlan, String> {
         let grid = self.grid()?;
         let journaled = match &self.journal_path {
-            Some(path) => Journal::peek_completed(path, &self.spec.name, &self.spec.digest()),
+            Some(path) => Journal::peek_completed(path, &self.spec.name, &self.spec.digest())
+                .map_err(|e| e.to_string())?,
             None => Default::default(),
         };
         let mut cells = Vec::new();

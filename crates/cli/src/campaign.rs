@@ -232,6 +232,15 @@ mod tests {
             dir.join("out/journal.jsonl").exists(),
             "--dry-run --fresh must not delete the journal"
         );
+        // A damaged header is reported, not shown as cells to run; with
+        // --fresh the plan ignores the journal, as the run would.
+        let journal = dir.join("out/journal.jsonl");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        std::fs::write(&journal, format!("not a header\n{}", text.split_once('\n').unwrap().1))
+            .unwrap();
+        let err = ccsim(&dry).unwrap_err();
+        assert!(err.contains("journal.jsonl") && err.contains("not a campaign journal"), "{err}");
+        ccsim(&[&dry[..], &["--fresh"]].concat()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -181,11 +181,10 @@ mod tests {
         let worker = ["campaign", "worker", &spec, "--shared-dir", &shared];
         ccsim(&[&worker[..], &["--worker-id", "cli-w1", "--threads", "2", "--quiet"]].concat())
             .unwrap();
-        let assembled = ["--out", &path("assembled"), "--quiet"];
-        ccsim(
-            &[&["campaign", "assemble", &spec, "--shared-dir", &shared], &assembled[..]].concat(),
-        )
-        .unwrap();
+        let assembled_out = path("assembled");
+        let assembled_args =
+            ["assemble", &spec, "--shared-dir", &shared, "--out", &assembled_out, "--quiet"];
+        ccsim(&[&["campaign"][..], &assembled_args].concat()).unwrap();
         let (solo, cache) = (path("solo"), path("cache"));
         ccsim(&["campaign", &spec, "--out", &solo, "--cache-dir", &cache, "--quiet"]).unwrap();
         let assembled = std::fs::read(dir.join("assembled/report.json")).unwrap();
@@ -193,6 +192,17 @@ mod tests {
         assert_eq!(assembled, solo, "assemble must be byte-identical to a solo run");
         ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once"]).unwrap();
         ccsim(&["campaign", "watch", &spec, "--shared-dir", &shared, "--once", "--json"]).unwrap();
+
+        // A segment whose header is damaged is named, not read as 0 cells.
+        let segment = dir.join("shared/journal.cli-w1.jsonl");
+        let text = std::fs::read_to_string(&segment).unwrap();
+        std::fs::write(&segment, format!("not a header\n{}", text.split_once('\n').unwrap().1))
+            .unwrap();
+        for view in [&["watch", &spec, "--shared-dir", &shared, "--once"][..], &assembled_args] {
+            let err = ccsim(&[&["campaign"][..], view].concat()).unwrap_err();
+            assert!(err.contains("damaged journal segment"), "{err}");
+            assert!(err.contains("journal.cli-w1.jsonl"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -168,6 +168,8 @@ mod tests {
         let champsim =
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/ingest_v1.champsim");
         ccsim(&["trace-gen", "--quick", "xsbench.small", &t]).expect("flags before positionals");
+        let nope = path("nope.cctr");
+        let cannot_open = format!("cannot open {nope}: No such file");
         let cases: &[(&[&str], Option<&str>)] = &[
             // Unknown flags, wherever a command has none of its own.
             (&["sim", &t, "--frob"], Some("ccsim sim: unknown flag \"--frob\"")),
@@ -229,6 +231,9 @@ mod tests {
                 &["report-diff", "a", "b", "--threshold", "-5"],
                 Some("ccsim report-diff: --threshold must be a non-negative number"),
             ),
+            // A run-time error (no `ccsim <cmd>:` prefix, no synopsis)
+            // says what failed: here the open, not an ingest.
+            (&["trace-stats", &nope], Some(&cannot_open)),
             // `--help` wins over what else is on the line and runs nothing.
             (&["sim", "--help"], None),
             (&["campaign", "worker", "-h"], None),
@@ -237,6 +242,10 @@ mod tests {
         for (argv, expected) in cases {
             match (ccsim(argv), expected) {
                 (Ok(()), None) => {}
+                (Err(err), Some(expected)) if !expected.starts_with("ccsim ") => {
+                    assert!(err.starts_with(expected), "{argv:?}: {err}");
+                    assert!(!err.contains("USAGE") && !err.contains("ingest"), "{argv:?}: {err}");
+                }
                 (Err(err), Some(expected)) => {
                     assert!(err.starts_with(expected), "{argv:?}: {err}");
                     let usage = err.split_once("\n\nUSAGE:\n").expect(&err).1;

@@ -110,6 +110,9 @@ struct Characterization {
 /// with its output discarded (returning that fold's report too).
 fn characterize_file(path: &str) -> Result<(Characterization, Option<IngestReport>), String> {
     let p = Path::new(path);
+    // Opened before detection, so a missing or unreadable input is named
+    // as such and not as a failed ingest.
+    let file = File::open(p).map_err(|e| format!("cannot open {path}: {e}"))?;
     let format = ccsim_ingest::detect_file(p).map_err(|e| format!("{path}: {e}"))?;
     let mut builders = StatsBuilders::default();
     if format != SourceFormat::Cctr {
@@ -118,7 +121,6 @@ fn characterize_file(path: &str) -> Result<(Characterization, Option<IngestRepor
             .map_err(|e| format!("ingesting {path}: {e}"))?;
         return Ok((builders.finish(&report.name, trailing), Some(report)));
     }
-    let file = File::open(p).map_err(|e| format!("opening {path}: {e}"))?;
     let decoding = |e| format!("decoding {path}: {e}");
     let mut reader = TraceReader::new(BufReader::new(file)).map_err(decoding)?;
     let mut chunk = Vec::with_capacity(STATS_CHUNK_RECORDS);

@@ -37,9 +37,15 @@
 //! **What the front end pays for.** Its levels never depend on the policy
 //! under study, so they are `Cache<Lru>`: the LRU hooks inline, with no
 //! enum dispatch on hits, fills or victim queries. And most L1D hits land
-//! on the block their set touched last, so the front end keeps that way
-//! per L1D set and checks its tag before scanning the set
-//! ([`Cache::probe_hinted`]); the policy still sees every hit.
+//! on the block their set touched last (96.8 % of the records of the
+//! benchmark's `tc.kron` trace, 54 % of its Kronecker BFS trace's), so
+//! the front end keeps one [`Mru`] record per L1D set — that block, its
+//! slot and whether a load hit on it is an event — and serves a record
+//! whose block is its set's MRU block in a tight loop: no probe, no LRU
+//! touch and no statistics write per hit (a store hit only sets the
+//! line's dirty bit; the hits are counted once per walk). Every other
+//! record takes [`FrontEnd::step`], a plain lookup, and rewrites its
+//! set's record. The loop is exact, not a model: see [`Mru`].
 //!
 //! **What each cell keeps.** A [`BackEnd`] holds the timing of the upper
 //! levels — a `ready_at` cycle per L1D/L2 slot and the `free_at` cycle of
@@ -55,7 +61,7 @@
 use ccsim_policies::{AccessInfo, AccessType, Lru, PolicyDispatch};
 use ccsim_trace::TraceRecord;
 
-use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant, MshrSlots};
+use crate::cache::{Cache, CacheStats, FillOutcome, MshrGrant, MshrSlots, TAG_INVALID};
 use crate::config::{CacheConfig, SimConfig};
 use crate::dram::{Dram, DramStats};
 use crate::experiment::grid::MAX_CHUNK_RECORDS;
@@ -189,16 +195,41 @@ impl Walk {
     }
 }
 
+/// An L1D set's most recently used line: the line its last hit or fill
+/// touched. A record whose block is its set's MRU block is an L1D hit
+/// that [`FrontEnd::walk`] serves without a lookup. That is exact:
+///
+/// - The L1D is a `Cache<Lru>`, and every L1D hit and fill goes through
+///   [`FrontEnd::step`] or [`FrontEnd::l1_miss`], which rewrite the set's
+///   record. So the record's line is the set's most recently stamped
+///   line, and stamping it again — the LRU touch the loop skips — leaves
+///   the set's recency order, and so every later victim, unchanged.
+/// - Only a fill evicts, and a fill rewrites its set's record. So the
+///   record's block is always resident, at its slot: the loop's hit is
+///   the hit a lookup would find (debug builds check it on every one).
+/// - `timed` mirrors [`FrontEnd::l1_timed`] at `slot`, which changes only
+///   at a fill and in [`FrontEnd::time_load_hits`]; both update the record.
+///
+/// Sixteen bytes: a front end at Cascade Lake geometry keeps 1 KB of them.
+#[derive(Debug, Clone, Copy)]
+struct Mru {
+    /// The line's block, or [`TAG_INVALID`] (matching no block) before
+    /// the set's first fill.
+    block: u64,
+    /// The line's L1D slot.
+    slot: u32,
+    /// Whether a load hit on the line is an event.
+    timed: bool,
+}
+
 /// The functional L1D and L2: LRU tag stores and their statistics, shared
 /// by every cell of a grid with the same L1D and L2 geometry.
 #[derive(Debug)]
 pub(crate) struct FrontEnd {
     l1d: Cache<Lru>,
     l2: Cache<Lru>,
-    /// Per L1D set, the way it last hit or filled: the way
-    /// [`FrontEnd::step`] checks before it scans the set. A way fits in a
-    /// byte (see the assertion below).
-    l1_last_way: Vec<u8>,
+    /// Per L1D set, its most recently used line.
+    l1_mru: Vec<Mru>,
     /// Per L1D slot, whether a load hit on its line is an event: its last
     /// fill was an RFO, or the front end times every load hit.
     l1_timed: Vec<bool>,
@@ -207,8 +238,6 @@ pub(crate) struct FrontEnd {
     /// The L1D and L2 geometry it was built from.
     geometry: [(u32, u32); 2],
 }
-
-const _: () = assert!(crate::config::MAX_WAYS <= 1 << u8::BITS, "L1D ways must fit a u8 hint");
 
 /// The `(sets, ways)` of `config`'s L1D and L2: all that the front end's
 /// events depend on (latencies and MSHR counts are each cell's timing).
@@ -223,7 +252,10 @@ impl FrontEnd {
         FrontEnd {
             l1d: Cache::new("L1D", config.l1d, lru(config.l1d)),
             l2: Cache::new("L2", config.l2, lru(config.l2)),
-            l1_last_way: vec![0; config.l1d.sets as usize],
+            l1_mru: vec![
+                Mru { block: TAG_INVALID, slot: 0, timed: false };
+                config.l1d.sets as usize
+            ],
             l1_timed: vec![false; (config.l1d.sets * config.l1d.ways) as usize],
             time_load_hits: false,
             geometry: upper_geometry(config),
@@ -240,28 +272,57 @@ impl FrontEnd {
     pub(crate) fn time_load_hits(&mut self) {
         self.time_load_hits = true;
         self.l1_timed.fill(true);
+        for line in &mut self.l1_mru {
+            line.timed = true;
+        }
     }
 
     /// Replaces `walk` with the walk of `records`, at most
     /// [`MAX_CHUNK_RECORDS`] of them. Both buffers are reserved, after the
     /// clear, for the longest piece walked so far, so a grid's
     /// fixed-length chunks reuse them without allocating.
+    ///
+    /// Records whose block is their set's MRU block run through the inner
+    /// loop (see [`Mru`]): a load emits its event if the line is timed and
+    /// joins the gap otherwise, a store sets the line's dirty bit and joins
+    /// the gap. Their L1D hits are counted once, at the end. Every other
+    /// record takes [`FrontEnd::step`].
     pub(crate) fn walk(&mut self, records: &[TraceRecord], walk: &mut Walk) {
         assert!(records.len() <= MAX_CHUNK_RECORDS, "{} records in one walk", records.len());
         walk.reset(records.len());
-        let mut gap = Gap::default();
-        for (index, rec) in records.iter().enumerate() {
-            let (kind, index) = (demand_kind(rec), index as u32);
-            match self.step(rec.pc, rec.block(), kind, index, gap, walk) {
-                Some(slot) if kind == AccessType::Load && self.l1_timed[slot as usize] => {
-                    walk.events.push(UpperEvent::l1_hit(slot, index, gap));
-                    gap = Gap::default();
+        let set_mask = self.l1_mru.len() as u64 - 1;
+        let (mut gap, mut mru_hits, mut index) = (Gap::default(), 0, 0);
+        while index < records.len() {
+            let mru = &self.l1_mru[..];
+            for rec in &records[index..] {
+                let block = rec.block();
+                let line = mru[(block & set_mask) as usize];
+                if line.block != block {
+                    break;
                 }
-                Some(_) => gap.extend(Gap::of(rec)),
+                debug_assert_eq!(
+                    self.l1d.probe(block).map(|way| self.l1d.slot(self.l1d.set_of(block), way)),
+                    Some(line.slot),
+                    "L1D: block {block} is not resident at its MRU slot"
+                );
+                debug_assert_eq!(line.timed, self.l1_timed[line.slot as usize]);
+                if rec.kind.is_store() {
+                    self.l1d.mark_dirty(line.slot);
+                }
+                fold_hit(rec, index as u32, line.slot, line.timed, &mut gap, walk);
+                mru_hits += 1;
+                index += 1;
+            }
+            let Some(rec) = records.get(index) else { break };
+            let at = index as u32;
+            match self.step(rec.pc, rec.block(), demand_kind(rec), at, gap, walk) {
+                Some(slot) => fold_hit(rec, at, slot, self.l1_timed[slot as usize], &mut gap, walk),
                 // The miss pushed its event.
                 None => gap = Gap::default(),
             }
+            index += 1;
         }
+        self.l1d.count_demand_hits(mru_hits);
         walk.tail = gap;
     }
 
@@ -275,7 +336,8 @@ impl FrontEnd {
     }
 
     /// Walks one demand access, record `index` after `gap`, through L1D
-    /// and L2 — lookups, fills and the L1D victim's writeback into L2. On
+    /// and L2 — lookups, fills and the L1D victim's writeback into L2 —
+    /// and makes the line it hit or filled its set's [`Mru`] record. On
     /// an L1D hit it returns the slot hit and pushes nothing; on a miss it
     /// appends the event, and the dirty L2 victims the access sends to
     /// the LLC, to `walk`. It is inlined into both walks: as a call it
@@ -291,12 +353,12 @@ impl FrontEnd {
         walk: &mut Walk,
     ) -> Option<u32> {
         let info = AccessInfo { pc, block, set: self.l1d.set_of(block), kind };
-        let last_way = &mut self.l1_last_way[info.set as usize];
-        let hit = self.l1d.probe_hinted(block, u32::from(*last_way));
-        match self.l1d.record_lookup(&info, hit) {
+        match self.l1d.lookup(&info) {
             Some(way) => {
-                *last_way = way as u8;
-                Some(self.l1d.slot(info.set, way))
+                let slot = self.l1d.slot(info.set, way);
+                let timed = self.l1_timed[slot as usize];
+                self.l1_mru[info.set as usize] = Mru { block, slot, timed };
+                Some(slot)
             }
             None => {
                 self.l1_miss(&info, index, gap, walk);
@@ -314,13 +376,12 @@ impl FrontEnd {
         let l2_hit = self.l2.lookup(&l2_info);
         let l2_way = l2_hit.unwrap_or_else(|| fill(&mut self.l2, &l2_info, victims));
         let (l1_slot, l1_victim) = match self.l1d.fill(info) {
-            FillOutcome::Filled { way, writeback } => {
-                self.l1_last_way[info.set as usize] = way as u8;
-                (self.l1d.slot(info.set, way), writeback)
-            }
+            FillOutcome::Filled { way, writeback } => (self.l1d.slot(info.set, way), writeback),
             FillOutcome::Bypassed => unreachable!("L1D: LRU never bypasses"),
         };
-        self.l1_timed[l1_slot as usize] = self.time_load_hits || info.kind == AccessType::Rfo;
+        let timed = self.time_load_hits || info.kind == AccessType::Rfo;
+        self.l1_timed[l1_slot as usize] = timed;
+        self.l1_mru[info.set as usize] = Mru { block: info.block, slot: l1_slot, timed };
         let mut l2_writeback_slot = NO_SLOT;
         if let Some(victim) = l1_victim {
             let wb = AccessInfo {
@@ -354,11 +415,24 @@ impl FrontEnd {
         }
     }
 
-    /// The L1D and L2 tag stores plus the L1D's last-way hints and
+    /// The L1D and L2 tag stores plus the L1D's MRU records and
     /// timed-line flags.
     fn hot_state_bytes(&self) -> u64 {
-        let l1_bytes = self.l1_last_way.len() + self.l1_timed.len();
+        let l1_bytes = self.l1_mru.len() * std::mem::size_of::<Mru>() + self.l1_timed.len();
         self.l1d.hot_state_bytes() + self.l2.hot_state_bytes() + l1_bytes as u64
+    }
+}
+
+/// Folds the L1D hit of `rec`, record `index`, in `slot` into `walk`: an
+/// event after `gap` if it is a load and the line is `timed`, part of
+/// `gap` otherwise.
+#[inline(always)]
+fn fold_hit(rec: &TraceRecord, index: u32, slot: u32, timed: bool, gap: &mut Gap, walk: &mut Walk) {
+    if timed && !rec.kind.is_store() {
+        walk.events.push(UpperEvent::l1_hit(slot, index, *gap));
+        *gap = Gap::default();
+    } else {
+        gap.extend(Gap::of(rec));
     }
 }
 
@@ -587,10 +661,10 @@ impl Hierarchy {
     }
 
     /// Hot per-access state of the three levels: the L1D/L2 tag stores
-    /// (see [`Cache::hot_state_bytes`]), the L1D's last-way hints (a byte
-    /// per set) and timed-line flags (a byte per slot), the cell's
-    /// `ready_at` columns and
-    /// the LLC's tag store — what one replay engine keeps warm per record.
+    /// (see [`Cache::hot_state_bytes`]), the L1D's most-recent-line
+    /// records (16 bytes per set) and timed-line flags (a byte per slot),
+    /// the cell's `ready_at` columns and the LLC's tag store — what one
+    /// replay engine keeps warm per record.
     pub fn hot_state_bytes(&self) -> u64 {
         self.front.hot_state_bytes() + self.back.hot_state_bytes()
     }
@@ -746,6 +820,143 @@ mod tests {
                 prop_assert_eq!(victims, walk.victims.len());
             }
         }
+    }
+
+    /// What a front end did for a trace: its events, each as
+    /// `(index in the trace, l1 slot, l2 slot, l2 writeback slot, l1 hit,
+    /// l2 hit, victims)`, and the dirty L2 victims in walk order.
+    type Run = (Vec<(usize, u32, u32, u32, bool, bool, u8)>, Vec<u64>);
+
+    fn push_events(run: &mut Run, walk: &Walk, offset: usize) {
+        run.0.extend(walk.events.iter().map(|e| {
+            let index = offset + e.index as usize;
+            (index, e.l1_slot, e.l2_slot, e.l2_writeback_slot, e.l1_hit, e.l2_hit, e.victims)
+        }));
+        run.1.extend(&walk.victims);
+    }
+
+    /// A fresh front end on `config`, timing every load hit if asked.
+    fn front_end(config: &SimConfig, time_load_hits: bool) -> FrontEnd {
+        let mut front = FrontEnd::new(config);
+        if time_load_hits {
+            front.time_load_hits();
+        }
+        front
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The MRU loop is exact. The reference walks one record at a
+        /// time through `walk_one`, which always takes `step` and never
+        /// the loop; the chunked walk's events must be the reference's
+        /// events at the same indices — every miss, and exactly the load
+        /// hits on lines whose last fill was an RFO (every load hit, when
+        /// the front end times them all) — with the same stats, victims
+        /// and L1D tag store, at chunk lengths that split MRU runs.
+        #[test]
+        fn the_mru_loop_matches_a_walk_one_per_record(
+            records in arb_hit_records(),
+            cascade_lake in any::<bool>(),
+            time_load_hits in any::<bool>(),
+            chunk in 0usize..64,
+        ) {
+            let config = if cascade_lake { SimConfig::cascade_lake() } else { SimConfig::tiny() };
+            // 0 stands for one whole-trace chunk.
+            let chunk = if chunk == 0 { MAX_CHUNK_RECORDS } else { chunk };
+            let (mut reference, mut chunked) =
+                (front_end(&config, time_load_hits), front_end(&config, time_load_hits));
+            let (mut expected, mut got): (Run, Run) = Default::default();
+            let mut walk = Walk::default();
+            for (index, rec) in records.iter().enumerate() {
+                reference.walk_one(rec.pc, rec.block(), demand_kind(rec), &mut walk);
+                push_events(&mut expected, &walk, index);
+            }
+            for (n, piece) in records.chunks(chunk).enumerate() {
+                chunked.walk(piece, &mut walk);
+                push_events(&mut got, &walk, n * chunk);
+            }
+
+            // The events a cell must time, from the reference alone: a
+            // slot is timed from a fill on, if that fill was an RFO.
+            let mut timed = vec![false; (config.l1d.sets * config.l1d.ways) as usize];
+            let mut must_time = Vec::new();
+            for (event, rec) in expected.0.iter().zip(&records) {
+                let &(_, l1_slot, _, _, l1_hit, _, _) = event;
+                if !l1_hit {
+                    timed[l1_slot as usize] = time_load_hits || rec.kind.is_store();
+                }
+                if !l1_hit || (!rec.kind.is_store() && timed[l1_slot as usize]) {
+                    must_time.push(*event);
+                }
+            }
+            prop_assert_eq!(&got.0, &must_time);
+            prop_assert_eq!(&got.1, &expected.1);
+            for level in [Level::L1d, Level::L2] {
+                prop_assert_eq!(chunked.stats(level), reference.stats(level));
+            }
+            for rec in &records {
+                prop_assert_eq!(chunked.l1d.probe(rec.block()), reference.l1d.probe(rec.block()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_hit_on_the_mru_line_dirties_it_and_its_eviction_writes_back_into_l2() {
+        // Blocks 0, 2 and 4 share the tiny L1D's two-way set 0. The store
+        // hits block 0 while it is its set's most recent line; the fill of
+        // block 4 then evicts it, dirty, and its writeback hits L2.
+        let walk_of = |records: &[TraceRecord]| {
+            let mut front = FrontEnd::new(&SimConfig::tiny());
+            front.walk(records, &mut Walk::default());
+            (*front.stats(Level::L1d), *front.stats(Level::L2))
+        };
+        let (l1d, l2) = walk_of(&[
+            record(0, false, 0),
+            record(0, true, 0), // the MRU store hit
+            record(2, false, 0),
+            record(4, false, 0),
+        ]);
+        assert_eq!((l1d.demand_hits, l1d.evictions, l1d.writebacks_out), (1, 1, 1), "{l1d:?}");
+        assert_eq!((l2.writeback_accesses, l2.writeback_hits), (1, 1), "{l2:?}");
+        // A load hit in its place leaves the line clean.
+        let (l1d, l2) = walk_of(&[
+            record(0, false, 0),
+            record(0, false, 0),
+            record(2, false, 0),
+            record(4, false, 0),
+        ]);
+        assert_eq!((l1d.demand_hits, l1d.evictions, l1d.writebacks_out), (1, 1, 0), "{l1d:?}");
+        assert_eq!(l2.writeback_accesses, 0, "{l2:?}");
+    }
+
+    #[test]
+    fn a_load_hit_on_an_rfo_filled_mru_line_is_an_event() {
+        let mut front = FrontEnd::new(&SimConfig::tiny());
+        let mut walk = Walk::default();
+        front.walk(&[record(1, true, 0), record(1, false, 2), record(1, false, 3)], &mut walk);
+        assert_eq!(
+            events(&walk),
+            [(0, false, gap(0, 0)), (1, true, gap(0, 0)), (2, true, gap(0, 0))]
+        );
+        let slot = walk.events[0].l1_slot;
+        assert!(walk.events.iter().all(|e| e.l1_slot == slot));
+        assert_eq!(front.stats(Level::L1d).demand_hits, 2);
+    }
+
+    #[test]
+    fn after_time_load_hits_every_mru_load_hit_is_an_event() {
+        // Block 0's load fill makes it set 0's quiet MRU line; timing
+        // every load hit must reach that record as well as the slot.
+        let mut front = FrontEnd::new(&SimConfig::tiny());
+        let mut walk = Walk::default();
+        front.walk(&[record(0, false, 0), record(0, false, 1)], &mut walk);
+        assert_eq!(events(&walk), [(0, false, gap(0, 0))]);
+        front.time_load_hits();
+        let records = [record(0, false, 1), record(0, true, 2), record(0, false, 0)];
+        front.walk(&records, &mut walk);
+        assert_eq!(events(&walk), [(0, true, gap(0, 0)), (2, true, gap(3, 0))]);
+        assert_eq!(front.stats(Level::L1d).demand_hits, 4);
     }
 
     #[test]

@@ -136,9 +136,12 @@ pub struct IngestOptions {
     /// Lossy mode: skip/coerce malformed source items (counted in the
     /// report) instead of failing. Default is strict.
     pub lossy: bool,
-    /// Output trace name. Defaults to the `CCTR` source's embedded name,
-    /// or `"ingested"` for foreign formats (CLI surfaces default to the
-    /// input file stem).
+    /// Output trace name. When it is `None`, [`ingest`] keeps a `CCTR`
+    /// source's embedded name and names a foreign source `"ingested"`;
+    /// the path entry points, [`ingest_file`] and
+    /// [`ingest_file_observed`] (what every CLI command and the campaign
+    /// trace cache call), first replace it with the input file stem, so
+    /// there a `CCTR` source is renamed after its file too.
     pub name: Option<String>,
 }
 
