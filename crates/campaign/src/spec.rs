@@ -421,6 +421,21 @@ mod tests {
         }
     }
 
+    /// DIP is not one of the seven policies: a spec naming it is refused
+    /// with the parse error, which names it and the seven.
+    #[test]
+    fn a_spec_naming_a_removed_policy_is_refused() {
+        let err = CampaignSpec::from_json_str(
+            r#"{"name": "x", "workloads": ["bfs.kron"], "policies": ["lru", "dip"]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "unknown policy \"dip\", expected one of: lru, srrip, drrip, ship, hawkeye, glider, \
+             mpppb"
+        );
+    }
+
     #[test]
     fn digest_is_stable_across_formatting_but_not_content() {
         let a = CampaignSpec::from_json_str(MINIMAL).unwrap();

@@ -234,6 +234,15 @@ mod tests {
             // A run-time error (no `ccsim <cmd>:` prefix, no synopsis)
             // says what failed: here the open, not an ingest.
             (&["trace-stats", &nope], Some(&cannot_open)),
+            // A removed policy is an unknown one, refused before the input
+            // is opened.
+            (
+                &["sim", "x", "--policy", "fifo"],
+                Some(
+                    "unknown policy \"fifo\", expected one of: lru, srrip, drrip, ship, hawkeye, \
+                     glider, mpppb",
+                ),
+            ),
             // `--help` wins over what else is on the line and runs nothing.
             (&["sim", "--help"], None),
             (&["campaign", "worker", "-h"], None),

@@ -30,7 +30,7 @@
 //! ```
 
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
-use crate::{BitPlru, Dip, Fifo, Glider, Hawkeye, Lru, Mpppb, RandomPolicy, Rrip, Ship};
+use crate::{Glider, Hawkeye, Lru, Mpppb, Rrip, Ship};
 
 /// A replacement policy with enum (static) dispatch for every built-in
 /// implementation and a boxed escape hatch for external ones.
@@ -39,15 +39,7 @@ use crate::{BitPlru, Dip, Fifo, Glider, Hawkeye, Lru, Mpppb, RandomPolicy, Rrip,
 pub enum PolicyDispatch {
     /// Least recently used.
     Lru(Lru),
-    /// First in, first out.
-    Fifo(Fifo),
-    /// Uniform random victim.
-    Random(RandomPolicy),
-    /// Bit-PLRU.
-    BitPlru(BitPlru),
-    /// Dynamic Insertion Policy.
-    Dip(Dip),
-    /// SRRIP, BRRIP or DRRIP (one policy, three insertion rules).
+    /// SRRIP or DRRIP (one policy, with or without set dueling).
     Rrip(Rrip),
     /// SHiP-PC.
     Ship(Ship),
@@ -66,10 +58,6 @@ macro_rules! each_policy {
     ($self:expr, $p:ident => $body:expr) => {
         match $self {
             PolicyDispatch::Lru($p) => $body,
-            PolicyDispatch::Fifo($p) => $body,
-            PolicyDispatch::Random($p) => $body,
-            PolicyDispatch::BitPlru($p) => $body,
-            PolicyDispatch::Dip($p) => $body,
             PolicyDispatch::Rrip($p) => $body,
             PolicyDispatch::Ship($p) => $body,
             PolicyDispatch::Hawkeye($p) => $body,

@@ -4,21 +4,15 @@
 //! interface, for the ccsim characterization suite.
 //!
 //! The paper evaluates six state-of-the-art policies against an LRU
-//! baseline; this crate implements all of them plus several classical
-//! policies used for validation and ablations, and an offline Belady oracle
-//! for headroom analysis. Each replacement mechanism is written once — a
-//! policy is a backend plus its own insertion or training rule:
+//! baseline; this crate implements those seven, and an offline Belady
+//! oracle for headroom analysis. Each replacement mechanism is written
+//! once — a policy is a backend plus its own insertion or training rule:
 //!
 //! | Policy | Type | Backend | Own rule | Source |
 //! |--------|------|---------|----------|--------|
 //! | LRU (baseline) | [`Lru`] | recency stamps | stamp on hit and fill | — |
-//! | FIFO | [`Fifo`] | recency stamps | stamp on fill only | — |
-//! | Random | [`RandomPolicy`] | — | uniform victim | — |
-//! | Bit-PLRU | [`BitPlru`] | MRU bits | — | — |
-//! | DIP | [`Dip`] | recency stamps + set dueling | LRU vs BIP insertion | Qureshi et al., ISCA 2007 |
 //! | SRRIP | [`Rrip::srrip`] | 2-bit RRPVs | long insertion | Jaleel et al., ISCA 2010 |
-//! | BRRIP | [`Rrip::brrip`] | 2-bit RRPVs | bimodal insertion | Jaleel et al., ISCA 2010 |
-//! | DRRIP | [`Rrip::drrip`] | 2-bit RRPVs + set dueling | duelled insertion | Jaleel et al., ISCA 2010 |
+//! | DRRIP | [`Rrip::drrip`] | 2-bit RRPVs + set dueling | SRRIP vs BRRIP (bimodal) insertion | Jaleel et al., ISCA 2010 |
 //! | SHiP-PC | [`Ship`] | 2-bit RRPVs | SHCT-predicted insertion | Wu et al., MICRO 2011 |
 //! | Hawkeye | [`Hawkeye`] | 3-bit ages | OPT-trained PC predictor | Jain & Lin, ISCA 2016 |
 //! | Glider | [`Glider`] | 3-bit ages | OPT-trained ISVMs | Shi et al., MICRO 2019 |
@@ -41,51 +35,38 @@
 #![warn(missing_docs)]
 
 pub mod belady;
-mod bitplru;
 mod dispatch;
 mod duel;
 pub mod glider;
 pub mod hawkeye;
 pub mod mpppb;
 mod policy;
-mod random;
 pub mod rrip;
 mod ship;
 mod stamps;
 pub mod util;
 
-pub use bitplru::BitPlru;
 pub use dispatch::PolicyDispatch;
 pub use glider::Glider;
 pub use hawkeye::Hawkeye;
 pub use mpppb::Mpppb;
 pub use policy::{AccessInfo, AccessType, ReplacementPolicy, Victim};
-pub use random::RandomPolicy;
 pub use rrip::Rrip;
 pub use ship::Ship;
-pub use stamps::{Dip, Fifo, Lru};
+pub use stamps::Lru;
 
 use std::fmt;
 use std::str::FromStr;
 
-/// Enumerates every online policy the crate can instantiate.
+/// Enumerates every online policy the crate can instantiate: the paper's
+/// LRU baseline and the six policies it evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum PolicyKind {
     /// Least recently used (the paper's baseline).
     Lru,
-    /// First in, first out.
-    Fifo,
-    /// Uniform random victim.
-    Random,
-    /// Bit-PLRU approximation of LRU.
-    BitPlru,
-    /// Dynamic Insertion Policy (LRU/BIP set-dueling).
-    Dip,
     /// Static RRIP.
     Srrip,
-    /// Bimodal RRIP.
-    Brrip,
     /// Dynamic RRIP (set-dueling SRRIP/BRRIP).
     Drrip,
     /// Signature-based Hit Predictor.
@@ -99,15 +80,11 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// All kinds, in a stable display order.
-    pub const ALL: [PolicyKind; 12] = [
+    /// All kinds, in a stable display order: [`PolicyKind::Lru`], then
+    /// [`PolicyKind::PAPER_POLICIES`].
+    pub const ALL: [PolicyKind; 7] = [
         PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::BitPlru,
-        PolicyKind::Dip,
         PolicyKind::Srrip,
-        PolicyKind::Brrip,
         PolicyKind::Drrip,
         PolicyKind::Ship,
         PolicyKind::Hawkeye,
@@ -129,12 +106,7 @@ impl PolicyKind {
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Lru => "lru",
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::Random => "random",
-            PolicyKind::BitPlru => "bitplru",
-            PolicyKind::Dip => "dip",
             PolicyKind::Srrip => "srrip",
-            PolicyKind::Brrip => "brrip",
             PolicyKind::Drrip => "drrip",
             PolicyKind::Ship => "ship",
             PolicyKind::Hawkeye => "hawkeye",
@@ -150,12 +122,7 @@ impl PolicyKind {
     pub fn build_dispatch(self, sets: u32, ways: u32) -> PolicyDispatch {
         match self {
             PolicyKind::Lru => PolicyDispatch::Lru(Lru::new(sets, ways)),
-            PolicyKind::Fifo => PolicyDispatch::Fifo(Fifo::new(sets, ways)),
-            PolicyKind::Random => PolicyDispatch::Random(RandomPolicy::new(sets, ways)),
-            PolicyKind::BitPlru => PolicyDispatch::BitPlru(BitPlru::new(sets, ways)),
-            PolicyKind::Dip => PolicyDispatch::Dip(Dip::new(sets, ways)),
             PolicyKind::Srrip => PolicyDispatch::Rrip(Rrip::srrip(sets, ways)),
-            PolicyKind::Brrip => PolicyDispatch::Rrip(Rrip::brrip(sets, ways)),
             PolicyKind::Drrip => PolicyDispatch::Rrip(Rrip::drrip(sets, ways)),
             PolicyKind::Ship => PolicyDispatch::Ship(Ship::new(sets, ways)),
             PolicyKind::Hawkeye => PolicyDispatch::Hawkeye(Hawkeye::new(sets, ways)),
@@ -226,6 +193,13 @@ mod tests {
     fn paper_policies_are_the_figure_three_set() {
         let names: Vec<_> = PolicyKind::PAPER_POLICIES.iter().map(|k| k.name()).collect();
         assert_eq!(names, ["srrip", "drrip", "ship", "hawkeye", "glider", "mpppb"]);
+    }
+
+    #[test]
+    fn all_is_the_lru_baseline_then_the_paper_policies() {
+        let mut want = vec![PolicyKind::Lru];
+        want.extend(PolicyKind::PAPER_POLICIES);
+        assert_eq!(PolicyKind::ALL.to_vec(), want);
     }
 
     /// Smoke: every policy survives a pseudo-random access storm and always

@@ -1,7 +1,7 @@
 //! The replacement-policy framework: ChampSim-style hooks.
 //!
 //! A cache level owns a [`PolicyDispatch`](crate::PolicyDispatch) — an
-//! enum over the built-in policies (ten types covering the twelve
+//! enum over the built-in policies (six types covering the seven
 //! [`PolicyKind`](crate::PolicyKind)s) plus one boxed
 //! [`ReplacementPolicy`] extension point — and drives it through three
 //! events: a *victim query* when a fill finds its set full, a *hit

@@ -1,6 +1,6 @@
 //! Re-Reference Interval Prediction (Jaleel et al., ISCA 2010): the RRPV
-//! backend of SRRIP, BRRIP, DRRIP, SHiP and MPPPB, and the [`Rrip`]
-//! policy whose three insertion rules are SRRIP, BRRIP and DRRIP.
+//! backend of SRRIP, DRRIP, SHiP and MPPPB, and the [`Rrip`] policy that
+//! is SRRIP or DRRIP.
 //!
 //! Each line carries an M-bit *re-reference prediction value* (RRPV);
 //! larger means "predicted to be re-used further in the future". Victims
@@ -11,7 +11,7 @@ use crate::duel::{bimodal_cold, SetDuel};
 use crate::policy::{AccessInfo, ReplacementPolicy, Victim};
 use crate::util::SplitMix64;
 
-/// RRPV width used by SRRIP/BRRIP/DRRIP/SHiP (2 bits, per the papers).
+/// RRPV width used by SRRIP/DRRIP/SHiP (2 bits, per the papers).
 pub const RRPV_BITS: u32 = 2;
 /// Maximum ("distant future") RRPV.
 pub const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
@@ -63,56 +63,42 @@ impl RrpvTable {
     }
 }
 
-/// How an [`Rrip`] policy picks a fill's RRPV.
-#[derive(Debug)]
-enum Insertion {
-    /// SRRIP: always "long".
-    Long,
-    /// BRRIP: "distant" with a 1/32 trickle of "long".
-    Bimodal,
-    /// DRRIP: [`Insertion::Long`] or [`Insertion::Bimodal`] by set dueling.
-    Duelled(SetDuel),
-}
-
-/// SRRIP, BRRIP or DRRIP: 2-bit RRPVs, hit-priority promotion to 0 on
-/// demand hits, and one of three insertion rules.
+/// SRRIP or DRRIP: 2-bit RRPVs, hit-priority promotion to 0 on demand
+/// hits, and "long" insertion — except where DRRIP's set duel picks
+/// BRRIP's bimodal rule: "distant" with a 1/32 trickle of "long".
 #[derive(Debug)]
 pub struct Rrip {
     table: RrpvTable,
-    insertion: Insertion,
+    /// DRRIP's monitor; `None` is SRRIP.
+    duel: Option<SetDuel>,
+    /// Drawn only by DRRIP's bimodal fills.
     rng: SplitMix64,
 }
 
 impl Rrip {
-    fn new(sets: u32, ways: u32, insertion: Insertion, seed: u64) -> Self {
-        Rrip { table: RrpvTable::new(sets, ways, RRPV_BITS), insertion, rng: SplitMix64::new(seed) }
+    fn new(sets: u32, ways: u32, duel: Option<SetDuel>) -> Self {
+        Rrip { table: RrpvTable::new(sets, ways, RRPV_BITS), duel, rng: SplitMix64::new(0xD441) }
     }
 
     /// Static RRIP: every fill inserts at "long" (`2^M - 2`).
     pub fn srrip(sets: u32, ways: u32) -> Self {
-        Rrip::new(sets, ways, Insertion::Long, 0)
-    }
-
-    /// Bimodal RRIP: fills insert at the *distant* RRPV except for a
-    /// 1-in-32 trickle at "long", protecting against thrashing working
-    /// sets. Draws its RNG on every fill.
-    pub fn brrip(sets: u32, ways: u32) -> Self {
-        Rrip::new(sets, ways, Insertion::Bimodal, 0xB441)
+        Rrip::new(sets, ways, None)
     }
 
     /// Dynamic RRIP: SRRIP and BRRIP leader sets duel; followers adopt
-    /// the winner. Draws its RNG only when the bimodal rule applies.
+    /// the winner. BRRIP's bimodal rule, which protects against
+    /// thrashing working sets, draws the RNG on each fill it applies to.
     pub fn drrip(sets: u32, ways: u32) -> Self {
-        Rrip::new(sets, ways, Insertion::Duelled(SetDuel::new()), 0xD441)
+        Rrip::new(sets, ways, Some(SetDuel::new()))
     }
 }
 
 impl ReplacementPolicy for Rrip {
     fn name(&self) -> &'static str {
-        match self.insertion {
-            Insertion::Long => "srrip",
-            Insertion::Bimodal => "brrip",
-            Insertion::Duelled(_) => "drrip",
+        if self.duel.is_some() {
+            "drrip"
+        } else {
+            "srrip"
         }
     }
 
@@ -130,21 +116,17 @@ impl ReplacementPolicy for Rrip {
 
     #[inline]
     fn on_fill(&mut self, set: u32, way: u32, info: &AccessInfo, _evicted: Option<u64>) {
-        let bimodal = match &mut self.insertion {
-            Insertion::Long => false,
-            Insertion::Bimodal => true,
-            Insertion::Duelled(duel) => duel.fill(set, info.kind.is_demand()),
-        };
+        let bimodal = self.duel.as_mut().is_some_and(|duel| duel.fill(set, info.kind.is_demand()));
         let rrpv = if bimodal && bimodal_cold(&mut self.rng) { RRPV_MAX } else { RRPV_LONG };
         self.table.set(set, way, rrpv);
     }
 
     fn diag(&self) -> String {
-        let Insertion::Duelled(duel) = &self.insertion else {
+        let Some(duel) = &self.duel else {
             return String::new();
         };
         let [srrip, brrip] = duel.leader_misses();
-        format!("{} leader_misses: srrip={srrip} brrip={brrip}", duel.diag(["srrip", "brrip"]))
+        format!("{} leader_misses: srrip={srrip} brrip={brrip}", duel.diag())
     }
 }
 
@@ -177,17 +159,16 @@ mod tests {
         assert_eq!(t.find_victim(0), 0);
     }
 
-    /// Conformance rows of the RRIP backend, run against each insertion
-    /// rule: what a fill inserts (a twin RNG seeded like the policy and
-    /// drawn only where the rule draws predicts every bimodal fill),
-    /// that demand hits promote to 0 and writeback hits do not, and that
-    /// the victim search ages the set to the first way at max.
+    /// Conformance rows of the RRIP backend, run against SRRIP and each
+    /// kind of DRRIP set: what a fill inserts (a twin RNG seeded like the
+    /// policy and drawn only where the rule draws predicts every bimodal
+    /// fill), that demand hits promote to 0 and writeback hits do not,
+    /// and that the victim search ages the set to the first way at max.
     #[test]
-    fn insert_promote_age_rows_hold_for_every_insertion_rule() {
+    fn insert_promote_age_rows_hold_for_srrip_and_drrip() {
         // (policy, set, seed of its RNG if this set's fills draw it)
-        let rows: [(Rrip, u32, Option<u64>); 5] = [
+        let rows: [(Rrip, u32, Option<u64>); 4] = [
             (Rrip::srrip(128, 4), 1, None),
-            (Rrip::brrip(128, 4), 1, Some(0xB441)),
             (Rrip::drrip(128, 4), 0, None),          // SRRIP leader
             (Rrip::drrip(128, 4), 1, None),          // follower, PSEL 0
             (Rrip::drrip(128, 4), 33, Some(0xD441)), // BRRIP leader
@@ -236,10 +217,7 @@ mod tests {
             assert_eq!(p.table.get(1, i % 4), want);
         }
         assert_eq!(p.diag(), "psel=512 (brrip) leader_misses: srrip=512 brrip=0");
-        assert_eq!(
-            (Rrip::srrip(1, 1).diag(), Rrip::brrip(1, 1).diag()),
-            (String::new(), String::new())
-        );
+        assert_eq!(Rrip::srrip(1, 1).diag(), "");
     }
 
     #[test]

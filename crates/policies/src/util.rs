@@ -59,7 +59,7 @@ impl SatCounter {
 }
 
 /// SplitMix64: a tiny, fast, deterministic PRNG used where hardware would
-/// employ an LFSR (BRRIP's epsilon-insertions, random replacement).
+/// employ an LFSR (DRRIP's bimodal insertions).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

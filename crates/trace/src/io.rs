@@ -301,11 +301,17 @@ pub fn read_trace_header<R: Read>(mut reader: R) -> Result<TraceHeader, DecodeTr
 /// record at a time ([`TraceReader::next_record`]) or a chunk at a time
 /// ([`TraceReader::read_chunk`], the fast path). [`read_trace`] is a
 /// thin wrapper that collects it.
+///
+/// The stream ends with its declared records: a byte after them is
+/// [`DecodeTraceError::Corrupt`]`("trailing bytes")`, so a damaged record
+/// count cannot pass as a shorter trace.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     reader: R,
     header: TraceHeader,
     remaining: u64,
+    /// Whether a byte followed the declared records, once looked at.
+    trailing: Option<bool>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -317,7 +323,7 @@ impl<R: Read> TraceReader<R> {
     pub fn new(mut reader: R) -> Result<TraceReader<R>, DecodeTraceError> {
         let header = read_trace_header(&mut reader)?;
         let remaining = header.count;
-        Ok(TraceReader { reader, header, remaining })
+        Ok(TraceReader { reader, header, remaining, trailing: None })
     }
 
     /// The stream's header.
@@ -325,14 +331,29 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
+    /// At the end of the declared records: fails if the stream goes on.
+    /// Reads at most one byte, once.
+    fn check_end(&mut self) -> Result<(), DecodeTraceError> {
+        let trailing = match self.trailing {
+            Some(trailing) => trailing,
+            None => *self.trailing.insert(read_full(&mut self.reader, &mut [0u8; 1])? > 0),
+        };
+        if trailing {
+            return Err(DecodeTraceError::Corrupt("trailing bytes"));
+        }
+        Ok(())
+    }
+
     /// Decodes the next record, or `None` once `count` records were read.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeTraceError`] on a truncated or corrupt record.
+    /// Returns [`DecodeTraceError`] on a truncated or corrupt record, and
+    /// in place of `None` if a byte follows the last record.
     #[allow(clippy::should_implement_trait)] // fallible next, as in std::io
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, DecodeTraceError> {
         if self.remaining == 0 {
+            self.check_end()?;
             return Ok(None);
         }
         let mut rec = [0u8; RECORD_BYTES];
@@ -352,7 +373,9 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Returns the [`DecodeTraceError`] a [`TraceReader::next_record`]
     /// loop would meet on the same bytes, after appending every record
-    /// that loop would have returned before it.
+    /// that loop would have returned before it. A call that reaches the
+    /// end of the declared records checks for trailing bytes itself, so a
+    /// caller that stops at a short chunk still meets that error.
     pub fn read_chunk(
         &mut self,
         out: &mut Vec<TraceRecord>,
@@ -381,6 +404,9 @@ impl<R: Read> TraceReader<R> {
                 return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
             }
             done += n;
+        }
+        if self.remaining == 0 {
+            self.check_end()?;
         }
         Ok(want)
     }

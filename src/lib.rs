@@ -10,9 +10,8 @@
 //!   pattern generators and trace statistics;
 //! * [`graph`] — CSR graphs, GAP input-graph generators and the six GAP
 //!   kernels (reference + instrumented);
-//! * [`policies`] — LRU, SRRIP, BRRIP, DRRIP, SHiP, Hawkeye, Glider, MPPPB
-//!   and friends behind ChampSim-style hooks, plus an offline Belady
-//!   oracle;
+//! * [`policies`] — LRU, SRRIP, DRRIP, SHiP, Hawkeye, Glider and MPPPB
+//!   behind ChampSim-style hooks, plus an offline Belady oracle;
 //! * [`core`] — the cache-hierarchy simulator (Cascade Lake-like core,
 //!   three cache levels, DDR4 DRAM), the one-pass grid replay driver and
 //!   the job pool sweeps shard over: records in, `SimResult` out;

@@ -391,7 +391,7 @@ fn mixed_geometry_grid_equals_the_oracle_cell_for_cell() {
 }
 
 /// Differential golden for the tag-store layout: a deterministic
-/// eviction-heavy trace replayed through **all 12 policies** on a
+/// eviction-heavy trace replayed through **all 7 policies** on a
 /// mixed-scale grid must reproduce the committed per-cell counter table
 /// exactly. The fixture was blessed from the array-of-structs line-table engine
 /// immediately before the SoA tag-array refactor, so any drift in

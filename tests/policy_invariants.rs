@@ -41,24 +41,28 @@ fn opt_dominates_every_online_policy() {
 }
 
 /// On a cyclic working set slightly larger than the LLC, LRU gets ~zero
-/// hits while BRRIP-style thrash protection retains a useful fraction —
-/// the textbook RRIP result.
+/// hits while DRRIP's BRRIP-style thrash protection retains a useful
+/// fraction — the textbook RRIP result.
 #[test]
-fn brrip_beats_lru_on_cyclic_thrash() {
+fn drrip_beats_lru_on_cyclic_thrash() {
     let mut buf = TraceBuffer::new("thrash");
     SequentialStream::new(0x1000_0000, 2 << 20).stride(64).laps(8).emit(&mut buf);
     let trace = buf.finish();
     let config = SimConfig::cascade_lake();
     let lru = simulate(&trace, &config, PolicyKind::Lru);
-    let brrip = simulate(&trace, &config, PolicyKind::Brrip);
+    let drrip = simulate(&trace, &config, PolicyKind::Drrip);
     assert!(lru.llc.hit_rate() < 0.05, "lru must thrash: {}", lru.llc.hit_rate());
     assert!(
-        brrip.llc.hit_rate() > lru.llc.hit_rate() + 0.1,
-        "brrip {} vs lru {}",
-        brrip.llc.hit_rate(),
+        drrip.llc.hit_rate() > lru.llc.hit_rate() + 0.1,
+        "drrip {} vs lru {}",
+        drrip.llc.hit_rate(),
         lru.llc.hit_rate()
     );
 }
+
+/// BRRIP's LLC demand hits on `zipf_trace(80_000)` at `cascade_lake`, when
+/// BRRIP was a policy of its own (commit cf84b3a, policy `brrip`).
+const BRRIP_HITS_ZIPF_80K: u64 = 3_636;
 
 /// DRRIP's dueling should land within (or above) the envelope of its two
 /// component policies, with a small slack for leader-set overhead.
@@ -67,16 +71,15 @@ fn drrip_tracks_the_better_component() {
     let trace = zipf_trace(80_000);
     let config = SimConfig::cascade_lake();
     let srrip = simulate(&trace, &config, PolicyKind::Srrip);
-    let brrip = simulate(&trace, &config, PolicyKind::Brrip);
     let drrip = simulate(&trace, &config, PolicyKind::Drrip);
-    let best = srrip.llc.demand_hits.max(brrip.llc.demand_hits);
-    let worst = srrip.llc.demand_hits.min(brrip.llc.demand_hits);
+    let best = srrip.llc.demand_hits.max(BRRIP_HITS_ZIPF_80K);
+    let worst = srrip.llc.demand_hits.min(BRRIP_HITS_ZIPF_80K);
     assert!(
         drrip.llc.demand_hits + worst / 10 >= worst,
         "drrip {} far below both components ({} / {})",
         drrip.llc.demand_hits,
         srrip.llc.demand_hits,
-        brrip.llc.demand_hits
+        BRRIP_HITS_ZIPF_80K
     );
     assert!(
         drrip.llc.demand_hits <= best + best / 10 + 100,
@@ -87,8 +90,8 @@ fn drrip_tracks_the_better_component() {
 /// A finding pinned, not fixed: set dueling puts its bimodal leader at
 /// set 33 of every 64, so an LLC of fewer than 34 sets has none. Under
 /// `SimConfig::tiny` (8 LLC sets; 8, 16 and 32 at the tag-store golden's
-/// scales) DIP and DRRIP run a one-sided duel — PSEL can only rise — and
-/// every such number, the golden's DIP/DRRIP rows included, measures it.
+/// scales) DRRIP runs a one-sided duel — PSEL can only rise — and every
+/// such number, the golden's DRRIP rows included, measures it.
 #[test]
 fn tiny_llc_duels_have_no_bimodal_leader() {
     let trace = zipf_trace(20_000);
@@ -105,6 +108,11 @@ fn tiny_llc_duels_have_no_bimodal_leader() {
     }
 }
 
+/// Random replacement's LLC demand hits on `zipf_trace(100_000)` at
+/// `cascade_lake`, when random replacement was a policy of its own (commit
+/// cf84b3a, policy `random`).
+const RANDOM_HITS_ZIPF_100K: u64 = 5_240;
+
 /// Sanity floor: no policy collapses to a small fraction of random
 /// replacement's hit count on a skewed stream. (Interestingly, plain LRU
 /// can legitimately fall *slightly below* random at the LLC: the L1/L2
@@ -115,26 +123,12 @@ fn tiny_llc_duels_have_no_bimodal_leader() {
 fn no_policy_collapses_below_random_floor() {
     let trace = zipf_trace(100_000);
     let config = SimConfig::cascade_lake();
-    let random = simulate(&trace, &config, PolicyKind::Random);
     for kind in PolicyKind::ALL {
         let r = simulate(&trace, &config, kind);
         assert!(
-            r.llc.demand_hits * 2 >= random.llc.demand_hits,
-            "{kind}: {} vs random {}",
+            r.llc.demand_hits * 2 >= RANDOM_HITS_ZIPF_100K,
+            "{kind}: {} vs random {RANDOM_HITS_ZIPF_100K}",
             r.llc.demand_hits,
-            random.llc.demand_hits
         );
     }
-}
-
-/// Bit-PLRU approximates LRU: on a recency-friendly stream their hit
-/// counts should be close.
-#[test]
-fn bitplru_approximates_lru() {
-    let trace = zipf_trace(60_000);
-    let config = SimConfig::cascade_lake();
-    let lru = simulate(&trace, &config, PolicyKind::Lru);
-    let plru = simulate(&trace, &config, PolicyKind::BitPlru);
-    let ratio = plru.llc.demand_hits as f64 / lru.llc.demand_hits.max(1) as f64;
-    assert!((0.8..=1.2).contains(&ratio), "plru/lru hit ratio {ratio}");
 }
