@@ -281,8 +281,12 @@ pub fn read_trace_header<R: Read>(mut reader: R) -> Result<TraceHeader, DecodeTr
     if namelen > 1 << 20 {
         return Err(DecodeTraceError::Corrupt("name length"));
     }
-    let mut name = vec![0u8; namelen];
-    reader.read_exact(&mut name)?;
+    // The name grows as its bytes arrive, so a length that the stream
+    // does not back allocates nothing.
+    let mut name = Vec::new();
+    if reader.by_ref().take(namelen as u64).read_to_end(&mut name)? < namelen {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     let name = String::from_utf8(name).map_err(|_| DecodeTraceError::BadName)?;
     // Both counts are bounded so that every instruction and cycle total a
     // replay derives from them fits a `u64` with room to spare.
@@ -367,7 +371,8 @@ impl<R: Read> TraceReader<R> {
     /// appended (0 once the stream is exhausted, or when `max` is 0).
     /// Bytes are read a block at a time into a fixed on-stack buffer, so
     /// no heap buffer is made; `out` grows only if it has less spare
-    /// capacity than the records appended.
+    /// capacity than the records appended, block by block as they decode,
+    /// never for records the header declares but the stream lacks.
     ///
     /// # Errors
     ///
@@ -382,7 +387,6 @@ impl<R: Read> TraceReader<R> {
         max: usize,
     ) -> Result<usize, DecodeTraceError> {
         let want = self.remaining.min(max as u64) as usize;
-        out.reserve(want);
         let mut block = [0u8; BLOCK_RECORDS * RECORD_BYTES];
         let mut done = 0;
         while done < want {
