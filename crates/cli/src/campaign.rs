@@ -183,7 +183,7 @@ pub(crate) fn write_metrics_out(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ccsim, spec_dir};
+    use crate::tests::{ccsim, spec_dir};
 
     #[test]
     fn campaign_command_runs_spec_end_to_end() {

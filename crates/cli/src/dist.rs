@@ -150,7 +150,7 @@ fn watch(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ccsim, spec_dir};
+    use crate::tests::{ccsim, spec_dir};
 
     #[test]
     fn campaign_worker_assemble_watch_drain_a_shared_dir() {

@@ -49,7 +49,7 @@ fn policies(_: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ccsim;
+    use crate::tests::ccsim;
 
     #[test]
     fn listings_do_not_fail() {

@@ -85,27 +85,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs one command line through [`dispatch`], as every CLI test does.
-#[cfg(test)]
-fn ccsim(argv: &[&str]) -> Result<(), String> {
-    dispatch(&argv.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
-}
-
-/// A scratch dir holding `spec` as `spec.json`: `(dir, spec path)`.
-#[cfg(test)]
-fn spec_dir(tag: &str, spec: &str) -> (std::path::PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("ccsim_cli_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("spec.json");
-    std::fs::write(&spec_path, spec).unwrap();
-    let spec_path = spec_path.to_str().unwrap().to_owned();
-    (dir, spec_path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs one command line through [`dispatch`], as every CLI test does.
+    pub(crate) fn ccsim(argv: &[&str]) -> Result<(), String> {
+        dispatch(&argv.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
+    }
+
+    /// A scratch dir holding `spec` as `spec.json`: `(dir, spec path)`.
+    pub(crate) fn spec_dir(tag: &str, spec: &str) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("ccsim_cli_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("spec.json");
+        std::fs::write(&spec_path, spec).unwrap();
+        let spec_path = spec_path.to_str().unwrap().to_owned();
+        (dir, spec_path)
+    }
 
     #[test]
     fn bench_is_an_unknown_command() {

@@ -59,7 +59,7 @@ fn report_diff(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ccsim, spec_dir};
+    use crate::tests::{ccsim, spec_dir};
 
     #[test]
     fn report_diff_flags_regressions_above_threshold() {

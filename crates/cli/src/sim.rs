@@ -57,7 +57,7 @@ fn sim_report(args: &Args) -> Result<CampaignReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ccsim;
+    use crate::tests::ccsim;
     use ccsim_campaign::ReportDiff;
     use ccsim_policies::PolicyKind;
 

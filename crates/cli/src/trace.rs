@@ -207,7 +207,7 @@ fn trace_stats(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ccsim;
+    use crate::tests::ccsim;
     use ccsim_trace::{read_trace, Trace};
 
     fn load_trace(path: &str) -> Trace {

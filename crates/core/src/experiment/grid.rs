@@ -29,7 +29,7 @@
 //! depend neither on the chunk size nor on the other cells of the grid
 //! (`tests/grid_replay.rs`). The steady state allocates nothing: the chunk
 //! buffer is reserved on first use, and each walk buffer by its first
-//! walk, for a bounded number of events (`tests/alloc_free.rs`).
+//! full walk (`tests/alloc_free.rs`).
 
 use std::io::Read;
 
@@ -49,6 +49,14 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 /// The most records a streamed replay decodes per chunk, whatever chunk
 /// length was asked for: longer chunks only grow the decode buffer.
 pub const MAX_CHUNK_RECORDS: usize = 65_536;
+
+/// The most records one front-end walk covers: a chunk is walked in
+/// pieces of this length. A record pushes at most one event and two
+/// victims, so each front end's walk buffers hold at most 28 KB of events
+/// and 16 KB of victims, whatever the chunk length. Most walks need far
+/// less (`tc.kron` fills about 1 % of a walk with events), and results do
+/// not depend on where a chunk is cut.
+const WALK_RECORDS: usize = 1024;
 
 /// The chunk length `GridReplay::new(cells, 0)` uses: always
 /// [`DEFAULT_CHUNK_RECORDS`]. Kept for the benchmark, which records it.
@@ -103,7 +111,7 @@ impl GridReplay {
     ///
     /// Panics on an invalid [`SimConfig`], like [`crate::simulate`].
     pub fn new(cells: &[(SimConfig, PolicyKind)], chunk_records: usize) -> GridReplay {
-        // Walk buffers are reserved by the first walk.
+        // Walk buffers are reserved by the first full walk.
         let mut fronts: Vec<(FrontEnd, Walk)> = Vec::new();
         let mut front_of = |config: &SimConfig| {
             fronts.iter().position(|(f, _)| f.serves(config)).unwrap_or_else(|| {
@@ -147,34 +155,32 @@ impl GridReplay {
     }
 
     /// Advances every cell through `records`, in order, a chunk at a time:
-    /// each front end walks the chunk once, and every engine replays it
-    /// against its front end's walk — in more than one walk if the chunk
-    /// has more events than a walk holds. Each walk is handed the rest of
-    /// `records` as well, to prefetch ahead across chunk boundaries: an
-    /// in-memory trace streams from DRAM, and a hit-heavy walk would
-    /// otherwise wait on each record's load. A streamed decode chunk,
-    /// already in cache, bounds the look-ahead to itself. Allocation-free
-    /// in the steady state (the first walk reserves the walk buffers;
-    /// counters are atomics).
+    /// each front end walks the chunk once, at most 1,024 records per
+    /// walk, and every engine replays each walk. A walk prefetches the
+    /// records ahead of it in its piece: an in-memory trace streams from
+    /// DRAM, and a hit-heavy walk would otherwise wait on each record's
+    /// load. Allocation-free in the steady state (the first full walk
+    /// reserves the walk buffers; counters are atomics).
     pub fn step_records(&mut self, records: &[TraceRecord]) {
         let piece = self.chunk_records.min(MAX_CHUNK_RECORDS);
-        for start in (0..records.len()).step_by(piece) {
-            let (ahead, len) = (&records[start..], piece.min(records.len() - start));
+        for records in records.chunks(piece) {
             let mut events = 0;
-            for (f, (front, walk)) in self.fronts.iter_mut().enumerate() {
-                front.walk_piece(ahead, len, walk, |records, walk| {
-                    for (engine, _) in self.engines.iter_mut().filter(|(_, e)| *e == f) {
-                        engine.replay(records, walk);
-                        events += walk.events.len() as u64;
-                    }
-                });
+            for records in records.chunks(WALK_RECORDS) {
+                for (front, walk) in &mut self.fronts {
+                    front.walk(records, walk);
+                }
+                for (engine, front) in &mut self.engines {
+                    let walk = &self.fronts[*front].1;
+                    engine.replay(records, walk);
+                    events += walk.events.len() as u64;
+                }
             }
             self.cell_events += events;
             let m = ccsim_obs::metrics();
             m.grid_chunks.inc();
-            m.grid_records.add((len * self.engines.len()) as u64);
+            m.grid_records.add((records.len() * self.engines.len()) as u64);
             m.grid_cell_events.add(events);
-            m.grid_frontend_records.add((len * self.fronts.len()) as u64);
+            m.grid_frontend_records.add((records.len() * self.fronts.len()) as u64);
         }
     }
 
@@ -270,7 +276,7 @@ pub fn simulate_grid_stream<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{demand_kind, WALK_EVENTS};
+    use crate::hierarchy::demand_kind;
     use crate::simulate;
     use ccsim_trace::synth::{PatternGen, RandomAccess};
     use ccsim_trace::{write_trace, TraceBuffer};
@@ -317,12 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn walk_buffers_are_reserved_once_at_the_event_bound() {
-        // Whatever the chunk length, each walk buffer is reserved once, for
-        // `WALK_EVENTS` events and two victims each; a chunk with more
-        // events is walked in several walks, which results cannot observe.
-        // The walk clears its buffers before reserving: reserving first
-        // would find the last walk still in them and double the room.
+    fn walk_buffers_are_reserved_once_at_the_walk_length() {
+        // Each walk buffer is reserved once, for the shorter of the chunk
+        // and `WALK_RECORDS`, and two victims per record; a longer chunk is
+        // walked in pieces, which results cannot observe. The walk clears
+        // its buffers before reserving: reserving first would find the
+        // last walk still in them and double the room.
         let trace = mixed_trace();
         let cells = paper_cells();
         let reference = simulate_grid(&trace, &cells, 64);
@@ -331,13 +337,10 @@ mod tests {
             grid.replay_trace(&trace);
             let walk = &grid.fronts[0].1;
             let capacity = (walk.events.capacity(), walk.victims.capacity());
-            assert_eq!(capacity, (WALK_EVENTS, 2 * WALK_EVENTS), "chunk={chunk}");
+            let records = chunk.min(WALK_RECORDS);
+            assert_eq!(capacity, (records, 2 * records), "chunk={chunk}");
             assert_eq!(grid.finish(trace.name(), trace.trailing_nonmem()), reference);
         }
-        // The trace is mostly misses, so a 4096-record walk stops early.
-        let mut front = FrontEnd::new(&cells[0].0);
-        let walked = front.walk(trace.records(), 4096, &mut Walk::default());
-        assert!(walked < 4096, "{walked} records in one walk");
     }
 
     /// Three stores to blocks 2, 10 and 18 of the tiny hierarchy: one L1D
@@ -353,9 +356,9 @@ mod tests {
         let config = SimConfig::tiny();
         let (mut front, mut walk) = (FrontEnd::new(&config), Walk::default());
         let stores = two_victim_stores(0);
-        front.walk(&stores, 2, &mut walk);
+        front.walk(&stores[..2], &mut walk);
         assert_eq!(walk.victims, []);
-        front.walk(&stores[2..], 1, &mut walk);
+        front.walk(&stores[2..], &mut walk);
         assert_eq!(walk.victims, [2, 10], "the L2 demand fill's victim first");
 
         // In walk order, victim 2 misses the LLC and evicts block 10, so
@@ -371,7 +374,7 @@ mod tests {
             records.extend(two_victim_stores(base));
             records.push(TraceRecord::load(0x404, base << 6, 8));
         }
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&records, &mut walk);
         assert!(walk.victims.len() >= 2 * 40, "{} victims", walk.victims.len());
         let trace = Trace::from_parts("two victims", records, 0);
         let cells = paper_cells();

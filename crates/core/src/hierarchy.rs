@@ -49,8 +49,8 @@
 //! left is the load of each record: an in-memory trace (168 MB for
 //! `tc.kron`) streams from DRAM, and a hit-heavy walk, a few instructions
 //! per record, waits on it. So the walk prefetches the record
-//! [`PREFETCH_RECORDS`] ahead of each one it walks, into the rest of the
-//! caller's slice — never past it.
+//! [`PREFETCH_RECORDS`] ahead of each one it walks, within the piece it
+//! is handed.
 //!
 //! **What each cell keeps.** A [`BackEnd`] holds the timing of the upper
 //! levels — a `ready_at` cycle per L1D/L2 slot and the `free_at` cycle of
@@ -187,29 +187,16 @@ pub(crate) struct Walk {
     pub(crate) tail: Gap,
 }
 
-/// The most events one [`FrontEnd::walk`] holds. A walk stops at the
-/// record that fills its buffer, and [`FrontEnd::walk_piece`] walks on
-/// from there: so a front end reserves 28 KB of events and 16 KB of
-/// victims once, whatever the chunk length, and never grows them. Most
-/// chunks need far less (`tc.kron` fills about 1 % of a 4,096-record
-/// chunk with events), and results do not depend on where a piece is cut.
-pub(crate) const WALK_EVENTS: usize = 1024;
-
 impl Walk {
-    /// Empties both buffers, then reserves room for `events` events and
-    /// two victims each — in that order, so a buffer that still holds the
-    /// last walk does not grow.
-    fn reset(&mut self, events: usize) {
+    /// Empties both buffers, then reserves room for a walk of `records`
+    /// records — in that order, so a buffer that still holds the last
+    /// walk does not grow.
+    fn reset(&mut self, records: usize) {
         self.events.clear();
         self.victims.clear();
         self.tail = Gap::default();
-        self.events.reserve_exact(events);
-        self.victims.reserve_exact(2 * events);
-    }
-
-    /// Whether the walk holds [`WALK_EVENTS`] events.
-    fn is_full(&self) -> bool {
-        self.events.len() == WALK_EVENTS
+        self.events.reserve_exact(records);
+        self.victims.reserve_exact(2 * records);
     }
 }
 
@@ -316,45 +303,25 @@ impl FrontEnd {
         }
     }
 
-    /// Walks `records[..len]`, at most [`MAX_CHUNK_RECORDS`] of them, in
-    /// as many walks as [`WALK_EVENTS`] needs, handing each walk and the
-    /// records it covered to `replay`. The records after `len` are only
-    /// prefetched.
-    pub(crate) fn walk_piece(
-        &mut self,
-        records: &[TraceRecord],
-        len: usize,
-        walk: &mut Walk,
-        mut replay: impl FnMut(&[TraceRecord], &Walk),
-    ) {
-        let mut at = 0;
-        while at < len {
-            let walked = self.walk(&records[at..], len - at, walk);
-            replay(&records[at..at + walked], walk);
-            at += walked;
-        }
-    }
-
-    /// Replaces `walk` with the walk of `records[..len]`, at most
-    /// [`MAX_CHUNK_RECORDS`] of them, up to the record whose event fills
-    /// it; returns how many records it walked (at least one, unless `len`
-    /// is 0). The records after the piece are only prefetched.
+    /// Replaces `walk` with the walk of `records`, at most
+    /// [`MAX_CHUNK_RECORDS`] of them. Both buffers are reserved, after the
+    /// clear, for the longest piece walked so far, so a grid's
+    /// fixed-length pieces reuse them without allocating.
     ///
     /// Records whose block is their set's MRU block run through the inner
     /// loop (see [`Mru`]): a load emits its event if the line is timed and
     /// joins the gap otherwise, a store sets the line's dirty bit and joins
     /// the gap. Their L1D hits are counted once, at the end. Every other
     /// record takes [`FrontEnd::step`]. Either way the walk first
-    /// prefetches the record [`PREFETCH_RECORDS`] further on.
-    pub(crate) fn walk(&mut self, records: &[TraceRecord], len: usize, walk: &mut Walk) -> usize {
-        assert!(len <= MAX_CHUNK_RECORDS, "{len} records in one walk");
-        let piece = &records[..len];
-        walk.reset(WALK_EVENTS);
+    /// prefetches the record [`PREFETCH_RECORDS`] further on in the piece.
+    pub(crate) fn walk(&mut self, records: &[TraceRecord], walk: &mut Walk) {
+        assert!(records.len() <= MAX_CHUNK_RECORDS, "{} records in one walk", records.len());
+        walk.reset(records.len());
         let set_mask = self.l1_mru.len() as u64 - 1;
         let (mut gap, mut mru_hits, mut index) = (Gap::default(), 0, 0);
-        'walk: while index < len {
+        while index < records.len() {
             let mru = &self.l1_mru[..];
-            for rec in &piece[index..] {
+            for rec in &records[index..] {
                 // Before the break, so a record bound for `step` has its
                 // prefetch too: one per record walked.
                 prefetch(records, index + PREFETCH_RECORDS);
@@ -372,30 +339,21 @@ impl FrontEnd {
                 if rec.kind.is_store() {
                     self.l1d.mark_dirty(line.slot);
                 }
-                let event = fold_hit(rec, index as u32, line.slot, line.timed, &mut gap, walk);
+                fold_hit(rec, index as u32, line.slot, line.timed, &mut gap, walk);
                 mru_hits += 1;
                 index += 1;
-                if event && walk.is_full() {
-                    break 'walk;
-                }
             }
-            let Some(rec) = piece.get(index) else { break };
+            let Some(rec) = records.get(index) else { break };
             let at = index as u32;
             match self.step(rec.pc, rec.block(), demand_kind(rec), at, gap, walk) {
-                Some(slot) => {
-                    fold_hit(rec, at, slot, self.l1_timed[slot as usize], &mut gap, walk);
-                }
+                Some(slot) => fold_hit(rec, at, slot, self.l1_timed[slot as usize], &mut gap, walk),
                 // The miss pushed its event.
                 None => gap = Gap::default(),
             }
             index += 1;
-            if walk.is_full() {
-                break;
-            }
         }
         self.l1d.count_demand_hits(mru_hits);
         walk.tail = gap;
-        index
     }
 
     /// Replaces `walk` with the walk of one demand access: an event, even
@@ -497,24 +455,15 @@ impl FrontEnd {
 
 /// Folds the L1D hit of `rec`, record `index`, in `slot` into `walk`: an
 /// event after `gap` if it is a load and the line is `timed`, part of
-/// `gap` otherwise. Returns whether it pushed an event.
+/// `gap` otherwise.
 #[inline(always)]
-fn fold_hit(
-    rec: &TraceRecord,
-    index: u32,
-    slot: u32,
-    timed: bool,
-    gap: &mut Gap,
-    walk: &mut Walk,
-) -> bool {
-    let event = timed && !rec.kind.is_store();
-    if event {
+fn fold_hit(rec: &TraceRecord, index: u32, slot: u32, timed: bool, gap: &mut Gap, walk: &mut Walk) {
+    if timed && !rec.kind.is_store() {
         walk.events.push(UpperEvent::l1_hit(slot, index, *gap));
         *gap = Gap::default();
     } else {
         gap.extend(Gap::of(rec));
     }
-    event
 }
 
 /// The access type of a record's demand access.
@@ -807,7 +756,7 @@ mod tests {
         ];
         let mut front = FrontEnd::new(&SimConfig::tiny());
         let mut walk = Walk::default();
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&records, &mut walk);
         let expected = [(0, false, gap(0, 0)), (3, false, gap(4 + 2, 4)), (4, true, gap(0, 0))];
         assert_eq!(events(&walk), expected);
         assert_eq!(walk.tail, gap(1 + 6 + 3, 1 + 6));
@@ -816,7 +765,7 @@ mod tests {
         // A front end that times every load hit also emits the quiet
         // loads — from its next walk on — but never a store hit.
         front.time_load_hits();
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&records, &mut walk);
         let indices: Vec<u32> = walk.events.iter().map(|e| e.index).collect();
         assert_eq!(indices, [0, 1, 4, 6]);
         assert_eq!(walk.tail, gap(3, 0));
@@ -840,7 +789,7 @@ mod tests {
         ];
         let mut front = FrontEnd::new(&SimConfig::tiny());
         let mut walk = Walk::default();
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&records, &mut walk);
         let expected = [
             (0, false, gap(0, 0)),
             (1, false, gap(0, 0)),
@@ -888,9 +837,8 @@ mod tests {
                 front.time_load_hits();
             }
             let mut walk = Walk::default();
-            for start in (0..records.len()).step_by(64) {
-                let piece = &records[start..records.len().min(start + 64)];
-                front.walk(&records[start..], piece.len(), &mut walk);
+            for piece in records.chunks(64) {
+                front.walk(piece, &mut walk);
                 let event_instructions = |e: &UpperEvent| {
                     e.gap().instructions + piece[e.index as usize].instructions()
                 };
@@ -935,10 +883,9 @@ mod tests {
         /// events at the same indices — every miss, and exactly the load
         /// hits on lines whose last fill was an RFO (every load hit, when
         /// the front end times them all) — with the same stats, victims
-        /// and L1D tag store, at chunk lengths that split MRU runs. Each
-        /// piece is walked with the rest of the trace after it, as the
-        /// grid walks an in-memory trace, and is shorter than the
-        /// prefetch distance, near it on either side, or the whole trace.
+        /// and L1D tag store, at chunk lengths that split MRU runs: shorter
+        /// than the prefetch distance, near it on either side, or the
+        /// whole trace.
         #[test]
         fn the_mru_loop_matches_a_walk_one_per_record(
             records in arb_hit_records(),
@@ -957,12 +904,9 @@ mod tests {
                 reference.walk_one(rec.pc, rec.block(), demand_kind(rec), &mut walk);
                 push_events(&mut expected, &walk, index);
             }
-            for start in (0..records.len()).step_by(chunk) {
-                let (len, mut at) = (chunk.min(records.len() - start), start);
-                chunked.walk_piece(&records[start..], len, &mut walk, |piece, walk| {
-                    push_events(&mut got, walk, at);
-                    at += piece.len();
-                });
+            for (n, piece) in records.chunks(chunk).enumerate() {
+                chunked.walk(piece, &mut walk);
+                push_events(&mut got, &walk, n * chunk);
             }
 
             // The events a cell must time, from the reference alone: a
@@ -990,41 +934,13 @@ mod tests {
     }
 
     #[test]
-    fn a_walk_stops_at_the_record_that_fills_it_and_walk_piece_walks_on() {
-        // Accesses to distinct blocks all miss, so each is an event: a walk
-        // holds `WALK_EVENTS` of them, and `walk_piece` walks the rest in
-        // further walks, each handed the records it covered.
-        let records: Vec<TraceRecord> = (0..2 * WALK_EVENTS as u64 + 100)
-            .map(|block| record(block, block % 5 == 0, (block % 3) as u16))
-            .collect();
-        let config = SimConfig::tiny();
-        let mut walk = Walk::default();
-        let walked = FrontEnd::new(&config).walk(&records, records.len(), &mut walk);
-        assert_eq!((walked, walk.events.len()), (WALK_EVENTS, WALK_EVENTS));
-        assert_eq!(walk.tail, Gap::default());
-
-        let (mut reference, mut front) = (front_end(&config, false), front_end(&config, false));
-        let (mut expected, mut got, mut walks): (Run, Run, Vec<usize>) = Default::default();
-        for (index, rec) in records.iter().enumerate() {
-            reference.walk_one(rec.pc, rec.block(), demand_kind(rec), &mut walk);
-            push_events(&mut expected, &walk, index);
-        }
-        front.walk_piece(&records, records.len(), &mut walk, |piece, walk| {
-            push_events(&mut got, walk, walks.iter().sum());
-            walks.push(piece.len());
-        });
-        assert_eq!(walks, [WALK_EVENTS, WALK_EVENTS, 100]);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn a_store_hit_on_the_mru_line_dirties_it_and_its_eviction_writes_back_into_l2() {
         // Blocks 0, 2 and 4 share the tiny L1D's two-way set 0. The store
         // hits block 0 while it is its set's most recent line; the fill of
         // block 4 then evicts it, dirty, and its writeback hits L2.
         let walk_of = |records: &[TraceRecord]| {
             let mut front = FrontEnd::new(&SimConfig::tiny());
-            front.walk(records, records.len(), &mut Walk::default());
+            front.walk(records, &mut Walk::default());
             (*front.stats(Level::L1d), *front.stats(Level::L2))
         };
         let (l1d, l2) = walk_of(&[
@@ -1050,8 +966,7 @@ mod tests {
     fn a_load_hit_on_an_rfo_filled_mru_line_is_an_event() {
         let mut front = FrontEnd::new(&SimConfig::tiny());
         let mut walk = Walk::default();
-        let records = [record(1, true, 0), record(1, false, 2), record(1, false, 3)];
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&[record(1, true, 0), record(1, false, 2), record(1, false, 3)], &mut walk);
         assert_eq!(
             events(&walk),
             [(0, false, gap(0, 0)), (1, true, gap(0, 0)), (2, true, gap(0, 0))]
@@ -1067,12 +982,11 @@ mod tests {
         // every load hit must reach that record as well as the slot.
         let mut front = FrontEnd::new(&SimConfig::tiny());
         let mut walk = Walk::default();
-        let records = [record(0, false, 0), record(0, false, 1)];
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&[record(0, false, 0), record(0, false, 1)], &mut walk);
         assert_eq!(events(&walk), [(0, false, gap(0, 0))]);
         front.time_load_hits();
         let records = [record(0, false, 1), record(0, true, 2), record(0, false, 0)];
-        front.walk(&records, records.len(), &mut walk);
+        front.walk(&records, &mut walk);
         assert_eq!(events(&walk), [(0, true, gap(0, 0)), (2, true, gap(3, 0))]);
         assert_eq!(front.stats(Level::L1d).demand_hits, 4);
     }

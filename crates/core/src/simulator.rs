@@ -188,16 +188,13 @@ pub fn llc_demand_stream(trace: &Trace, config: &SimConfig) -> Vec<(u32, u64)> {
     let (mut front, mut walk) = (FrontEnd::new(config), Walk::default());
     let set_mask = u64::from(config.llc.sets) - 1;
     let mut stream = Vec::new();
-    let records = trace.records();
-    for start in (0..records.len()).step_by(DEFAULT_CHUNK_RECORDS) {
-        let len = DEFAULT_CHUNK_RECORDS.min(records.len() - start);
-        front.walk_piece(&records[start..], len, &mut walk, |records, walk| {
-            let llc_access = |event: &UpperEvent| {
-                let block = records[event.index as usize].block();
-                event.reaches_llc().then_some(((block & set_mask) as u32, block))
-            };
-            stream.extend(walk.events.iter().filter_map(llc_access));
-        });
+    for chunk in trace.records().chunks(DEFAULT_CHUNK_RECORDS) {
+        front.walk(chunk, &mut walk);
+        let llc_access = |event: &UpperEvent| {
+            let block = chunk[event.index as usize].block();
+            event.reaches_llc().then_some(((block & set_mask) as u32, block))
+        };
+        stream.extend(walk.events.iter().filter_map(llc_access));
     }
     stream
 }

@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use ccsim_campaign as campaign;
 pub use ccsim_core as core;
